@@ -85,7 +85,7 @@ from .reduction import (
     reduce_operable,
     root_interfaces_at,
 )
-from .threads import ThreadAnalysis, compute_threads, dot_export, mutable_edges, text_report
+from .threads import ThreadAnalysis, dot_export, text_report
 from .trivialize import (
     BrotherChainError,
     collapsing_strategy,

@@ -7,25 +7,38 @@ of context entries are the axiom edges).  Ascendance follows an edge
 upward through the typing rules and polar inversion flips it at an axiom;
 threads are the equivalence classes, and the interface of an operable
 derivation consumes them pairwise at application nodes.
+
+Cost model: every step is O(1) per edge.  Each edge has an integer id, its
+index in `edge_key` order, and each edge's ascendant is computed once; at
+an application node a left edge finds its premise in a track-to-premise
+table built once per (node, variable).  An ascendant always has a larger
+id, so one pass in reverse id order gives every edge its highest
+ascendant, and polarity, referents and thread kinds are read off those
+tops.  Threads are the classes of a union-find over the ids whose roots are
+least members, so threads and their edges come out in `edge_key` order
+without sorting.  Brothers inside a set of threads are found in one pass
+over their parent keys (`brother_pair`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Union
+from functools import cached_property
+from typing import Iterable, Optional, Union
 
 from .positions import EPS, Position, Track, applicative_depth, format_position
-from .stypes import print_type, type_support
+from .stypes import SArrow, SeqType, SType, print_type
 from .derivations import (
     AbsNode,
     AppNode,
     AxNode,
     CheckedDerivation,
     FLAVOR_S,
+    Node,
 )
 from .reduction import OperableDerivation, make_operable
-from .terms import Abs, Var, subterm_at
+from .terms import Abs, subterm_at
 
 POS = "+"
 NEG = "-"
@@ -74,15 +87,6 @@ def format_edge(e: Edge) -> str:
     return f"({format_position(e.pos)}, {e.var}, {format_position(e.inner)})"
 
 
-def _parent_key(e: Edge) -> tuple:
-    """Edges sharing this key hang off the same node (structural siblings)."""
-    if isinstance(e, ArgEdge):
-        return ("arg", e.pos[:-1])
-    if isinstance(e, RightEdge):
-        return ("right", e.pos, e.inner[:-1])
-    return ("left", e.pos, e.var, e.inner[:-1])
-
-
 @dataclass(frozen=True)
 class Thread:
     id: int
@@ -109,22 +113,71 @@ class BrotherChain:
     positions: tuple[Position, ...]
 
 
-class UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict = {}
+def _mutable_positions(t: SType | SeqType) -> list[Position]:
+    """The positions of a type or sequence type that end in a track >= 2,
+    in lexicographic order: a preorder walk that visits the target (letter
+    1) before the source entries, which are sorted by track."""
+    out: list[Position] = []
+    if isinstance(t, SeqType):
+        stack = [((k,), s) for k, s in reversed(t.entries)]
+    else:
+        stack = [(EPS, t)]
+    while stack:
+        c, u = stack.pop()
+        if c and c[-1] >= 2:
+            out.append(c)
+        if isinstance(u, SArrow):
+            stack.extend((c + (k,), s) for k, s in reversed(u.source.entries))
+            stack.append((c + (1,), u.target))
+    return out
 
-    def find(self, x):
+
+class UnionFind:
+    """Union-find over the ints 0..n-1 with path compression (Tarjan 1975).
+
+    The root of a class is its least member, so the classes come out in
+    the order of their least members without sorting."""
+
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
         root = x
-        while self.parent.setdefault(root, root) != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
-    def union(self, a, b) -> None:
+    def union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)
-        if ra != rb:
+        if ra < rb:
             self.parent[rb] = ra
+        elif rb < ra:
+            self.parent[ra] = rb
+
+    def classes(self) -> list[list[int]]:
+        """Every class, sorted, in the order of their least members."""
+        grouped: dict[int, list[int]] = {}
+        for x in range(len(self.parent)):
+            grouped.setdefault(self.find(x), []).append(x)
+        return list(grouped.values())
+
+
+class ThreadLabelError(ValueError):
+    """Two edges of one thread carry different tracks.
+
+    Ascendance and polar inversion keep the track, so this cannot happen on
+    a checked derivation; the thread and the two edges are the witness."""
+
+    def __init__(self, thread: int, first: Edge, other: Edge) -> None:
+        super().__init__(
+            f"thread t{thread} joins {format_edge(first)} on track {edge_label(first)}"
+            f" and {format_edge(other)} on track {edge_label(other)}"
+        )
+        self.thread = thread
+        self.edges = (first, other)
 
 
 class ThreadAnalysis:
@@ -140,132 +193,172 @@ class ThreadAnalysis:
         else:
             self.checked = target
             self.op = make_operable(target) if target.flavor == FLAVOR_S else None
-        self.edges = self._mutable_edges()
-        self._edge_set = set(self.edges)
-        self._asc_memo: dict[Edge, Optional[Edge]] = {}
+        # node ids follow position order; `_child[v][k]` is the id of v.k
+        self._positions = sorted(self.checked.support())
+        self._nodes: list[Node] = [self.checked.node(a) for a in self._positions]
+        self._node_id = {a: v for v, a in enumerate(self._positions)}
+        self._child: list[dict[Track, int]] = [{} for _ in self._positions]
+        for v, a in enumerate(self._positions):
+            if a:
+                self._child[self._node_id[a[:-1]]][a[-1]] = v
+        self._keys, self.edges = self._mutable_edges()
+        self._id = {key: i for i, key in enumerate(self._keys)}
         self._build_threads()
         self._arcs: Optional[list[ConsumptionArc]] = None
 
     # -- edges ---------------------------------------------------------------
 
-    def _mutable_edges(self) -> list[Edge]:
-        checked = self.checked
-        out: list[Edge] = []
-        for a in checked.support():
-            node = checked.node(a)
-            if isinstance(node, AppNode):
-                out.extend(ArgEdge(a + (k,)) for k in node.arg_tracks)
-            sup, _ = type_support(checked.type_at(a))
-            out.extend(RightEdge(a, c) for c in sup.mutable_support())
+    def _mutable_edges(self) -> tuple[list[tuple], list[Edge]]:
+        """Every mutable edge with its key, in `edge_key` order.
+
+        A key is `edge_key` with the node position replaced by its id:
+        (0, node) for the argument edge into node, (1, node, inner) or
+        (2, node, var, inner).  Ids follow
+        position order, so keys sort the same way, and hashing or comparing
+        a key does not depend on the depth of its node."""
+        checked, positions = self.checked, self._positions
+        # the argument premises are the nodes whose last letter is >= 2
+        args = [v for v, a in enumerate(positions) if a and a[-1] >= 2]
+        keys: list[tuple] = [(0, v) for v in args]
+        edges: list[Edge] = [ArgEdge(positions[v]) for v in args]
+        left_keys: list[tuple] = []
+        left_edges: list[Edge] = []
+        for v, a in enumerate(positions):
+            for c in _mutable_positions(checked.type_at(a)):
+                keys.append((1, v, c))
+                edges.append(RightEdge(a, c))
             for x, f in checked.context_at(a).entries:
-                supf, _ = type_support(f)
-                out.extend(LeftEdge(a, x, c) for c in supf.mutable_support())
-        return sorted(out, key=edge_key)
+                for c in _mutable_positions(f):
+                    left_keys.append((2, v, x, c))
+                    left_edges.append(LeftEdge(a, x, c))
+        return keys + left_keys, edges + left_edges
 
-    def asc(self, e: Edge) -> Optional[Edge]:
-        """The ascendant edge, or None when e is ascendance-maximal."""
-        if e in self._asc_memo:
-            return self._asc_memo[e]
-        result = self._asc(e)
-        self._asc_memo[e] = result
-        return result
-
-    def _asc(self, e: Edge) -> Optional[Edge]:
-        checked = self.checked
+    def _index(self, e: Edge) -> int:
+        v = self._node_id[e.pos]
         if isinstance(e, ArgEdge):
-            return None
-        node = checked.node(e.pos)
+            return self._id[(0, v)]
         if isinstance(e, RightEdge):
-            if isinstance(node, AppNode):
-                return RightEdge(e.pos + (1,), (1,) + e.inner)
-            if isinstance(node, AbsNode):
-                subj = subterm_at(checked.term, e.pos)
-                assert isinstance(subj, Abs)
-                if e.inner[0] == 1:
-                    return RightEdge(e.pos + (0,), e.inner[1:])
-                return LeftEdge(e.pos + (0,), subj.binder, e.inner)
-            return None
-        if isinstance(node, AppNode):
-            k = e.inner[0]
-            for child in [1] + sorted(node.arg_tracks):
-                if k in checked.context_at(e.pos + (child,)).get(e.var).tracks():
-                    return LeftEdge(e.pos + (child,), e.var, e.inner)
-            raise AssertionError("quantitativity: the entry comes from some premise")
-        if isinstance(node, AbsNode):
-            return LeftEdge(e.pos + (0,), e.var, e.inner)
-        return None
+            return self._id[(1, v, e.inner)]
+        return self._id[(2, v, e.var, e.inner)]
+
+    def _links(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """Each edge's ascendant id (-1 when ascendance-maximal), and the
+        pairs of edge ids that polar inversion joins at the axioms."""
+        checked, positions, nodes = self.checked, self._positions, self._nodes
+        keys, child, index = self._keys, self._child, self._id
+        binders: dict[int, str] = {}
+        premises: dict[tuple[int, str], dict[Track, int]] = {}
+        up = [-1] * len(keys)
+        inversions: list[tuple[int, int]] = []
+        for i, key in enumerate(keys):
+            if key[0] == 0:
+                continue
+            v = key[1]
+            node = nodes[v]
+            if isinstance(node, AxNode):
+                if key[0] == 2 and len(key[3]) > 1:
+                    inversions.append((i, index[(1, v, key[3][1:])]))
+            elif key[0] == 1:
+                inner = key[2]
+                if isinstance(node, AppNode):
+                    up[i] = index[(1, child[v][1], (1,) + inner)]
+                elif inner[0] == 1:
+                    up[i] = index[(1, child[v][0], inner[1:])]
+                else:
+                    if v not in binders:
+                        subj = subterm_at(checked.term, positions[v])
+                        assert isinstance(subj, Abs)
+                        binders[v] = subj.binder
+                    up[i] = index[(2, child[v][0], binders[v], inner)]
+            elif isinstance(node, AppNode):
+                _, _, x, inner = key
+                table = premises.get((v, x))
+                if table is None:
+                    # the premise holding each track of x, in the order 1, then
+                    # the argument tracks
+                    table = premises[(v, x)] = {}
+                    for k in [1] + sorted(node.arg_tracks):
+                        premise = child[v][k]
+                        for track in checked.context_at(positions[premise]).get(x).tracks():
+                            table.setdefault(track, premise)
+                if inner[0] not in table:
+                    raise AssertionError("quantitativity: the entry comes from some premise")
+                up[i] = index[(2, table[inner[0]], x, inner)]
+            else:
+                up[i] = index[(2, child[v][0], key[2], key[3])]
+        return up, inversions
 
     def highest_ascendant(self, e: Edge) -> Edge:
-        while True:
-            up = self.asc(e)
-            if up is None:
-                return e
-            e = up
+        return self.edges[self._top[self._index(e)]]
 
     def polarity(self, e: Edge) -> str:
-        if isinstance(e, ArgEdge):
-            return POS
-        top = self.highest_ascendant(e)
-        return POS if isinstance(top, RightEdge) else NEG
+        return self._polarity(self._index(e))
+
+    def _polarity(self, i: int) -> str:
+        # an argument edge is its own top and is positive
+        return NEG if isinstance(self.edges[self._top[i]], LeftEdge) else POS
 
     # -- threads ---------------------------------------------------------------
 
     def _build_threads(self) -> None:
-        uf = UnionFind()
-        for e in self.edges:
-            up = self.asc(e)
-            if up is not None:
-                uf.union(e, up)
-        for a in self.checked.axiom_positions():
-            node = self.checked.node(a)
-            assert isinstance(node, AxNode)
-            subj = subterm_at(self.checked.term, a)
-            assert isinstance(subj, Var)
-            sup, _ = type_support(node.stype)
-            for c in sup.positions:
-                if c and c[-1] >= 2:
-                    uf.union(LeftEdge(a, subj.name, (node.track,) + c), RightEdge(a, c))
-        classes: dict[Edge, list[Edge]] = {}
-        for e in self.edges:
-            classes.setdefault(uf.find(e), []).append(e)
-        threads = []
-        for members in classes.values():
-            members.sort(key=edge_key)
-            referent = self._referent(members)
+        edges = self.edges
+        n = len(edges)
+        up, inversions = self._links()
+        # an ascendant sits at a longer position, with the same or a later
+        # edge kind, so its id is larger: one pass in reverse id order
+        # resolves every top
+        top = list(range(n))
+        for i in range(n - 1, -1, -1):
+            if up[i] >= 0:
+                top[i] = top[up[i]]
+        self._top = top
+        uf = UnionFind(n)
+        for i, j in enumerate(up):
+            if j >= 0:
+                uf.union(i, j)
+        for i, j in inversions:
+            uf.union(i, j)
+        self.threads: list[Thread] = []
+        self._thread_of = [0] * n
+        for tid, members in enumerate(uf.classes()):
+            referent = edges[self._referent(members)]
             kind = (
                 "argument"
                 if isinstance(referent, ArgEdge)
                 else "inner" if isinstance(referent, RightEdge) else "axiom"
             )
-            threads.append((members, referent, kind))
-        threads.sort(key=lambda item: edge_key(item[0][0]))
-        self.threads: list[Thread] = []
-        self._thread_of: dict[Edge, int] = {}
-        for i, (members, referent, kind) in enumerate(threads):
-            labels = {edge_label(e) for e in members}
-            assert len(labels) == 1, "edges of one thread share their track"
-            self.threads.append(Thread(i, tuple(members), referent, labels.pop(), kind))
-            for e in members:
-                self._thread_of[e] = i
-        self._parent_keys = [
-            frozenset(_parent_key(e) for e in thread.edges) for thread in self.threads
-        ]
+            first = edges[members[0]]
+            label = edge_label(first)
+            for i in members:
+                if edge_label(edges[i]) != label:
+                    raise ThreadLabelError(tid, first, edges[i])
+                self._thread_of[i] = tid
+            self.threads.append(
+                Thread(tid, tuple(edges[i] for i in members), referent, label, kind)
+            )
 
-    def _referent(self, members: list[Edge]) -> Edge:
-        if len(members) == 1 and isinstance(members[0], ArgEdge):
+    def _referent(self, members: list[int]) -> int:
+        """The least inner top (a right edge at an axiom), else the least
+        axiom edge among the tops; a lone argument edge is its own referent."""
+        keys, nodes = self._keys, self._nodes
+        if len(members) == 1 and keys[members[0]][0] == 0:
             return members[0]
-        checked = self.checked
-        tops = {self.highest_ascendant(e) for e in members}
-        for top in sorted(tops, key=edge_key):
-            if isinstance(top, RightEdge) and isinstance(checked.node(top.pos), AxNode):
-                return top
-        for top in sorted(tops, key=edge_key):
-            if isinstance(top, LeftEdge) and len(top.inner) == 1:
-                return top
+        inner = axiom = len(keys)
+        for i in members:
+            t = self._top[i]
+            key = keys[t]
+            if key[0] == 1 and isinstance(nodes[key[1]], AxNode):
+                inner = min(inner, t)
+            elif key[0] == 2 and len(key[3]) == 1:
+                axiom = min(axiom, t)
+        if inner < len(keys):
+            return inner
+        if axiom < len(keys):
+            return axiom
         raise AssertionError("every thread has an inner, axiom or argument referent")
 
     def thread_of(self, e: Edge) -> int:
-        return self._thread_of[e]
+        return self._thread_of[self._index(e)]
 
     def thread(self, tid: int) -> Thread:
         return self.threads[tid]
@@ -287,28 +380,27 @@ class ThreadAnalysis:
             return self._arcs
         if self.op is None:
             raise ValueError("consumption needs an interface (operable derivation)")
+        edges, index, child, thread_of = self.edges, self._id, self._child, self._thread_of
         arcs = []
         for a in self.checked.app_positions():
             phi = self.op.interface[a]
-            left = self.checked.left_seq(a)
-            sup, _ = type_support(left)
-            for p in sorted(sup.mutable_support()):
-                e_left = RightEdge(a + (1,), p)
+            v = self._node_id[a]
+            for p in _mutable_positions(self.checked.left_seq(a)):
+                left = index[(1, child[v][1], p)]
                 image = phi.mapping[p]
-                e_right: Edge
                 if len(p) == 1:
-                    e_right = ArgEdge(a + (image[0],))
+                    right = index[(0, child[v][image[0]])]
                 else:
-                    e_right = RightEdge(a + (image[0],), image[1:])
+                    right = index[(1, child[v][image[0]], image[1:])]
                 arcs.append(
                     ConsumptionArc(
-                        self._thread_of[e_left],
-                        self._thread_of[e_right],
+                        thread_of[left],
+                        thread_of[right],
                         a,
-                        self.polarity(e_left),
-                        self.polarity(e_right),
-                        e_left,
-                        e_right,
+                        self._polarity(left),
+                        self._polarity(right),
+                        edges[left],
+                        edges[right],
                     )
                 )
         self._arcs = arcs
@@ -324,6 +416,35 @@ class ThreadAnalysis:
         if th1.kind == "axiom" and th2.kind == "axiom":
             return True
         return bool(self._parent_keys[t1] & self._parent_keys[t2])
+
+    def brother_pair(self, tids: Iterable[int]) -> Optional[tuple[int, int]]:
+        """Two brother threads among `tids`, or None, in one pass over their
+        parent keys: a key met in two threads, or a second axiom thread."""
+        owner: dict[tuple, int] = {}
+        axiom: Optional[int] = None
+        for t in tids:
+            if self.threads[t].kind == "axiom":
+                if axiom is not None:
+                    return axiom, t
+                axiom = t
+            for key in self._parent_keys[t]:
+                first = owner.setdefault(key, t)
+                if first != t:
+                    return first, t
+        return None
+
+    @cached_property
+    def _parent_keys(self) -> list[frozenset[tuple]]:
+        """Per thread, the nodes its edges hang off: an edge key without its
+        last letter; edges that share one are structural siblings."""
+        sets: list[set[tuple]] = [set() for _ in self.threads]
+        for i, key in enumerate(self._keys):
+            if key[0] == 0:
+                parent = (0, self._node_id[self.edges[i].pos[:-1]])
+            else:
+                parent = key[:-1] + (key[-1][:-1],)
+            sets[self._thread_of[i]].add(parent)
+        return [frozenset(keys) for keys in sets]
 
     def find_brother_chain(self) -> Optional[BrotherChain]:
         """A consumption path between two brother threads, if one exists."""
@@ -460,10 +581,3 @@ def text_report(analysis: ThreadAnalysis) -> str:
             )
     return "\n".join(lines) + "\n"
 
-
-def mutable_edges(target: OperableDerivation | CheckedDerivation) -> list[Edge]:
-    return ThreadAnalysis(target).edges
-
-
-def compute_threads(target: OperableDerivation | CheckedDerivation) -> list[Thread]:
-    return ThreadAnalysis(target).threads

@@ -59,7 +59,6 @@ from .threads import (
     RightEdge,
     ThreadAnalysis,
     UnionFind,
-    edge_key,
 )
 
 
@@ -74,6 +73,30 @@ class BrotherChainError(ValueError):
         self.chain = chain
 
 
+class UnjoinedBrothersError(BrotherChainError):
+    """Two brother threads share a class that no consumption path explains.
+
+    Classes built by `consumption_closure` of the same analysis never do
+    this; the witness chain names the two threads and has no positions."""
+
+    def __init__(self, t1: int, t2: int) -> None:
+        ValueError.__init__(
+            self, f"brother threads {t1} and {t2} share a class but no consumption path joins them"
+        )
+        self.chain = BrotherChain((t1, t2), ())
+
+
+class NonIdentityInterfaceError(ValueError):
+    """The trivialized derivation kept a non-identity interface.
+
+    Unreachable when the track values respect consumption; the application
+    position is the witness."""
+
+    def __init__(self, pos: Position) -> None:
+        super().__init__(f"trivialized interface at {format_position(pos)} is not the identity")
+        self.pos = pos
+
+
 @dataclass(frozen=True)
 class ThreadClasses:
     """Partition of the threads by the closure of consumption."""
@@ -83,20 +106,12 @@ class ThreadClasses:
 
 
 def consumption_closure(analysis: ThreadAnalysis) -> ThreadClasses:
-    uf = UnionFind()
-    for thread in analysis.threads:
-        uf.find(thread.id)
+    """Classes of threads joined by consumption, in the order of their least
+    edge: thread ids follow that order, so a class's least id decides it."""
+    uf = UnionFind(len(analysis.threads))
     for arc in analysis.consumption():
         uf.union(arc.left, arc.right)
-    grouped: dict[int, list[int]] = {}
-    for thread in analysis.threads:
-        grouped.setdefault(uf.find(thread.id), []).append(thread.id)
-
-    def least_edge(tids: list[int]):
-        return min(edge_key(analysis.thread(t).edges[0]) for t in tids)
-
-    ordered = sorted((sorted(tids) for tids in grouped.values()), key=least_edge)
-    classes = tuple(tuple(tids) for tids in ordered)
+    classes = tuple(tuple(tids) for tids in uf.classes())
     class_of = {tid: i for i, tids in enumerate(classes) for tid in tids}
     return ThreadClasses(classes, class_of)
 
@@ -108,13 +123,16 @@ def assign_track_values(
 
     Fails with an explicit brother chain if two brother threads ended up in
     the same class; this never happens for a valid operable derivation.
+    Brothers are detected in one pass per class; the chain search runs only
+    on failure.
     """
     for tids in classes.classes:
-        for t1, t2 in itertools.combinations(tids, 2):
-            if analysis.brothers(t1, t2):
-                chain = analysis.find_brother_chain()
-                assert chain is not None
-                raise BrotherChainError(chain)
+        pair = analysis.brother_pair(tids)
+        if pair is not None:
+            chain = analysis.find_brother_chain()
+            if chain is None:
+                raise UnjoinedBrothersError(*pair)
+            raise BrotherChainError(chain)
     return {i: i + 2 for i in range(len(classes.classes))}
 
 
@@ -452,8 +470,8 @@ def trivialize(op: OperableDerivation) -> TrivializeResult:
     reset = reset_derivation(op.checked, relab, op.interface, flavor=FLAVOR_S)
     assert reset.interface is not None
     for a, phi in reset.interface.items():
-        identity = identity_iso(reset.checked.left_seq(a))
-        assert phi.mapping == identity.mapping, "trivialized interface is the identity"
+        if phi.mapping != identity_iso(reset.checked.left_seq(a)).mapping:
+            raise NonIdentityInterfaceError(a)
     return TrivializeResult(reset.checked, reset.iso, classes, values, relab, analysis)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 from seqtypes.derivations import (
     AbsNode,
     AppNode,
@@ -139,3 +141,33 @@ def make_tracked_redex() -> Derivation:
         (8,): AxNode(12, O),
     }
     return Derivation(term, "Sh", nodes)
+
+
+def make_wide(m: int) -> Derivation:
+    """The flavor-S derivation of v (w u)^m with two copies of every argument
+    and two copies of u inside each copy: 9m + 1 nodes, fresh atoms and
+    fresh tracks everywhere.  Its edge count grows as m^2."""
+    nodes: dict = {}
+    tracks = itertools.count(2)
+    atoms = (SAtom(f"o{i}") for i in itertools.count(1))
+    arg_seqs = []
+    for j in range(1, m + 1):
+        app = (1,) * (m - j)
+        entries = {}
+        for _ in range(2):
+            copy = app + (next(tracks),)
+            inner = {}
+            for _ in range(2):
+                k = next(tracks)
+                inner[k] = next(atoms)
+                nodes[copy + (k,)] = AxNode(next(tracks), inner[k])
+            entries[copy[-1]] = next(atoms)
+            nodes[copy + (1,)] = AxNode(next(tracks), SArrow(seq(inner), entries[copy[-1]]))
+            nodes[copy] = AppNode(frozenset(inner))
+        nodes[app] = AppNode(frozenset(entries))
+        arg_seqs.append(seq(entries))
+    head = next(atoms)
+    for entries in reversed(arg_seqs):
+        head = SArrow(entries, head)
+    nodes[(1,) * m] = AxNode(next(tracks), head)
+    return Derivation(parse_term("v" + " (w u)" * m), "S", nodes)

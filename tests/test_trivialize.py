@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from seqtypes.corpus import make_tower, tower_instances
 from seqtypes.derivations import (
@@ -18,8 +24,10 @@ from seqtypes.reduction import (
 )
 from seqtypes.stypes import identity_iso
 from seqtypes.terms import parse_term
-from seqtypes.threads import NEG, ArgEdge, RightEdge, ThreadAnalysis
+from seqtypes.threads import NEG, ArgEdge, LeftEdge, RightEdge, ThreadAnalysis
 from seqtypes.trivialize import (
+    BrotherChainError,
+    ThreadClasses,
     assign_track_values,
     consumption_closure,
     enumerate_derivation_isos,
@@ -77,6 +85,57 @@ def test_assignment_is_injective_and_brother_consistent():
                 assert (
                     values[classes.class_of[th1.id]] != values[classes.class_of[th2.id]]
                 )
+
+
+# two brother threads of the brothers derivation: sibling edges 8 and 9 of
+# the root's left sequence, and the axiom threads of b and z
+BROTHER_PAIRS = {
+    "siblings": (RightEdge((1,), (8,)), RightEdge((1,), (9,))),
+    "axioms": (LeftEdge(EPS, "b", (4,)), LeftEdge(EPS, "z", (4,))),
+}
+
+
+def forged_brother_class(name: str) -> tuple[set[int], set[int]]:
+    """Assign tracks with the named brother pair forged into one class and
+    every other thread alone; return the threads the raised error names
+    (empty when nothing is raised) and the pair."""
+    analysis = ThreadAnalysis(brothers_operable())
+    pair = tuple(analysis.thread_of(e) for e in BROTHER_PAIRS[name])
+    rest = tuple((t,) for t in range(len(analysis.threads)) if t not in pair)
+    classes = (pair,) + rest
+    class_of = {t: i for i, tids in enumerate(classes) for t in tids}
+    try:
+        assign_track_values(analysis, ThreadClasses(classes, class_of))
+    except BrotherChainError as exc:
+        return set(exc.chain.threads), set(pair)
+    return set(), set(pair)
+
+
+@pytest.mark.parametrize("name", sorted(BROTHER_PAIRS))
+def test_forged_brother_class_raises(name):
+    named, pair = forged_brother_class(name)
+    assert len(pair) == 2
+    assert named == pair
+
+
+def test_forged_brother_class_raises_under_optimize():
+    # `python -O` strips assert statements; the brother check must not be one
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import sys\n"
+        "from test_trivialize import BROTHER_PAIRS, forged_brother_class\n"
+        "results = [forged_brother_class(name) for name in sorted(BROTHER_PAIRS)]\n"
+        "sys.exit(0 if all(named == pair for named, pair in results) else 3)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_trivialize_brothers():
