@@ -20,6 +20,7 @@ from .positions import (
     collapse_track,
     enumerate_01_isos,
     format_position,
+    iter_01_isos,
     parse_position,
 )
 from .terms import (
@@ -47,6 +48,7 @@ from .stypes import (
     collapse_type,
     enumerate_type_isos,
     equiv,
+    iter_type_isos,
     parse_seq_type,
     parse_type,
     print_type,

@@ -13,6 +13,7 @@ from .stypes import TypeIso, print_rtype
 from .derivations import (
     CheckedDerivation,
     DerivationCheckError,
+    LoadError,
     check_derivation,
     check_R,
     collapse_derivation,
@@ -43,6 +44,13 @@ class CliError(Exception):
         self.kind = kind
         self.detail = detail
         self.position = position
+
+
+def _parse_pos(text: str) -> Position:
+    try:
+        return parse_position(text)
+    except ValueError as exc:
+        raise CliError("bad-input", str(exc), text) from exc
 
 
 def _load_checked(path: str, flavor: str | None) -> CheckedDerivation:
@@ -129,7 +137,7 @@ def cmd_collapse(args) -> int:
 
 def cmd_isos(args) -> int:
     checked = _load_checked(args.file, args.flavor)
-    pos = parse_position(args.pos)
+    pos = _parse_pos(args.pos)
     try:
         isos = interfaces_at(checked, pos)
     except Exception as exc:
@@ -156,7 +164,7 @@ def cmd_isos(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    pos = parse_position(args.pos)
+    pos = _parse_pos(args.pos)
     try:
         if args.choice:
             checked = _load_checked(args.file, args.flavor)
@@ -352,6 +360,9 @@ def run(argv: list[str] | None = None) -> int:
         if exc.position is not None:
             payload["position"] = exc.position
         print(json.dumps(payload), file=sys.stderr)
+        return 1
+    except LoadError as exc:
+        print(json.dumps({"error": "bad-input", "detail": str(exc)}), file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(json.dumps({"error": "file-not-found", "detail": str(exc)}), file=sys.stderr)

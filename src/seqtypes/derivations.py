@@ -8,9 +8,10 @@ applications.  Judgments are a computed view, reconstructed bottom-up by
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .positions import (
     EPS,
@@ -580,43 +581,16 @@ def _decompose_normal(t: Term) -> tuple[list[str], str, list[Term]]:
     return binders, u.name, list(reversed(args))
 
 
-def _shapes(t: Term, width: int) -> list:
-    """Width choices for every application argument, deterministically ordered."""
+def _shapes(t: Term, width: int) -> Iterator[tuple]:
+    """Width choices for every application argument, deterministically
+    ordered and lazily: only the options of each argument are listed."""
     _, _, args = _decompose_normal(t)
-    per_arg: list[list[tuple]] = []
+    per_arg = []
     for arg in args:
-        sub = _shapes(arg, width)
-        options: list[tuple] = []
-        for w in range(width + 1):
-            options.extend(_combinations_with_replacement(sub, w))
-        per_arg.append(options)
-    out: list[tuple] = []
-
-    def product(i: int, acc: tuple) -> None:
-        if i == len(per_arg):
-            out.append(acc)
-            return
-        for option in per_arg[i]:
-            product(i + 1, acc + (option,))
-
-    product(0, ())
-    return out
-
-
-def _combinations_with_replacement(items: list, r: int) -> list[tuple]:
-    if r == 0:
-        return [()]
-    out = []
-
-    def rec(start: int, acc: tuple) -> None:
-        if len(acc) == r:
-            out.append(acc)
-            return
-        for i in range(start, len(items)):
-            rec(i, acc + (items[i],))
-
-    rec(0, ())
-    return out
+        sub = list(_shapes(arg, width))
+        widths = range(width + 1)
+        per_arg.append([c for w in widths for c in itertools.combinations_with_replacement(sub, w)])
+    return itertools.product(*per_arg)
 
 
 class _Counters:
@@ -739,8 +713,18 @@ def dumps_derivation(deriv: Derivation) -> str:
     return json.dumps(derivation_to_json(deriv), indent=2) + "\n"
 
 
+class LoadError(ValueError):
+    """A derivation file that cannot be read: invalid JSON, a missing key, or
+    bad term, type, position, node or flavor syntax."""
+
+
 def loads_derivation(text: str) -> Derivation:
-    return derivation_from_json(json.loads(text))
+    try:
+        return derivation_from_json(json.loads(text))
+    except KeyError as exc:
+        raise LoadError(f"missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise LoadError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def save_derivation(deriv: Derivation, path: str) -> None:

@@ -4,14 +4,13 @@ Positions are finite words over the naturals.  Letters 0 and 1 are fixed
 (structural) tracks; letters >= 2 are mutable argument tracks.  Position
 trees and forests are the supports that terms, types and derivations live
 on; 01-isomorphisms are the track-renaming bijections that leave the fixed
-tracks alone.
+tracks alone, enumerated lazily in key order by `iter_01_isos`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 Position = tuple[int, ...]
 Track = int
@@ -193,17 +192,6 @@ class Relabelling01:
         return self.assignment[a]
 
 
-def _child_map(positions: frozenset[Position]) -> dict[Position, list[Track]]:
-    children: dict[Position, list[Track]] = {a: [] for a in positions}
-    children.setdefault(EPS, [])
-    for a in positions:
-        if a:
-            children.setdefault(a[:-1], []).append(a[-1])
-    for tracks in children.values():
-        tracks.sort()
-    return children
-
-
 def check_01_iso(
     u1: Support,
     u2: Support,
@@ -238,21 +226,88 @@ def check_01_iso(
     return True
 
 
-def _canon(
-    pos: Position,
-    children: dict[Position, list[Track]],
+def _class_ids(
+    positions: frozenset[Position],
     labels: Optional[Mapping[Position, str]],
-) -> tuple:
-    label = labels.get(pos) if labels is not None else None
-    fixed = tuple(
-        (k, _canon(pos + (k,), children, labels))
-        for k in children.get(pos, [])
-        if k in (0, 1)
-    )
-    mutable = tuple(
-        sorted(_canon(pos + (k,), children, labels) for k in children.get(pos, []) if k >= 2)
-    )
-    return (label, fixed, mutable)
+    table: dict[tuple, int],
+) -> dict[Position, int]:
+    """One class id per position, computed bottom-up (Aho, Hopcroft, Ullman).
+
+    The key of a position is its label, its fixed children's ids by track
+    and the sorted ids of its mutable children.  Supports that share the
+    table get equal ids exactly for isomorphic labelled subtrees.
+    """
+    below: dict[Position, list[Position]] = {}
+    for a in sorted(positions):
+        if a:
+            below.setdefault(a[:-1], []).append(a)
+    ids: dict[Position, int] = {}
+    for a in sorted(positions, key=len, reverse=True):
+        kids = below.get(a, ())
+        key = (
+            labels.get(a) if labels is not None else None,
+            tuple((b[-1], ids[b]) for b in kids if b[-1] < 2),
+            tuple(sorted(ids[b] for b in kids if b[-1] >= 2)),
+        )
+        ids[a] = table.setdefault(key, len(table))
+    return ids
+
+
+def iter_01_isos(
+    u1: Support,
+    u2: Support,
+    labels1: Optional[Mapping[Position, str]] = None,
+    labels2: Optional[Mapping[Position, str]] = None,
+) -> Iterator[ZeroOneIso]:
+    """The 01-isomorphisms from u1 onto u2, lazily, in increasing `key()` order.
+
+    The supports must be prefix-closed.  Source positions are walked in sorted
+    order, which is preorder, and each is mapped to the least free target
+    child of the same class; backtracking runs on an explicit stack.  Since
+    equal classes mean isomorphic subtrees, every partial map extends, so
+    the isomorphisms come out in order without a sort and none is built in
+    vain.  The first one costs O(n log n) in the size n of the supports,
+    plus a scan quadratic in the size of each group of same-class siblings;
+    each later one costs at most as much again.
+    """
+    s1, s2 = support_set(u1), support_set(u2)
+    t1, t2 = s1 | {EPS}, s2 | {EPS}
+    table: dict[tuple, int] = {}
+    cls1, cls2 = _class_ids(t1, labels1, table), _class_ids(t2, labels2, table)
+    if cls1[EPS] != cls2[EPS]:
+        return
+    targets: dict[tuple[Position, int], list[Position]] = {}
+    for b in sorted(t2):
+        if b and b[-1] >= 2:
+            targets.setdefault((b[:-1], cls2[b]), []).append(b)
+    order = sorted(t1)
+    n, start = len(order), 0 if EPS in s1 else 1
+    index = {a: i for i, a in enumerate(order)}
+    parent = [index[a[:-1]] if a else -1 for a in order]
+    image: list[Optional[Position]] = [None] * n
+    options: list = [(EPS,)] + [()] * (n - 1)
+    tried = [0] * n
+    used: set[Position] = set()
+    i = 0
+    while i >= 0:
+        if image[i] is not None:
+            used.discard(image[i])
+            image[i] = None
+        opts, j = options[i], tried[i]
+        while j < len(opts) and opts[j] in used:
+            j += 1
+        if j == len(opts):
+            i -= 1
+            continue
+        image[i], tried[i] = opts[j], j + 1
+        used.add(opts[j])
+        if i + 1 == n:
+            yield ZeroOneIso(dict(zip(order[start:], image[start:])))
+            continue
+        i += 1
+        a, b = order[i], image[parent[i]]
+        options[i] = (b + a[-1:],) if a[-1] < 2 else targets[b, cls1[a]]
+        tried[i] = 0
 
 
 def enumerate_01_isos(
@@ -261,84 +316,22 @@ def enumerate_01_isos(
     labels1: Optional[Mapping[Position, str]] = None,
     labels2: Optional[Mapping[Position, str]] = None,
 ) -> list[ZeroOneIso]:
-    """All 01-isomorphisms from u1 onto u2, in a deterministic order.
-
-    Children are grouped by (label, subtree-canonical-form); within a group
-    the source tracks are taken in ascending order and the target tracks in
-    lexicographic permutation order.
-    """
-    s1, s2 = support_set(u1), support_set(u2)
-    is_forest = EPS not in s1
-    t1 = s1 | {EPS}
-    t2 = s2 | {EPS}
-    ch1, ch2 = _child_map(t1), _child_map(t2)
-
-    def go(p1: Position, p2: Position) -> list[dict[Position, Position]]:
-        if _canon(p1, ch1, labels1) != _canon(p2, ch2, labels2):
-            return []
-        kids1, kids2 = ch1.get(p1, []), ch2.get(p2, [])
-        parts: list[list[dict[Position, Position]]] = []
-        for k in (0, 1):
-            if (k in kids1) != (k in kids2):
-                return []
-            if k in kids1:
-                parts.append(go(p1 + (k,), p2 + (k,)))
-        groups1: dict[tuple, list[Track]] = {}
-        groups2: dict[tuple, list[Track]] = {}
-        for k in kids1:
-            if k >= 2:
-                groups1.setdefault(_canon(p1 + (k,), ch1, labels1), []).append(k)
-        for k in kids2:
-            if k >= 2:
-                groups2.setdefault(_canon(p2 + (k,), ch2, labels2), []).append(k)
-        if set(groups1) != set(groups2):
-            return []
-        for canon in sorted(groups1):
-            xs, ys = groups1[canon], groups2[canon]
-            if len(xs) != len(ys):
-                return []
-            group_alts: list[dict[Position, Position]] = []
-            for perm in itertools.permutations(sorted(ys)):
-                sub_parts = [go(p1 + (x,), p2 + (y,)) for x, y in zip(sorted(xs), perm)]
-                for combo in itertools.product(*sub_parts):
-                    merged: dict[Position, Position] = {}
-                    for x, y in zip(sorted(xs), perm):
-                        merged[p1 + (x,)] = p2 + (y,)
-                    for sub in combo:
-                        merged.update(sub)
-                    group_alts.append(merged)
-            parts.append(group_alts)
-        results: list[dict[Position, Position]] = []
-        for combo in itertools.product(*parts):
-            merged = {p1: p2}
-            for sub in combo:
-                merged.update(sub)
-            results.append(merged)
-        return results
-
-    raw = go(EPS, EPS)
-    isos = []
-    for mapping in raw:
-        if is_forest:
-            mapping = {a: b for a, b in mapping.items() if a != EPS}
-        isos.append(ZeroOneIso(mapping))
-    isos.sort(key=ZeroOneIso.key)
-    return isos
+    """All 01-isomorphisms from u1 onto u2, in increasing `key()` order."""
+    return list(iter_01_isos(u1, u2, labels1, labels2))
 
 
 def make_root_iso(f1: PosForest, f2: PosForest, mapping: dict[Track, Track],
                   labels1: Optional[Mapping[Position, str]] = None,
                   labels2: Optional[Mapping[Position, str]] = None) -> RootIso:
-    """Validate that the root mapping extends to a 01-isomorphism of the forests."""
+    """Validate that the root mapping extends to a 01-isomorphism of the forests:
+    each root goes to a root of the same class."""
     if sorted(mapping) != f1.roots() or sorted(mapping.values()) != f2.roots():
         raise DomainMismatchError("root mapping does not match the forests' roots")
-    s1, s2 = f1.positions, f2.positions
+    table: dict[tuple, int] = {}
+    cls1 = _class_ids(f1.positions, labels1, table)
+    cls2 = _class_ids(f2.positions, labels2, table)
     for k, k2 in mapping.items():
-        sub1 = frozenset(a[1:] for a in s1 if a[0] == k) | {EPS}
-        sub2 = frozenset(a[1:] for a in s2 if a[0] == k2) | {EPS}
-        lab1 = {a[1:]: v for a, v in labels1.items() if a and a[0] == k} if labels1 else None
-        lab2 = {a[1:]: v for a, v in labels2.items() if a and a[0] == k2} if labels2 else None
-        if not enumerate_01_isos(sub1, sub2, lab1, lab2):
+        if cls1[(k,)] != cls2[(k2,)]:
             raise ValueError(f"root mapping {k} -> {k2} is not extendable to a 01-iso")
     return RootIso(dict(mapping))
 

@@ -18,9 +18,11 @@ from .positions import (
     EPS,
     Position,
     Track,
+    ZeroOneIso,
     collapse_position,
     format_position,
     is_prefix,
+    iter_01_isos,
 )
 from .stypes import (
     RArrow,
@@ -35,6 +37,7 @@ from .stypes import (
     enumerate_type_isos,
     equiv,
     identity_iso,
+    iter_type_isos,
     rarrow,
     rkey,
     seq,
@@ -80,31 +83,21 @@ def interfaces_at(checked: CheckedDerivation, a: Position) -> list[TypeIso]:
 
 
 def root_interfaces_at(checked: CheckedDerivation, a: Position) -> list[dict[Track, Track]]:
-    """All root interfaces at an application node."""
-    left, right = checked.left_seq(a), checked.right_seq(a)
-    groups_l: dict[tuple, list[Track]] = {}
-    groups_r: dict[tuple, list[Track]] = {}
-    for k, s in left.items():
-        groups_l.setdefault(rkey(collapse_type(s)), []).append(k)
-    for k, s in right.items():
-        groups_r.setdefault(rkey(collapse_type(s)), []).append(k)
-    if set(groups_l) != set(groups_r):
-        return []
-    out: list[dict[Track, Track]] = [{}]
-    for key in sorted(groups_l):
-        xs, ys = sorted(groups_l[key]), groups_r[key]
-        if len(xs) != len(ys):
-            return []
-        extended = []
-        for perm in itertools.permutations(sorted(ys)):
-            for base in out:
-                extended.append({**base, **dict(zip(xs, perm))})
-        out = extended
-    return sorted(out, key=lambda rho: tuple(sorted(rho.items())))
+    """All root interfaces at an application node, lexicographically ordered:
+    the 01-isomorphisms of the two depth-1 forests of tracks labelled by
+    their collapsed types."""
+    left = {(k,): rkey(collapse_type(s)) for k, s in checked.left_seq(a).items()}
+    right = {(k,): rkey(collapse_type(s)) for k, s in checked.right_seq(a).items()}
+    isos = iter_01_isos(frozenset(left), frozenset(right), left, right)
+    return [_root_of_iso(phi) for phi in isos]
 
 
 def default_interface(checked: CheckedDerivation, a: Position) -> TypeIso:
-    return interfaces_at(checked, a)[0]
+    """The least interface at an application node, without listing the others."""
+    iso = next(iter_type_isos(checked.left_seq(a), checked.right_seq(a)), None)
+    if iso is None:
+        raise ReductionError(f"no interface at {format_position(a)}: its sides are not isomorphic")
+    return iso
 
 
 def extend_root_interface(
@@ -115,10 +108,10 @@ def extend_root_interface(
     mapping: dict[Position, Position] = {}
     for k, s in left.items():
         k2 = rho[k]
-        isos = enumerate_type_isos(s, right.get(k2))
-        if not isos:
+        iso = next(iter_type_isos(s, right.get(k2)), None)
+        if iso is None:
             raise ChoiceError(f"root mapping {k} -> {k2} at {format_position(a)} not extendable")
-        for c, c2 in isos[0].mapping.items():
+        for c, c2 in iso.mapping.items():
             mapping[(k,) + c] = (k2,) + c2
     return TypeIso(mapping)
 
@@ -416,7 +409,7 @@ def reduce_operable(
     return OperableDerivation(new_checked, new_interface), maps, types
 
 
-def _root_of_iso(iso: TypeIso) -> dict[Track, Track]:
+def _root_of_iso(iso: TypeIso | ZeroOneIso) -> dict[Track, Track]:
     return {c[0]: c2[0] for c, c2 in iso.mapping.items() if len(c) == 1}
 
 

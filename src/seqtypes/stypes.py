@@ -9,7 +9,7 @@ equality `equiv` is defined against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .positions import (
     EPS,
@@ -19,7 +19,7 @@ from .positions import (
     Track,
     ZeroOneIso,
     check_01_iso,
-    enumerate_01_isos,
+    iter_01_isos,
 )
 
 ARROW = "->"
@@ -228,11 +228,17 @@ def check_type_iso(t1: SType | SeqType, t2: SType | SeqType, iso: TypeIso) -> bo
     return check_01_iso(sup1, sup2, ZeroOneIso(iso.mapping), lab1, lab2)
 
 
-def enumerate_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> list[TypeIso]:
-    """All type isomorphisms, deterministically ordered (lexicographic key)."""
+def iter_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> Iterator[TypeIso]:
+    """The type isomorphisms, lazily, in increasing `key()` order; the first
+    one is the least and costs O(n log n) (see `iter_01_isos`)."""
     sup1, lab1 = type_support(t1)
     sup2, lab2 = type_support(t2)
-    return [TypeIso(phi.mapping) for phi in enumerate_01_isos(sup1, sup2, lab1, lab2)]
+    return (TypeIso(phi.mapping) for phi in iter_01_isos(sup1, sup2, lab1, lab2))
+
+
+def enumerate_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> list[TypeIso]:
+    """All type isomorphisms, in increasing `key()` order."""
+    return list(iter_type_isos(t1, t2))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

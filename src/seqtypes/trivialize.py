@@ -23,8 +23,8 @@ from .positions import (
     apply_relabelling,
     check_01_iso,
     collapse_position,
-    enumerate_01_isos,
     format_position,
+    iter_01_isos,
 )
 from .stypes import (
     SArrow,
@@ -301,25 +301,29 @@ def verify_derivation_iso(
     return True
 
 
+def support_labels(c: CheckedDerivation) -> dict[Position, str]:
+    """Node labels under which a derivation isomorphism maps supports: the
+    rule, and for an axiom the collapse of its type."""
+    out = {}
+    for a in c.support():
+        node = c.node(a)
+        if isinstance(node, AxNode):
+            out[a] = f"ax{rkey(collapse_type(node.stype))}"
+        else:
+            out[a] = "abs" if isinstance(node, AbsNode) else "app"
+    return out
+
+
 def enumerate_derivation_isos(
     c1: CheckedDerivation, c2: CheckedDerivation, limit: int = 64
 ) -> list[DerivationIso]:
-    """Hybrid-derivation isomorphisms, up to the given budget."""
+    """Hybrid-derivation isomorphisms, up to the given budget.  Support
+    isomorphisms are drawn lazily, so the search stops once `limit` are found."""
     if alpha_key(c1.term) != alpha_key(c2.term):
         return []
-
-    def labels(c: CheckedDerivation) -> dict[Position, str]:
-        out = {}
-        for a in c.support():
-            node = c.node(a)
-            if isinstance(node, AxNode):
-                out[a] = f"ax{rkey(collapse_type(node.stype))}"
-            else:
-                out[a] = "abs" if isinstance(node, AbsNode) else "app"
-        return out
-
     out: list[DerivationIso] = []
-    for supp_iso in enumerate_01_isos(c1.support(), c2.support(), labels(c1), labels(c2)):
+    labels1, labels2 = support_labels(c1), support_labels(c2)
+    for supp_iso in iter_01_isos(c1.support(), c2.support(), labels1, labels2):
         axiom_choices = []
         for a in c1.axiom_positions():
             isos = enumerate_type_isos(c1.type_at(a), c2.type_at(supp_iso(a)))

@@ -171,3 +171,16 @@ def make_wide(m: int) -> Derivation:
         head = SArrow(entries, head)
     nodes[(1,) * m] = AxNode(next(tracks), head)
     return Derivation(parse_term("v" + " (w u)" * m), "S", nodes)
+
+
+def make_equal_typed(k: int) -> Derivation:
+    """The flavor-S derivation of v u with k copies of u, every atom o: the
+    two sides of the root application are equal and have k! interfaces."""
+    args = range(2, 2 + k)
+    nodes: dict = {
+        EPS: AppNode(frozenset(args)),
+        (1,): AxNode(2, SArrow(seq({i: O for i in args}), O)),
+    }
+    for i in args:
+        nodes[(i,)] = AxNode(i, O)
+    return Derivation(parse_term("v u"), "S", nodes)

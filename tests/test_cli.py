@@ -158,3 +158,59 @@ def test_reduce_with_choice_file(brothers_file, tmp_path, capsys):
     reduct = load_derivation(str(out))
     assert reduct.flavor == "Sh"
     check_derivation(reduct)
+
+
+def bad_input(argv: list[str], capsys) -> dict:
+    """Run a command that must fail on its input: exit 1, nothing on stdout,
+    and the documented JSON object on stderr."""
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "bad-input"
+    assert payload["detail"]
+    return payload
+
+
+def write_edited(tmp_path, edit) -> str:
+    """A copy of the self-application file, edited as a JSON object."""
+    data = json.loads(dumps_derivation(make_self_app()))
+    edit(data)
+    path = tmp_path / "edited.deriv"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_invalid_json_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "truncated.deriv"
+    path.write_text(dumps_derivation(make_self_app())[:40])
+    assert "JSONDecodeError" in bad_input(["check", "--file", str(path)], capsys)["detail"]
+
+
+def test_missing_nodes_is_bad_input(tmp_path, capsys):
+    path = write_edited(tmp_path, lambda data: data.pop("nodes"))
+    assert "nodes" in bad_input(["collapse", "--file", path], capsys)["detail"]
+
+
+def test_bad_type_syntax_is_bad_input(tmp_path, capsys):
+    def break_type(data):
+        data["nodes"][-1]["type"] = "(2:o -> o"
+
+    path = write_edited(tmp_path, break_type)
+    assert "TypeSyntaxError" in bad_input(["check", "--file", path], capsys)["detail"]
+
+
+def test_bad_term_syntax_is_bad_input(tmp_path, capsys):
+    path = write_edited(tmp_path, lambda data: data.update(term="\\x. (x x"))
+    assert "TermSyntaxError" in bad_input(["isos", "--file", path, "--pos", "0"], capsys)["detail"]
+
+
+@pytest.mark.parametrize("command", ["isos", "reduce"])
+def test_bad_position_is_bad_input(self_app_file, command, capsys):
+    payload = bad_input([command, "--file", self_app_file, "--pos", "0.x"], capsys)
+    assert payload["position"] == "0.x"
+
+
+def test_unknown_flavor_is_bad_input(tmp_path, capsys):
+    path = write_edited(tmp_path, lambda data: data.update(flavor="T"))
+    assert "flavor" in bad_input(["check", "--file", path], capsys)["detail"]

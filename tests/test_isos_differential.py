@@ -1,0 +1,253 @@
+"""Differential tests: the lazy isomorphism enumerator against the eager one.
+
+`reference_isos` keeps the group-and-permute enumerators.  The lazy
+`iter_01_isos` must yield exactly their sorted lists (so its first element
+is the old `[0]`) on the interfaces and labelled derivation supports of the
+hybrid acceptance corpus, on the equal-typed family, on the wide family and
+on random labelled trees and forests; root interfaces, root-map validation
+and width shapes must match too.  The scale tests pin what laziness buys:
+the least interface of k equal-typed arguments without k! work, one
+derivation of `v (w u)^8` without 10^8 shapes, and one support isomorphism
+drawn for `limit=1`.
+"""
+
+from __future__ import annotations
+
+import importlib
+import itertools
+import random
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seqtypes.corpus import sr_corpus
+from seqtypes.derivations import (
+    CheckedDerivation,
+    GenBudget,
+    _shapes,
+    check_derivation,
+    generate_normal_form_derivations,
+)
+from seqtypes.positions import (
+    EPS,
+    Relabelling01,
+    apply_relabelling,
+    enumerate_01_isos,
+    iter_01_isos,
+    make_root_iso,
+)
+from seqtypes.reduction import (
+    ReductionError,
+    default_interface,
+    interfaces_at,
+    make_operable,
+    root_interfaces_at,
+)
+from seqtypes.stypes import type_support
+from seqtypes.terms import parse_term
+from seqtypes.trivialize import (
+    enumerate_derivation_isos,
+    random_relabelling,
+    reset_derivation,
+    support_labels,
+)
+
+import reference_isos as ref
+from samples import make_equal_typed, make_wide
+
+CORPUS_SEED = 20250809
+
+
+def hybrid_pairs() -> list[tuple[CheckedDerivation, CheckedDerivation]]:
+    """The 500 acceptance derivations, each with its hybrid perturbation."""
+    rng = random.Random(CORPUS_SEED + 1)
+    return [
+        (checked, reset_derivation(checked, random_relabelling(checked, rng), flavor="Sh").checked)
+        for checked in sr_corpus(CORPUS_SEED, 500, size=7, width=2)
+    ]
+
+
+def family_pairs() -> list[tuple[CheckedDerivation, CheckedDerivation]]:
+    """Equal-typed k = 1..6 and wide m = 2..6, each with an S_h relabelling."""
+    rng = random.Random(CORPUS_SEED + 9)
+    bases = [make_equal_typed(k) for k in range(1, 7)] + [make_wide(m) for m in range(2, 7)]
+    out = []
+    for deriv in bases:
+        checked = check_derivation(deriv)
+        hybrid = reset_derivation(checked, random_relabelling(checked, rng), flavor="Sh").checked
+        out.append((checked, hybrid))
+    return out
+
+
+def keys(isos) -> list[tuple]:
+    return [phi.key() for phi in isos]
+
+
+def reference_interfaces(checked: CheckedDerivation, a) -> list[tuple]:
+    sup1, lab1 = type_support(checked.left_seq(a))
+    sup2, lab2 = type_support(checked.right_seq(a))
+    return keys(ref.enumerate_01_isos(sup1, sup2, lab1, lab2))
+
+
+def assert_same_interfaces(checked: CheckedDerivation) -> None:
+    for a in checked.app_positions():
+        want = reference_interfaces(checked, a)
+        assert keys(interfaces_at(checked, a)) == want
+        assert default_interface(checked, a).key() == want[0]
+        assert root_interfaces_at(checked, a) == ref.root_interfaces_at(checked, a)
+        assert_same_root_validation(checked, a)
+
+
+def assert_same_root_validation(checked: CheckedDerivation, a) -> None:
+    """`make_root_iso` accepts a root bijection exactly when the reference
+    finds a 01-iso for every pair of re-rooted subtrees (up to 4 roots)."""
+    f1, lab1 = type_support(checked.left_seq(a))
+    f2, lab2 = type_support(checked.right_seq(a))
+    roots1, roots2 = f1.roots(), f2.roots()
+    if len(roots1) > 4:
+        return
+    for perm in itertools.permutations(roots2):
+        mapping = dict(zip(roots1, perm))
+        extends = all(ref.extends_to_01_iso(f1, f2, k, k2, lab1, lab2) for k, k2 in mapping.items())
+        try:
+            make_root_iso(f1, f2, mapping, lab1, lab2)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == extends, mapping
+
+
+def assert_same_support_isos(c1: CheckedDerivation, c2: CheckedDerivation) -> None:
+    lab1, lab2 = support_labels(c1), support_labels(c2)
+    want = keys(ref.enumerate_01_isos(c1.support(), c2.support(), lab1, lab2))
+    assert keys(iter_01_isos(c1.support(), c2.support(), lab1, lab2)) == want
+
+
+def test_hybrid_corpus_interfaces_match_reference():
+    pairs = hybrid_pairs()
+    assert len(pairs) == 500
+    for checked, hybrid in pairs:
+        assert_same_interfaces(checked)
+        assert_same_interfaces(hybrid)
+
+
+def test_hybrid_corpus_support_isos_match_reference():
+    for checked, hybrid in hybrid_pairs():
+        assert_same_support_isos(checked, hybrid)
+        assert_same_support_isos(hybrid, hybrid)
+
+
+def test_families_match_reference():
+    for checked, hybrid in family_pairs():
+        assert_same_interfaces(checked)
+        assert_same_interfaces(hybrid)
+        assert_same_support_isos(checked, hybrid)
+
+
+positions_st = st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple)
+
+
+def labelled_support(ps, labels, forest: bool) -> tuple[frozenset, dict]:
+    closed = {EPS}
+    for p in ps:
+        if forest and p[0] < 2:
+            p = (p[0] + 2,) + p[1:]
+        closed.update(p[:i] for i in range(len(p) + 1))
+    if forest:
+        closed.discard(EPS)
+    return frozenset(closed), {a: labels[hash(a) % len(labels)] for a in closed}
+
+
+def relabelled(supp: frozenset, labels: dict, rng: random.Random) -> tuple[frozenset, dict]:
+    """Move every mutable track to a fresh one, siblings kept distinct."""
+    assignment = {}
+    for a in sorted(supp):
+        if a and a[-1] >= 2:
+            assignment[a] = a[-1] + 2 + rng.randrange(3) * 5
+    image, phi = apply_relabelling(supp, Relabelling01(assignment))
+    return image, {phi(a): label for a, label in labels.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(positions_st, max_size=7),
+    st.lists(positions_st, max_size=7),
+    st.sampled_from(["a", "ab", "abc"]),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+def test_random_labelled_forests_match_reference(ps, qs, labels, forest, seed):
+    s1, lab1 = labelled_support(ps, labels, forest)
+    s2, lab2 = relabelled(s1, lab1, random.Random(seed))
+    s3, lab3 = labelled_support(qs, labels, forest)
+    for u2, l2 in ((s2, lab2), (s3, lab3), (s1, lab1)):
+        assert keys(iter_01_isos(s1, u2, lab1, l2)) == keys(ref.enumerate_01_isos(s1, u2, lab1, l2))
+        assert keys(enumerate_01_isos(s1, u2)) == keys(ref.enumerate_01_isos(s1, u2))
+    assert enumerate_01_isos(s1, s2, lab1, lab2), "a relabelling is an isomorphism"
+
+
+@pytest.mark.parametrize(
+    "term, width",
+    [
+        ("v (w u) (w u)", 2),
+        ("v (w u) (w u)", 3),
+        ("\\x. f (x y) (\\z. z y)", 2),
+        ("f (g (h a) b) (k c)", 2),
+        ("x", 3),
+    ],
+)
+def test_shapes_match_reference(term, width):
+    t = parse_term(term)
+    assert list(_shapes(t, width)) == ref.shapes(t, width)
+
+
+def test_first_derivation_of_a_wide_term_is_immediate():
+    t = parse_term("v" + " (w u)" * 8)
+    start = time.perf_counter()
+    (deriv,) = generate_normal_form_derivations(t, GenBudget(limit=1))
+    assert time.perf_counter() - start < 1.0
+    check_derivation(deriv)
+
+
+def test_least_interface_of_ten_equal_typed_arguments():
+    """k = 10 has 3,628,800 interfaces; the least maps the sorted left
+    tracks onto the sorted right tracks, order preserved."""
+    base = check_derivation(make_equal_typed(10))
+    hybrid = reset_derivation(base, random_relabelling(base, random.Random(3)), flavor="Sh").checked
+    start = time.perf_counter()
+    op = make_operable(hybrid)
+    assert time.perf_counter() - start < 1.0
+    left, right = hybrid.left_seq(EPS).tracks(), hybrid.right_seq(EPS).tracks()
+    assert op.interface[EPS].mapping == {(k,): (k2,) for k, k2 in zip(sorted(left), sorted(right))}
+
+
+def test_derivation_isos_stop_at_the_limit(monkeypatch):
+    drawn = []
+
+    def counting(*args):
+        for phi in iter_01_isos(*args):
+            drawn.append(phi)
+            yield phi
+
+    # the package exports a function named like the module, so import it by name
+    monkeypatch.setattr(importlib.import_module("seqtypes.trivialize"), "iter_01_isos", counting)
+    checked = check_derivation(make_equal_typed(6))
+    assert len(enumerate_derivation_isos(checked, checked, limit=1)) == 1
+    assert len(drawn) == 1
+
+
+class _NotIsomorphic:
+    """A stand-in derivation whose application sides cannot be matched."""
+
+    def left_seq(self, a):
+        return check_derivation(make_equal_typed(2)).left_seq(EPS)
+
+    def right_seq(self, a):
+        return check_derivation(make_equal_typed(3)).right_seq(EPS)
+
+
+def test_default_interface_names_the_position():
+    with pytest.raises(ReductionError, match="no interface at 1.2"):
+        default_interface(_NotIsomorphic(), (1, 2))
