@@ -11,7 +11,6 @@ from .positions import (
     PosForest,
     PosTree,
     Relabelling01,
-    RootIso,
     ZeroOneIso,
     applicative_depth,
     apply_relabelling,
@@ -43,7 +42,6 @@ from .stypes import (
     SArrow,
     SAtom,
     SeqType,
-    TypeIso,
     collapse_seq,
     collapse_type,
     enumerate_type_isos,

@@ -8,8 +8,8 @@ import json
 import sys
 from pathlib import Path
 
-from .positions import Position, format_position, parse_position
-from .stypes import TypeIso, print_rtype
+from .positions import Position, ZeroOneIso, format_position, parse_position
+from .stypes import print_rtype
 from .derivations import (
     CheckedDerivation,
     DerivationCheckError,
@@ -20,6 +20,7 @@ from .derivations import (
     dumps_derivation,
     format_judgment,
     load_derivation,
+    loads_json,
     save_derivation,
 )
 from .reduction import (
@@ -65,7 +66,7 @@ def _load_checked(path: str, flavor: str | None) -> CheckedDerivation:
         raise CliError("check-failed", str(exc), format_position(exc.position)) from exc
 
 
-def _interface_to_json(interface: dict[Position, TypeIso]) -> dict:
+def _interface_to_json(interface: dict[Position, ZeroOneIso]) -> dict:
     return {
         "interfaces": [
             {
@@ -80,13 +81,13 @@ def _interface_to_json(interface: dict[Position, TypeIso]) -> dict:
     }
 
 
-def _interface_from_json(data: dict) -> dict[Position, TypeIso]:
-    out: dict[Position, TypeIso] = {}
+def _interface_from_json(data: dict) -> dict[Position, ZeroOneIso]:
+    out: dict[Position, ZeroOneIso] = {}
     for entry in data["interfaces"]:
         mapping = {
             parse_position(c): parse_position(c2) for c, c2 in entry["phi"]
         }
-        out[parse_position(entry["pos"])] = TypeIso(mapping)
+        out[parse_position(entry["pos"])] = ZeroOneIso(mapping)
     return out
 
 
@@ -94,8 +95,7 @@ def _load_operable(path: str, interface_path: str | None) -> OperableDerivation:
     checked = _load_checked(path, None)
     partial = None
     if interface_path:
-        with open(interface_path) as handle:
-            partial = _interface_from_json(json.load(handle))
+        partial = loads_json(Path(interface_path).read_text(), _interface_from_json)
     try:
         return make_operable(checked, partial)
     except ValueError as exc:
@@ -168,8 +168,7 @@ def cmd_reduce(args) -> int:
     try:
         if args.choice:
             checked = _load_checked(args.file, args.flavor)
-            with open(args.choice) as handle:
-                choice = _choice_from_json(json.load(handle))
+            choice = loads_json(Path(args.choice).read_text(), _choice_from_json)
             reduced = reduce_Sh(checked, pos, choice)
             out_deriv = reduced
         elif args.interface:
@@ -283,10 +282,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_export_dot(args) -> int:
-    return cmd_threads(args)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqtypes", description="Rigid sequence-type derivation toolkit"
@@ -345,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--interface")
     p.add_argument("--dot", required=True)
-    p.set_defaults(func=cmd_export_dot)
+    p.set_defaults(func=cmd_threads)
 
     return parser
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from functools import cached_property
+from typing import Any, Callable, Iterable, Iterator, TypeVar, Union
 
 from .positions import (
     EPS,
@@ -23,6 +24,7 @@ from .positions import (
 )
 from .stypes import (
     EMPTY_SEQ,
+    RArrow,
     RType,
     SArrow,
     SAtom,
@@ -56,6 +58,8 @@ from .terms import (
 
 FLAVOR_S = "S"
 FLAVOR_SH = "Sh"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,7 @@ class NotAnApplication(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckedDerivation:
     """A derivation together with its reconstructed judgments."""
 
@@ -259,6 +263,33 @@ class CheckedDerivation:
             if self.axiom_track(a0) == k:
                 return a0
         raise KeyError(f"no axiom of {x!r} with track {k} above {format_position(a)}")
+
+    @cached_property
+    def collapse(self) -> tuple["RDerivation", dict[Position, "RPath"]]:
+        """The multiset collapse, with where each rigid position lands in the
+        R-tree; computed once per checked derivation and shared by every
+        reader, who must not mutate it.
+
+        Argument premises with equal collapses are ordered by their original
+        track, which fixes a deterministic correspondence.
+        """
+        rnodes: dict[Position, RNode] = {}
+        rank: dict[Position, int] = {}  # argument premise -> its index in the R-node
+        for a in sorted(self.nodes, reverse=True):
+            node = self.nodes[a]
+            if isinstance(node, AxNode):
+                rnodes[a] = RAxD(collapse_type(node.stype))
+            elif isinstance(node, AbsNode):
+                rnodes[a] = RAbsD(rnodes[a + (0,)])
+            else:
+                order = sorted(node.arg_tracks, key=lambda k: (rderiv_key(rnodes[a + (k,)]), k))
+                rank.update((a + (k,), j) for j, k in enumerate(order))
+                rnodes[a] = RAppD(rnodes[a + (1,)], tuple(rnodes[a + (k,)] for k in order))
+        paths: dict[Position, RPath] = {EPS: ()}
+        for a in sorted(self.nodes)[1:]:
+            step = (2, rank[a]) if a[-1] >= 2 else ((0, 0), (1, 0))[a[-1]]
+            paths[a] = paths[a[:-1]] + (step,)
+        return RDerivation(self.term, rnodes[EPS]), paths
 
 
 def check_derivation(deriv: Derivation) -> CheckedDerivation:
@@ -471,90 +502,84 @@ def _rcontext_merge(parts: list[RContext]) -> RContext:
     return {x: rmultiset(ts) for x, ts in out.items()}
 
 
-def check_R(rd: RDerivation) -> RJudgment:
-    """Validate the multiset-side rules; returns the concluding judgment."""
+def walk_R(root: RNode, term: Term) -> Iterator[tuple[RPath, Position, RNode, Term]]:
+    """The (R-path, term position, node, subterm) of every node of an R-tree
+    laid on a term, in preorder, which is increasing R-path order.
 
-    def go(node: RNode, subj: Term, path: RPath) -> tuple[RContext, RType]:
+    Every argument premise sits on the collapsed position `tpos + (2,)`.  A
+    node whose kind does not match its subterm is yielded without its
+    children.  The walk runs on an explicit stack, so depth is unbounded.
+    """
+    stack: list[tuple[RPath, Position, RNode, Term]] = [((), EPS, root, term)]
+    while stack:
+        item = stack.pop()
+        yield item
+        path, tpos, node, subj = item
+        if isinstance(node, RAbsD) and isinstance(subj, Abs):
+            stack.append((path + ((0, 0),), tpos + (0,), node.child, subj.body))
+        elif isinstance(node, RAppD) and isinstance(subj, App):
+            arg_pos = tpos + (2,)
+            for j in range(len(node.args) - 1, -1, -1):
+                stack.append((path + ((2, j),), arg_pos, node.args[j], subj.right))
+            stack.append((path + ((1, 0),), tpos + (1,), node.left, subj.left))
+
+
+def check_R_types(rd: RDerivation) -> tuple[RJudgment, dict[RPath, RType]]:
+    """Validate the multiset-side rules; returns the concluding judgment and
+    the R-type concluded at every R-path.
+
+    Node kinds and argument order are checked in preorder, the typing rules
+    bottom-up in reverse preorder, where every premise precedes its node.
+    """
+    order: list[tuple[RPath, RNode, Term]] = []
+    for path, _, node, subj in walk_R(rd.root, rd.term):
         if isinstance(node, RAxD):
             if not isinstance(subj, Var):
                 raise RCheckError(path, "axiom not at a variable")
-            return {subj.name: (node.rtype,)}, node.rtype
-        if isinstance(node, RAbsD):
+        elif isinstance(node, RAbsD):
             if not isinstance(subj, Abs):
                 raise RCheckError(path, "abstraction node not at an abstraction")
-            ctx, rtype = go(node.child, subj.body, path + ((0, 0),))
-            source = ctx.pop(subj.binder, ())
-            return ctx, rarrow(source, rtype)
-        if not isinstance(subj, App):
+        elif not isinstance(subj, App):
             raise RCheckError(path, "application node not at an application")
-        lctx, ltype = go(node.left, subj.left, path + ((1, 0),))
-        from .stypes import RArrow
-
-        if not isinstance(ltype, RArrow):
-            raise RCheckError(path, "left premise does not conclude with an arrow")
-        if tuple(sorted(node.args, key=rderiv_key)) != node.args:
+        elif tuple(sorted(node.args, key=rderiv_key)) != node.args:
             raise RCheckError(path, "argument premises not in canonical order")
-        arg_results = [
-            go(arg, subj.right, path + ((2, j),)) for j, arg in enumerate(node.args)
-        ]
-        premise_types = rmultiset(rtype for _, rtype in arg_results)
-        if premise_types != ltype.source:
-            raise RCheckError(path, "app_mismatch")
-        merged = _rcontext_merge([lctx] + [ctx for ctx, _ in arg_results])
-        return merged, ltype.target
+        order.append((path, node, subj))
+    contexts: dict[RPath, RContext] = {}
+    types: dict[RPath, RType] = {}
+    for path, node, subj in reversed(order):
+        if isinstance(node, RAxD):
+            contexts[path] = {subj.name: (node.rtype,)}
+            types[path] = node.rtype
+        elif isinstance(node, RAbsD):
+            ctx = contexts[path] = contexts.pop(path + ((0, 0),))
+            types[path] = rarrow(ctx.pop(subj.binder, ()), types[path + ((0, 0),)])
+        else:
+            ltype = types[path + ((1, 0),)]
+            if not isinstance(ltype, RArrow):
+                raise RCheckError(path, "left premise does not conclude with an arrow")
+            args = [path + ((2, j),) for j in range(len(node.args))]
+            if rmultiset(types[p] for p in args) != ltype.source:
+                raise RCheckError(path, "app_mismatch")
+            contexts[path] = _rcontext_merge([contexts.pop(p) for p in (path + ((1, 0),), *args)])
+            types[path] = ltype.target
+    judgment = RJudgment(tuple(sorted((x, ts) for x, ts in contexts[()].items() if ts)), types[()])
+    return judgment, types
 
-    ctx, rtype = go(rd.root, rd.term, ())
-    return RJudgment(tuple(sorted((x, ts) for x, ts in ctx.items() if ts)), rtype)
+
+def check_R(rd: RDerivation) -> RJudgment:
+    """Validate the multiset-side rules; returns the concluding judgment."""
+    return check_R_types(rd)[0]
 
 
 def collapse_derivation(checked: CheckedDerivation) -> RDerivation:
-    rd, _ = collapse_with_paths(checked)
-    return rd
+    return checked.collapse[0]
 
 
 def collapse_with_paths(
     checked: CheckedDerivation,
 ) -> tuple[RDerivation, dict[Position, RPath]]:
-    """Collapse, returning where each rigid position lands in the R-tree.
-
-    Argument premises with equal collapses are ordered by their original
-    track, which fixes a deterministic correspondence.
-    """
-    rnodes: dict[Position, RNode] = {}
-    for a in sorted(checked.support(), reverse=True):
-        node = checked.node(a)
-        if isinstance(node, AxNode):
-            rnodes[a] = RAxD(collapse_type(node.stype))
-        elif isinstance(node, AbsNode):
-            rnodes[a] = RAbsD(rnodes[a + (0,)])
-        else:
-            order = sorted(node.arg_tracks, key=lambda k: (rderiv_key(rnodes[a + (k,)]), k))
-            rnodes[a] = RAppD(rnodes[a + (1,)], tuple(rnodes[a + (k,)] for k in order))
-    paths: dict[Position, RPath] = {EPS: ()}
-    for a in sorted(checked.support()):
-        node = checked.node(a)
-        if isinstance(node, AbsNode):
-            paths[a + (0,)] = paths[a] + ((0, 0),)
-        elif isinstance(node, AppNode):
-            paths[a + (1,)] = paths[a] + ((1, 0),)
-            order = sorted(node.arg_tracks, key=lambda k: (rderiv_key(rnodes[a + (k,)]), k))
-            for j, k in enumerate(order):
-                paths[a + (k,)] = paths[a] + ((2, j),)
-    return RDerivation(checked.term, rnodes[EPS]), paths
-
-
-def r_subnode(rd: RDerivation, path: RPath) -> RNode:
-    node = rd.root
-    for kind, j in path:
-        if kind == 0 and isinstance(node, RAbsD):
-            node = node.child
-        elif kind == 1 and isinstance(node, RAppD):
-            node = node.left
-        elif kind == 2 and isinstance(node, RAppD):
-            node = node.args[j]
-        else:
-            raise KeyError(path)
-    return node
+    """Collapse, returning where each rigid position lands in the R-tree."""
+    return checked.collapse
 
 
 # -- derivations of normal forms --------------------------------------------
@@ -714,17 +739,23 @@ def dumps_derivation(deriv: Derivation) -> str:
 
 
 class LoadError(ValueError):
-    """A derivation file that cannot be read: invalid JSON, a missing key, or
-    bad term, type, position, node or flavor syntax."""
+    """A derivation, interface or choice file that cannot be read: invalid
+    JSON, a missing key, or bad term, type, position, node or flavor syntax."""
+
+
+def loads_json(text: str, build: Callable[[Any], T]) -> T:
+    """Build a value from JSON text; invalid JSON, a missing key, or a value
+    of the wrong kind or syntax is a LoadError."""
+    try:
+        return build(json.loads(text))
+    except KeyError as exc:
+        raise LoadError(f"missing key {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise LoadError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def loads_derivation(text: str) -> Derivation:
-    try:
-        return derivation_from_json(json.loads(text))
-    except KeyError as exc:
-        raise LoadError(f"missing key {exc}") from exc
-    except (ValueError, TypeError) as exc:
-        raise LoadError(f"{type(exc).__name__}: {exc}") from exc
+    return loads_json(text, derivation_from_json)
 
 
 def save_derivation(deriv: Derivation, path: str) -> None:

@@ -132,7 +132,11 @@ def support_set(u: Support) -> frozenset[Position]:
 
 @dataclass(frozen=True)
 class ZeroOneIso:
-    """A prefix-monotone, length-preserving bijection fixing tracks 0 and 1."""
+    """A prefix-monotone, length-preserving bijection fixing tracks 0 and 1.
+
+    The one isomorphism value: maps of derivation supports, type
+    isomorphisms and interfaces are all instances of it.
+    """
 
     mapping: dict[Position, Position]
 
@@ -149,21 +153,9 @@ class ZeroOneIso:
     def key(self) -> tuple:
         return tuple(sorted(self.mapping.items()))
 
-
-@dataclass(frozen=True)
-class RootIso:
-    """Bijection between the root tracks of two forests, extendable to a 01-iso."""
-
-    mapping: dict[Track, Track]
-
-    def __call__(self, k: Track) -> Track:
-        return self.mapping[k]
-
-    def inverse_track(self, k: Track) -> Track:
-        for src, dst in self.mapping.items():
-            if dst == k:
-                return src
-        raise KeyError(k)
+    def roots(self) -> dict[Track, Track]:
+        """Rt(phi): the bijection it induces on the tracks of length-1 positions."""
+        return {a[0]: b[0] for a, b in self.mapping.items() if len(a) == 1}
 
 
 @dataclass(frozen=True)
@@ -318,27 +310,6 @@ def enumerate_01_isos(
 ) -> list[ZeroOneIso]:
     """All 01-isomorphisms from u1 onto u2, in increasing `key()` order."""
     return list(iter_01_isos(u1, u2, labels1, labels2))
-
-
-def make_root_iso(f1: PosForest, f2: PosForest, mapping: dict[Track, Track],
-                  labels1: Optional[Mapping[Position, str]] = None,
-                  labels2: Optional[Mapping[Position, str]] = None) -> RootIso:
-    """Validate that the root mapping extends to a 01-isomorphism of the forests:
-    each root goes to a root of the same class."""
-    if sorted(mapping) != f1.roots() or sorted(mapping.values()) != f2.roots():
-        raise DomainMismatchError("root mapping does not match the forests' roots")
-    table: dict[tuple, int] = {}
-    cls1 = _class_ids(f1.positions, labels1, table)
-    cls2 = _class_ids(f2.positions, labels2, table)
-    for k, k2 in mapping.items():
-        if cls1[(k,)] != cls2[(k2,)]:
-            raise ValueError(f"root mapping {k} -> {k2} is not extendable to a 01-iso")
-    return RootIso(dict(mapping))
-
-
-def root_of_iso(phi: ZeroOneIso) -> RootIso:
-    """Rt(phi): the root bijection induced by a forest 01-isomorphism."""
-    return RootIso({a[0]: b[0] for a, b in phi.mapping.items() if len(a) == 1})
 
 
 def apply_relabelling(u: Support, relab: Relabelling01) -> tuple[frozenset[Position], ZeroOneIso]:

@@ -25,25 +25,22 @@ from .positions import (
     iter_01_isos,
 )
 from .stypes import (
-    RArrow,
     RAtom,
     RType,
     SArrow,
     SAtom,
     SType,
-    TypeIso,
     check_type_iso,
     collapse_type,
     enumerate_type_isos,
     equiv,
     identity_iso,
     iter_type_isos,
-    rarrow,
     rkey,
     seq,
     type_support,
 )
-from .terms import Abs, App, Term, Var, beta_reduce_at, subterm_at
+from .terms import Abs, App, Var, beta_reduce_at, subterm_at
 from .derivations import (
     AbsNode,
     AppNode,
@@ -60,9 +57,11 @@ from .derivations import (
     RNode,
     RPath,
     check_R,
+    check_R_types,
     check_derivation,
-    collapse_with_paths,
+    collapse_derivation,
     rapp,
+    walk_R,
 )
 
 
@@ -77,7 +76,7 @@ class ChoiceError(ReductionError):
 # -- interfaces ---------------------------------------------------------------
 
 
-def interfaces_at(checked: CheckedDerivation, a: Position) -> list[TypeIso]:
+def interfaces_at(checked: CheckedDerivation, a: Position) -> list[ZeroOneIso]:
     """All interfaces at an application node, lexicographically ordered."""
     return enumerate_type_isos(checked.left_seq(a), checked.right_seq(a))
 
@@ -89,10 +88,10 @@ def root_interfaces_at(checked: CheckedDerivation, a: Position) -> list[dict[Tra
     left = {(k,): rkey(collapse_type(s)) for k, s in checked.left_seq(a).items()}
     right = {(k,): rkey(collapse_type(s)) for k, s in checked.right_seq(a).items()}
     isos = iter_01_isos(frozenset(left), frozenset(right), left, right)
-    return [_root_of_iso(phi) for phi in isos]
+    return [phi.roots() for phi in isos]
 
 
-def default_interface(checked: CheckedDerivation, a: Position) -> TypeIso:
+def default_interface(checked: CheckedDerivation, a: Position) -> ZeroOneIso:
     """The least interface at an application node, without listing the others."""
     iso = next(iter_type_isos(checked.left_seq(a), checked.right_seq(a)), None)
     if iso is None:
@@ -102,7 +101,7 @@ def default_interface(checked: CheckedDerivation, a: Position) -> TypeIso:
 
 def extend_root_interface(
     checked: CheckedDerivation, a: Position, rho: dict[Track, Track]
-) -> TypeIso:
+) -> ZeroOneIso:
     """Lexicographically least interface extending the given root mapping."""
     left, right = checked.left_seq(a), checked.right_seq(a)
     mapping: dict[Position, Position] = {}
@@ -113,7 +112,7 @@ def extend_root_interface(
             raise ChoiceError(f"root mapping {k} -> {k2} at {format_position(a)} not extendable")
         for c, c2 in iso.mapping.items():
             mapping[(k,) + c] = (k2,) + c2
-    return TypeIso(mapping)
+    return ZeroOneIso(mapping)
 
 
 @dataclass
@@ -121,7 +120,7 @@ class OperableDerivation:
     """A hybrid derivation endowed with a total interface."""
 
     checked: CheckedDerivation
-    interface: dict[Position, TypeIso]
+    interface: dict[Position, ZeroOneIso]
 
     def __post_init__(self) -> None:
         apps = set(self.checked.app_positions())
@@ -133,7 +132,7 @@ class OperableDerivation:
 
 
 def make_operable(
-    checked: CheckedDerivation, interface: Optional[dict[Position, TypeIso]] = None
+    checked: CheckedDerivation, interface: Optional[dict[Position, ZeroOneIso]] = None
 ) -> OperableDerivation:
     full = dict(interface or {})
     for a in checked.app_positions():
@@ -306,12 +305,12 @@ class ResidualTypes:
         self,
         checked: CheckedDerivation,
         maps: ResidualMaps,
-        interfaces_at_b: dict[Position, TypeIso],
+        interfaces_at_b: dict[Position, ZeroOneIso],
     ) -> None:
         self.checked = checked
         self.maps = maps
         self.interfaces = interfaces_at_b
-        self._memo: dict[Position, TypeIso] = {}
+        self._memo: dict[Position, ZeroOneIso] = {}
         self._affected: set[Position] = set()
         for ax in maps.x_axioms():
             for i in range(len(ax) + 1):
@@ -322,14 +321,14 @@ class ResidualTypes:
             for k, p in by_track.items():
                 self._axiom_node[p] = a
 
-    def iso(self, alpha: Position) -> TypeIso:
+    def iso(self, alpha: Position) -> ZeroOneIso:
         if alpha in self._memo:
             return self._memo[alpha]
         result = self._compute(alpha)
         self._memo[alpha] = result
         return result
 
-    def _compute(self, alpha: Position) -> TypeIso:
+    def _compute(self, alpha: Position) -> ZeroOneIso:
         checked = self.checked
         if alpha not in self._affected:
             return identity_iso(checked.type_at(alpha))
@@ -340,7 +339,7 @@ class ResidualTypes:
             k_left = node.track
             phi = self.interfaces[a]
             sup, _ = type_support(checked.type_at(alpha))
-            return TypeIso({c: phi.mapping[(k_left,) + c][1:] for c in sup.positions})
+            return ZeroOneIso({c: phi.mapping[(k_left,) + c][1:] for c in sup.positions})
         if alpha in self._nodes_over:
             return self.iso(alpha + (1, 0))
         node = checked.node(alpha)
@@ -354,20 +353,20 @@ class ResidualTypes:
                 mapping[c] = c
             for c, c2 in inner.mapping.items():
                 mapping[(1,) + c] = (1,) + c2
-            return TypeIso(mapping)
+            return ZeroOneIso(mapping)
         if isinstance(node, AppNode):
             inner = self.iso(alpha + (1,))
             sup, _ = type_support(checked.type_at(alpha))
-            return TypeIso({c: inner.mapping[(1,) + c][1:] for c in sup.positions})
+            return ZeroOneIso({c: inner.mapping[(1,) + c][1:] for c in sup.positions})
         raise AssertionError("variable nodes other than redex axioms are unaffected")
 
-    def res_left(self, alpha: Position) -> TypeIso:
+    def res_left(self, alpha: Position) -> ZeroOneIso:
         """L(alpha) -> L'(alpha') for an application node not over the redex."""
         psi = self.iso(alpha + (1,))
         sup, _ = type_support(self.checked.left_seq(alpha))
-        return TypeIso({c: psi.mapping[c] for c in sup.positions})
+        return ZeroOneIso({c: psi.mapping[c] for c in sup.positions})
 
-    def res_right(self, alpha: Position) -> TypeIso:
+    def res_right(self, alpha: Position) -> ZeroOneIso:
         node = self.checked.node(alpha)
         assert isinstance(node, AppNode)
         mapping: dict[Position, Position] = {}
@@ -375,7 +374,7 @@ class ResidualTypes:
             inner = self.iso(alpha + (k,))
             for c, c2 in inner.mapping.items():
                 mapping[(k,) + c] = (k,) + c2
-        return TypeIso(mapping)
+        return ZeroOneIso(mapping)
 
 
 def reduce_operable(
@@ -393,12 +392,12 @@ def reduce_operable(
         maps = ResidualMaps(b, [], {}, {}, {a: a for a in checked.support()}, {})
         types = ResidualTypes(checked, maps, {})
         return OperableDerivation(reduced, new_interface), maps, types
-    rho = {a: _root_of_iso(op.interface[a]) for a in _nodes_over(checked, b)}
+    rho = {a: op.interface[a].roots() for a in _nodes_over(checked, b)}
     deriv, maps = residual_derivation(checked, b, rho)
     deriv = Derivation(deriv.term, FLAVOR_SH, deriv.nodes)
     new_checked = check_derivation(deriv)
     types = ResidualTypes(checked, maps, {a: op.interface[a] for a in maps.nodes_over})
-    new_interface: dict[Position, TypeIso] = {}
+    new_interface: dict[Position, ZeroOneIso] = {}
     inverse_res = {v: k for k, v in maps.res.items()}
     for a2 in new_checked.app_positions():
         alpha = inverse_res[a2]
@@ -407,10 +406,6 @@ def reduce_operable(
         phi = op.interface[alpha]
         new_interface[a2] = res_r.compose(phi).compose(res_l.inverse())
     return OperableDerivation(new_checked, new_interface), maps, types
-
-
-def _root_of_iso(iso: TypeIso | ZeroOneIso) -> dict[Track, Track]:
-    return {c[0]: c2[0] for c, c2 in iso.mapping.items() if len(c) == 1}
 
 
 # -- reduction choices on the multiset side ----------------------------------
@@ -424,107 +419,40 @@ class RChoice:
     assignments: dict[RPath, dict[RPath, int]]
 
 
-def _rtype_of_nodes(rd: RDerivation) -> dict[RPath, RType]:
-    check_R(rd)
-    types: dict[RPath, RType] = {}
-
-    def go(node: RNode, subj: Term, path: RPath, env: dict[str, list[RType]]) -> RType:
-        # env is unused for types; structure mirrors check_R
-        if isinstance(node, RAxD):
-            types[path] = node.rtype
-            return node.rtype
-        if isinstance(node, RAbsD):
-            inner = go(node.child, subj.body, path + ((0, 0),), env)
-            sources = _x_axiom_types(node.child, subj.body)
-            types[path] = rarrow(sources.get(subj.binder, []), inner)
-            return types[path]
-        assert isinstance(node, RAppD) and isinstance(subj, App)
-        left = go(node.left, subj.left, path + ((1, 0),), env)
-        for j, arg in enumerate(node.args):
-            go(arg, subj.right, path + ((2, j),), env)
-        assert isinstance(left, RArrow)
-        types[path] = left.target
-        return left.target
-
-    go(rd.root, rd.term, (), {})
-    return types
-
-
-def _x_axiom_types(node: RNode, subj: Term) -> dict[str, list[RType]]:
-    out: dict[str, list[RType]] = {}
-
-    def go(n: RNode, s: Term, bound: frozenset[str]) -> None:
-        if isinstance(n, RAxD):
-            assert isinstance(s, Var)
-            if s.name not in bound:
-                out.setdefault(s.name, []).append(n.rtype)
-            return
-        if isinstance(n, RAbsD):
-            assert isinstance(s, Abs)
-            go(n.child, s.body, bound | {s.binder})
-            return
-        assert isinstance(n, RAppD) and isinstance(s, App)
-        go(n.left, s.left, bound)
-        for arg in n.args:
-            go(arg, s.right, bound)
-
-    go(node, subj, frozenset())
-    return out
-
-
-def _redex_rnodes(rd: RDerivation, b: Position) -> list[tuple[RPath, RAppD, Term]]:
-    found: list[tuple[RPath, RAppD, Term]] = []
-
-    def go(node: RNode, subj: Term, tpos: Position, path: RPath) -> None:
-        if isinstance(node, RAxD):
-            return
-        if isinstance(node, RAbsD):
-            go(node.child, subj.body, tpos + (0,), path + ((0, 0),))
-            return
-        assert isinstance(node, RAppD) and isinstance(subj, App)
+def _redex_sites(
+    rd: RDerivation, b: Position
+) -> tuple[str, list[tuple[RPath, RAppD, list[RPath]]]]:
+    """The redex variable and the R-nodes at the redex, in R-path order, each
+    with the paths, relative to its body, of the axioms of the redex
+    variable, in order.  An abstraction that rebinds the variable inside a
+    body hides its axioms."""
+    subj = subterm_at(rd.term, b)
+    if not (isinstance(subj, App) and isinstance(subj.left, Abs)):
+        raise ReductionError(f"no redex at {format_position(b)}")
+    x = subj.left.binder
+    sites: list[tuple[RPath, RAppD, list[RPath]]] = []
+    body, hidden, axioms = None, [], []
+    for path, tpos, node, s in walk_R(rd.root, rd.term):
         if tpos == b:
-            found.append((path, node, subj))
-        go(node.left, subj.left, tpos + (1,), path + ((1, 0),))
-        for j, arg in enumerate(node.args):
-            go(arg, subj.right, tpos + (2,), path + ((2, j),))
-
-    go(rd.root, rd.term, EPS, ())
-    return sorted(found, key=lambda item: item[0])
-
-
-def _x_axiom_paths(body: RNode, subj: Term, x: str) -> list[RPath]:
-    out: list[RPath] = []
-
-    def go(n: RNode, s: Term, path: RPath) -> None:
-        if isinstance(n, RAxD):
-            if isinstance(s, Var) and s.name == x:
-                out.append(path)
-            return
-        if isinstance(n, RAbsD):
-            if s.binder == x:
-                return
-            go(n.child, s.body, path + ((0, 0),))
-            return
-        assert isinstance(n, RAppD) and isinstance(s, App)
-        go(n.left, s.left, path + ((1, 0),))
-        for j, arg in enumerate(n.args):
-            go(arg, s.right, path + ((2, j),))
-
-    go(body, subj, ())
-    return sorted(out)
+            body, hidden, axioms = path + ((1, 0), (0, 0)), [], []
+            sites.append((path, node, axioms))
+        elif body is None or path[: len(body)] != body:
+            continue
+        elif any(path[: len(h)] == h for h in hidden):
+            continue
+        elif isinstance(s, Abs) and s.binder == x:
+            hidden.append(path)
+        elif isinstance(node, RAxD) and s == Var(x):
+            axioms.append(path[len(body) :])
+    return x, sites
 
 
 def enumerate_r_choices(rd: RDerivation, b: Position) -> list[RChoice]:
     """All type-respecting redex choices, deterministically ordered."""
-    subj = subterm_at(rd.term, b)
-    if not (isinstance(subj, App) and isinstance(subj.left, Abs)):
-        raise ReductionError(f"no redex at {format_position(b)}")
-    types = _rtype_of_nodes(rd)
+    _, sites = _redex_sites(rd, b)
+    _, types = check_R_types(rd)
     per_node_options: list[tuple[RPath, list[dict[RPath, int]]]] = []
-    for path, node, node_subj in _redex_rnodes(rd, b):
-        assert isinstance(node.left, RAbsD)
-        x = node_subj.left.binder
-        ax_paths = _x_axiom_paths(node.left.child, node_subj.left.body, x)
+    for path, node, ax_paths in sites:
         body_prefix = path + ((1, 0), (0, 0))
         groups_ax: dict[tuple, list[RPath]] = {}
         for p in ax_paths:
@@ -536,7 +464,7 @@ def enumerate_r_choices(rd: RDerivation, b: Position) -> list[RChoice]:
             return []
         options: list[dict[RPath, int]] = [{}]
         for key in sorted(groups_ax):
-            ps, js = sorted(groups_ax[key]), sorted(groups_arg[key])
+            ps, js = groups_ax[key], groups_arg[key]
             if len(ps) != len(js):
                 return []
             extended = []
@@ -554,74 +482,51 @@ def enumerate_r_choices(rd: RDerivation, b: Position) -> list[RChoice]:
 
 
 def reduce_R(rd: RDerivation, b: Position, choice: RChoice) -> RDerivation:
-    """Fire the redex, substituting argument premises per the choice."""
+    """Fire the redex, substituting argument premises per the choice.
+
+    The tree is rebuilt bottom-up in reverse preorder: every argument
+    premise is rebuilt before the axioms it replaces, and a redex node is
+    replaced by its substituted body.
+    """
     if choice.redex != b:
         raise ChoiceError("choice addresses a different redex")
-    subj = subterm_at(rd.term, b)
-    if not (isinstance(subj, App) and isinstance(subj.left, Abs)):
-        raise ReductionError(f"no redex at {format_position(b)}")
-    types = _rtype_of_nodes(rd)
-    redex_nodes = {path for path, _, _ in _redex_rnodes(rd, b)}
-    if set(choice.assignments) != redex_nodes:
+    x, sites = _redex_sites(rd, b)
+    _, types = check_R_types(rd)
+    if set(choice.assignments) != {path for path, _, _ in sites}:
         raise ChoiceError("choice does not cover exactly the redex nodes")
-
-    def go(node: RNode, s: Term, tpos: Position, path: RPath) -> RNode:
-        if isinstance(node, RAxD):
-            return node
-        if isinstance(node, RAbsD):
-            return RAbsD(go(node.child, s.body, tpos + (0,), path + ((0, 0),)))
-        assert isinstance(node, RAppD) and isinstance(s, App)
-        left = go(node.left, s.left, tpos + (1,), path + ((1, 0),))
-        args = tuple(
-            go(arg, s.right, tpos + (2,), path + ((2, j),)) for j, arg in enumerate(node.args)
-        )
-        if tpos != b:
-            return rapp(left, args)
+    replaced: dict[RPath, RPath] = {}
+    for path, node, ax_paths in sites:
         assignment = choice.assignments[path]
-        assert isinstance(left, RAbsD) and isinstance(s.left, Abs)
-        x = s.left.binder
-        ax_paths = _x_axiom_paths(left.child, s.left.body, x)
+        body_prefix = path + ((1, 0), (0, 0))
         if set(assignment) != set(ax_paths):
             raise ChoiceError(f"choice at {path} does not cover the axioms of {x!r}")
-        if sorted(assignment.values()) != list(range(len(args))):
+        if sorted(assignment.values()) != list(range(len(node.args))):
             raise ChoiceError(f"choice at {path} is not a bijection onto the premises")
         for p, j in assignment.items():
-            ax_type = types[path + ((1, 0), (0, 0)) + p]
-            arg_type = types[path + ((2, j),)]
-            if ax_type != arg_type:
+            if types[body_prefix + p] != types[path + ((2, j),)]:
                 raise ChoiceError(f"type mismatch for axiom {p} and premise {j}")
-        return _substitute_axioms(left.child, s.left.body, x, assignment, args)
-
-    new_root = go(rd.root, rd.term, EPS, ())
-    return RDerivation(beta_reduce_at(rd.term, b), new_root)
-
-
-def _substitute_axioms(
-    body: RNode, subj: Term, x: str, assignment: dict[RPath, int], args: tuple[RNode, ...]
-) -> RNode:
-    def go(n: RNode, s: Term, path: RPath) -> RNode:
-        if isinstance(n, RAxD):
-            if isinstance(s, Var) and s.name == x:
-                return args[assignment[path]]
-            return n
-        if isinstance(n, RAbsD):
-            if s.binder == x:
-                return n
-            return RAbsD(go(n.child, s.body, path + ((0, 0),)))
-        assert isinstance(n, RAppD) and isinstance(s, App)
-        return rapp(
-            go(n.left, s.left, path + ((1, 0),)),
-            tuple(go(arg, s.right, path + ((2, j),)) for j, arg in enumerate(n.args)),
-        )
-
-    return go(body, subj, ())
+            replaced[body_prefix + p] = path + ((2, j),)
+    built: dict[RPath, RNode] = {}
+    for path, _, node, _ in reversed(list(walk_R(rd.root, rd.term))):
+        if path in replaced:
+            built[path] = built[replaced[path]]
+        elif path in choice.assignments:
+            built[path] = built[path + ((1, 0), (0, 0))]
+        elif isinstance(node, RAxD):
+            built[path] = node
+        elif isinstance(node, RAbsD):
+            built[path] = RAbsD(built[path + ((0, 0),)])
+        else:
+            premises = [built[path + ((2, j),)] for j in range(len(node.args))]
+            built[path] = rapp(built[path + ((1, 0),)], premises)
+    return RDerivation(beta_reduce_at(rd.term, b), built[()])
 
 
 def collapse_choice(
     checked: CheckedDerivation, b: Position, rho_per_node: dict[Position, dict[Track, Track]]
 ) -> RChoice:
     """The multiset-side choice realized by a rigid root-interface choice."""
-    _, paths = collapse_with_paths(checked)
+    _, paths = checked.collapse
     maps = residual_maps(checked, b, rho_per_node)
     assignments: dict[RPath, dict[RPath, int]] = {}
     for a in maps.nodes_over:
@@ -641,7 +546,7 @@ def realize_r_choice(
     checked: CheckedDerivation, b: Position, rchoice: RChoice
 ) -> dict[Position, dict[Track, Track]]:
     """Root interfaces on the rigid side realizing a multiset-side choice."""
-    _, paths = collapse_with_paths(checked)
+    _, paths = checked.collapse
     rho_per_node: dict[Position, dict[Track, Track]] = {}
     subj = subterm_at(checked.term, b)
     if not (isinstance(subj, App) and isinstance(subj.left, Abs)):
@@ -673,7 +578,12 @@ def realize_r_choice(
 
 
 def hybridize(rd: RDerivation) -> Derivation:
-    """A hybrid derivation collapsing on the given multiset derivation."""
+    """A hybrid derivation collapsing on the given multiset derivation.
+
+    Axioms get the tracks 2, 3, ... in preorder and the j-th argument
+    premise of an application the track j + 2, so the R-path step (k, j)
+    becomes the rigid track k + j.
+    """
     check_R(rd)
     counter = itertools.count(2)
 
@@ -684,34 +594,14 @@ def hybridize(rd: RDerivation) -> Derivation:
         return SArrow(seq(entries), rigidify(rt.target))
 
     nodes: dict[Position, Node] = {}
-
-    def go(node: RNode, subj: Term, prefix: Position) -> tuple[SType, dict[str, dict[Track, SType]]]:
+    for path, _, node, _ in walk_R(rd.root, rd.term):
+        a = tuple(k + j for k, j in path)
         if isinstance(node, RAxD):
-            assert isinstance(subj, Var)
-            stype = rigidify(node.rtype)
-            track = next(counter)
-            nodes[prefix] = AxNode(track, stype)
-            return stype, {subj.name: {track: stype}}
-        if isinstance(node, RAbsD):
-            assert isinstance(subj, Abs)
-            nodes[prefix] = AbsNode()
-            inner, ctx = go(node.child, subj.body, prefix + (0,))
-            source = seq(ctx.pop(subj.binder, {}))
-            return SArrow(source, inner), ctx
-        assert isinstance(node, RAppD) and isinstance(subj, App)
-        left_type, ctx = go(node.left, subj.left, prefix + (1,))
-        assert isinstance(left_type, SArrow)
-        tracks: set[Track] = set()
-        for j, arg in enumerate(node.args):
-            track = j + 2
-            tracks.add(track)
-            _, arg_ctx = go(arg, subj.right, prefix + (track,))
-            for name, entries in arg_ctx.items():
-                ctx.setdefault(name, {}).update(entries)
-        nodes[prefix] = AppNode(frozenset(tracks))
-        return left_type.target, ctx
-
-    go(rd.root, rd.term, EPS)
+            nodes[a] = AxNode(next(counter), rigidify(node.rtype))
+        elif isinstance(node, RAbsD):
+            nodes[a] = AbsNode()
+        else:
+            nodes[a] = AppNode(frozenset(range(2, 2 + len(node.args))))
     return Derivation(rd.term, FLAVOR_SH, nodes)
 
 
@@ -727,21 +617,17 @@ def build_operable_from_choices(
 
     Reducing the result step by step with `reduce_operable` at the given
     redex positions collapses, at every step, onto the multiset derivations
-    produced by `reduce_R` with the given choices.
+    produced by `reduce_R` with the given choices.  Every derivation on the
+    way is collapsed once, for the consistency check, and the choice is
+    realized on that same collapse.
     """
-    from .derivations import collapse_derivation
-
     checked = base.checked if isinstance(base, OperableDerivation) else base
     if collapse_derivation(checked) != rd:
         raise ChoiceError("the base derivation does not collapse on the given derivation")
     alive: dict[Position, Position] = {a: a for a in checked.app_positions()}
-    acc_left: dict[Position, TypeIso] = {
-        a: identity_iso(checked.left_seq(a)) for a in alive
-    }
-    acc_right: dict[Position, TypeIso] = {
-        a: identity_iso(checked.right_seq(a)) for a in alive
-    }
-    pinned: dict[Position, TypeIso] = {}
+    acc_left = {a: identity_iso(checked.left_seq(a)) for a in alive}
+    acc_right = {a: identity_iso(checked.right_seq(a)) for a in alive}
+    pinned: dict[Position, ZeroOneIso] = {}
     current = checked
     current_rd = rd
     for b_i, rchoice in choices:

@@ -198,45 +198,27 @@ def label_at(t: SType | SeqType, c: Position) -> str:
     return u.name if isinstance(u, SAtom) else ARROW
 
 
-@dataclass(frozen=True)
-class TypeIso:
-    """Label-preserving 01-isomorphism between two type supports."""
-
-    mapping: dict[Position, Position]
-
-    def __call__(self, c: Position) -> Position:
-        return self.mapping[c]
-
-    def inverse(self) -> "TypeIso":
-        return TypeIso({v: k for k, v in self.mapping.items()})
-
-    def compose(self, inner: "TypeIso") -> "TypeIso":
-        return TypeIso({a: self.mapping[b] for a, b in inner.mapping.items()})
-
-    def key(self) -> tuple:
-        return tuple(sorted(self.mapping.items()))
-
-
-def identity_iso(t: SType | SeqType) -> TypeIso:
+def identity_iso(t: SType | SeqType) -> ZeroOneIso:
     sup, _ = type_support(t)
-    return TypeIso({a: a for a in sup.positions})
+    return ZeroOneIso({a: a for a in sup.positions})
 
 
-def check_type_iso(t1: SType | SeqType, t2: SType | SeqType, iso: TypeIso) -> bool:
+def check_type_iso(t1: SType | SeqType, t2: SType | SeqType, iso: ZeroOneIso) -> bool:
+    """Whether iso is a label-preserving 01-isomorphism of the type supports."""
     sup1, lab1 = type_support(t1)
     sup2, lab2 = type_support(t2)
-    return check_01_iso(sup1, sup2, ZeroOneIso(iso.mapping), lab1, lab2)
+    return check_01_iso(sup1, sup2, iso, lab1, lab2)
 
 
-def iter_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> Iterator[TypeIso]:
+def iter_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> Iterator[ZeroOneIso]:
     """The type isomorphisms, lazily, in increasing `key()` order; the first
     one is the least and costs O(n log n) (see `iter_01_isos`)."""
     sup1, lab1 = type_support(t1)
     sup2, lab2 = type_support(t2)
-    return (TypeIso(phi.mapping) for phi in iter_01_isos(sup1, sup2, lab1, lab2))
+    return iter_01_isos(sup1, sup2, lab1, lab2)
 
 
-def enumerate_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> list[TypeIso]:
+def enumerate_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> list[ZeroOneIso]:
     """All type isomorphisms, in increasing `key()` order."""
     return list(iter_type_isos(t1, t2))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .positions import (
     EPS,
@@ -28,11 +28,10 @@ from .positions import (
 )
 from .stypes import (
     SArrow,
-    TypeIso,
     check_type_iso,
     collapse_type,
-    enumerate_type_isos,
     identity_iso,
+    iter_type_isos,
     rkey,
     type_support,
 )
@@ -177,7 +176,7 @@ class DerivationIso:
     """01-isomorphism of supports plus one type isomorphism per axiom."""
 
     supp_map: dict[Position, Position]
-    axiom_isos: dict[Position, TypeIso]
+    axiom_isos: dict[Position, ZeroOneIso]
 
 
 class IsoMismatch(ValueError):
@@ -197,15 +196,15 @@ class NodeIsos:
         c1: CheckedDerivation,
         c2: CheckedDerivation,
         supp_map: dict[Position, Position],
-        axiom_isos: dict[Position, TypeIso],
+        axiom_isos: dict[Position, ZeroOneIso],
     ) -> None:
         self.c1 = c1
         self.c2 = c2
         self.supp_map = supp_map
         self.axiom_isos = axiom_isos
-        self._memo: dict[Position, TypeIso] = {}
+        self._memo: dict[Position, ZeroOneIso] = {}
 
-    def node_iso(self, a: Position) -> TypeIso:
+    def node_iso(self, a: Position) -> ZeroOneIso:
         if a in self._memo:
             return self._memo[a]
         node = self.c1.node(a)
@@ -219,18 +218,18 @@ class NodeIsos:
             mapping = {EPS: EPS, **ctx_iso.mapping}
             for c, c2 in target.mapping.items():
                 mapping[(1,) + c] = (1,) + c2
-            iso = TypeIso(mapping)
+            iso = ZeroOneIso(mapping)
         else:
             inner = self.node_iso(a + (1,))
             sup, _ = type_support(self.c1.type_at(a))
             try:
-                iso = TypeIso({c: inner.mapping[(1,) + c][1:] for c in sup.positions})
+                iso = ZeroOneIso({c: inner.mapping[(1,) + c][1:] for c in sup.positions})
             except KeyError as exc:
                 raise IsoMismatch(f"target mismatch at {format_position(a)}") from exc
         self._memo[a] = iso
         return iso
 
-    def context_iso(self, a: Position, x: str) -> TypeIso:
+    def context_iso(self, a: Position, x: str) -> ZeroOneIso:
         mapping: dict[Position, Position] = {}
         for k in self.c1.context_at(a).get(x).tracks():
             a0 = self.c1.pos_of(a, x, k)
@@ -241,14 +240,14 @@ class NodeIsos:
             inner = self.node_iso(a0)
             for c, c2 in inner.mapping.items():
                 mapping[(k,) + c] = (node2.track,) + c2
-        return TypeIso(mapping)
+        return ZeroOneIso(mapping)
 
-    def left_iso(self, a: Position) -> TypeIso:
+    def left_iso(self, a: Position) -> ZeroOneIso:
         inner = self.node_iso(a + (1,))
         sup, _ = type_support(self.c1.left_seq(a))
-        return TypeIso({c: inner.mapping[c] for c in sup.positions})
+        return ZeroOneIso({c: inner.mapping[c] for c in sup.positions})
 
-    def right_iso(self, a: Position) -> TypeIso:
+    def right_iso(self, a: Position) -> ZeroOneIso:
         node = self.c1.node(a)
         assert isinstance(node, AppNode)
         mapping: dict[Position, Position] = {}
@@ -257,15 +256,15 @@ class NodeIsos:
             inner = self.node_iso(a + (k,))
             for c, c2 in inner.mapping.items():
                 mapping[(k,) + c] = (k2,) + c2
-        return TypeIso(mapping)
+        return ZeroOneIso(mapping)
 
 
 def verify_derivation_iso(
     c1: CheckedDerivation,
     c2: CheckedDerivation,
     iso: DerivationIso,
-    interface1: Optional[dict[Position, TypeIso]] = None,
-    interface2: Optional[dict[Position, TypeIso]] = None,
+    interface1: Optional[dict[Position, ZeroOneIso]] = None,
+    interface2: Optional[dict[Position, ZeroOneIso]] = None,
 ) -> bool:
     """All hybrid-iso clauses; with interfaces, also the commuting square."""
     if alpha_key(c1.term) != alpha_key(c2.term):
@@ -318,23 +317,46 @@ def enumerate_derivation_isos(
     c1: CheckedDerivation, c2: CheckedDerivation, limit: int = 64
 ) -> list[DerivationIso]:
     """Hybrid-derivation isomorphisms, up to the given budget.  Support
-    isomorphisms are drawn lazily, so the search stops once `limit` are found."""
+    isomorphisms and each axiom's type isomorphisms are drawn lazily, so the
+    search stops once `limit` are found."""
     if alpha_key(c1.term) != alpha_key(c2.term):
         return []
     out: list[DerivationIso] = []
     labels1, labels2 = support_labels(c1), support_labels(c2)
+    axioms = c1.axiom_positions()
     for supp_iso in iter_01_isos(c1.support(), c2.support(), labels1, labels2):
-        axiom_choices = []
-        for a in c1.axiom_positions():
-            isos = enumerate_type_isos(c1.type_at(a), c2.type_at(supp_iso(a)))
-            axiom_choices.append([(a, t) for t in isos])
-        for combo in itertools.product(*axiom_choices):
-            candidate = DerivationIso(dict(supp_iso.mapping), dict(combo))
+        factors = [iter_type_isos(c1.type_at(a), c2.type_at(supp_iso(a))) for a in axioms]
+        for combo in _lazy_product(factors):
+            candidate = DerivationIso(supp_iso.mapping, dict(zip(axioms, combo)))
             if verify_derivation_iso(c1, c2, candidate):
                 out.append(candidate)
             if len(out) >= limit:
                 return out
     return out
+
+
+def _lazy_product(factors: list[Iterator]) -> Iterator[tuple]:
+    """`itertools.product` of the factors, in the same order, drawing from
+    each factor only as far as the tuples taken so far need."""
+    drawn: list[list] = [[] for _ in factors]
+
+    def has(i: int, k: int) -> bool:
+        if k == len(drawn[i]):
+            drawn[i].extend(itertools.islice(factors[i], 1))
+        return k < len(drawn[i])
+
+    if not all(has(i, 0) for i in range(len(factors))):
+        return
+    index = [0] * len(factors)
+    while True:
+        yield tuple(drawn[i][k] for i, k in enumerate(index))
+        i = len(factors) - 1
+        while i >= 0 and not has(i, index[i] + 1):
+            index[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        index[i] += 1
 
 
 # -- resetting ----------------------------------------------------------------
@@ -344,13 +366,13 @@ def enumerate_derivation_isos(
 class ResetResult:
     checked: CheckedDerivation
     iso: DerivationIso
-    interface: Optional[dict[Position, TypeIso]]
+    interface: Optional[dict[Position, ZeroOneIso]]
 
 
 def reset_derivation(
     checked: CheckedDerivation,
     relab: DerivationRelabelling,
-    interface: Optional[dict[Position, TypeIso]] = None,
+    interface: Optional[dict[Position, ZeroOneIso]] = None,
     flavor: str = FLAVOR_SH,
 ) -> ResetResult:
     """Apply a relabelling, rebuilding the derivation and the induced iso.
@@ -367,7 +389,7 @@ def reset_derivation(
             new_k = k if k < 2 else relab.arg[a]
             supp_map[a] = supp_map[a[:-1]] + (new_k,)
     new_nodes: dict[Position, Node] = {}
-    axiom_isos: dict[Position, TypeIso] = {}
+    axiom_isos: dict[Position, ZeroOneIso] = {}
     for a, node in checked.nodes.items():
         target = supp_map[a]
         if isinstance(node, AxNode):
@@ -375,7 +397,7 @@ def reset_derivation(
             _, phi = apply_relabelling(type_support(node.stype)[0], type_relab)
             new_type = _relabel_type(node.stype, phi)
             new_nodes[target] = AxNode(relab.axiom_tracks[a], new_type)
-            axiom_isos[a] = TypeIso(dict(phi.mapping))
+            axiom_isos[a] = phi
         elif isinstance(node, AbsNode):
             new_nodes[target] = AbsNode()
         else:
@@ -384,7 +406,7 @@ def reset_derivation(
             )
     new_checked = check_derivation(Derivation(checked.term, flavor, new_nodes))
     iso = DerivationIso(supp_map, axiom_isos)
-    new_interface: Optional[dict[Position, TypeIso]] = None
+    new_interface: Optional[dict[Position, ZeroOneIso]] = None
     if interface is not None:
         derived = NodeIsos(checked, new_checked, supp_map, axiom_isos)
         new_interface = {}

@@ -6,7 +6,8 @@ level, takes the product of all permutations within every group of
 equal-form siblings and sorts the whole list at the end;
 `root_interfaces_at` does the same on the roots of an application's two
 sequence types; `_shapes` builds every width shape of a normal term before
-the first one is used.  `test_isos_differential.py` compares the lazy
+the first one is used; `enumerate_derivation_isos` lists every type
+isomorphism of every axiom before taking their product.  `test_isos_differential.py` compares the lazy
 enumerators of `seqtypes` against them.
 """
 
@@ -16,8 +17,10 @@ import itertools
 from typing import Mapping, Optional
 
 from seqtypes.derivations import _decompose_normal
-from seqtypes.positions import EPS, Position, Track, ZeroOneIso, support_set
-from seqtypes.stypes import collapse_type, rkey
+from seqtypes.positions import EPS, Position, Track, ZeroOneIso, iter_01_isos, support_set
+from seqtypes.stypes import collapse_type, enumerate_type_isos, rkey
+from seqtypes.terms import alpha_key
+from seqtypes.trivialize import DerivationIso, support_labels, verify_derivation_iso
 
 
 def _child_map(positions: frozenset[Position]) -> dict[Position, list[Track]]:
@@ -177,4 +180,25 @@ def shapes(t, width: int) -> list:
             product(i + 1, acc + (option,))
 
     product(0, ())
+    return out
+
+
+def enumerate_derivation_isos(c1, c2, limit: int = 64) -> list[DerivationIso]:
+    """Support isomorphisms lazily, but each axiom's type isomorphisms as a
+    whole list, multiplied out by the eager `itertools.product`."""
+    if alpha_key(c1.term) != alpha_key(c2.term):
+        return []
+    out: list[DerivationIso] = []
+    labels1, labels2 = support_labels(c1), support_labels(c2)
+    for supp_iso in iter_01_isos(c1.support(), c2.support(), labels1, labels2):
+        axiom_choices = []
+        for a in c1.axiom_positions():
+            isos = enumerate_type_isos(c1.type_at(a), c2.type_at(supp_iso(a)))
+            axiom_choices.append([(a, t) for t in isos])
+        for combo in itertools.product(*axiom_choices):
+            candidate = DerivationIso(dict(supp_iso.mapping), dict(combo))
+            if verify_derivation_iso(c1, c2, candidate):
+                out.append(candidate)
+            if len(out) >= limit:
+                return out
     return out

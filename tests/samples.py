@@ -15,9 +15,9 @@ from seqtypes.derivations import (
     check_derivation,
     rapp,
 )
-from seqtypes.positions import EPS
+from seqtypes.positions import EPS, ZeroOneIso
 from seqtypes.reduction import OperableDerivation
-from seqtypes.stypes import RAtom, SArrow, SAtom, TypeIso, collapse_type, parse_type, seq
+from seqtypes.stypes import RAtom, SArrow, SAtom, collapse_type, parse_type, seq
 from seqtypes.terms import parse_term
 
 O = SAtom("o")
@@ -81,8 +81,8 @@ def brothers_operable() -> OperableDerivation:
     root and, inside the nested application, the inner 8 -> 2 and 9 -> 7."""
     checked = check_derivation(make_brothers())
     interface = {
-        EPS: TypeIso({(8,): (3,), (9,): (5,)}),
-        (1,): TypeIso(
+        EPS: ZeroOneIso({(8,): (3,), (9,): (5,)}),
+        (1,): ZeroOneIso(
             {
                 (5,): (6,),
                 (5, 8): (6, 3),
@@ -92,9 +92,9 @@ def brothers_operable() -> OperableDerivation:
                 (5, 1, 1): (6, 1, 1),
             }
         ),
-        (1, 1): TypeIso({(3,): (3,)}),
-        (1, 6): TypeIso({}),
-        (1, 1, 1, 0, 0): TypeIso({(8,): (2,)}),
+        (1, 1): ZeroOneIso({(3,): (3,)}),
+        (1, 6): ZeroOneIso({}),
+        (1, 1, 1, 0, 0): ZeroOneIso({(8,): (2,)}),
     }
     return OperableDerivation(checked, interface)
 
@@ -141,6 +141,22 @@ def make_tracked_redex() -> Derivation:
         (8,): AxNode(12, O),
     }
     return Derivation(term, "Sh", nodes)
+
+
+def make_shadowed_redex() -> Derivation:
+    """(\\x. x (\\x. x)) v: the inner abstraction rebinds the redex variable,
+    so only the head axiom belongs to the redex."""
+    head_type = parse_type("(2:(3:B) -> B) -> A")
+    nodes = {
+        EPS: AppNode(frozenset({5})),
+        (1,): AbsNode(),
+        (1, 0): AppNode(frozenset({2})),
+        (1, 0, 1): AxNode(5, head_type),
+        (1, 0, 2): AbsNode(),
+        (1, 0, 2, 0): AxNode(3, SAtom("B")),
+        (5,): AxNode(7, head_type),
+    }
+    return Derivation(parse_term("(\\x. x (\\x. x)) v"), "S", nodes)
 
 
 def make_wide(m: int) -> Derivation:

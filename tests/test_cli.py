@@ -214,3 +214,54 @@ def test_bad_position_is_bad_input(self_app_file, command, capsys):
 def test_unknown_flavor_is_bad_input(tmp_path, capsys):
     path = write_edited(tmp_path, lambda data: data.update(flavor="T"))
     assert "flavor" in bad_input(["check", "--file", path], capsys)["detail"]
+
+
+def write_json_file(tmp_path, name: str, content) -> str:
+    """A file holding `content`: a string as it is, anything else as JSON."""
+    path = tmp_path / name
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
+
+
+def trivialize_with_interface(brothers_file, tmp_path, content, capsys) -> dict:
+    interface = write_json_file(tmp_path, "iface.json", content)
+    return bad_input(["trivialize", "--file", brothers_file, "--interface", interface], capsys)
+
+
+def reduce_with_choice(brothers_file, tmp_path, content, capsys) -> dict:
+    choice = write_json_file(tmp_path, "choice.json", content)
+    argv = ["reduce", "--file", brothers_file, "--pos", "1.1", "--choice", choice]
+    return bad_input(argv, capsys)
+
+
+def test_invalid_interface_json_is_bad_input(brothers_file, tmp_path, capsys):
+    payload = trivialize_with_interface(brothers_file, tmp_path, '{"interfaces": [', capsys)
+    assert "JSONDecodeError" in payload["detail"]
+
+
+def test_interface_without_phi_is_bad_input(brothers_file, tmp_path, capsys):
+    content = {"interfaces": [{"pos": "eps"}]}
+    payload = trivialize_with_interface(brothers_file, tmp_path, content, capsys)
+    assert "phi" in payload["detail"]
+
+
+def test_bad_interface_position_is_bad_input(brothers_file, tmp_path, capsys):
+    content = {"interfaces": [{"pos": "eps", "phi": [["8", "3.x"]]}]}
+    payload = trivialize_with_interface(brothers_file, tmp_path, content, capsys)
+    assert "3.x" in payload["detail"]
+
+
+def test_invalid_choice_json_is_bad_input(brothers_file, tmp_path, capsys):
+    payload = reduce_with_choice(brothers_file, tmp_path, '{"redex": "1.1", ', capsys)
+    assert "JSONDecodeError" in payload["detail"]
+
+
+def test_choice_without_per_node_is_bad_input(brothers_file, tmp_path, capsys):
+    payload = reduce_with_choice(brothers_file, tmp_path, {"redex": "1.1"}, capsys)
+    assert "per_node" in payload["detail"]
+
+
+def test_non_integer_rho_track_is_bad_input(brothers_file, tmp_path, capsys):
+    content = {"redex": "1.1", "per_node": [{"pos": "1.1", "rho": [["a", 3]]}]}
+    payload = reduce_with_choice(brothers_file, tmp_path, content, capsys)
+    assert "'a'" in payload["detail"]

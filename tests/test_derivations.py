@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from seqtypes.derivations import (
@@ -202,6 +204,15 @@ def test_collapse_paths_are_consistent():
     assert paths[(0, 1)] == ((0, 0), (1, 0))
     arg_paths = {paths[(0, k)] for k in (2, 3, 8)}
     assert arg_paths == {((0, 0), (2, 0)), ((0, 0), (2, 1)), ((0, 0), (2, 2))}
+
+
+def test_checked_derivation_is_frozen_and_collapses_once():
+    checked = check_derivation(make_self_app())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        checked.judgments = {}
+    assert collapse_derivation(checked) is collapse_derivation(checked)
+    assert collapse_with_paths(checked)[0] is collapse_derivation(checked)
+    assert collapse_derivation(checked) == SELF_APP_COLLAPSE
 
 
 def test_generator_identity():

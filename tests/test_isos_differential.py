@@ -8,7 +8,8 @@ on random labelled trees and forests; root interfaces, root-map validation
 and width shapes must match too.  The scale tests pin what laziness buys:
 the least interface of k equal-typed arguments without k! work, one
 derivation of `v (w u)^8` without 10^8 shapes, and one support isomorphism
-drawn for `limit=1`.
+and one type isomorphism per axiom drawn for `limit=1`; the lazy product of
+axiom isomorphisms must give the eager product's list.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from seqtypes.positions import (
     apply_relabelling,
     enumerate_01_isos,
     iter_01_isos,
-    make_root_iso,
 )
 from seqtypes.reduction import (
     ReductionError,
@@ -45,13 +45,14 @@ from seqtypes.reduction import (
     make_operable,
     root_interfaces_at,
 )
-from seqtypes.stypes import type_support
+from seqtypes.stypes import enumerate_type_isos, type_support
 from seqtypes.terms import parse_term
 from seqtypes.trivialize import (
     enumerate_derivation_isos,
     random_relabelling,
     reset_derivation,
     support_labels,
+    verify_derivation_iso,
 )
 
 import reference_isos as ref
@@ -101,22 +102,18 @@ def assert_same_interfaces(checked: CheckedDerivation) -> None:
 
 
 def assert_same_root_validation(checked: CheckedDerivation, a) -> None:
-    """`make_root_iso` accepts a root bijection exactly when the reference
-    finds a 01-iso for every pair of re-rooted subtrees (up to 4 roots)."""
+    """A root bijection is a root interface exactly when the reference finds
+    a 01-iso for every pair of re-rooted subtrees (up to 4 roots)."""
     f1, lab1 = type_support(checked.left_seq(a))
     f2, lab2 = type_support(checked.right_seq(a))
     roots1, roots2 = f1.roots(), f2.roots()
     if len(roots1) > 4:
         return
+    root_interfaces = root_interfaces_at(checked, a)
     for perm in itertools.permutations(roots2):
         mapping = dict(zip(roots1, perm))
         extends = all(ref.extends_to_01_iso(f1, f2, k, k2, lab1, lab2) for k, k2 in mapping.items())
-        try:
-            make_root_iso(f1, f2, mapping, lab1, lab2)
-            accepted = True
-        except ValueError:
-            accepted = False
-        assert accepted == extends, mapping
+        assert (mapping in root_interfaces) == extends, mapping
 
 
 def assert_same_support_isos(c1: CheckedDerivation, c2: CheckedDerivation) -> None:
@@ -236,6 +233,40 @@ def test_derivation_isos_stop_at_the_limit(monkeypatch):
     checked = check_derivation(make_equal_typed(6))
     assert len(enumerate_derivation_isos(checked, checked, limit=1)) == 1
     assert len(drawn) == 1
+
+
+def symmetric_axioms(checked: CheckedDerivation) -> int:
+    """The number of axioms whose type has more than one isomorphism."""
+    types = [checked.type_at(a) for a in checked.axiom_positions()]
+    return sum(len(enumerate_type_isos(t, t)) > 1 for t in types)
+
+
+def test_derivation_isos_match_the_eager_product():
+    """The lazy product yields the eager product's isomorphisms, in order, on
+    the equal-typed family and on the 20 first hybrid acceptance derivations
+    with two or more symmetric axioms, where the order of the factors shows."""
+    rng = random.Random(CORPUS_SEED + 9)
+    pairs = []
+    for k in range(1, 6):
+        checked = check_derivation(make_equal_typed(k))
+        relab = random_relabelling(checked, rng)
+        pairs.append((checked, reset_derivation(checked, relab, flavor="Sh").checked))
+    pairs += [pair for pair in hybrid_pairs() if symmetric_axioms(pair[0]) >= 2][:20]
+    assert len(pairs) == 25
+    for c1, c2 in pairs:
+        got = enumerate_derivation_isos(c1, c2, limit=64)
+        assert got == ref.enumerate_derivation_isos(c1, c2, limit=64)
+        assert got
+
+
+def test_one_derivation_iso_of_nine_equal_typed_arguments():
+    """The head axiom has 9! = 362,880 type isomorphisms; one is drawn."""
+    base = check_derivation(make_equal_typed(9))
+    hybrid = reset_derivation(base, random_relabelling(base, random.Random(5)), flavor="Sh").checked
+    start = time.perf_counter()
+    (iso,) = enumerate_derivation_isos(base, hybrid, limit=1)
+    assert time.perf_counter() - start < 1.0
+    assert verify_derivation_iso(base, hybrid, iso)
 
 
 class _NotIsomorphic:

@@ -21,9 +21,7 @@ from seqtypes.positions import (
     collapse_track,
     enumerate_01_isos,
     format_position,
-    make_root_iso,
     parse_position,
-    root_of_iso,
 )
 
 # Supports of two 01-isomorphic labelled trees used throughout:
@@ -200,14 +198,8 @@ def test_relabelling_sibling_injectivity():
         apply_relabelling(T1_SUPP, Relabelling01({(4,): 5}))
 
 
-def test_make_root_iso():
-    f1 = PosForest(frozenset({(2,), (3,), (3, 1)}))
-    f2 = PosForest(frozenset({(5,), (5, 1), (7,)}))
-    rho = make_root_iso(f1, f2, {2: 7, 3: 5})
-    assert rho(3) == 5 and rho.inverse_track(7) == 2
-    with pytest.raises(ValueError):
-        make_root_iso(f1, f2, {2: 5, 3: 7})
-    assert root_of_iso(LISTED_PHI).mapping == {1: 1, 4: 5, 8: 3}
+def test_roots_of_iso():
+    assert LISTED_PHI.roots() == {1: 1, 4: 5, 8: 3}
 
 
 positions_st = st.lists(st.integers(0, 4), max_size=4).map(tuple)

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+from collections import Counter
+from functools import cached_property
+
 import pytest
 
 from seqtypes.derivations import (
     AbsNode,
     AppNode,
     AxNode,
+    CheckedDerivation,
     Derivation,
     check_derivation,
     check_R,
     collapse_derivation,
     format_judgment,
+    generate_normal_form_derivations,
     print_type,
 )
+from seqtypes.corpus import make_tower
 from seqtypes.positions import EPS
 from seqtypes.reduction import (
     ChoiceError,
@@ -34,9 +40,15 @@ from seqtypes.reduction import (
     root_interfaces_at,
 )
 from seqtypes.stypes import SArrow, SAtom, check_type_iso, equiv, seq
-from seqtypes.terms import parse_term
+from seqtypes.terms import parse_term, redexes
 
-from samples import make_two_choice_redex, make_tracked_redex, make_brothers, make_self_app
+from samples import (
+    make_brothers,
+    make_self_app,
+    make_shadowed_redex,
+    make_tracked_redex,
+    make_two_choice_redex,
+)
 
 O = SAtom("o")
 A = SAtom("A")
@@ -289,6 +301,33 @@ def test_build_operable_from_choices_reproduces_each_choice():
         assert collapse_derivation(reduced_op.checked) == expected
 
 
+def test_build_operable_collapses_each_derivation_once(monkeypatch):
+    """A two-step sequence on a redex tower: the base and the intermediate
+    derivation are each collapsed once, for both the consistency check and
+    the realized choice."""
+    computed = Counter()
+    collapse = CheckedDerivation.__dict__["collapse"].func
+
+    def counting(self):
+        computed[id(self)] += 1
+        return collapse(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(CheckedDerivation, "collapse")
+    monkeypatch.setattr(CheckedDerivation, "collapse", prop)
+    body = generate_normal_form_derivations(parse_term("x w"))[0]
+    checked = make_tower(body, "x", 2)
+    rd = collapse_derivation(checked)
+    sequence = []
+    for _ in range(2):
+        (b,) = redexes(rd.term)
+        choice = enumerate_r_choices(rd, b)[0]
+        sequence.append((b, choice))
+        rd = reduce_R(rd, b, choice)
+    build_operable_from_choices(collapse_derivation(checked), checked, sequence)
+    assert len(computed) == 2 and set(computed.values()) == {1}
+
+
 def test_build_operable_rejects_wrong_collapse():
     checked = check_derivation(make_two_choice_redex())
     other = collapse_derivation(check_derivation(make_self_app()))
@@ -321,23 +360,10 @@ def test_reduce_operable_is_deterministic():
 
 
 def test_reduce_S_respects_shadowing():
-    # (\x. x (\x. x)) v: only the head axiom belongs to the redex variable;
-    # the inner axiom is bound by the inner abstraction and must survive
-    from seqtypes.stypes import parse_type
-
-    term = parse_term("(\\x. x (\\x. x)) v")
-    inner_arrow = parse_type("(3:B) -> B")
-    head_type = parse_type("(2:(3:B) -> B) -> A")
-    nodes = {
-        EPS: AppNode(frozenset({5})),
-        (1,): AbsNode(),
-        (1, 0): AppNode(frozenset({2})),
-        (1, 0, 1): AxNode(5, head_type),
-        (1, 0, 2): AbsNode(),
-        (1, 0, 2, 0): AxNode(3, SAtom("B")),
-        (5,): AxNode(7, head_type),
-    }
-    checked = check_derivation(Derivation(term, "S", nodes))
+    # only the head axiom belongs to the redex variable; the inner axiom is
+    # bound by the inner abstraction and must survive
+    checked = check_derivation(make_shadowed_redex())
+    head_type = checked.node((5,)).stype
     assert checked.axioms_above((1, 0), "x") == {(1, 0, 1)}
     reduced = reduce_S(checked, EPS)
     assert reduced.term == parse_term("v (\\x. x)")

@@ -1,0 +1,106 @@
+"""Differential tests: the single R-tree walker against the recursive walkers.
+
+`reference_rwalk` keeps the recursive `check_R`, `_rtype_of_nodes`,
+`enumerate_r_choices`, `reduce_R` and `hybridize`.  At every redex of the
+collapses of the hybrid acceptance corpus and of the criterion-5 redex
+towers, the versions built on `walk_R` must agree with them: the same
+judgments and R-types, the same choice lists in the same order, equal
+reducts for every choice and equal hybrid representatives.
+"""
+
+from __future__ import annotations
+
+import random
+
+from seqtypes.corpus import sr_corpus, tower_instances
+from seqtypes.derivations import (
+    RAbsD,
+    RAxD,
+    RDerivation,
+    check_derivation,
+    check_R,
+    check_R_types,
+    collapse_derivation,
+    walk_R,
+)
+from seqtypes.reduction import enumerate_r_choices, hybridize, reduce_R
+from seqtypes.stypes import RAtom
+from seqtypes.terms import Abs, Var, redexes
+from seqtypes.trivialize import random_relabelling, reset_derivation
+
+import reference_rwalk as ref
+from samples import (
+    make_brothers,
+    make_self_app,
+    make_shadowed_redex,
+    make_tracked_redex,
+    make_two_choice_redex,
+)
+
+CORPUS_SEED = 20250809
+
+
+def corpus_collapses() -> list[RDerivation]:
+    """The collapses of the 500 hybrid acceptance derivations."""
+    rng = random.Random(CORPUS_SEED + 1)
+    out = []
+    for checked in sr_corpus(CORPUS_SEED, 500, size=7, width=2):
+        hybrid = reset_derivation(checked, random_relabelling(checked, rng), flavor="Sh").checked
+        out.append(collapse_derivation(hybrid))
+    return out
+
+
+def tower_collapses() -> list[RDerivation]:
+    """The collapses of the criterion-5 redex towers and of the samples, one
+    of which rebinds its redex variable inside the body."""
+    samples = [make_two_choice_redex(), make_tracked_redex(), make_shadowed_redex(),
+               make_brothers(), make_self_app()]
+    checked = [op.checked for op in tower_instances(CORPUS_SEED + 5, 4)]
+    checked += [check_derivation(d) for d in samples]
+    return [collapse_derivation(c) for c in checked]
+
+
+def assert_same_judgments(rd: RDerivation) -> None:
+    judgment, types = check_R_types(rd)
+    assert judgment == check_R(rd) == ref.check_R(rd)
+    assert types == ref._rtype_of_nodes(rd)
+
+
+def assert_same_reductions(rd: RDerivation) -> int:
+    """Compare every observable at every redex; returns the reducts compared."""
+    assert_same_judgments(rd)
+    assert hybridize(rd) == ref.hybridize(rd)
+    compared = 0
+    for b in redexes(rd.term):
+        choices = enumerate_r_choices(rd, b)
+        assert choices == ref.enumerate_r_choices(rd, b), b
+        for choice in choices:
+            got, want = reduce_R(rd, b, choice), ref.reduce_R(rd, b, choice)
+            assert (got.term, got.root) == (want.term, want.root), (b, choice)
+            assert_same_judgments(got)
+            assert hybridize(got) == ref.hybridize(got)
+            compared += 1
+    return compared
+
+
+def test_hybrid_corpus_walks_match_reference():
+    collapses = corpus_collapses()
+    assert len(collapses) == 500
+    assert sum(assert_same_reductions(rd) for rd in collapses) > 500
+
+
+def test_towers_walks_match_reference():
+    assert sum(assert_same_reductions(rd) for rd in tower_collapses()) > 4
+
+
+def test_walk_R_is_iterative():
+    """A chain of abstractions far deeper than the recursion limit."""
+    depth = 5000
+    term, node = Var("x"), RAxD(RAtom("o"))
+    for _ in range(depth):
+        term, node = Abs("y", term), RAbsD(node)
+    items = list(walk_R(node, term))
+    assert len(items) == depth + 1
+    path, tpos, leaf, subj = items[-1]
+    assert len(path) == len(tpos) == depth
+    assert leaf == RAxD(RAtom("o")) and subj == Var("x")
