@@ -12,13 +12,13 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, TypeVar, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
 from .positions import (
     EPS,
     Position,
     Track,
-    collapse_position,
+    ZeroOneIso,
     format_position,
     parse_position,
 )
@@ -33,6 +33,7 @@ from .stypes import (
     TrackConflictError,
     collapse_type,
     equiv,
+    identity_iso,
     parse_type,
     print_type,
     rarrow,
@@ -52,8 +53,6 @@ from .terms import (
     print_term,
     alpha_key,
     is_normal,
-    subterm_at,
-    support,
 )
 
 FLAVOR_S = "S"
@@ -173,17 +172,33 @@ class AppMismatch(DerivationCheckError):
         self.right = right
 
 
+class QuantitativityError(DerivationCheckError):
+    """A context entry whose tracks are not those of the axioms above it.
+
+    `check_derivation` never builds one; the position, the variable and the
+    tracks found on one side only are the witness."""
+
+    def __init__(self, position: Position, variable: str, tracks: Iterable[Track]) -> None:
+        self.variable = variable
+        self.tracks = frozenset(tracks)
+        super().__init__(
+            position, f"quantitativity fails for {variable!r} on tracks {sorted(self.tracks)}"
+        )
+
+
 class NotAnApplication(ValueError):
     pass
 
 
 @dataclass(frozen=True)
 class CheckedDerivation:
-    """A derivation together with its reconstructed judgments."""
+    """A derivation together with its reconstructed judgments and, for each
+    axiom, the abstraction node binding its variable (None when free)."""
 
     derivation: Derivation
     judgments: dict[Position, Judgment]
     _children: dict[Position, frozenset[Track]]
+    binders: dict[Position, Optional[Position]]
 
     @property
     def term(self) -> Term:
@@ -241,28 +256,20 @@ class CheckedDerivation:
             raise NotAnApplication(format_position(a))
         return seq({k: self.judgments[a + (k,)].stype for k in node.arg_tracks})
 
+    def bound_by(self, a: Position) -> list[Position]:
+        """The axioms whose variable the abstraction at a binds."""
+        return [p for p, binder in self.binders.items() if binder == a]
+
     def axioms_above(self, a: Position, x: str) -> set[Position]:
         """Axioms above `a` typing occurrences of x not rebound in between."""
-        out: set[Position] = set()
-        stack = [a]
-        while stack:
-            p = stack.pop()
-            subj = subterm_at(self.term, p)
-            if isinstance(subj, Abs) and subj.binder == x:
-                continue
-            node = self.nodes[p]
-            if isinstance(node, AxNode):
-                if isinstance(subj, Var) and subj.name == x:
-                    out.add(p)
-            else:
-                stack.extend(p + (k,) for k in self._children[p])
-        return out
-
-    def pos_of(self, a: Position, x: str, k: Track) -> Position:
-        for a0 in self.axioms_above(a, x):
-            if self.axiom_track(a0) == k:
-                return a0
-        raise KeyError(f"no axiom of {x!r} with track {k} above {format_position(a)}")
+        n, var = len(a), Var(x)
+        return {
+            p
+            for p, binder in self.binders.items()
+            if p[:n] == a
+            and self.judgments[p].subject == var
+            and (binder is None or len(binder) < n)
+        }
 
     @cached_property
     def collapse(self) -> tuple["RDerivation", dict[Position, "RPath"]]:
@@ -292,25 +299,54 @@ class CheckedDerivation:
         return RDerivation(self.term, rnodes[EPS]), paths
 
 
+def _walk_nodes(
+    term: Term, children: Mapping[Position, Iterable[Position]]
+) -> list[tuple[Position, Optional[Term], Optional[Position]]]:
+    """Every node laid on the term, in preorder, which is increasing position
+    order: its position, its subterm (None off the term's support) and, at a
+    variable, the node of the abstraction binding it (None when free).
+
+    Every argument premise sits on the term's argument.  The walk runs on an
+    explicit stack, so depth is unbounded.
+    """
+    out: list[tuple[Position, Optional[Term], Optional[Position]]] = []
+    stack: list[tuple[Position, Optional[Term], dict[str, Position]]] = [(EPS, term, {})]
+    while stack:
+        a, subj, scope = stack.pop()
+        out.append((a, subj, scope.get(subj.name) if isinstance(subj, Var) else None))
+        if isinstance(subj, Abs):
+            scope = {**scope, subj.binder: a}
+        for b in sorted(children[a], reverse=True):
+            k = b[-1]
+            if isinstance(subj, Abs):
+                sub = subj.body if k == 0 else None
+            elif isinstance(subj, App):
+                sub = subj.left if k == 1 else subj.right if k >= 2 else None
+            else:
+                sub = None
+            stack.append((b, sub, scope))
+    return out
+
+
 def check_derivation(deriv: Derivation) -> CheckedDerivation:
     term, nodes, flavor = deriv.term, deriv.nodes, deriv.flavor
     if EPS not in nodes:
         raise MalformedShape(EPS, "missing root node")
-    tsupp = support(term)
-    children: dict[Position, set[Track]] = {a: set() for a in nodes}
+    # child positions per node, as the derivation's keys: the judgments share them
+    children: dict[Position, list[Position]] = {a: [] for a in nodes}
     for a in nodes:
         if a:
             parent = a[:-1]
             if parent not in nodes:
                 raise MalformedShape(a, "parent position missing")
-            children[parent].add(a[-1])
+            children[parent].append(a)
     judgments: dict[Position, Judgment] = {}
-    for a in sorted(nodes, reverse=True):
+    binders: dict[Position, Optional[Position]] = {}
+    for a, subj, binder in reversed(_walk_nodes(term, children)):
         node = nodes[a]
-        if collapse_position(a) not in tsupp:
+        if subj is None:
             raise MalformedShape(a, "position outside the subject's support")
-        subj = subterm_at(term, a)
-        kids = children[a]
+        kids = {b[-1] for b in children[a]}
         if isinstance(node, AxNode):
             if kids:
                 raise MalformedShape(a, "axiom with children")
@@ -320,6 +356,7 @@ def check_derivation(deriv: Derivation) -> CheckedDerivation:
                 raise MalformedShape(a, "axiom track must be >= 2")
             ctx = context({subj.name: seq({node.track: node.stype})})
             judgments[a] = Judgment(ctx, subj, node.stype)
+            binders[a] = binder
         elif isinstance(node, AbsNode):
             if not isinstance(subj, Abs):
                 raise MalformedShape(a, "abstraction node not at an abstraction")
@@ -355,7 +392,77 @@ def check_derivation(deriv: Derivation) -> CheckedDerivation:
                 variable = _conflict_variable(judgments, a, node, exc.tracks)
                 raise TrackConflict(a, variable, exc.tracks) from None
             judgments[a] = Judgment(merged, subj, left.stype.target)
-    return CheckedDerivation(deriv, judgments, {a: frozenset(ks) for a, ks in children.items()})
+    return CheckedDerivation(
+        deriv, judgments, {a: frozenset(b[-1] for b in bs) for a, bs in children.items()}, binders
+    )
+
+
+class JudgmentIsos:
+    """The type isomorphism psi(a): T(a) -> T'(a') induced at every judgment
+    of a checked derivation by new tracks and type isomorphisms for its
+    axioms and new tracks for its argument premises: the isomorphisms a
+    derivation isomorphism induces, or the residual types of a reduction step.
+
+    One reverse-preorder pass applies the three rules.  An axiom's psi is
+    given; an axiom not given keeps its track, with the identity.  An
+    abstraction's psi maps its source through the axioms its binder binds,
+    each from its old track onto its new one, and its target through its
+    body's.  An application's psi is its left premise's restricted under
+    track 1.  Argument premises not given keep their track.
+    """
+
+    def __init__(
+        self,
+        checked: CheckedDerivation,
+        axioms: Mapping[Position, tuple[Track, ZeroOneIso]],
+        args: Mapping[Position, Track] = {},
+    ) -> None:
+        self.checked = checked
+        self._args = args
+        self._psi: dict[Position, ZeroOneIso] = {}
+        # abstraction -> (old track, new track, psi) of each axiom it binds
+        bound: dict[Position, list[tuple[Track, Track, ZeroOneIso]]] = {}
+        for a in sorted(checked.nodes, reverse=True):
+            node = checked.nodes[a]
+            if isinstance(node, AxNode):
+                track, iso = axioms.get(a) or (node.track, identity_iso(node.stype))
+                bound.setdefault(checked.binders[a], []).append((node.track, track, iso))
+            elif isinstance(node, AbsNode):
+                mapping = {EPS: EPS}
+                for k, k2, inner in bound.pop(a, ()):
+                    for c, c2 in inner.mapping.items():
+                        mapping[(k,) + c] = (k2,) + c2
+                for c, c2 in self._psi[a + (0,)].mapping.items():
+                    mapping[(1,) + c] = (1,) + c2
+                iso = ZeroOneIso(mapping)
+            else:
+                left = self._psi[a + (1,)].mapping
+                iso = ZeroOneIso({c[1:]: c2[1:] for c, c2 in left.items() if c[:1] == (1,)})
+            self._psi[a] = iso
+
+    def iso(self, a: Position) -> ZeroOneIso:
+        """psi(a): T(a) -> T'(a')."""
+        return self._psi[a]
+
+    def left(self, a: Position) -> ZeroOneIso:
+        """L(a) -> L'(a'): psi(a.1) on the source of its arrow."""
+        left = self._psi[a + (1,)].mapping
+        return ZeroOneIso({c: c2 for c, c2 in left.items() if c and c[0] >= 2})
+
+    def right(self, a: Position) -> ZeroOneIso:
+        """R(a) -> R'(a'): the argument premises' psi, each under its new track."""
+        node = self.checked.nodes[a]
+        assert isinstance(node, AppNode)
+        mapping: dict[Position, Position] = {}
+        for k in node.arg_tracks:
+            k2 = self._args.get(a + (k,), k)
+            for c, c2 in self._psi[a + (k,)].mapping.items():
+                mapping[(k,) + c] = (k2,) + c2
+        return ZeroOneIso(mapping)
+
+    def conjugate(self, a: Position, phi: ZeroOneIso) -> ZeroOneIso:
+        """right(a) o phi o left(a)^-1: an interface at a, carried along."""
+        return self.right(a).compose(phi).compose(self.left(a).inverse())
 
 
 def _conflict_variable(judgments, a, node, tracks) -> str:
@@ -374,7 +481,7 @@ def quantitativity_holds(checked: CheckedDerivation) -> bool:
     for a in checked.support():
         ctx = checked.context_at(a)
         names = set(ctx.domain())
-        subj = subterm_at(checked.term, a)
+        subj = checked.judgments[a].subject
         if isinstance(subj, Var):
             names.add(subj.name)
         for x in names:

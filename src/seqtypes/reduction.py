@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .positions import (
-    EPS,
     Position,
     Track,
     ZeroOneIso,
@@ -38,7 +37,6 @@ from .stypes import (
     iter_type_isos,
     rkey,
     seq,
-    type_support,
 )
 from .terms import Abs, App, Var, beta_reduce_at, subterm_at
 from .derivations import (
@@ -49,7 +47,9 @@ from .derivations import (
     Derivation,
     FLAVOR_S,
     FLAVOR_SH,
+    JudgmentIsos,
     Node,
+    QuantitativityError,
     RAbsD,
     RAppD,
     RAxD,
@@ -187,9 +187,9 @@ def residual_maps(
         node = checked.node(a)
         assert isinstance(node, AppNode)
         tr_left = set(checked.left_seq(a).tracks())
-        axioms = checked.axioms_above(a + (1, 0), x)
-        by_track = {checked.axiom_track(p): p for p in axioms}
-        assert set(by_track) == tr_left, "quantitativity ties axiom tracks to L(a)"
+        by_track = {checked.axiom_track(p): p for p in checked.bound_by(a + (1,))}
+        if set(by_track) != tr_left:
+            raise QuantitativityError(a, x, set(by_track) ^ tr_left)
         rho_a = rho_per_node.get(a)
         if rho_a is None:
             raise ChoiceError(f"missing root interface at {format_position(a)}")
@@ -204,9 +204,8 @@ def residual_maps(
                 )
         rho[a] = dict(rho_a)
         ax_pos[a] = by_track
-    res: dict[Position, Position] = {}
-    qres: dict[Position, Position] = {}
-    x_axioms = {p for by_track in ax_pos.values() for p in by_track.values()}
+    maps = ResidualMaps(b, nodes_over, rho, ax_pos, {}, {})
+    res, qres, x_axioms = maps.res, maps.qres, maps.x_axioms()
     for alpha in checked.support():
         a = next((a for a in nodes_over if is_prefix(a, alpha)), None)
         if a is None:
@@ -235,7 +234,7 @@ def residual_maps(
             rel_ax = ax_pos[a][k_left][len(a) + 2 :]
             res[alpha] = a + rel_ax + alpha[len(a) + 1 :]
             qres[alpha] = res[alpha]
-    return ResidualMaps(b, nodes_over, rho, ax_pos, res, qres)
+    return maps
 
 
 def residual_derivation(
@@ -294,117 +293,49 @@ def _reduce_untyped(checked: CheckedDerivation, b: Position) -> CheckedDerivatio
 # -- residual type isomorphisms ----------------------------------------------
 
 
-class ResidualTypes:
+def residual_isos(
+    checked: CheckedDerivation, maps: ResidualMaps, interfaces: dict[Position, ZeroOneIso]
+) -> JudgmentIsos:
     """Type isomorphisms T(alpha) -> T'(QRes(alpha)) after firing a redex.
 
-    Requires a full interface at every node over the redex; other types are
-    affected only when their subtree contains an axiom of the redex variable.
+    The axiom of the redex variable on track k above a node a over the redex
+    moves along the interface at a restricted under k, onto the track
+    rho_a(k); every other axiom keeps its type.
     """
-
-    def __init__(
-        self,
-        checked: CheckedDerivation,
-        maps: ResidualMaps,
-        interfaces_at_b: dict[Position, ZeroOneIso],
-    ) -> None:
-        self.checked = checked
-        self.maps = maps
-        self.interfaces = interfaces_at_b
-        self._memo: dict[Position, ZeroOneIso] = {}
-        self._affected: set[Position] = set()
-        for ax in maps.x_axioms():
-            for i in range(len(ax) + 1):
-                self._affected.add(ax[:i])
-        self._nodes_over = set(maps.nodes_over)
-        self._axiom_node: dict[Position, Position] = {}
-        for a, by_track in maps.ax_pos.items():
-            for k, p in by_track.items():
-                self._axiom_node[p] = a
-
-    def iso(self, alpha: Position) -> ZeroOneIso:
-        if alpha in self._memo:
-            return self._memo[alpha]
-        result = self._compute(alpha)
-        self._memo[alpha] = result
-        return result
-
-    def _compute(self, alpha: Position) -> ZeroOneIso:
-        checked = self.checked
-        if alpha not in self._affected:
-            return identity_iso(checked.type_at(alpha))
-        if alpha in self._axiom_node:
-            a = self._axiom_node[alpha]
-            node = checked.node(alpha)
-            assert isinstance(node, AxNode)
-            k_left = node.track
-            phi = self.interfaces[a]
-            sup, _ = type_support(checked.type_at(alpha))
-            return ZeroOneIso({c: phi.mapping[(k_left,) + c][1:] for c in sup.positions})
-        if alpha in self._nodes_over:
-            return self.iso(alpha + (1, 0))
-        node = checked.node(alpha)
-        if isinstance(node, AbsNode):
-            inner = self.iso(alpha + (0,))
-            arrow = checked.type_at(alpha)
-            assert isinstance(arrow, SArrow)
-            src_sup, _ = type_support(arrow.source)
-            mapping: dict[Position, Position] = {EPS: EPS}
-            for c in src_sup.positions:
-                mapping[c] = c
-            for c, c2 in inner.mapping.items():
-                mapping[(1,) + c] = (1,) + c2
-            return ZeroOneIso(mapping)
-        if isinstance(node, AppNode):
-            inner = self.iso(alpha + (1,))
-            sup, _ = type_support(checked.type_at(alpha))
-            return ZeroOneIso({c: inner.mapping[(1,) + c][1:] for c in sup.positions})
-        raise AssertionError("variable nodes other than redex axioms are unaffected")
-
-    def res_left(self, alpha: Position) -> ZeroOneIso:
-        """L(alpha) -> L'(alpha') for an application node not over the redex."""
-        psi = self.iso(alpha + (1,))
-        sup, _ = type_support(self.checked.left_seq(alpha))
-        return ZeroOneIso({c: psi.mapping[c] for c in sup.positions})
-
-    def res_right(self, alpha: Position) -> ZeroOneIso:
-        node = self.checked.node(alpha)
-        assert isinstance(node, AppNode)
-        mapping: dict[Position, Position] = {}
-        for k in node.arg_tracks:
-            inner = self.iso(alpha + (k,))
-            for c, c2 in inner.mapping.items():
-                mapping[(k,) + c] = (k,) + c2
-        return ZeroOneIso(mapping)
+    axioms: dict[Position, tuple[Track, ZeroOneIso]] = {}
+    for a, by_track in maps.ax_pos.items():
+        phi = interfaces[a].mapping
+        for k, p in by_track.items():
+            under = ZeroOneIso({c[1:]: c2[1:] for c, c2 in phi.items() if c[0] == k})
+            axioms[p] = (maps.rho[a][k], under)
+    return JudgmentIsos(checked, axioms)
 
 
 def reduce_operable(
     op: OperableDerivation, b: Position
-) -> tuple[OperableDerivation, ResidualMaps, ResidualTypes]:
+) -> tuple[OperableDerivation, ResidualMaps, JudgmentIsos]:
     """Fire a redex using the derivation's own interface.
 
     The reduct carries the residual interface, so iterated reduction is
-    fully deterministic.
+    fully deterministic.  Also returns the residual positions and the
+    residual type isomorphisms.
     """
     checked = op.checked
     if not _nodes_over(checked, b):
         reduced = _reduce_untyped(checked, b)
         new_interface = {a: op.interface[a] for a in reduced.app_positions()}
         maps = ResidualMaps(b, [], {}, {}, {a: a for a in checked.support()}, {})
-        types = ResidualTypes(checked, maps, {})
-        return OperableDerivation(reduced, new_interface), maps, types
+        return OperableDerivation(reduced, new_interface), maps, JudgmentIsos(checked, {})
     rho = {a: op.interface[a].roots() for a in _nodes_over(checked, b)}
     deriv, maps = residual_derivation(checked, b, rho)
     deriv = Derivation(deriv.term, FLAVOR_SH, deriv.nodes)
     new_checked = check_derivation(deriv)
-    types = ResidualTypes(checked, maps, {a: op.interface[a] for a in maps.nodes_over})
+    types = residual_isos(checked, maps, op.interface)
     new_interface: dict[Position, ZeroOneIso] = {}
     inverse_res = {v: k for k, v in maps.res.items()}
     for a2 in new_checked.app_positions():
         alpha = inverse_res[a2]
-        res_l = types.res_left(alpha)
-        res_r = types.res_right(alpha)
-        phi = op.interface[alpha]
-        new_interface[a2] = res_r.compose(phi).compose(res_l.inverse())
+        new_interface[a2] = types.conjugate(alpha, op.interface[alpha])
     return OperableDerivation(new_checked, new_interface), maps, types
 
 
@@ -551,7 +482,6 @@ def realize_r_choice(
     subj = subterm_at(checked.term, b)
     if not (isinstance(subj, App) and isinstance(subj.left, Abs)):
         raise ReductionError(f"no redex at {format_position(b)}")
-    x = subj.left.binder
     for a in _nodes_over(checked, b):
         rpath = paths[a]
         if rpath not in rchoice.assignments:
@@ -565,7 +495,7 @@ def realize_r_choice(
             step = paths[a + (k,)][-1]
             arg_by_index[step[1]] = k
         rho: dict[Track, Track] = {}
-        for p in checked.axioms_above(a + (1, 0), x):
+        for p in checked.bound_by(a + (1,)):
             ax_rel = paths[p][len(body_prefix) :]
             if ax_rel not in assignment:
                 raise ChoiceError(f"choice missing axiom {ax_rel} at {format_position(a)}")
@@ -644,10 +574,10 @@ def build_operable_from_choices(
         deriv, maps = residual_derivation(current, b_i, rho)
         deriv = Derivation(deriv.term, FLAVOR_SH, deriv.nodes)
         new_checked = check_derivation(deriv)
-        types = ResidualTypes(current, maps, interfaces_at_b)
+        types = residual_isos(current, maps, interfaces_at_b)
         for a0, a_i in list(alive.items()):
-            acc_left[a0] = types.res_left(a_i).compose(acc_left[a0])
-            acc_right[a0] = types.res_right(a_i).compose(acc_right[a0])
+            acc_left[a0] = types.left(a_i).compose(acc_left[a0])
+            acc_right[a0] = types.right(a_i).compose(acc_right[a0])
             alive[a0] = maps.res[a_i]
         current = new_checked
         current_rd = reduce_R(current_rd, b_i, rchoice)

@@ -36,9 +36,9 @@ from .derivations import (
     CheckedDerivation,
     FLAVOR_S,
     Node,
+    QuantitativityError,
 )
 from .reduction import OperableDerivation, make_operable
-from .terms import Abs, subterm_at
 
 POS = "+"
 NEG = "-"
@@ -246,7 +246,6 @@ class ThreadAnalysis:
         pairs of edge ids that polar inversion joins at the axioms."""
         checked, positions, nodes = self.checked, self._positions, self._nodes
         keys, child, index = self._keys, self._child, self._id
-        binders: dict[int, str] = {}
         premises: dict[tuple[int, str], dict[Track, int]] = {}
         up = [-1] * len(keys)
         inversions: list[tuple[int, int]] = []
@@ -265,11 +264,8 @@ class ThreadAnalysis:
                 elif inner[0] == 1:
                     up[i] = index[(1, child[v][0], inner[1:])]
                 else:
-                    if v not in binders:
-                        subj = subterm_at(checked.term, positions[v])
-                        assert isinstance(subj, Abs)
-                        binders[v] = subj.binder
-                    up[i] = index[(2, child[v][0], binders[v], inner)]
+                    binder = checked.judgments[positions[v]].subject.binder
+                    up[i] = index[(2, child[v][0], binder, inner)]
             elif isinstance(node, AppNode):
                 _, _, x, inner = key
                 table = premises.get((v, x))
@@ -282,7 +278,7 @@ class ThreadAnalysis:
                         for track in checked.context_at(positions[premise]).get(x).tracks():
                             table.setdefault(track, premise)
                 if inner[0] not in table:
-                    raise AssertionError("quantitativity: the entry comes from some premise")
+                    raise QuantitativityError(positions[v], x, {inner[0]})
                 up[i] = index[(2, table[inner[0]], x, inner)]
             else:
                 up[i] = index[(2, child[v][0], key[2], key[3])]

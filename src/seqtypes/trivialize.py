@@ -19,6 +19,7 @@ from .positions import (
     Position,
     Track,
     Relabelling01,
+    DomainMismatchError,
     ZeroOneIso,
     apply_relabelling,
     check_01_iso,
@@ -35,7 +36,7 @@ from .stypes import (
     rkey,
     type_support,
 )
-from .terms import Abs, Var, alpha_key, subterm_at
+from .terms import Var, alpha_key
 from .derivations import (
     AbsNode,
     AppNode,
@@ -44,10 +45,11 @@ from .derivations import (
     Derivation,
     FLAVOR_S,
     FLAVOR_SH,
+    JudgmentIsos,
     Node,
     check_derivation,
 )
-from .reduction import OperableDerivation, ResidualTypes, reduce_operable
+from .reduction import OperableDerivation, reduce_operable
 from .threads import (
     ArgEdge,
     BrotherChain,
@@ -163,7 +165,7 @@ def build_relabelling(
     for a in checked.axiom_positions():
         node = checked.node(a)
         assert isinstance(node, AxNode)
-        subj = subterm_at(checked.term, a)
+        subj = checked.judgments[a].subject
         assert isinstance(subj, Var)
         sup, _ = type_support(node.stype)
         axiom_types[a] = {c: value_of(RightEdge(a, c)) for c in sup.mutable_support()}
@@ -178,85 +180,12 @@ class DerivationIso:
     supp_map: dict[Position, Position]
     axiom_isos: dict[Position, ZeroOneIso]
 
-
-class IsoMismatch(ValueError):
-    pass
-
-
-class NodeIsos:
-    """Derive the per-judgment type isomorphisms induced by a derivation iso.
-
-    Everything follows from the support map and the axiom isos: contexts
-    transport along the matched axioms, abstraction and application types
-    are rebuilt structurally.
-    """
-
-    def __init__(
-        self,
-        c1: CheckedDerivation,
-        c2: CheckedDerivation,
-        supp_map: dict[Position, Position],
-        axiom_isos: dict[Position, ZeroOneIso],
-    ) -> None:
-        self.c1 = c1
-        self.c2 = c2
-        self.supp_map = supp_map
-        self.axiom_isos = axiom_isos
-        self._memo: dict[Position, ZeroOneIso] = {}
-
-    def node_iso(self, a: Position) -> ZeroOneIso:
-        if a in self._memo:
-            return self._memo[a]
-        node = self.c1.node(a)
-        if isinstance(node, AxNode):
-            iso = self.axiom_isos[a]
-        elif isinstance(node, AbsNode):
-            subj = subterm_at(self.c1.term, a)
-            assert isinstance(subj, Abs)
-            ctx_iso = self.context_iso(a + (0,), subj.binder)
-            target = self.node_iso(a + (0,))
-            mapping = {EPS: EPS, **ctx_iso.mapping}
-            for c, c2 in target.mapping.items():
-                mapping[(1,) + c] = (1,) + c2
-            iso = ZeroOneIso(mapping)
-        else:
-            inner = self.node_iso(a + (1,))
-            sup, _ = type_support(self.c1.type_at(a))
-            try:
-                iso = ZeroOneIso({c: inner.mapping[(1,) + c][1:] for c in sup.positions})
-            except KeyError as exc:
-                raise IsoMismatch(f"target mismatch at {format_position(a)}") from exc
-        self._memo[a] = iso
-        return iso
-
-    def context_iso(self, a: Position, x: str) -> ZeroOneIso:
-        mapping: dict[Position, Position] = {}
-        for k in self.c1.context_at(a).get(x).tracks():
-            a0 = self.c1.pos_of(a, x, k)
-            image = self.supp_map[a0]
-            node2 = self.c2.node(image)
-            if not isinstance(node2, AxNode):
-                raise IsoMismatch(f"axiom {format_position(a0)} not matched to an axiom")
-            inner = self.node_iso(a0)
-            for c, c2 in inner.mapping.items():
-                mapping[(k,) + c] = (node2.track,) + c2
-        return ZeroOneIso(mapping)
-
-    def left_iso(self, a: Position) -> ZeroOneIso:
-        inner = self.node_iso(a + (1,))
-        sup, _ = type_support(self.c1.left_seq(a))
-        return ZeroOneIso({c: inner.mapping[c] for c in sup.positions})
-
-    def right_iso(self, a: Position) -> ZeroOneIso:
-        node = self.c1.node(a)
-        assert isinstance(node, AppNode)
-        mapping: dict[Position, Position] = {}
-        for k in node.arg_tracks:
-            k2 = self.supp_map[a + (k,)][-1]
-            inner = self.node_iso(a + (k,))
-            for c, c2 in inner.mapping.items():
-                mapping[(k,) + c] = (k2,) + c2
-        return ZeroOneIso(mapping)
+    def judgment_isos(self, c1: CheckedDerivation, c2: CheckedDerivation) -> JudgmentIsos:
+        """The type isomorphisms induced at every judgment of c1; the axioms
+        of c2 give the new axiom tracks."""
+        axioms = {a: (c2.nodes[self.supp_map[a]].track, phi) for a, phi in self.axiom_isos.items()}
+        args = {a: b[-1] for a, b in self.supp_map.items() if a and a[-1] >= 2}
+        return JudgmentIsos(c1, axioms, args)
 
 
 def verify_derivation_iso(
@@ -269,33 +198,27 @@ def verify_derivation_iso(
     """All hybrid-iso clauses; with interfaces, also the commuting square."""
     if alpha_key(c1.term) != alpha_key(c2.term):
         return False
-    supp1, supp2 = c1.support(), c2.support()
+    supp_map = iso.supp_map
     try:
-        if not check_01_iso(supp1, supp2, ZeroOneIso(iso.supp_map)):
+        if not check_01_iso(c1.support(), c2.support(), ZeroOneIso(supp_map)):
             return False
     except ValueError:
         return False
     if set(iso.axiom_isos) != set(c1.axiom_positions()):
         return False
-    derived = NodeIsos(c1, c2, iso.supp_map, iso.axiom_isos)
+    if any(type(node) is not type(c2.nodes[supp_map[a]]) for a, node in c1.nodes.items()):
+        return False
+    derived = iso.judgment_isos(c1, c2)
     try:
-        for a in supp1:
-            if type(c1.node(a)) is not type(c2.node(iso.supp_map[a])):
-                return False
-            if not check_type_iso(
-                c1.type_at(a), c2.type_at(iso.supp_map[a]), derived.node_iso(a)
-            ):
+        for a in c1.nodes:
+            if not check_type_iso(c1.type_at(a), c2.type_at(supp_map[a]), derived.iso(a)):
                 return False
         if interface1 is not None and interface2 is not None:
             for a in c1.app_positions():
-                a2 = iso.supp_map[a]
-                left = derived.left_iso(a)
-                right = derived.right_iso(a)
-                lhs = right.compose(interface1[a])
-                rhs = interface2[a2].compose(left)
-                if lhs.mapping != rhs.mapping:
+                lhs = derived.right(a).compose(interface1[a])
+                if lhs != interface2[supp_map[a]].compose(derived.left(a)):
                     return False
-    except (IsoMismatch, KeyError):
+    except (DomainMismatchError, KeyError):
         return False
     return True
 
@@ -408,12 +331,10 @@ def reset_derivation(
     iso = DerivationIso(supp_map, axiom_isos)
     new_interface: Optional[dict[Position, ZeroOneIso]] = None
     if interface is not None:
-        derived = NodeIsos(checked, new_checked, supp_map, axiom_isos)
-        new_interface = {}
-        for a in checked.app_positions():
-            left = derived.left_iso(a)
-            right = derived.right_iso(a)
-            new_interface[supp_map[a]] = right.compose(interface[a]).compose(left.inverse())
+        derived = iso.judgment_isos(checked, new_checked)
+        new_interface = {
+            supp_map[a]: derived.conjugate(a, interface[a]) for a in checked.app_positions()
+        }
     return ResetResult(new_checked, iso, new_interface)
 
 
@@ -507,7 +428,7 @@ def trivialize(op: OperableDerivation) -> TrivializeResult:
 def residual_thread(
     analysis: ThreadAnalysis,
     maps,
-    types: ResidualTypes,
+    types: JudgmentIsos,
     new_analysis: ThreadAnalysis,
     tid: int,
 ) -> Optional[int]:
@@ -549,9 +470,7 @@ def run_collapsing_strategy(op: OperableDerivation, arc: ConsumptionArc) -> Stra
     while True:
         a = arc.pos
         ref = analysis.thread(arc.left).referent
-        alpha0 = ref.pos
-        y = ref.var if isinstance(ref, LeftEdge) else _var_at(analysis.checked, alpha0)
-        alpha = _binder_of(analysis.checked, alpha0, y)
+        alpha = analysis.checked.binders[ref.pos]
         assert alpha is not None and len(alpha) > len(a)
         if len(alpha) - len(a) == 1:
             b = collapse_position(a)
@@ -577,21 +496,6 @@ def run_collapsing_strategy(op: OperableDerivation, arc: ConsumptionArc) -> Stra
 def collapsing_strategy(op: OperableDerivation, arc: ConsumptionArc) -> list[Position]:
     """The sequence of redex positions that collapses the arc's two threads."""
     return run_collapsing_strategy(op, arc).fired
-
-
-def _var_at(checked: CheckedDerivation, a: Position) -> str:
-    subj = subterm_at(checked.term, a)
-    assert isinstance(subj, Var)
-    return subj.name
-
-
-def _binder_of(checked: CheckedDerivation, a: Position, y: str) -> Optional[Position]:
-    for i in range(len(a) - 1, -1, -1):
-        prefix = a[:i]
-        subj = subterm_at(checked.term, prefix)
-        if isinstance(subj, Abs) and subj.binder == y:
-            return prefix
-    return None
 
 
 def _deepest_app_prefix(checked: CheckedDerivation, alpha: Position, a: Position) -> Position:

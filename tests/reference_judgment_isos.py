@@ -1,0 +1,358 @@
+"""The two induced-isomorphism builders, kept as reference oracles.
+
+These are the original per-use constructions of the isomorphism a
+derivation isomorphism or a reduction step induces at every judgment.
+`NodeIsos` derives it on demand, memoized, for resetting and verification:
+it finds each abstraction's axioms with `pos_of`, one `axioms_above` walk
+(the original one, which looks every subterm up from the root) per context
+track, and the domain of every application's restriction with
+`type_support`.  `ResidualTypes` derives it for a reduction step, with a
+special case for the nodes over the redex and identities elsewhere.
+`verify_derivation_iso`, the conjugations of `reset_interface` and
+`reduce_interface`, and `build_operable_from_choices` are the original
+callers.  `test_judgment_isos_differential.py` compares
+`derivations.JudgmentIsos` against them.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from seqtypes.derivations import (
+    AbsNode,
+    AppNode,
+    AxNode,
+    CheckedDerivation,
+    Derivation,
+    FLAVOR_SH,
+    RDerivation,
+    check_derivation,
+    collapse_derivation,
+)
+from seqtypes.positions import EPS, Position, Track, ZeroOneIso, check_01_iso, format_position
+from seqtypes.reduction import (
+    ChoiceError,
+    OperableDerivation,
+    RChoice,
+    ResidualMaps,
+    default_interface,
+    extend_root_interface,
+    realize_r_choice,
+    reduce_R,
+    residual_derivation,
+)
+from seqtypes.stypes import SArrow, check_type_iso, identity_iso, type_support
+from seqtypes.terms import Abs, Var, alpha_key, subterm_at
+from seqtypes.trivialize import DerivationIso
+
+
+def axioms_above(checked: CheckedDerivation, a: Position, x: str) -> set[Position]:
+    """Axioms above `a` typing occurrences of x not rebound in between."""
+    out: set[Position] = set()
+    stack = [a]
+    while stack:
+        p = stack.pop()
+        subj = subterm_at(checked.term, p)
+        if isinstance(subj, Abs) and subj.binder == x:
+            continue
+        node = checked.nodes[p]
+        if isinstance(node, AxNode):
+            if isinstance(subj, Var) and subj.name == x:
+                out.add(p)
+        else:
+            stack.extend(p + (k,) for k in checked._children[p])
+    return out
+
+
+def pos_of(checked: CheckedDerivation, a: Position, x: str, k: Track) -> Position:
+    for a0 in axioms_above(checked, a, x):
+        if checked.axiom_track(a0) == k:
+            return a0
+    raise KeyError(f"no axiom of {x!r} with track {k} above {format_position(a)}")
+
+
+class IsoMismatch(ValueError):
+    pass
+
+
+class NodeIsos:
+    """Derive the per-judgment type isomorphisms induced by a derivation iso.
+
+    Everything follows from the support map and the axiom isos: contexts
+    transport along the matched axioms, abstraction and application types
+    are rebuilt structurally.
+    """
+
+    def __init__(
+        self,
+        c1: CheckedDerivation,
+        c2: CheckedDerivation,
+        supp_map: dict[Position, Position],
+        axiom_isos: dict[Position, ZeroOneIso],
+    ) -> None:
+        self.c1 = c1
+        self.c2 = c2
+        self.supp_map = supp_map
+        self.axiom_isos = axiom_isos
+        self._memo: dict[Position, ZeroOneIso] = {}
+
+    def node_iso(self, a: Position) -> ZeroOneIso:
+        if a in self._memo:
+            return self._memo[a]
+        node = self.c1.node(a)
+        if isinstance(node, AxNode):
+            iso = self.axiom_isos[a]
+        elif isinstance(node, AbsNode):
+            subj = subterm_at(self.c1.term, a)
+            assert isinstance(subj, Abs)
+            ctx_iso = self.context_iso(a + (0,), subj.binder)
+            target = self.node_iso(a + (0,))
+            mapping = {EPS: EPS, **ctx_iso.mapping}
+            for c, c2 in target.mapping.items():
+                mapping[(1,) + c] = (1,) + c2
+            iso = ZeroOneIso(mapping)
+        else:
+            inner = self.node_iso(a + (1,))
+            sup, _ = type_support(self.c1.type_at(a))
+            try:
+                iso = ZeroOneIso({c: inner.mapping[(1,) + c][1:] for c in sup.positions})
+            except KeyError as exc:
+                raise IsoMismatch(f"target mismatch at {format_position(a)}") from exc
+        self._memo[a] = iso
+        return iso
+
+    def context_iso(self, a: Position, x: str) -> ZeroOneIso:
+        mapping: dict[Position, Position] = {}
+        for k in self.c1.context_at(a).get(x).tracks():
+            a0 = pos_of(self.c1, a, x, k)
+            image = self.supp_map[a0]
+            node2 = self.c2.node(image)
+            if not isinstance(node2, AxNode):
+                raise IsoMismatch(f"axiom {format_position(a0)} not matched to an axiom")
+            inner = self.node_iso(a0)
+            for c, c2 in inner.mapping.items():
+                mapping[(k,) + c] = (node2.track,) + c2
+        return ZeroOneIso(mapping)
+
+    def left_iso(self, a: Position) -> ZeroOneIso:
+        inner = self.node_iso(a + (1,))
+        sup, _ = type_support(self.c1.left_seq(a))
+        return ZeroOneIso({c: inner.mapping[c] for c in sup.positions})
+
+    def right_iso(self, a: Position) -> ZeroOneIso:
+        node = self.c1.node(a)
+        assert isinstance(node, AppNode)
+        mapping: dict[Position, Position] = {}
+        for k in node.arg_tracks:
+            k2 = self.supp_map[a + (k,)][-1]
+            inner = self.node_iso(a + (k,))
+            for c, c2 in inner.mapping.items():
+                mapping[(k,) + c] = (k2,) + c2
+        return ZeroOneIso(mapping)
+
+
+def verify_derivation_iso(
+    c1: CheckedDerivation,
+    c2: CheckedDerivation,
+    iso: DerivationIso,
+    interface1: Optional[dict[Position, ZeroOneIso]] = None,
+    interface2: Optional[dict[Position, ZeroOneIso]] = None,
+) -> bool:
+    """All hybrid-iso clauses; with interfaces, also the commuting square."""
+    if alpha_key(c1.term) != alpha_key(c2.term):
+        return False
+    supp1, supp2 = c1.support(), c2.support()
+    try:
+        if not check_01_iso(supp1, supp2, ZeroOneIso(iso.supp_map)):
+            return False
+    except ValueError:
+        return False
+    if set(iso.axiom_isos) != set(c1.axiom_positions()):
+        return False
+    derived = NodeIsos(c1, c2, iso.supp_map, iso.axiom_isos)
+    try:
+        for a in supp1:
+            if type(c1.node(a)) is not type(c2.node(iso.supp_map[a])):
+                return False
+            if not check_type_iso(
+                c1.type_at(a), c2.type_at(iso.supp_map[a]), derived.node_iso(a)
+            ):
+                return False
+        if interface1 is not None and interface2 is not None:
+            for a in c1.app_positions():
+                a2 = iso.supp_map[a]
+                left = derived.left_iso(a)
+                right = derived.right_iso(a)
+                lhs = right.compose(interface1[a])
+                rhs = interface2[a2].compose(left)
+                if lhs.mapping != rhs.mapping:
+                    return False
+    except (IsoMismatch, KeyError):
+        return False
+    return True
+
+
+class ResidualTypes:
+    """Type isomorphisms T(alpha) -> T'(QRes(alpha)) after firing a redex.
+
+    Requires a full interface at every node over the redex; other types are
+    affected only when their subtree contains an axiom of the redex variable.
+    """
+
+    def __init__(
+        self,
+        checked: CheckedDerivation,
+        maps: ResidualMaps,
+        interfaces_at_b: dict[Position, ZeroOneIso],
+    ) -> None:
+        self.checked = checked
+        self.maps = maps
+        self.interfaces = interfaces_at_b
+        self._memo: dict[Position, ZeroOneIso] = {}
+        self._affected: set[Position] = set()
+        for ax in maps.x_axioms():
+            for i in range(len(ax) + 1):
+                self._affected.add(ax[:i])
+        self._nodes_over = set(maps.nodes_over)
+        self._axiom_node: dict[Position, Position] = {}
+        for a, by_track in maps.ax_pos.items():
+            for k, p in by_track.items():
+                self._axiom_node[p] = a
+
+    def iso(self, alpha: Position) -> ZeroOneIso:
+        if alpha in self._memo:
+            return self._memo[alpha]
+        result = self._compute(alpha)
+        self._memo[alpha] = result
+        return result
+
+    def _compute(self, alpha: Position) -> ZeroOneIso:
+        checked = self.checked
+        if alpha not in self._affected:
+            return identity_iso(checked.type_at(alpha))
+        if alpha in self._axiom_node:
+            a = self._axiom_node[alpha]
+            node = checked.node(alpha)
+            assert isinstance(node, AxNode)
+            k_left = node.track
+            phi = self.interfaces[a]
+            sup, _ = type_support(checked.type_at(alpha))
+            return ZeroOneIso({c: phi.mapping[(k_left,) + c][1:] for c in sup.positions})
+        if alpha in self._nodes_over:
+            return self.iso(alpha + (1, 0))
+        node = checked.node(alpha)
+        if isinstance(node, AbsNode):
+            inner = self.iso(alpha + (0,))
+            arrow = checked.type_at(alpha)
+            assert isinstance(arrow, SArrow)
+            src_sup, _ = type_support(arrow.source)
+            mapping: dict[Position, Position] = {EPS: EPS}
+            for c in src_sup.positions:
+                mapping[c] = c
+            for c, c2 in inner.mapping.items():
+                mapping[(1,) + c] = (1,) + c2
+            return ZeroOneIso(mapping)
+        if isinstance(node, AppNode):
+            inner = self.iso(alpha + (1,))
+            sup, _ = type_support(checked.type_at(alpha))
+            return ZeroOneIso({c: inner.mapping[(1,) + c][1:] for c in sup.positions})
+        raise AssertionError("variable nodes other than redex axioms are unaffected")
+
+    def res_left(self, alpha: Position) -> ZeroOneIso:
+        """L(alpha) -> L'(alpha') for an application node not over the redex."""
+        psi = self.iso(alpha + (1,))
+        sup, _ = type_support(self.checked.left_seq(alpha))
+        return ZeroOneIso({c: psi.mapping[c] for c in sup.positions})
+
+    def res_right(self, alpha: Position) -> ZeroOneIso:
+        node = self.checked.node(alpha)
+        assert isinstance(node, AppNode)
+        mapping: dict[Position, Position] = {}
+        for k in node.arg_tracks:
+            inner = self.iso(alpha + (k,))
+            for c, c2 in inner.mapping.items():
+                mapping[(k,) + c] = (k,) + c2
+        return ZeroOneIso(mapping)
+
+
+def reset_interface(
+    checked: CheckedDerivation,
+    new_checked: CheckedDerivation,
+    iso: DerivationIso,
+    interface: dict[Position, ZeroOneIso],
+) -> dict[Position, ZeroOneIso]:
+    """The conjugated interface of `reset_derivation`."""
+    supp_map, axiom_isos = iso.supp_map, iso.axiom_isos
+    derived = NodeIsos(checked, new_checked, supp_map, axiom_isos)
+    new_interface = {}
+    for a in checked.app_positions():
+        left = derived.left_iso(a)
+        right = derived.right_iso(a)
+        new_interface[supp_map[a]] = right.compose(interface[a]).compose(left.inverse())
+    return new_interface
+
+
+def reduce_interface(
+    op: OperableDerivation, maps: ResidualMaps, new_checked: CheckedDerivation
+) -> tuple[dict[Position, ZeroOneIso], "ResidualTypes"]:
+    """The residual interface and types of `reduce_operable` at a typed redex."""
+    types = ResidualTypes(op.checked, maps, {a: op.interface[a] for a in maps.nodes_over})
+    new_interface: dict[Position, ZeroOneIso] = {}
+    inverse_res = {v: k for k, v in maps.res.items()}
+    for a2 in new_checked.app_positions():
+        alpha = inverse_res[a2]
+        res_l = types.res_left(alpha)
+        res_r = types.res_right(alpha)
+        phi = op.interface[alpha]
+        new_interface[a2] = res_r.compose(phi).compose(res_l.inverse())
+    return new_interface, types
+
+
+def build_operable_from_choices(
+    rd: RDerivation,
+    base: OperableDerivation | CheckedDerivation,
+    choices: list[tuple[Position, RChoice]],
+) -> OperableDerivation:
+    """Build a total interface on the base derivation encoding the choices.
+
+    Reducing the result step by step with `reduce_operable` at the given
+    redex positions collapses, at every step, onto the multiset derivations
+    produced by `reduce_R` with the given choices.  Every derivation on the
+    way is collapsed once, for the consistency check, and the choice is
+    realized on that same collapse.
+    """
+    checked = base.checked if isinstance(base, OperableDerivation) else base
+    if collapse_derivation(checked) != rd:
+        raise ChoiceError("the base derivation does not collapse on the given derivation")
+    alive: dict[Position, Position] = {a: a for a in checked.app_positions()}
+    acc_left = {a: identity_iso(checked.left_seq(a)) for a in alive}
+    acc_right = {a: identity_iso(checked.right_seq(a)) for a in alive}
+    pinned: dict[Position, ZeroOneIso] = {}
+    current = checked
+    current_rd = rd
+    for b_i, rchoice in choices:
+        if collapse_derivation(current) != current_rd:
+            raise ChoiceError("choice sequence inconsistent with the collapse")
+        rho = realize_r_choice(current, b_i, rchoice)
+        interfaces_at_b = {a: extend_root_interface(current, a, rho[a]) for a in rho}
+        for a0, a_i in list(alive.items()):
+            if a_i in interfaces_at_b:
+                pinned[a0] = (
+                    acc_right[a0].inverse().compose(interfaces_at_b[a_i]).compose(acc_left[a0])
+                )
+                del alive[a0]
+        deriv, maps = residual_derivation(current, b_i, rho)
+        deriv = Derivation(deriv.term, FLAVOR_SH, deriv.nodes)
+        new_checked = check_derivation(deriv)
+        types = ResidualTypes(current, maps, interfaces_at_b)
+        for a0, a_i in list(alive.items()):
+            acc_left[a0] = types.res_left(a_i).compose(acc_left[a0])
+            acc_right[a0] = types.res_right(a_i).compose(acc_right[a0])
+            alive[a0] = maps.res[a_i]
+        current = new_checked
+        current_rd = reduce_R(current_rd, b_i, rchoice)
+    interface = dict(pinned)
+    for a0 in checked.app_positions():
+        if a0 not in interface:
+            interface[a0] = default_interface(checked, a0)
+    return OperableDerivation(checked, interface)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,8 +15,10 @@ from seqtypes.derivations import (
     AxNode,
     Derivation,
     GenBudget,
+    Judgment,
     LeftBip,
     MalformedShape,
+    QuantitativityError,
     RAbsD,
     RAppD,
     RAxD,
@@ -25,6 +31,7 @@ from seqtypes.derivations import (
     check_derivation,
     check_R,
     collapse_derivation,
+    context,
     collapse_with_paths,
     derivation_from_json,
     derivation_to_json,
@@ -44,9 +51,17 @@ from seqtypes.stypes import (
     rarrow,
     seq,
 )
+from seqtypes.reduction import residual_maps
 from seqtypes.terms import parse_term
+from seqtypes.threads import ThreadAnalysis
 
-from samples import SELF_APP_COLLAPSE, S_INNER, make_brothers, make_self_app
+from samples import (
+    SELF_APP_COLLAPSE,
+    S_INNER,
+    make_brothers,
+    make_self_app,
+    make_tracked_redex,
+)
 
 O = SAtom("o")
 OP = SAtom("o'")
@@ -119,9 +134,6 @@ def test_axioms_above_and_pos():
     assert checked.axioms_above((0,), "x") == {(0, 1), (0, 2), (0, 3), (0, 8)}
     assert {checked.axiom_track(a) for a in checked.axioms_above((0,), "x")} == {4, 9, 2, 5}
     assert checked.axioms_above(EPS, "x") == set()
-    assert checked.pos_of((0,), "x", 5) == (0, 8)
-    with pytest.raises(KeyError):
-        checked.pos_of((0,), "x", 7)
 
 
 def test_biposition_lookup():
@@ -266,3 +278,61 @@ def test_file_round_trip():
         assert dumps_derivation(again) == text
     data = derivation_to_json(make_self_app())
     assert derivation_from_json(data) == make_self_app()
+
+
+def forge_judgment(checked, a, **changes):
+    """The checked derivation with one judgment replaced: no longer a
+    derivation `check_derivation` would build."""
+    judgments = {**checked.judgments, a: dataclasses.replace(checked.judgments[a], **changes)}
+    return dataclasses.replace(checked, judgments=judgments)
+
+
+def forged_quantitativity_witnesses() -> list[tuple]:
+    """Break quantitativity once for each of its checks and return the
+    witness each QuantitativityError carries."""
+    witnesses = []
+    # the redex abstraction claims its variable on tracks 2 and 9; its axioms
+    # are on 2 and 7
+    checked = check_derivation(make_tracked_redex())
+    arrow = checked.type_at((1,))
+    forged = forge_judgment(checked, (1,), stype=SArrow(seq({2: O, 9: O}), arrow.target))
+    try:
+        residual_maps(forged, EPS, {EPS: {2: 5, 9: 8}})
+    except QuantitativityError as exc:
+        witnesses.append((exc.position, exc.variable, exc.tracks))
+    # the application's context gives x a track 7 that no premise holds
+    checked = check_derivation(make_self_app())
+    entries = dict(checked.context_at((0,)).get("x").items())
+    forged = forge_judgment(checked, (0,), context=context({"x": seq({**entries, 7: O})}))
+    try:
+        ThreadAnalysis(forged)
+    except QuantitativityError as exc:
+        witnesses.append((exc.position, exc.variable, exc.tracks))
+    return witnesses
+
+
+QUANTITATIVITY_WITNESSES = [(EPS, "x", frozenset({7, 9})), ((0,), "x", frozenset({7}))]
+
+
+def test_forged_quantitativity_raises():
+    assert forged_quantitativity_witnesses() == QUANTITATIVITY_WITNESSES
+
+
+def test_forged_quantitativity_raises_under_optimize():
+    # `python -O` strips assert statements; the quantitativity checks must
+    # not be one
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import sys\n"
+        "from test_derivations import QUANTITATIVITY_WITNESSES, forged_quantitativity_witnesses\n"
+        "sys.exit(0 if forged_quantitativity_witnesses() == QUANTITATIVITY_WITNESSES else 3)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -183,11 +183,7 @@ def test_residual_interface_is_bijection_onto_reduct_interfaces():
             if alpha == EPS:
                 continue
             alpha2 = maps.res[alpha]
-            res_l, res_r = types.res_left(alpha), types.res_right(alpha)
-            image = {
-                res_r.compose(phi).compose(res_l.inverse()).key()
-                for phi in interfaces_at(checked, alpha)
-            }
+            image = {types.conjugate(alpha, phi).key() for phi in interfaces_at(checked, alpha)}
             target = {phi.key() for phi in interfaces_at(reduced_op.checked, alpha2)}
             assert image == target
 

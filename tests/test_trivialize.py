@@ -10,23 +10,26 @@ import pytest
 
 from seqtypes.corpus import make_tower, tower_instances
 from seqtypes.derivations import (
+    AxNode,
+    Derivation,
     GenBudget,
     check_derivation,
     collapse_derivation,
     generate_normal_form_derivations,
 )
-from seqtypes.positions import EPS
+from seqtypes.positions import EPS, ZeroOneIso
 from seqtypes.reduction import (
     enumerate_r_choices,
     make_operable,
     reduce_R,
     reduce_S,
 )
-from seqtypes.stypes import identity_iso
+from seqtypes.stypes import SAtom, identity_iso
 from seqtypes.terms import parse_term
 from seqtypes.threads import NEG, ArgEdge, LeftEdge, RightEdge, ThreadAnalysis
 from seqtypes.trivialize import (
     BrotherChainError,
+    DerivationIso,
     ThreadClasses,
     assign_track_values,
     consumption_closure,
@@ -198,6 +201,14 @@ def test_verify_rejects_distinct_collapses():
     assert enumerate_derivation_isos(checked, other, limit=8) == []
     for candidate in enumerate_derivation_isos(checked, checked, limit=1):
         assert not verify_derivation_iso(checked, other, candidate)
+
+
+def test_verify_rejects_axiom_iso_off_its_type():
+    # an axiom isomorphism defined off its type's support is no type
+    # isomorphism: the verdict is False, not a DomainMismatchError
+    checked = check_derivation(Derivation(parse_term("x"), "S", {EPS: AxNode(2, SAtom("o"))}))
+    candidate = DerivationIso({EPS: EPS}, {EPS: ZeroOneIso({EPS: EPS, (3,): (3,)})})
+    assert not verify_derivation_iso(checked, checked, candidate)
 
 
 def test_isomorphic_iff_same_collapse():
