@@ -24,6 +24,7 @@ from .positions import (
 )
 from .stypes import (
     EMPTY_SEQ,
+    Keyed,
     RArrow,
     RType,
     SArrow,
@@ -31,17 +32,14 @@ from .stypes import (
     SeqType,
     SType,
     TrackConflictError,
-    collapse_type,
     equiv,
     identity_iso,
     parse_type,
     print_type,
     rarrow,
-    rkey,
     rmultiset,
     seq,
     seq_union,
-    type_support,
     label_at,
 )
 from .terms import (
@@ -199,6 +197,7 @@ class CheckedDerivation:
     judgments: dict[Position, Judgment]
     _children: dict[Position, frozenset[Track]]
     binders: dict[Position, Optional[Position]]
+    _right_seqs: dict[Position, SeqType]
 
     @property
     def term(self) -> Term:
@@ -251,10 +250,13 @@ class CheckedDerivation:
         return arrow.source
 
     def right_seq(self, a: Position) -> SeqType:
-        node = self.nodes.get(a)
-        if not isinstance(node, AppNode):
+        """The argument premises' types, as the checker built them for the
+        application rule: one object per node, so its cached facts serve
+        every reader."""
+        right = self._right_seqs.get(a)
+        if right is None:
             raise NotAnApplication(format_position(a))
-        return seq({k: self.judgments[a + (k,)].stype for k in node.arg_tracks})
+        return right
 
     def bound_by(self, a: Position) -> list[Position]:
         """The axioms whose variable the abstraction at a binds."""
@@ -285,11 +287,11 @@ class CheckedDerivation:
         for a in sorted(self.nodes, reverse=True):
             node = self.nodes[a]
             if isinstance(node, AxNode):
-                rnodes[a] = RAxD(collapse_type(node.stype))
+                rnodes[a] = RAxD(node.stype.collapse)
             elif isinstance(node, AbsNode):
                 rnodes[a] = RAbsD(rnodes[a + (0,)])
             else:
-                order = sorted(node.arg_tracks, key=lambda k: (rderiv_key(rnodes[a + (k,)]), k))
+                order = sorted(node.arg_tracks, key=lambda k: (rnodes[a + (k,)].key, k))
                 rank.update((a + (k,), j) for j, k in enumerate(order))
                 rnodes[a] = RAppD(rnodes[a + (1,)], tuple(rnodes[a + (k,)] for k in order))
         paths: dict[Position, RPath] = {EPS: ()}
@@ -342,6 +344,7 @@ def check_derivation(deriv: Derivation) -> CheckedDerivation:
             children[parent].append(a)
     judgments: dict[Position, Judgment] = {}
     binders: dict[Position, Optional[Position]] = {}
+    right_seqs: dict[Position, SeqType] = {}
     for a, subj, binder in reversed(_walk_nodes(term, children)):
         node = nodes[a]
         if subj is None:
@@ -378,7 +381,7 @@ def check_derivation(deriv: Derivation) -> CheckedDerivation:
             if not isinstance(left.stype, SArrow):
                 raise MalformedShape(a, "left premise does not conclude with an arrow")
             lseq = left.stype.source
-            rseq = seq({k: judgments[a + (k,)].stype for k in node.arg_tracks})
+            rseq = right_seqs[a] = seq({k: judgments[a + (k,)].stype for k in node.arg_tracks})
             if flavor == FLAVOR_S:
                 if lseq != rseq:
                     raise AppMismatch(a, lseq, rseq)
@@ -392,9 +395,8 @@ def check_derivation(deriv: Derivation) -> CheckedDerivation:
                 variable = _conflict_variable(judgments, a, node, exc.tracks)
                 raise TrackConflict(a, variable, exc.tracks) from None
             judgments[a] = Judgment(merged, subj, left.stype.target)
-    return CheckedDerivation(
-        deriv, judgments, {a: frozenset(b[-1] for b in bs) for a, bs in children.items()}, binders
-    )
+    kids = {a: frozenset(b[-1] for b in bs) for a, bs in children.items()}
+    return CheckedDerivation(deriv, judgments, kids, binders, right_seqs)
 
 
 class JudgmentIsos:
@@ -520,11 +522,9 @@ def bisupport(checked: CheckedDerivation) -> frozenset[Biposition]:
     out: set[Biposition] = set()
     for a in checked.support():
         j = checked.judgments[a]
-        sup, _ = type_support(j.stype)
-        out.update(RightBip(a, c) for c in sup.positions)
+        out.update(RightBip(a, c) for c in j.stype.support[0].positions)
         for x, f in j.context.entries:
-            supf, _ = type_support(f)
-            out.update(LeftBip(a, x, c) for c in supf.positions)
+            out.update(LeftBip(a, x, c) for c in f.support[0].positions)
     return frozenset(out)
 
 
@@ -537,20 +537,30 @@ def biposition_lookup(checked: CheckedDerivation, bip: Biposition) -> str:
 # -- multiset (R) derivations -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class RAxD:
+@dataclass(frozen=True, eq=False)
+class RAxD(Keyed):
     rtype: RType
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (0, self.rtype.key))
 
-@dataclass(frozen=True)
-class RAbsD:
+
+@dataclass(frozen=True, eq=False)
+class RAbsD(Keyed):
     child: "RNode"
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (1, self.child.key))
 
-@dataclass(frozen=True)
-class RAppD:
+
+@dataclass(frozen=True, eq=False)
+class RAppD(Keyed):
     left: "RNode"
     args: tuple["RNode", ...]
+
+    def __post_init__(self) -> None:
+        key = (2, self.left.key, tuple(c.key for c in self.args))
+        object.__setattr__(self, "key", key)
 
 
 RNode = Union[RAxD, RAbsD, RAppD]
@@ -560,11 +570,7 @@ RPath = tuple[RStep, ...]
 
 
 def rderiv_key(n: RNode) -> tuple:
-    if isinstance(n, RAxD):
-        return (0, rkey(n.rtype))
-    if isinstance(n, RAbsD):
-        return (1, rderiv_key(n.child))
-    return (2, rderiv_key(n.left), tuple(rderiv_key(c) for c in n.args))
+    return n.key
 
 
 def rapp(left: RNode, args: Iterable[RNode]) -> RAppD:
@@ -592,21 +598,13 @@ class RCheckError(ValueError):
         self.reason = reason
 
 
-RContext = dict[str, tuple[RType, ...]]
+RContext = dict[str, list[RType]]
 
 
 @dataclass(frozen=True)
 class RJudgment:
     context: tuple[tuple[str, tuple[RType, ...]], ...]
     rtype: RType
-
-
-def _rcontext_merge(parts: list[RContext]) -> RContext:
-    out: dict[str, list[RType]] = {}
-    for part in parts:
-        for x, types in part.items():
-            out.setdefault(x, []).extend(types)
-    return {x: rmultiset(ts) for x, ts in out.items()}
 
 
 def walk_R(root: RNode, term: Term) -> Iterator[tuple[RPath, Position, RNode, Term]]:
@@ -637,6 +635,10 @@ def check_R_types(rd: RDerivation) -> tuple[RJudgment, dict[RPath, RType]]:
 
     Node kinds and argument order are checked in preorder, the typing rules
     bottom-up in reverse preorder, where every premise precedes its node.
+    A context is an unsorted multiset per variable: an application extends
+    its left premise's context in place, so merging costs the size of the
+    arguments' contexts, and a multiset is sorted only where an abstraction
+    binds it and at the conclusion.
     """
     order: list[tuple[RPath, RNode, Term]] = []
     for path, _, node, subj in walk_R(rd.root, rd.term):
@@ -655,7 +657,7 @@ def check_R_types(rd: RDerivation) -> tuple[RJudgment, dict[RPath, RType]]:
     types: dict[RPath, RType] = {}
     for path, node, subj in reversed(order):
         if isinstance(node, RAxD):
-            contexts[path] = {subj.name: (node.rtype,)}
+            contexts[path] = {subj.name: [node.rtype]}
             types[path] = node.rtype
         elif isinstance(node, RAbsD):
             ctx = contexts[path] = contexts.pop(path + ((0, 0),))
@@ -667,9 +669,14 @@ def check_R_types(rd: RDerivation) -> tuple[RJudgment, dict[RPath, RType]]:
             args = [path + ((2, j),) for j in range(len(node.args))]
             if rmultiset(types[p] for p in args) != ltype.source:
                 raise RCheckError(path, "app_mismatch")
-            contexts[path] = _rcontext_merge([contexts.pop(p) for p in (path + ((1, 0),), *args)])
+            ctx = contexts[path] = contexts.pop(path + ((1, 0),))
+            for p in args:
+                for x, ts in contexts.pop(p).items():
+                    ctx.setdefault(x, []).extend(ts)
             types[path] = ltype.target
-    judgment = RJudgment(tuple(sorted((x, ts) for x, ts in contexts[()].items() if ts)), types[()])
+    judgment = RJudgment(
+        tuple(sorted((x, rmultiset(ts)) for x, ts in contexts[()].items() if ts)), types[()]
+    )
     return judgment, types
 
 

@@ -30,7 +30,6 @@ from .stypes import (
     SAtom,
     SType,
     check_type_iso,
-    collapse_type,
     enumerate_type_isos,
     equiv,
     identity_iso,
@@ -85,8 +84,8 @@ def root_interfaces_at(checked: CheckedDerivation, a: Position) -> list[dict[Tra
     """All root interfaces at an application node, lexicographically ordered:
     the 01-isomorphisms of the two depth-1 forests of tracks labelled by
     their collapsed types."""
-    left = {(k,): rkey(collapse_type(s)) for k, s in checked.left_seq(a).items()}
-    right = {(k,): rkey(collapse_type(s)) for k, s in checked.right_seq(a).items()}
+    left = {(k,): s.collapse.key for k, s in checked.left_seq(a).items()}
+    right = {(k,): s.collapse.key for k, s in checked.right_seq(a).items()}
     isos = iter_01_isos(frozenset(left), frozenset(right), left, right)
     return [phi.roots() for phi in isos]
 

@@ -8,17 +8,19 @@ equality `equiv` is defined against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Union
+from dataclasses import dataclass, fields
+from functools import cached_property
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, Mapping, Union
 
 from .positions import (
     EPS,
+    DomainMismatchError,
     PosForest,
     Position,
     PosTree,
     Track,
     ZeroOneIso,
-    check_01_iso,
     iter_01_isos,
 )
 
@@ -39,13 +41,51 @@ class TrackConflictError(ValueError):
         self.tracks = tracks
 
 
+class _TypeFacts:
+    """The facts of an S-type or a sequence type, each computed at most once
+    per node and kept on it, shared by every reader: none can be mutated.
+
+    `size` and `collapse` are built bottom-up from the children's cached
+    facts; `support` and `mutable_positions` walk the node top-down and are
+    kept on that node only, since on shared subtypes they would repeat every
+    position once per enclosing type.  No walk recurses.
+    """
+
+    @cached_property
+    def size(self) -> int:
+        """The number of positions of the support."""
+        return _bottom_up(self, "size", _size_here)
+
+    @cached_property
+    def collapse(self) -> Union["RType", tuple["RType", ...]]:
+        """The multiset collapse: an R-type, or, for a sequence type, the
+        sorted multiset of its entries' collapses."""
+        return _bottom_up(self, "collapse", _collapse_here)
+
+    @cached_property
+    def support(self) -> tuple[PosTree | PosForest, Mapping[Position, str]]:
+        """The support, a tree (a forest for a sequence type), and its
+        labels, read-only."""
+        return _support(self)
+
+    @cached_property
+    def mutable_positions(self) -> tuple[Position, ...]:
+        """The positions ending in a track >= 2, in lexicographic order."""
+        return _mutable_positions(self)
+
+    def __getstate__(self) -> dict:
+        # only the fields are pickled or copied: the facts are rebuilt on
+        # demand, and a read-only label map cannot be pickled
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
 @dataclass(frozen=True)
-class SAtom:
+class SAtom(_TypeFacts):
     name: str
 
 
 @dataclass(frozen=True)
-class SArrow:
+class SArrow(_TypeFacts):
     source: "SeqType"
     target: "SType"
 
@@ -54,7 +94,7 @@ SType = Union[SAtom, SArrow]
 
 
 @dataclass(frozen=True)
-class SeqType:
+class SeqType(_TypeFacts):
     entries: tuple[tuple[Track, SType], ...]
 
     def __post_init__(self) -> None:
@@ -107,24 +147,129 @@ def seq_union(*seqs: SeqType) -> SeqType:
     return seq(merged)
 
 
-@dataclass(frozen=True)
-class RAtom:
+def _children(u: SType | SeqType) -> tuple[tuple[Track, SType], ...]:
+    """The nodes right below u, with their letters: the target under 1, then
+    the source entries (for a sequence type, its entries)."""
+    if isinstance(u, SArrow):
+        return ((1, u.target),) + u.source.entries
+    if isinstance(u, SeqType):
+        return u.entries
+    return ()
+
+
+def _bottom_up(t: SType | SeqType, name: str, here: Callable) -> Any:
+    """The fact `name` of t.  `here(u)` computes it at one node from the
+    facts of the nodes right below (an arrow's are its source and target).
+    A postorder walk on an explicit stack runs it once at every node below t
+    that lacks the fact, however often the node is shared, and caches each
+    value on its node as the `cached_property` of that name would."""
+    seen: set[int] = set()
+    stack: list = [(t, False)]
+    while stack:
+        u, expanded = stack.pop()
+        if expanded:
+            u.__dict__[name] = here(u)
+        elif name not in u.__dict__ and id(u) not in seen:
+            seen.add(id(u))
+            stack.append((u, True))
+            if isinstance(u, SArrow):
+                stack += ((u.source, False), (u.target, False))
+            elif isinstance(u, SeqType):
+                stack += [(s, False) for _, s in u.entries]
+    return t.__dict__[name]
+
+
+def _size_here(u: SType | SeqType) -> int:
+    if isinstance(u, SAtom):
+        return 1
+    if isinstance(u, SArrow):
+        return 1 + u.source.size + u.target.size
+    return sum(s.size for _, s in u.entries)
+
+
+def _collapse_here(u: SType | SeqType) -> Union["RType", tuple["RType", ...]]:
+    if isinstance(u, SAtom):
+        return RAtom(u.name)
+    if isinstance(u, SArrow):
+        # the source's collapse is already a sorted multiset
+        return RArrow(u.source.collapse, u.target.collapse)
+    return rmultiset(s.collapse for _, s in u.entries)
+
+
+def _support(t: SType | SeqType) -> tuple[PosTree | PosForest, Mapping[Position, str]]:
+    positions: set[Position] = set()
+    labels: dict[Position, str] = {}
+    # preorder, each arrow's source entries before its target: the insertion
+    # order fixes the iteration order of the support, which
+    # `random_relabelling` draws its tracks in
+    stack = [((k,), s) for k, s in reversed(t.entries)] if isinstance(t, SeqType) else [(EPS, t)]
+    while stack:
+        c, u = stack.pop()
+        positions.add(c)
+        if isinstance(u, SAtom):
+            labels[c] = u.name
+        else:
+            labels[c] = ARROW
+            stack.append((c + (1,), u.target))
+            stack.extend((c + (k,), s) for k, s in reversed(u.source.entries))
+    shape = PosForest if isinstance(t, SeqType) else PosTree
+    return shape(frozenset(positions)), MappingProxyType(labels)
+
+
+def _mutable_positions(t: SType | SeqType) -> tuple[Position, ...]:
+    """A preorder walk that visits the target (letter 1) before the source
+    entries, which are sorted by track: lexicographic order."""
+    out: list[Position] = []
+    stack = [((k,), s) for k, s in reversed(t.entries)] if isinstance(t, SeqType) else [(EPS, t)]
+    while stack:
+        c, u = stack.pop()
+        if c and c[-1] >= 2:
+            out.append(c)
+        if isinstance(u, SArrow):
+            stack.extend((c + (k,), s) for k, s in reversed(u.source.entries))
+            stack.append((c + (1,), u.target))
+    return tuple(out)
+
+
+class Keyed:
+    """A node identified by its canonical `key`, a nested tuple built at
+    construction from its children's keys.  Equality and hashing read the
+    key, and sorting by it is the canonical order of multisets."""
+
+    key: tuple
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Keyed):
+            return NotImplemented
+        return self is other or self.key == other.key
+
+    def __hash__(self) -> int:
+        return hash(self.key)
+
+
+@dataclass(frozen=True, eq=False)
+class RAtom(Keyed):
     name: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", (0, self.name))
 
-@dataclass(frozen=True)
-class RArrow:
+
+@dataclass(frozen=True, eq=False)
+class RArrow(Keyed):
     source: tuple["RType", ...]
     target: "RType"
+
+    def __post_init__(self) -> None:
+        key = (1, tuple(s.key for s in self.source), self.target.key)
+        object.__setattr__(self, "key", key)
 
 
 RType = Union[RAtom, RArrow]
 
 
 def rkey(rt: RType) -> tuple:
-    if isinstance(rt, RAtom):
-        return (0, rt.name)
-    return (1, tuple(rkey(s) for s in rt.source), rkey(rt.target))
+    return rt.key
 
 
 def rarrow(source: Iterable[RType], target: RType) -> RArrow:
@@ -136,46 +281,22 @@ def rmultiset(items: Iterable[RType]) -> tuple[RType, ...]:
 
 
 def collapse_type(t: SType) -> RType:
-    if isinstance(t, SAtom):
-        return RAtom(t.name)
-    return rarrow(collapse_seq(t.source), collapse_type(t.target))
+    return t.collapse
 
 
 def collapse_seq(f: SeqType) -> tuple[RType, ...]:
-    return rmultiset(collapse_type(s) for _, s in f.items())
+    return f.collapse
 
 
 def equiv(t1: SType | SeqType, t2: SType | SeqType) -> bool:
     """Equality up to 01-isomorphism, decided through the multiset collapse."""
     if isinstance(t1, SeqType) != isinstance(t2, SeqType):
         return False
-    if isinstance(t1, SeqType):
-        return collapse_seq(t1) == collapse_seq(t2)
-    return collapse_type(t1) == collapse_type(t2)
+    return t1.collapse == t2.collapse
 
 
-def type_support(t: SType | SeqType) -> tuple[PosTree | PosForest, dict[Position, str]]:
-    positions: set[Position] = set()
-    labels: dict[Position, str] = {}
-
-    def walk_type(u: SType, prefix: Position) -> None:
-        positions.add(prefix)
-        if isinstance(u, SAtom):
-            labels[prefix] = u.name
-        else:
-            labels[prefix] = ARROW
-            walk_seq(u.source, prefix)
-            walk_type(u.target, prefix + (1,))
-
-    def walk_seq(f: SeqType, prefix: Position) -> None:
-        for k, s in f.items():
-            walk_type(s, prefix + (k,))
-
-    if isinstance(t, SeqType):
-        walk_seq(t, EPS)
-        return PosForest(frozenset(positions)), labels
-    walk_type(t, EPS)
-    return PosTree(frozenset(positions)), labels
+def type_support(t: SType | SeqType) -> tuple[PosTree | PosForest, Mapping[Position, str]]:
+    return t.support
 
 
 def type_at(t: SType | SeqType, c: Position) -> SType:
@@ -199,22 +320,61 @@ def label_at(t: SType | SeqType, c: Position) -> str:
 
 
 def identity_iso(t: SType | SeqType) -> ZeroOneIso:
-    sup, _ = type_support(t)
-    return ZeroOneIso({a: a for a in sup.positions})
+    positions = t.support[0].positions
+    return ZeroOneIso(dict(zip(positions, positions)))
+
+
+def _label(u: SType) -> str:
+    return u.name if isinstance(u, SAtom) else ARROW
 
 
 def check_type_iso(t1: SType | SeqType, t2: SType | SeqType, iso: ZeroOneIso) -> bool:
-    """Whether iso is a label-preserving 01-isomorphism of the type supports."""
-    sup1, lab1 = type_support(t1)
-    sup2, lab2 = type_support(t2)
-    return check_01_iso(sup1, sup2, iso, lab1, lab2)
+    """Whether iso is a label-preserving 01-isomorphism of the type supports:
+    the verdict of `check_01_iso` on them, which raises `DomainMismatchError`
+    when the mapping is not defined on exactly the support of t1.
+
+    Neither support is built.  The check walks t1 and, along the mapping,
+    t2: each image must be its parent's image plus one letter, 1 for 1,
+    that names a node of t2 with the same label and no sibling's image
+    names.  The mapping is then injective into the support of t2, and onto
+    it when the two types have the same size.  Once the verdict is False the
+    walk goes on over t1 alone, since a missing position still raises.
+    """
+    mapping = iso.mapping
+    tree = not isinstance(t1, SeqType)
+    if len(mapping) != t1.size or (tree and EPS not in mapping):
+        raise DomainMismatchError("mapping domain differs from the first support")
+    ok = tree != isinstance(t2, SeqType) and t1.size == t2.size
+    if tree:
+        ok = ok and mapping[EPS] == EPS and _label(t1) == _label(t2)
+    # (position in t1, its node, its image, the node of t2 there)
+    stack: list = [(EPS, t1, EPS, t2)]
+    while stack:
+        a, u1, b, u2 = stack.pop()
+        kids1 = _children(u1)
+        if not kids1:
+            continue
+        # the children of u2 not yet taken by an image, by letter
+        kids2 = dict(_children(u2)) if ok else {}
+        for k, s in kids1:
+            c = a + (k,)
+            c2 = mapping.get(c)
+            if c2 is None:
+                raise DomainMismatchError("mapping domain differs from the first support")
+            s2 = None
+            if ok:
+                if len(c2) == len(c) and c2[:-1] == b and (k != 1 or c2[-1] == 1):
+                    s2 = kids2.pop(c2[-1], None)
+                ok = s2 is not None and _label(s) == _label(s2)
+            stack.append((c, s, c2, s2))
+    return ok
 
 
 def iter_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> Iterator[ZeroOneIso]:
     """The type isomorphisms, lazily, in increasing `key()` order; the first
     one is the least and costs O(n log n) (see `iter_01_isos`)."""
-    sup1, lab1 = type_support(t1)
-    sup2, lab2 = type_support(t2)
+    sup1, lab1 = t1.support
+    sup2, lab2 = t2.support
     return iter_01_isos(sup1, sup2, lab1, lab2)
 
 

@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from .positions import EPS, Position, Track, applicative_depth, format_position
-from .stypes import SArrow, SeqType, SType, print_type
+from .stypes import print_type
 from .derivations import (
     AbsNode,
     AppNode,
@@ -111,25 +111,6 @@ class ConsumptionArc:
 class BrotherChain:
     threads: tuple[int, ...]
     positions: tuple[Position, ...]
-
-
-def _mutable_positions(t: SType | SeqType) -> list[Position]:
-    """The positions of a type or sequence type that end in a track >= 2,
-    in lexicographic order: a preorder walk that visits the target (letter
-    1) before the source entries, which are sorted by track."""
-    out: list[Position] = []
-    if isinstance(t, SeqType):
-        stack = [((k,), s) for k, s in reversed(t.entries)]
-    else:
-        stack = [(EPS, t)]
-    while stack:
-        c, u = stack.pop()
-        if c and c[-1] >= 2:
-            out.append(c)
-        if isinstance(u, SArrow):
-            stack.extend((c + (k,), s) for k, s in reversed(u.source.entries))
-            stack.append((c + (1,), u.target))
-    return out
 
 
 class UnionFind:
@@ -224,11 +205,11 @@ class ThreadAnalysis:
         left_keys: list[tuple] = []
         left_edges: list[Edge] = []
         for v, a in enumerate(positions):
-            for c in _mutable_positions(checked.type_at(a)):
+            for c in checked.type_at(a).mutable_positions:
                 keys.append((1, v, c))
                 edges.append(RightEdge(a, c))
             for x, f in checked.context_at(a).entries:
-                for c in _mutable_positions(f):
+                for c in f.mutable_positions:
                     left_keys.append((2, v, x, c))
                     left_edges.append(LeftEdge(a, x, c))
         return keys + left_keys, edges + left_edges
@@ -381,7 +362,7 @@ class ThreadAnalysis:
         for a in self.checked.app_positions():
             phi = self.op.interface[a]
             v = self._node_id[a]
-            for p in _mutable_positions(self.checked.left_seq(a)):
+            for p in self.checked.left_seq(a).mutable_positions:
                 left = index[(1, child[v][1], p)]
                 image = phi.mapping[p]
                 if len(p) == 1:

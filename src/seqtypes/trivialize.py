@@ -27,15 +27,7 @@ from .positions import (
     format_position,
     iter_01_isos,
 )
-from .stypes import (
-    SArrow,
-    check_type_iso,
-    collapse_type,
-    identity_iso,
-    iter_type_isos,
-    rkey,
-    type_support,
-)
+from .stypes import SArrow, check_type_iso, identity_iso, iter_type_isos
 from .terms import Var, alpha_key
 from .derivations import (
     AbsNode,
@@ -96,6 +88,24 @@ class NonIdentityInterfaceError(ValueError):
     def __init__(self, pos: Position) -> None:
         super().__init__(f"trivialized interface at {format_position(pos)} is not the identity")
         self.pos = pos
+
+
+class CollapsingStrategyError(ValueError):
+    """A step of the collapsing strategy found no way on.
+
+    Unreachable for a valid operable derivation: the referent axiom of the
+    arc's left thread is bound strictly above the arc's node, both arc
+    threads keep residuals until the last step, and the residual left thread
+    starts exactly one arc, a negative one, at the residual node.  The node
+    and the two arc threads (None where no residual is left) are the
+    witness."""
+
+    def __init__(self, pos: Position, threads: tuple[Optional[int], Optional[int]], reason: str):
+        super().__init__(
+            f"collapsing strategy at {format_position(pos)}, threads {threads}: {reason}"
+        )
+        self.pos = pos
+        self.threads = threads
 
 
 @dataclass(frozen=True)
@@ -167,8 +177,7 @@ def build_relabelling(
         assert isinstance(node, AxNode)
         subj = checked.judgments[a].subject
         assert isinstance(subj, Var)
-        sup, _ = type_support(node.stype)
-        axiom_types[a] = {c: value_of(RightEdge(a, c)) for c in sup.mutable_support()}
+        axiom_types[a] = {c: value_of(RightEdge(a, c)) for c in node.stype.mutable_positions}
         axiom_tracks[a] = value_of(LeftEdge(a, subj.name, (node.track,)))
     return DerivationRelabelling(arg, axiom_types, axiom_tracks)
 
@@ -215,8 +224,16 @@ def verify_derivation_iso(
                 return False
         if interface1 is not None and interface2 is not None:
             for a in c1.app_positions():
+                # the square reads interface2 only on the image of left(a):
+                # both interfaces must be type isomorphisms on their own
+                a2 = supp_map[a]
+                if not (
+                    check_type_iso(c1.left_seq(a), c1.right_seq(a), interface1[a])
+                    and check_type_iso(c2.left_seq(a2), c2.right_seq(a2), interface2[a2])
+                ):
+                    return False
                 lhs = derived.right(a).compose(interface1[a])
-                if lhs != interface2[supp_map[a]].compose(derived.left(a)):
+                if lhs != interface2[a2].compose(derived.left(a)):
                     return False
     except (DomainMismatchError, KeyError):
         return False
@@ -230,7 +247,7 @@ def support_labels(c: CheckedDerivation) -> dict[Position, str]:
     for a in c.support():
         node = c.node(a)
         if isinstance(node, AxNode):
-            out[a] = f"ax{rkey(collapse_type(node.stype))}"
+            out[a] = f"ax{node.stype.collapse.key}"
         else:
             out[a] = "abs" if isinstance(node, AbsNode) else "app"
     return out
@@ -317,7 +334,7 @@ def reset_derivation(
         target = supp_map[a]
         if isinstance(node, AxNode):
             type_relab = Relabelling01(relab.axiom_types[a])
-            _, phi = apply_relabelling(type_support(node.stype)[0], type_relab)
+            _, phi = apply_relabelling(node.stype.support[0], type_relab)
             new_type = _relabel_type(node.stype, phi)
             new_nodes[target] = AxNode(relab.axiom_tracks[a], new_type)
             axiom_isos[a] = phi
@@ -377,9 +394,8 @@ def random_relabelling(checked: CheckedDerivation, rng) -> DerivationRelabelling
     for a, new_track in zip(axioms, track_pool):
         node = checked.node(a)
         assert isinstance(node, AxNode)
-        sup, _ = type_support(node.stype)
         by_parent: dict[Position, list[Position]] = {}
-        for c in sup.mutable_support():
+        for c in node.stype.support[0].mutable_support():
             by_parent.setdefault(c[:-1], []).append(c)
         assignment: dict[Position, Track] = {}
         for parent, siblings in by_parent.items():
@@ -471,7 +487,10 @@ def run_collapsing_strategy(op: OperableDerivation, arc: ConsumptionArc) -> Stra
         a = arc.pos
         ref = analysis.thread(arc.left).referent
         alpha = analysis.checked.binders[ref.pos]
-        assert alpha is not None and len(alpha) > len(a)
+        if alpha is None or len(alpha) <= len(a):
+            raise CollapsingStrategyError(
+                a, (arc.left, arc.right), "the left referent is not bound above the node"
+            )
         if len(alpha) - len(a) == 1:
             b = collapse_position(a)
         else:
@@ -483,13 +502,17 @@ def run_collapsing_strategy(op: OperableDerivation, arc: ConsumptionArc) -> Stra
         right = residual_thread(analysis, maps, types, new_analysis, arc.right)
         if b == collapse_position(a):
             return StrategyRun(fired, new_op, new_analysis, left, right)
-        assert left is not None and right is not None
+        if left is None or right is None:
+            raise CollapsingStrategyError(a, (left, right), "an arc thread has no residual")
         next_arc = [
             candidate
             for candidate in new_analysis.consumption()
             if candidate.left == left and candidate.pos == maps.res[a]
         ]
-        assert len(next_arc) == 1 and next_arc[0].left_polarity == NEG
+        if len(next_arc) != 1 or next_arc[0].left_polarity != NEG:
+            raise CollapsingStrategyError(
+                maps.res[a], (left, right), f"{len(next_arc)} arcs, not one negative arc"
+            )
         op, analysis, arc = new_op, new_analysis, next_arc[0]
 
 

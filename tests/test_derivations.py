@@ -43,6 +43,7 @@ from seqtypes.derivations import (
 )
 from seqtypes.positions import EPS, enumerate_01_isos
 from seqtypes.stypes import (
+    RArrow,
     RAtom,
     SArrow,
     SAtom,
@@ -52,7 +53,7 @@ from seqtypes.stypes import (
     seq,
 )
 from seqtypes.reduction import residual_maps
-from seqtypes.terms import parse_term
+from seqtypes.terms import App, Var, parse_term
 from seqtypes.threads import ThreadAnalysis
 
 from samples import (
@@ -127,6 +128,8 @@ def test_L_R_of_self_app():
     assert checked.left_seq((0,)) == seq({8: O, 3: OP, 2: O})
     assert checked.right_seq((0,)) == seq({2: O, 3: OP, 8: O})
     assert checked.left_seq((0,)) == checked.right_seq((0,))
+    # built once, so the facts cached on it serve every reader
+    assert checked.right_seq((0,)) is checked.right_seq((0,))
 
 
 def test_axioms_above_and_pos():
@@ -134,6 +137,25 @@ def test_axioms_above_and_pos():
     assert checked.axioms_above((0,), "x") == {(0, 1), (0, 2), (0, 3), (0, 8)}
     assert {checked.axiom_track(a) for a in checked.axioms_above((0,), "x")} == {4, 9, 2, 5}
     assert checked.axioms_above(EPS, "x") == set()
+
+
+def test_check_R_on_a_deep_application():
+    """x u^n, deeper than the default recursion limit.  The R-paths and
+    term positions of n nested applications hold about n^2 letters (`check_R`
+    peaks at 1.56 GB at n = 10,000), so n is twice that limit."""
+    assert sys.getrecursionlimit() <= 1000
+    n = 2_000
+    o = RAtom("o")
+    xtype = o
+    for _ in range(n):
+        xtype = RArrow((o,), xtype)
+    term, node = Var("x"), RAxD(xtype)
+    for _ in range(n):
+        term, node = App(term, Var("u")), RAppD(node, (RAxD(o),))
+    judgment = check_R(RDerivation(term, node))
+    assert judgment.rtype == o
+    (u, us), (x, (xs,)) = judgment.context
+    assert (u, x) == ("u", "x") and us == (o,) * n and xs is xtype
 
 
 def test_biposition_lookup():

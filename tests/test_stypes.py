@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import copy
 import itertools
+import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtypes.positions import EPS, ZeroOneIso, check_01_iso
+from seqtypes.positions import EPS, DomainMismatchError, ZeroOneIso, check_01_iso
 from seqtypes.stypes import (
     EMPTY_SEQ,
+    RArrow,
     RAtom,
     SArrow,
     SAtom,
@@ -19,6 +23,7 @@ from seqtypes.stypes import (
     collapse_type,
     enumerate_type_isos,
     equiv,
+    identity_iso,
     label_at,
     parse_seq_type,
     parse_type,
@@ -205,3 +210,72 @@ def test_collapse_of_union_is_multiset_sum(s1, s2):
     assert collapse_seq(union) == rmultiset(
         list(collapse_seq(f1)) + list(collapse_seq(f2))
     )
+
+
+# deep enough to hit Python's default recursion limit (1,000) many times over
+DEEP = 10_000
+# the positions of a type nested n deep hold about n^2 letters (0.8 GB at
+# 10,000), so the walks that list positions run at twice the recursion limit
+DEEP_POSITIONS = 2_000
+
+
+def deep_type(n: int):
+    """A type nested n deep, alternately through a target and a source."""
+    t = O
+    for i in range(n):
+        t = SArrow(seq({2: t}), O1) if i % 2 else SArrow(seq({3: O2}), t)
+    return t
+
+
+def test_type_facts_do_not_recurse():
+    assert sys.getrecursionlimit() <= 1000
+    t = deep_type(DEEP)
+    assert t.size == 2 * DEEP + 1
+    # walk the collapse down the same path; comparing two distinct keys this
+    # deep would itself recurse
+    r, u = collapse_type(t), t
+    while isinstance(u, SArrow):
+        assert isinstance(r, RArrow) and len(r.source) == 1
+        r, u = (r.source[0], u.source.get(2)) if 2 in u.source.tracks() else (r.target, u.target)
+    assert r == RAtom("o")
+    t = deep_type(DEEP_POSITIONS)
+    sup, labels = type_support(t)
+    assert len(sup.positions) == len(labels) == t.size
+    assert len(t.mutable_positions) == DEEP_POSITIONS
+    assert t.mutable_positions == tuple(sorted(t.mutable_positions))
+    identity = identity_iso(t)
+    assert check_type_iso(t, t, identity)
+    deepest = max(sup.positions, key=len)
+    wrong = {**identity.mapping, deepest: deepest[:-1] + (7,)}
+    assert not check_type_iso(t, t, ZeroOneIso(wrong))
+    del wrong[deepest]
+    with pytest.raises(DomainMismatchError):
+        check_type_iso(t, t, ZeroOneIso(wrong))
+
+
+def test_cached_facts_are_read_only():
+    f = seq({2: T1, 3: O})
+    sup, labels = type_support(f)
+    with pytest.raises(TypeError):
+        labels[(2,)] = "o"
+    with pytest.raises(TypeError):
+        f.mutable_positions[0] = (9,)
+    assert isinstance(sup.positions, frozenset)
+    assert type_support(f) is type_support(f)
+    assert collapse_seq(f) is collapse_seq(f)
+    # each identity isomorphism has a mapping of its own
+    identity_iso(f).mapping[(9,)] = (9,)
+    assert (9,) not in identity_iso(f).mapping
+    # the facts are not part of a pickle or a copy
+    assert pickle.loads(pickle.dumps(f)) == f == copy.deepcopy(f)
+    assert "support" not in copy.deepcopy(f).__dict__
+
+
+def test_facts_of_a_shared_subtype_are_computed_once():
+    # 3^61 / 2 positions over 61 distinct nodes: one visit per node, not per path
+    t = O
+    for _ in range(60):
+        t = SArrow(seq({2: t, 3: t}), t)
+    assert t.size == (3**61 - 1) // 2
+    r = collapse_type(t)
+    assert r.source[0] is r.source[1] is r.target

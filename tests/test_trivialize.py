@@ -29,6 +29,7 @@ from seqtypes.terms import parse_term
 from seqtypes.threads import NEG, ArgEdge, LeftEdge, RightEdge, ThreadAnalysis
 from seqtypes.trivialize import (
     BrotherChainError,
+    CollapsingStrategyError,
     DerivationIso,
     ThreadClasses,
     assign_track_values,
@@ -211,6 +212,22 @@ def test_verify_rejects_axiom_iso_off_its_type():
     assert not verify_derivation_iso(checked, checked, candidate)
 
 
+def test_verify_rejects_interface_off_its_sequences():
+    # the commuting square reads the second interface only on the image of
+    # the left isomorphism, so an entry off the left sequence must be caught
+    # by checking each interface on its own
+    checked = check_derivation(make_self_app())
+    identity = DerivationIso(
+        {a: a for a in checked.nodes},
+        {a: identity_iso(checked.type_at(a)) for a in checked.axiom_positions()},
+    )
+    interfaces = identity_interfaces(checked)
+    assert verify_derivation_iso(checked, checked, identity, interfaces, interfaces)
+    padded = {a: ZeroOneIso({**phi.mapping, (77,): (77,)}) for a, phi in interfaces.items()}
+    assert not verify_derivation_iso(checked, checked, identity, interfaces, padded)
+    assert not verify_derivation_iso(checked, checked, identity, padded, interfaces)
+
+
 def test_isomorphic_iff_same_collapse():
     # two generated derivations of the same normal form are isomorphic
     # exactly when their collapses agree
@@ -285,3 +302,55 @@ def test_collapsing_strategy_height_three():
     run = run_collapsing_strategy(op, inner_arcs[0])
     assert len(run.fired) == 3
     assert run.left == run.right and run.left is not None
+
+
+def forged_strategy_witness():
+    """Run the collapsing strategy on a tower of height 3 with the
+    consumption of every reduct forged empty, so that no arc continues the
+    first step; return the witness the raised error carries (None when
+    nothing is raised)."""
+    body = generate_normal_form_derivations(parse_term("x w"), GenBudget(width=1))[1]
+    op = make_operable(make_tower(body, "x", height=3))
+    analysis = ThreadAnalysis(op)
+    arc = next(
+        arc
+        for arc in analysis.consumption()
+        if arc.left_polarity == NEG and analysis.thread(arc.left).kind == "inner"
+    )
+    consumption = ThreadAnalysis.consumption
+    ThreadAnalysis.consumption = lambda self: []
+    try:
+        run_collapsing_strategy(op, arc)
+    except CollapsingStrategyError as exc:
+        return exc.pos, exc.threads
+    finally:
+        ThreadAnalysis.consumption = consumption
+    return None
+
+
+# the arc at the root, between the residuals 3 and 4 of the arc's threads
+STRATEGY_WITNESS = (EPS, (3, 4))
+
+
+def test_forged_strategy_failure_raises():
+    assert forged_strategy_witness() == STRATEGY_WITNESS
+
+
+def test_forged_strategy_failure_raises_under_optimize():
+    # `python -O` strips assert statements; the strategy's invariants must
+    # not be one
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import sys\n"
+        "from test_trivialize import STRATEGY_WITNESS, forged_strategy_witness\n"
+        "sys.exit(0 if forged_strategy_witness() == STRATEGY_WITNESS else 3)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
