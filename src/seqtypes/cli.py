@@ -14,6 +14,7 @@ from .derivations import (
     CheckedDerivation,
     DerivationCheckError,
     LoadError,
+    NotAnApplication,
     check_derivation,
     check_R,
     collapse_derivation,
@@ -140,7 +141,7 @@ def cmd_isos(args) -> int:
     pos = _parse_pos(args.pos)
     try:
         isos = interfaces_at(checked, pos)
-    except Exception as exc:
+    except NotAnApplication as exc:
         raise CliError("not-an-application", str(exc), args.pos) from exc
     if args.json:
         payload = {

@@ -19,6 +19,7 @@ from .positions import (
     Position,
     Track,
     ZeroOneIso,
+    collapse_position,
     format_position,
     parse_position,
 )
@@ -257,6 +258,16 @@ class CheckedDerivation:
         if right is None:
             raise NotAnApplication(format_position(a))
         return right
+
+    @cached_property
+    def apps_over(self) -> dict[Position, list[Position]]:
+        """The application nodes over each term position, in increasing
+        order; computed once per checked derivation and shared by every
+        reader, who must not mutate it."""
+        out: dict[Position, list[Position]] = {}
+        for a in self.app_positions():
+            out.setdefault(collapse_position(a), []).append(a)
+        return out
 
     def bound_by(self, a: Position) -> list[Position]:
         """The axioms whose variable the abstraction at a binds."""

@@ -5,7 +5,10 @@ variable by one argument subderivation.  In system S the pairing is forced
 (axiom track = argument track); in S_h it is a root isomorphism chosen per
 derivation node over the redex, and an interface (a full sequence-type
 isomorphism) additionally determines how every inner position moves, which
-is what residual interfaces and built-in choice sequences need.
+is what residual interfaces and built-in choice sequences need.  Every
+rigid redex fires through one step; the reducers only differ in the root
+interfaces they give it, and S reduction is S_h reduction with the identity
+ones.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .positions import (
     Position,
     Track,
     ZeroOneIso,
-    collapse_position,
     format_position,
     is_prefix,
     iter_01_isos,
@@ -37,7 +39,7 @@ from .stypes import (
     rkey,
     seq,
 )
-from .terms import Abs, App, Var, beta_reduce_at, subterm_at
+from .terms import Abs, App, PositionError, Term, Var, beta_reduce_at, subterm_at
 from .derivations import (
     AbsNode,
     AppNode,
@@ -164,22 +166,23 @@ class ResidualMaps:
         return {p for by_track in self.ax_pos.values() for p in by_track.values()}
 
 
-def _nodes_over(checked: CheckedDerivation, b: Position) -> list[Position]:
-    return sorted(
-        a
-        for a in checked.support()
-        if collapse_position(a) == b and isinstance(checked.node(a), AppNode)
-    )
+def _redex_binder(term: Term, b: Position) -> str:
+    """The variable the redex at b binds; ReductionError when b addresses no
+    redex, on the term or off it."""
+    try:
+        subj = subterm_at(term, b)
+    except PositionError:
+        subj = None
+    if not (isinstance(subj, App) and isinstance(subj.left, Abs)):
+        raise ReductionError(f"no redex at {format_position(b)}")
+    return subj.left.binder
 
 
 def residual_maps(
     checked: CheckedDerivation, b: Position, rho_per_node: dict[Position, dict[Track, Track]]
 ) -> ResidualMaps:
-    subj = subterm_at(checked.term, b)
-    if not (isinstance(subj, App) and isinstance(subj.left, Abs)):
-        raise ReductionError(f"no redex at {format_position(b)}")
-    x = subj.left.binder
-    nodes_over = _nodes_over(checked, b)
+    x = _redex_binder(checked.term, b)
+    nodes_over = checked.apps_over.get(b, [])
     rho: dict[Position, dict[Track, Track]] = {}
     ax_pos: dict[Position, dict[Track, Position]] = {}
     for a in nodes_over:
@@ -203,7 +206,7 @@ def residual_maps(
                 )
         rho[a] = dict(rho_a)
         ax_pos[a] = by_track
-    maps = ResidualMaps(b, nodes_over, rho, ax_pos, {}, {})
+    maps = ResidualMaps(b, list(nodes_over), rho, ax_pos, {}, {})
     res, qres, x_axioms = maps.res, maps.qres, maps.x_axioms()
     for alpha in checked.support():
         a = next((a for a in nodes_over if is_prefix(a, alpha)), None)
@@ -211,8 +214,6 @@ def residual_maps(
             res[alpha] = alpha
             qres[alpha] = alpha
             continue
-        node = checked.node(a)
-        assert isinstance(node, AppNode)
         if alpha == a:
             qres[alpha] = a
             continue
@@ -236,37 +237,32 @@ def residual_maps(
     return maps
 
 
-def residual_derivation(
+def _fire(
     checked: CheckedDerivation,
     b: Position,
     rho_per_node: dict[Position, dict[Track, Track]],
-) -> tuple[Derivation, ResidualMaps]:
+    flavor: str,
+) -> tuple[CheckedDerivation, ResidualMaps]:
+    """The one subject-reduction step: fire the redex at b with the given
+    root interface at each node over it, move every node along the residual
+    positions and check the reduct in the given flavor.  With no node over
+    b the residual positions are the identity and the reduct keeps the
+    input's flavor."""
     maps = residual_maps(checked, b, rho_per_node)
-    new_term = beta_reduce_at(checked.term, b)
-    new_nodes: dict[Position, Node] = {}
-    for alpha, node in checked.nodes.items():
-        target = maps.res.get(alpha)
-        if target is not None:
-            new_nodes[target] = node
-    return Derivation(new_term, checked.flavor, new_nodes), maps
-
-
-def identity_choice(checked: CheckedDerivation, b: Position) -> dict[Position, dict[Track, Track]]:
-    out = {}
-    for a in _nodes_over(checked, b):
-        tracks = checked.left_seq(a).tracks()
-        out[a] = {k: k for k in tracks}
-    return out
+    nodes = {maps.res[alpha]: node for alpha, node in checked.nodes.items() if alpha in maps.res}
+    flavor = flavor if maps.nodes_over else checked.flavor
+    return check_derivation(Derivation(beta_reduce_at(checked.term, b), flavor, nodes)), maps
 
 
 def reduce_S(checked: CheckedDerivation, b: Position) -> CheckedDerivation:
-    """Deterministic subject reduction; the concluding judgment is unchanged."""
+    """Deterministic subject reduction; the concluding judgment is unchanged.
+    It is S_h reduction with the identity root interfaces."""
     if checked.flavor != FLAVOR_S:
         raise ReductionError("reduce_S expects a flavor-S derivation")
-    if not _nodes_over(checked, b):
-        return _reduce_untyped(checked, b)
-    deriv, _ = residual_derivation(checked, b, identity_choice(checked, b))
-    return check_derivation(deriv)
+    identity = {
+        a: {k: k for k in checked.left_seq(a).tracks()} for a in checked.apps_over.get(b, [])
+    }
+    return _fire(checked, b, identity, FLAVOR_S)[0]
 
 
 def reduce_Sh(
@@ -274,19 +270,7 @@ def reduce_Sh(
 ) -> CheckedDerivation:
     if choice.redex != b:
         raise ChoiceError("choice addresses a different redex")
-    if not _nodes_over(checked, b):
-        return _reduce_untyped(checked, b)
-    deriv, _ = residual_derivation(checked, b, choice.per_node)
-    deriv = Derivation(deriv.term, FLAVOR_SH, deriv.nodes)
-    return check_derivation(deriv)
-
-
-def _reduce_untyped(checked: CheckedDerivation, b: Position) -> CheckedDerivation:
-    subj = subterm_at(checked.term, b)
-    if not (isinstance(subj, App) and isinstance(subj.left, Abs)):
-        raise ReductionError(f"no redex at {format_position(b)}")
-    new_term = beta_reduce_at(checked.term, b)
-    return check_derivation(Derivation(new_term, checked.flavor, dict(checked.nodes)))
+    return _fire(checked, b, choice.per_node, FLAVOR_SH)[0]
 
 
 # -- residual type isomorphisms ----------------------------------------------
@@ -320,15 +304,8 @@ def reduce_operable(
     residual type isomorphisms.
     """
     checked = op.checked
-    if not _nodes_over(checked, b):
-        reduced = _reduce_untyped(checked, b)
-        new_interface = {a: op.interface[a] for a in reduced.app_positions()}
-        maps = ResidualMaps(b, [], {}, {}, {a: a for a in checked.support()}, {})
-        return OperableDerivation(reduced, new_interface), maps, JudgmentIsos(checked, {})
-    rho = {a: op.interface[a].roots() for a in _nodes_over(checked, b)}
-    deriv, maps = residual_derivation(checked, b, rho)
-    deriv = Derivation(deriv.term, FLAVOR_SH, deriv.nodes)
-    new_checked = check_derivation(deriv)
+    rho = {a: op.interface[a].roots() for a in checked.apps_over.get(b, [])}
+    new_checked, maps = _fire(checked, b, rho, FLAVOR_SH)
     types = residual_isos(checked, maps, op.interface)
     new_interface: dict[Position, ZeroOneIso] = {}
     inverse_res = {v: k for k, v in maps.res.items()}
@@ -356,10 +333,7 @@ def _redex_sites(
     with the paths, relative to its body, of the axioms of the redex
     variable, in order.  An abstraction that rebinds the variable inside a
     body hides its axioms."""
-    subj = subterm_at(rd.term, b)
-    if not (isinstance(subj, App) and isinstance(subj.left, Abs)):
-        raise ReductionError(f"no redex at {format_position(b)}")
-    x = subj.left.binder
+    x = _redex_binder(rd.term, b)
     sites: list[tuple[RPath, RAppD, list[RPath]]] = []
     body, hidden, axioms = None, [], []
     for path, tpos, node, s in walk_R(rd.root, rd.term):
@@ -478,10 +452,8 @@ def realize_r_choice(
     """Root interfaces on the rigid side realizing a multiset-side choice."""
     _, paths = checked.collapse
     rho_per_node: dict[Position, dict[Track, Track]] = {}
-    subj = subterm_at(checked.term, b)
-    if not (isinstance(subj, App) and isinstance(subj.left, Abs)):
-        raise ReductionError(f"no redex at {format_position(b)}")
-    for a in _nodes_over(checked, b):
+    _redex_binder(checked.term, b)
+    for a in checked.apps_over.get(b, []):
         rpath = paths[a]
         if rpath not in rchoice.assignments:
             raise ChoiceError(f"choice missing the redex node at {format_position(a)}")
@@ -498,7 +470,13 @@ def realize_r_choice(
             ax_rel = paths[p][len(body_prefix) :]
             if ax_rel not in assignment:
                 raise ChoiceError(f"choice missing axiom {ax_rel} at {format_position(a)}")
-            rho[checked.axiom_track(p)] = arg_by_index[assignment[ax_rel]]
+            j = assignment[ax_rel]
+            if j not in arg_by_index:
+                raise ChoiceError(
+                    f"choice sends axiom {ax_rel} at {format_position(a)} to premise {j},"
+                    " which the node does not have"
+                )
+            rho[checked.axiom_track(p)] = arg_by_index[j]
         rho_per_node[a] = rho
     return rho_per_node
 
@@ -570,9 +548,7 @@ def build_operable_from_choices(
                     acc_right[a0].inverse().compose(interfaces_at_b[a_i]).compose(acc_left[a0])
                 )
                 del alive[a0]
-        deriv, maps = residual_derivation(current, b_i, rho)
-        deriv = Derivation(deriv.term, FLAVOR_SH, deriv.nodes)
-        new_checked = check_derivation(deriv)
+        new_checked, maps = _fire(current, b_i, rho, FLAVOR_SH)
         types = residual_isos(current, maps, interfaces_at_b)
         for a0, a_i in list(alive.items()):
             acc_left[a0] = types.left(a_i).compose(acc_left[a0])

@@ -39,11 +39,12 @@ from seqtypes.reduction import (
     extend_root_interface,
     realize_r_choice,
     reduce_R,
-    residual_derivation,
 )
 from seqtypes.stypes import SArrow, check_type_iso, identity_iso, type_support
 from seqtypes.terms import Abs, Var, alpha_key, subterm_at
 from seqtypes.trivialize import DerivationIso
+
+from reference_reduction import residual_derivation
 
 
 def axioms_above(checked: CheckedDerivation, a: Position, x: str) -> set[Position]:

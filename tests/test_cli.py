@@ -74,6 +74,29 @@ def test_reduce_error(self_app_file, capsys):
     assert payload["error"] == "reduction-failed"
 
 
+@pytest.mark.parametrize("mode", ["plain", "interface", "choice"])
+def test_reduce_off_term_position(brothers_file, tmp_path, mode, capsys):
+    # the root of the brothers' term is an application: position 0 is off the term
+    argv = ["reduce", "--file", brothers_file, "--pos", "0"]
+    if mode == "interface":
+        argv += ["--interface", write_json_file(tmp_path, "iface.json", {"interfaces": []})]
+    elif mode == "choice":
+        choice = {"redex": "0", "per_node": []}
+        argv += ["--choice", write_json_file(tmp_path, "choice.json", choice)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload == {"error": "reduction-failed", "detail": "no redex at 0", "position": "0"}
+
+
+def test_isos_at_an_axiom(self_app_file, capsys):
+    assert run(["isos", "--file", self_app_file, "--pos", "0.1"]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "not-an-application"
+    assert payload["position"] == "0.1"
+
+
 def test_threads_report_and_dot(brothers_file, tmp_path, capsys):
     dot = tmp_path / "brothers.dot"
     assert run(["threads", "--file", brothers_file, "--dot", str(dot), "--json"]) == 0

@@ -22,7 +22,9 @@ from seqtypes.corpus import make_tower
 from seqtypes.positions import EPS
 from seqtypes.reduction import (
     ChoiceError,
+    RChoice,
     ReductionChoice,
+    ReductionError,
     build_operable_from_choices,
     collapse_choice,
     default_interface,
@@ -297,20 +299,27 @@ def test_build_operable_from_choices_reproduces_each_choice():
         assert collapse_derivation(reduced_op.checked) == expected
 
 
+def count_computations(monkeypatch, name: str) -> Counter:
+    """Count, per checked derivation, the computations of one of its cached
+    properties."""
+    computed = Counter()
+    compute = CheckedDerivation.__dict__[name].func
+
+    def counting(self):
+        computed[id(self)] += 1
+        return compute(self)
+
+    prop = cached_property(counting)
+    prop.__set_name__(CheckedDerivation, name)
+    monkeypatch.setattr(CheckedDerivation, name, prop)
+    return computed
+
+
 def test_build_operable_collapses_each_derivation_once(monkeypatch):
     """A two-step sequence on a redex tower: the base and the intermediate
     derivation are each collapsed once, for both the consistency check and
     the realized choice."""
-    computed = Counter()
-    collapse = CheckedDerivation.__dict__["collapse"].func
-
-    def counting(self):
-        computed[id(self)] += 1
-        return collapse(self)
-
-    prop = cached_property(counting)
-    prop.__set_name__(CheckedDerivation, "collapse")
-    monkeypatch.setattr(CheckedDerivation, "collapse", prop)
+    computed = count_computations(monkeypatch, "collapse")
     body = generate_normal_form_derivations(parse_term("x w"))[0]
     checked = make_tower(body, "x", 2)
     rd = collapse_derivation(checked)
@@ -322,6 +331,64 @@ def test_build_operable_collapses_each_derivation_once(monkeypatch):
         rd = reduce_R(rd, b, choice)
     build_operable_from_choices(collapse_derivation(checked), checked, sequence)
     assert len(computed) == 2 and set(computed.values()) == {1}
+
+
+def test_one_step_finds_the_nodes_over_the_redex_with_one_scan(monkeypatch):
+    # apps_over is the one scan that finds the nodes over a term position
+    computed = count_computations(monkeypatch, "apps_over")
+    body = generate_normal_form_derivations(parse_term("x w"))[0]
+    checked = make_tower(body, "x", 2)
+    op = make_operable(checked)
+    (b,) = redexes(checked.term)
+    reduce_operable(op, b)
+    assert computed == {id(checked): 1}
+    # a two-step choice sequence scans the base and the intermediate derivation once each
+    computed.clear()
+    checked = make_tower(body, "x", 2)
+    rd = collapse_derivation(checked)
+    sequence = []
+    for _ in range(2):
+        (b,) = redexes(rd.term)
+        choice = enumerate_r_choices(rd, b)[0]
+        sequence.append((b, choice))
+        rd = reduce_R(rd, b, choice)
+    build_operable_from_choices(collapse_derivation(checked), checked, sequence)
+    assert len(computed) == 2 and set(computed.values()) == {1}
+
+
+def test_off_term_position_is_no_redex():
+    # both terms are applications at the root, so position 0 is off the term
+    s_checked = check_derivation(make_identity_redex())
+    checked = check_derivation(make_two_choice_redex())
+    collapsed = collapse_derivation(checked)
+    rchoice = enumerate_r_choices(collapsed, EPS)[0]
+    off = (0,)
+    attempts = [
+        lambda: reduce_S(s_checked, off),
+        lambda: reduce_Sh(checked, off, ReductionChoice(off, {})),
+        lambda: reduce_operable(make_operable(checked), off),
+        lambda: residual_maps(checked, off, {}),
+        lambda: enumerate_r_choices(collapsed, off),
+        lambda: reduce_R(collapsed, off, RChoice(off, {})),
+        lambda: realize_r_choice(checked, off, rchoice),
+    ]
+    for attempt in attempts:
+        with pytest.raises(ReductionError, match="no redex at 0"):
+            attempt()
+
+
+def test_choice_to_a_missing_premise_is_a_choice_error():
+    checked = check_derivation(make_two_choice_redex())
+    collapsed = collapse_derivation(checked)
+    good = enumerate_r_choices(collapsed, EPS)[0]
+    ((path, assignment),) = good.assignments.items()
+    bad = RChoice(EPS, {path: {**assignment, next(iter(assignment)): 99}})
+    with pytest.raises(ChoiceError, match="at eps to premise 99"):
+        realize_r_choice(checked, EPS, bad)
+    with pytest.raises(ChoiceError, match="at eps to premise 99"):
+        build_operable_from_choices(collapsed, checked, [(EPS, bad)])
+    with pytest.raises(ChoiceError):
+        reduce_R(collapsed, EPS, bad)
 
 
 def test_build_operable_rejects_wrong_collapse():
