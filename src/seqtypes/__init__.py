@@ -10,10 +10,8 @@ from .positions import (
     Position,
     PosForest,
     PosTree,
-    Relabelling01,
     ZeroOneIso,
     applicative_depth,
-    apply_relabelling,
     check_01_iso,
     collapse_position,
     collapse_track,
@@ -50,6 +48,7 @@ from .stypes import (
     parse_seq_type,
     parse_type,
     print_type,
+    relabel_type,
     seq,
     seq_union,
     type_support,

@@ -1,4 +1,4 @@
-"""Words of tracks, position trees/forests, 01-isomorphisms and relabellings.
+"""Words of tracks, position trees/forests and 01-isomorphisms.
 
 Positions are finite words over the naturals.  Letters 0 and 1 are fixed
 (structural) tracks; letters >= 2 are mutable argument tracks.  Position
@@ -20,10 +20,6 @@ EPS: Position = ()
 
 class DomainMismatchError(ValueError):
     """The candidate mapping is not even defined on the right support."""
-
-
-class RelabellingError(ValueError):
-    """A 01-relabelling violates sibling-injectivity or misses positions."""
 
 
 def collapse_track(k: Track) -> Track:
@@ -158,32 +154,6 @@ class ZeroOneIso:
         return {a[0]: b[0] for a, b in self.mapping.items() if len(a) == 1}
 
 
-@dataclass(frozen=True)
-class Relabelling01:
-    """New tracks for the mutable positions of one support (sibling-injective)."""
-
-    assignment: dict[Position, Track]
-
-    def __post_init__(self) -> None:
-        for a, k in self.assignment.items():
-            if not a or a[-1] < 2:
-                raise RelabellingError(f"{format_position(a)} is not a mutable position")
-            if k < 2:
-                raise RelabellingError(f"new track {k} is not mutable")
-        seen: dict[tuple[Position, Track], Position] = {}
-        for a, k in self.assignment.items():
-            key = (a[:-1], k)
-            if key in seen and seen[key] != a:
-                raise RelabellingError(
-                    f"siblings {format_position(seen[key])} and {format_position(a)} "
-                    f"both relabelled to {k}"
-                )
-            seen[key] = a
-
-    def __call__(self, a: Position) -> Track:
-        return self.assignment[a]
-
-
 def check_01_iso(
     u1: Support,
     u2: Support,
@@ -311,31 +281,3 @@ def enumerate_01_isos(
     """All 01-isomorphisms from u1 onto u2, in increasing `key()` order."""
     return list(iter_01_isos(u1, u2, labels1, labels2))
 
-
-def apply_relabelling(u: Support, relab: Relabelling01) -> tuple[frozenset[Position], ZeroOneIso]:
-    """Reset the support, replacing mutable tracks top-down per the relabelling."""
-    positions = support_set(u)
-    mutable = {a for a in positions if a and a[-1] >= 2}
-    missing = mutable - set(relab.assignment)
-    if missing:
-        raise RelabellingError(
-            f"relabelling undefined on {format_position(sorted(missing)[0])}"
-        )
-    mapping: dict[Position, Position] = {}
-
-    def image(a: Position) -> Position:
-        if a in mapping:
-            return mapping[a]
-        if not a:
-            mapping[a] = EPS
-            return EPS
-        parent = image(a[:-1])
-        k = a[-1]
-        b = parent + (k if k < 2 else relab(a),)
-        mapping[a] = b
-        return b
-
-    for a in sorted(positions):
-        image(a)
-    out = frozenset(mapping[a] for a in positions)
-    return out, ZeroOneIso({a: mapping[a] for a in positions})

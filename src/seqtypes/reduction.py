@@ -168,7 +168,10 @@ class ResidualMaps:
 
 def _redex_binder(term: Term, b: Position) -> str:
     """The variable the redex at b binds; ReductionError when b addresses no
-    redex, on the term or off it."""
+    redex, on the term or off it, or is no term position (a letter above 2
+    would address a derivation node through its track)."""
+    if any(k > 2 for k in b):
+        raise ReductionError(f"{format_position(b)} is not a term position")
     try:
         subj = subterm_at(term, b)
     except PositionError:

@@ -21,6 +21,7 @@ from .positions import (
     PosTree,
     Track,
     ZeroOneIso,
+    format_position,
     iter_01_isos,
 )
 
@@ -39,6 +40,11 @@ class TrackConflictError(ValueError):
     def __init__(self, tracks: frozenset[Track]) -> None:
         super().__init__(f"track conflict on {sorted(tracks)}")
         self.tracks = tracks
+
+
+class RelabellingError(ValueError):
+    """New tracks that miss a mutable position, are not mutable, or give two
+    siblings the same track."""
 
 
 class _TypeFacts:
@@ -322,6 +328,55 @@ def label_at(t: SType | SeqType, c: Position) -> str:
 def identity_iso(t: SType | SeqType) -> ZeroOneIso:
     positions = t.support[0].positions
     return ZeroOneIso(dict(zip(positions, positions)))
+
+
+def relabel_type(t: SType, tracks: Mapping[Position, Track]) -> tuple[SType, ZeroOneIso]:
+    """The resetting of t along new tracks for its mutable positions, and the
+    01-isomorphism from its support onto the new type's.
+
+    One preorder walk on an explicit stack gives every position its image,
+    the parent's image plus the new track (a target keeps its letter 1);
+    the arrows are then rebuilt bottom-up in reverse preorder, sharing the
+    atoms.  Entries for positions that t lacks, or that are not mutable,
+    are ignored.  Raises `RelabellingError` when a mutable position has no
+    new track, a new track is below 2, or two siblings get the same one.
+    """
+    mapping: dict[Position, Position] = {EPS: EPS}
+    arrows: list[tuple[Position, SArrow]] = []
+    stack: list[tuple[Position, SType]] = [(EPS, t)]
+    while stack:
+        a, u = stack.pop()
+        if isinstance(u, SAtom):
+            continue
+        arrows.append((a, u))
+        b = mapping[a]
+        mapping[a + (1,)] = b + (1,)
+        stack.append((a + (1,), u.target))
+        taken: dict[Track, Position] = {}
+        for k, s in u.source.entries:
+            c = a + (k,)
+            new = tracks.get(c)
+            if new is None:
+                raise RelabellingError(f"relabelling undefined on {format_position(c)}")
+            if new < 2:
+                raise RelabellingError(f"new track {new} is not mutable")
+            if new in taken:
+                raise RelabellingError(
+                    f"siblings {format_position(taken[new])} and {format_position(c)} "
+                    f"both relabelled to {new}"
+                )
+            taken[new] = c
+            mapping[c] = b + (new,)
+            stack.append((c, s))
+    built: dict[Position, SType] = {}
+
+    def new_node(c: Position, s: SType) -> SType:
+        return s if isinstance(s, SAtom) else built.pop(c)
+
+    for a, u in reversed(arrows):
+        entries = [(mapping[a + (k,)][-1], new_node(a + (k,), s)) for k, s in u.source.entries]
+        built[a] = SArrow(seq(entries), new_node(a + (1,), u.target))
+    return new_node(EPS, t), ZeroOneIso(mapping)
 
 
 def _label(u: SType) -> str:

@@ -18,16 +18,14 @@ from .positions import (
     EPS,
     Position,
     Track,
-    Relabelling01,
     DomainMismatchError,
     ZeroOneIso,
-    apply_relabelling,
     check_01_iso,
     collapse_position,
     format_position,
     iter_01_isos,
 )
-from .stypes import SArrow, check_type_iso, identity_iso, iter_type_isos
+from .stypes import check_type_iso, identity_iso, iter_type_isos, relabel_type
 from .terms import Var, alpha_key
 from .derivations import (
     AbsNode,
@@ -333,9 +331,7 @@ def reset_derivation(
     for a, node in checked.nodes.items():
         target = supp_map[a]
         if isinstance(node, AxNode):
-            type_relab = Relabelling01(relab.axiom_types[a])
-            _, phi = apply_relabelling(node.stype.support[0], type_relab)
-            new_type = _relabel_type(node.stype, phi)
+            new_type, phi = relabel_type(node.stype, relab.axiom_types[a])
             new_nodes[target] = AxNode(relab.axiom_tracks[a], new_type)
             axiom_isos[a] = phi
         elif isinstance(node, AbsNode):
@@ -353,22 +349,6 @@ def reset_derivation(
             supp_map[a]: derived.conjugate(a, interface[a]) for a in checked.app_positions()
         }
     return ResetResult(new_checked, iso, new_interface)
-
-
-def _relabel_type(stype, phi: ZeroOneIso):
-    """Rebuild an S-type along a 01-resetting of its support."""
-    from .stypes import SAtom, seq
-
-    def rebuild(u, prefix: Position):
-        if isinstance(u, SAtom):
-            return u
-        entries = {}
-        for k, s in u.source.items():
-            new_k = phi.mapping[prefix + (k,)][-1]
-            entries[new_k] = rebuild(s, prefix + (k,))
-        return SArrow(seq(entries), rebuild(u.target, prefix + (1,)))
-
-    return rebuild(stype, EPS)
 
 
 def random_relabelling(checked: CheckedDerivation, rng) -> DerivationRelabelling:

@@ -1,0 +1,96 @@
+"""The three-step type relabelling, kept as a reference oracle.
+
+Before `stypes.relabel_type`, resetting relabelled an axiom type in three
+steps: `Relabelling01` validated the new tracks, `apply_relabelling` built
+the image of the whole support top-down (with a recursive helper) to get
+the 01-isomorphism, and `_relabel_type` rebuilt the type recursively from
+that isomorphism.  They are copied here verbatim; only the imports differ.
+`test_relabel_differential.py` compares `relabel_type` against them, and
+`test_isos_differential.py` relabels its random supports with them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from seqtypes.positions import (
+    EPS,
+    Position,
+    Support,
+    Track,
+    ZeroOneIso,
+    format_position,
+    support_set,
+)
+from seqtypes.stypes import RelabellingError, SArrow
+
+
+@dataclass(frozen=True)
+class Relabelling01:
+    """New tracks for the mutable positions of one support (sibling-injective)."""
+
+    assignment: dict[Position, Track]
+
+    def __post_init__(self) -> None:
+        for a, k in self.assignment.items():
+            if not a or a[-1] < 2:
+                raise RelabellingError(f"{format_position(a)} is not a mutable position")
+            if k < 2:
+                raise RelabellingError(f"new track {k} is not mutable")
+        seen: dict[tuple[Position, Track], Position] = {}
+        for a, k in self.assignment.items():
+            key = (a[:-1], k)
+            if key in seen and seen[key] != a:
+                raise RelabellingError(
+                    f"siblings {format_position(seen[key])} and {format_position(a)} "
+                    f"both relabelled to {k}"
+                )
+            seen[key] = a
+
+    def __call__(self, a: Position) -> Track:
+        return self.assignment[a]
+
+
+def apply_relabelling(u: Support, relab: Relabelling01) -> tuple[frozenset[Position], ZeroOneIso]:
+    """Reset the support, replacing mutable tracks top-down per the relabelling."""
+    positions = support_set(u)
+    mutable = {a for a in positions if a and a[-1] >= 2}
+    missing = mutable - set(relab.assignment)
+    if missing:
+        raise RelabellingError(
+            f"relabelling undefined on {format_position(sorted(missing)[0])}"
+        )
+    mapping: dict[Position, Position] = {}
+
+    def image(a: Position) -> Position:
+        if a in mapping:
+            return mapping[a]
+        if not a:
+            mapping[a] = EPS
+            return EPS
+        parent = image(a[:-1])
+        k = a[-1]
+        b = parent + (k if k < 2 else relab(a),)
+        mapping[a] = b
+        return b
+
+    for a in sorted(positions):
+        image(a)
+    out = frozenset(mapping[a] for a in positions)
+    return out, ZeroOneIso({a: mapping[a] for a in positions})
+
+
+def _relabel_type(stype, phi: ZeroOneIso):
+    """Rebuild an S-type along a 01-resetting of its support."""
+    from seqtypes.stypes import SAtom, seq
+
+    def rebuild(u, prefix: Position):
+        if isinstance(u, SAtom):
+            return u
+        entries = {}
+        for k, s in u.source.items():
+            new_k = phi.mapping[prefix + (k,)][-1]
+            entries[new_k] = rebuild(s, prefix + (k,))
+        return SArrow(seq(entries), rebuild(u.target, prefix + (1,)))
+
+    return rebuild(stype, EPS)

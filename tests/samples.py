@@ -143,6 +143,20 @@ def make_tracked_redex() -> Derivation:
     return Derivation(term, "Sh", nodes)
 
 
+def make_argument_redex() -> Derivation:
+    """v ((\\x. x) u) with the redex on track 3: at term position 2 and
+    derivation position 3."""
+    nodes = {
+        EPS: AppNode(frozenset({3})),
+        (1,): AxNode(4, SArrow(seq({3: O}), O)),
+        (3,): AppNode(frozenset({2})),
+        (3, 1): AbsNode(),
+        (3, 1, 0): AxNode(2, O),
+        (3, 2): AxNode(5, O),
+    }
+    return Derivation(parse_term("v ((\\x. x) u)"), "S", nodes)
+
+
 def make_shadowed_redex() -> Derivation:
     """(\\x. x (\\x. x)) v: the inner abstraction rebinds the redex variable,
     so only the head axiom belongs to the redex."""

@@ -11,7 +11,7 @@ from seqtypes.derivations import (
     check_derivation,
 )
 
-from samples import brothers_operable, make_brothers, make_self_app
+from samples import brothers_operable, make_argument_redex, make_brothers, make_self_app
 
 
 @pytest.fixture()
@@ -72,6 +72,19 @@ def test_reduce_error(self_app_file, capsys):
     assert run(["reduce", "--file", self_app_file, "--pos", "0"]) == 1
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "reduction-failed"
+
+
+def test_reduce_at_a_derivation_position(tmp_path, capsys):
+    # the redex is at term position 2; position 3 addresses its derivation node
+    path = tmp_path / "argument_redex.deriv"
+    path.write_text(dumps_derivation(make_argument_redex()))
+    assert run(["reduce", "--file", str(path), "--pos", "3"]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {
+        "error": "reduction-failed",
+        "detail": "3 is not a term position",
+        "position": "3",
+    }
 
 
 @pytest.mark.parametrize("mode", ["plain", "interface", "choice"])

@@ -31,13 +31,7 @@ from seqtypes.derivations import (
     check_derivation,
     generate_normal_form_derivations,
 )
-from seqtypes.positions import (
-    EPS,
-    Relabelling01,
-    apply_relabelling,
-    enumerate_01_isos,
-    iter_01_isos,
-)
+from seqtypes.positions import EPS, enumerate_01_isos, iter_01_isos
 from seqtypes.reduction import (
     ReductionError,
     default_interface,
@@ -56,6 +50,7 @@ from seqtypes.trivialize import (
 )
 
 import reference_isos as ref
+from reference_relabelling import Relabelling01, apply_relabelling
 from samples import make_equal_typed, make_wide
 
 CORPUS_SEED = 20250809

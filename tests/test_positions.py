@@ -11,11 +11,8 @@ from seqtypes.positions import (
     DomainMismatchError,
     PosForest,
     PosTree,
-    Relabelling01,
-    RelabellingError,
     ZeroOneIso,
     applicative_depth,
-    apply_relabelling,
     check_01_iso,
     collapse_position,
     collapse_track,
@@ -23,9 +20,12 @@ from seqtypes.positions import (
     format_position,
     parse_position,
 )
+from seqtypes.stypes import RelabellingError, check_type_iso, parse_type, relabel_type
 
 # Supports of two 01-isomorphic labelled trees used throughout:
 # T1 = (8:o2, 4:(8:o3, 3:o1) -> o2) -> o1 and T2 = (5:(7:o1, 2:o3) -> o2, 3:o2) -> o1.
+T1 = parse_type("(8:o2, 4:(8:o3, 3:o1) -> o2) -> o1")
+T2 = parse_type("(5:(7:o1, 2:o3) -> o2, 3:o2) -> o1")
 T1_SUPP = frozenset(
     {EPS, (1,), (4,), (8,), (4, 1), (4, 3), (4, 8)}
 )
@@ -173,29 +173,36 @@ def test_enumerate_contains_identity():
         assert check_01_iso(T1_SUPP, T1_SUPP, phi)
 
 
-def test_apply_relabelling_worked_example():
-    relab = Relabelling01({(4,): 5, (4, 3): 7, (4, 8): 2, (8,): 3})
-    image, phi = apply_relabelling(T1_SUPP, relab)
-    assert image == T2_SUPP
+def test_relabel_type_worked_example():
+    t2, phi = relabel_type(T1, {(4,): 5, (4, 3): 7, (4, 8): 2, (8,): 3})
+    assert t2 == T2
     assert phi.mapping == LISTED_PHI.mapping
-    assert check_01_iso(T1_SUPP, image, phi)
+    assert t2.support == (PosTree(T2_SUPP), T2_LABELS)
+    assert check_type_iso(T1, t2, phi)
 
 
-def test_apply_relabelling_identity_and_forest():
-    mutables = {a for a in T1_SUPP if a and a[-1] >= 2}
-    ident = Relabelling01({a: a[-1] for a in mutables})
-    image, phi = apply_relabelling(T1_SUPP, ident)
-    assert image == T1_SUPP
+def test_relabel_type_identity_and_shared_atoms():
+    ident = {a: a[-1] for a in T1.mutable_positions}
+    t, phi = relabel_type(T1, ident)
+    assert t == T1
     assert phi.mapping == {a: a for a in T1_SUPP}
-    image2, _ = apply_relabelling(frozenset({(2,), (3,)}), Relabelling01({(2,): 9, (3,): 4}))
-    assert image2 == frozenset({(9,), (4,)})
+    u = parse_type("(2:o, 3:p) -> q")
+    u2, psi = relabel_type(u, {(2,): 9, (3,): 4, (7, 2): 2})
+    assert u2 == parse_type("(4:p, 9:o) -> q")
+    assert psi.mapping == {EPS: EPS, (1,): (1,), (2,): (9,), (3,): (4,)}
+    assert u2.source.get(9) is u.source.get(2) and u2.target is u.target
+    atom = parse_type("o")
+    assert relabel_type(atom, {}) == (atom, ZeroOneIso({EPS: EPS}))
 
 
-def test_relabelling_sibling_injectivity():
-    with pytest.raises(RelabellingError):
-        Relabelling01({(2,): 5, (3,): 5})
-    with pytest.raises(RelabellingError):
-        apply_relabelling(T1_SUPP, Relabelling01({(4,): 5}))
+def test_relabel_type_rejects_bad_tracks():
+    u = parse_type("(2:o, 3:o) -> o")
+    with pytest.raises(RelabellingError, match="siblings 2 and 3 both relabelled to 5"):
+        relabel_type(u, {(2,): 5, (3,): 5})
+    with pytest.raises(RelabellingError, match="new track 1 is not mutable"):
+        relabel_type(u, {(2,): 5, (3,): 1})
+    with pytest.raises(RelabellingError, match="undefined on 4.3"):
+        relabel_type(T1, {(4,): 5, (8,): 3})
 
 
 def test_roots_of_iso():

@@ -45,6 +45,7 @@ from seqtypes.stypes import SArrow, SAtom, check_type_iso, equiv, seq
 from seqtypes.terms import parse_term, redexes
 
 from samples import (
+    make_argument_redex,
     make_brothers,
     make_self_app,
     make_shadowed_redex,
@@ -374,6 +375,30 @@ def test_off_term_position_is_no_redex():
     ]
     for attempt in attempts:
         with pytest.raises(ReductionError, match="no redex at 0"):
+            attempt()
+
+
+def test_derivation_position_is_no_term_position():
+    # the redex of v ((\x. x) u) is at term position 2, derivation position 3
+    checked = check_derivation(make_argument_redex())
+    collapsed = collapse_derivation(checked)
+    assert reduce_S(checked, (2,)).term == parse_term("v u")
+    rchoice = enumerate_r_choices(collapsed, (2,))[0]
+    identity = {(3,): {2: 2}}
+    b = (3,)
+    attempts = [
+        lambda: reduce_S(checked, b),
+        lambda: reduce_Sh(checked, b, ReductionChoice(b, identity)),
+        lambda: reduce_operable(make_operable(checked), b),
+        lambda: residual_maps(checked, b, identity),
+        lambda: collapse_choice(checked, b, identity),
+        lambda: enumerate_r_choices(collapsed, b),
+        lambda: reduce_R(collapsed, b, RChoice(b, rchoice.assignments)),
+        lambda: realize_r_choice(checked, b, RChoice(b, rchoice.assignments)),
+        lambda: build_operable_from_choices(collapsed, checked, [(b, rchoice)]),
+    ]
+    for attempt in attempts:
+        with pytest.raises(ReductionError, match="3 is not a term position"):
             attempt()
 
 

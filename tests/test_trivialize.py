@@ -8,14 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from seqtypes.corpus import make_tower, tower_instances
+from seqtypes import stypes
+from seqtypes.corpus import make_tower, sr_corpus, tower_instances
 from seqtypes.derivations import (
     AxNode,
     Derivation,
     GenBudget,
     check_derivation,
     collapse_derivation,
+    dumps_derivation,
     generate_normal_form_derivations,
+    loads_derivation,
 )
 from seqtypes.positions import EPS, ZeroOneIso
 from seqtypes.reduction import (
@@ -24,13 +27,14 @@ from seqtypes.reduction import (
     reduce_R,
     reduce_S,
 )
-from seqtypes.stypes import SAtom, identity_iso
+from seqtypes.stypes import SArrow, SAtom, identity_iso
 from seqtypes.terms import parse_term
 from seqtypes.threads import NEG, ArgEdge, LeftEdge, RightEdge, ThreadAnalysis
 from seqtypes.trivialize import (
     BrotherChainError,
     CollapsingStrategyError,
     DerivationIso,
+    DerivationRelabelling,
     ThreadClasses,
     assign_track_values,
     consumption_closure,
@@ -43,6 +47,7 @@ from seqtypes.trivialize import (
 )
 
 from samples import brothers_operable, make_two_choice_redex, make_self_app
+from test_stypes import DEEP_POSITIONS, deep_type
 
 
 def identity_interfaces(checked):
@@ -191,6 +196,37 @@ def test_reset_by_random_relabelling_is_isomorphic():
         assert verify_derivation_iso(checked, reset.checked, reset.iso)
         found = enumerate_derivation_isos(checked, reset.checked, limit=4)
         assert found
+
+
+def test_reset_relabels_a_deep_axiom_type():
+    assert sys.getrecursionlimit() <= 1000
+    t = deep_type(DEEP_POSITIONS)
+    checked = check_derivation(Derivation(parse_term("x"), "S", {EPS: AxNode(2, t)}))
+    relab = DerivationRelabelling({}, {EPS: {c: c[-1] + 5 for c in t.mutable_positions}}, {EPS: 4})
+    reset = reset_derivation(checked, relab)
+    assert verify_derivation_iso(checked, reset.checked, reset.iso)
+    # walk both types down together; comparing them with == would recurse
+    u, v = t, reset.checked.type_at(EPS)
+    while isinstance(u, SArrow):
+        ((k, s),), ((k2, s2),) = u.source.entries, v.source.entries
+        assert k2 == k + 5
+        u, v = (u.target, v.target) if isinstance(u.target, SArrow) else (s, s2)
+    assert u is v
+
+
+def test_reset_builds_no_type_support(monkeypatch):
+    rng = random.Random(11)
+    corpus = sr_corpus(20250809, 60, size=7, width=2)
+    relabs = [random_relabelling(checked, rng) for checked in corpus]
+    # freshly loaded derivations: no type among them has its support cached
+    fresh = [check_derivation(loads_derivation(dumps_derivation(c.derivation))) for c in corpus]
+    assert sum(len(c.axiom_positions()) for c in fresh) > 100
+    calls = []
+    support = stypes._support
+    monkeypatch.setattr(stypes, "_support", lambda t: calls.append(t) or support(t))
+    for checked, relab in zip(fresh, relabs):
+        reset_derivation(checked, relab, flavor="Sh")
+    assert calls == []
 
 
 def test_verify_rejects_distinct_collapses():
