@@ -215,10 +215,11 @@ def cmd_threads(args) -> int:
     if args.dot:
         Path(args.dot).write_text(dot_export(analysis))
     if args.json:
+        label, kind, size = analysis.thread_label, analysis.thread_kind, analysis.thread_size
         payload = {
             "threads": [
-                {"id": t.id, "label": t.label, "kind": t.kind, "edges": len(t.edges)}
-                for t in analysis.threads
+                {"id": t, "label": label(t), "kind": kind(t), "edges": size(t)}
+                for t in range(len(analysis.threads))
             ],
             "arcs": [
                 {

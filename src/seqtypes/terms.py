@@ -153,16 +153,14 @@ def print_term(t: Term) -> str:
 
 def support(t: Term) -> PosTree:
     out: set[Position] = set()
-
-    def walk(u: Term, prefix: Position) -> None:
+    stack = [(t, EPS)]
+    while stack:
+        u, prefix = stack.pop()
         out.add(prefix)
         if isinstance(u, Abs):
-            walk(u.body, prefix + (0,))
+            stack.append((u.body, prefix + (0,)))
         elif isinstance(u, App):
-            walk(u.left, prefix + (1,))
-            walk(u.right, prefix + (2,))
-
-    walk(t, EPS)
+            stack += [(u.left, prefix + (1,)), (u.right, prefix + (2,))]
     return PosTree(frozenset(out))
 
 

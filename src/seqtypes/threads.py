@@ -8,30 +8,34 @@ upward through the typing rules and polar inversion flips it at an axiom;
 threads are the equivalence classes, and the interface of an operable
 derivation consumes them pairwise at application nodes.
 
-Cost model: every step is O(1) per edge.  Each edge has an integer id, its
-index in `edge_key` order, and each edge's ascendant is computed once; at
-an application node a left edge finds its premise in a track-to-premise
-table built once per (node, variable).  An ascendant always has a larger
-id, so one pass in reverse id order gives every edge its highest
-ascendant, and polarity, referents and thread kinds are read off those
-tops.  Threads are the classes of a union-find over the ids whose roots are
-least members, so threads and their edges come out in `edge_key` order
-without sorting.  Brothers inside a set of threads are found in one pass
-over their parent keys (`brother_pair`).
+Cost model: an edge is an integer id with no object of its own, and every
+step is O(1) per edge.  Ids follow `edge_key` order in contiguous blocks:
+one per argument node, then per node the mutable positions of its type
+(right edges), then per (node, variable) those of the context entry (left
+edges).  Flat arrays hold each edge's label, kind, highest ascendant and
+thread.  Ascendance maps a block onto a premise's block at fixed offsets
+and always to larger ids, so tops resolve as slice copies in reverse block
+order; polarity, referents and thread kinds are read off the tops, and
+brothers off the tops' parents.  Edge and `Thread` objects are built only
+when read (`edges`, `threads`, `referent`, arcs, reports); the id
+accessors (`arg_thread`, `right_threads`, ...) build none.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .positions import EPS, Position, Track, applicative_depth, format_position
 from .stypes import print_type
 from .derivations import (
     AbsNode,
-    AppNode,
     AxNode,
     CheckedDerivation,
     FLAVOR_S,
@@ -42,6 +46,12 @@ from .reduction import OperableDerivation, make_operable
 
 POS = "+"
 NEG = "-"
+
+# edge kinds, one byte per edge id, read at the tops: an inner edge is a
+# right edge at an axiom, an axiom edge the root edge of an axiom's context;
+# a thread's referent is its least top of the least kind
+_INNER, _AXIOM, _ARG, _RIGHT, _LEFT = range(5)
+_KIND_NAME = ("inner", "axiom", "argument")
 
 
 @dataclass(frozen=True)
@@ -161,6 +171,22 @@ class ThreadLabelError(ValueError):
         self.edges = (first, other)
 
 
+class _Built(Sequence):
+    """A read-only list of n items, each built when it is read."""
+
+    def __init__(self, n: int, build: Callable[[int], object]) -> None:
+        self._ids, self._build = range(n), build
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, i: int):
+        return self._build(self._ids[i])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 class ThreadAnalysis:
     """Threads and consumption of one (operable) derivation.
 
@@ -182,173 +208,208 @@ class ThreadAnalysis:
         for v, a in enumerate(self._positions):
             if a:
                 self._child[self._node_id[a[:-1]]][a[-1]] = v
-        self._keys, self.edges = self._mutable_edges()
-        self._id = {key: i for i, key in enumerate(self._keys)}
-        self._build_threads()
+        self._layout()
+        self._build_threads(*self._resolve_tops())
         self._arcs: Optional[list[ConsumptionArc]] = None
 
     # -- edges ---------------------------------------------------------------
 
-    def _mutable_edges(self) -> tuple[list[tuple], list[Edge]]:
-        """Every mutable edge with its key, in `edge_key` order.
-
-        A key is `edge_key` with the node position replaced by its id:
-        (0, node) for the argument edge into node, (1, node, inner) or
-        (2, node, var, inner).  Ids follow
-        position order, so keys sort the same way, and hashing or comparing
-        a key does not depend on the depth of its node."""
+    def _layout(self) -> None:
+        """Number the edges in blocks; store each edge's label and kind."""
         checked, positions = self.checked, self._positions
-        # the argument premises are the nodes whose last letter is >= 2
-        args = [v for v, a in enumerate(positions) if a and a[-1] >= 2]
-        keys: list[tuple] = [(0, v) for v in args]
-        edges: list[Edge] = [ArgEdge(positions[v]) for v in args]
-        left_keys: list[tuple] = []
-        left_edges: list[Edge] = []
+        self._arg_nodes = [v for v, a in enumerate(positions) if a and a[-1] >= 2]
+        self._arg_id = {v: i for i, v in enumerate(self._arg_nodes)}
+        self._label = label = [positions[v][-1] for v in self._arg_nodes]
+        self._kind = kind = bytearray((_ARG,)) * len(label)
+        # (first id, node, variable or None, mutable positions) per block
+        self._blocks: list[tuple[int, int, Optional[str], tuple[Position, ...]]] = []
+        self._right_start: list[int] = []
+        self._left_start: list[dict[str, int]] = [{} for _ in positions]
+
+        def block(v: int, x: Optional[str], inners: tuple[Position, ...], k: int) -> None:
+            if inners:
+                self._blocks.append((len(label), v, x, inners))
+                label.extend(map(itemgetter(-1), inners))
+                kind.extend(bytes((k,)) * len(inners))
+
         for v, a in enumerate(positions):
-            for c in checked.type_at(a).mutable_positions:
-                keys.append((1, v, c))
-                edges.append(RightEdge(a, c))
+            self._right_start.append(len(label))
+            k = _INNER if isinstance(self._nodes[v], AxNode) else _RIGHT
+            block(v, None, checked.type_at(a).mutable_positions, k)
+        self._right_start.append(len(label))
+        for v, a in enumerate(positions):
             for x, f in checked.context_at(a).entries:
-                for c in f.mutable_positions:
-                    left_keys.append((2, v, x, c))
-                    left_edges.append(LeftEdge(a, x, c))
-        return keys + left_keys, edges + left_edges
+                self._left_start[v][x] = len(label)
+                block(v, x, f.mutable_positions, _LEFT)
+                if isinstance(self._nodes[v], AxNode):
+                    kind[-len(f.mutable_positions)] = _AXIOM
+        self._block_starts = [b[0] for b in self._blocks]
+
+    def _resolve_tops(self) -> tuple[list[int], list[tuple[int, int]]]:
+        """Each edge's highest ascendant, and the pairs of tops that polar
+        inversion joins (at an axiom, left edge j and right edge j-1).  An
+        application's right block ascends onto the head of its left
+        premise's, an abstraction's onto its body's and the binder's left
+        block, a left block onto its premises' blocks for the variable."""
+        checked, positions, nodes, child = self.checked, self._positions, self._nodes, self._child
+        rs, ls = self._right_start, self._left_start
+        top = list(range(len(self._label)))
+        inversions: list[tuple[int, int]] = []
+
+        def copy(s: int, n: int, head: int) -> None:
+            top[s : s + n] = top[head : head + n]
+
+        for s, v, x, inners in reversed(self._blocks):
+            node, n = nodes[v], len(inners)
+            if isinstance(node, AxNode):
+                if x is not None:
+                    inversions.extend((s + j, rs[v] + j - 1) for j in range(1, n))
+            elif isinstance(node, AbsNode) and x is not None:
+                copy(s, n, ls[child[v][0]][x])
+            elif isinstance(node, AbsNode):
+                body = child[v][0]
+                t = rs[body + 1] - rs[body]
+                copy(s, t, rs[body])
+                if n > t:
+                    copy(s + t, n - t, ls[body][checked.judgments[positions[v]].subject.binder])
+            elif x is None:
+                copy(s, n, rs[child[v][1]])
+            else:
+                # per track of x, the next id in the block of the premise
+                # holding it (1, then the argument tracks): each premise's
+                # tracks keep their order
+                next_id: dict[Track, Iterator[int]] = {}
+                for k in [1] + sorted(node.arg_tracks):
+                    premise = child[v][k]
+                    if x in ls[premise]:
+                        ids = itertools.count(ls[premise][x])
+                        for track in checked.context_at(positions[premise]).get(x).tracks():
+                            next_id.setdefault(track, ids)
+                firsts = list(map(itemgetter(0), inners))
+                missing = set(firsts) - next_id.keys()
+                if missing:
+                    raise QuantitativityError(positions[v], x, {min(missing)})
+                ids = map(next, map(next_id.__getitem__, firsts))
+                top[s : s + n] = map(top.__getitem__, ids)
+        return top, inversions
+
+    def _edge(self, i: int) -> Edge:
+        if i < len(self._arg_nodes):
+            return ArgEdge(self._positions[self._arg_nodes[i]])
+        start, v, x, inners = self._blocks[bisect_right(self._block_starts, i) - 1]
+        a, c = self._positions[v], inners[i - start]
+        return RightEdge(a, c) if x is None else LeftEdge(a, x, c)
 
     def _index(self, e: Edge) -> int:
-        v = self._node_id[e.pos]
         if isinstance(e, ArgEdge):
-            return self._id[(0, v)]
-        if isinstance(e, RightEdge):
-            return self._id[(1, v, e.inner)]
-        return self._id[(2, v, e.var, e.inner)]
+            return self._arg_id[self._node_id[e.pos]]
+        return self._id(e.pos, e.var if isinstance(e, LeftEdge) else None, e.inner)
 
-    def _links(self) -> tuple[list[int], list[tuple[int, int]]]:
-        """Each edge's ascendant id (-1 when ascendance-maximal), and the
-        pairs of edge ids that polar inversion joins at the axioms."""
-        checked, positions, nodes = self.checked, self._positions, self._nodes
-        keys, child, index = self._keys, self._child, self._id
-        premises: dict[tuple[int, str], dict[Track, int]] = {}
-        up = [-1] * len(keys)
-        inversions: list[tuple[int, int]] = []
-        for i, key in enumerate(keys):
-            if key[0] == 0:
-                continue
-            v = key[1]
-            node = nodes[v]
-            if isinstance(node, AxNode):
-                if key[0] == 2 and len(key[3]) > 1:
-                    inversions.append((i, index[(1, v, key[3][1:])]))
-            elif key[0] == 1:
-                inner = key[2]
-                if isinstance(node, AppNode):
-                    up[i] = index[(1, child[v][1], (1,) + inner)]
-                elif inner[0] == 1:
-                    up[i] = index[(1, child[v][0], inner[1:])]
-                else:
-                    binder = checked.judgments[positions[v]].subject.binder
-                    up[i] = index[(2, child[v][0], binder, inner)]
-            elif isinstance(node, AppNode):
-                _, _, x, inner = key
-                table = premises.get((v, x))
-                if table is None:
-                    # the premise holding each track of x, in the order 1, then
-                    # the argument tracks
-                    table = premises[(v, x)] = {}
-                    for k in [1] + sorted(node.arg_tracks):
-                        premise = child[v][k]
-                        for track in checked.context_at(positions[premise]).get(x).tracks():
-                            table.setdefault(track, premise)
-                if inner[0] not in table:
-                    raise QuantitativityError(positions[v], x, {inner[0]})
-                up[i] = index[(2, table[inner[0]], x, inner)]
-            else:
-                up[i] = index[(2, child[v][0], key[2], key[3])]
-        return up, inversions
+    def _id(self, pos: Position, var: Optional[str], inner: Position) -> int:
+        """The right edge (pos, inner), or with a variable the left edge."""
+        v = self._node_id[pos]
+        if var is None:
+            start, inners = self._right_start[v], self.checked.type_at(pos).mutable_positions
+        else:
+            start = self._left_start[v][var]
+            inners = self.checked.context_at(pos).get(var).mutable_positions
+        j = bisect_left(inners, inner)
+        if j == len(inners) or inners[j] != inner:
+            raise KeyError(inner)
+        return start + j
+
+    @property
+    def edges(self) -> Sequence[Edge]:
+        """Every mutable edge in `edge_key` order, built when read."""
+        return _Built(len(self._label), self._edge)
 
     def highest_ascendant(self, e: Edge) -> Edge:
-        return self.edges[self._top[self._index(e)]]
+        return self._edge(self._top[self._index(e)])
 
     def polarity(self, e: Edge) -> str:
         return self._polarity(self._index(e))
 
     def _polarity(self, i: int) -> str:
         # an argument edge is its own top and is positive
-        return NEG if isinstance(self.edges[self._top[i]], LeftEdge) else POS
+        return NEG if self._kind[self._top[i]] in (_LEFT, _AXIOM) else POS
 
     # -- threads ---------------------------------------------------------------
 
-    def _build_threads(self) -> None:
-        edges = self.edges
-        n = len(edges)
-        up, inversions = self._links()
-        # an ascendant sits at a longer position, with the same or a later
-        # edge kind, so its id is larger: one pass in reverse id order
-        # resolves every top
-        top = list(range(n))
-        for i in range(n - 1, -1, -1):
-            if up[i] >= 0:
-                top[i] = top[up[i]]
+    def _build_threads(self, top: list[int], inversions: list[tuple[int, int]]) -> None:
+        """Threads are the classes of the tops under inversion.  A union-find
+        also joins each top with the least edge below it, so the root of a
+        class is its thread's least edge, which orders the threads."""
+        kind, label, n = self._kind, self._label, len(top)
         self._top = top
         uf = UnionFind(n)
-        for i, j in enumerate(up):
-            if j >= 0:
-                uf.union(i, j)
+        # written from the last id down, each top keeps its least edge
+        for t, i in dict(zip(reversed(top), range(n - 1, -1, -1))).items():
+            uf.union(t, i)
         for i, j in inversions:
             uf.union(i, j)
-        self.threads: list[Thread] = []
-        self._thread_of = [0] * n
-        for tid, members in enumerate(uf.classes()):
-            referent = edges[self._referent(members)]
-            kind = (
-                "argument"
-                if isinstance(referent, ArgEdge)
-                else "inner" if isinstance(referent, RightEdge) else "axiom"
-            )
-            first = edges[members[0]]
-            label = edge_label(first)
-            for i in members:
-                if edge_label(edges[i]) != label:
-                    raise ThreadLabelError(tid, first, edges[i])
-                self._thread_of[i] = tid
-            self.threads.append(
-                Thread(tid, tuple(edges[i] for i in members), referent, label, kind)
-            )
-
-    def _referent(self, members: list[int]) -> int:
-        """The least inner top (a right edge at an axiom), else the least
-        axiom edge among the tops; a lone argument edge is its own referent."""
-        keys, nodes = self._keys, self._nodes
-        if len(members) == 1 and keys[members[0]][0] == 0:
-            return members[0]
-        inner = axiom = len(keys)
-        for i in members:
-            t = self._top[i]
-            key = keys[t]
-            if key[0] == 1 and isinstance(nodes[key[1]], AxNode):
-                inner = min(inner, t)
-            elif key[0] == 2 and len(key[3]) == 1:
-                axiom = min(axiom, t)
-        if inner < len(keys):
-            return inner
-        if axiom < len(keys):
-            return axiom
-        raise AssertionError("every thread has an inner, axiom or argument referent")
+        root = {t: uf.find(t) for t in sorted(set(top))}
+        tid = {r: k for k, r in enumerate(sorted(set(root.values())))}
+        tid_of = [0] * n
+        self._tops: list[list[int]] = [[] for _ in tid]
+        for t, r in root.items():
+            tid_of[t] = tid[r]
+            self._tops[tid[r]].append(t)
+        self._thread_of = thread_of = list(map(tid_of.__getitem__, top))
+        self._thread_label = [label[r] for r in tid]
+        top_labels = list(map(label.__getitem__, top))
+        if top_labels != label or any(label[i] != label[j] for i, j in inversions):
+            t, i = min((t, i) for i, t in enumerate(thread_of) if label[i] != self._thread_label[t])
+            raise ThreadLabelError(t, self._edge(self._members[t][0]), self._edge(i))
+        self._referent = [min(tops, key=kind.__getitem__) for tops in self._tops]
+        if any(kind[r] > _ARG for r in self._referent):
+            raise AssertionError("every thread has an inner, axiom or argument referent")
 
     def thread_of(self, e: Edge) -> int:
         return self._thread_of[self._index(e)]
 
+    def arg_thread(self, pos: Position) -> int:
+        """The thread of the argument edge into the node at pos."""
+        return self._thread_of[self._arg_id[self._node_id[pos]]]
+
+    def right_threads(self, pos: Position) -> list[int]:
+        """The threads of the node's right block, in `mutable_positions` order."""
+        v = self._node_id[pos]
+        return self._thread_of[self._right_start[v] : self._right_start[v + 1]]
+
+    def thread_at(self, pos: Position, inner: Position, var: Optional[str] = None) -> int:
+        """The thread of the right edge (pos, inner), or left edge (pos, var, inner)."""
+        return self._thread_of[self._id(pos, var, inner)]
+
+    @property
+    def threads(self) -> Sequence[Thread]:
+        """Every thread in id order, built when read."""
+        return _Built(len(self._tops), self.thread)
+
     def thread(self, tid: int) -> Thread:
-        return self.threads[tid]
+        edges, ref = tuple(map(self._edge, self._members[tid])), self.referent(tid)
+        return Thread(tid, edges, ref, self._thread_label[tid], self.thread_kind(tid))
+
+    def referent(self, tid: int) -> Edge:
+        return self._edge(self._referent[tid])
+
+    def thread_kind(self, tid: int) -> str:
+        return _KIND_NAME[self._kind[self._referent[tid]]]
+
+    def thread_label(self, tid: int) -> Track:
+        return self._thread_label[tid]
+
+    def thread_size(self, tid: int) -> int:
+        """The number of edges in the thread."""
+        return len(self._members[tid])
 
     def thread_ad(self, tid: int) -> int:
-        thread = self.threads[tid]
-        if thread.kind == "axiom":
+        if self.thread_kind(tid) == "axiom":
             raise ValueError("applicative depth is undefined for axiom threads")
-        return self._ref_ad(thread)
+        return self._ref_ad(tid)
 
-    def _ref_ad(self, thread: Thread) -> int:
+    def _ref_ad(self, tid: int) -> int:
         # for argument edges the position already ends with the argument track
-        return applicative_depth(thread.referent.pos)
+        return applicative_depth(self.referent(tid).pos)
 
     # -- consumption -----------------------------------------------------------
 
@@ -357,29 +418,23 @@ class ThreadAnalysis:
             return self._arcs
         if self.op is None:
             raise ValueError("consumption needs an interface (operable derivation)")
-        edges, index, child, thread_of = self.edges, self._id, self._child, self._thread_of
+        thread_of, edge, pol = self._thread_of, self._edge, self._polarity
         arcs = []
         for a in self.checked.app_positions():
             phi = self.op.interface[a]
-            v = self._node_id[a]
-            for p in self.checked.left_seq(a).mutable_positions:
-                left = index[(1, child[v][1], p)]
+            kids = self._child[self._node_id[a]]
+            inners = self.checked.left_seq(a).mutable_positions
+            # the left sequence's positions end its left premise's right block
+            first = self._right_start[kids[1] + 1] - len(inners)
+            for left, p in enumerate(inners, first):
                 image = phi.mapping[p]
+                premise = kids[image[0]]
                 if len(p) == 1:
-                    right = index[(0, child[v][image[0]])]
+                    right = self._arg_id[premise]
                 else:
-                    right = index[(1, child[v][image[0]], image[1:])]
-                arcs.append(
-                    ConsumptionArc(
-                        thread_of[left],
-                        thread_of[right],
-                        a,
-                        self._polarity(left),
-                        self._polarity(right),
-                        edges[left],
-                        edges[right],
-                    )
-                )
+                    right = self._id(self._positions[premise], None, image[1:])
+                arc = (thread_of[left], thread_of[right], a, pol(left), pol(right))
+                arcs.append(ConsumptionArc(*arc, edge(left), edge(right)))
         self._arcs = arcs
         return arcs
 
@@ -387,41 +442,47 @@ class ThreadAnalysis:
 
     def brothers(self, t1: int, t2: int) -> bool:
         """Sibling edges somewhere, or two distinct axiom threads."""
-        if t1 == t2:
-            return False
-        th1, th2 = self.threads[t1], self.threads[t2]
-        if th1.kind == "axiom" and th2.kind == "axiom":
-            return True
-        return bool(self._parent_keys[t1] & self._parent_keys[t2])
+        return t1 != t2 and self.brother_pair((t1, t2)) is not None
 
     def brother_pair(self, tids: Iterable[int]) -> Optional[tuple[int, int]]:
         """Two brother threads among `tids`, or None, in one pass over their
-        parent keys: a key met in two threads, or a second axiom thread."""
-        owner: dict[tuple, int] = {}
+        tops' parents: a parent met in two threads, or a second axiom
+        thread."""
+        parent = self._parent
+        owner: dict[int, int] = {}
         axiom: Optional[int] = None
         for t in tids:
-            if self.threads[t].kind == "axiom":
+            if self.thread_kind(t) == "axiom":
                 if axiom is not None:
                     return axiom, t
                 axiom = t
-            for key in self._parent_keys[t]:
-                first = owner.setdefault(key, t)
+            for i in self._tops[t]:
+                first = owner.setdefault(parent[i], t)
                 if first != t:
                     return first, t
         return None
 
     @cached_property
-    def _parent_keys(self) -> list[frozenset[tuple]]:
-        """Per thread, the nodes its edges hang off: an edge key without its
-        last letter; edges that share one are structural siblings."""
-        sets: list[set[tuple]] = [set() for _ in self.threads]
-        for i, key in enumerate(self._keys):
-            if key[0] == 0:
-                parent = (0, self._node_id[self.edges[i].pos[:-1]])
-            else:
-                parent = key[:-1] + (key[-1][:-1],)
-            sets[self._thread_of[i]].add(parent)
-        return [frozenset(keys) for keys in sets]
+    def _parent(self) -> dict[int, int]:
+        """Per top, an int its structural siblings share.  Ascendance maps
+        siblings to siblings, except the root edges of a context entry at an
+        application, which lie on axiom threads; so threads hold sibling
+        edges iff they hold sibling tops or are both axiom threads."""
+        positions, node_id = self._positions, self._node_id
+        parent = {i: -1 - node_id[positions[v][:-1]] for i, v in enumerate(self._arg_nodes)}
+        for start, v, _, inners in self._blocks:
+            if isinstance(self._nodes[v], AxNode):
+                first: dict[Position, int] = {}
+                for i, c in enumerate(inners, start):
+                    parent[i] = first.setdefault(c[:-1], i)
+        return parent
+
+    @cached_property
+    def _members(self) -> list[list[int]]:
+        members: list[list[int]] = [[] for _ in self._tops]
+        for i, tid in enumerate(self._thread_of):
+            members[tid].append(i)
+        return members
 
     def find_brother_chain(self) -> Optional[BrotherChain]:
         """A consumption path between two brother threads, if one exists."""
@@ -430,48 +491,32 @@ class ThreadAnalysis:
         for arc in arcs:
             adjacency.setdefault(arc.left, []).append((arc.right, arc.pos))
             adjacency.setdefault(arc.right, []).append((arc.left, arc.pos))
-        component: dict[int, int] = {}
-        for tid in range(len(self.threads)):
-            if tid in component:
-                continue
-            stack = [tid]
-            component[tid] = tid
-            while stack:
-                cur = stack.pop()
-                for nxt, _ in adjacency.get(cur, []):
-                    if nxt not in component:
-                        component[nxt] = tid
-                        stack.append(nxt)
-        by_component: dict[int, list[int]] = {}
-        for tid, root in component.items():
-            by_component.setdefault(root, []).append(tid)
-        for members in by_component.values():
-            for t1, t2 in itertools.combinations(sorted(members), 2):
+        components = UnionFind(len(self._tops))
+        for arc in arcs:
+            components.union(arc.left, arc.right)
+        for members in components.classes():
+            for t1, t2 in itertools.combinations(members, 2):
                 if self.brothers(t1, t2):
                     return self._bfs_chain(adjacency, t1, t2)
         return None
 
     def _bfs_chain(self, adjacency, start: int, goal: int) -> BrotherChain:
         previous: dict[int, tuple[int, Position]] = {start: (start, EPS)}
-        queue = [start]
+        queue = deque([start])
         while queue:
-            cur = queue.pop(0)
+            cur = queue.popleft()
             if cur == goal:
                 break
             for nxt, pos in adjacency.get(cur, []):
                 if nxt not in previous:
                     previous[nxt] = (cur, pos)
                     queue.append(nxt)
-        threads = [goal]
-        positions = []
-        cur = goal
+        threads, positions, cur = [goal], [], goal
         while cur != start:
             cur, pos = previous[cur]
             threads.append(cur)
             positions.append(pos)
-        threads.reverse()
-        positions.reverse()
-        return BrotherChain(tuple(threads), tuple(positions))
+        return BrotherChain(tuple(reversed(threads)), tuple(reversed(positions)))
 
     # -- consistency checks --------------------------------------------------
 
@@ -487,9 +532,7 @@ class ThreadAnalysis:
         """Positive left-consumption strictly increases applicative depth."""
         for arc in self.consumption():
             if arc.left_polarity == POS:
-                left_ad = self._ref_ad(self.threads[arc.left])
-                right_ad = self._ref_ad(self.threads[arc.right])
-                if not left_ad < right_ad:
+                if not self._ref_ad(arc.left) < self._ref_ad(arc.right):
                     return False
         return True
 

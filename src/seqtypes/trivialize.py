@@ -44,10 +44,8 @@ from .threads import (
     ArgEdge,
     BrotherChain,
     ConsumptionArc,
-    Edge,
     LeftEdge,
     NEG,
-    RightEdge,
     ThreadAnalysis,
     UnionFind,
 )
@@ -159,15 +157,15 @@ def build_relabelling(
 ) -> DerivationRelabelling:
     checked = analysis.checked
 
-    def value_of(edge: Edge) -> Track:
-        return values[classes.class_of[analysis.thread_of(edge)]]
+    def value_of(tid: int) -> Track:
+        return values[classes.class_of[tid]]
 
     arg: dict[Position, Track] = {}
     for a in checked.app_positions():
         node = checked.node(a)
         assert isinstance(node, AppNode)
         for k in node.arg_tracks:
-            arg[a + (k,)] = value_of(ArgEdge(a + (k,)))
+            arg[a + (k,)] = value_of(analysis.arg_thread(a + (k,)))
     axiom_types: dict[Position, dict[Position, Track]] = {}
     axiom_tracks: dict[Position, Track] = {}
     for a in checked.axiom_positions():
@@ -175,8 +173,9 @@ def build_relabelling(
         assert isinstance(node, AxNode)
         subj = checked.judgments[a].subject
         assert isinstance(subj, Var)
-        axiom_types[a] = {c: value_of(RightEdge(a, c)) for c in node.stype.mutable_positions}
-        axiom_tracks[a] = value_of(LeftEdge(a, subj.name, (node.track,)))
+        tracks = map(value_of, analysis.right_threads(a))
+        axiom_types[a] = dict(zip(node.stype.mutable_positions, tracks))
+        axiom_tracks[a] = value_of(analysis.thread_at(a, (node.track,), subj.name))
     return DerivationRelabelling(arg, axiom_types, axiom_tracks)
 
 
@@ -429,22 +428,20 @@ def residual_thread(
     tid: int,
 ) -> Optional[int]:
     """The thread of the reduct containing the residual of a referent edge."""
-    ref = analysis.thread(tid).referent
+    ref = analysis.referent(tid)
     b = maps.redex
     x_axioms = maps.x_axioms()
     if isinstance(ref, ArgEdge):
         if collapse_position(ref.pos[:-1]) == b:
             return None
-        return new_analysis.thread_of(ArgEdge(maps.res[ref.pos]))
+        return new_analysis.arg_thread(maps.res[ref.pos])
     if isinstance(ref, LeftEdge):
         if ref.pos in x_axioms:
             return None
-        return new_analysis.thread_of(LeftEdge(maps.res[ref.pos], ref.var, ref.inner))
+        return new_analysis.thread_at(maps.res[ref.pos], ref.inner, ref.var)
     if ref.pos in x_axioms:
-        new_pos = maps.qres[ref.pos]
-        new_inner = types.iso(ref.pos).mapping[ref.inner]
-        return new_analysis.thread_of(RightEdge(new_pos, new_inner))
-    return new_analysis.thread_of(RightEdge(maps.res[ref.pos], ref.inner))
+        return new_analysis.thread_at(maps.qres[ref.pos], types.iso(ref.pos).mapping[ref.inner])
+    return new_analysis.thread_at(maps.res[ref.pos], ref.inner)
 
 
 @dataclass
@@ -465,7 +462,7 @@ def run_collapsing_strategy(op: OperableDerivation, arc: ConsumptionArc) -> Stra
     fired: list[Position] = []
     while True:
         a = arc.pos
-        ref = analysis.thread(arc.left).referent
+        ref = analysis.referent(arc.left)
         alpha = analysis.checked.binders[ref.pos]
         if alpha is None or len(alpha) <= len(a):
             raise CollapsingStrategyError(

@@ -6,6 +6,12 @@ union-find is keyed by the edge dataclasses, and brothers are searched
 over all pairs of threads in a class.  `test_threads_differential.py`
 compares `seqtypes.threads.ThreadAnalysis` and the closure/track steps of
 `seqtypes.trivialize` against it.
+
+`build_relabelling` and `residual_thread` are the Edge-keyed versions of
+the `seqtypes.trivialize` functions, kept verbatim: they look every thread
+up through `thread_of(ArgEdge(...))`-style keys and `thread(tid).referent`.
+`test_thread_lookups_differential.py` compares the id-based ones against
+them.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from seqtypes.derivations import AbsNode, AppNode, AxNode
+from seqtypes.derivations import AbsNode, AppNode, AxNode, JudgmentIsos
+from seqtypes.positions import Position, Track, collapse_position
 from seqtypes.reduction import OperableDerivation
 from seqtypes.stypes import type_support
 from seqtypes.terms import Abs, Var, subterm_at
@@ -26,9 +33,11 @@ from seqtypes.threads import (
     LeftEdge,
     RightEdge,
     Thread,
+    ThreadAnalysis,
     edge_key,
     edge_label,
 )
+from seqtypes.trivialize import DerivationRelabelling, ThreadClasses
 
 
 class DictUnionFind:
@@ -236,3 +245,55 @@ class ReferenceAnalysis:
             if self.has_brothers(tids):
                 raise ValueError("brother threads share a class")
         return {i: i + 2 for i in range(len(classes))}
+
+
+def build_relabelling(
+    analysis: ThreadAnalysis, classes: ThreadClasses, values: dict[int, Track]
+) -> DerivationRelabelling:
+    checked = analysis.checked
+
+    def value_of(edge: Edge) -> Track:
+        return values[classes.class_of[analysis.thread_of(edge)]]
+
+    arg: dict[Position, Track] = {}
+    for a in checked.app_positions():
+        node = checked.node(a)
+        assert isinstance(node, AppNode)
+        for k in node.arg_tracks:
+            arg[a + (k,)] = value_of(ArgEdge(a + (k,)))
+    axiom_types: dict[Position, dict[Position, Track]] = {}
+    axiom_tracks: dict[Position, Track] = {}
+    for a in checked.axiom_positions():
+        node = checked.node(a)
+        assert isinstance(node, AxNode)
+        subj = checked.judgments[a].subject
+        assert isinstance(subj, Var)
+        axiom_types[a] = {c: value_of(RightEdge(a, c)) for c in node.stype.mutable_positions}
+        axiom_tracks[a] = value_of(LeftEdge(a, subj.name, (node.track,)))
+    return DerivationRelabelling(arg, axiom_types, axiom_tracks)
+
+
+def residual_thread(
+    analysis: ThreadAnalysis,
+    maps,
+    types: JudgmentIsos,
+    new_analysis: ThreadAnalysis,
+    tid: int,
+) -> Optional[int]:
+    """The thread of the reduct containing the residual of a referent edge."""
+    ref = analysis.thread(tid).referent
+    b = maps.redex
+    x_axioms = maps.x_axioms()
+    if isinstance(ref, ArgEdge):
+        if collapse_position(ref.pos[:-1]) == b:
+            return None
+        return new_analysis.thread_of(ArgEdge(maps.res[ref.pos]))
+    if isinstance(ref, LeftEdge):
+        if ref.pos in x_axioms:
+            return None
+        return new_analysis.thread_of(LeftEdge(maps.res[ref.pos], ref.var, ref.inner))
+    if ref.pos in x_axioms:
+        new_pos = maps.qres[ref.pos]
+        new_inner = types.iso(ref.pos).mapping[ref.inner]
+        return new_analysis.thread_of(RightEdge(new_pos, new_inner))
+    return new_analysis.thread_of(RightEdge(maps.res[ref.pos], ref.inner))

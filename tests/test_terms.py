@@ -134,6 +134,17 @@ terms_st = st.recursive(
 )
 
 
+def test_support_and_redexes_at_depth_2000():
+    # built directly: the parser still recurses; support walks an explicit stack
+    t = App(Abs("x", Var("x")), Var("u"))
+    for _ in range(2000):
+        t = App(Var("v"), t)
+    positions = support(t).positions
+    assert len(positions) == 2 * 2000 + 4
+    assert (2,) * 2000 + (1, 0) in positions
+    assert redexes(t) == [(2,) * 2000]
+
+
 @settings(max_examples=80, deadline=None)
 @given(terms_st)
 def test_support_is_a_tree_and_round_trip(t):

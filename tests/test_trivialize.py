@@ -29,7 +29,7 @@ from seqtypes.reduction import (
 )
 from seqtypes.stypes import SArrow, SAtom, identity_iso
 from seqtypes.terms import parse_term
-from seqtypes.threads import NEG, ArgEdge, LeftEdge, RightEdge, ThreadAnalysis
+from seqtypes.threads import NEG, ArgEdge, LeftEdge, RightEdge, Thread, ThreadAnalysis
 from seqtypes.trivialize import (
     BrotherChainError,
     CollapsingStrategyError,
@@ -46,7 +46,7 @@ from seqtypes.trivialize import (
     verify_derivation_iso,
 )
 
-from samples import brothers_operable, make_two_choice_redex, make_self_app
+from samples import brothers_operable, make_self_app, make_two_choice_redex, make_wide
 from test_stypes import DEEP_POSITIONS, deep_type
 
 
@@ -227,6 +227,32 @@ def test_reset_builds_no_type_support(monkeypatch):
     for checked, relab in zip(fresh, relabs):
         reset_derivation(checked, relab, flavor="Sh")
     assert calls == []
+
+
+def test_trivialize_builds_no_edge_objects(monkeypatch):
+    # edges are ids inside the analysis: trivializing builds edge objects only
+    # as consumption-arc witnesses, two per arc, and no Thread at all
+    base = check_derivation(make_wide(12))
+    hybrid = reset_derivation(base, random_relabelling(base, random.Random(12)), flavor="Sh")
+    op = make_operable(hybrid.checked)
+    built = []
+
+    def counting(cls):
+        init = cls.__init__
+
+        def __init__(self, *args, **kwargs):
+            built.append(cls)
+            init(self, *args, **kwargs)
+
+        return __init__
+
+    for cls in (ArgEdge, RightEdge, LeftEdge, Thread):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    result = trivialize(op)
+    arcs = len(result.analysis.consumption())
+    assert arcs > 0 and len(result.analysis.edges) > 10 * arcs
+    assert len(built) <= 2 * arcs
+    assert Thread not in built
 
 
 def test_verify_rejects_distinct_collapses():
