@@ -87,7 +87,6 @@ from .reduction import (
 from .threads import ThreadAnalysis, dot_export, text_report
 from .trivialize import (
     BrotherChainError,
-    collapsing_strategy,
     consumption_closure,
     enumerate_derivation_isos,
     trivialize,

@@ -4,6 +4,10 @@ A derivation is stored as shape data only: per-position node kinds, the
 axiom tracks and types at the leaves, and the argument tracks at the
 applications.  Judgments are a computed view, reconstructed bottom-up by
 `check_derivation`; this keeps the stored data free of redundancy.
+The checker checks quantitativity per binder (an abstraction, or a free
+variable's name): the axioms it binds carry distinct tracks, indexed for
+`CheckedDerivation.bound_by`.  It builds no context; the contexts are built
+once, in one pass, when first read.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .stypes import (
     SAtom,
     SeqType,
     SType,
-    TrackConflictError,
     equiv,
     identity_iso,
     parse_type,
@@ -40,7 +43,6 @@ from .stypes import (
     rarrow,
     rmultiset,
     seq,
-    seq_union,
     label_at,
 )
 from .terms import (
@@ -110,26 +112,9 @@ class Context:
     def domain(self) -> list[str]:
         return [x for x, _ in self.entries]
 
-    def without(self, x: str) -> "Context":
-        return Context(tuple((n, f) for n, f in self.entries if n != x))
-
-
-EMPTY_CONTEXT = Context(())
-
 
 def context(entries: dict[str, SeqType]) -> Context:
     return Context(tuple(sorted((x, f) for x, f in entries.items() if not f.is_empty())))
-
-
-def context_union(parts: Iterable[Context]) -> Context:
-    merged: dict[str, list[SeqType]] = {}
-    for part in parts:
-        for x, f in part.entries:
-            merged.setdefault(x, []).append(f)
-    out: dict[str, SeqType] = {}
-    for x, fs in merged.items():
-        out[x] = seq_union(*fs) if len(fs) > 1 else fs[0]
-    return context(out)
 
 
 @dataclass(frozen=True)
@@ -191,13 +176,17 @@ class NotAnApplication(ValueError):
 
 @dataclass(frozen=True)
 class CheckedDerivation:
-    """A derivation together with its reconstructed judgments and, for each
-    axiom, the abstraction node binding its variable (None when free)."""
+    """A derivation with what checking it found: every node's type and
+    subject, in reverse preorder, the abstraction binding each axiom's
+    variable (None when free) and, per binder (an abstraction's position or
+    a free variable's name), its axioms by track."""
 
     derivation: Derivation
-    judgments: dict[Position, Judgment]
-    _children: dict[Position, frozenset[Track]]
+    _types: dict[Position, SType]
+    _subjects: dict[Position, Term]
+    _children: dict[Position, set[Track]]
     binders: dict[Position, Optional[Position]]
+    _bound: dict[Union[Position, str], dict[Track, Position]]
     _right_seqs: dict[Position, SeqType]
 
     @property
@@ -222,7 +211,35 @@ class CheckedDerivation:
         return self.derivation.nodes[a]
 
     def type_at(self, a: Position) -> SType:
-        return self.judgments[a].stype
+        return self._types[a]
+
+    @cached_property
+    def judgments(self) -> dict[Position, Judgment]:
+        """Every node's judgment, built in one reverse-preorder pass when first
+        read and shared by every reader, who must not mutate it.  A context is
+        shared up an abstraction that binds nothing in it."""
+        out: dict[Position, Judgment] = {}
+        for a, subj in self._subjects.items():
+            node = self.nodes[a]
+            if isinstance(node, AxNode):
+                ctx = Context(((subj.name, seq(((node.track, node.stype),))),))
+            elif isinstance(node, AbsNode):
+                ctx = out[a + (0,)].context
+                if ctx.get(subj.binder):
+                    ctx = Context(tuple(e for e in ctx.entries if e[0] != subj.binder))
+            else:
+                held: dict[str, list[SeqType]] = {}
+                for k in self._children[a]:
+                    for x, f in out[a + (k,)].context.entries:
+                        held.setdefault(x, []).append(f)
+                ctx = context(
+                    {
+                        x: fs[0] if len(fs) < 2 else seq(e for f in fs for e in f.entries)
+                        for x, fs in held.items()
+                    }
+                )
+            out[a] = Judgment(ctx, subj, self._types[a])
+        return out
 
     def context_at(self, a: Position) -> Context:
         return self.judgments[a].context
@@ -246,7 +263,7 @@ class CheckedDerivation:
         node = self.nodes.get(a)
         if not isinstance(node, AppNode):
             raise NotAnApplication(format_position(a))
-        arrow = self.judgments[a + (1,)].stype
+        arrow = self._types[a + (1,)]
         assert isinstance(arrow, SArrow)
         return arrow.source
 
@@ -269,20 +286,10 @@ class CheckedDerivation:
             out.setdefault(collapse_position(a), []).append(a)
         return out
 
-    def bound_by(self, a: Position) -> list[Position]:
-        """The axioms whose variable the abstraction at a binds."""
-        return [p for p, binder in self.binders.items() if binder == a]
-
-    def axioms_above(self, a: Position, x: str) -> set[Position]:
-        """Axioms above `a` typing occurrences of x not rebound in between."""
-        n, var = len(a), Var(x)
-        return {
-            p
-            for p, binder in self.binders.items()
-            if p[:n] == a
-            and self.judgments[p].subject == var
-            and (binder is None or len(binder) < n)
-        }
+    def bound_by(self, a: Union[Position, str]) -> Mapping[Track, Position]:
+        """The axioms the abstraction at a (or a free variable's name) binds,
+        by track: the checker's own index, which readers must not mutate."""
+        return self._bound.get(a, {})
 
     @cached_property
     def collapse(self) -> tuple["RDerivation", dict[Position, "RPath"]]:
@@ -313,54 +320,59 @@ class CheckedDerivation:
 
 
 def _walk_nodes(
-    term: Term, children: Mapping[Position, Iterable[Position]]
-) -> list[tuple[Position, Optional[Term], Optional[Position]]]:
+    term: Term, children: Mapping[Position, Iterable[Track]]
+) -> list[tuple[Position, Optional[Term], dict[str, Position]]]:
     """Every node laid on the term, in preorder, which is increasing position
-    order: its position, its subterm (None off the term's support) and, at a
-    variable, the node of the abstraction binding it (None when free).
+    order: its position, its subterm (None off the term's support) and its
+    scope, the node of the abstraction binding each variable bound there.
 
     Every argument premise sits on the term's argument.  The walk runs on an
     explicit stack, so depth is unbounded.
     """
-    out: list[tuple[Position, Optional[Term], Optional[Position]]] = []
+    out: list[tuple[Position, Optional[Term], dict[str, Position]]] = []
     stack: list[tuple[Position, Optional[Term], dict[str, Position]]] = [(EPS, term, {})]
     while stack:
         a, subj, scope = stack.pop()
-        out.append((a, subj, scope.get(subj.name) if isinstance(subj, Var) else None))
+        out.append((a, subj, scope))
         if isinstance(subj, Abs):
             scope = {**scope, subj.binder: a}
-        for b in sorted(children[a], reverse=True):
-            k = b[-1]
+        for k in sorted(children[a], reverse=True):
             if isinstance(subj, Abs):
                 sub = subj.body if k == 0 else None
             elif isinstance(subj, App):
                 sub = subj.left if k == 1 else subj.right if k >= 2 else None
             else:
                 sub = None
-            stack.append((b, sub, scope))
+            stack.append((a + (k,), sub, scope))
     return out
 
 
 def check_derivation(deriv: Derivation) -> CheckedDerivation:
+    """Apply the rules at every node, premises first (reverse preorder); the
+    first fault met raises.  Two axioms of one binder on one track meet at
+    their longest common prefix, an application, and raise `TrackConflict`
+    there after its own checks, where their contexts' union would fail."""
     term, nodes, flavor = deriv.term, deriv.nodes, deriv.flavor
     if EPS not in nodes:
         raise MalformedShape(EPS, "missing root node")
-    # child positions per node, as the derivation's keys: the judgments share them
-    children: dict[Position, list[Position]] = {a: [] for a in nodes}
+    children: dict[Position, set[Track]] = {a: set() for a in nodes}
     for a in nodes:
         if a:
             parent = a[:-1]
             if parent not in nodes:
                 raise MalformedShape(a, "parent position missing")
-            children[parent].append(a)
-    judgments: dict[Position, Judgment] = {}
+            children[parent].add(a[-1])
+    types: dict[Position, SType] = {}
+    subjects: dict[Position, Term] = {}
     binders: dict[Position, Optional[Position]] = {}
+    bound: dict[Union[Position, str], dict[Track, Position]] = {}
     right_seqs: dict[Position, SeqType] = {}
-    for a, subj, binder in reversed(_walk_nodes(term, children)):
+    meets: set[Position] = set()  # where two axioms of one binder share a track
+    for a, subj, scope in reversed(_walk_nodes(term, children)):
         node = nodes[a]
         if subj is None:
             raise MalformedShape(a, "position outside the subject's support")
-        kids = {b[-1] for b in children[a]}
+        kids = children[a]
         if isinstance(node, AxNode):
             if kids:
                 raise MalformedShape(a, "axiom with children")
@@ -368,46 +380,61 @@ def check_derivation(deriv: Derivation) -> CheckedDerivation:
                 raise MalformedShape(a, "axiom not at a variable")
             if node.track < 2:
                 raise MalformedShape(a, "axiom track must be >= 2")
-            ctx = context({subj.name: seq({node.track: node.stype})})
-            judgments[a] = Judgment(ctx, subj, node.stype)
-            binders[a] = binder
+            binder = binders[a] = scope.get(subj.name)
+            by_track = bound.setdefault(subj.name if binder is None else binder, {})
+            other = by_track.setdefault(node.track, a)
+            if other is not a:  # the latest other axiom meets this one lowest
+                meets.add(a[: next(i for i, k in enumerate(a) if k != other[i])])
+                by_track[node.track] = a
+            types[a] = node.stype
         elif isinstance(node, AbsNode):
             if not isinstance(subj, Abs):
                 raise MalformedShape(a, "abstraction node not at an abstraction")
             if kids != {0}:
                 raise MalformedShape(a, "abstraction needs exactly the child 0")
-            premise = judgments[a + (0,)]
-            source = premise.context.get(subj.binder)
-            judgments[a] = Judgment(
-                premise.context.without(subj.binder), subj, SArrow(source, premise.stype)
-            )
+            source = seq((k, types[p]) for k, p in bound.get(a, {}).items())
+            types[a] = SArrow(source, types[a + (0,)])
         else:
             if not isinstance(subj, App):
                 raise MalformedShape(a, "application node not at an application")
             if any(k < 2 for k in node.arg_tracks):
                 raise MalformedShape(a, "argument tracks must be >= 2")
-            if kids != {1} | set(node.arg_tracks):
+            if kids != {1} | node.arg_tracks:
                 raise MalformedShape(a, "application children do not match its tracks")
-            left = judgments[a + (1,)]
-            if not isinstance(left.stype, SArrow):
+            left = types[a + (1,)]
+            if not isinstance(left, SArrow):
                 raise MalformedShape(a, "left premise does not conclude with an arrow")
-            lseq = left.stype.source
-            rseq = right_seqs[a] = seq({k: judgments[a + (k,)].stype for k in node.arg_tracks})
+            lseq = left.source
+            rseq = right_seqs[a] = seq((k, types[a + (k,)]) for k in node.arg_tracks)
             if flavor == FLAVOR_S:
                 if lseq != rseq:
                     raise AppMismatch(a, lseq, rseq)
             elif not equiv(lseq, rseq):
                 raise AppMismatch(a, lseq, rseq)
-            try:
-                merged = context_union(
-                    [left.context] + [judgments[a + (k,)].context for k in sorted(node.arg_tracks)]
-                )
-            except TrackConflictError as exc:
-                variable = _conflict_variable(judgments, a, node, exc.tracks)
-                raise TrackConflict(a, variable, exc.tracks) from None
-            judgments[a] = Judgment(merged, subj, left.stype.target)
-    kids = {a: frozenset(b[-1] for b in bs) for a, bs in children.items()}
-    return CheckedDerivation(deriv, judgments, kids, binders, right_seqs)
+            if a in meets:
+                raise _track_conflict(a, nodes, subjects, binders)
+            types[a] = left.target
+        subjects[a] = subj
+    return CheckedDerivation(deriv, types, subjects, children, binders, bound, right_seqs)
+
+
+def _track_conflict(c: Position, nodes, subjects, binders) -> TrackConflict:
+    """The conflict the union of the premises' contexts at the application c
+    meets, premise by premise (1, then the argument tracks) and variable by
+    variable: the first variable held twice on a track gives all the tracks it
+    is held twice on, and the first variable met again on one of them is named."""
+    n = len(c)
+    met = sorted(
+        (p[n], subjects[p].name, nodes[p].track)
+        for p, binder in binders.items()
+        if p[:n] == c and (binder is None or len(binder) < n)
+    )
+    firsts: dict[tuple[str, Track], int] = {}
+    again = [(x, t) for i, (_, x, t) in enumerate(met) if firsts.setdefault((x, t), i) < i]
+    clashing = {x for x, _ in again}
+    first = next(x for _, x, _ in met if x in clashing)
+    tracks = frozenset(t for x, t in again if x == first)
+    return TrackConflict(c, next(x for x, t in again if t in tracks), tracks)
 
 
 class JudgmentIsos:
@@ -433,17 +460,15 @@ class JudgmentIsos:
         self.checked = checked
         self._args = args
         self._psi: dict[Position, ZeroOneIso] = {}
-        # abstraction -> (old track, new track, psi) of each axiom it binds
-        bound: dict[Position, list[tuple[Track, Track, ZeroOneIso]]] = {}
         for a in sorted(checked.nodes, reverse=True):
             node = checked.nodes[a]
             if isinstance(node, AxNode):
-                track, iso = axioms.get(a) or (node.track, identity_iso(node.stype))
-                bound.setdefault(checked.binders[a], []).append((node.track, track, iso))
+                iso = axioms[a][1] if a in axioms else identity_iso(node.stype)
             elif isinstance(node, AbsNode):
                 mapping = {EPS: EPS}
-                for k, k2, inner in bound.pop(a, ()):
-                    for c, c2 in inner.mapping.items():
+                for k, p in checked.bound_by(a).items():
+                    k2 = axioms[p][0] if p in axioms else k
+                    for c, c2 in self._psi[p].mapping.items():
                         mapping[(k,) + c] = (k2,) + c2
                 for c, c2 in self._psi[a + (0,)].mapping.items():
                     mapping[(1,) + c] = (1,) + c2
@@ -478,36 +503,21 @@ class JudgmentIsos:
         return self.right(a).compose(phi).compose(self.left(a).inverse())
 
 
-def _conflict_variable(judgments, a, node, tracks) -> str:
-    seen: dict[tuple[str, Track], int] = {}
-    for k in [1] + sorted(node.arg_tracks):
-        for x, f in judgments[a + (k,)].context.entries:
-            for track in f.tracks():
-                if (x, track) in seen and track in tracks:
-                    return x
-                seen[(x, track)] = 1
-    return "?"
-
-
 def quantitativity_holds(checked: CheckedDerivation) -> bool:
-    """C(a)(x) is exactly the union of the axioms above; automatic when finite."""
-    for a in checked.support():
-        ctx = checked.context_at(a)
-        names = set(ctx.domain())
-        subj = checked.judgments[a].subject
-        if isinstance(subj, Var):
-            names.add(subj.name)
-        for x in names:
-            expected: dict[Track, SType] = {}
-            for a0 in checked.axioms_above(a, x):
-                node = checked.node(a0)
-                assert isinstance(node, AxNode)
-                if node.track in expected:
+    """C(a)(x) is exactly the union of the axioms above: every context entry
+    is an axiom above its node that its binder binds, with its type, and
+    each axiom is in the contexts from itself down to its binder's body."""
+    entries = 0
+    for a, _, scope in _walk_nodes(checked.term, checked._children):
+        for x, f in checked.context_at(a).entries:
+            axioms = checked.bound_by(scope.get(x, x))
+            for t, stype in f.items():
+                p = axioms.get(t)
+                if p is None or p[: len(a)] != a or checked.type_at(p) != stype:
                     return False
-                expected[node.track] = node.stype
-            if seq(expected) != ctx.get(x):
-                return False
-    return True
+            entries += len(f)
+    paths = (len(p) + 1 if b is None else len(p) - len(b) for p, b in checked.binders.items())
+    return entries == sum(paths)
 
 
 # -- bipositions ------------------------------------------------------------
@@ -699,12 +709,6 @@ def check_R(rd: RDerivation) -> RJudgment:
 def collapse_derivation(checked: CheckedDerivation) -> RDerivation:
     return checked.collapse[0]
 
-
-def collapse_with_paths(
-    checked: CheckedDerivation,
-) -> tuple[RDerivation, dict[Position, RPath]]:
-    """Collapse, returning where each rigid position lands in the R-tree."""
-    return checked.collapse
 
 
 # -- derivations of normal forms --------------------------------------------

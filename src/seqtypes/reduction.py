@@ -192,7 +192,7 @@ def residual_maps(
         node = checked.node(a)
         assert isinstance(node, AppNode)
         tr_left = set(checked.left_seq(a).tracks())
-        by_track = {checked.axiom_track(p): p for p in checked.bound_by(a + (1,))}
+        by_track = dict(checked.bound_by(a + (1,)))
         if set(by_track) != tr_left:
             raise QuantitativityError(a, x, set(by_track) ^ tr_left)
         rho_a = rho_per_node.get(a)
@@ -469,7 +469,7 @@ def realize_r_choice(
             step = paths[a + (k,)][-1]
             arg_by_index[step[1]] = k
         rho: dict[Track, Track] = {}
-        for p in checked.bound_by(a + (1,)):
+        for k, p in checked.bound_by(a + (1,)).items():
             ax_rel = paths[p][len(body_prefix) :]
             if ax_rel not in assignment:
                 raise ChoiceError(f"choice missing axiom {ax_rel} at {format_position(a)}")
@@ -479,7 +479,7 @@ def realize_r_choice(
                     f"choice sends axiom {ax_rel} at {format_position(a)} to premise {j},"
                     " which the node does not have"
                 )
-            rho[checked.axiom_track(p)] = arg_by_index[j]
+            rho[k] = arg_by_index[j]
         rho_per_node[a] = rho
     return rho_per_node
 

@@ -7,6 +7,7 @@ application, so every term position is a word over {0, 1, 2}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .positions import EPS, Position, PosTree, collapse_position, format_position
 
@@ -151,17 +152,22 @@ def print_term(t: Term) -> str:
     return " ".join(atom(p) if not isinstance(p, Var) else p.name for p in parts)
 
 
-def support(t: Term) -> PosTree:
-    out: set[Position] = set()
-    stack = [(t, EPS)]
+def _preorder(t: Term) -> Iterator[tuple[Position, Term]]:
+    """Every position of t with its subterm, in preorder, which is increasing
+    position order.  The walk runs on an explicit stack, so depth is
+    unbounded."""
+    stack = [(EPS, t)]
     while stack:
-        u, prefix = stack.pop()
-        out.add(prefix)
+        prefix, u = stack.pop()
+        yield prefix, u
         if isinstance(u, Abs):
-            stack.append((u.body, prefix + (0,)))
+            stack.append((prefix + (0,), u.body))
         elif isinstance(u, App):
-            stack += [(u.left, prefix + (1,)), (u.right, prefix + (2,))]
-    return PosTree(frozenset(out))
+            stack += [(prefix + (2,), u.right), (prefix + (1,), u.left)]
+
+
+def support(t: Term) -> PosTree:
+    return PosTree(frozenset(a for a, _ in _preorder(t)))
 
 
 def subterm_at(t: Term, a: Position) -> Term:
@@ -252,12 +258,7 @@ def beta_reduce_at(t: Term, b: Position) -> Term:
 
 def redexes(t: Term) -> list[Position]:
     """Redex positions, leftmost-outermost first (lexicographic order)."""
-    out = []
-    for a in support(t):
-        u = subterm_at(t, a)
-        if isinstance(u, App) and isinstance(u.left, Abs):
-            out.append(a)
-    return sorted(out)
+    return [a for a, u in _preorder(t) if isinstance(u, App) and isinstance(u.left, Abs)]
 
 
 def is_normal(t: Term) -> bool:

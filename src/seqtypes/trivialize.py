@@ -493,11 +493,6 @@ def run_collapsing_strategy(op: OperableDerivation, arc: ConsumptionArc) -> Stra
         op, analysis, arc = new_op, new_analysis, next_arc[0]
 
 
-def collapsing_strategy(op: OperableDerivation, arc: ConsumptionArc) -> list[Position]:
-    """The sequence of redex positions that collapses the arc's two threads."""
-    return run_collapsing_strategy(op, arc).fired
-
-
 def _deepest_app_prefix(checked: CheckedDerivation, alpha: Position, a: Position) -> Position:
     for i in range(len(alpha) - 1, len(a), -1):
         prefix = alpha[:i]

@@ -6,10 +6,17 @@ import pytest
 
 from seqtypes.cli import run
 from seqtypes.derivations import (
+    AbsNode,
+    AppNode,
+    AxNode,
+    Derivation,
     dumps_derivation,
     load_derivation,
     check_derivation,
 )
+from seqtypes.positions import EPS
+from seqtypes.stypes import SArrow, SAtom, seq
+from seqtypes.terms import parse_term
 
 from samples import brothers_operable, make_argument_redex, make_brothers, make_self_app
 
@@ -40,6 +47,24 @@ def test_check_brothers_fails_as_S(brothers_file, capsys):
     payload = json.loads(err)
     assert payload["error"] == "check-failed"
     assert "position" in payload
+
+
+def test_check_track_conflict(tmp_path, capsys):
+    # \x. x x with both axioms of x on track 4
+    o = SAtom("o")
+    nodes = {
+        EPS: AbsNode(),
+        (0,): AppNode(frozenset({2})),
+        (0, 1): AxNode(4, SArrow(seq({2: o}), o)),
+        (0, 2): AxNode(4, o),
+    }
+    path = tmp_path / "conflict.deriv"
+    path.write_text(dumps_derivation(Derivation(parse_term("\\x. x x"), "S", nodes)))
+    assert run(["check", "--file", str(path)]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "check-failed"
+    assert payload["position"] == "0"
+    assert "'x'" in payload["detail"] and "[4]" in payload["detail"]
 
 
 def test_check_usage_error(capsys):

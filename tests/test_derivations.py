@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from seqtypes.corpus import tower_instances
 from seqtypes.derivations import (
     AbsNode,
     AppNode,
     AppMismatch,
     AxNode,
+    Context,
     Derivation,
     GenBudget,
     Judgment,
@@ -32,7 +34,6 @@ from seqtypes.derivations import (
     check_R,
     collapse_derivation,
     context,
-    collapse_with_paths,
     derivation_from_json,
     derivation_to_json,
     dumps_derivation,
@@ -52,13 +53,14 @@ from seqtypes.stypes import (
     rarrow,
     seq,
 )
-from seqtypes.reduction import residual_maps
-from seqtypes.terms import App, Var, parse_term
+from seqtypes.reduction import reduce_operable, residual_maps
+from seqtypes.terms import App, Var, parse_term, redexes
 from seqtypes.threads import ThreadAnalysis
 
 from samples import (
     SELF_APP_COLLAPSE,
     S_INNER,
+    brothers_operable,
     make_brothers,
     make_self_app,
     make_tracked_redex,
@@ -132,11 +134,14 @@ def test_L_R_of_self_app():
     assert checked.right_seq((0,)) is checked.right_seq((0,))
 
 
-def test_axioms_above_and_pos():
+def test_bound_by_and_pos():
     checked = check_derivation(make_self_app())
-    assert checked.axioms_above((0,), "x") == {(0, 1), (0, 2), (0, 3), (0, 8)}
-    assert {checked.axiom_track(a) for a in checked.axioms_above((0,), "x")} == {4, 9, 2, 5}
-    assert checked.axioms_above(EPS, "x") == set()
+    assert checked.bound_by(EPS) == {4: (0, 1), 9: (0, 2), 2: (0, 3), 5: (0, 8)}
+    assert all(checked.axiom_track(a) == k for k, a in checked.bound_by(EPS).items())
+    assert checked.bound_by((0,)) == {}
+    # a free variable's axioms are indexed under its name
+    brothers = check_derivation(make_brothers())
+    assert brothers.bound_by("b") == {4: (3,), 9: (5,)}
 
 
 def test_check_R_on_a_deep_application():
@@ -232,7 +237,7 @@ def test_check_R_mutations():
 
 def test_collapse_paths_are_consistent():
     checked = check_derivation(make_self_app())
-    rd, paths = collapse_with_paths(checked)
+    rd, paths = checked.collapse
     assert paths[EPS] == ()
     assert paths[(0,)] == ((0, 0),)
     assert paths[(0, 1)] == ((0, 0), (1, 0))
@@ -245,7 +250,7 @@ def test_checked_derivation_is_frozen_and_collapses_once():
     with pytest.raises(dataclasses.FrozenInstanceError):
         checked.judgments = {}
     assert collapse_derivation(checked) is collapse_derivation(checked)
-    assert collapse_with_paths(checked)[0] is collapse_derivation(checked)
+    assert checked.collapse[0] is collapse_derivation(checked)
     assert collapse_derivation(checked) == SELF_APP_COLLAPSE
 
 
@@ -286,6 +291,27 @@ def test_generator_rejects_non_normal():
         generate_normal_form_derivations(parse_term("(\\x.x) y"))
 
 
+def test_checker_and_reduction_build_no_context(monkeypatch):
+    ops = tower_instances(7, 10) + [brothers_operable()]
+    built = []
+    post_init = Context.__post_init__
+    monkeypatch.setattr(Context, "__post_init__", lambda ctx: built.append(post_init(ctx)))
+    steps = 0
+    for op in ops:
+        check_derivation(op.checked.derivation)
+        for b in redexes(op.checked.term):
+            reduce_operable(op, b)
+            steps += 1
+    assert steps > 10 and built == []
+    # the first read builds every context; later reads build none
+    checked = check_derivation(make_self_app())
+    checked.conclusion()
+    first = len(built)
+    assert first >= len(checked.nodes) - 1
+    checked.context_at((0,))
+    assert len(built) == first
+
+
 def test_relevance():
     checked = check_derivation(make_brothers())
     free = {"z", "a", "b"}
@@ -303,10 +329,13 @@ def test_file_round_trip():
 
 
 def forge_judgment(checked, a, **changes):
-    """The checked derivation with one judgment replaced: no longer a
-    derivation `check_derivation` would build."""
-    judgments = {**checked.judgments, a: dataclasses.replace(checked.judgments[a], **changes)}
-    return dataclasses.replace(checked, judgments=judgments)
+    """The checked derivation with one judgment replaced, in its types and
+    in its cached judgments: no longer a derivation `check_derivation` would
+    build."""
+    judgment = dataclasses.replace(checked.judgments[a], **changes)
+    forged = dataclasses.replace(checked, _types={**checked._types, a: judgment.stype})
+    forged.__dict__["judgments"] = {**checked.judgments, a: judgment}
+    return forged
 
 
 def forged_quantitativity_witnesses() -> list[tuple]:
@@ -331,6 +360,26 @@ def forged_quantitativity_witnesses() -> list[tuple]:
     except QuantitativityError as exc:
         witnesses.append((exc.position, exc.variable, exc.tracks))
     return witnesses
+
+
+def test_quantitativity_fails_on_forged_contexts():
+    checked = check_derivation(make_self_app())
+    assert quantitativity_holds(checked)
+    x_at = {a: checked.type_at(a) for a in checked.bound_by(EPS).values()}
+    forgeries = [
+        # a track no axiom holds
+        ((0,), context({"x": seq({**dict(checked.context_at((0,)).get("x").items()), 7: O})})),
+        # an entry dropped
+        ((0,), context({})),
+        # the binder's own conclusion claims its variable
+        (EPS, context({"x": seq({4: x_at[(0, 1)]})})),
+        # an axiom beside the node, not above it, in place of the node's own
+        ((0, 2), context({"x": seq({2: x_at[(0, 3)]})})),
+        # the right axiom with another type
+        ((0, 2), context({"x": seq({9: OP})})),
+    ]
+    for a, ctx in forgeries:
+        assert not quantitativity_holds(forge_judgment(checked, a, context=ctx)), (a, ctx)
 
 
 QUANTITATIVITY_WITNESSES = [(EPS, "x", frozenset({7, 9})), ((0,), "x", frozenset({7}))]

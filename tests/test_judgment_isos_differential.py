@@ -15,8 +15,9 @@
   every choice sequence of length at most 3 on the towers;
 - verification: the verdict, with and without interfaces, on accepted and
   rejected candidate isomorphisms;
-- `CheckedDerivation.axioms_above`, now read off the binders the checker
-  records, at every node for every variable.
+- `CheckedDerivation.bound_by`, the checker's per-binder index, against
+  the axioms above each abstraction's body bound by it, and above the root
+  for each free variable.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import itertools
 import random
 
 from seqtypes.corpus import tower_instances
-from seqtypes.derivations import check_derivation, collapse_derivation
-from seqtypes.positions import iter_01_isos
+from seqtypes.derivations import AbsNode, check_derivation, collapse_derivation
+from seqtypes.positions import EPS, iter_01_isos
 from seqtypes.reduction import (
     OperableDerivation,
     build_operable_from_choices,
@@ -37,7 +38,7 @@ from seqtypes.reduction import (
     reduce_operable,
 )
 from seqtypes.stypes import iter_type_isos
-from seqtypes.terms import redexes
+from seqtypes.terms import free_vars, redexes, subterm_at
 from seqtypes.trivialize import (
     DerivationIso,
     random_relabelling,
@@ -210,15 +211,20 @@ def test_unlabelled_support_maps_are_rejected_alike():
     assert compared > 600
 
 
-def test_axioms_above_matches_reference():
+def test_bound_by_matches_reference():
     compared = 0
     samples = [make_shadowed_redex(), make_self_app(), make_brothers()]
     for checked in [op.checked for op in corpus_operables() + tower_operables()] + [
         check_derivation(d) for d in samples
     ]:
-        names = {checked.judgments[p].subject.name for p in checked.axiom_positions()}
-        for a in checked.nodes:
-            for x in names:
-                assert checked.axioms_above(a, x) == ref.axioms_above(checked, a, x), (a, x)
+        for a, node in checked.nodes.items():
+            if isinstance(node, AbsNode):
+                x = subterm_at(checked.term, a).binder
+                bound = checked.bound_by(a)
+                assert set(bound.values()) == ref.axioms_above(checked, a + (0,), x), a
+                assert all(checked.axiom_track(p) == k for k, p in bound.items())
                 compared += 1
-    assert compared > 10000
+        for x in free_vars(checked.term):
+            assert set(checked.bound_by(x).values()) == ref.axioms_above(checked, EPS, x), x
+            compared += 1
+    assert compared > 1000

@@ -452,7 +452,7 @@ def test_reduce_S_respects_shadowing():
     # bound by the inner abstraction and must survive
     checked = check_derivation(make_shadowed_redex())
     head_type = checked.node((5,)).stype
-    assert checked.axioms_above((1, 0), "x") == {(1, 0, 1)}
+    assert checked.bound_by((1,)) == {5: (1, 0, 1)}
     reduced = reduce_S(checked, EPS)
     assert reduced.term == parse_term("v (\\x. x)")
     assert sequent(reduced) == sequent(checked)

@@ -10,6 +10,7 @@ from seqtypes.terms import (
     App,
     NotARedexError,
     PositionError,
+    Term,
     TermSyntaxError,
     Var,
     alpha_eq,
@@ -22,6 +23,16 @@ from seqtypes.terms import (
     redexes,
     subterm_at,
     support,
+)
+
+from samples import (
+    make_argument_redex,
+    make_brothers,
+    make_self_app,
+    make_shadowed_redex,
+    make_tracked_redex,
+    make_two_choice_redex,
+    make_wide,
 )
 
 DELTA = Abs("x", App(Var("x"), Var("x")))
@@ -134,15 +145,61 @@ terms_st = st.recursive(
 )
 
 
-def test_support_and_redexes_at_depth_2000():
-    # built directly: the parser still recurses; support walks an explicit stack
-    t = App(Abs("x", Var("x")), Var("u"))
-    for _ in range(2000):
+def nested_redex(depth: int) -> Term:
+    """v (v (... ((\\x. x) u))) with the redex at the given depth, built
+    directly: the parser still recurses."""
+    t: Term = App(Abs("x", Var("x")), Var("u"))
+    for _ in range(depth):
         t = App(Var("v"), t)
+    return t
+
+
+def test_support_and_redexes_at_depth_2000():
+    # support and redexes walk an explicit stack
+    t = nested_redex(2000)
     positions = support(t).positions
     assert len(positions) == 2 * 2000 + 4
     assert (2,) * 2000 + (1, 0) in positions
     assert redexes(t) == [(2,) * 2000]
+    # deeper, redexes alone: one walk, no lookup from the root per position
+    assert redexes(nested_redex(6000)) == [(2,) * 6000]
+
+
+def brute_force_redexes(t: Term) -> list:
+    """Every support position whose subterm, looked up from the root, is a
+    redex, sorted."""
+    found = [a for a in support(t).positions if is_redex(subterm_at(t, a))]
+    return sorted(found)
+
+
+def is_redex(u: Term) -> bool:
+    return isinstance(u, App) and isinstance(u.left, Abs)
+
+
+def test_redexes_match_brute_force_on_samples():
+    samples = [
+        make_self_app(),
+        make_brothers(),
+        make_two_choice_redex(),
+        make_tracked_redex(),
+        make_argument_redex(),
+        make_shadowed_redex(),
+        make_wide(3),
+    ]
+    terms = [d.term for d in samples] + [
+        parse_term("(\\x. x x) ((\\y. y) ((\\z. z) w))"),
+        parse_term("\\f. (\\x. f (x x)) (\\x. f (x x))"),
+        parse_term("((\\x y. y x) u) ((\\z. z) v)"),
+    ]
+    assert sum(map(len, map(redexes, terms))) > 8
+    for t in terms:
+        assert redexes(t) == brute_force_redexes(t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(terms_st)
+def test_redexes_match_brute_force(t):
+    assert redexes(t) == brute_force_redexes(t)
 
 
 @settings(max_examples=80, deadline=None)
