@@ -8,14 +8,10 @@ analysis, and the constructive trivialization of operable derivations.
 
 from .positions import (
     Position,
-    PosForest,
-    PosTree,
     ZeroOneIso,
     applicative_depth,
     check_01_iso,
     collapse_position,
-    collapse_track,
-    enumerate_01_isos,
     format_position,
     iter_01_isos,
     parse_position,
@@ -27,7 +23,6 @@ from .terms import (
     Var,
     barendregt_rename,
     beta_reduce_at,
-    constructor_at,
     parse_term,
     print_term,
     redexes,
@@ -40,9 +35,6 @@ from .stypes import (
     SArrow,
     SAtom,
     SeqType,
-    collapse_seq,
-    collapse_type,
-    enumerate_type_isos,
     equiv,
     iter_type_isos,
     parse_seq_type,
@@ -51,7 +43,6 @@ from .stypes import (
     relabel_type,
     seq,
     seq_union,
-    type_support,
 )
 from .derivations import (
     AbsNode,

@@ -7,11 +7,13 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Mapping
 
 from .positions import Position, ZeroOneIso, format_position, parse_position
 from .stypes import print_rtype
 from .derivations import (
     CheckedDerivation,
+    Derivation,
     DerivationCheckError,
     LoadError,
     NotAnApplication,
@@ -58,8 +60,6 @@ def _parse_pos(text: str) -> Position:
 def _load_checked(path: str, flavor: str | None) -> CheckedDerivation:
     deriv = load_derivation(path)
     if flavor is not None and flavor != deriv.flavor:
-        from .derivations import Derivation
-
         deriv = Derivation(deriv.term, flavor, deriv.nodes)
     try:
         return check_derivation(deriv)
@@ -67,16 +67,15 @@ def _load_checked(path: str, flavor: str | None) -> CheckedDerivation:
         raise CliError("check-failed", str(exc), format_position(exc.position)) from exc
 
 
+def _pairs_to_json(mapping: Mapping[Position, Position]) -> list[list[str]]:
+    """The position pairs of a mapping, sorted, as JSON."""
+    return [[format_position(a), format_position(b)] for a, b in sorted(mapping.items())]
+
+
 def _interface_to_json(interface: dict[Position, ZeroOneIso]) -> dict:
     return {
         "interfaces": [
-            {
-                "pos": format_position(a),
-                "phi": [
-                    [format_position(c), format_position(c2)]
-                    for c, c2 in sorted(iso.mapping.items())
-                ],
-            }
+            {"pos": format_position(a), "phi": _pairs_to_json(iso.mapping)}
             for a, iso in sorted(interface.items())
         ]
     }
@@ -147,10 +146,7 @@ def cmd_isos(args) -> int:
         payload = {
             "pos": args.pos,
             "count": len(isos),
-            "interfaces": [
-                [[format_position(c), format_position(c2)] for c, c2 in sorted(iso.mapping.items())]
-                for iso in isos
-            ],
+            "interfaces": [_pairs_to_json(iso.mapping) for iso in isos],
         }
         print(json.dumps(payload))
     else:
@@ -252,15 +248,9 @@ def cmd_trivialize(args) -> int:
             {"class": i, "threads": list(tids), "track": result.values[i]}
             for i, tids in enumerate(result.classes.classes)
         ],
-        "iso": [
-            [format_position(a), format_position(b)]
-            for a, b in sorted(result.iso.supp_map.items())
-        ],
+        "iso": _pairs_to_json(result.iso.supp_map),
         "axiom_isos": {
-            format_position(a): [
-                [format_position(c), format_position(c2)]
-                for c, c2 in sorted(iso.mapping.items())
-            ]
+            format_position(a): _pairs_to_json(iso.mapping)
             for a, iso in sorted(result.iso.axiom_isos.items())
         },
     }

@@ -90,7 +90,7 @@ class ExpansionError(ValueError):
 def expandable_groups(term: Term) -> list[list[Position]]:
     """Occurrences of a common subterm whose free variables are free there."""
     groups: dict[Term, list[Position]] = {}
-    for o in support(term):
+    for o in sorted(support(term)):
         s = subterm_at(term, o)
         if free_vars(s) & binders_above(term, o):
             continue

@@ -16,6 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
 from .positions import (
@@ -543,9 +544,9 @@ def bisupport(checked: CheckedDerivation) -> frozenset[Biposition]:
     out: set[Biposition] = set()
     for a in checked.support():
         j = checked.judgments[a]
-        out.update(RightBip(a, c) for c in j.stype.support[0].positions)
+        out.update(RightBip(a, c) for c in j.stype.support[0])
         for x, f in j.context.entries:
-            out.update(LeftBip(a, x, c) for c in f.support[0].positions)
+            out.update(LeftBip(a, x, c) for c in f.support[0])
     return frozenset(out)
 
 
@@ -590,12 +591,8 @@ RStep = tuple[int, int]  # (0,0) abs child, (1,0) app left, (2,j) argument j
 RPath = tuple[RStep, ...]
 
 
-def rderiv_key(n: RNode) -> tuple:
-    return n.key
-
-
 def rapp(left: RNode, args: Iterable[RNode]) -> RAppD:
-    return RAppD(left, tuple(sorted(args, key=rderiv_key)))
+    return RAppD(left, tuple(sorted(args, key=attrgetter("key"))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -671,7 +668,7 @@ def check_R_types(rd: RDerivation) -> tuple[RJudgment, dict[RPath, RType]]:
                 raise RCheckError(path, "abstraction node not at an abstraction")
         elif not isinstance(subj, App):
             raise RCheckError(path, "application node not at an application")
-        elif tuple(sorted(node.args, key=rderiv_key)) != node.args:
+        elif tuple(sorted(node.args, key=attrgetter("key"))) != node.args:
             raise RCheckError(path, "argument premises not in canonical order")
         order.append((path, node, subj))
     contexts: dict[RPath, RContext] = {}

@@ -1,10 +1,12 @@
-"""Words of tracks, position trees/forests and 01-isomorphisms.
+"""Words of tracks, supports and 01-isomorphisms.
 
 Positions are finite words over the naturals.  Letters 0 and 1 are fixed
-(structural) tracks; letters >= 2 are mutable argument tracks.  Position
-trees and forests are the supports that terms, types and derivations live
-on; 01-isomorphisms are the track-renaming bijections that leave the fixed
-tracks alone, enumerated lazily in key order by `iter_01_isos`.
+(structural) tracks; letters >= 2 are mutable argument tracks.  A support,
+what terms, types and derivations live on, is a prefix-closed frozenset of
+positions: a tree holds `EPS`, a forest (a sequence type's, a tree minus its
+root) does not.  01-isomorphisms are the track-renaming bijections that
+leave the fixed tracks alone, enumerated lazily in key order by
+`iter_01_isos`.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ EPS: Position = ()
 
 class DomainMismatchError(ValueError):
     """The candidate mapping is not even defined on the right support."""
-
-
-def collapse_track(k: Track) -> Track:
-    return min(k, 2)
 
 
 def collapse_position(a: Position) -> Position:
@@ -56,76 +54,6 @@ def format_position(a: Position) -> str:
     return "eps" if not a else ".".join(str(k) for k in a)
 
 
-def _downward_closed(positions: frozenset[Position]) -> bool:
-    return all(a[:-1] in positions for a in positions if a)
-
-
-@dataclass(frozen=True)
-class PosTree:
-    """Non-empty, prefix-closed set of positions."""
-
-    positions: frozenset[Position]
-
-    def __post_init__(self) -> None:
-        if not self.positions:
-            raise ValueError("a position tree is non-empty")
-        if EPS not in self.positions or not _downward_closed(self.positions):
-            raise ValueError("a position tree is downward-closed and contains eps")
-
-    def __contains__(self, a: Position) -> bool:
-        return a in self.positions
-
-    def __iter__(self):
-        return iter(sorted(self.positions))
-
-    def children(self, a: Position) -> list[Track]:
-        n = len(a)
-        return sorted(p[n] for p in self.positions if len(p) == n + 1 and p[:n] == a)
-
-    def mutable_support(self) -> frozenset[Position]:
-        return frozenset(a for a in self.positions if a and a[-1] >= 2)
-
-
-@dataclass(frozen=True)
-class PosForest:
-    """A tree minus its root; root tracks are argument tracks (>= 2)."""
-
-    positions: frozenset[Position]
-
-    def __post_init__(self) -> None:
-        if EPS in self.positions:
-            raise ValueError("a forest does not contain eps")
-        if any(len(a) == 1 and a[0] < 2 for a in self.positions):
-            raise ValueError("forest roots use tracks >= 2")
-        if not _downward_closed(frozenset(self.positions | {EPS})):
-            raise ValueError("a forest plus eps is downward-closed")
-
-    def __contains__(self, a: Position) -> bool:
-        return a in self.positions
-
-    def __iter__(self):
-        return iter(sorted(self.positions))
-
-    def roots(self) -> list[Track]:
-        return sorted(a[0] for a in self.positions if len(a) == 1)
-
-    def children(self, a: Position) -> list[Track]:
-        n = len(a)
-        return sorted(p[n] for p in self.positions if len(p) == n + 1 and p[:n] == a)
-
-    def mutable_support(self) -> frozenset[Position]:
-        return frozenset(a for a in self.positions if a[-1] >= 2)
-
-
-Support = PosTree | PosForest | frozenset | set
-
-
-def support_set(u: Support) -> frozenset[Position]:
-    if isinstance(u, (PosTree, PosForest)):
-        return u.positions
-    return frozenset(u)
-
-
 @dataclass(frozen=True)
 class ZeroOneIso:
     """A prefix-monotone, length-preserving bijection fixing tracks 0 and 1.
@@ -155,8 +83,8 @@ class ZeroOneIso:
 
 
 def check_01_iso(
-    u1: Support,
-    u2: Support,
+    u1: frozenset[Position],
+    u2: frozenset[Position],
     phi: ZeroOneIso,
     labels1: Optional[Mapping[Position, str]] = None,
     labels2: Optional[Mapping[Position, str]] = None,
@@ -165,12 +93,11 @@ def check_01_iso(
 
     The labelled clause is checked only when both label maps are supplied.
     """
-    s1, s2 = support_set(u1), support_set(u2)
     mapping = phi.mapping
-    if set(mapping) != s1:
+    if set(mapping) != u1:
         raise DomainMismatchError("mapping domain differs from the first support")
     image = set(mapping.values())
-    if len(image) != len(mapping) or image != s2:
+    if len(image) != len(mapping) or image != u2:
         return False
     for a, b in mapping.items():
         if len(a) != len(b):
@@ -216,8 +143,8 @@ def _class_ids(
 
 
 def iter_01_isos(
-    u1: Support,
-    u2: Support,
+    u1: frozenset[Position],
+    u2: frozenset[Position],
     labels1: Optional[Mapping[Position, str]] = None,
     labels2: Optional[Mapping[Position, str]] = None,
 ) -> Iterator[ZeroOneIso]:
@@ -232,8 +159,7 @@ def iter_01_isos(
     plus a scan quadratic in the size of each group of same-class siblings;
     each later one costs at most as much again.
     """
-    s1, s2 = support_set(u1), support_set(u2)
-    t1, t2 = s1 | {EPS}, s2 | {EPS}
+    t1, t2 = u1 | {EPS}, u2 | {EPS}
     table: dict[tuple, int] = {}
     cls1, cls2 = _class_ids(t1, labels1, table), _class_ids(t2, labels2, table)
     if cls1[EPS] != cls2[EPS]:
@@ -243,7 +169,7 @@ def iter_01_isos(
         if b and b[-1] >= 2:
             targets.setdefault((b[:-1], cls2[b]), []).append(b)
     order = sorted(t1)
-    n, start = len(order), 0 if EPS in s1 else 1
+    n, start = len(order), 0 if EPS in u1 else 1
     index = {a: i for i, a in enumerate(order)}
     parent = [index[a[:-1]] if a else -1 for a in order]
     image: list[Optional[Position]] = [None] * n
@@ -270,14 +196,3 @@ def iter_01_isos(
         a, b = order[i], image[parent[i]]
         options[i] = (b + a[-1:],) if a[-1] < 2 else targets[b, cls1[a]]
         tried[i] = 0
-
-
-def enumerate_01_isos(
-    u1: Support,
-    u2: Support,
-    labels1: Optional[Mapping[Position, str]] = None,
-    labels2: Optional[Mapping[Position, str]] = None,
-) -> list[ZeroOneIso]:
-    """All 01-isomorphisms from u1 onto u2, in increasing `key()` order."""
-    return list(iter_01_isos(u1, u2, labels1, labels2))
-

@@ -32,11 +32,9 @@ from .stypes import (
     SAtom,
     SType,
     check_type_iso,
-    enumerate_type_isos,
     equiv,
     identity_iso,
     iter_type_isos,
-    rkey,
     seq,
 )
 from .terms import Abs, App, PositionError, Term, Var, beta_reduce_at, subterm_at
@@ -79,7 +77,7 @@ class ChoiceError(ReductionError):
 
 def interfaces_at(checked: CheckedDerivation, a: Position) -> list[ZeroOneIso]:
     """All interfaces at an application node, lexicographically ordered."""
-    return enumerate_type_isos(checked.left_seq(a), checked.right_seq(a))
+    return list(iter_type_isos(checked.left_seq(a), checked.right_seq(a)))
 
 
 def root_interfaces_at(checked: CheckedDerivation, a: Position) -> list[dict[Track, Track]]:
@@ -355,30 +353,27 @@ def _redex_sites(
 
 
 def enumerate_r_choices(rd: RDerivation, b: Position) -> list[RChoice]:
-    """All type-respecting redex choices, deterministically ordered."""
+    """All type-respecting redex choices, deterministically ordered.
+
+    At each R-node at the redex, the axioms of the redex variable and the
+    argument premises are two depth-1 forests labelled by R-type keys: the
+    axioms on tracks 2, 3, ... in order of decreasing key, each key's in
+    R-path order, and premise j on track j + 2.  The node's assignments are
+    the forests' 01-isomorphisms, in `iter_01_isos` order: the largest key's
+    permutations vary slowest.  The choices are the product of the nodes'
+    assignments, each choice with its own dicts.
+    """
     _, sites = _redex_sites(rd, b)
     _, types = check_R_types(rd)
     per_node_options: list[tuple[RPath, list[dict[RPath, int]]]] = []
     for path, node, ax_paths in sites:
         body_prefix = path + ((1, 0), (0, 0))
-        groups_ax: dict[tuple, list[RPath]] = {}
-        for p in ax_paths:
-            groups_ax.setdefault(rkey(types[body_prefix + p]), []).append(p)
-        groups_arg: dict[tuple, list[int]] = {}
-        for j in range(len(node.args)):
-            groups_arg.setdefault(rkey(types[path + ((2, j),)]), []).append(j)
-        if set(groups_ax) != set(groups_arg):
-            return []
-        options: list[dict[RPath, int]] = [{}]
-        for key in sorted(groups_ax):
-            ps, js = groups_ax[key], groups_arg[key]
-            if len(ps) != len(js):
-                return []
-            extended = []
-            for perm in itertools.permutations(js):
-                for base in options:
-                    extended.append({**base, **dict(zip(ps, perm))})
-            options = extended
+        ax_key = {p: types[body_prefix + p].key for p in ax_paths}
+        axioms = sorted(ax_paths, key=ax_key.__getitem__, reverse=True)
+        left = {(i + 2,): ax_key[p] for i, p in enumerate(axioms)}
+        right = {(j + 2,): types[path + ((2, j),)].key for j in range(len(node.args))}
+        isos = iter_01_isos(frozenset(left), frozenset(right), left, right)
+        options = [{axioms[k - 2]: j - 2 for k, j in phi.roots().items()} for phi in isos]
         per_node_options.append((path, options))
     out: list[RChoice] = []
     for combo in itertools.product(*(opts for _, opts in per_node_options)):

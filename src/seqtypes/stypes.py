@@ -10,15 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Union
 
 from .positions import (
     EPS,
     DomainMismatchError,
-    PosForest,
     Position,
-    PosTree,
     Track,
     ZeroOneIso,
     format_position,
@@ -69,9 +68,10 @@ class _TypeFacts:
         return _bottom_up(self, "collapse", _collapse_here)
 
     @cached_property
-    def support(self) -> tuple[PosTree | PosForest, Mapping[Position, str]]:
-        """The support, a tree (a forest for a sequence type), and its
-        labels, read-only."""
+    def support(self) -> tuple[frozenset[Position], Mapping[Position, str]]:
+        """The support and its labels, read-only.  The support is a frozenset
+        of positions: a tree, holding `EPS`, for an S-type, and a forest,
+        without it, for a sequence type."""
         return _support(self)
 
     @cached_property
@@ -202,7 +202,7 @@ def _collapse_here(u: SType | SeqType) -> Union["RType", tuple["RType", ...]]:
     return rmultiset(s.collapse for _, s in u.entries)
 
 
-def _support(t: SType | SeqType) -> tuple[PosTree | PosForest, Mapping[Position, str]]:
+def _support(t: SType | SeqType) -> tuple[frozenset[Position], Mapping[Position, str]]:
     positions: set[Position] = set()
     labels: dict[Position, str] = {}
     # preorder, each arrow's source entries before its target: the insertion
@@ -218,8 +218,7 @@ def _support(t: SType | SeqType) -> tuple[PosTree | PosForest, Mapping[Position,
             labels[c] = ARROW
             stack.append((c + (1,), u.target))
             stack.extend((c + (k,), s) for k, s in reversed(u.source.entries))
-    shape = PosForest if isinstance(t, SeqType) else PosTree
-    return shape(frozenset(positions)), MappingProxyType(labels)
+    return frozenset(positions), MappingProxyType(labels)
 
 
 def _mutable_positions(t: SType | SeqType) -> tuple[Position, ...]:
@@ -274,24 +273,12 @@ class RArrow(Keyed):
 RType = Union[RAtom, RArrow]
 
 
-def rkey(rt: RType) -> tuple:
-    return rt.key
-
-
 def rarrow(source: Iterable[RType], target: RType) -> RArrow:
-    return RArrow(tuple(sorted(source, key=rkey)), target)
+    return RArrow(tuple(sorted(source, key=attrgetter("key"))), target)
 
 
 def rmultiset(items: Iterable[RType]) -> tuple[RType, ...]:
-    return tuple(sorted(items, key=rkey))
-
-
-def collapse_type(t: SType) -> RType:
-    return t.collapse
-
-
-def collapse_seq(f: SeqType) -> tuple[RType, ...]:
-    return f.collapse
+    return tuple(sorted(items, key=attrgetter("key")))
 
 
 def equiv(t1: SType | SeqType, t2: SType | SeqType) -> bool:
@@ -299,10 +286,6 @@ def equiv(t1: SType | SeqType, t2: SType | SeqType) -> bool:
     if isinstance(t1, SeqType) != isinstance(t2, SeqType):
         return False
     return t1.collapse == t2.collapse
-
-
-def type_support(t: SType | SeqType) -> tuple[PosTree | PosForest, Mapping[Position, str]]:
-    return t.support
 
 
 def type_at(t: SType | SeqType, c: Position) -> SType:
@@ -326,7 +309,7 @@ def label_at(t: SType | SeqType, c: Position) -> str:
 
 
 def identity_iso(t: SType | SeqType) -> ZeroOneIso:
-    positions = t.support[0].positions
+    positions = t.support[0]
     return ZeroOneIso(dict(zip(positions, positions)))
 
 
@@ -431,11 +414,6 @@ def iter_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> Iterator[ZeroOne
     sup1, lab1 = t1.support
     sup2, lab2 = t2.support
     return iter_01_isos(sup1, sup2, lab1, lab2)
-
-
-def enumerate_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> list[ZeroOneIso]:
-    """All type isomorphisms, in increasing `key()` order."""
-    return list(iter_type_isos(t1, t2))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

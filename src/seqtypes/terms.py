@@ -7,9 +7,9 @@ application, so every term position is a word over {0, 1, 2}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Optional
 
-from .positions import EPS, Position, PosTree, collapse_position, format_position
+from .positions import EPS, Position, collapse_position, format_position
 
 
 @dataclass(frozen=True)
@@ -71,85 +71,96 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse_term(text: str) -> Term:
-    """Parse `\\x y. body`, left-associative application, parentheses."""
+    """Parse `\\x y. body`, left-associative application, parentheses.
+
+    A recursive-descent parser run on an explicit stack, so nesting depth is
+    unbounded.  Each pending frame is one unfinished rule: an abstraction
+    awaiting its body, an application awaiting its next argument, or a
+    parenthesis awaiting its `)`.
+    """
     tokens = _tokenize(text)
     pos = 0
-
-    def peek() -> tuple[str, str, int]:
-        return tokens[pos]
-
-    def advance() -> tuple[str, str, int]:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_expr() -> Term:
-        kind, _, off = peek()
-        if kind == "\\":
-            advance()
+    stack: list[tuple] = []
+    want: Optional[str] = "expr"  # the rule to parse next; None once `term` is parsed
+    term: Optional[Term] = None
+    while True:
+        if want == "expr":
+            if tokens[pos][0] != "\\":
+                stack.append(("app", None))
+                want = "atom"
+                continue
+            pos += 1
             binders = []
-            while peek()[0] == "ident":
-                binders.append(advance()[1])
+            while tokens[pos][0] == "ident":
+                binders.append(tokens[pos][1])
+                pos += 1
             if not binders:
-                raise TermSyntaxError("expected binder after '\\'", peek()[2])
-            if peek()[0] != ".":
-                raise TermSyntaxError("expected '.' after binders", peek()[2])
-            advance()
-            body = parse_expr()
-            for name in reversed(binders):
-                body = Abs(name, body)
-            return body
-        return parse_app()
-
-    def parse_app() -> Term:
-        atom = parse_atom()
-        while peek()[0] in ("ident", "("):
-            atom = App(atom, parse_atom())
-        return atom
-
-    def parse_atom() -> Term:
-        kind, value, off = advance()
-        if kind == "ident":
-            return Var(value)
-        if kind == "(":
-            inner = parse_expr()
-            kind2, _, off2 = advance()
-            if kind2 != ")":
-                raise TermSyntaxError("expected ')'", off2)
-            return inner
-        raise TermSyntaxError(f"unexpected token {value!r}", off)
-
-    term = parse_expr()
-    kind, value, off = peek()
+                raise TermSyntaxError("expected binder after '\\'", tokens[pos][2])
+            if tokens[pos][0] != ".":
+                raise TermSyntaxError("expected '.' after binders", tokens[pos][2])
+            pos += 1
+            stack.append(("abs", binders))
+        elif want == "atom":
+            kind, value, off = tokens[pos]
+            pos += 1
+            if kind == "ident":
+                term, want = Var(value), None
+            elif kind == "(":
+                stack.append(("paren", None))
+                want = "expr"
+            else:
+                raise TermSyntaxError(f"unexpected token {value!r}", off)
+        elif not stack:
+            break
+        else:
+            rule, data = stack.pop()
+            if rule == "abs":
+                for name in reversed(data):
+                    term = Abs(name, term)
+            elif rule == "paren":
+                kind, _, off = tokens[pos]
+                pos += 1
+                if kind != ")":
+                    raise TermSyntaxError("expected ')'", off)
+            else:
+                term = term if data is None else App(data, term)
+                if tokens[pos][0] in ("ident", "("):
+                    stack.append(("app", term))
+                    want = "atom"
+    kind, value, off = tokens[pos]
     if kind != "eof":
         raise TermSyntaxError(f"trailing input {value!r}", off)
     return term
 
 
 def print_term(t: Term) -> str:
-    def atom(u: Term) -> str:
-        if isinstance(u, Var):
-            return u.name
-        return f"({print_term(u)})"
-
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Abs):
-        binders = []
-        body = t
-        while isinstance(body, Abs):
-            binders.append(body.binder)
-            body = body.body
-        return f"\\{' '.join(binders)}. {print_term(body)}"
-    parts = []
-    u = t
-    while isinstance(u, App):
-        parts.append(u.right)
-        u = u.left
-    parts.append(u)
-    parts.reverse()
-    return " ".join(atom(p) if not isinstance(p, Var) else p.name for p in parts)
+    """The text `parse_term` reads back as t, built on an explicit stack."""
+    out: list[str] = []
+    stack: list[Term | str] = [t]  # terms to print and text, the next one last
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            out.append(u)
+        elif isinstance(u, Var):
+            out.append(u.name)
+        elif isinstance(u, Abs):
+            binders = []
+            while isinstance(u, Abs):
+                binders.append(u.binder)
+                u = u.body
+            out.append(f"\\{' '.join(binders)}. ")
+            stack.append(u)
+        else:
+            parts: list[Term] = []
+            while isinstance(u, App):
+                parts.append(u.right)
+                u = u.left
+            parts.append(u)
+            for i, p in enumerate(parts):
+                stack += [p] if isinstance(p, Var) else [")", p, "("]
+                if i < len(parts) - 1:
+                    stack.append(" ")
+    return "".join(out)
 
 
 def _preorder(t: Term) -> Iterator[tuple[Position, Term]]:
@@ -166,8 +177,8 @@ def _preorder(t: Term) -> Iterator[tuple[Position, Term]]:
             stack += [(prefix + (2,), u.right), (prefix + (1,), u.left)]
 
 
-def support(t: Term) -> PosTree:
-    return PosTree(frozenset(a for a, _ in _preorder(t)))
+def support(t: Term) -> frozenset[Position]:
+    return frozenset(a for a, _ in _preorder(t))
 
 
 def subterm_at(t: Term, a: Position) -> Term:
@@ -184,29 +195,12 @@ def subterm_at(t: Term, a: Position) -> Term:
     return u
 
 
-def constructor_at(t: Term, a: Position) -> str:
-    u = subterm_at(t, a)
-    if isinstance(u, Var):
-        return u.name
-    if isinstance(u, Abs):
-        return f"\\{u.binder}"
-    return "@"
-
-
 def free_vars(t: Term) -> frozenset[str]:
     if isinstance(t, Var):
         return frozenset({t.name})
     if isinstance(t, Abs):
         return free_vars(t.body) - {t.binder}
     return free_vars(t.left) | free_vars(t.right)
-
-
-def _all_names(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, Abs):
-        return {t.binder} | _all_names(t.body)
-    return _all_names(t.left) | _all_names(t.right)
 
 
 def fresh_name(base: str, used: set[str]) -> str:

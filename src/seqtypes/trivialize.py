@@ -374,7 +374,8 @@ def random_relabelling(checked: CheckedDerivation, rng) -> DerivationRelabelling
         node = checked.node(a)
         assert isinstance(node, AxNode)
         by_parent: dict[Position, list[Position]] = {}
-        for c in node.stype.support[0].mutable_support():
+        # the parents, and so the tracks drawn, follow this set's iteration order
+        for c in frozenset(p for p in node.stype.support[0] if p and p[-1] >= 2):
             by_parent.setdefault(c[:-1], []).append(c)
         assignment: dict[Position, Track] = {}
         for parent, siblings in by_parent.items():

@@ -17,8 +17,8 @@ import itertools
 from typing import Mapping, Optional
 
 from seqtypes.derivations import _decompose_normal
-from seqtypes.positions import EPS, Position, Track, ZeroOneIso, iter_01_isos, support_set
-from seqtypes.stypes import collapse_type, enumerate_type_isos, rkey
+from seqtypes.positions import EPS, Position, Track, ZeroOneIso, iter_01_isos
+from seqtypes.stypes import iter_type_isos
 from seqtypes.terms import alpha_key
 from seqtypes.trivialize import DerivationIso, support_labels, verify_derivation_iso
 
@@ -52,7 +52,7 @@ def _canon(
 
 
 def enumerate_01_isos(u1, u2, labels1=None, labels2=None) -> list[ZeroOneIso]:
-    s1, s2 = support_set(u1), support_set(u2)
+    s1, s2 = frozenset(u1), frozenset(u2)
     is_forest = EPS not in s1
     t1 = s1 | {EPS}
     t2 = s2 | {EPS}
@@ -114,7 +114,7 @@ def enumerate_01_isos(u1, u2, labels1=None, labels2=None) -> list[ZeroOneIso]:
 def extends_to_01_iso(u1, u2, k: Track, k2: Track, labels1=None, labels2=None) -> bool:
     """The old `make_root_iso` test for one root pair: enumerate the 01-isos
     between the two re-rooted subtrees and see whether there is one."""
-    s1, s2 = support_set(u1), support_set(u2)
+    s1, s2 = frozenset(u1), frozenset(u2)
     sub1 = frozenset(a[1:] for a in s1 if a[0] == k) | {EPS}
     sub2 = frozenset(a[1:] for a in s2 if a[0] == k2) | {EPS}
     lab1 = {a[1:]: v for a, v in labels1.items() if a and a[0] == k} if labels1 else None
@@ -127,9 +127,9 @@ def root_interfaces_at(checked, a: Position) -> list[dict[Track, Track]]:
     groups_l: dict[tuple, list[Track]] = {}
     groups_r: dict[tuple, list[Track]] = {}
     for k, s in left.items():
-        groups_l.setdefault(rkey(collapse_type(s)), []).append(k)
+        groups_l.setdefault(s.collapse.key, []).append(k)
     for k, s in right.items():
-        groups_r.setdefault(rkey(collapse_type(s)), []).append(k)
+        groups_r.setdefault(s.collapse.key, []).append(k)
     if set(groups_l) != set(groups_r):
         return []
     out: list[dict[Track, Track]] = [{}]
@@ -193,7 +193,7 @@ def enumerate_derivation_isos(c1, c2, limit: int = 64) -> list[DerivationIso]:
     for supp_iso in iter_01_isos(c1.support(), c2.support(), labels1, labels2):
         axiom_choices = []
         for a in c1.axiom_positions():
-            isos = enumerate_type_isos(c1.type_at(a), c2.type_at(supp_iso(a)))
+            isos = list(iter_type_isos(c1.type_at(a), c2.type_at(supp_iso(a))))
             axiom_choices.append([(a, t) for t in isos])
         for combo in itertools.product(*axiom_choices):
             candidate = DerivationIso(dict(supp_iso.mapping), dict(combo))

@@ -6,7 +6,7 @@ derivation isomorphism or a reduction step induces at every judgment.
 it finds each abstraction's axioms with `pos_of`, one `axioms_above` walk
 (the original one, which looks every subterm up from the root) per context
 track, and the domain of every application's restriction with
-`type_support`.  `ResidualTypes` derives it for a reduction step, with a
+the type's support.  `ResidualTypes` derives it for a reduction step, with a
 special case for the nodes over the redex and identities elsewhere.
 `verify_derivation_iso`, the conjugations of `reset_interface` and
 `reduce_interface`, and `build_operable_from_choices` are the original
@@ -40,7 +40,7 @@ from seqtypes.reduction import (
     realize_r_choice,
     reduce_R,
 )
-from seqtypes.stypes import SArrow, check_type_iso, identity_iso, type_support
+from seqtypes.stypes import SArrow, check_type_iso, identity_iso
 from seqtypes.terms import Abs, Var, alpha_key, subterm_at
 from seqtypes.trivialize import DerivationIso
 
@@ -114,9 +114,9 @@ class NodeIsos:
             iso = ZeroOneIso(mapping)
         else:
             inner = self.node_iso(a + (1,))
-            sup, _ = type_support(self.c1.type_at(a))
+            sup, _ = self.c1.type_at(a).support
             try:
-                iso = ZeroOneIso({c: inner.mapping[(1,) + c][1:] for c in sup.positions})
+                iso = ZeroOneIso({c: inner.mapping[(1,) + c][1:] for c in sup})
             except KeyError as exc:
                 raise IsoMismatch(f"target mismatch at {format_position(a)}") from exc
         self._memo[a] = iso
@@ -137,8 +137,8 @@ class NodeIsos:
 
     def left_iso(self, a: Position) -> ZeroOneIso:
         inner = self.node_iso(a + (1,))
-        sup, _ = type_support(self.c1.left_seq(a))
-        return ZeroOneIso({c: inner.mapping[c] for c in sup.positions})
+        sup, _ = self.c1.left_seq(a).support
+        return ZeroOneIso({c: inner.mapping[c] for c in sup})
 
     def right_iso(self, a: Position) -> ZeroOneIso:
         node = self.c1.node(a)
@@ -237,8 +237,8 @@ class ResidualTypes:
             assert isinstance(node, AxNode)
             k_left = node.track
             phi = self.interfaces[a]
-            sup, _ = type_support(checked.type_at(alpha))
-            return ZeroOneIso({c: phi.mapping[(k_left,) + c][1:] for c in sup.positions})
+            sup, _ = checked.type_at(alpha).support
+            return ZeroOneIso({c: phi.mapping[(k_left,) + c][1:] for c in sup})
         if alpha in self._nodes_over:
             return self.iso(alpha + (1, 0))
         node = checked.node(alpha)
@@ -246,24 +246,24 @@ class ResidualTypes:
             inner = self.iso(alpha + (0,))
             arrow = checked.type_at(alpha)
             assert isinstance(arrow, SArrow)
-            src_sup, _ = type_support(arrow.source)
+            src_sup, _ = arrow.source.support
             mapping: dict[Position, Position] = {EPS: EPS}
-            for c in src_sup.positions:
+            for c in src_sup:
                 mapping[c] = c
             for c, c2 in inner.mapping.items():
                 mapping[(1,) + c] = (1,) + c2
             return ZeroOneIso(mapping)
         if isinstance(node, AppNode):
             inner = self.iso(alpha + (1,))
-            sup, _ = type_support(checked.type_at(alpha))
-            return ZeroOneIso({c: inner.mapping[(1,) + c][1:] for c in sup.positions})
+            sup, _ = checked.type_at(alpha).support
+            return ZeroOneIso({c: inner.mapping[(1,) + c][1:] for c in sup})
         raise AssertionError("variable nodes other than redex axioms are unaffected")
 
     def res_left(self, alpha: Position) -> ZeroOneIso:
         """L(alpha) -> L'(alpha') for an application node not over the redex."""
         psi = self.iso(alpha + (1,))
-        sup, _ = type_support(self.checked.left_seq(alpha))
-        return ZeroOneIso({c: psi.mapping[c] for c in sup.positions})
+        sup, _ = self.checked.left_seq(alpha).support
+        return ZeroOneIso({c: psi.mapping[c] for c in sup})
 
     def res_right(self, alpha: Position) -> ZeroOneIso:
         node = self.checked.node(alpha)

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 from seqtypes.positions import (
     EPS,
     Position,
-    Support,
     Track,
     ZeroOneIso,
     format_position,
-    support_set,
 )
 from seqtypes.stypes import RelabellingError, SArrow
 
@@ -51,9 +49,11 @@ class Relabelling01:
         return self.assignment[a]
 
 
-def apply_relabelling(u: Support, relab: Relabelling01) -> tuple[frozenset[Position], ZeroOneIso]:
+def apply_relabelling(
+    u: frozenset[Position], relab: Relabelling01
+) -> tuple[frozenset[Position], ZeroOneIso]:
     """Reset the support, replacing mutable tracks top-down per the relabelling."""
-    positions = support_set(u)
+    positions = frozenset(u)
     mutable = {a for a in positions if a and a[-1] >= 2}
     missing = mutable - set(relab.assignment)
     if missing:

@@ -13,6 +13,7 @@ single-walker versions in `seqtypes` against them.
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 
 from seqtypes.derivations import (
     AbsNode,
@@ -29,11 +30,10 @@ from seqtypes.derivations import (
     RNode,
     RPath,
     rapp,
-    rderiv_key,
 )
 from seqtypes.positions import EPS, Position, Track, format_position
 from seqtypes.reduction import ChoiceError, RChoice, ReductionError
-from seqtypes.stypes import RArrow, RAtom, RType, SArrow, SAtom, SType, rarrow, rkey, rmultiset, seq
+from seqtypes.stypes import RArrow, RAtom, RType, SArrow, SAtom, SType, rarrow, rmultiset, seq
 from seqtypes.terms import Abs, App, Term, Var, beta_reduce_at, subterm_at
 
 RContext = dict[str, tuple[RType, ...]]
@@ -64,7 +64,7 @@ def check_R(rd: RDerivation) -> RJudgment:
         lctx, ltype = go(node.left, subj.left, path + ((1, 0),))
         if not isinstance(ltype, RArrow):
             raise RCheckError(path, "left premise does not conclude with an arrow")
-        if tuple(sorted(node.args, key=rderiv_key)) != node.args:
+        if tuple(sorted(node.args, key=attrgetter("key"))) != node.args:
             raise RCheckError(path, "argument premises not in canonical order")
         arg_results = [
             go(arg, subj.right, path + ((2, j),)) for j, arg in enumerate(node.args)
@@ -181,10 +181,10 @@ def enumerate_r_choices(rd: RDerivation, b: Position) -> list[RChoice]:
         body_prefix = path + ((1, 0), (0, 0))
         groups_ax: dict[tuple, list[RPath]] = {}
         for p in ax_paths:
-            groups_ax.setdefault(rkey(types[body_prefix + p]), []).append(p)
+            groups_ax.setdefault(types[body_prefix + p].key, []).append(p)
         groups_arg: dict[tuple, list[int]] = {}
         for j in range(len(node.args)):
-            groups_arg.setdefault(rkey(types[path + ((2, j),)]), []).append(j)
+            groups_arg.setdefault(types[path + ((2, j),)].key, []).append(j)
         if set(groups_ax) != set(groups_arg):
             return []
         options: list[dict[RPath, int]] = [{}]

@@ -22,7 +22,6 @@ from typing import Optional
 from seqtypes.derivations import AbsNode, AppNode, AxNode, JudgmentIsos
 from seqtypes.positions import Position, Track, collapse_position
 from seqtypes.reduction import OperableDerivation
-from seqtypes.stypes import type_support
 from seqtypes.terms import Abs, Var, subterm_at
 from seqtypes.threads import (
     NEG,
@@ -83,11 +82,11 @@ class ReferenceAnalysis:
             node = checked.node(a)
             if isinstance(node, AppNode):
                 out.extend(ArgEdge(a + (k,)) for k in node.arg_tracks)
-            sup, _ = type_support(checked.type_at(a))
-            out.extend(RightEdge(a, c) for c in sup.mutable_support())
+            sup, _ = checked.type_at(a).support
+            out.extend(RightEdge(a, c) for c in sup if c and c[-1] >= 2)
             for x, f in checked.context_at(a).entries:
-                supf, _ = type_support(f)
-                out.extend(LeftEdge(a, x, c) for c in supf.mutable_support())
+                supf, _ = f.support
+                out.extend(LeftEdge(a, x, c) for c in supf if c and c[-1] >= 2)
         return sorted(out, key=edge_key)
 
     def asc(self, e: Edge) -> Optional[Edge]:
@@ -143,8 +142,8 @@ class ReferenceAnalysis:
             node = self.checked.node(a)
             subj = subterm_at(self.checked.term, a)
             assert isinstance(node, AxNode) and isinstance(subj, Var)
-            sup, _ = type_support(node.stype)
-            for c in sup.positions:
+            sup, _ = node.stype.support
+            for c in sup:
                 if c and c[-1] >= 2:
                     uf.union(LeftEdge(a, subj.name, (node.track,) + c), RightEdge(a, c))
         classes: dict[Edge, list[Edge]] = {}
@@ -190,8 +189,8 @@ class ReferenceAnalysis:
         arcs = []
         for a in self.checked.app_positions():
             phi = self.op.interface[a]
-            sup, _ = type_support(self.checked.left_seq(a))
-            for p in sorted(sup.mutable_support()):
+            sup, _ = self.checked.left_seq(a).support
+            for p in sorted(c for c in sup if c and c[-1] >= 2):
                 e_left = RightEdge(a + (1,), p)
                 image = phi.mapping[p]
                 e_right: Edge

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from seqtypes.derivations import RAbsD, RAxD, RNode
-from seqtypes.positions import EPS, PosForest, Position, PosTree, ZeroOneIso, check_01_iso
+from seqtypes.positions import EPS, Position, ZeroOneIso, check_01_iso
 from seqtypes.stypes import ARROW, RArrow, RAtom, RType, SArrow, SAtom, SeqType, SType
 
 
@@ -52,7 +52,7 @@ def equiv(t1: SType | SeqType, t2: SType | SeqType) -> bool:
     return collapse_type(t1) == collapse_type(t2)
 
 
-def type_support(t: SType | SeqType) -> tuple[PosTree | PosForest, dict[Position, str]]:
+def type_support(t: SType | SeqType) -> tuple[frozenset[Position], dict[Position, str]]:
     positions: set[Position] = set()
     labels: dict[Position, str] = {}
 
@@ -71,9 +71,9 @@ def type_support(t: SType | SeqType) -> tuple[PosTree | PosForest, dict[Position
 
     if isinstance(t, SeqType):
         walk_seq(t, EPS)
-        return PosForest(frozenset(positions)), labels
-    walk_type(t, EPS)
-    return PosTree(frozenset(positions)), labels
+    else:
+        walk_type(t, EPS)
+    return frozenset(positions), labels
 
 
 def check_type_iso(t1: SType | SeqType, t2: SType | SeqType, iso: ZeroOneIso) -> bool:

@@ -17,7 +17,7 @@ from seqtypes.derivations import (
 )
 from seqtypes.positions import EPS, ZeroOneIso
 from seqtypes.reduction import OperableDerivation
-from seqtypes.stypes import RAtom, SArrow, SAtom, collapse_type, parse_type, seq
+from seqtypes.stypes import RAtom, SArrow, SAtom, parse_type, seq
 from seqtypes.terms import parse_term
 
 O = SAtom("o")
@@ -45,7 +45,7 @@ SELF_APP_COLLAPSE = RDerivation(
     parse_term("\\x. x x"),
     RAbsD(
         rapp(
-            RAxD(collapse_type(S_INNER)),
+            RAxD(S_INNER.collapse),
             [RAxD(RAtom("o")), RAxD(RAtom("o'")), RAxD(RAtom("o"))],
         )
     ),

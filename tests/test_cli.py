@@ -16,7 +16,7 @@ from seqtypes.derivations import (
 )
 from seqtypes.positions import EPS
 from seqtypes.stypes import SArrow, SAtom, seq
-from seqtypes.terms import parse_term
+from seqtypes.terms import App, Var, parse_term
 
 from samples import brothers_operable, make_argument_redex, make_brothers, make_self_app
 
@@ -65,6 +65,26 @@ def test_check_track_conflict(tmp_path, capsys):
     assert payload["error"] == "check-failed"
     assert payload["position"] == "0"
     assert "'x'" in payload["detail"] and "[4]" in payload["detail"]
+
+
+def test_check_a_derivation_nested_1000_deep(tmp_path, capsys):
+    """v (v (... u)), 1,000 applications deep, each v on its own track:
+    loading parses the term and the judgment prints it."""
+    depth = 1000
+    o = SAtom("o")
+    v_type = SArrow(seq({2: o}), o)
+    term, nodes = Var("u"), {(2,) * depth: AxNode(2, o)}
+    for i in range(depth):
+        term = App(Var("v"), term)
+        nodes[(2,) * i] = AppNode(frozenset({2}))
+        nodes[(2,) * i + (1,)] = AxNode(i + 2, v_type)
+    path = tmp_path / "deep.deriv"
+    path.write_text(dumps_derivation(Derivation(term, "S", nodes)))
+    assert run(["check", "--file", str(path)]) == 0
+    out = capsys.readouterr().out
+    v_entries = ", ".join(f"{k}:(2:o) -> o" for k in range(2, depth + 2))
+    subject = "v (" * (depth - 1) + "v u" + ")" * (depth - 1)
+    assert out == f"u:(2:o), v:({v_entries}) |- {subject} : o\n"
 
 
 def test_check_usage_error(capsys):

@@ -42,13 +42,12 @@ from seqtypes.derivations import (
     loads_derivation,
     quantitativity_holds,
 )
-from seqtypes.positions import EPS, enumerate_01_isos
+from seqtypes.positions import EPS, iter_01_isos
 from seqtypes.stypes import (
     RArrow,
     RAtom,
     SArrow,
     SAtom,
-    collapse_type,
     parse_type,
     rarrow,
     seq,
@@ -182,7 +181,7 @@ def test_collapse_of_self_app():
     assert collapse_derivation(checked) == SELF_APP_COLLAPSE
     judgment = check_R(SELF_APP_COLLAPSE)
     assert judgment.rtype == rarrow(
-        [RAtom("o'"), collapse_type(S_INNER), RAtom("o"), RAtom("o")], RAtom("o'")
+        [RAtom("o'"), S_INNER.collapse, RAtom("o"), RAtom("o")], RAtom("o'")
     )
     assert judgment.context == ()
 
@@ -214,7 +213,7 @@ def test_check_R_mutations():
         SELF_APP_COLLAPSE.term,
         RAbsD(
             RAppD(
-                RAxD(collapse_type(S_INNER)),
+                RAxD(S_INNER.collapse),
                 (RAxD(RAtom("o")), RAxD(RAtom("o'"))),
             )
         ),
@@ -226,7 +225,7 @@ def test_check_R_mutations():
         SELF_APP_COLLAPSE.term,
         RAbsD(
             RAppD(
-                RAxD(collapse_type(S_INNER)),
+                RAxD(S_INNER.collapse),
                 (RAxD(RAtom("o'")), RAxD(RAtom("o")), RAxD(RAtom("o"))),
             )
         ),
@@ -283,7 +282,7 @@ def test_generator_all_check_and_self_app_shape_appears():
         assert checked.flavor == "S"
         assert quantitativity_holds(checked)
         shapes.append(frozenset(deriv.nodes))
-    assert any(enumerate_01_isos(shape, self_app_supp) for shape in shapes)
+    assert any(list(iter_01_isos(shape, self_app_supp)) for shape in shapes)
 
 
 def test_generator_rejects_non_normal():

@@ -1,15 +1,19 @@
-"""No module of `seqtypes` but `__init__.py` imports a name it never uses.
+"""Two rules that deleting code breaks most often, checked with `ast`.
 
-No linter ships with the project, so this test checks the one rule that
-deleting code breaks most often.  A name counts as used when it appears as
-a name anywhere in the module, in code or in a string annotation such as
-`"SeqType"`.  `__init__.py` is left out: its imports are the package's API.
+No linter ships with the project.  First, no module of `seqtypes` but
+`__init__.py` imports a name it never uses.  A name counts as used when it
+appears as a name anywhere in the module, in code or in a string annotation
+such as `"SeqType"`.  `__init__.py` is left out: its imports are the
+package's API.  Second, every private module-level name (a `_`-prefixed
+def, class or constant) is referenced somewhere in the package outside its
+own definition: as a name, an attribute or an imported name.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -30,9 +34,19 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return out
 
 
-def used_names(tree: ast.Module) -> set[str]:
+def nodes(tree: ast.AST, skip: ast.AST | None = None) -> Iterator[ast.AST]:
+    """Every node of the tree but those of the subtree `skip`."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is not skip:
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     out: set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes(tree, skip):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -41,6 +55,17 @@ def used_names(tree: ast.Module) -> set[str]:
             except SyntaxError:
                 continue
             out.update(n.id for n in ast.walk(annotation) if isinstance(n, ast.Name))
+    return out
+
+
+def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """The used names plus every attribute and imported name."""
+    out = used_names(tree, skip)
+    for node in nodes(tree, skip):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
     return out
 
 
@@ -58,3 +83,49 @@ def test_module_uses_every_import(path):
 def test_an_unused_import_is_found():
     source = "from .positions import EPS, Position\nfrom typing import Optional\n\nx: 'Position' = EPS\n"
     assert unused_imports(source) == [("Optional", 2)]
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """The module-level defs, classes and constants whose names start with
+    one underscore, each with its defining statement."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        out += [(n, node) for n in names if n.startswith("_") and not n.startswith("__")]
+    return out
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    """(module, name, line) of every private module-level name that no
+    module references outside the name's own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    out = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(referenced_names(t) for m, t in trees.items() if m != module))
+        for name, node in private_definitions(tree):
+            if name not in elsewhere and name not in referenced_names(tree, skip=node):
+                out.append((module, name, node.lineno))
+    return sorted(out)
+
+
+def test_every_private_name_is_referenced():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_an_unreferenced_private_name_is_found():
+    sources = {
+        "a.py": (
+            "def _used():\n    return 1\n\n\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n\n\n"
+            "_LIMIT = 3\n_ATTR = 4\n__version__ = '0'\n"
+        ),
+        "b.py": "from . import a\nfrom .a import _used\n\nx = _used() + a._ATTR\n",
+    }
+    assert unreferenced_private_names(sources) == [("a.py", "_LIMIT", 9), ("a.py", "_recursive", 5)]

@@ -31,7 +31,7 @@ from seqtypes.derivations import (
     check_derivation,
     generate_normal_form_derivations,
 )
-from seqtypes.positions import EPS, enumerate_01_isos, iter_01_isos
+from seqtypes.positions import EPS, iter_01_isos
 from seqtypes.reduction import (
     ReductionError,
     default_interface,
@@ -39,7 +39,7 @@ from seqtypes.reduction import (
     make_operable,
     root_interfaces_at,
 )
-from seqtypes.stypes import enumerate_type_isos, type_support
+from seqtypes.stypes import iter_type_isos
 from seqtypes.terms import parse_term
 from seqtypes.trivialize import (
     enumerate_derivation_isos,
@@ -82,8 +82,8 @@ def keys(isos) -> list[tuple]:
 
 
 def reference_interfaces(checked: CheckedDerivation, a) -> list[tuple]:
-    sup1, lab1 = type_support(checked.left_seq(a))
-    sup2, lab2 = type_support(checked.right_seq(a))
+    sup1, lab1 = checked.left_seq(a).support
+    sup2, lab2 = checked.right_seq(a).support
     return keys(ref.enumerate_01_isos(sup1, sup2, lab1, lab2))
 
 
@@ -99,9 +99,9 @@ def assert_same_interfaces(checked: CheckedDerivation) -> None:
 def assert_same_root_validation(checked: CheckedDerivation, a) -> None:
     """A root bijection is a root interface exactly when the reference finds
     a 01-iso for every pair of re-rooted subtrees (up to 4 roots)."""
-    f1, lab1 = type_support(checked.left_seq(a))
-    f2, lab2 = type_support(checked.right_seq(a))
-    roots1, roots2 = f1.roots(), f2.roots()
+    f1, lab1 = checked.left_seq(a).support
+    f2, lab2 = checked.right_seq(a).support
+    roots1, roots2 = checked.left_seq(a).tracks(), checked.right_seq(a).tracks()
     if len(roots1) > 4:
         return
     root_interfaces = root_interfaces_at(checked, a)
@@ -176,8 +176,8 @@ def test_random_labelled_forests_match_reference(ps, qs, labels, forest, seed):
     s3, lab3 = labelled_support(qs, labels, forest)
     for u2, l2 in ((s2, lab2), (s3, lab3), (s1, lab1)):
         assert keys(iter_01_isos(s1, u2, lab1, l2)) == keys(ref.enumerate_01_isos(s1, u2, lab1, l2))
-        assert keys(enumerate_01_isos(s1, u2)) == keys(ref.enumerate_01_isos(s1, u2))
-    assert enumerate_01_isos(s1, s2, lab1, lab2), "a relabelling is an isomorphism"
+        assert keys(iter_01_isos(s1, u2)) == keys(ref.enumerate_01_isos(s1, u2))
+    assert list(iter_01_isos(s1, s2, lab1, lab2)), "a relabelling is an isomorphism"
 
 
 @pytest.mark.parametrize(
@@ -233,7 +233,7 @@ def test_derivation_isos_stop_at_the_limit(monkeypatch):
 def symmetric_axioms(checked: CheckedDerivation) -> int:
     """The number of axioms whose type has more than one isomorphism."""
     types = [checked.type_at(a) for a in checked.axiom_positions()]
-    return sum(len(enumerate_type_isos(t, t)) > 1 for t in types)
+    return sum(len(list(iter_type_isos(t, t))) > 1 for t in types)
 
 
 def test_derivation_isos_match_the_eager_product():

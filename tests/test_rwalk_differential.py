@@ -21,11 +21,12 @@ from seqtypes.derivations import (
     check_R,
     check_R_types,
     collapse_derivation,
+    rapp,
     walk_R,
 )
 from seqtypes.reduction import enumerate_r_choices, hybridize, reduce_R
-from seqtypes.stypes import RAtom
-from seqtypes.terms import Abs, Var, redexes
+from seqtypes.stypes import RAtom, RType, rarrow
+from seqtypes.terms import Abs, Var, parse_term, redexes
 from seqtypes.trivialize import random_relabelling, reset_derivation
 
 import reference_rwalk as ref
@@ -60,6 +61,31 @@ def tower_collapses() -> list[RDerivation]:
     return [collapse_derivation(c) for c in checked]
 
 
+def grouped_redex(f_types: list[RType], g_types: list[RType], copies: int) -> RDerivation:
+    """h ((\\x. f x (g x)) u), the redex `copies` times among h's premises.
+    x has one axiom of each of `f_types` under f and of `g_types` under g,
+    and u one premise for each.  f's axioms come first in R-path order,
+    each group sorted by key, so equal-keyed axioms can be apart."""
+    r, q = RAtom("r"), RAtom("q")
+    f = rapp(RAxD(rarrow(f_types, rarrow([r], q))), [RAxD(t) for t in f_types])
+    g = rapp(RAxD(rarrow(g_types, r)), [RAxD(t) for t in g_types])
+    redex = rapp(RAbsD(rapp(f, [g])), [RAxD(t) for t in f_types + g_types])
+    root = rapp(RAxD(rarrow([q] * copies, RAtom("s"))), [redex] * copies)
+    return RDerivation(parse_term("h ((\\x. f x (g x)) u)"), root)
+
+
+def grouped_redexes() -> list[RDerivation]:
+    """Redexes whose axioms fall in two or three key groups, one of them
+    with three axioms, interleaved in R-path order."""
+    o, p = RAtom("o"), RAtom("p")
+    arrow = rarrow([o], o)
+    return [
+        grouped_redex([o, p], [o, o], 2),
+        grouped_redex([p, o, arrow], [o, p, o], 1),
+        grouped_redex([arrow, arrow, o], [arrow, o], 2),
+    ]
+
+
 def assert_same_judgments(rd: RDerivation) -> None:
     judgment, types = check_R_types(rd)
     assert judgment == check_R(rd) == ref.check_R(rd)
@@ -91,6 +117,22 @@ def test_hybrid_corpus_walks_match_reference():
 
 def test_towers_walks_match_reference():
     assert sum(assert_same_reductions(rd) for rd in tower_collapses()) > 4
+
+
+def test_multi_group_redexes_match_reference():
+    # per R-node: 3! * 1!, then 3! * 2! * 1!, then 3! * 2!; one choice per
+    # combination of the nodes' assignments
+    counts = [len(enumerate_r_choices(rd, (2,))) for rd in grouped_redexes()]
+    assert counts == [6**2, 12, 12**2]
+    assert sum(assert_same_reductions(rd) for rd in grouped_redexes()) == sum(counts)
+
+
+def test_each_choice_has_its_own_dicts():
+    choices = enumerate_r_choices(grouped_redexes()[0], (2,))
+    inner = [d for choice in choices for d in choice.assignments.values()]
+    assert len(inner) == 2 * len(choices)
+    assert len({id(choice.assignments) for choice in choices}) == len(choices)
+    assert len({id(d) for d in inner}) == len(inner)
 
 
 def test_walk_R_is_iterative():

@@ -19,11 +19,9 @@ from seqtypes.stypes import (
     TrackConflictError,
     TypeSyntaxError,
     check_type_iso,
-    collapse_seq,
-    collapse_type,
-    enumerate_type_isos,
     equiv,
     identity_iso,
+    iter_type_isos,
     label_at,
     parse_seq_type,
     parse_type,
@@ -32,7 +30,6 @@ from seqtypes.stypes import (
     rmultiset,
     seq,
     seq_union,
-    type_support,
 )
 
 O = SAtom("o")
@@ -48,19 +45,19 @@ T2 = SArrow(seq({5: SArrow(seq({7: O1, 2: O3}), O2), 3: O2}), O1)
 
 def test_type_support_example():
     arrow = SArrow(seq({8: O, 3: OP, 2: O}), OP)
-    sup, labels = type_support(arrow)
-    assert {EPS, (1,), (2,), (3,), (8,)} <= sup.positions
+    sup, labels = arrow.support
+    assert {EPS, (1,), (2,), (3,), (8,)} <= sup
     assert labels[EPS] == "->"
     assert labels[(1,)] == "o'"
     assert labels[(2,)] == "o"
 
 
 def test_type_support_atom_and_sample_tree():
-    sup, labels = type_support(O)
-    assert sup.positions == frozenset({EPS})
+    sup, labels = O.support
+    assert sup == frozenset({EPS})
     assert labels[EPS] == "o"
-    sup1, _ = type_support(T1)
-    assert sup1.positions == frozenset(
+    sup1, _ = T1.support
+    assert sup1 == frozenset(
         {EPS, (1,), (4,), (8,), (4, 1), (4, 3), (4, 8)}
     )
 
@@ -88,25 +85,25 @@ def test_seq_union_commutative_associative():
 
 def test_collapse_type():
     t = SArrow(seq({7: O1, 3: O2, 2: O1}), O)
-    assert collapse_type(t) == rarrow([RAtom("o1"), RAtom("o2"), RAtom("o1")], RAtom("o"))
-    assert collapse_type(O) == RAtom("o")
+    assert t.collapse == rarrow([RAtom("o1"), RAtom("o2"), RAtom("o1")], RAtom("o"))
+    assert O.collapse == RAtom("o")
     expected = rarrow(
         [RAtom("o2"), rarrow([RAtom("o1"), RAtom("o3")], RAtom("o2"))], RAtom("o1")
     )
-    assert collapse_type(T1) == expected
-    assert collapse_type(T2) == expected
+    assert T1.collapse == expected
+    assert T2.collapse == expected
 
 
 def test_collapse_invariant_under_permutation():
     t1 = SArrow(seq({7: O1, 3: O2, 2: O1}), O)
     t2 = SArrow(seq({9: O2, 7: O1, 6: O1}), O)
     t3 = SArrow(seq({7: O2, 3: O1, 2: O1}), O)
-    assert collapse_type(t1) == collapse_type(t2) == collapse_type(t3)
+    assert t1.collapse == t2.collapse == t3.collapse
 
 
 def test_equiv_and_listed_iso():
     assert equiv(T1, T2)
-    isos = enumerate_type_isos(T1, T2)
+    isos = list(iter_type_isos(T1, T2))
     listed = {
         EPS: EPS,
         (1,): (1,),
@@ -123,28 +120,28 @@ def test_equiv_and_listed_iso():
 def test_enumerate_type_isos_two_entries():
     f1 = seq({2: O, 3: O})
     f2 = seq({5: O, 7: O})
-    isos = enumerate_type_isos(f1, f2)
+    isos = list(iter_type_isos(f1, f2))
     assert len(isos) == 2
     for iso in isos:
         assert check_type_iso(f1, f2, iso)
 
 
 def brute_type_isos(t1, t2):
-    sup1, lab1 = type_support(t1)
-    sup2, lab2 = type_support(t2)
-    xs, ys = sorted(sup1.positions), sorted(sup2.positions)
+    sup1, lab1 = t1.support
+    sup2, lab2 = t2.support
+    xs, ys = sorted(sup1), sorted(sup2)
     if len(xs) != len(ys):
         return []
     out = []
     for perm in itertools.permutations(ys):
         phi = ZeroOneIso(dict(zip(xs, perm)))
-        if check_01_iso(sup1.positions, sup2.positions, phi, lab1, lab2):
+        if check_01_iso(sup1, sup2, phi, lab1, lab2):
             out.append(tuple(sorted(phi.mapping.items())))
     return sorted(out)
 
 
 def test_enumeration_complete_against_brute_force():
-    got = sorted(iso.key() for iso in enumerate_type_isos(T1, T2))
+    got = sorted(iso.key() for iso in iter_type_isos(T1, T2))
     assert got == brute_type_isos(T1, T2)
 
 
@@ -194,9 +191,9 @@ def stypes_strategy():
 @given(stypes_strategy(), stypes_strategy())
 def test_three_way_agreement(t1, t2):
     """equiv <=> non-empty iso set <=> equal collapses."""
-    same_collapse = collapse_type(t1) == collapse_type(t2)
+    same_collapse = t1.collapse == t2.collapse
     assert equiv(t1, t2) == same_collapse
-    isos = enumerate_type_isos(t1, t2)
+    isos = list(iter_type_isos(t1, t2))
     assert bool(isos) == same_collapse
     for iso in isos[:4]:
         assert check_type_iso(t1, t2, iso)
@@ -207,8 +204,8 @@ def test_three_way_agreement(t1, t2):
 def test_collapse_of_union_is_multiset_sum(s1, s2):
     f1, f2 = seq({2: s1, 5: s2}), seq({3: s2})
     union = seq_union(f1, f2)
-    assert collapse_seq(union) == rmultiset(
-        list(collapse_seq(f1)) + list(collapse_seq(f2))
+    assert union.collapse == rmultiset(
+        list(f1.collapse) + list(f2.collapse)
     )
 
 
@@ -233,19 +230,19 @@ def test_type_facts_do_not_recurse():
     assert t.size == 2 * DEEP + 1
     # walk the collapse down the same path; comparing two distinct keys this
     # deep would itself recurse
-    r, u = collapse_type(t), t
+    r, u = t.collapse, t
     while isinstance(u, SArrow):
         assert isinstance(r, RArrow) and len(r.source) == 1
         r, u = (r.source[0], u.source.get(2)) if 2 in u.source.tracks() else (r.target, u.target)
     assert r == RAtom("o")
     t = deep_type(DEEP_POSITIONS)
-    sup, labels = type_support(t)
-    assert len(sup.positions) == len(labels) == t.size
+    sup, labels = t.support
+    assert len(sup) == len(labels) == t.size
     assert len(t.mutable_positions) == DEEP_POSITIONS
     assert t.mutable_positions == tuple(sorted(t.mutable_positions))
     identity = identity_iso(t)
     assert check_type_iso(t, t, identity)
-    deepest = max(sup.positions, key=len)
+    deepest = max(sup, key=len)
     wrong = {**identity.mapping, deepest: deepest[:-1] + (7,)}
     assert not check_type_iso(t, t, ZeroOneIso(wrong))
     del wrong[deepest]
@@ -255,14 +252,14 @@ def test_type_facts_do_not_recurse():
 
 def test_cached_facts_are_read_only():
     f = seq({2: T1, 3: O})
-    sup, labels = type_support(f)
+    sup, labels = f.support
     with pytest.raises(TypeError):
         labels[(2,)] = "o"
     with pytest.raises(TypeError):
         f.mutable_positions[0] = (9,)
-    assert isinstance(sup.positions, frozenset)
-    assert type_support(f) is type_support(f)
-    assert collapse_seq(f) is collapse_seq(f)
+    assert isinstance(sup, frozenset)
+    assert f.support is f.support
+    assert f.collapse is f.collapse
     # each identity isomorphism has a mapping of its own
     identity_iso(f).mapping[(9,)] = (9,)
     assert (9,) not in identity_iso(f).mapping
@@ -277,5 +274,5 @@ def test_facts_of_a_shared_subtype_are_computed_once():
     for _ in range(60):
         t = SArrow(seq({2: t, 3: t}), t)
     assert t.size == (3**61 - 1) // 2
-    r = collapse_type(t)
+    r = t.collapse
     assert r.source[0] is r.source[1] is r.target

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtypes.positions import EPS, PosTree
+from seqtypes.positions import EPS
 from seqtypes.terms import (
     Abs,
     App,
@@ -16,7 +16,6 @@ from seqtypes.terms import (
     alpha_eq,
     barendregt_rename,
     beta_reduce_at,
-    constructor_at,
     free_vars,
     parse_term,
     print_term,
@@ -61,6 +60,26 @@ def test_parse_errors_carry_offset():
         parse_term("(x")
 
 
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("\\. x", "expected binder after '\\'", 1),
+        ("\\x y x", "expected '.' after binders", 6),
+        ("(x y", "expected ')'", 4),
+        ("f (\\x. x x) y)", "trailing input ')'", 13),
+        ("x \\y. y", "trailing input '\\\\'", 2),
+        ("(x .)", "expected ')'", 3),
+        (")", "unexpected token ')'", 0),
+        ("", "unexpected token ''", 0),
+    ],
+)
+def test_parse_error_messages_and_offsets(text, message, offset):
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_term(text)
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"{message} (at offset {offset})"
+
+
 def test_print_round_trip():
     for text in ["\\x. x x", "x", "(\\x. x) y", "\\x y. x (y z)", "x y z"]:
         t = parse_term(text)
@@ -68,21 +87,18 @@ def test_print_round_trip():
 
 
 def test_support():
-    assert support(Abs("x", App(Var("y"), Var("x")))).positions == frozenset(
+    assert support(Abs("x", App(Var("y"), Var("x")))) == frozenset(
         {EPS, (0,), (0, 1), (0, 2)}
     )
-    assert support(Var("x")).positions == frozenset({EPS})
-    assert support(App(Var("x"), Var("y"))).positions == frozenset({EPS, (1,), (2,)})
+    assert support(Var("x")) == frozenset({EPS})
+    assert support(App(Var("x"), Var("y"))) == frozenset({EPS, (1,), (2,)})
 
 
 def test_subterm_and_constructor():
     t = Abs("x", App(Var("y"), Var("x")))
     assert subterm_at(t, (0,)) == App(Var("y"), Var("x"))
-    assert constructor_at(t, (0, 1)) == "y"
     assert subterm_at(t, EPS) == t
     assert subterm_at(DELTA, (0, 5)) == Var("x")  # track 5 collapses to 2
-    assert constructor_at(t, EPS) == "\\x"
-    assert constructor_at(t, (0,)) == "@"
     with pytest.raises(PositionError):
         subterm_at(t, (1,))
 
@@ -147,7 +163,7 @@ terms_st = st.recursive(
 
 def nested_redex(depth: int) -> Term:
     """v (v (... ((\\x. x) u))) with the redex at the given depth, built
-    directly: the parser still recurses."""
+    directly."""
     t: Term = App(Abs("x", Var("x")), Var("u"))
     for _ in range(depth):
         t = App(Var("v"), t)
@@ -157,7 +173,7 @@ def nested_redex(depth: int) -> Term:
 def test_support_and_redexes_at_depth_2000():
     # support and redexes walk an explicit stack
     t = nested_redex(2000)
-    positions = support(t).positions
+    positions = support(t)
     assert len(positions) == 2 * 2000 + 4
     assert (2,) * 2000 + (1, 0) in positions
     assert redexes(t) == [(2,) * 2000]
@@ -165,11 +181,72 @@ def test_support_and_redexes_at_depth_2000():
     assert redexes(nested_redex(6000)) == [(2,) * 6000]
 
 
+DEEP = 10_000
+
+
+def deep_term(shape: str) -> tuple[str, Term]:
+    """A text nested DEEP times and its term, built directly."""
+    if shape == "right application":  # v (v (... (v u)))
+        text = "v (" * (DEEP - 1) + "v u" + ")" * (DEEP - 1)
+        term: Term = Var("u")
+        for _ in range(DEEP):
+            term = App(Var("v"), term)
+    elif shape == "left application":  # (\x. (\x. (... x) x) x) x
+        text = "(\\x. " * DEEP + "x" + ") x" * DEEP
+        term = Var("x")
+        for _ in range(DEEP):
+            term = App(Abs("x", term), Var("x"))
+    else:  # \x. x (\x. x (... (\x. x x)))
+        text = "\\x. x (" * (DEEP - 1) + "\\x. x x" + ")" * (DEEP - 1)
+        term = Var("x")
+        for _ in range(DEEP):
+            term = Abs("x", App(Var("x"), term))
+    return text, term
+
+
+def same_term(t: Term, u: Term) -> bool:
+    """Structural equality by a walk on an explicit stack: `==` on the term
+    dataclasses recurses."""
+    stack = [(t, u)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, Var):
+            if a.name != b.name:
+                return False
+        elif isinstance(a, Abs):
+            if a.binder != b.binder:
+                return False
+            stack.append((a.body, b.body))
+        else:
+            stack += [(a.left, b.left), (a.right, b.right)]
+    return True
+
+
+@pytest.mark.parametrize("shape", ["right application", "left application", "abstraction chain"])
+def test_parse_and_print_at_depth_10000(shape):
+    text, term = deep_term(shape)
+    parsed = parse_term(text)
+    assert same_term(parsed, term)
+    assert not same_term(parsed, App(Var("v"), Var("u")))
+    assert print_term(parsed) == text
+
+
 def brute_force_redexes(t: Term) -> list:
     """Every support position whose subterm, looked up from the root, is a
     redex, sorted."""
-    found = [a for a in support(t).positions if is_redex(subterm_at(t, a))]
+    found = [a for a in support(t) if is_redex(subterm_at(t, a))]
     return sorted(found)
+
+
+def is_tree(positions: frozenset) -> bool:
+    """A support of a term: a frozenset holding EPS and every prefix."""
+    return (
+        isinstance(positions, frozenset)
+        and EPS in positions
+        and all(a[:-1] in positions for a in positions if a)
+    )
 
 
 def is_redex(u: Term) -> bool:
@@ -205,7 +282,7 @@ def test_redexes_match_brute_force(t):
 @settings(max_examples=80, deadline=None)
 @given(terms_st)
 def test_support_is_a_tree_and_round_trip(t):
-    assert isinstance(support(t), PosTree)
+    assert is_tree(support(t))
     assert parse_term(print_term(t)) == t
 
 
@@ -214,7 +291,7 @@ def test_support_is_a_tree_and_round_trip(t):
 def test_reduction_properties(t):
     for b in redexes(t):
         reduced = beta_reduce_at(t, b)
-        assert isinstance(support(reduced), PosTree)
+        assert is_tree(support(reduced))
         # reduction commutes with renaming up to alpha-equivalence
         renamed = barendregt_rename(t)
         assert alpha_eq(beta_reduce_at(renamed, b), reduced)

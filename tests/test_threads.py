@@ -119,10 +119,7 @@ def test_brothers_consumption_arcs(brothers):
     arcs = brothers.consumption()
     total = 0
     for a in brothers.checked.app_positions():
-        from seqtypes.stypes import type_support
-
-        sup, _ = type_support(brothers.checked.left_seq(a))
-        total += len(sup.mutable_support())
+        total += len(brothers.checked.left_seq(a).mutable_positions)
     assert len(arcs) == total == 8
     colored = {v for v in tids.values()}
     among = {

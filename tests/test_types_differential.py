@@ -9,7 +9,7 @@ type-directed `check_type_iso` must agree with them:
   500 hybrid acceptance derivations, the redex towers and `v (w u)^m` for
   m = 4..20, and on every R-node of their collapses;
 - on hypothesis-generated types;
-- in the order `rkey` sorts collapses in;
+- in the order the `key` of the collapses sorts them in;
 - for `check_type_iso`, in the verdict and in whether `DomainMismatchError`
   is raised, on true interfaces and identity isomorphisms and on the same
   mappings with a dropped key, an extra key, two swapped images, a bumped
@@ -19,26 +19,24 @@ type-directed `check_type_iso` must agree with them:
 from __future__ import annotations
 
 import functools
+import itertools
 import random
+from operator import attrgetter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtypes.corpus import tower_instances
-from seqtypes.derivations import CheckedDerivation, check_derivation, rderiv_key, walk_R
+from seqtypes.derivations import CheckedDerivation, check_derivation, walk_R
 from seqtypes.positions import DomainMismatchError, ZeroOneIso
 from seqtypes.reduction import make_operable
 from seqtypes.stypes import (
     SeqType,
     check_type_iso,
-    collapse_seq,
-    collapse_type,
-    enumerate_type_isos,
     equiv,
     identity_iso,
-    rkey,
+    iter_type_isos,
     seq,
-    type_support,
 )
 from seqtypes.trivialize import random_relabelling, reset_derivation
 
@@ -75,22 +73,22 @@ def types_of(checked: CheckedDerivation) -> list:
 
 
 def assert_same_facts(t) -> None:
-    sup, labels = type_support(t)
+    sup, labels = t.support
     old_sup, old_labels = ref.type_support(t)
     assert type(sup) is type(old_sup)
     # the same iteration order too: `random_relabelling` draws in it
-    assert list(sup.positions) == list(old_sup.positions)
+    assert list(sup) == list(old_sup)
     assert dict(labels) == old_labels
-    assert t.size == len(old_sup.positions)
+    assert t.size == len(old_sup)
     assert t.mutable_positions == tuple(ref._mutable_positions(t))
     if isinstance(t, SeqType):
-        new, old = collapse_seq(t), ref.collapse_seq(t)
+        new, old = t.collapse, ref.collapse_seq(t)
         assert [ref.rkey(r) for r in new] == [ref.rkey(r) for r in old]
-        assert [rkey(r) for r in new] == [ref.rkey(r) for r in new]
+        assert [r.key for r in new] == [ref.rkey(r) for r in new]
     else:
-        new, old = collapse_type(t), ref.collapse_type(t)
+        new, old = t.collapse, ref.collapse_type(t)
         assert ref.rkey(new) == ref.rkey(old)
-        assert rkey(new) == ref.rkey(new)
+        assert new.key == ref.rkey(new)
 
 
 def iso_outcome(check, t1, t2, mapping: dict) -> object:
@@ -152,18 +150,18 @@ def test_type_facts_match_reference_on_the_corpus():
                     assert equiv(s, s2) == ref.equiv(s, s2)
         rd = checked.collapse[0]
         for _, _, node, _ in walk_R(rd.root, rd.term):
-            assert rderiv_key(node) == ref.rderiv_key(node)
+            assert node.key == ref.rderiv_key(node)
     assert compared > 15000
 
 
 def test_rkey_order_matches_reference():
     collapses = [
-        collapse_type(checked.judgments[a].stype)
+        checked.judgments[a].stype.collapse
         for checked in (op.checked for op in corpus())
         for a in sorted(checked.nodes)
     ]
     random.Random(CORPUS_SEED + 10).shuffle(collapses)
-    new_order = [ref.rkey(r) for r in sorted(collapses, key=rkey)]
+    new_order = [ref.rkey(r) for r in sorted(collapses, key=attrgetter("key"))]
     assert new_order == [ref.rkey(r) for r in sorted(collapses, key=ref.rkey)]
     assert len(set(new_order)) > 100
 
@@ -192,11 +190,11 @@ def test_type_facts_match_reference_on_generated_types(t1, t2, seed):
         assert_same_facts(t)
     assert equiv(t1, t2) == ref.equiv(t1, t2)
     assert equiv(f, seq({3: t2, 4: t1, 9: t1})) == ref.equiv(f, seq({3: t2, 4: t1, 9: t1}))
-    assert (rkey(collapse_type(t1)) < rkey(collapse_type(t2))) == (
+    assert (t1.collapse.key < t2.collapse.key) == (
         ref.rkey(ref.collapse_type(t1)) < ref.rkey(ref.collapse_type(t2))
     )
     for u1, u2 in ((t1, t2), (t1, t1), (f, f), (t1, f), (f, t1)):
-        candidates = [iso.mapping for iso in enumerate_type_isos(u1, u2)[:3]]
+        candidates = [iso.mapping for iso in itertools.islice(iter_type_isos(u1, u2), 3)]
         candidates.append(identity_iso(u1).mapping)
         for mapping in candidates:
             compare_iso_checks(u1, u2, mapping, rng)
