@@ -7,7 +7,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, TypeVar
 
 from .positions import Position, ZeroOneIso, format_position, parse_position
 from .stypes import print_rtype
@@ -40,6 +40,8 @@ from .reduction import (
 from .threads import ThreadAnalysis, dot_export, text_report
 from .trivialize import BrotherChainError, trivialize
 from .corpus import sr_corpus
+
+T = TypeVar("T")
 
 
 class CliError(Exception):
@@ -81,23 +83,38 @@ def _interface_to_json(interface: dict[Position, ZeroOneIso]) -> dict:
     }
 
 
-def _interface_from_json(data: dict) -> dict[Position, ZeroOneIso]:
-    out: dict[Position, ZeroOneIso] = {}
-    for entry in data["interfaces"]:
-        mapping = {
-            parse_position(c): parse_position(c2) for c, c2 in entry["phi"]
-        }
-        out[parse_position(entry["pos"])] = ZeroOneIso(mapping)
+def _interface_from_json(data: dict) -> list[tuple[Position, list[tuple[Position, Position]]]]:
+    """The interfaces with their position pairs, as listed: a malformed
+    isomorphism is a bad interface, not bad input."""
+    return [
+        (
+            parse_position(entry["pos"]),
+            [(parse_position(c), parse_position(c2)) for c, c2 in entry["phi"]],
+        )
+        for entry in data["interfaces"]
+    ]
+
+
+def _unique(pairs: list[tuple[Position, T]], where: str) -> dict[Position, T]:
+    out: dict[Position, T] = {}
+    for a, value in pairs:
+        if a in out:
+            raise ValueError(f"{format_position(a)} is listed twice in {where}")
+        out[a] = value
     return out
 
 
 def _load_operable(path: str, interface_path: str | None) -> OperableDerivation:
     checked = _load_checked(path, None)
-    partial = None
+    listed: list[tuple[Position, list[tuple[Position, Position]]]] = []
     if interface_path:
-        partial = loads_json(Path(interface_path).read_text(), _interface_from_json)
+        listed = loads_json(Path(interface_path).read_text(), _interface_from_json)
     try:
-        return make_operable(checked, partial)
+        interface = {
+            a: ZeroOneIso(_unique(pairs, f"the interface at {format_position(a)}"))
+            for a, pairs in _unique(listed, "the interface file").items()
+        }
+        return make_operable(checked, interface)
     except ValueError as exc:
         raise CliError("bad-interface", str(exc)) from exc
 

@@ -23,9 +23,8 @@ from .terms import (
     binders_above,
     free_vars,
     parse_term,
-    print_term,
+    preorder,
     subterm_at,
-    support,
 )
 from .derivations import (
     AbsNode,
@@ -88,14 +87,45 @@ class ExpansionError(ValueError):
 
 
 def expandable_groups(term: Term) -> list[list[Position]]:
-    """Occurrences of a common subterm whose free variables are free there."""
-    groups: dict[Term, list[Position]] = {}
-    for o in sorted(support(term)):
-        s = subterm_at(term, o)
-        if free_vars(s) & binders_above(term, o):
-            continue
-        groups.setdefault(s, []).append(o)
-    return [sorted(v) for _, v in sorted(groups.items(), key=lambda kv: print_term(kv[0]))]
+    """Occurrences of a common subterm whose free variables are free there,
+    in increasing order, the groups ordered by the subterm's text.
+
+    One preorder walk lists every position with its subterm and the names
+    bound above it.  In reverse preorder, each subterm's free variables and
+    its `print_term` text, which equal subterms share and no others do, are
+    then built from its children's, so depth is unbounded.
+    """
+    order: list[tuple[Position, Term, frozenset[str]]] = []
+    bound: dict[Position, frozenset[str]] = {}  # the names bound at or above
+    for a, u in preorder(term):
+        above = bound[a[:-1]] if a else frozenset()
+        bound[a] = above | {u.binder} if isinstance(u, Abs) else above
+        order.append((a, u, above))
+    facts: dict[int, tuple[frozenset[str], str]] = {}  # by id(subterm)
+
+    def wrapped(u: Term) -> str:
+        return u.name if isinstance(u, Var) else f"({facts[id(u)][1]})"
+
+    for _, u, _ in reversed(order):
+        if isinstance(u, Var):
+            facts[id(u)] = frozenset((u.name,)), u.name
+        elif isinstance(u, Abs):
+            free, text = facts[id(u.body)]
+            # a chain of abstractions prints its binders once: \x y. b
+            chain = isinstance(u.body, Abs)
+            text = f"\\{u.binder} {text[1:]}" if chain else f"\\{u.binder}. {text}"
+            facts[id(u)] = free - {u.binder}, text
+        else:
+            (free, text), (right, _) = facts[id(u.left)], facts[id(u.right)]
+            # a chain of applications prints its head and arguments side by side
+            head = text if isinstance(u.left, App) else wrapped(u.left)
+            facts[id(u)] = free | right, f"{head} {wrapped(u.right)}"
+    groups: dict[str, list[Position]] = {}
+    for a, u, above in order:
+        free, text = facts[id(u)]
+        if not free & above:
+            groups.setdefault(text, []).append(a)
+    return [groups[text] for text in sorted(groups)]
 
 
 def expand_root(

@@ -444,8 +444,9 @@ class JudgmentIsos:
     axioms and new tracks for its argument premises: the isomorphisms a
     derivation isomorphism induces, or the residual types of a reduction step.
 
-    One reverse-preorder pass applies the three rules.  An axiom's psi is
-    given; an axiom not given keeps its track, with the identity.  An
+    One reverse-preorder pass applies the three rules, building one node at
+    most per judgment and sharing the premises' isomorphisms.  An axiom's psi
+    is given; an axiom not given keeps its track, with the identity.  An
     abstraction's psi maps its source through the axioms its binder binds,
     each from its old track onto its new one, and its target through its
     body's.  An application's psi is its left premise's restricted under
@@ -466,17 +467,12 @@ class JudgmentIsos:
             if isinstance(node, AxNode):
                 iso = axioms[a][1] if a in axioms else identity_iso(node.stype)
             elif isinstance(node, AbsNode):
-                mapping = {EPS: EPS}
+                kids = {1: (1, self._psi[a + (0,)])}
                 for k, p in checked.bound_by(a).items():
-                    k2 = axioms[p][0] if p in axioms else k
-                    for c, c2 in self._psi[p].mapping.items():
-                        mapping[(k,) + c] = (k2,) + c2
-                for c, c2 in self._psi[a + (0,)].mapping.items():
-                    mapping[(1,) + c] = (1,) + c2
-                iso = ZeroOneIso(mapping)
+                    kids[k] = (axioms[p][0] if p in axioms else k, self._psi[p])
+                iso = ZeroOneIso.node(kids)
             else:
-                left = self._psi[a + (1,)].mapping
-                iso = ZeroOneIso({c[1:]: c2[1:] for c, c2 in left.items() if c[:1] == (1,)})
+                iso = self._psi[a + (1,)].restrict(1)
             self._psi[a] = iso
 
     def iso(self, a: Position) -> ZeroOneIso:
@@ -485,23 +481,19 @@ class JudgmentIsos:
 
     def left(self, a: Position) -> ZeroOneIso:
         """L(a) -> L'(a'): psi(a.1) on the source of its arrow."""
-        left = self._psi[a + (1,)].mapping
-        return ZeroOneIso({c: c2 for c, c2 in left.items() if c and c[0] >= 2})
+        kids = self._psi[a + (1,)].kids
+        return ZeroOneIso.node({k: kid for k, kid in kids.items() if k >= 2}, tree=False)
 
     def right(self, a: Position) -> ZeroOneIso:
         """R(a) -> R'(a'): the argument premises' psi, each under its new track."""
         node = self.checked.nodes[a]
         assert isinstance(node, AppNode)
-        mapping: dict[Position, Position] = {}
-        for k in node.arg_tracks:
-            k2 = self._args.get(a + (k,), k)
-            for c, c2 in self._psi[a + (k,)].mapping.items():
-                mapping[(k,) + c] = (k2,) + c2
-        return ZeroOneIso(mapping)
+        kids = {k: (self._args.get(a + (k,), k), self._psi[a + (k,)]) for k in node.arg_tracks}
+        return ZeroOneIso.node(kids, tree=False)
 
     def conjugate(self, a: Position, phi: ZeroOneIso) -> ZeroOneIso:
         """right(a) o phi o left(a)^-1: an interface at a, carried along."""
-        return self.right(a).compose(phi).compose(self.left(a).inverse())
+        return phi.conjugate(self.left(a), self.right(a))
 
 
 def quantitativity_holds(checked: CheckedDerivation) -> bool:

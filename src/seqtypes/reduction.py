@@ -103,15 +103,14 @@ def extend_root_interface(
 ) -> ZeroOneIso:
     """Lexicographically least interface extending the given root mapping."""
     left, right = checked.left_seq(a), checked.right_seq(a)
-    mapping: dict[Position, Position] = {}
+    kids: dict[Track, tuple[Track, ZeroOneIso]] = {}
     for k, s in left.items():
         k2 = rho[k]
         iso = next(iter_type_isos(s, right.get(k2)), None)
         if iso is None:
             raise ChoiceError(f"root mapping {k} -> {k2} at {format_position(a)} not extendable")
-        for c, c2 in iso.mapping.items():
-            mapping[(k,) + c] = (k2,) + c2
-    return ZeroOneIso(mapping)
+        kids[k] = (k2, iso)
+    return ZeroOneIso.node(kids, tree=False)
 
 
 @dataclass
@@ -286,12 +285,11 @@ def residual_isos(
     moves along the interface at a restricted under k, onto the track
     rho_a(k); every other axiom keeps its type.
     """
-    axioms: dict[Position, tuple[Track, ZeroOneIso]] = {}
-    for a, by_track in maps.ax_pos.items():
-        phi = interfaces[a].mapping
-        for k, p in by_track.items():
-            under = ZeroOneIso({c[1:]: c2[1:] for c, c2 in phi.items() if c[0] == k})
-            axioms[p] = (maps.rho[a][k], under)
+    axioms = {
+        p: (maps.rho[a][k], interfaces[a].restrict(k))
+        for a, by_track in maps.ax_pos.items()
+        for k, p in by_track.items()
+    }
     return JudgmentIsos(checked, axioms)
 
 

@@ -12,10 +12,11 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .positions import (
     EPS,
+    LEAF,
     DomainMismatchError,
     Position,
     Track,
@@ -50,10 +51,11 @@ class _TypeFacts:
     """The facts of an S-type or a sequence type, each computed at most once
     per node and kept on it, shared by every reader: none can be mutated.
 
-    `size` and `collapse` are built bottom-up from the children's cached
-    facts; `support` and `mutable_positions` walk the node top-down and are
-    kept on that node only, since on shared subtypes they would repeat every
-    position once per enclosing type.  No walk recurses.
+    `size`, `collapse` and `_identity` (read by `identity_iso`) are built
+    bottom-up from the children's cached facts; `support` and
+    `mutable_positions` walk the node top-down and are kept on that node
+    only, since on shared subtypes they would repeat every position once per
+    enclosing type.  No walk recurses.
     """
 
     @cached_property
@@ -66,6 +68,10 @@ class _TypeFacts:
         """The multiset collapse: an R-type, or, for a sequence type, the
         sorted multiset of its entries' collapses."""
         return _bottom_up(self, "collapse", _collapse_here)
+
+    @cached_property
+    def _identity(self) -> ZeroOneIso:
+        return _bottom_up(self, "_identity", _identity_here)
 
     @cached_property
     def support(self) -> tuple[frozenset[Position], Mapping[Position, str]]:
@@ -202,6 +208,14 @@ def _collapse_here(u: SType | SeqType) -> Union["RType", tuple["RType", ...]]:
     return rmultiset(s.collapse for _, s in u.entries)
 
 
+def _identity_here(u: SType | SeqType) -> ZeroOneIso:
+    if isinstance(u, SAtom):
+        return LEAF
+    if isinstance(u, SArrow):
+        return ZeroOneIso.node({1: (1, u.target._identity), **u.source._identity.kids})
+    return ZeroOneIso.node({k: (k, s._identity) for k, s in u.entries}, tree=False)
+
+
 def _support(t: SType | SeqType) -> tuple[frozenset[Position], Mapping[Position, str]]:
     positions: set[Position] = set()
     labels: dict[Position, str] = {}
@@ -309,22 +323,24 @@ def label_at(t: SType | SeqType, c: Position) -> str:
 
 
 def identity_iso(t: SType | SeqType) -> ZeroOneIso:
-    positions = t.support[0]
-    return ZeroOneIso(dict(zip(positions, positions)))
+    """The identity isomorphism of the support of t, built once per node and
+    kept on it: one node per distinct arrow or sequence type, sharing the
+    nodes of shared subtypes."""
+    return t._identity
 
 
 def relabel_type(t: SType, tracks: Mapping[Position, Track]) -> tuple[SType, ZeroOneIso]:
     """The resetting of t along new tracks for its mutable positions, and the
     01-isomorphism from its support onto the new type's.
 
-    One preorder walk on an explicit stack gives every position its image,
-    the parent's image plus the new track (a target keeps its letter 1);
-    the arrows are then rebuilt bottom-up in reverse preorder, sharing the
-    atoms.  Entries for positions that t lacks, or that are not mutable,
-    are ignored.  Raises `RelabellingError` when a mutable position has no
-    new track, a new track is below 2, or two siblings get the same one.
+    One preorder walk on an explicit stack checks the new tracks; the
+    arrows are then rebuilt bottom-up in reverse preorder, each with its
+    node of the isomorphism (a target keeps its letter 1), sharing the atoms
+    and the isomorphism `LEAF`.  Entries for positions that t lacks, or
+    that are not mutable, are ignored.  Raises `RelabellingError` when a
+    mutable position has no new track, a new track is below 2, or two
+    siblings get the same one.
     """
-    mapping: dict[Position, Position] = {EPS: EPS}
     arrows: list[tuple[Position, SArrow]] = []
     stack: list[tuple[Position, SType]] = [(EPS, t)]
     while stack:
@@ -332,8 +348,6 @@ def relabel_type(t: SType, tracks: Mapping[Position, Track]) -> tuple[SType, Zer
         if isinstance(u, SAtom):
             continue
         arrows.append((a, u))
-        b = mapping[a]
-        mapping[a + (1,)] = b + (1,)
         stack.append((a + (1,), u.target))
         taken: dict[Track, Position] = {}
         for k, s in u.source.entries:
@@ -349,63 +363,83 @@ def relabel_type(t: SType, tracks: Mapping[Position, Track]) -> tuple[SType, Zer
                     f"both relabelled to {new}"
                 )
             taken[new] = c
-            mapping[c] = b + (new,)
             stack.append((c, s))
-    built: dict[Position, SType] = {}
+    built: dict[Position, tuple[SType, ZeroOneIso]] = {}
 
-    def new_node(c: Position, s: SType) -> SType:
-        return s if isinstance(s, SAtom) else built.pop(c)
+    def new_node(c: Position, s: SType) -> tuple[SType, ZeroOneIso]:
+        return (s, LEAF) if isinstance(s, SAtom) else built.pop(c)
 
     for a, u in reversed(arrows):
-        entries = [(mapping[a + (k,)][-1], new_node(a + (k,), s)) for k, s in u.source.entries]
-        built[a] = SArrow(seq(entries), new_node(a + (1,), u.target))
-    return new_node(EPS, t), ZeroOneIso(mapping)
+        target, target_iso = new_node(a + (1,), u.target)
+        entries, kids = [], {1: (1, target_iso)}
+        for k, s in u.source.entries:
+            new, (s2, iso) = tracks[a + (k,)], new_node(a + (k,), s)
+            entries.append((new, s2))
+            kids[k] = (new, iso)
+        built[a] = (SArrow(seq(entries), target), ZeroOneIso.node(kids))
+    return new_node(EPS, t)
 
 
-def _label(u: SType) -> str:
-    return u.name if isinstance(u, SAtom) else ARROW
-
-
-def check_type_iso(t1: SType | SeqType, t2: SType | SeqType, iso: ZeroOneIso) -> bool:
+def check_type_iso(
+    t1: SType | SeqType,
+    t2: SType | SeqType,
+    iso: ZeroOneIso,
+    memo: Optional[dict[tuple[int, int, int], tuple]] = None,
+) -> bool:
     """Whether iso is a label-preserving 01-isomorphism of the type supports:
     the verdict of `check_01_iso` on them, which raises `DomainMismatchError`
-    when the mapping is not defined on exactly the support of t1.
+    when iso is not defined on exactly the support of t1.
 
-    Neither support is built.  The check walks t1 and, along the mapping,
-    t2: each image must be its parent's image plus one letter, 1 for 1,
-    that names a node of t2 with the same label and no sibling's image
-    names.  The mapping is then injective into the support of t2, and onto
-    it when the two types have the same size.  Once the verdict is False the
-    walk goes on over t1 alone, since a missing position still raises.
+    Neither support is built.  The check walks t1, t2 and iso together: at
+    each node, the letters of iso must be the letters below the node of t1,
+    and their images the letters below the node of t2, each naming a node
+    with the same label.  Once the verdict is False the walk goes on over t1
+    and iso alone, since a missing or extra letter still raises.  A triple
+    of nodes met twice is walked once.  A `memo` that the caller passes to
+    several calls keeps the triples of the calls that returned True, keyed
+    by their ids, so a shared subtype under a shared sub-isomorphism is
+    checked once across the calls.  It holds the triples themselves, so
+    their ids cannot be reused while it lives.
     """
-    mapping = iso.mapping
     tree = not isinstance(t1, SeqType)
-    if len(mapping) != t1.size or (tree and EPS not in mapping):
+    if iso.tree != tree:
         raise DomainMismatchError("mapping domain differs from the first support")
-    ok = tree != isinstance(t2, SeqType) and t1.size == t2.size
-    if tree:
-        ok = ok and mapping[EPS] == EPS and _label(t1) == _label(t2)
-    # (position in t1, its node, its image, the node of t2 there)
-    stack: list = [(EPS, t1, EPS, t2)]
+    if memo is not None and (id(t1), id(t2), id(iso)) in memo:
+        return True
+    ok = tree != isinstance(t2, SeqType) and (not tree or _same_label(t1, t2))
+    seen: dict[tuple[int, int, int], tuple] = {}
+    stack: list = [(t1, t2, iso)]
     while stack:
-        a, u1, b, u2 = stack.pop()
-        kids1 = _children(u1)
-        if not kids1:
+        u1, u2, phi = stack.pop()
+        if not ok:
+            u2 = None
+        key = (id(u1), id(u2), id(phi))
+        if key in seen or (memo is not None and key in memo):
             continue
-        # the children of u2 not yet taken by an image, by letter
-        kids2 = dict(_children(u2)) if ok else {}
+        seen[key] = (u1, u2, phi)
+        kids1, kids = _children(u1), phi.kids
+        if len(kids1) != len(kids):
+            raise DomainMismatchError("mapping domain differs from the first support")
+        if ok:
+            kids2 = dict(_children(u2))
+            ok = len(kids2) == len(kids1)
         for k, s in kids1:
-            c = a + (k,)
-            c2 = mapping.get(c)
-            if c2 is None:
+            kid = kids.get(k)
+            if kid is None:
                 raise DomainMismatchError("mapping domain differs from the first support")
-            s2 = None
+            k2, sub = kid
             if ok:
-                if len(c2) == len(c) and c2[:-1] == b and (k != 1 or c2[-1] == 1):
-                    s2 = kids2.pop(c2[-1], None)
-                ok = s2 is not None and _label(s) == _label(s2)
-            stack.append((c, s, c2, s2))
+                s2 = kids2.get(k2)
+                ok = s2 is not None and _same_label(s, s2)
+            if sub.kids or type(s) is not SAtom:
+                stack.append((s, s2 if ok else None, sub))
+    if ok and memo is not None:
+        memo.update(seen)
     return ok
+
+
+def _same_label(u1: SType, u2: SType) -> bool:
+    return type(u1) is type(u2) and (type(u1) is SArrow or u1.name == u2.name)
 
 
 def iter_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> Iterator[ZeroOneIso]:

@@ -163,7 +163,7 @@ def print_term(t: Term) -> str:
     return "".join(out)
 
 
-def _preorder(t: Term) -> Iterator[tuple[Position, Term]]:
+def preorder(t: Term) -> Iterator[tuple[Position, Term]]:
     """Every position of t with its subterm, in preorder, which is increasing
     position order.  The walk runs on an explicit stack, so depth is
     unbounded."""
@@ -178,7 +178,7 @@ def _preorder(t: Term) -> Iterator[tuple[Position, Term]]:
 
 
 def support(t: Term) -> frozenset[Position]:
-    return frozenset(a for a, _ in _preorder(t))
+    return frozenset(a for a, _ in preorder(t))
 
 
 def subterm_at(t: Term, a: Position) -> Term:
@@ -252,7 +252,7 @@ def beta_reduce_at(t: Term, b: Position) -> Term:
 
 def redexes(t: Term) -> list[Position]:
     """Redex positions, leftmost-outermost first (lexicographic order)."""
-    return [a for a, u in _preorder(t) if isinstance(u, App) and isinstance(u.left, Abs)]
+    return [a for a, u in preorder(t) if isinstance(u, App) and isinstance(u.left, Abs)]
 
 
 def is_normal(t: Term) -> bool:

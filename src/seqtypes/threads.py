@@ -427,7 +427,7 @@ class ThreadAnalysis:
             # the left sequence's positions end its left premise's right block
             first = self._right_start[kids[1] + 1] - len(inners)
             for left, p in enumerate(inners, first):
-                image = phi.mapping[p]
+                image = phi(p)
                 premise = kids[image[0]]
                 if len(p) == 1:
                     right = self._arg_id[premise]

@@ -19,13 +19,14 @@ from .positions import (
     Position,
     Track,
     DomainMismatchError,
+    IsoShapeError,
     ZeroOneIso,
     check_01_iso,
     collapse_position,
     format_position,
     iter_01_isos,
 )
-from .stypes import check_type_iso, identity_iso, iter_type_isos, relabel_type
+from .stypes import check_type_iso, iter_type_isos, relabel_type
 from .terms import Var, alpha_key
 from .derivations import (
     AbsNode,
@@ -206,7 +207,7 @@ def verify_derivation_iso(
         return False
     supp_map = iso.supp_map
     try:
-        if not check_01_iso(c1.support(), c2.support(), ZeroOneIso(supp_map)):
+        if not check_01_iso(c1.support(), c2.support(), supp_map):
             return False
     except ValueError:
         return False
@@ -214,10 +215,14 @@ def verify_derivation_iso(
         return False
     if any(type(node) is not type(c2.nodes[supp_map[a]]) for a, node in c1.nodes.items()):
         return False
-    derived = iso.judgment_isos(c1, c2)
+    # one memo for every check: an application's type and psi are its left
+    # premise's target and psi restricted under 1, and an abstraction's
+    # source holds its bound axioms' types, so each is walked once
+    memo: dict = {}
     try:
+        derived = iso.judgment_isos(c1, c2)
         for a in c1.nodes:
-            if not check_type_iso(c1.type_at(a), c2.type_at(supp_map[a]), derived.iso(a)):
+            if not check_type_iso(c1.type_at(a), c2.type_at(supp_map[a]), derived.iso(a), memo):
                 return False
         if interface1 is not None and interface2 is not None:
             for a in c1.app_positions():
@@ -225,14 +230,14 @@ def verify_derivation_iso(
                 # both interfaces must be type isomorphisms on their own
                 a2 = supp_map[a]
                 if not (
-                    check_type_iso(c1.left_seq(a), c1.right_seq(a), interface1[a])
-                    and check_type_iso(c2.left_seq(a2), c2.right_seq(a2), interface2[a2])
+                    check_type_iso(c1.left_seq(a), c1.right_seq(a), interface1[a], memo)
+                    and check_type_iso(c2.left_seq(a2), c2.right_seq(a2), interface2[a2], memo)
                 ):
                     return False
-                lhs = derived.right(a).compose(interface1[a])
-                if lhs != interface2[a2].compose(derived.left(a)):
+                # right(a) o interface1 = interface2 o left(a), left(a) a bijection
+                if interface1[a].conjugate(derived.left(a), derived.right(a)) != interface2[a2]:
                     return False
-    except (DomainMismatchError, KeyError):
+    except (DomainMismatchError, IsoShapeError, KeyError):
         return False
     return True
 
@@ -413,7 +418,7 @@ def trivialize(op: OperableDerivation) -> TrivializeResult:
     reset = reset_derivation(op.checked, relab, op.interface, flavor=FLAVOR_S)
     assert reset.interface is not None
     for a, phi in reset.interface.items():
-        if phi.mapping != identity_iso(reset.checked.left_seq(a)).mapping:
+        if not phi.is_identity():
             raise NonIdentityInterfaceError(a)
     return TrivializeResult(reset.checked, reset.iso, classes, values, relab, analysis)
 
@@ -441,7 +446,7 @@ def residual_thread(
             return None
         return new_analysis.thread_at(maps.res[ref.pos], ref.inner, ref.var)
     if ref.pos in x_axioms:
-        return new_analysis.thread_at(maps.qres[ref.pos], types.iso(ref.pos).mapping[ref.inner])
+        return new_analysis.thread_at(maps.qres[ref.pos], types.iso(ref.pos)(ref.inner))
     return new_analysis.thread_at(maps.res[ref.pos], ref.inner)
 
 

@@ -12,10 +12,16 @@ special case for the nodes over the redex and identities elsewhere.
 `reduce_interface`, and `build_operable_from_choices` are the original
 callers.  `test_judgment_isos_differential.py` compares
 `derivations.JudgmentIsos` against them.
+
+They keep the isomorphism as it then was, `DictIso`: a dict from positions
+to positions, with `inverse` and `compose` on the dicts.  Isomorphisms that
+come from `seqtypes` are read through their `.mapping`; the interfaces of
+the `OperableDerivation` they build are turned back into `ZeroOneIso`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional
 
 from seqtypes.derivations import (
@@ -40,11 +46,30 @@ from seqtypes.reduction import (
     realize_r_choice,
     reduce_R,
 )
-from seqtypes.stypes import SArrow, check_type_iso, identity_iso
+from seqtypes.stypes import SArrow, identity_iso
 from seqtypes.terms import Abs, Var, alpha_key, subterm_at
 from seqtypes.trivialize import DerivationIso
 
 from reference_reduction import residual_derivation
+from reference_types import check_type_iso
+
+
+@dataclass(frozen=True)
+class DictIso:
+    """A 01-isomorphism as a dict from whole positions to whole positions."""
+
+    mapping: dict[Position, Position]
+
+    def inverse(self) -> "DictIso":
+        return DictIso({v: k for k, v in self.mapping.items()})
+
+    def compose(self, inner) -> "DictIso":
+        """self o inner."""
+        return DictIso({a: self.mapping[b] for a, b in inner.mapping.items()})
+
+
+def as_dict(iso) -> DictIso:
+    return DictIso(dict(iso.mapping))
 
 
 def axioms_above(checked: CheckedDerivation, a: Position, x: str) -> set[Position]:
@@ -95,14 +120,14 @@ class NodeIsos:
         self.c2 = c2
         self.supp_map = supp_map
         self.axiom_isos = axiom_isos
-        self._memo: dict[Position, ZeroOneIso] = {}
+        self._memo: dict[Position, DictIso] = {}
 
-    def node_iso(self, a: Position) -> ZeroOneIso:
+    def node_iso(self, a: Position) -> DictIso:
         if a in self._memo:
             return self._memo[a]
         node = self.c1.node(a)
         if isinstance(node, AxNode):
-            iso = self.axiom_isos[a]
+            iso = as_dict(self.axiom_isos[a])
         elif isinstance(node, AbsNode):
             subj = subterm_at(self.c1.term, a)
             assert isinstance(subj, Abs)
@@ -111,18 +136,18 @@ class NodeIsos:
             mapping = {EPS: EPS, **ctx_iso.mapping}
             for c, c2 in target.mapping.items():
                 mapping[(1,) + c] = (1,) + c2
-            iso = ZeroOneIso(mapping)
+            iso = DictIso(mapping)
         else:
             inner = self.node_iso(a + (1,))
             sup, _ = self.c1.type_at(a).support
             try:
-                iso = ZeroOneIso({c: inner.mapping[(1,) + c][1:] for c in sup})
+                iso = DictIso({c: inner.mapping[(1,) + c][1:] for c in sup})
             except KeyError as exc:
                 raise IsoMismatch(f"target mismatch at {format_position(a)}") from exc
         self._memo[a] = iso
         return iso
 
-    def context_iso(self, a: Position, x: str) -> ZeroOneIso:
+    def context_iso(self, a: Position, x: str) -> DictIso:
         mapping: dict[Position, Position] = {}
         for k in self.c1.context_at(a).get(x).tracks():
             a0 = pos_of(self.c1, a, x, k)
@@ -133,14 +158,14 @@ class NodeIsos:
             inner = self.node_iso(a0)
             for c, c2 in inner.mapping.items():
                 mapping[(k,) + c] = (node2.track,) + c2
-        return ZeroOneIso(mapping)
+        return DictIso(mapping)
 
-    def left_iso(self, a: Position) -> ZeroOneIso:
+    def left_iso(self, a: Position) -> DictIso:
         inner = self.node_iso(a + (1,))
         sup, _ = self.c1.left_seq(a).support
-        return ZeroOneIso({c: inner.mapping[c] for c in sup})
+        return DictIso({c: inner.mapping[c] for c in sup})
 
-    def right_iso(self, a: Position) -> ZeroOneIso:
+    def right_iso(self, a: Position) -> DictIso:
         node = self.c1.node(a)
         assert isinstance(node, AppNode)
         mapping: dict[Position, Position] = {}
@@ -149,7 +174,7 @@ class NodeIsos:
             inner = self.node_iso(a + (k,))
             for c, c2 in inner.mapping.items():
                 mapping[(k,) + c] = (k2,) + c2
-        return ZeroOneIso(mapping)
+        return DictIso(mapping)
 
 
 def verify_derivation_iso(
@@ -164,7 +189,7 @@ def verify_derivation_iso(
         return False
     supp1, supp2 = c1.support(), c2.support()
     try:
-        if not check_01_iso(supp1, supp2, ZeroOneIso(iso.supp_map)):
+        if not check_01_iso(supp1, supp2, iso.supp_map):
             return False
     except ValueError:
         return False
@@ -176,7 +201,7 @@ def verify_derivation_iso(
             if type(c1.node(a)) is not type(c2.node(iso.supp_map[a])):
                 return False
             if not check_type_iso(
-                c1.type_at(a), c2.type_at(iso.supp_map[a]), derived.node_iso(a)
+                c1.type_at(a), c2.type_at(iso.supp_map[a]), derived.node_iso(a).mapping
             ):
                 return False
         if interface1 is not None and interface2 is not None:
@@ -185,7 +210,7 @@ def verify_derivation_iso(
                 left = derived.left_iso(a)
                 right = derived.right_iso(a)
                 lhs = right.compose(interface1[a])
-                rhs = interface2[a2].compose(left)
+                rhs = as_dict(interface2[a2]).compose(left)
                 if lhs.mapping != rhs.mapping:
                     return False
     except (IsoMismatch, KeyError):
@@ -209,7 +234,7 @@ class ResidualTypes:
         self.checked = checked
         self.maps = maps
         self.interfaces = interfaces_at_b
-        self._memo: dict[Position, ZeroOneIso] = {}
+        self._memo: dict[Position, DictIso] = {}
         self._affected: set[Position] = set()
         for ax in maps.x_axioms():
             for i in range(len(ax) + 1):
@@ -220,17 +245,17 @@ class ResidualTypes:
             for k, p in by_track.items():
                 self._axiom_node[p] = a
 
-    def iso(self, alpha: Position) -> ZeroOneIso:
+    def iso(self, alpha: Position) -> DictIso:
         if alpha in self._memo:
             return self._memo[alpha]
         result = self._compute(alpha)
         self._memo[alpha] = result
         return result
 
-    def _compute(self, alpha: Position) -> ZeroOneIso:
+    def _compute(self, alpha: Position) -> DictIso:
         checked = self.checked
         if alpha not in self._affected:
-            return identity_iso(checked.type_at(alpha))
+            return as_dict(identity_iso(checked.type_at(alpha)))
         if alpha in self._axiom_node:
             a = self._axiom_node[alpha]
             node = checked.node(alpha)
@@ -238,7 +263,7 @@ class ResidualTypes:
             k_left = node.track
             phi = self.interfaces[a]
             sup, _ = checked.type_at(alpha).support
-            return ZeroOneIso({c: phi.mapping[(k_left,) + c][1:] for c in sup})
+            return DictIso({c: phi.mapping[(k_left,) + c][1:] for c in sup})
         if alpha in self._nodes_over:
             return self.iso(alpha + (1, 0))
         node = checked.node(alpha)
@@ -252,20 +277,20 @@ class ResidualTypes:
                 mapping[c] = c
             for c, c2 in inner.mapping.items():
                 mapping[(1,) + c] = (1,) + c2
-            return ZeroOneIso(mapping)
+            return DictIso(mapping)
         if isinstance(node, AppNode):
             inner = self.iso(alpha + (1,))
             sup, _ = checked.type_at(alpha).support
-            return ZeroOneIso({c: inner.mapping[(1,) + c][1:] for c in sup})
+            return DictIso({c: inner.mapping[(1,) + c][1:] for c in sup})
         raise AssertionError("variable nodes other than redex axioms are unaffected")
 
-    def res_left(self, alpha: Position) -> ZeroOneIso:
+    def res_left(self, alpha: Position) -> DictIso:
         """L(alpha) -> L'(alpha') for an application node not over the redex."""
         psi = self.iso(alpha + (1,))
         sup, _ = self.checked.left_seq(alpha).support
-        return ZeroOneIso({c: psi.mapping[c] for c in sup})
+        return DictIso({c: psi.mapping[c] for c in sup})
 
-    def res_right(self, alpha: Position) -> ZeroOneIso:
+    def res_right(self, alpha: Position) -> DictIso:
         node = self.checked.node(alpha)
         assert isinstance(node, AppNode)
         mapping: dict[Position, Position] = {}
@@ -273,7 +298,7 @@ class ResidualTypes:
             inner = self.iso(alpha + (k,))
             for c, c2 in inner.mapping.items():
                 mapping[(k,) + c] = (k,) + c2
-        return ZeroOneIso(mapping)
+        return DictIso(mapping)
 
 
 def reset_interface(
@@ -281,7 +306,7 @@ def reset_interface(
     new_checked: CheckedDerivation,
     iso: DerivationIso,
     interface: dict[Position, ZeroOneIso],
-) -> dict[Position, ZeroOneIso]:
+) -> dict[Position, DictIso]:
     """The conjugated interface of `reset_derivation`."""
     supp_map, axiom_isos = iso.supp_map, iso.axiom_isos
     derived = NodeIsos(checked, new_checked, supp_map, axiom_isos)
@@ -295,10 +320,10 @@ def reset_interface(
 
 def reduce_interface(
     op: OperableDerivation, maps: ResidualMaps, new_checked: CheckedDerivation
-) -> tuple[dict[Position, ZeroOneIso], "ResidualTypes"]:
+) -> tuple[dict[Position, DictIso], "ResidualTypes"]:
     """The residual interface and types of `reduce_operable` at a typed redex."""
     types = ResidualTypes(op.checked, maps, {a: op.interface[a] for a in maps.nodes_over})
-    new_interface: dict[Position, ZeroOneIso] = {}
+    new_interface: dict[Position, DictIso] = {}
     inverse_res = {v: k for k, v in maps.res.items()}
     for a2 in new_checked.app_positions():
         alpha = inverse_res[a2]
@@ -326,9 +351,9 @@ def build_operable_from_choices(
     if collapse_derivation(checked) != rd:
         raise ChoiceError("the base derivation does not collapse on the given derivation")
     alive: dict[Position, Position] = {a: a for a in checked.app_positions()}
-    acc_left = {a: identity_iso(checked.left_seq(a)) for a in alive}
-    acc_right = {a: identity_iso(checked.right_seq(a)) for a in alive}
-    pinned: dict[Position, ZeroOneIso] = {}
+    acc_left = {a: as_dict(identity_iso(checked.left_seq(a))) for a in alive}
+    acc_right = {a: as_dict(identity_iso(checked.right_seq(a))) for a in alive}
+    pinned: dict[Position, DictIso] = {}
     current = checked
     current_rd = rd
     for b_i, rchoice in choices:
@@ -352,7 +377,7 @@ def build_operable_from_choices(
             alive[a0] = maps.res[a_i]
         current = new_checked
         current_rd = reduce_R(current_rd, b_i, rchoice)
-    interface = dict(pinned)
+    interface = {a0: ZeroOneIso(iso.mapping) for a0, iso in pinned.items()}
     for a0 in checked.app_positions():
         if a0 not in interface:
             interface[a0] = default_interface(checked, a0)

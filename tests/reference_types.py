@@ -12,10 +12,10 @@ so they are independent of the keys the nodes now carry.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from seqtypes.derivations import RAbsD, RAxD, RNode
-from seqtypes.positions import EPS, Position, ZeroOneIso, check_01_iso
+from seqtypes.positions import EPS, Position, check_01_iso
 from seqtypes.stypes import ARROW, RArrow, RAtom, RType, SArrow, SAtom, SeqType, SType
 
 
@@ -76,11 +76,14 @@ def type_support(t: SType | SeqType) -> tuple[frozenset[Position], dict[Position
     return frozenset(positions), labels
 
 
-def check_type_iso(t1: SType | SeqType, t2: SType | SeqType, iso: ZeroOneIso) -> bool:
-    """Whether iso is a label-preserving 01-isomorphism of the type supports."""
+def check_type_iso(
+    t1: SType | SeqType, t2: SType | SeqType, mapping: Mapping[Position, Position]
+) -> bool:
+    """Whether the position mapping is a label-preserving 01-isomorphism of
+    the type supports."""
     sup1, lab1 = type_support(t1)
     sup2, lab2 = type_support(t2)
-    return check_01_iso(sup1, sup2, iso, lab1, lab2)
+    return check_01_iso(sup1, sup2, mapping, lab1, lab2)
 
 
 def rderiv_key(n: RNode) -> tuple:

@@ -346,3 +346,66 @@ def test_non_integer_rho_track_is_bad_input(brothers_file, tmp_path, capsys):
     content = {"redex": "1.1", "per_node": [{"pos": "1.1", "rho": [["a", 3]]}]}
     payload = reduce_with_choice(brothers_file, tmp_path, content, capsys)
     assert "'a'" in payload["detail"]
+
+
+def edited_interface(edit) -> dict:
+    """The brothers' interface file with the pairs of its interface at 1
+    edited; that interface is 5 -> 6, 5.8 -> 6.3, 5.1 -> 6.1, 5.1.8 -> 6.1.2,
+    5.1.9 -> 6.1.7 and 5.1.1 -> 6.1.1."""
+    from seqtypes.cli import _interface_to_json
+
+    data = _interface_to_json(brothers_operable().interface)
+    for entry in data["interfaces"]:
+        if entry["pos"] == "1":
+            entry["phi"] = edit(entry["phi"])
+    return data
+
+
+def image_of(source: str, image: str):
+    return lambda pairs: [[c, image if c == source else c2] for c, c2 in pairs]
+
+
+# each case exits 1 with the `bad-interface` kind, as it did when interfaces
+# were plain dicts checked only against the types; a source listed twice
+# with the same image was then silently accepted
+MALFORMED_INTERFACES = {
+    "image off the parent's image": (image_of("5.8", "7.3"), "5.8 -> 7.3"),
+    "image of another length": (image_of("5.8", "3"), "5.8 -> 3"),
+    "fixed track moved": (
+        lambda pairs: [[c, c2.replace("6.1", "6.4")] for c, c2 in pairs],
+        "not a bijection fixing 0 and 1",
+    ),
+    "parent missing": (lambda pairs: [p for p in pairs if p[0] != "5.1"], "5.1 is not mapped"),
+    "source twice, two images": (lambda pairs: pairs + [["5.8", "6.1"]], "5.8 is listed twice"),
+    "source twice, one image": (lambda pairs: pairs + [["5.8", "6.3"]], "5.8 is listed twice"),
+}
+
+
+def assert_bad_interface(brothers_file, tmp_path, content, detail, capsys) -> None:
+    interface = write_json_file(tmp_path, "iface.json", content)
+    assert run(["trivialize", "--file", brothers_file, "--interface", interface, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "bad-interface"
+    assert detail in payload["detail"]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INTERFACES))
+def test_malformed_interface_is_a_bad_interface(brothers_file, tmp_path, case, capsys):
+    edit, detail = MALFORMED_INTERFACES[case]
+    assert_bad_interface(brothers_file, tmp_path, edited_interface(edit), detail, capsys)
+
+
+def test_an_application_listed_twice_is_a_bad_interface(brothers_file, tmp_path, capsys):
+    # the last listing used to win silently
+    content = edited_interface(lambda pairs: pairs)
+    content["interfaces"].append({"pos": "eps", "phi": [["8", "5"], ["9", "3"]]})
+    detail = "eps is listed twice in the interface file"
+    assert_bad_interface(brothers_file, tmp_path, content, detail, capsys)
+
+
+def test_the_unedited_interface_is_accepted(brothers_file, tmp_path, capsys):
+    interface = write_json_file(tmp_path, "iface.json", edited_interface(lambda pairs: pairs))
+    assert run(["trivialize", "--file", brothers_file, "--interface", interface, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["judgment"]

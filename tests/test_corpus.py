@@ -23,7 +23,19 @@ from seqtypes.derivations import (
 )
 from seqtypes.positions import EPS
 from seqtypes.reduction import reduce_S
-from seqtypes.terms import is_normal, parse_term, print_term, redexes
+from seqtypes.terms import (
+    Abs,
+    App,
+    Var,
+    binders_above,
+    free_vars,
+    is_normal,
+    parse_term,
+    print_term,
+    redexes,
+    subterm_at,
+    support,
+)
 
 
 def test_random_normal_terms_are_normal():
@@ -85,6 +97,53 @@ def test_expandable_groups_respect_binders():
     flattened = {o for group in groups for o in group}
     assert (0, 1) not in flattened  # y is bound above its occurrence
     assert (0, 2) in flattened
+
+
+def expandable_groups_by_lookups(term):
+    """The groups as first written: every position's subterm, binders and
+    free variables looked up from the root, the groups sorted by text."""
+    groups = {}
+    for o in sorted(support(term)):
+        s = subterm_at(term, o)
+        if free_vars(s) & binders_above(term, o):
+            continue
+        groups.setdefault(s, []).append(o)
+    return [sorted(v) for _, v in sorted(groups.items(), key=lambda kv: print_term(kv[0]))]
+
+
+def random_term(rng: random.Random, depth: int):
+    """Any term, redexes and shadowed binders included."""
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return Var(rng.choice("xyuv"))
+    if r < 0.55:
+        return Abs(rng.choice("xy"), random_term(rng, depth - 1))
+    return App(random_term(rng, depth - 1), random_term(rng, depth - 1))
+
+
+def test_expandable_groups_match_lookups_from_the_root():
+    rng = random.Random(11)
+    terms = [random_term(rng, rng.randint(0, 6)) for _ in range(3000)]
+    terms += [random_normal_term(rng, 8) for _ in range(200)]
+    for term in terms:
+        assert expandable_groups(term) == expandable_groups_by_lookups(term), print_term(term)
+    assert sum(len(expandable_groups(t)) > 1 for t in terms) > 1000
+
+
+def test_expandable_groups_2000_deep():
+    # v (v (... ((\x. x) u))): one group per subterm of the spine, and x is
+    # bound above its only occurrence
+    depth = 2000
+    term = App(Abs("x", Var("x")), Var("u"))
+    for _ in range(depth):
+        term = App(Var("v"), term)
+    groups = expandable_groups(term)
+    assert len(groups) == depth + 4
+    # by text: "(\x. x) u" first, then "\x. x", "u", "v" and the spine
+    assert groups[:3] == [[(2,) * depth], [(2,) * depth + (1,)], [(2,) * depth + (2,)]]
+    assert groups[3] == [(2,) * i + (1,) for i in range(depth)]
+    assert groups[-1] == [EPS]
+    assert all((2,) * depth + (1, 0) not in group for group in groups)
 
 
 def test_merge_atoms_preserves_validity():

@@ -15,6 +15,10 @@
   every choice sequence of length at most 3 on the towers;
 - verification: the verdict, with and without interfaces, on accepted and
   rejected candidate isomorphisms;
+- the isomorphisms themselves: the `.mapping` of every shared-node
+  `ZeroOneIso` (every node, left, right and conjugated interface, every
+  reset axiom isomorphism, every residual isomorphism and interface) equals
+  the reference's dict;
 - `CheckedDerivation.bound_by`, the checker's per-binder index, against
   the axioms above each abstraction's body bound by it, and above the root
   for each free variable.
@@ -49,6 +53,7 @@ from seqtypes.trivialize import (
 )
 
 import reference_judgment_isos as ref
+from reference_relabelling import Relabelling01, apply_relabelling
 from samples import (
     make_brothers,
     make_self_app,
@@ -81,25 +86,38 @@ def wide_operables() -> list[OperableDerivation]:
     return out
 
 
-def assert_same_node_isos(c1, c2, iso: DerivationIso) -> None:
+def mappings(interface: dict) -> dict:
+    """An interface's isomorphisms as plain dicts."""
+    return {a: dict(iso.mapping) for a, iso in interface.items()}
+
+
+def assert_same_node_isos(c1, c2, iso: DerivationIso, interface=None) -> None:
     new = iso.judgment_isos(c1, c2)
     old = ref.NodeIsos(c1, c2, iso.supp_map, iso.axiom_isos)
     for a in c1.nodes:
-        assert new.iso(a) == old.node_iso(a), a
+        assert new.iso(a).mapping == old.node_iso(a).mapping, a
     for a in c1.app_positions():
-        assert new.left(a) == old.left_iso(a), a
-        assert new.right(a) == old.right_iso(a), a
+        left, right = old.left_iso(a), old.right_iso(a)
+        assert new.left(a).mapping == left.mapping, a
+        assert new.right(a).mapping == right.mapping, a
+        if interface is not None:
+            expected = right.compose(interface[a]).compose(left.inverse())
+            assert new.conjugate(a, interface[a]).mapping == expected.mapping, a
 
 
 def assert_same_reset(op: OperableDerivation, rng: random.Random) -> int:
     """Compare a random reset and the trivialization of op; returns the number
     of applications compared."""
-    reset = reset_derivation(op.checked, random_relabelling(op.checked, rng), op.interface)
-    assert_same_node_isos(op.checked, reset.checked, reset.iso)
+    relabelling = random_relabelling(op.checked, rng)
+    reset = reset_derivation(op.checked, relabelling, op.interface)
+    for a, phi in reset.iso.axiom_isos.items():
+        tracks = Relabelling01(relabelling.axiom_types[a])
+        assert phi.mapping == apply_relabelling(op.checked.type_at(a).support[0], tracks)[1].mapping
+    assert_same_node_isos(op.checked, reset.checked, reset.iso, op.interface)
     expected = ref.reset_interface(op.checked, reset.checked, reset.iso, op.interface)
-    assert reset.interface == expected
+    assert mappings(reset.interface) == mappings(expected)
     result = trivialize(op)
-    assert_same_node_isos(op.checked, result.trivial, result.iso)
+    assert_same_node_isos(op.checked, result.trivial, result.iso, op.interface)
     return len(op.interface)
 
 
@@ -120,13 +138,13 @@ def assert_same_residuals(op: OperableDerivation) -> int:
             continue
         typed += 1
         interface, old = ref.reduce_interface(op, maps, new_op.checked)
-        assert new_op.interface == interface
+        assert mappings(new_op.interface) == mappings(interface)
         for alpha in maps.qres:
-            assert types.iso(alpha) == old.iso(alpha), (b, alpha)
+            assert types.iso(alpha).mapping == old.iso(alpha).mapping, (b, alpha)
         for alpha in op.checked.app_positions():
             if alpha in maps.res:
-                assert types.left(alpha) == old.res_left(alpha), (b, alpha)
-                assert types.right(alpha) == old.res_right(alpha), (b, alpha)
+                assert types.left(alpha).mapping == old.res_left(alpha).mapping, (b, alpha)
+                assert types.right(alpha).mapping == old.res_right(alpha).mapping, (b, alpha)
     return typed
 
 
@@ -154,7 +172,7 @@ def test_built_choices_match_reference():
             for _, sequence in extended:
                 new = build_operable_from_choices(rd, op.checked, sequence)
                 old = ref.build_operable_from_choices(rd, op.checked, sequence)
-                assert new.interface == old.interface
+                assert mappings(new.interface) == mappings(old.interface)
                 sequences += 1
             frontier = extended
     assert sequences > 100

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from seqtypes.positions import (
     EPS,
     DomainMismatchError,
+    IsoShapeError,
     ZeroOneIso,
     applicative_depth,
     check_01_iso,
@@ -17,7 +18,9 @@ from seqtypes.positions import (
     iter_01_isos,
     parse_position,
 )
+from seqtypes.derivations import AbsNode, AxNode, Derivation, JudgmentIsos, check_derivation
 from seqtypes.stypes import RelabellingError, check_type_iso, parse_type, relabel_type
+from seqtypes.terms import parse_term
 
 # Supports of two 01-isomorphic labelled trees used throughout:
 # T1 = (8:o2, 4:(8:o3, 3:o1) -> o2) -> o1 and T2 = (5:(7:o1, 2:o3) -> o2, 3:o2) -> o1.
@@ -82,25 +85,27 @@ def test_position_text_round_trip():
 
 
 def test_check_01_iso_listed_mapping():
-    assert check_01_iso(T1_SUPP, T2_SUPP, LISTED_PHI)
-    assert check_01_iso(T1_SUPP, T2_SUPP, LISTED_PHI, T1_LABELS, T2_LABELS)
+    assert check_01_iso(T1_SUPP, T2_SUPP, LISTED_PHI.mapping)
+    assert check_01_iso(T1_SUPP, T2_SUPP, LISTED_PHI.mapping, T1_LABELS, T2_LABELS)
 
 
 def test_check_01_iso_identity():
     ident = ZeroOneIso({a: a for a in T1_SUPP})
-    assert check_01_iso(T1_SUPP, T1_SUPP, ident)
+    assert check_01_iso(T1_SUPP, T1_SUPP, ident.mapping)
 
 
 def test_check_01_iso_rejects_bad_candidate():
     bad = dict(LISTED_PHI.mapping)
     bad[(8,)] = (5,)  # collides with the image of 4
-    assert not check_01_iso(T1_SUPP, T2_SUPP, ZeroOneIso(bad))
+    assert not check_01_iso(T1_SUPP, T2_SUPP, bad)
+    with pytest.raises(IsoShapeError, match="not a bijection fixing 0 and 1"):
+        ZeroOneIso(bad)
 
 
 def test_check_01_iso_domain_mismatch_is_distinct():
     partial = {a: b for a, b in LISTED_PHI.mapping.items() if a != (8,)}
     with pytest.raises(DomainMismatchError):
-        check_01_iso(T1_SUPP, T2_SUPP, ZeroOneIso(partial))
+        check_01_iso(T1_SUPP, T2_SUPP, partial)
 
 
 def brute_force_isos(s1, s2, lab1=None, lab2=None):
@@ -110,10 +115,10 @@ def brute_force_isos(s1, s2, lab1=None, lab2=None):
         return []
     found = []
     for perm in itertools.permutations(ys):
-        phi = ZeroOneIso(dict(zip(xs, perm)))
+        phi = dict(zip(xs, perm))
         try:
             if check_01_iso(s1, s2, phi, lab1, lab2):
-                found.append(phi.key())
+                found.append(ZeroOneIso(phi).key())
         except DomainMismatchError:  # pragma: no cover
             pass
     return sorted(found)
@@ -148,7 +153,7 @@ def test_enumerate_contains_identity():
     isos = list(iter_01_isos(T1_SUPP, T1_SUPP))
     assert any(phi.mapping == {a: a for a in T1_SUPP} for phi in isos)
     for phi in isos:
-        assert check_01_iso(T1_SUPP, T1_SUPP, phi)
+        assert check_01_iso(T1_SUPP, T1_SUPP, phi.mapping)
 
 
 def test_relabel_type_worked_example():
@@ -205,8 +210,73 @@ def test_iso_properties_on_random_trees(ps):
     isos = list(iter_01_isos(supp, supp))
     assert any(phi.mapping == {a: a for a in supp} for phi in isos)
     for phi in isos[:6]:
-        assert check_01_iso(supp, supp, phi)
+        assert check_01_iso(supp, supp, phi.mapping)
         for a in supp:
             b = phi(a)
             assert len(b) == len(a)
             assert applicative_depth(b) == applicative_depth(a)
+
+
+def test_isos_built_by_every_route_are_equal_and_hash_equal():
+    relabelled = relabel_type(T1, {(4,): 5, (4, 3): 7, (4, 8): 2, (8,): 3})[1]
+    enumerated = iter_01_isos(T1_SUPP, T2_SUPP, T1_LABELS, T2_LABELS)
+    listed = next(phi for phi in enumerated if phi.key() == LISTED_PHI.key())
+    # \x. x with its axiom typed T1 and moved by the listed iso onto track 9:
+    # the abstraction's psi is one node over the axiom's, twice
+    nodes = {EPS: AbsNode(), (0,): AxNode(2, T1)}
+    checked = check_derivation(Derivation(parse_term("\\x. x"), "S", nodes))
+    judged = JudgmentIsos(checked, {(0,): (9, relabelled)})
+    from_dict = ZeroOneIso(dict(LISTED_PHI.mapping))
+    routes = [LISTED_PHI, from_dict, relabelled, listed, judged.iso((0,))]
+    assert all(phi == LISTED_PHI and hash(phi) == hash(LISTED_PHI) for phi in routes)
+    assert len(set(routes)) == 1
+    psi = judged.iso(EPS)
+    assert psi.restrict(1) is psi.restrict(2) is relabelled
+    expected = {EPS: EPS}
+    for k, k2 in ((1, 1), (2, 9)):
+        expected.update({(k,) + c: (k2,) + c2 for c, c2 in LISTED_PHI.mapping.items()})
+    assert psi == ZeroOneIso(expected) and hash(psi) == hash(ZeroOneIso(expected))
+    assert psi.mapping == expected
+    # a tree and a forest with the same pairs differ, as do different letters
+    assert ZeroOneIso({EPS: EPS}) != ZeroOneIso({})
+    assert ZeroOneIso({(2,): (3,)}) != ZeroOneIso({(2,): (4,)})
+    assert LISTED_PHI != LISTED_PHI.inverse()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(positions_st, max_size=6), st.randoms(use_true_random=False))
+def test_iso_operations_match_the_mappings(ps, rng):
+    """call, inverse, compose, conjugate, restrict, roots, is_identity and
+    hash on the shared-node isomorphisms agree with the same operations on
+    their position mappings."""
+    supp = tree_from_positions(ps)
+    isos = list(itertools.islice(iter_01_isos(supp, supp), 8))
+    phi, psi, chi = (rng.choice(isos) for _ in range(3))
+    m, n = dict(phi.mapping), dict(psi.mapping)
+    assert all(phi(a) == b for a, b in m.items())
+    assert phi.inverse().mapping == {b: a for a, b in m.items()}
+    assert phi.compose(psi).mapping == {a: m[b] for a, b in n.items()}
+    conjugated = {m[a]: chi(b) for a, b in n.items()}  # chi o psi o phi^-1
+    assert psi.conjugate(phi, chi).mapping == conjugated
+    assert phi.is_identity() == all(a == b for a, b in m.items())
+    assert phi.roots() == {a[0]: b[0] for a, b in m.items() if len(a) == 1}
+    for k in phi.kids:
+        assert phi.restrict(k).mapping == {a[1:]: b[1:] for a, b in m.items() if a[:1] == (k,)}
+    assert (phi == psi) == (m == n)
+    if m == n:
+        assert hash(phi) == hash(psi)
+
+
+def test_node_checks_the_letters():
+    leaf = ZeroOneIso({EPS: EPS})
+    assert ZeroOneIso.node({1: (1, leaf), 2: (5, leaf)}) == ZeroOneIso(
+        {EPS: EPS, (1,): (1,), (2,): (5,)}
+    )
+    moved = ({1: (2, leaf)}, {2: (1, leaf)}, {0: (0, leaf), 2: (0, leaf)})
+    for kids in moved + ({2: (5, leaf), 3: (5, leaf)},):
+        with pytest.raises(IsoShapeError):
+            ZeroOneIso.node(kids)
+    forest = ZeroOneIso.node({3: (4, leaf)}, tree=False)
+    assert forest == ZeroOneIso({(3,): (4,)}) and not forest.tree
+    with pytest.raises(KeyError):
+        forest(EPS)

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtypes.positions import EPS, DomainMismatchError, ZeroOneIso, check_01_iso
+from seqtypes.derivations import AbsNode, AxNode, Derivation, JudgmentIsos, check_derivation
+from seqtypes.positions import EPS, DomainMismatchError, IsoShapeError, ZeroOneIso, check_01_iso
+from seqtypes.terms import parse_term
 from seqtypes.stypes import (
     EMPTY_SEQ,
     RArrow,
@@ -26,6 +28,7 @@ from seqtypes.stypes import (
     parse_seq_type,
     parse_type,
     print_type,
+    relabel_type,
     rarrow,
     rmultiset,
     seq,
@@ -134,9 +137,9 @@ def brute_type_isos(t1, t2):
         return []
     out = []
     for perm in itertools.permutations(ys):
-        phi = ZeroOneIso(dict(zip(xs, perm)))
+        phi = dict(zip(xs, perm))
         if check_01_iso(sup1, sup2, phi, lab1, lab2):
-            out.append(tuple(sorted(phi.mapping.items())))
+            out.append(tuple(sorted(phi.items())))
     return sorted(out)
 
 
@@ -242,12 +245,45 @@ def test_type_facts_do_not_recurse():
     assert t.mutable_positions == tuple(sorted(t.mutable_positions))
     identity = identity_iso(t)
     assert check_type_iso(t, t, identity)
-    deepest = max(sup, key=len)
+    # the deepest leaf on a mutable track, moved to a track t lacks there
+    deepest = max(sup, key=lambda a: (len(a), a[-1:]))
     wrong = {**identity.mapping, deepest: deepest[:-1] + (7,)}
     assert not check_type_iso(t, t, ZeroOneIso(wrong))
+    target = deepest[:-1] + (1,)
+    with pytest.raises(IsoShapeError, match="not a bijection fixing 0 and 1"):
+        ZeroOneIso({**identity.mapping, target: deepest[:-1] + (8,)})
     del wrong[deepest]
     with pytest.raises(DomainMismatchError):
         check_type_iso(t, t, ZeroOneIso(wrong))
+
+
+def test_isos_2000_deep_compare_and_hash_without_recursion():
+    assert sys.getrecursionlimit() <= 1000
+    t = deep_type(DEEP_POSITIONS)
+    sup = t.support[0]
+    identity = identity_iso(t)
+    # \x. x with its axiom typed t and no isomorphism given: the identity
+    nodes = {EPS: AbsNode(), (0,): AxNode(2, t)}
+    checked = check_derivation(Derivation(parse_term("\\x. x"), "S", nodes))
+    judged = JudgmentIsos(checked, {})
+    routes = [
+        identity,
+        ZeroOneIso({a: a for a in sup}),
+        relabel_type(t, {a: a[-1] for a in t.mutable_positions})[1],
+        judged.iso((0,)),
+        judged.iso(EPS).restrict(1),
+        identity.inverse().compose(identity),
+    ]
+    assert all(phi == identity and hash(phi) == hash(identity) for phi in routes)
+    assert len(set(routes)) == 1 and all(phi.is_identity() for phi in routes)
+    assert judged.iso(EPS) == identity_iso(checked.type_at(EPS))
+    # one mutable track moved at the bottom: unequal, and the moves undo
+    deepest = max(t.mutable_positions, key=len)
+    moved = relabel_type(t, {a: 9 if a == deepest else a[-1] for a in t.mutable_positions})[1]
+    assert moved != identity and not moved.is_identity()
+    assert moved(deepest) == deepest[:-1] + (9,)
+    assert moved.inverse().compose(moved) == identity
+    assert hash(moved.compose(identity)) == hash(moved)
 
 
 def test_cached_facts_are_read_only():
@@ -260,9 +296,18 @@ def test_cached_facts_are_read_only():
     assert isinstance(sup, frozenset)
     assert f.support is f.support
     assert f.collapse is f.collapse
-    # each identity isomorphism has a mapping of its own
-    identity_iso(f).mapping[(9,)] = (9,)
+    # the identity isomorphism is kept on the type and its mapping is read-only
+    assert identity_iso(f) is identity_iso(f)
+    with pytest.raises(TypeError):
+        identity_iso(f).mapping[(9,)] = (9,)
     assert (9,) not in identity_iso(f).mapping
+    # so are its letter maps, shared by every type holding these nodes
+    for iso in (identity_iso(f), identity_iso(f).restrict(2), ZeroOneIso({EPS: EPS})):
+        with pytest.raises(TypeError):
+            iso.kids[9] = (9, iso)  # type: ignore[index]
+    assert 9 not in ZeroOneIso({}).kids
+    for iso in (identity_iso(f), identity_iso(T1)):
+        assert pickle.loads(pickle.dumps(iso)) == iso == copy.deepcopy(iso)
     # the facts are not part of a pickle or a copy
     assert pickle.loads(pickle.dumps(f)) == f == copy.deepcopy(f)
     assert "support" not in copy.deepcopy(f).__dict__

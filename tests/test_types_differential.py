@@ -13,7 +13,9 @@ type-directed `check_type_iso` must agree with them:
 - for `check_type_iso`, in the verdict and in whether `DomainMismatchError`
   is raised, on true interfaces and identity isomorphisms and on the same
   mappings with a dropped key, an extra key, two swapped images, a bumped
-  track or a key moved off the type.
+  track, a key moved off the type, an extra leaf or a subtree moved onto a
+  fresh track.  A mapping that no 01-isomorphism has cannot be built into a
+  `ZeroOneIso` (`IsoShapeError`); the reference must reject it as well.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 
 from seqtypes.corpus import tower_instances
 from seqtypes.derivations import CheckedDerivation, check_derivation, walk_R
-from seqtypes.positions import DomainMismatchError, ZeroOneIso
+from seqtypes.positions import DomainMismatchError, IsoShapeError, ZeroOneIso
 from seqtypes.reduction import make_operable
 from seqtypes.stypes import (
     SeqType,
@@ -91,9 +93,9 @@ def assert_same_facts(t) -> None:
         assert new.key == ref.rkey(new)
 
 
-def iso_outcome(check, t1, t2, mapping: dict) -> object:
+def iso_outcome(check, t1, t2, iso) -> object:
     try:
-        return check(t1, t2, ZeroOneIso(mapping))
+        return check(t1, t2, iso)
     except DomainMismatchError:
         return "domain mismatch"
 
@@ -119,16 +121,29 @@ def corruptions(mapping: dict, rng: random.Random) -> list[dict]:
     # as many keys as positions, one of them off the type
     moved = dict(mapping)
     moved[p + (77,)] = moved.pop(p)
-    return [dropped, extra, swapped, bumped, moved]
+    # two that keep the shape of a 01-isomorphism: a new leaf on a fresh
+    # track, and a mutable position's subtree sent onto a fresh track
+    leaf = {**mapping, p + (77,): mapping[p] + (77,)}
+    q = rng.choice([k for k in keys if k and k[-1] >= 2] or keys)
+    b = mapping[q]
+    fresh = b[:-1] + (77,) if b else b
+    retracked = {c: fresh + c2[len(b):] if c2[: len(b)] == b else c2 for c, c2 in mapping.items()}
+    return [dropped, extra, swapped, bumped, moved, leaf, retracked]
 
 
 def compare_iso_checks(t1, t2, mapping: dict, rng: random.Random) -> tuple[int, int]:
     """Compare both checks on the mapping and its corruptions; returns the
-    number of cases and of True verdicts."""
+    number of cases built into a `ZeroOneIso` and of True verdicts."""
     cases = trues = 0
     for candidate in [mapping] + corruptions(mapping, rng):
-        outcome = iso_outcome(check_type_iso, t1, t2, candidate)
-        assert outcome == iso_outcome(ref.check_type_iso, t1, t2, candidate), candidate
+        expected = iso_outcome(ref.check_type_iso, t1, t2, candidate)
+        try:
+            iso = ZeroOneIso(candidate)
+        except IsoShapeError:
+            assert expected in (False, "domain mismatch"), candidate
+            continue
+        outcome = iso_outcome(check_type_iso, t1, t2, iso)
+        assert outcome == expected, candidate
         cases += 1
         trues += outcome is True
     return cases, trues
