@@ -10,7 +10,6 @@ from .positions import (
     Position,
     ZeroOneIso,
     applicative_depth,
-    check_01_iso,
     collapse_position,
     format_position,
     iter_01_isos,

@@ -4,6 +4,7 @@ trivialize, gen, export-dot."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -217,14 +218,9 @@ def cmd_reduce(args) -> int:
 def cmd_threads(args) -> int:
     if args.interface:
         op = _load_operable(args.file, args.interface)
-        analysis = ThreadAnalysis(op)
     else:
-        checked = _load_checked(args.file, args.flavor)
-        analysis = (
-            ThreadAnalysis(make_operable(checked))
-            if checked.flavor == "Sh"
-            else ThreadAnalysis(checked)
-        )
+        op = make_operable(_load_checked(args.file, args.flavor))
+    analysis = ThreadAnalysis(op)
     if args.dot:
         Path(args.dot).write_text(dot_export(analysis))
     if args.json:
@@ -265,7 +261,7 @@ def cmd_trivialize(args) -> int:
             {"class": i, "threads": list(tids), "track": result.values[i]}
             for i, tids in enumerate(result.classes.classes)
         ],
-        "iso": _pairs_to_json(result.iso.supp_map),
+        "iso": _pairs_to_json(result.iso.supp_map.mapping),
         "axiom_isos": {
             format_position(a): _pairs_to_json(iso.mapping)
             for a, iso in sorted(result.iso.axiom_isos.items())
@@ -291,7 +287,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: `parse_args` leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="seqtypes", description="Rigid sequence-type derivation toolkit"
     )
@@ -355,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -114,12 +114,12 @@ class ZeroOneIso:
         Costs O(len(kids)): the letter map is copied, the sub-isomorphisms
         are shared.  Raises `IsoShapeError` when a fixed track moves or two
         letters share an image."""
-        images = {k2 for k2, _ in kids.values()}
-        fixed = kids.keys() & _FIXED
-        moved = images & _FIXED != fixed or any(kids[f][0] != f for f in fixed)
-        if moved or len(images) < len(kids):
-            letters = sorted((k, k2) for k, (k2, _) in kids.items())
-            raise IsoShapeError(f"the letter pairs {letters} are not a bijection fixing 0 and 1")
+        images: set[Track] = set()
+        for k, (k2, _) in kids.items():
+            if k2 in images or k != k2 and (k in _FIXED or k2 in _FIXED):
+                pairs = sorted((k, k2) for k, (k2, _) in kids.items())
+                raise IsoShapeError(f"the letter pairs {pairs} are not a bijection fixing 0 and 1")
+            images.add(k2)
         return _node(tree, dict(kids))
 
     def restrict(self, k: Track) -> "ZeroOneIso":
@@ -282,39 +282,6 @@ def _carry(
                 kids[k_l] = (k_r, built[id(l2), id(p2), id(r2)])
         built[key] = node = _node(item is not root or drive.tree, kids)
     return node  # the root's, built last
-
-
-def check_01_iso(
-    u1: frozenset[Position],
-    u2: frozenset[Position],
-    mapping: Mapping[Position, Position],
-    labels1: Optional[Mapping[Position, str]] = None,
-    labels2: Optional[Mapping[Position, str]] = None,
-) -> bool:
-    """Check the 01-isomorphism clauses on a position mapping; raise on a
-    domain mismatch.
-
-    The labelled clause is checked only when both label maps are supplied.
-    """
-    if set(mapping) != u1:
-        raise DomainMismatchError("mapping domain differs from the first support")
-    image = set(mapping.values())
-    if len(image) != len(mapping) or image != u2:
-        return False
-    for a, b in mapping.items():
-        if len(a) != len(b):
-            return False
-        if a:
-            parent_image = mapping.get(a[:-1], EPS if len(a) == 1 else None)
-            if parent_image is None or b[:-1] != parent_image:
-                return False
-            if a[-1] in (0, 1) and b[-1] != a[-1]:
-                return False
-    if labels1 is not None and labels2 is not None:
-        for a, b in mapping.items():
-            if labels1.get(a) != labels2.get(b):
-                return False
-    return True
 
 
 def _class_ids(

@@ -513,7 +513,7 @@ def hybridize(rd: RDerivation) -> Derivation:
 
 def build_operable_from_choices(
     rd: RDerivation,
-    base: OperableDerivation | CheckedDerivation,
+    checked: CheckedDerivation,
     choices: list[tuple[Position, RChoice]],
 ) -> OperableDerivation:
     """Build a total interface on the base derivation encoding the choices.
@@ -524,7 +524,6 @@ def build_operable_from_choices(
     way is collapsed once, for the consistency check, and the choice is
     realized on that same collapse.
     """
-    checked = base.checked if isinstance(base, OperableDerivation) else base
     if collapse_derivation(checked) != rd:
         raise ChoiceError("the base derivation does not collapse on the given derivation")
     alive: dict[Position, Position] = {a: a for a in checked.app_positions()}

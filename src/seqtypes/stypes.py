@@ -386,9 +386,10 @@ def check_type_iso(
     iso: ZeroOneIso,
     memo: Optional[dict[tuple[int, int, int], tuple]] = None,
 ) -> bool:
-    """Whether iso is a label-preserving 01-isomorphism of the type supports:
-    the verdict of `check_01_iso` on them, which raises `DomainMismatchError`
-    when iso is not defined on exactly the support of t1.
+    """Whether iso, a 01-isomorphism by construction, maps the support of t1
+    onto the support of t2 and keeps every label.  Raises
+    `DomainMismatchError` when iso is not defined on exactly the support of
+    t1.
 
     Neither support is built.  The check walks t1, t2 and iso together: at
     each node, the letters of iso must be the letters below the node of t1,

@@ -20,8 +20,8 @@ from .positions import (
     Track,
     DomainMismatchError,
     IsoShapeError,
+    LEAF,
     ZeroOneIso,
-    check_01_iso,
     collapse_position,
     format_position,
     iter_01_isos,
@@ -184,14 +184,15 @@ def build_relabelling(
 class DerivationIso:
     """01-isomorphism of supports plus one type isomorphism per axiom."""
 
-    supp_map: dict[Position, Position]
+    supp_map: ZeroOneIso
     axiom_isos: dict[Position, ZeroOneIso]
 
     def judgment_isos(self, c1: CheckedDerivation, c2: CheckedDerivation) -> JudgmentIsos:
         """The type isomorphisms induced at every judgment of c1; the axioms
         of c2 give the new axiom tracks."""
-        axioms = {a: (c2.nodes[self.supp_map[a]].track, phi) for a, phi in self.axiom_isos.items()}
-        args = {a: b[-1] for a, b in self.supp_map.items() if a and a[-1] >= 2}
+        pairs = self.supp_map.mapping
+        axioms = {a: (c2.nodes[pairs[a]].track, phi) for a, phi in self.axiom_isos.items()}
+        args = {a: b[-1] for a, b in pairs.items() if a and a[-1] >= 2}
         return JudgmentIsos(c1, axioms, args)
 
 
@@ -202,18 +203,15 @@ def verify_derivation_iso(
     interface1: Optional[dict[Position, ZeroOneIso]] = None,
     interface2: Optional[dict[Position, ZeroOneIso]] = None,
 ) -> bool:
-    """All hybrid-iso clauses; with interfaces, also the commuting square."""
+    """All hybrid-iso clauses; with interfaces, also the commuting square.
+    The support map is a 01-isomorphism by construction: only its domain and
+    image are checked, and it keeps every node's term position, so its rule."""
     if alpha_key(c1.term) != alpha_key(c2.term):
         return False
-    supp_map = iso.supp_map
-    try:
-        if not check_01_iso(c1.support(), c2.support(), supp_map):
-            return False
-    except ValueError:
+    supp_map = iso.supp_map.mapping
+    if supp_map.keys() != c1.support() or set(supp_map.values()) != c2.support():
         return False
     if set(iso.axiom_isos) != set(c1.axiom_positions()):
-        return False
-    if any(type(node) is not type(c2.nodes[supp_map[a]]) for a, node in c1.nodes.items()):
         return False
     # one memo for every check: an application's type and psi are its left
     # premise's target and psi restricted under 1, and an abstraction's
@@ -269,7 +267,7 @@ def enumerate_derivation_isos(
     for supp_iso in iter_01_isos(c1.support(), c2.support(), labels1, labels2):
         factors = [iter_type_isos(c1.type_at(a), c2.type_at(supp_iso(a))) for a in axioms]
         for combo in _lazy_product(factors):
-            candidate = DerivationIso(supp_iso.mapping, dict(zip(axioms, combo)))
+            candidate = DerivationIso(supp_iso, dict(zip(axioms, combo)))
             if verify_derivation_iso(c1, c2, candidate):
                 out.append(candidate)
             if len(out) >= limit:
@@ -322,14 +320,11 @@ def reset_derivation(
     The conjugated interface makes the result operably isomorphic to the
     input whenever an interface is supplied.
     """
-    supp_map: dict[Position, Position] = {}
-    for a in sorted(checked.support()):
-        if not a:
-            supp_map[a] = EPS
-        else:
-            k = a[-1]
-            new_k = k if k < 2 else relab.arg[a]
-            supp_map[a] = supp_map[a[:-1]] + (new_k,)
+    order = sorted(checked.support())
+    supp_map: dict[Position, Position] = {EPS: EPS}
+    for a in order[1:]:
+        k = a[-1]
+        supp_map[a] = supp_map[a[:-1]] + (k if k < 2 else relab.arg[a],)
     new_nodes: dict[Position, Node] = {}
     axiom_isos: dict[Position, ZeroOneIso] = {}
     for a, node in checked.nodes.items():
@@ -345,10 +340,17 @@ def reset_derivation(
                 frozenset(relab.arg[a + (k,)] for k in node.arg_tracks)
             )
     new_checked = check_derivation(Derivation(checked.term, flavor, new_nodes))
-    iso = DerivationIso(supp_map, axiom_isos)
+    # the support map as one letter map per node, built bottom-up
+    kids: dict[Position, dict[Track, tuple[Track, ZeroOneIso]]] = {}
+    for a in reversed(order[1:]):
+        sub = ZeroOneIso.node(kids.pop(a)) if a in kids else LEAF
+        kids.setdefault(a[:-1], {})[a[-1]] = (supp_map[a][-1], sub)
+    iso = DerivationIso(ZeroOneIso.node(kids.pop(EPS, {})), axiom_isos)
     new_interface: Optional[dict[Position, ZeroOneIso]] = None
     if interface is not None:
-        derived = iso.judgment_isos(checked, new_checked)
+        # the relabelling gives the new tracks, so the map is not read back
+        axioms = {a: (relab.axiom_tracks[a], phi) for a, phi in axiom_isos.items()}
+        derived = JudgmentIsos(checked, axioms, relab.arg)
         new_interface = {
             supp_map[a]: derived.conjugate(a, interface[a]) for a in checked.app_positions()
         }

@@ -196,7 +196,7 @@ def enumerate_derivation_isos(c1, c2, limit: int = 64) -> list[DerivationIso]:
             isos = list(iter_type_isos(c1.type_at(a), c2.type_at(supp_iso(a))))
             axiom_choices.append([(a, t) for t in isos])
         for combo in itertools.product(*axiom_choices):
-            candidate = DerivationIso(dict(supp_iso.mapping), dict(combo))
+            candidate = DerivationIso(supp_iso, dict(combo))
             if verify_derivation_iso(c1, c2, candidate):
                 out.append(candidate)
             if len(out) >= limit:

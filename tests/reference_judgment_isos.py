@@ -15,7 +15,8 @@ callers.  `test_judgment_isos_differential.py` compares
 
 They keep the isomorphism as it then was, `DictIso`: a dict from positions
 to positions, with `inverse` and `compose` on the dicts.  Isomorphisms that
-come from `seqtypes` are read through their `.mapping`; the interfaces of
+come from `seqtypes`, a `DerivationIso`'s support map too, are read through
+their `.mapping`; the interfaces of
 the `OperableDerivation` they build are turned back into `ZeroOneIso`.
 """
 
@@ -35,7 +36,7 @@ from seqtypes.derivations import (
     check_derivation,
     collapse_derivation,
 )
-from seqtypes.positions import EPS, Position, Track, ZeroOneIso, check_01_iso, format_position
+from seqtypes.positions import EPS, Position, Track, ZeroOneIso, format_position
 from seqtypes.reduction import (
     ChoiceError,
     OperableDerivation,
@@ -51,7 +52,7 @@ from seqtypes.terms import Abs, Var, alpha_key, subterm_at
 from seqtypes.trivialize import DerivationIso
 
 from reference_reduction import residual_derivation
-from reference_types import check_type_iso
+from reference_types import check_01_iso, check_type_iso
 
 
 @dataclass(frozen=True)
@@ -188,25 +189,26 @@ def verify_derivation_iso(
     if alpha_key(c1.term) != alpha_key(c2.term):
         return False
     supp1, supp2 = c1.support(), c2.support()
+    supp_map = dict(iso.supp_map.mapping)
     try:
-        if not check_01_iso(supp1, supp2, iso.supp_map):
+        if not check_01_iso(supp1, supp2, supp_map):
             return False
     except ValueError:
         return False
     if set(iso.axiom_isos) != set(c1.axiom_positions()):
         return False
-    derived = NodeIsos(c1, c2, iso.supp_map, iso.axiom_isos)
+    derived = NodeIsos(c1, c2, supp_map, iso.axiom_isos)
     try:
         for a in supp1:
-            if type(c1.node(a)) is not type(c2.node(iso.supp_map[a])):
+            if type(c1.node(a)) is not type(c2.node(supp_map[a])):
                 return False
             if not check_type_iso(
-                c1.type_at(a), c2.type_at(iso.supp_map[a]), derived.node_iso(a).mapping
+                c1.type_at(a), c2.type_at(supp_map[a]), derived.node_iso(a).mapping
             ):
                 return False
         if interface1 is not None and interface2 is not None:
             for a in c1.app_positions():
-                a2 = iso.supp_map[a]
+                a2 = supp_map[a]
                 left = derived.left_iso(a)
                 right = derived.right_iso(a)
                 lhs = right.compose(interface1[a])
@@ -308,7 +310,7 @@ def reset_interface(
     interface: dict[Position, ZeroOneIso],
 ) -> dict[Position, DictIso]:
     """The conjugated interface of `reset_derivation`."""
-    supp_map, axiom_isos = iso.supp_map, iso.axiom_isos
+    supp_map, axiom_isos = dict(iso.supp_map.mapping), iso.axiom_isos
     derived = NodeIsos(checked, new_checked, supp_map, axiom_isos)
     new_interface = {}
     for a in checked.app_positions():

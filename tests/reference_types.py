@@ -8,14 +8,21 @@ recomputed every fact from the structure of the type on every call.  Only
 the imports differ: the functions here call each other, never the cached
 facts.  `rkey` and `rderiv_key` read nothing but the fields of the R-nodes,
 so they are independent of the keys the nodes now carry.
+
+`check_01_iso`, the clause-by-clause check of a position mapping that the
+support-based `check_type_iso` calls, is the library's former
+`positions.check_01_iso`, moved here verbatim once every isomorphism the
+library makes is a `ZeroOneIso`, whose constructor checks its shape.  The
+other oracles (`reference_judgment_isos`, `test_positions`, `test_stypes`)
+import it from here.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Optional
 
 from seqtypes.derivations import RAbsD, RAxD, RNode
-from seqtypes.positions import EPS, Position, check_01_iso
+from seqtypes.positions import EPS, DomainMismatchError, Position
 from seqtypes.stypes import ARROW, RArrow, RAtom, RType, SArrow, SAtom, SeqType, SType
 
 
@@ -74,6 +81,39 @@ def type_support(t: SType | SeqType) -> tuple[frozenset[Position], dict[Position
     else:
         walk_type(t, EPS)
     return frozenset(positions), labels
+
+
+def check_01_iso(
+    u1: frozenset[Position],
+    u2: frozenset[Position],
+    mapping: Mapping[Position, Position],
+    labels1: Optional[Mapping[Position, str]] = None,
+    labels2: Optional[Mapping[Position, str]] = None,
+) -> bool:
+    """Check the 01-isomorphism clauses on a position mapping; raise on a
+    domain mismatch.
+
+    The labelled clause is checked only when both label maps are supplied.
+    """
+    if set(mapping) != u1:
+        raise DomainMismatchError("mapping domain differs from the first support")
+    image = set(mapping.values())
+    if len(image) != len(mapping) or image != u2:
+        return False
+    for a, b in mapping.items():
+        if len(a) != len(b):
+            return False
+        if a:
+            parent_image = mapping.get(a[:-1], EPS if len(a) == 1 else None)
+            if parent_image is None or b[:-1] != parent_image:
+                return False
+            if a[-1] in (0, 1) and b[-1] != a[-1]:
+                return False
+    if labels1 is not None and labels2 is not None:
+        for a, b in mapping.items():
+            if labels1.get(a) != labels2.get(b):
+                return False
+    return True
 
 
 def check_type_iso(

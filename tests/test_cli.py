@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from seqtypes.cli import run
+from seqtypes.cli import build_parser, run
 from seqtypes.derivations import (
     AbsNode,
     AppNode,
@@ -91,6 +91,28 @@ def test_check_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["check"])
     assert exc.value.code == 2
+
+
+def test_one_parser_serves_every_run(brothers_file, self_app_file, capsys):
+    """The parser is built once per process; reusing it changes no output,
+    and a usage error in between still exits 2."""
+    assert build_parser() is build_parser()
+    runs = [
+        ["threads", "--file", brothers_file, "--json"],
+        ["threads", "--file", self_app_file, "--flavor", "S", "--json"],
+        ["trivialize", "--file", brothers_file, "--json"],
+    ]
+    first = []
+    for argv in runs:
+        assert run(argv) == 0
+        first.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit) as exc:
+        run(["threads", "--json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for argv, out in zip(runs, first):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_collapse(self_app_file, capsys):

@@ -1,4 +1,4 @@
-"""Two rules that deleting code breaks most often, checked with `ast`.
+"""Three rules that deleting code breaks most often, checked with `ast`.
 
 No linter ships with the project.  First, no module of `seqtypes` but
 `__init__.py` imports a name it never uses.  A name counts as used when it
@@ -6,18 +6,23 @@ appears as a name anywhere in the module, in code or in a string annotation
 such as `"SeqType"`.  `__init__.py` is left out: its imports are the
 package's API.  Second, every private module-level name (a `_`-prefixed
 def, class or constant) is referenced somewhere in the package outside its
-own definition: as a name, an attribute or an imported name.
+own definition: as a name, an attribute or an imported name.  Third, every
+module-level def and class is referenced outside its own definition in the
+package, the tests, the benchmark or a word of the README, so a second path
+does not outlive its last caller.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "seqtypes"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "seqtypes"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -101,22 +106,58 @@ def private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
     return out
 
 
-def unreferenced_private_names(sources: dict[str, str]) -> list[tuple[str, str, int]]:
-    """(module, name, line) of every private module-level name that no
-    module references outside the name's own definition."""
+def definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """The module-level defs and classes, each with its statement."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [(node.name, node) for node in tree.body if isinstance(node, kinds)]
+
+
+def unreferenced_names(
+    sources: dict[str, str],
+    select: Callable[[ast.Module], list[tuple[str, ast.stmt]]],
+    outside: frozenset[str] = frozenset(),
+) -> list[tuple[str, str, int]]:
+    """(module, name, line) of every name that `select` picks from a module
+    and that neither `outside` nor any module references outside the name's
+    own definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     out = []
     for module, tree in trees.items():
-        elsewhere = set().union(*(referenced_names(t) for m, t in trees.items() if m != module))
-        for name, node in private_definitions(tree):
+        elsewhere = outside.union(*(referenced_names(t) for m, t in trees.items() if m != module))
+        for name, node in select(tree):
             if name not in elsewhere and name not in referenced_names(tree, skip=node):
                 out.append((module, name, node.lineno))
     return sorted(out)
 
 
+def unreferenced_private_names(sources: dict[str, str]) -> list[tuple[str, str, int]]:
+    return unreferenced_names(sources, private_definitions)
+
+
 def test_every_private_name_is_referenced():
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unreferenced_private_names(sources) == []
+
+
+def test_every_definition_is_referenced_somewhere():
+    sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
+    outside = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in [*(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        outside |= referenced_names(ast.parse(path.read_text()))
+    assert unreferenced_names(sources, definitions, frozenset(outside)) == []
+
+
+def test_a_definition_named_only_outside_the_package_counts():
+    sources = {
+        "a.py": "def helper():\n    return helper()\n\n\nclass Shown:\n    pass\n",
+        "b.py": "def caller():\n    return 1\n",
+    }
+    assert unreferenced_names(sources, definitions) == [
+        ("a.py", "Shown", 5), ("a.py", "helper", 1), ("b.py", "caller", 1)
+    ]
+    assert unreferenced_names(sources, definitions, frozenset({"Shown", "caller"})) == [
+        ("a.py", "helper", 1)
+    ]
 
 
 def test_an_unreferenced_private_name_is_found():

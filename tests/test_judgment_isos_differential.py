@@ -93,7 +93,7 @@ def mappings(interface: dict) -> dict:
 
 def assert_same_node_isos(c1, c2, iso: DerivationIso, interface=None) -> None:
     new = iso.judgment_isos(c1, c2)
-    old = ref.NodeIsos(c1, c2, iso.supp_map, iso.axiom_isos)
+    old = ref.NodeIsos(c1, c2, dict(iso.supp_map.mapping), iso.axiom_isos)
     for a in c1.nodes:
         assert new.iso(a).mapping == old.node_iso(a).mapping, a
     for a in c1.app_positions():
@@ -190,7 +190,7 @@ def candidates(c1, c2) -> list[DerivationIso]:
             for a in axioms
         ]
         for combo in itertools.islice(itertools.product(*factors), 16):
-            out.append(DerivationIso(supp_iso.mapping, dict(zip(axioms, combo))))
+            out.append(DerivationIso(supp_iso, dict(zip(axioms, combo))))
     return out
 
 
@@ -221,7 +221,7 @@ def test_unlabelled_support_maps_are_rejected_alike():
         c1, c2 = op.checked, reset.checked
         own = {a: reset.iso.axiom_isos[a] for a in c1.axiom_positions()}
         for supp_iso in itertools.islice(iter_01_isos(c1.support(), c2.support()), 6):
-            candidate = DerivationIso(supp_iso.mapping, own)
+            candidate = DerivationIso(supp_iso, own)
             assert verify_derivation_iso(c1, c2, candidate) == ref.verify_derivation_iso(
                 c1, c2, candidate
             )

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqtypes.derivations import AbsNode, AxNode, Derivation, JudgmentIsos, check_derivation
-from seqtypes.positions import EPS, DomainMismatchError, IsoShapeError, ZeroOneIso, check_01_iso
+from seqtypes.positions import EPS, DomainMismatchError, IsoShapeError, ZeroOneIso
 from seqtypes.terms import parse_term
 from seqtypes.stypes import (
     EMPTY_SEQ,
@@ -34,6 +34,8 @@ from seqtypes.stypes import (
     seq,
     seq_union,
 )
+
+from reference_types import check_01_iso
 
 O = SAtom("o")
 O1 = SAtom("o1")

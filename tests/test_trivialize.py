@@ -270,7 +270,7 @@ def test_verify_rejects_axiom_iso_off_its_type():
     # an axiom isomorphism defined off its type's support is no type
     # isomorphism: the verdict is False, not a DomainMismatchError
     checked = check_derivation(Derivation(parse_term("x"), "S", {EPS: AxNode(2, SAtom("o"))}))
-    candidate = DerivationIso({EPS: EPS}, {EPS: ZeroOneIso({EPS: EPS, (3,): (3,)})})
+    candidate = DerivationIso(ZeroOneIso({EPS: EPS}), {EPS: ZeroOneIso({EPS: EPS, (3,): (3,)})})
     assert not verify_derivation_iso(checked, checked, candidate)
 
 
@@ -280,7 +280,7 @@ def test_verify_rejects_interface_off_its_sequences():
     # by checking each interface on its own
     checked = check_derivation(make_self_app())
     identity = DerivationIso(
-        {a: a for a in checked.nodes},
+        ZeroOneIso({a: a for a in checked.nodes}),
         {a: identity_iso(checked.type_at(a)) for a in checked.axiom_positions()},
     )
     interfaces = identity_interfaces(checked)

@@ -119,7 +119,7 @@ def test_a_wrong_letter_under_a_memoized_subtree_is_rejected():
         (3,): AxNode(3, t),
     }
     checked = check_derivation(Derivation(parse_term("v u"), "S", nodes))
-    supp_map = {a: a for a in checked.nodes}
+    supp_map = ZeroOneIso({a: a for a in checked.nodes})
     identities = {a: identity_iso(checked.type_at(a)) for a in checked.axiom_positions()}
     assert verify_derivation_iso(checked, checked, DerivationIso(supp_map, identities))
     swapped = dict(identity_iso(t).mapping)
