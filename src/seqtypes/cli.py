@@ -42,6 +42,7 @@ from .threads import ThreadAnalysis, dot_export, text_report
 from .trivialize import BrotherChainError, trivialize
 from .corpus import sr_corpus
 
+K = TypeVar("K")
 T = TypeVar("T")
 
 
@@ -96,11 +97,14 @@ def _interface_from_json(data: dict) -> list[tuple[Position, list[tuple[Position
     ]
 
 
-def _unique(pairs: list[tuple[Position, T]], where: str) -> dict[Position, T]:
-    out: dict[Position, T] = {}
+def _unique(pairs: list[tuple[K, T]], where: str) -> dict[K, T]:
+    """The pairs as a dict; a key (a position or a track) listed twice is a
+    `ValueError`."""
+    out: dict[K, T] = {}
     for a, value in pairs:
         if a in out:
-            raise ValueError(f"{format_position(a)} is listed twice in {where}")
+            name = format_position(a) if isinstance(a, tuple) else a
+            raise ValueError(f"{name} is listed twice in {where}")
         out[a] = value
     return out
 
@@ -121,11 +125,14 @@ def _load_operable(path: str, interface_path: str | None) -> OperableDerivation:
 
 
 def _choice_from_json(data: dict) -> ReductionChoice:
-    per_node = {
-        parse_position(entry["pos"]): {int(k): int(k2) for k, k2 in entry["rho"]}
+    per_node = [
+        (
+            parse_position(entry["pos"]),
+            _unique([(int(k), int(k2)) for k, k2 in entry["rho"]], f"the rho at {entry['pos']}"),
+        )
         for entry in data["per_node"]
-    }
-    return ReductionChoice(parse_position(data["redex"]), per_node)
+    ]
+    return ReductionChoice(parse_position(data["redex"]), _unique(per_node, "the choice file"))
 
 
 def cmd_check(args) -> int:

@@ -536,9 +536,9 @@ def bisupport(checked: CheckedDerivation) -> frozenset[Biposition]:
     out: set[Biposition] = set()
     for a in checked.support():
         j = checked.judgments[a]
-        out.update(RightBip(a, c) for c in j.stype.support[0])
+        out.update(RightBip(a, c) for c in j.stype.support)
         for x, f in j.context.entries:
-            out.update(LeftBip(a, x, c) for c in f.support[0])
+            out.update(LeftBip(a, x, c) for c in f.support)
     return frozenset(out)
 
 

@@ -12,10 +12,11 @@ share their subtrees, and enumerated lazily in key order by `iter_01_isos`.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 Position = tuple[int, ...]
 Track = int
+N = TypeVar("N")  # a tree node, as `iter_01_isos` reads it
 
 EPS: Position = ()
 
@@ -81,31 +82,32 @@ class ZeroOneIso:
 
     def __init__(self, mapping: Mapping[Position, Position]) -> None:
         """The isomorphism with this mapping, checked: `IsoShapeError` when
-        no 01-isomorphism has it."""
-        letters: dict[Position, dict[Track, Track]] = {EPS: {}}
-        for a in sorted(mapping, key=len):
-            b, parent = mapping[a], a[:-1]
-            if parent not in letters:
+        no 01-isomorphism has it.  One pass in reverse lexicographic order
+        meets every position after all its descendants, so each node is
+        built once, through `node`, from its children's."""
+        kids: dict[Position, dict[Track, tuple[Track, ZeroOneIso]]] = {}
+        order = sorted(mapping, reverse=True)
+        for a in order if EPS in mapping else order + [EPS]:
+            b, parent = mapping.get(a, EPS), a[:-1]
+            image = mapping.get(parent, EPS if len(a) < 2 else None)
+            if image is None:
                 raise IsoShapeError(
                     f"{format_position(parent)} is not mapped, {format_position(a)} is"
                 )
-            if len(b) != len(a) or b[:-1] != mapping.get(parent, EPS):
+            if len(b) != len(a) or b[:-1] != image:
                 raise IsoShapeError(
                     f"{format_position(a)} -> {format_position(b)} is not the image of "
                     f"{format_position(parent)} plus one letter"
                 )
-            if a:
-                letters[parent][a[-1]] = b[-1]
-                letters[a] = {}
-        built: dict[Position, ZeroOneIso] = {}
-        for a in sorted(letters, key=len, reverse=True):
-            kids = {k: (k2, built.pop(a + (k,))) for k, k2 in letters[a].items()}
+            below = kids.pop(a, None)
             try:
-                built[a] = ZeroOneIso.node(kids) if kids else LEAF
+                sub = LEAF if below is None else ZeroOneIso.node(below)
             except IsoShapeError as exc:
                 raise IsoShapeError(f"under {format_position(a)}: {exc}") from None
-        self.tree, self.kids, self._ident = EPS in mapping, built[EPS].kids, None
-        self._hash, self._mapping = None, MappingProxyType(dict(sorted(mapping.items())))
+            if a:
+                kids.setdefault(parent, {})[a[-1]] = (b[-1], sub)
+        self.tree, self.kids = EPS in mapping, sub.kids  # the root's, met last
+        self._ident, self._hash, self._mapping = None, None, None
 
     @staticmethod
     def node(kids: Mapping[Track, tuple[Track, "ZeroOneIso"]], tree: bool = True) -> ZeroOneIso:
@@ -284,75 +286,92 @@ def _carry(
     return node  # the root's, built last
 
 
-def _class_ids(
-    positions: frozenset[Position],
-    labels: Optional[Mapping[Position, str]],
+def _preorder(
+    root: N,
+    children: Callable[[N], Sequence[tuple[Track, N]]],
+    label: Callable[[N], Hashable],
     table: dict[tuple, int],
-) -> dict[Position, int]:
-    """One class id per position, computed bottom-up (Aho, Hopcroft, Ullman).
+) -> tuple[list[int], list[Track], list[list[int]], list[int]]:
+    """The nodes of the tree under root in preorder, which is increasing
+    position order: each node's parent index (-1 at the root), its letter,
+    its children's indices and its class id, on an explicit stack.
 
-    The key of a position is its label, its fixed children's ids by track
-    and the sorted ids of its mutable children.  Supports that share the
-    table get equal ids exactly for isomorphic labelled subtrees.
+    Class ids are computed bottom-up (Aho, Hopcroft, Ullman): the key of a
+    node is its label, its fixed children's ids by letter and the sorted ids
+    of its mutable children.  Trees that share the table get equal ids
+    exactly for isomorphic labelled subtrees.
     """
-    below: dict[Position, list[Position]] = {}
-    for a in sorted(positions):
-        if a:
-            below.setdefault(a[:-1], []).append(a)
-    ids: dict[Position, int] = {}
-    for a in sorted(positions, key=len, reverse=True):
-        kids = below.get(a, ())
-        key = (
-            labels.get(a) if labels is not None else None,
-            tuple((b[-1], ids[b]) for b in kids if b[-1] < 2),
-            tuple(sorted(ids[b] for b in kids if b[-1] >= 2)),
-        )
-        ids[a] = table.setdefault(key, len(table))
-    return ids
+    parent: list[int] = []
+    letter: list[Track] = []
+    labels: list[Hashable] = []
+    below: list[list[int]] = []
+    stack: list[tuple[N, int, Track]] = [(root, -1, 0)]
+    while stack:
+        node, p, k = stack.pop()
+        i = len(parent)
+        parent.append(p)
+        letter.append(k)
+        labels.append(label(node))
+        below.append([])
+        if p >= 0:
+            below[p].append(i)
+        kids = children(node)
+        if kids:
+            stack += [(c, i, k2) for k2, c in reversed(kids)]
+    ids = [0] * len(parent)
+    for i in range(len(parent) - 1, -1, -1):
+        kids = below[i]
+        if kids:
+            fixed = tuple([(letter[c], ids[c]) for c in kids if letter[c] < 2])
+            key = (labels[i], fixed, tuple(sorted([ids[c] for c in kids if letter[c] >= 2])))
+        else:
+            key = (labels[i], (), ())
+        ids[i] = table.setdefault(key, len(table))
+    return parent, letter, below, ids
 
 
 def iter_01_isos(
-    u1: frozenset[Position],
-    u2: frozenset[Position],
-    labels1: Optional[Mapping[Position, str]] = None,
-    labels2: Optional[Mapping[Position, str]] = None,
+    root1: N,
+    root2: N,
+    children: Callable[[N], Sequence[tuple[Track, N]]],
+    label: Callable[[N], Hashable],
+    tree: bool,
 ) -> Iterator[ZeroOneIso]:
-    """The 01-isomorphisms from u1 onto u2, lazily, in increasing `key()` order.
+    """The 01-isomorphisms from the tree under root1 onto the tree under
+    root2 that keep every label, lazily, in increasing `key()` order.
 
-    The supports must be prefix-closed.  Source positions are walked in sorted
-    order, which is preorder, and each is mapped to the least free target
-    child of the same class; backtracking runs on an explicit stack.  Since
-    equal classes mean isomorphic subtrees, every partial map extends, so
-    the isomorphisms come out in order without a sort and none is built in
-    vain.  The first one costs O(n log n) in the size n of the supports,
-    plus a scan quadratic in the size of each group of same-class siblings;
-    each later one costs at most as much again.
+    Both trees are read through `children(node)`, its (letter, child) pairs
+    in increasing letter order, and `label(node)`.  `tree` says whether the
+    root is in the domain; a forest's root (a sequence type's, say) is not.
+    Source nodes are walked in preorder and each is mapped to the least free
+    target child of the same class; backtracking runs on an explicit stack.
+    Since equal classes mean isomorphic subtrees, every partial map extends,
+    so the isomorphisms come out in order without a sort and none is built
+    in vain.  The first one costs O(n log n) in the number n of nodes, plus
+    a scan quadratic in the size of each group of same-class siblings; each
+    later one costs at most as much again.
     """
-    t1, t2 = u1 | {EPS}, u2 | {EPS}
     table: dict[tuple, int] = {}
-    cls1, cls2 = _class_ids(t1, labels1, table), _class_ids(t2, labels2, table)
-    if cls1[EPS] != cls2[EPS]:
+    parent, letter, below, cls1 = _preorder(root1, children, label, table)
+    parent2, letter2, _, cls2 = _preorder(root2, children, label, table)
+    if cls1[0] != cls2[0]:
         return
-    targets: dict[tuple[Position, int], list[Position]] = {}
-    for b in sorted(t2):
-        if b and b[-1] >= 2:
-            targets.setdefault((b[:-1], cls2[b]), []).append(b)
-    order = sorted(t1)
-    n, start = len(order), 0 if EPS in u1 else 1
-    index = {a: i for i, a in enumerate(order)}
-    parent = [index[a[:-1]] if a else -1 for a in order]
-    below: list[list[int]] = [[] for _ in order]
-    for j in range(1, n):
-        below[parent[j]].append(j)
-    image: list[Optional[Position]] = [None] * n
-    options: list = [(EPS,)] + [()] * (n - 1)
+    # the target children of each node by class; a fixed letter k is its
+    # own class, -1 - k
+    targets: dict[tuple[int, int], list[int]] = {}
+    for j in range(1, len(parent2)):
+        k = letter2[j]
+        targets.setdefault((parent2[j], cls2[j] if k >= 2 else -1 - k), []).append(j)
+    n = len(parent)
+    image = [-1] * n
+    options: list[Sequence[int]] = [(0,)] + [()] * (n - 1)
     tried = [0] * n
-    used: set[Position] = set()
+    used: set[int] = set()
     i = 0
     while i >= 0:
-        if image[i] is not None:
+        if image[i] >= 0:
             used.discard(image[i])
-            image[i] = None
+            image[i] = -1
         opts, j = options[i], tried[i]
         while j < len(opts) and opts[j] in used:
             j += 1
@@ -362,16 +381,16 @@ def iter_01_isos(
         image[i], tried[i] = opts[j], j + 1
         used.add(opts[j])
         if i + 1 == n:
-            # one node per position with children, each from its children's
+            # one node per node with children, each from its children's
             # images, in reverse preorder; a leaf is LEAF
             built = [LEAF] * n
             for j in range(n - 1, -1, -1):
                 if below[j] or not j:
-                    kids = {order[c][-1]: (image[c][-1], built[c]) for c in below[j]}
-                    built[j] = _node(j > 0 or not start, kids)
+                    kids = {letter[c]: (letter2[image[c]], built[c]) for c in below[j]}
+                    built[j] = _node(j > 0 or tree, kids)
             yield built[0]
             continue
         i += 1
-        a, b = order[i], image[parent[i]]
-        options[i] = (b + a[-1:],) if a[-1] < 2 else targets[b, cls1[a]]
+        k = letter[i]
+        options[i] = targets[image[parent[i]], cls1[i] if k >= 2 else -1 - k]
         tried[i] = 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .positions import (
@@ -83,10 +84,10 @@ def interfaces_at(checked: CheckedDerivation, a: Position) -> list[ZeroOneIso]:
 def root_interfaces_at(checked: CheckedDerivation, a: Position) -> list[dict[Track, Track]]:
     """All root interfaces at an application node, lexicographically ordered:
     the 01-isomorphisms of the two depth-1 forests of tracks labelled by
-    their collapsed types."""
-    left = {(k,): s.collapse.key for k, s in checked.left_seq(a).items()}
-    right = {(k,): s.collapse.key for k, s in checked.right_seq(a).items()}
-    isos = iter_01_isos(frozenset(left), frozenset(right), left, right)
+    their collapsed types, whose nodes are (label, children) pairs."""
+    left = None, [(k, (s.collapse.key, ())) for k, s in checked.left_seq(a).items()]
+    right = None, [(k, (s.collapse.key, ())) for k, s in checked.right_seq(a).items()]
+    isos = iter_01_isos(left, right, itemgetter(1), itemgetter(0), False)
     return [phi.roots() for phi in isos]
 
 
@@ -354,12 +355,13 @@ def enumerate_r_choices(rd: RDerivation, b: Position) -> list[RChoice]:
     """All type-respecting redex choices, deterministically ordered.
 
     At each R-node at the redex, the axioms of the redex variable and the
-    argument premises are two depth-1 forests labelled by R-type keys: the
-    axioms on tracks 2, 3, ... in order of decreasing key, each key's in
-    R-path order, and premise j on track j + 2.  The node's assignments are
-    the forests' 01-isomorphisms, in `iter_01_isos` order: the largest key's
-    permutations vary slowest.  The choices are the product of the nodes'
-    assignments, each choice with its own dicts.
+    argument premises are two depth-1 forests of (label, children) nodes
+    labelled by R-type keys: the axioms on tracks 2, 3, ... in order of
+    decreasing key, each key's in R-path order, and premise j on track
+    j + 2.  The node's assignments are the forests' 01-isomorphisms, in
+    `iter_01_isos` order: the largest key's permutations vary slowest.  The
+    choices are the product of the nodes' assignments, each choice with its
+    own dicts.
     """
     _, sites = _redex_sites(rd, b)
     _, types = check_R_types(rd)
@@ -368,9 +370,9 @@ def enumerate_r_choices(rd: RDerivation, b: Position) -> list[RChoice]:
         body_prefix = path + ((1, 0), (0, 0))
         ax_key = {p: types[body_prefix + p].key for p in ax_paths}
         axioms = sorted(ax_paths, key=ax_key.__getitem__, reverse=True)
-        left = {(i + 2,): ax_key[p] for i, p in enumerate(axioms)}
-        right = {(j + 2,): types[path + ((2, j),)].key for j in range(len(node.args))}
-        isos = iter_01_isos(frozenset(left), frozenset(right), left, right)
+        left = None, [(i + 2, (ax_key[p], ())) for i, p in enumerate(axioms)]
+        right = None, [(j + 2, (types[path + ((2, j),)].key, ())) for j in range(len(node.args))]
+        isos = iter_01_isos(left, right, itemgetter(1), itemgetter(0), False)
         options = [{axioms[k - 2]: j - 2 for k, j in phi.roots().items()} for phi in isos]
         per_node_options.append((path, options))
     out: list[RChoice] = []

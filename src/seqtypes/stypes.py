@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import attrgetter
-from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .positions import (
@@ -51,17 +50,12 @@ class _TypeFacts:
     """The facts of an S-type or a sequence type, each computed at most once
     per node and kept on it, shared by every reader: none can be mutated.
 
-    `size`, `collapse` and `_identity` (read by `identity_iso`) are built
-    bottom-up from the children's cached facts; `support` and
-    `mutable_positions` walk the node top-down and are kept on that node
-    only, since on shared subtypes they would repeat every position once per
-    enclosing type.  No walk recurses.
+    `collapse` and `_identity` (read by `identity_iso`) are built bottom-up
+    from the children's cached facts; `support` and `mutable_positions` walk
+    the node top-down and are kept on that node only, since on shared
+    subtypes they would repeat every position once per enclosing type.  No
+    walk recurses.
     """
-
-    @cached_property
-    def size(self) -> int:
-        """The number of positions of the support."""
-        return _bottom_up(self, "size", _size_here)
 
     @cached_property
     def collapse(self) -> Union["RType", tuple["RType", ...]]:
@@ -74,9 +68,8 @@ class _TypeFacts:
         return _bottom_up(self, "_identity", _identity_here)
 
     @cached_property
-    def support(self) -> tuple[frozenset[Position], Mapping[Position, str]]:
-        """The support and its labels, read-only.  The support is a frozenset
-        of positions: a tree, holding `EPS`, for an S-type, and a forest,
+    def support(self) -> frozenset[Position]:
+        """The support: a tree, holding `EPS`, for an S-type, and a forest,
         without it, for a sequence type."""
         return _support(self)
 
@@ -87,7 +80,7 @@ class _TypeFacts:
 
     def __getstate__(self) -> dict:
         # only the fields are pickled or copied: the facts are rebuilt on
-        # demand, and a read-only label map cannot be pickled
+        # demand
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -191,14 +184,6 @@ def _bottom_up(t: SType | SeqType, name: str, here: Callable) -> Any:
     return t.__dict__[name]
 
 
-def _size_here(u: SType | SeqType) -> int:
-    if isinstance(u, SAtom):
-        return 1
-    if isinstance(u, SArrow):
-        return 1 + u.source.size + u.target.size
-    return sum(s.size for _, s in u.entries)
-
-
 def _collapse_here(u: SType | SeqType) -> Union["RType", tuple["RType", ...]]:
     if isinstance(u, SAtom):
         return RAtom(u.name)
@@ -216,9 +201,8 @@ def _identity_here(u: SType | SeqType) -> ZeroOneIso:
     return ZeroOneIso.node({k: (k, s._identity) for k, s in u.entries}, tree=False)
 
 
-def _support(t: SType | SeqType) -> tuple[frozenset[Position], Mapping[Position, str]]:
+def _support(t: SType | SeqType) -> frozenset[Position]:
     positions: set[Position] = set()
-    labels: dict[Position, str] = {}
     # preorder, each arrow's source entries before its target: the insertion
     # order fixes the iteration order of the support, which
     # `random_relabelling` draws its tracks in
@@ -226,13 +210,10 @@ def _support(t: SType | SeqType) -> tuple[frozenset[Position], Mapping[Position,
     while stack:
         c, u = stack.pop()
         positions.add(c)
-        if isinstance(u, SAtom):
-            labels[c] = u.name
-        else:
-            labels[c] = ARROW
+        if isinstance(u, SArrow):
             stack.append((c + (1,), u.target))
             stack.extend((c + (k,), s) for k, s in reversed(u.source.entries))
-    return frozenset(positions), MappingProxyType(labels)
+    return frozenset(positions)
 
 
 def _mutable_positions(t: SType | SeqType) -> tuple[Position, ...]:
@@ -317,9 +298,14 @@ def type_at(t: SType | SeqType, c: Position) -> SType:
     return u
 
 
+def _label(u: SType | SeqType) -> Optional[str]:
+    """An atom's name or an arrow's `ARROW`; a sequence type, the root of a
+    forest, has none."""
+    return u.name if type(u) is SAtom else ARROW if type(u) is SArrow else None
+
+
 def label_at(t: SType | SeqType, c: Position) -> str:
-    u = type_at(t, c)
-    return u.name if isinstance(u, SAtom) else ARROW
+    return _label(type_at(t, c))
 
 
 def identity_iso(t: SType | SeqType) -> ZeroOneIso:
@@ -407,7 +393,7 @@ def check_type_iso(
         raise DomainMismatchError("mapping domain differs from the first support")
     if memo is not None and (id(t1), id(t2), id(iso)) in memo:
         return True
-    ok = tree != isinstance(t2, SeqType) and (not tree or _same_label(t1, t2))
+    ok = _label(t1) == _label(t2)
     seen: dict[tuple[int, int, int], tuple] = {}
     stack: list = [(t1, t2, iso)]
     while stack:
@@ -431,7 +417,7 @@ def check_type_iso(
             k2, sub = kid
             if ok:
                 s2 = kids2.get(k2)
-                ok = s2 is not None and _same_label(s, s2)
+                ok = s2 is not None and _label(s) == _label(s2)
             if sub.kids or type(s) is not SAtom:
                 stack.append((s, s2 if ok else None, sub))
     if ok and memo is not None:
@@ -439,16 +425,11 @@ def check_type_iso(
     return ok
 
 
-def _same_label(u1: SType, u2: SType) -> bool:
-    return type(u1) is type(u2) and (type(u1) is SArrow or u1.name == u2.name)
-
-
 def iter_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> Iterator[ZeroOneIso]:
-    """The type isomorphisms, lazily, in increasing `key()` order; the first
-    one is the least and costs O(n log n) (see `iter_01_isos`)."""
-    sup1, lab1 = t1.support
-    sup2, lab2 = t2.support
-    return iter_01_isos(sup1, sup2, lab1, lab2)
+    """The type isomorphisms, lazily, in increasing `key()` order, read off
+    the two types by one walk each; the first one is the least and costs
+    O(n log n) (see `iter_01_isos`)."""
+    return iter_01_isos(t1, t2, _children, _label, not isinstance(t1, SeqType))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

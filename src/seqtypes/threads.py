@@ -34,15 +34,8 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .positions import EPS, Position, Track, applicative_depth, format_position
 from .stypes import print_type
-from .derivations import (
-    AbsNode,
-    AxNode,
-    CheckedDerivation,
-    FLAVOR_S,
-    Node,
-    QuantitativityError,
-)
-from .reduction import OperableDerivation, make_operable
+from .derivations import AbsNode, AxNode, Node, QuantitativityError
+from .reduction import OperableDerivation
 
 POS = "+"
 NEG = "-"
@@ -188,18 +181,10 @@ class _Built(Sequence):
 
 
 class ThreadAnalysis:
-    """Threads and consumption of one (operable) derivation.
+    """Threads and consumption of one operable derivation."""
 
-    A flavor-S derivation is implicitly operable with identity interfaces.
-    """
-
-    def __init__(self, target: OperableDerivation | CheckedDerivation) -> None:
-        if isinstance(target, OperableDerivation):
-            self.op: Optional[OperableDerivation] = target
-            self.checked = target.checked
-        else:
-            self.checked = target
-            self.op = make_operable(target) if target.flavor == FLAVOR_S else None
+    def __init__(self, op: OperableDerivation) -> None:
+        self.op, self.checked = op, op.checked
         # node ids follow position order; `_child[v][k]` is the id of v.k
         self._positions = sorted(self.checked.support())
         self._nodes: list[Node] = [self.checked.node(a) for a in self._positions]
@@ -416,8 +401,6 @@ class ThreadAnalysis:
     def consumption(self) -> list[ConsumptionArc]:
         if self._arcs is not None:
             return self._arcs
-        if self.op is None:
-            raise ValueError("consumption needs an interface (operable derivation)")
         thread_of, edge, pol = self._thread_of, self._edge, self._polarity
         arcs = []
         for a in self.checked.app_positions():
@@ -593,11 +576,10 @@ def text_report(analysis: ThreadAnalysis) -> str:
             f"thread t{thread.id} [label {thread.label}, {thread.kind},"
             f" ref {format_edge(thread.referent)}]: {occurrences}"
         )
-    if analysis.op is not None:
-        for arc in analysis.consumption():
-            lines.append(
-                f"t{arc.left}{arc.left_polarity} ->{format_position(arc.pos)}"
-                f" t{arc.right}{arc.right_polarity}"
-            )
+    for arc in analysis.consumption():
+        lines.append(
+            f"t{arc.left}{arc.left_polarity} ->{format_position(arc.pos)}"
+            f" t{arc.right}{arc.right_polarity}"
+        )
     return "\n".join(lines) + "\n"
 

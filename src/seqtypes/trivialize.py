@@ -240,17 +240,21 @@ def verify_derivation_iso(
     return True
 
 
-def support_labels(c: CheckedDerivation) -> dict[Position, str]:
-    """Node labels under which a derivation isomorphism maps supports: the
-    rule, and for an axiom the collapse of its type."""
-    out = {}
-    for a in c.support():
-        node = c.node(a)
-        if isinstance(node, AxNode):
-            out[a] = f"ax{node.stype.collapse.key}"
-        else:
-            out[a] = "abs" if isinstance(node, AbsNode) else "app"
-    return out
+def support_children(node: tuple[CheckedDerivation, Position]) -> list[tuple[Track, tuple]]:
+    """The children of a node of a support, as `iter_01_isos` walks it: a
+    node is a derivation with a position."""
+    c, a = node
+    return [(k, (c, a + (k,))) for k in c.children(a)]
+
+
+def support_label(node: tuple[CheckedDerivation, Position]) -> str:
+    """The label that a derivation isomorphism keeps at a node: the rule, and
+    for an axiom the collapse of its type."""
+    c, a = node
+    rule = c.node(a)
+    if isinstance(rule, AxNode):
+        return f"ax{rule.stype.collapse.key}"
+    return "abs" if isinstance(rule, AbsNode) else "app"
 
 
 def enumerate_derivation_isos(
@@ -262,9 +266,8 @@ def enumerate_derivation_isos(
     if alpha_key(c1.term) != alpha_key(c2.term):
         return []
     out: list[DerivationIso] = []
-    labels1, labels2 = support_labels(c1), support_labels(c2)
     axioms = c1.axiom_positions()
-    for supp_iso in iter_01_isos(c1.support(), c2.support(), labels1, labels2):
+    for supp_iso in iter_01_isos((c1, EPS), (c2, EPS), support_children, support_label, True):
         factors = [iter_type_isos(c1.type_at(a), c2.type_at(supp_iso(a))) for a in axioms]
         for combo in _lazy_product(factors):
             candidate = DerivationIso(supp_iso, dict(zip(axioms, combo)))
@@ -382,7 +385,7 @@ def random_relabelling(checked: CheckedDerivation, rng) -> DerivationRelabelling
         assert isinstance(node, AxNode)
         by_parent: dict[Position, list[Position]] = {}
         # the parents, and so the tracks drawn, follow this set's iteration order
-        for c in frozenset(p for p in node.stype.support[0] if p and p[-1] >= 2):
+        for c in frozenset(p for p in node.stype.support if p and p[-1] >= 2):
             by_parent.setdefault(c[:-1], []).append(c)
         assignment: dict[Position, Track] = {}
         for parent, siblings in by_parent.items():

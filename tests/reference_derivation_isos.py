@@ -27,7 +27,12 @@ from seqtypes.positions import (
 )
 from seqtypes.stypes import check_type_iso, iter_type_isos
 from seqtypes.terms import alpha_key
-from seqtypes.trivialize import DerivationRelabelling, _lazy_product, support_labels
+from seqtypes.trivialize import (
+    DerivationRelabelling,
+    _lazy_product,
+    support_children,
+    support_label,
+)
 
 from reference_types import check_01_iso
 
@@ -103,9 +108,8 @@ def enumerate_derivation_isos(
     if alpha_key(c1.term) != alpha_key(c2.term):
         return []
     out: list[DerivationIso] = []
-    labels1, labels2 = support_labels(c1), support_labels(c2)
     axioms = c1.axiom_positions()
-    for supp_iso in iter_01_isos(c1.support(), c2.support(), labels1, labels2):
+    for supp_iso in iter_01_isos((c1, EPS), (c2, EPS), support_children, support_label, True):
         factors = [iter_type_isos(c1.type_at(a), c2.type_at(supp_iso(a))) for a in axioms]
         for combo in _lazy_product(factors):
             candidate = DerivationIso(supp_iso.mapping, dict(zip(axioms, combo)))

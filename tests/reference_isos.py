@@ -9,18 +9,50 @@ sequence types; `_shapes` builds every width shape of a normal term before
 the first one is used; `enumerate_derivation_isos` lists every type
 isomorphism of every axiom before taking their product.  `test_isos_differential.py` compares the lazy
 enumerators of `seqtypes` against them.
+
+The oracles take position sets with label dicts, and `iter_01_isos` takes
+trees: `support_isos` runs `iter_01_isos` on two labelled position sets,
+and `derivation_labels` gives the label dict of a derivation's support.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from seqtypes.derivations import _decompose_normal
 from seqtypes.positions import EPS, Position, Track, ZeroOneIso, iter_01_isos
 from seqtypes.stypes import iter_type_isos
 from seqtypes.terms import alpha_key
-from seqtypes.trivialize import DerivationIso, support_labels, verify_derivation_iso
+from seqtypes.trivialize import (
+    DerivationIso,
+    support_children,
+    support_label,
+    verify_derivation_iso,
+)
+
+
+def support_isos(u1, u2, labels1=None, labels2=None) -> Iterator[ZeroOneIso]:
+    """`iter_01_isos` from the prefix-closed set u1 onto u2, each labelled by
+    its dict or not at all; a node is a (side, position) pair."""
+    below: dict[tuple[int, Position], list] = {}
+    for side, u in enumerate((u1, u2)):
+        for a in sorted(u):
+            if a:
+                below.setdefault((side, a[:-1]), []).append((a[-1], (side, a)))
+    labels = (labels1 or {}, labels2 or {})
+    return iter_01_isos(
+        (0, EPS),
+        (1, EPS),
+        lambda node: below.get(node, ()),
+        lambda node: labels[node[0]].get(node[1]),
+        EPS in u1,
+    )
+
+
+def derivation_labels(c) -> dict[Position, str]:
+    """Every position of the support with its `support_label`."""
+    return {a: support_label((c, a)) for a in c.support()}
 
 
 def _child_map(positions: frozenset[Position]) -> dict[Position, list[Track]]:
@@ -189,8 +221,7 @@ def enumerate_derivation_isos(c1, c2, limit: int = 64) -> list[DerivationIso]:
     if alpha_key(c1.term) != alpha_key(c2.term):
         return []
     out: list[DerivationIso] = []
-    labels1, labels2 = support_labels(c1), support_labels(c2)
-    for supp_iso in iter_01_isos(c1.support(), c2.support(), labels1, labels2):
+    for supp_iso in iter_01_isos((c1, EPS), (c2, EPS), support_children, support_label, True):
         axiom_choices = []
         for a in c1.axiom_positions():
             isos = list(iter_type_isos(c1.type_at(a), c2.type_at(supp_iso(a))))

@@ -140,7 +140,7 @@ class NodeIsos:
             iso = DictIso(mapping)
         else:
             inner = self.node_iso(a + (1,))
-            sup, _ = self.c1.type_at(a).support
+            sup = self.c1.type_at(a).support
             try:
                 iso = DictIso({c: inner.mapping[(1,) + c][1:] for c in sup})
             except KeyError as exc:
@@ -163,7 +163,7 @@ class NodeIsos:
 
     def left_iso(self, a: Position) -> DictIso:
         inner = self.node_iso(a + (1,))
-        sup, _ = self.c1.left_seq(a).support
+        sup = self.c1.left_seq(a).support
         return DictIso({c: inner.mapping[c] for c in sup})
 
     def right_iso(self, a: Position) -> DictIso:
@@ -264,7 +264,7 @@ class ResidualTypes:
             assert isinstance(node, AxNode)
             k_left = node.track
             phi = self.interfaces[a]
-            sup, _ = checked.type_at(alpha).support
+            sup = checked.type_at(alpha).support
             return DictIso({c: phi.mapping[(k_left,) + c][1:] for c in sup})
         if alpha in self._nodes_over:
             return self.iso(alpha + (1, 0))
@@ -273,7 +273,7 @@ class ResidualTypes:
             inner = self.iso(alpha + (0,))
             arrow = checked.type_at(alpha)
             assert isinstance(arrow, SArrow)
-            src_sup, _ = arrow.source.support
+            src_sup = arrow.source.support
             mapping: dict[Position, Position] = {EPS: EPS}
             for c in src_sup:
                 mapping[c] = c
@@ -282,14 +282,14 @@ class ResidualTypes:
             return DictIso(mapping)
         if isinstance(node, AppNode):
             inner = self.iso(alpha + (1,))
-            sup, _ = checked.type_at(alpha).support
+            sup = checked.type_at(alpha).support
             return DictIso({c: inner.mapping[(1,) + c][1:] for c in sup})
         raise AssertionError("variable nodes other than redex axioms are unaffected")
 
     def res_left(self, alpha: Position) -> DictIso:
         """L(alpha) -> L'(alpha') for an application node not over the redex."""
         psi = self.iso(alpha + (1,))
-        sup, _ = self.checked.left_seq(alpha).support
+        sup = self.checked.left_seq(alpha).support
         return DictIso({c: psi.mapping[c] for c in sup})
 
     def res_right(self, alpha: Position) -> DictIso:

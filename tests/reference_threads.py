@@ -82,10 +82,10 @@ class ReferenceAnalysis:
             node = checked.node(a)
             if isinstance(node, AppNode):
                 out.extend(ArgEdge(a + (k,)) for k in node.arg_tracks)
-            sup, _ = checked.type_at(a).support
+            sup = checked.type_at(a).support
             out.extend(RightEdge(a, c) for c in sup if c and c[-1] >= 2)
             for x, f in checked.context_at(a).entries:
-                supf, _ = f.support
+                supf = f.support
                 out.extend(LeftEdge(a, x, c) for c in supf if c and c[-1] >= 2)
         return sorted(out, key=edge_key)
 
@@ -142,7 +142,7 @@ class ReferenceAnalysis:
             node = self.checked.node(a)
             subj = subterm_at(self.checked.term, a)
             assert isinstance(node, AxNode) and isinstance(subj, Var)
-            sup, _ = node.stype.support
+            sup = node.stype.support
             for c in sup:
                 if c and c[-1] >= 2:
                     uf.union(LeftEdge(a, subj.name, (node.track,) + c), RightEdge(a, c))
@@ -189,7 +189,7 @@ class ReferenceAnalysis:
         arcs = []
         for a in self.checked.app_positions():
             phi = self.op.interface[a]
-            sup, _ = self.checked.left_seq(a).support
+            sup = self.checked.left_seq(a).support
             for p in sorted(c for c in sup if c and c[-1] >= 2):
                 e_left = RightEdge(a + (1,), p)
                 image = phi.mapping[p]

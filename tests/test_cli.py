@@ -370,6 +370,20 @@ def test_non_integer_rho_track_is_bad_input(brothers_file, tmp_path, capsys):
     assert "'a'" in payload["detail"]
 
 
+def test_a_rho_source_listed_twice_is_bad_input(brothers_file, tmp_path, capsys):
+    # the last listing used to win silently
+    content = {"redex": "1.1", "per_node": [{"pos": "1.1", "rho": [[3, 9], [3, 3]]}]}
+    payload = reduce_with_choice(brothers_file, tmp_path, content, capsys)
+    assert "3 is listed twice in the rho at 1.1" in payload["detail"]
+
+
+def test_a_per_node_position_listed_twice_is_bad_input(brothers_file, tmp_path, capsys):
+    entry = {"pos": "1.1", "rho": [[3, 3]]}
+    content = {"redex": "1.1", "per_node": [entry, entry]}
+    payload = reduce_with_choice(brothers_file, tmp_path, content, capsys)
+    assert "1.1 is listed twice in the choice file" in payload["detail"]
+
+
 def edited_interface(edit) -> dict:
     """The brothers' interface file with the pairs of its interface at 1
     edited; that interface is 5 -> 6, 5.8 -> 6.3, 5.1 -> 6.1, 5.1.8 -> 6.1.2,

@@ -1,10 +1,10 @@
 """Three rules that deleting code breaks most often, checked with `ast`.
 
 No linter ships with the project.  First, no module of `seqtypes` but
-`__init__.py` imports a name it never uses.  A name counts as used when it
-appears as a name anywhere in the module, in code or in a string annotation
-such as `"SeqType"`.  `__init__.py` is left out: its imports are the
-package's API.  Second, every private module-level name (a `_`-prefixed
+`__init__.py`, and no module of the tests, imports a name it never uses.  A
+name counts as used when it appears as a name anywhere in the module, in
+code or in a string annotation such as `"SeqType"`.  `__init__.py` is left
+out: its imports are the package's API.  Second, every private module-level name (a `_`-prefixed
 def, class or constant) is referenced somewhere in the package outside its
 own definition: as a name, an attribute or an imported name.  Third, every
 module-level def and class is referenced outside its own definition in the
@@ -24,6 +24,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "seqtypes"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -80,7 +81,9 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
     return sorted((name, line) for name, line in imported_names(tree).items() if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES, ids=lambda p: p.name if p.parent == PACKAGE else f"tests/{p.name}"
+)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 

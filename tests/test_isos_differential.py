@@ -3,9 +3,11 @@
 `reference_isos` keeps the group-and-permute enumerators.  The lazy
 `iter_01_isos` must yield exactly their sorted lists (so its first element
 is the old `[0]`) on the interfaces and labelled derivation supports of the
-hybrid acceptance corpus, on the equal-typed family, on the wide family and
-on random labelled trees and forests; root interfaces, root-map validation
-and width shapes must match too.  The scale tests pin what laziness buys:
+hybrid acceptance corpus, on the equal-typed family (all k! interfaces for
+k = 3..7), on the wide family (`v (w u)^m`, m = 4..20), on the redex towers
+and on random labelled trees and forests; root interfaces, root-map
+validation and width shapes must match too, and so must the R-choices of
+the criterion-5 instances against `reference_rwalk`.  The scale tests pin what laziness buys:
 the least interface of k equal-typed arguments without k! work, one
 derivation of `v (w u)^8` without 10^8 shapes, and one support isomorphism
 and one type isomorphism per axiom drawn for `limit=1`; the lazy product of
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import importlib
 import itertools
+import math
 import random
 import time
 
@@ -29,29 +32,37 @@ from seqtypes.derivations import (
     GenBudget,
     _shapes,
     check_derivation,
+    collapse_derivation,
     generate_normal_form_derivations,
 )
 from seqtypes.positions import EPS, iter_01_isos
 from seqtypes.reduction import (
     ReductionError,
     default_interface,
+    enumerate_r_choices,
     interfaces_at,
     make_operable,
+    reduce_R,
     root_interfaces_at,
 )
 from seqtypes.stypes import iter_type_isos
-from seqtypes.terms import parse_term
+from seqtypes.terms import parse_term, redexes
 from seqtypes.trivialize import (
     enumerate_derivation_isos,
     random_relabelling,
     reset_derivation,
-    support_labels,
+    support_children,
+    support_label,
     verify_derivation_iso,
 )
 
 import reference_isos as ref
+import reference_rwalk as ref_rwalk
 from reference_relabelling import Relabelling01, apply_relabelling
+from reference_types import type_support
 from samples import make_equal_typed, make_wide
+from test_judgment_isos_differential import tower_operables, wide_operables
+from test_reduction_differential import choice_instances
 
 CORPUS_SEED = 20250809
 
@@ -82,8 +93,8 @@ def keys(isos) -> list[tuple]:
 
 
 def reference_interfaces(checked: CheckedDerivation, a) -> list[tuple]:
-    sup1, lab1 = checked.left_seq(a).support
-    sup2, lab2 = checked.right_seq(a).support
+    sup1, lab1 = type_support(checked.left_seq(a))
+    sup2, lab2 = type_support(checked.right_seq(a))
     return keys(ref.enumerate_01_isos(sup1, sup2, lab1, lab2))
 
 
@@ -99,8 +110,8 @@ def assert_same_interfaces(checked: CheckedDerivation) -> None:
 def assert_same_root_validation(checked: CheckedDerivation, a) -> None:
     """A root bijection is a root interface exactly when the reference finds
     a 01-iso for every pair of re-rooted subtrees (up to 4 roots)."""
-    f1, lab1 = checked.left_seq(a).support
-    f2, lab2 = checked.right_seq(a).support
+    f1, lab1 = type_support(checked.left_seq(a))
+    f2, lab2 = type_support(checked.right_seq(a))
     roots1, roots2 = checked.left_seq(a).tracks(), checked.right_seq(a).tracks()
     if len(roots1) > 4:
         return
@@ -112,9 +123,10 @@ def assert_same_root_validation(checked: CheckedDerivation, a) -> None:
 
 
 def assert_same_support_isos(c1: CheckedDerivation, c2: CheckedDerivation) -> None:
-    lab1, lab2 = support_labels(c1), support_labels(c2)
+    lab1, lab2 = ref.derivation_labels(c1), ref.derivation_labels(c2)
     want = keys(ref.enumerate_01_isos(c1.support(), c2.support(), lab1, lab2))
-    assert keys(iter_01_isos(c1.support(), c2.support(), lab1, lab2)) == want
+    got = iter_01_isos((c1, EPS), (c2, EPS), support_children, support_label, True)
+    assert keys(got) == want
 
 
 def test_hybrid_corpus_interfaces_match_reference():
@@ -136,6 +148,44 @@ def test_families_match_reference():
         assert_same_interfaces(checked)
         assert_same_interfaces(hybrid)
         assert_same_support_isos(checked, hybrid)
+
+
+def test_wide_and_tower_interfaces_match_reference():
+    """`v (w u)^m` for m = 4..20 relabelled into S_h, and the 20 redex towers."""
+    for op in wide_operables() + tower_operables():
+        assert_same_interfaces(op.checked)
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_all_interfaces_of_k_equal_typed_arguments_match_reference(k):
+    base = check_derivation(make_equal_typed(k))
+    hybrid = reset_derivation(base, random_relabelling(base, random.Random(k)), flavor="Sh").checked
+    for checked in (base, hybrid):
+        assert len(interfaces_at(checked, EPS)) == math.factorial(k)
+        assert_same_interfaces(checked)
+
+
+def test_choice_instances_match_reference():
+    """Root interfaces at every application of the criterion-5 instances, and
+    the R-choices at every redex of their R-choice sequences of length < 3
+    and of what the sequences reach."""
+    redexes_seen = choices_seen = 0
+    for checked in choice_instances():
+        for a in checked.app_positions():
+            assert root_interfaces_at(checked, a) == ref.root_interfaces_at(checked, a)
+        frontier = [collapse_derivation(checked)]
+        for depth in range(3):
+            extended = []
+            for rd in frontier:
+                for b in redexes(rd.term):
+                    choices = enumerate_r_choices(rd, b)
+                    assert choices == ref_rwalk.enumerate_r_choices(rd, b)
+                    redexes_seen += 1
+                    choices_seen += len(choices)
+                    if depth < 2:
+                        extended += [reduce_R(rd, b, choice) for choice in choices]
+            frontier = extended
+    assert redexes_seen >= 80 and choices_seen >= 200
 
 
 positions_st = st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple)
@@ -175,9 +225,10 @@ def test_random_labelled_forests_match_reference(ps, qs, labels, forest, seed):
     s2, lab2 = relabelled(s1, lab1, random.Random(seed))
     s3, lab3 = labelled_support(qs, labels, forest)
     for u2, l2 in ((s2, lab2), (s3, lab3), (s1, lab1)):
-        assert keys(iter_01_isos(s1, u2, lab1, l2)) == keys(ref.enumerate_01_isos(s1, u2, lab1, l2))
-        assert keys(iter_01_isos(s1, u2)) == keys(ref.enumerate_01_isos(s1, u2))
-    assert list(iter_01_isos(s1, s2, lab1, lab2)), "a relabelling is an isomorphism"
+        want = keys(ref.enumerate_01_isos(s1, u2, lab1, l2))
+        assert keys(ref.support_isos(s1, u2, lab1, l2)) == want
+        assert keys(ref.support_isos(s1, u2)) == keys(ref.enumerate_01_isos(s1, u2))
+    assert list(ref.support_isos(s1, s2, lab1, lab2)), "a relabelling is an isomorphism"
 
 
 @pytest.mark.parametrize(

@@ -47,12 +47,14 @@ from seqtypes.trivialize import (
     DerivationIso,
     random_relabelling,
     reset_derivation,
-    support_labels,
+    support_children,
+    support_label,
     trivialize,
     verify_derivation_iso,
 )
 
 import reference_judgment_isos as ref
+from reference_isos import support_isos
 from reference_relabelling import Relabelling01, apply_relabelling
 from samples import (
     make_brothers,
@@ -112,7 +114,7 @@ def assert_same_reset(op: OperableDerivation, rng: random.Random) -> int:
     reset = reset_derivation(op.checked, relabelling, op.interface)
     for a, phi in reset.iso.axiom_isos.items():
         tracks = Relabelling01(relabelling.axiom_types[a])
-        assert phi.mapping == apply_relabelling(op.checked.type_at(a).support[0], tracks)[1].mapping
+        assert phi.mapping == apply_relabelling(op.checked.type_at(a).support, tracks)[1].mapping
     assert_same_node_isos(op.checked, reset.checked, reset.iso, op.interface)
     expected = ref.reset_interface(op.checked, reset.checked, reset.iso, op.interface)
     assert mappings(reset.interface) == mappings(expected)
@@ -182,9 +184,9 @@ def candidates(c1, c2) -> list[DerivationIso]:
     """Up to 4 support isomorphisms, each with up to 16 combinations of up to
     3 type isomorphisms per axiom: most are rejected."""
     out = []
-    labels1, labels2 = support_labels(c1), support_labels(c2)
     axioms = c1.axiom_positions()
-    for supp_iso in itertools.islice(iter_01_isos(c1.support(), c2.support(), labels1, labels2), 4):
+    supp_isos = iter_01_isos((c1, EPS), (c2, EPS), support_children, support_label, True)
+    for supp_iso in itertools.islice(supp_isos, 4):
         factors = [
             list(itertools.islice(iter_type_isos(c1.type_at(a), c2.type_at(supp_iso(a))), 3))
             for a in axioms
@@ -220,7 +222,7 @@ def test_unlabelled_support_maps_are_rejected_alike():
         reset = reset_derivation(op.checked, random_relabelling(op.checked, rng))
         c1, c2 = op.checked, reset.checked
         own = {a: reset.iso.axiom_isos[a] for a in c1.axiom_positions()}
-        for supp_iso in itertools.islice(iter_01_isos(c1.support(), c2.support()), 6):
+        for supp_iso in itertools.islice(support_isos(c1.support(), c2.support()), 6):
             candidate = DerivationIso(supp_iso, own)
             assert verify_derivation_iso(c1, c2, candidate) == ref.verify_derivation_iso(
                 c1, c2, candidate

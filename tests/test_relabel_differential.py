@@ -41,7 +41,7 @@ from test_threads_differential import CORPUS_SEED, hybrid_operables, wide_operab
 
 def reference(t: SType, tracks: dict):
     """The old pipeline of `reset_derivation` on one axiom type."""
-    _, phi = apply_relabelling(t.support[0], Relabelling01(tracks))
+    _, phi = apply_relabelling(t.support, Relabelling01(tracks))
     return _relabel_type(t, phi), phi
 
 

@@ -35,7 +35,7 @@ from seqtypes.stypes import (
     seq_union,
 )
 
-from reference_types import check_01_iso
+from reference_types import check_01_iso, type_support
 
 O = SAtom("o")
 O1 = SAtom("o1")
@@ -50,19 +50,16 @@ T2 = SArrow(seq({5: SArrow(seq({7: O1, 2: O3}), O2), 3: O2}), O1)
 
 def test_type_support_example():
     arrow = SArrow(seq({8: O, 3: OP, 2: O}), OP)
-    sup, labels = arrow.support
-    assert {EPS, (1,), (2,), (3,), (8,)} <= sup
-    assert labels[EPS] == "->"
-    assert labels[(1,)] == "o'"
-    assert labels[(2,)] == "o"
+    assert {EPS, (1,), (2,), (3,), (8,)} <= arrow.support
+    assert label_at(arrow, EPS) == "->"
+    assert label_at(arrow, (1,)) == "o'"
+    assert label_at(arrow, (2,)) == "o"
 
 
 def test_type_support_atom_and_sample_tree():
-    sup, labels = O.support
-    assert sup == frozenset({EPS})
-    assert labels[EPS] == "o"
-    sup1, _ = T1.support
-    assert sup1 == frozenset(
+    assert O.support == frozenset({EPS})
+    assert label_at(O, EPS) == "o"
+    assert T1.support == frozenset(
         {EPS, (1,), (4,), (8,), (4, 1), (4, 3), (4, 8)}
     )
 
@@ -132,8 +129,8 @@ def test_enumerate_type_isos_two_entries():
 
 
 def brute_type_isos(t1, t2):
-    sup1, lab1 = t1.support
-    sup2, lab2 = t2.support
+    sup1, lab1 = type_support(t1)
+    sup2, lab2 = type_support(t2)
     xs, ys = sorted(sup1), sorted(sup2)
     if len(xs) != len(ys):
         return []
@@ -232,7 +229,6 @@ def deep_type(n: int):
 def test_type_facts_do_not_recurse():
     assert sys.getrecursionlimit() <= 1000
     t = deep_type(DEEP)
-    assert t.size == 2 * DEEP + 1
     # walk the collapse down the same path; comparing two distinct keys this
     # deep would itself recurse
     r, u = t.collapse, t
@@ -241,8 +237,8 @@ def test_type_facts_do_not_recurse():
         r, u = (r.source[0], u.source.get(2)) if 2 in u.source.tracks() else (r.target, u.target)
     assert r == RAtom("o")
     t = deep_type(DEEP_POSITIONS)
-    sup, labels = t.support
-    assert len(sup) == len(labels) == t.size
+    sup = t.support
+    assert len(sup) == 2 * DEEP_POSITIONS + 1
     assert len(t.mutable_positions) == DEEP_POSITIONS
     assert t.mutable_positions == tuple(sorted(t.mutable_positions))
     identity = identity_iso(t)
@@ -262,7 +258,7 @@ def test_type_facts_do_not_recurse():
 def test_isos_2000_deep_compare_and_hash_without_recursion():
     assert sys.getrecursionlimit() <= 1000
     t = deep_type(DEEP_POSITIONS)
-    sup = t.support[0]
+    sup = t.support
     identity = identity_iso(t)
     # \x. x with its axiom typed t and no isomorphism given: the identity
     nodes = {EPS: AbsNode(), (0,): AxNode(2, t)}
@@ -288,14 +284,27 @@ def test_isos_2000_deep_compare_and_hash_without_recursion():
     assert hash(moved.compose(identity)) == hash(moved)
 
 
+def test_first_iso_of_two_10000_deep_types_is_the_identity():
+    assert sys.getrecursionlimit() <= 1000
+    t1, t2 = deep_type(DEEP), deep_type(DEEP)
+    assert t1 is not t2 and t1.source is not t2.source
+    phi = next(iter_type_isos(t1, t2))
+    assert phi.is_identity() and phi == identity_iso(t1)
+
+
+def test_only_iso_onto_a_2000_deep_relabelling_is_the_relabelling():
+    assert sys.getrecursionlimit() <= 1000
+    t = deep_type(DEEP_POSITIONS)
+    u, phi = relabel_type(t, {a: 2 + (a[-1] + len(a)) % 7 for a in t.mutable_positions})
+    assert not phi.is_identity()
+    assert list(iter_type_isos(t, u)) == [phi]
+
+
 def test_cached_facts_are_read_only():
     f = seq({2: T1, 3: O})
-    sup, labels = f.support
-    with pytest.raises(TypeError):
-        labels[(2,)] = "o"
     with pytest.raises(TypeError):
         f.mutable_positions[0] = (9,)
-    assert isinstance(sup, frozenset)
+    assert isinstance(f.support, frozenset)
     assert f.support is f.support
     assert f.collapse is f.collapse
     # the identity isomorphism is kept on the type and its mapping is read-only
@@ -320,6 +329,5 @@ def test_facts_of_a_shared_subtype_are_computed_once():
     t = O
     for _ in range(60):
         t = SArrow(seq({2: t, 3: t}), t)
-    assert t.size == (3**61 - 1) // 2
     r = t.collapse
     assert r.source[0] is r.source[1] is r.target

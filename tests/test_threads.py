@@ -29,7 +29,7 @@ def brothers():
 
 @pytest.fixture(scope="module")
 def self_app():
-    return ThreadAnalysis(check_derivation(make_self_app()))
+    return ThreadAnalysis(make_operable(check_derivation(make_self_app())))
 
 
 def colored_threads(analysis):
@@ -59,7 +59,7 @@ def test_brothers_mutable_edges_include_colored_occurrences(brothers):
 
 def test_single_axiom_edge():
     deriv = Derivation(parse_term("x"), "S", {EPS: AxNode(5, SAtom("o"))})
-    analysis = ThreadAnalysis(check_derivation(deriv))
+    analysis = ThreadAnalysis(make_operable(check_derivation(deriv)))
     assert analysis.edges == [LeftEdge(EPS, "x", (5,))]
     assert len(analysis.threads) == 1
     assert analysis.threads[0].kind == "axiom"

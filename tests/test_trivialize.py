@@ -71,7 +71,7 @@ def test_consumption_closure_brothers():
 
 def test_closure_without_apps_is_discrete():
     deriv = generate_normal_form_derivations(parse_term("x"))[0]
-    analysis = ThreadAnalysis(check_derivation(deriv))
+    analysis = ThreadAnalysis(make_operable(check_derivation(deriv)))
     classes = consumption_closure(analysis)
     assert all(len(c) == 1 for c in classes.classes)
 

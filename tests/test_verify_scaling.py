@@ -79,7 +79,7 @@ def test_verification_visits_linear_in_distinct_type_nodes(m, monkeypatch):
     roots = [c.type_at(a) for c in checked for a in c.nodes]
     roots += [c.right_seq(a) for c in checked for a in c.app_positions()]
     distinct = len(type_nodes(*roots))
-    summed = sum(c.type_at(a).size for c in checked for a in c.nodes)
+    summed = sum(len(c.type_at(a).support) for c in checked for a in c.nodes)
     assert distinct < 30 * m + 10
     assert visits <= 3 * distinct
     if m >= 20:
