@@ -23,6 +23,7 @@ from .derivations import (
     collapse_derivation,
     dumps_derivation,
     format_judgment,
+    json_integer,
     load_derivation,
     loads_json,
     save_derivation,
@@ -128,7 +129,10 @@ def _choice_from_json(data: dict) -> ReductionChoice:
     per_node = [
         (
             parse_position(entry["pos"]),
-            _unique([(int(k), int(k2)) for k, k2 in entry["rho"]], f"the rho at {entry['pos']}"),
+            _unique(
+                [(json_integer(k), json_integer(k2)) for k, k2 in entry["rho"]],
+                f"the rho at {entry['pos']}",
+            ),
         )
         for entry in data["per_node"]
     ]

@@ -2,12 +2,13 @@
 
 A derivation is stored as shape data only: per-position node kinds, the
 axiom tracks and types at the leaves, and the argument tracks at the
-applications.  Judgments are a computed view, reconstructed bottom-up by
-`check_derivation`; this keeps the stored data free of redundancy.
+applications.  `check_derivation` reconstructs every node's type and
+subject bottom-up; this keeps the stored data free of redundancy.
 The checker checks quantitativity per binder (an abstraction, or a free
 variable's name): the axioms it binds carry distinct tracks, indexed for
-`CheckedDerivation.bound_by`.  It builds no context; the contexts are built
-once, in one pass, when first read.
+`CheckedDerivation.bound_by`.  Contexts are derived data, never stored: by
+quantitativity, C(a)(x) is the axioms above a that x's binder binds.  Only
+`conclusion()` builds one, at the root, from the free variables' axioms.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .stypes import (
     rarrow,
     rmultiset,
     seq,
-    label_at,
 )
 from .terms import (
     Abs,
@@ -114,10 +114,6 @@ class Context:
         return [x for x, _ in self.entries]
 
 
-def context(entries: dict[str, SeqType]) -> Context:
-    return Context(tuple(sorted((x, f) for x, f in entries.items() if not f.is_empty())))
-
-
 @dataclass(frozen=True)
 class Judgment:
     context: Context
@@ -158,7 +154,8 @@ class AppMismatch(DerivationCheckError):
 
 
 class QuantitativityError(DerivationCheckError):
-    """A context entry whose tracks are not those of the axioms above it.
+    """A binder's sequence type whose tracks are not those of the axioms it
+    binds.
 
     `check_derivation` never builds one; the position, the variable and the
     tracks found on one side only are the witness."""
@@ -214,39 +211,18 @@ class CheckedDerivation:
     def type_at(self, a: Position) -> SType:
         return self._types[a]
 
-    @cached_property
-    def judgments(self) -> dict[Position, Judgment]:
-        """Every node's judgment, built in one reverse-preorder pass when first
-        read and shared by every reader, who must not mutate it.  A context is
-        shared up an abstraction that binds nothing in it."""
-        out: dict[Position, Judgment] = {}
-        for a, subj in self._subjects.items():
-            node = self.nodes[a]
-            if isinstance(node, AxNode):
-                ctx = Context(((subj.name, seq(((node.track, node.stype),))),))
-            elif isinstance(node, AbsNode):
-                ctx = out[a + (0,)].context
-                if ctx.get(subj.binder):
-                    ctx = Context(tuple(e for e in ctx.entries if e[0] != subj.binder))
-            else:
-                held: dict[str, list[SeqType]] = {}
-                for k in self._children[a]:
-                    for x, f in out[a + (k,)].context.entries:
-                        held.setdefault(x, []).append(f)
-                ctx = context(
-                    {
-                        x: fs[0] if len(fs) < 2 else seq(e for f in fs for e in f.entries)
-                        for x, fs in held.items()
-                    }
-                )
-            out[a] = Judgment(ctx, subj, self._types[a])
-        return out
-
-    def context_at(self, a: Position) -> Context:
-        return self.judgments[a].context
+    def subject_at(self, a: Position) -> Term:
+        return self._subjects[a]
 
     def conclusion(self) -> Judgment:
-        return self.judgments[EPS]
+        """The root judgment: its context holds the free variables' axioms,
+        from the per-binder index."""
+        free = [
+            (x, seq((k, self._types[p]) for k, p in by_track.items()))
+            for x, by_track in self._bound.items()
+            if isinstance(x, str)
+        ]
+        return Judgment(Context(tuple(sorted(free))), self._subjects[EPS], self._types[EPS])
 
     def app_positions(self) -> list[Position]:
         return sorted(a for a, n in self.nodes.items() if isinstance(n, AppNode))
@@ -494,58 +470,6 @@ class JudgmentIsos:
     def conjugate(self, a: Position, phi: ZeroOneIso) -> ZeroOneIso:
         """right(a) o phi o left(a)^-1: an interface at a, carried along."""
         return phi.conjugate(self.left(a), self.right(a))
-
-
-def quantitativity_holds(checked: CheckedDerivation) -> bool:
-    """C(a)(x) is exactly the union of the axioms above: every context entry
-    is an axiom above its node that its binder binds, with its type, and
-    each axiom is in the contexts from itself down to its binder's body."""
-    entries = 0
-    for a, _, scope in _walk_nodes(checked.term, checked._children):
-        for x, f in checked.context_at(a).entries:
-            axioms = checked.bound_by(scope.get(x, x))
-            for t, stype in f.items():
-                p = axioms.get(t)
-                if p is None or p[: len(a)] != a or checked.type_at(p) != stype:
-                    return False
-            entries += len(f)
-    paths = (len(p) + 1 if b is None else len(p) - len(b) for p, b in checked.binders.items())
-    return entries == sum(paths)
-
-
-# -- bipositions ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RightBip:
-    pos: Position
-    inner: Position
-
-
-@dataclass(frozen=True)
-class LeftBip:
-    pos: Position
-    var: str
-    inner: Position
-
-
-Biposition = Union[RightBip, LeftBip]
-
-
-def bisupport(checked: CheckedDerivation) -> frozenset[Biposition]:
-    out: set[Biposition] = set()
-    for a in checked.support():
-        j = checked.judgments[a]
-        out.update(RightBip(a, c) for c in j.stype.support)
-        for x, f in j.context.entries:
-            out.update(LeftBip(a, x, c) for c in f.support)
-    return frozenset(out)
-
-
-def biposition_lookup(checked: CheckedDerivation, bip: Biposition) -> str:
-    if isinstance(bip, RightBip):
-        return label_at(checked.type_at(bip.pos), bip.inner)
-    return label_at(checked.context_at(bip.pos).get(bip.var), bip.inner)
 
 
 # -- multiset (R) derivations -----------------------------------------------
@@ -835,18 +759,31 @@ def derivation_to_json(deriv: Derivation) -> dict:
     return {"term": print_term(deriv.term), "flavor": deriv.flavor, "nodes": entries}
 
 
+def json_integer(value: Any) -> int:
+    """A JSON integer; a float, a bool or a string is a ValueError, where
+    `int` would truncate or convert it."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def derivation_from_json(data: dict) -> Derivation:
     term = parse_term(data["term"])
     nodes: dict[Position, Node] = {}
     for entry in data["nodes"]:
         a = parse_position(entry["pos"])
+        if a in nodes:
+            raise ValueError(f"position {format_position(a)} is listed twice")
         kind = entry["kind"]
         if kind == "ax":
-            nodes[a] = AxNode(int(entry["track"]), parse_type(entry["type"]))
+            nodes[a] = AxNode(json_integer(entry["track"]), parse_type(entry["type"]))
         elif kind == "abs":
             nodes[a] = AbsNode()
         elif kind == "app":
-            nodes[a] = AppNode(frozenset(int(k) for k in entry["args"]))
+            args = frozenset(map(json_integer, entry["args"]))
+            if len(args) < len(entry["args"]):
+                raise ValueError(f"an argument track at {format_position(a)} is listed twice")
+            nodes[a] = AppNode(args)
         else:
             raise ValueError(f"unknown node kind {kind!r}")
     return Derivation(term, data["flavor"], nodes)

@@ -541,16 +541,40 @@ def parse_seq_type(text: str) -> SeqType:
 
 
 def print_type(t: SType | SeqType) -> str:
-    if isinstance(t, SeqType):
-        inner = ", ".join(f"{k}:{print_type(s)}" for k, s in t.items())
-        return f"({inner})"
-    if isinstance(t, SAtom):
-        return t.name
-    return f"{print_type(t.source)} {ARROW} {print_type(t.target)}"
+    """The text of t, printed from an explicit stack of nodes and pieces of
+    text, so depth is unbounded."""
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if type(u) is str:
+            out.append(u)
+        elif type(u) is SAtom:
+            out.append(u.name)
+        elif type(u) is SArrow:
+            stack += (u.target, f" {ARROW} ", u.source)
+        else:
+            out.append("(")
+            stack.append(")")
+            for i in range(len(u.entries) - 1, -1, -1):
+                k, s = u.entries[i]
+                stack += (s, f", {k}:" if i else f"{k}:")
+    return "".join(out)
 
 
 def print_rtype(rt: RType) -> str:
-    if isinstance(rt, RAtom):
-        return rt.name
-    inner = ",".join(print_rtype(s) for s in rt.source)
-    return f"[{inner}] {ARROW} {print_rtype(rt.target)}"
+    """The text of rt, printed as `print_type` prints."""
+    out: list[str] = []
+    stack: list = [rt]
+    while stack:
+        u = stack.pop()
+        if type(u) is str:
+            out.append(u)
+        elif type(u) is RAtom:
+            out.append(u.name)
+        else:
+            out.append("[")
+            stack += (u.target, f"] {ARROW} ")
+            for i in range(len(u.source) - 1, -1, -1):
+                stack += (u.source[i], ",") if i else (u.source[i],)
+    return "".join(out)

@@ -11,14 +11,20 @@ derivation consumes them pairwise at application nodes.
 Cost model: an edge is an integer id with no object of its own, and every
 step is O(1) per edge.  Ids follow `edge_key` order in contiguous blocks:
 one per argument node, then per node the mutable positions of its type
-(right edges), then per (node, variable) those of the context entry (left
-edges).  Flat arrays hold each edge's label, kind, highest ascendant and
-thread.  Ascendance maps a block onto a premise's block at fixed offsets
-and always to larger ids, so tops resolve as slice copies in reverse block
-order; polarity, referents and thread kinds are read off the tops, and
-brothers off the tops' parents.  Edge and `Thread` objects are built only
-when read (`edges`, `threads`, `referent`, arcs, reports); the id
-accessors (`arg_thread`, `right_threads`, ...) build none.
+(right edges), then per (node, variable) the context entry (left edges).
+No context is built: by quantitativity the entry of x at v is the axioms
+above v that x's binder binds, read off the checker's binder index, so a
+left block lists, per such axiom in track order, its track and then its
+right block.  Flat arrays hold each edge's label, kind, highest ascendant
+and thread.  A left edge ascends unchanged to its own axiom, so its top is
+the edge at the same offset in that axiom's left block; a right block maps
+onto a premise's blocks at fixed offsets and always to larger ids, so
+right tops resolve as slice copies in reverse node order.  Polarity,
+referents and thread kinds are read off the tops, and brothers off the
+tops' parents.  Edge and `Thread` objects are built only when read
+(`edges`, `threads`, `referent`, arcs, reports), their inner positions
+from the types' mutable positions; the id accessors (`arg_thread`,
+`right_threads`, ...) build none.
 """
 
 from __future__ import annotations
@@ -30,11 +36,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .positions import EPS, Position, Track, applicative_depth, format_position
 from .stypes import print_type
-from .derivations import AbsNode, AxNode, Node, QuantitativityError
+from .derivations import AbsNode, AxNode, Node
 from .reduction import OperableDerivation
 
 POS = "+"
@@ -190,100 +196,107 @@ class ThreadAnalysis:
         self._nodes: list[Node] = [self.checked.node(a) for a in self._positions]
         self._node_id = {a: v for v, a in enumerate(self._positions)}
         self._child: list[dict[Track, int]] = [{} for _ in self._positions]
+        self._up = [-1] * len(self._positions)
         for v, a in enumerate(self._positions):
             if a:
-                self._child[self._node_id[a[:-1]]][a[-1]] = v
+                self._up[v] = self._node_id[a[:-1]]
+                self._child[self._up[v]][a[-1]] = v
         self._layout()
         self._build_threads(*self._resolve_tops())
         self._arcs: Optional[list[ConsumptionArc]] = None
 
     # -- edges ---------------------------------------------------------------
 
+    def _mutable(self, v: int) -> tuple[Position, ...]:
+        return self.checked.type_at(self._positions[v]).mutable_positions
+
     def _layout(self) -> None:
-        """Number the edges in blocks; store each edge's label and kind."""
-        checked, positions = self.checked, self._positions
+        """Number the edges in blocks; store each edge's label and kind.  The
+        left block of (v, x) holds, per axiom of x's binder above v in track
+        order, the axiom's track and then its right block's labels."""
+        checked, positions, nodes, up = self.checked, self._positions, self._nodes, self._up
         self._arg_nodes = [v for v, a in enumerate(positions) if a and a[-1] >= 2]
         self._arg_id = {v: i for i, v in enumerate(self._arg_nodes)}
         self._label = label = [positions[v][-1] for v in self._arg_nodes]
         self._kind = kind = bytearray((_ARG,)) * len(label)
-        # (first id, node, variable or None, mutable positions) per block
-        self._blocks: list[tuple[int, int, Optional[str], tuple[Position, ...]]] = []
-        self._right_start: list[int] = []
+        self._right_start = rs = []
+        for v, node in enumerate(nodes):
+            rs.append(len(label))
+            label.extend(map(itemgetter(-1), self._mutable(v)))
+            k = _INNER if isinstance(node, AxNode) else _RIGHT
+            kind.extend(bytes((k,)) * (len(label) - rs[v]))
+        rs.append(len(label))
+        # per node and variable, the axioms of the entry: each axiom joins
+        # them from itself down to its binder's body, or to the root when free
+        self._held: list[dict[str, list[int]]] = [{} for _ in positions]
+        axioms = [v for v, node in enumerate(nodes) if isinstance(node, AxNode)]
+        for u in sorted(axioms, key=lambda u: nodes[u].track):
+            x, binder = checked.subject_at(positions[u]).name, checked.binders[positions[u]]
+            stop, v = -1 if binder is None else self._node_id[binder], u
+            while v != stop:
+                self._held[v].setdefault(x, []).append(u)
+                v = up[v]
+        # (first id, node, variable) per left block
+        self._left_blocks: list[tuple[int, int, str]] = []
         self._left_start: list[dict[str, int]] = [{} for _ in positions]
-
-        def block(v: int, x: Optional[str], inners: tuple[Position, ...], k: int) -> None:
-            if inners:
-                self._blocks.append((len(label), v, x, inners))
-                label.extend(map(itemgetter(-1), inners))
-                kind.extend(bytes((k,)) * len(inners))
-
-        for v, a in enumerate(positions):
-            self._right_start.append(len(label))
-            k = _INNER if isinstance(self._nodes[v], AxNode) else _RIGHT
-            block(v, None, checked.type_at(a).mutable_positions, k)
-        self._right_start.append(len(label))
-        for v, a in enumerate(positions):
-            for x, f in checked.context_at(a).entries:
-                self._left_start[v][x] = len(label)
-                block(v, x, f.mutable_positions, _LEFT)
-                if isinstance(self._nodes[v], AxNode):
-                    kind[-len(f.mutable_positions)] = _AXIOM
-        self._block_starts = [b[0] for b in self._blocks]
+        for v, entries in enumerate(self._held):
+            for x in sorted(entries):
+                self._left_start[v][x] = s = len(label)
+                self._left_blocks.append((s, v, x))
+                for u in entries[x]:
+                    label.append(nodes[u].track)
+                    label.extend(label[rs[u] : rs[u + 1]])
+                kind.extend(bytes((_LEFT,)) * (len(label) - s))
+                if isinstance(nodes[v], AxNode):
+                    kind[s] = _AXIOM
+        self._left_starts = [b[0] for b in self._left_blocks]
 
     def _resolve_tops(self) -> tuple[list[int], list[tuple[int, int]]]:
         """Each edge's highest ascendant, and the pairs of tops that polar
-        inversion joins (at an axiom, left edge j and right edge j-1).  An
-        application's right block ascends onto the head of its left
-        premise's, an abstraction's onto its body's and the binder's left
-        block, a left block onto its premises' blocks for the variable."""
+        inversion joins (at an axiom, left edge j and right edge j-1).  A left
+        edge ascends unchanged to its axiom, so its top is the edge at the same
+        offset in that axiom's left block.  An application's right block
+        ascends onto the head of its left premise's, an abstraction's onto its
+        body's and the binder's left block there."""
         checked, positions, nodes, child = self.checked, self._positions, self._nodes, self._child
         rs, ls = self._right_start, self._left_start
         top = list(range(len(self._label)))
         inversions: list[tuple[int, int]] = []
-
-        def copy(s: int, n: int, head: int) -> None:
-            top[s : s + n] = top[head : head + n]
-
-        for s, v, x, inners in reversed(self._blocks):
-            node, n = nodes[v], len(inners)
+        for s, v, x in self._left_blocks:
+            for u in self._held[v][x]:
+                n, first = rs[u + 1] - rs[u] + 1, ls[u][x]
+                top[s : s + n] = range(first, first + n)
+                s += n
+        for v in range(len(positions) - 1, -1, -1):
+            node, s, n = nodes[v], rs[v], rs[v + 1] - rs[v]
             if isinstance(node, AxNode):
-                if x is not None:
-                    inversions.extend((s + j, rs[v] + j - 1) for j in range(1, n))
-            elif isinstance(node, AbsNode) and x is not None:
-                copy(s, n, ls[child[v][0]][x])
+                first = next(iter(ls[v].values()))
+                inversions.extend((first + j, s + j - 1) for j in range(1, n + 1))
             elif isinstance(node, AbsNode):
                 body = child[v][0]
                 t = rs[body + 1] - rs[body]
-                copy(s, t, rs[body])
+                top[s : s + t] = top[rs[body] : rs[body] + t]
                 if n > t:
-                    copy(s + t, n - t, ls[body][checked.judgments[positions[v]].subject.binder])
-            elif x is None:
-                copy(s, n, rs[child[v][1]])
+                    first = ls[body][checked.subject_at(positions[v]).binder]
+                    top[s + t : s + n] = top[first : first + n - t]
             else:
-                # per track of x, the next id in the block of the premise
-                # holding it (1, then the argument tracks): each premise's
-                # tracks keep their order
-                next_id: dict[Track, Iterator[int]] = {}
-                for k in [1] + sorted(node.arg_tracks):
-                    premise = child[v][k]
-                    if x in ls[premise]:
-                        ids = itertools.count(ls[premise][x])
-                        for track in checked.context_at(positions[premise]).get(x).tracks():
-                            next_id.setdefault(track, ids)
-                firsts = list(map(itemgetter(0), inners))
-                missing = set(firsts) - next_id.keys()
-                if missing:
-                    raise QuantitativityError(positions[v], x, {min(missing)})
-                ids = map(next, map(next_id.__getitem__, firsts))
-                top[s : s + n] = map(top.__getitem__, ids)
+                head = rs[child[v][1]]
+                top[s : s + n] = top[head : head + n]
         return top, inversions
 
     def _edge(self, i: int) -> Edge:
         if i < len(self._arg_nodes):
             return ArgEdge(self._positions[self._arg_nodes[i]])
-        start, v, x, inners = self._blocks[bisect_right(self._block_starts, i) - 1]
-        a, c = self._positions[v], inners[i - start]
-        return RightEdge(a, c) if x is None else LeftEdge(a, x, c)
+        rs = self._right_start
+        if i < rs[-1]:
+            v = bisect_right(rs, i) - 1
+            return RightEdge(self._positions[v], self._mutable(v)[i - rs[v]])
+        _, v, x = self._left_blocks[bisect_right(self._left_starts, i) - 1]
+        # the edge's inner position is its top's, in its axiom's left block
+        t = self._top[i]
+        start, u, _ = self._left_blocks[bisect_right(self._left_starts, t) - 1]
+        c = self._mutable(u)[t - start - 1] if t > start else EPS
+        return LeftEdge(self._positions[v], x, (self._nodes[u].track,) + c)
 
     def _index(self, e: Edge) -> int:
         if isinstance(e, ArgEdge):
@@ -292,12 +305,22 @@ class ThreadAnalysis:
 
     def _id(self, pos: Position, var: Optional[str], inner: Position) -> int:
         """The right edge (pos, inner), or with a variable the left edge."""
-        v = self._node_id[pos]
+        v, rs = self._node_id[pos], self._right_start
         if var is None:
-            start, inners = self._right_start[v], self.checked.type_at(pos).mutable_positions
+            start, inners = rs[v], self._mutable(v)
         else:
+            # the left block holds, per axiom in track order, its track edge
+            # and its right block: find the axiom on inner's first track
             start = self._left_start[v][var]
-            inners = self.checked.context_at(pos).get(var).mutable_positions
+            for u in self._held[v][var]:
+                if self._nodes[u].track == inner[0]:
+                    break
+                start += rs[u + 1] - rs[u] + 1
+            else:
+                raise KeyError(inner)
+            if len(inner) == 1:
+                return start
+            start, inners, inner = start + 1, self._mutable(u), inner[1:]
         j = bisect_left(inners, inner)
         if j == len(inners) or inners[j] != inner:
             raise KeyError(inner)
@@ -451,13 +474,16 @@ class ThreadAnalysis:
         siblings to siblings, except the root edges of a context entry at an
         application, which lie on axiom threads; so threads hold sibling
         edges iff they hold sibling tops or are both axiom threads."""
-        positions, node_id = self._positions, self._node_id
-        parent = {i: -1 - node_id[positions[v][:-1]] for i, v in enumerate(self._arg_nodes)}
-        for start, v, _, inners in self._blocks:
-            if isinstance(self._nodes[v], AxNode):
-                first: dict[Position, int] = {}
-                for i, c in enumerate(inners, start):
-                    parent[i] = first.setdefault(c[:-1], i)
+        parent = {i: -1 - self._up[v] for i, v in enumerate(self._arg_nodes)}
+        for v, node in enumerate(self._nodes):
+            if isinstance(node, AxNode):
+                # the right block, and the left block after its axiom edge
+                left = next(iter(self._left_start[v].values()))
+                parent[left] = left
+                for start in (self._right_start[v], left + 1):
+                    first: dict[Position, int] = {}
+                    for i, c in enumerate(self._mutable(v), start):
+                        parent[i] = first.setdefault(c[:-1], i)
         return parent
 
     @cached_property

@@ -172,7 +172,7 @@ def build_relabelling(
     for a in checked.axiom_positions():
         node = checked.node(a)
         assert isinstance(node, AxNode)
-        subj = checked.judgments[a].subject
+        subj = checked.subject_at(a)
         assert isinstance(subj, Var)
         tracks = map(value_of, analysis.right_threads(a))
         axiom_types[a] = dict(zip(node.stype.mutable_positions, tracks))

@@ -11,6 +11,12 @@ are built from the library's `Context` and `Judgment`, so they compare
 equal to the ones the library builds lazily.
 `test_checker_differential.py` compares `derivations.check_derivation`
 against this one.
+
+`lazy_judgments` and `binder_quantitativity_holds` moved here from the
+library once nothing there read a context: they build every node's
+judgment from a library `CheckedDerivation` and check quantitativity
+against its per-binder index, so that index still faces this module's
+independent context builder.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
+from seqtypes import derivations as lib
 from seqtypes.derivations import (
     FLAVOR_S,
     AbsNode,
@@ -314,3 +321,55 @@ def quantitativity_holds(checked: CheckedDerivation) -> bool:
             if seq(expected) != ctx.get(x):
                 return False
     return True
+
+
+# -- moved from the library: judgments over its per-binder index ----------------
+
+
+def lazy_judgments(checked: lib.CheckedDerivation) -> dict[Position, Judgment]:
+    """Every node's judgment, built in one reverse-preorder pass.  A context
+    is shared up an abstraction that binds nothing in it."""
+    out: dict[Position, Judgment] = {}
+    for a in sorted(checked.nodes, reverse=True):
+        node, subj = checked.nodes[a], checked.subject_at(a)
+        if isinstance(node, AxNode):
+            ctx = Context(((subj.name, seq(((node.track, node.stype),))),))
+        elif isinstance(node, AbsNode):
+            ctx = out[a + (0,)].context
+            if ctx.get(subj.binder):
+                ctx = Context(tuple(e for e in ctx.entries if e[0] != subj.binder))
+        else:
+            held: dict[str, list[SeqType]] = {}
+            for k in checked.children(a):
+                for x, f in out[a + (k,)].context.entries:
+                    held.setdefault(x, []).append(f)
+            ctx = context(
+                {
+                    x: fs[0] if len(fs) < 2 else seq(e for f in fs for e in f.entries)
+                    for x, fs in held.items()
+                }
+            )
+        out[a] = Judgment(ctx, subj, checked.type_at(a))
+    return out
+
+
+def binder_quantitativity_holds(
+    checked: lib.CheckedDerivation, judgments: Optional[Mapping[Position, Judgment]] = None
+) -> bool:
+    """C(a)(x) is exactly the union of the axioms above: every context entry
+    is an axiom above its node that its binder binds, with its type, and
+    each axiom is in the contexts from itself down to its binder's body.
+    The judgments are `lazy_judgments(checked)` unless given."""
+    if judgments is None:
+        judgments = lazy_judgments(checked)
+    entries = 0
+    for a, _, scope in lib._walk_nodes(checked.term, checked._children):
+        for x, f in judgments[a].context.entries:
+            axioms = checked.bound_by(scope.get(x, x))
+            for t, stype in f.items():
+                p = axioms.get(t)
+                if p is None or p[: len(a)] != a or checked.type_at(p) != stype:
+                    return False
+            entries += len(f)
+    paths = (len(p) + 1 if b is None else len(p) - len(b) for p, b in checked.binders.items())
+    return entries == sum(paths)

@@ -150,7 +150,7 @@ class NodeIsos:
 
     def context_iso(self, a: Position, x: str) -> DictIso:
         mapping: dict[Position, Position] = {}
-        for k in self.c1.context_at(a).get(x).tracks():
+        for k in sorted(map(self.c1.axiom_track, axioms_above(self.c1, a, x))):
             a0 = pos_of(self.c1, a, x, k)
             image = self.supp_map[a0]
             node2 = self.c2.node(image)

@@ -12,6 +12,9 @@ the `seqtypes.trivialize` functions, kept verbatim: they look every thread
 up through `thread_of(ArgEdge(...))`-style keys and `thread(tid).referent`.
 `test_thread_lookups_differential.py` compares the id-based ones against
 them.
+
+The contexts come from `reference_checker.check_derivation`, which builds
+every node's context independently of the library's per-binder index.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from seqtypes.threads import (
     edge_label,
 )
 from seqtypes.trivialize import DerivationRelabelling, ThreadClasses
+
+import reference_checker
 
 
 class DictUnionFind:
@@ -71,6 +76,7 @@ class ReferenceAnalysis:
     def __init__(self, op: OperableDerivation) -> None:
         self.op = op
         self.checked = op.checked
+        self.contexts = reference_checker.check_derivation(op.checked.derivation)
         self.edges = self._mutable_edges()
         self._asc_memo: dict[Edge, Optional[Edge]] = {}
         self._build_threads()
@@ -84,7 +90,7 @@ class ReferenceAnalysis:
                 out.extend(ArgEdge(a + (k,)) for k in node.arg_tracks)
             sup = checked.type_at(a).support
             out.extend(RightEdge(a, c) for c in sup if c and c[-1] >= 2)
-            for x, f in checked.context_at(a).entries:
+            for x, f in self.contexts.context_at(a).entries:
                 supf = f.support
                 out.extend(LeftEdge(a, x, c) for c in supf if c and c[-1] >= 2)
         return sorted(out, key=edge_key)
@@ -112,7 +118,7 @@ class ReferenceAnalysis:
         if isinstance(node, AppNode):
             k = e.inner[0]
             for child in [1] + sorted(node.arg_tracks):
-                if k in checked.context_at(e.pos + (child,)).get(e.var).tracks():
+                if k in self.contexts.context_at(e.pos + (child,)).get(e.var).tracks():
                     return LeftEdge(e.pos + (child,), e.var, e.inner)
             raise AssertionError("quantitativity: the entry comes from some premise")
         if isinstance(node, AbsNode):
@@ -265,7 +271,7 @@ def build_relabelling(
     for a in checked.axiom_positions():
         node = checked.node(a)
         assert isinstance(node, AxNode)
-        subj = checked.judgments[a].subject
+        subj = checked.subject_at(a)
         assert isinstance(subj, Var)
         axiom_types[a] = {c: value_of(RightEdge(a, c)) for c in node.stype.mutable_positions}
         axiom_tracks[a] = value_of(LeftEdge(a, subj.name, (node.track,)))

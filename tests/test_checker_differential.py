@@ -3,9 +3,9 @@
 `reference_checker` keeps `check_derivation` as it was when it built the
 full context of every node and found track conflicts in their disjoint
 unions.  The library's checker, which checks quantitativity per binder and
-builds the contexts only when they are read, must give the same judgments
-(read through the lazy path), binders, children, right sequences, collapse
-and per-binder axioms on:
+builds no context, must give the same judgments (built from its per-binder
+index by `reference_checker.lazy_judgments`), binders, children, right
+sequences, collapse and per-binder axioms on:
 
 - the 500-derivation S corpus and its S_h perturbations;
 - `v (w u)^m` for m = 4..20, in S and relabelled into S_h;
@@ -38,7 +38,6 @@ from seqtypes.derivations import (
     TrackConflict,
     check_derivation,
     collapse_derivation,
-    quantitativity_holds,
 )
 from seqtypes.positions import EPS
 from seqtypes.reduction import (
@@ -59,7 +58,7 @@ from test_threads_differential import CORPUS_SEED
 
 def assert_same_check(deriv: Derivation) -> CheckedDerivation:
     new, old = check_derivation(deriv), ref.check_derivation(deriv)
-    assert new.judgments == old.judgments
+    assert ref.lazy_judgments(new) == old.judgments
     assert new.binders == old.binders
     assert new.collapse == old.collapse
     for a in deriv.nodes:
@@ -132,7 +131,7 @@ def test_quantitativity_holds_matches_reference():
     samples = [make_self_app(), make_brothers(), make_shadowed_redex(), make_wide(6)]
     for deriv in [c.derivation for c in s_corpus()[:100] + hybrids()[:100]] + samples:
         new, old = check_derivation(deriv), ref.check_derivation(deriv)
-        assert quantitativity_holds(new) and ref.quantitativity_holds(old)
+        assert ref.binder_quantitativity_holds(new) and ref.quantitativity_holds(old)
 
 
 # -- the mutation corpus -----------------------------------------------------------
@@ -171,7 +170,7 @@ def bound_groups(checked: CheckedDerivation) -> list[list]:
     least two axioms."""
     groups: dict = {}
     for p, binder in checked.binders.items():
-        key = binder if binder is not None else checked.judgments[p].subject.name
+        key = binder if binder is not None else checked.subject_at(p).name
         groups.setdefault(key, []).append(p)
     return [sorted(ps) for ps in groups.values() if len(ps) > 1]
 
@@ -211,7 +210,7 @@ def shared_binders(checked: CheckedDerivation, c) -> list[list[list]]:
     n, out = len(c), {}
     for p, binder in checked.binders.items():
         if p[:n] == c and (binder is None or len(binder) < n):
-            key = binder if binder is not None else checked.judgments[p].subject.name
+            key = binder if binder is not None else checked.subject_at(p).name
             out.setdefault(key, {}).setdefault(p[n], []).append(p)
     return [list(by_premise.values()) for by_premise in out.values() if len(by_premise) > 1]
 

@@ -319,6 +319,63 @@ def test_unknown_flavor_is_bad_input(tmp_path, capsys):
     assert "flavor" in bad_input(["check", "--file", path], capsys)["detail"]
 
 
+def axioms_file(tmp_path, term: str, nodes: list[dict]) -> str:
+    return write_json_file(tmp_path, "hand.deriv", {"term": term, "flavor": "S", "nodes": nodes})
+
+
+def set_entry(index: int, key: str, value):
+    def edit(data):
+        data["nodes"][index][key] = value
+
+    return edit
+
+
+# edits of the self-application file that `int` would truncate or convert:
+# the root application is entry 1, the axiom on track 5 the last entry
+NON_INTEGER_TRACKS = {
+    "float-track": (set_entry(-1, "track", 5.5), "got 5.5"),
+    "bool-track": (set_entry(-1, "track", True), "got True"),
+    "string-track": (set_entry(-1, "track", "5"), "got '5'"),
+    "float-args": (set_entry(1, "args", [2, 3.0, 8]), "got 3.0"),
+    "bool-args": (set_entry(1, "args", [True, 2, 3]), "got True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_INTEGER_TRACKS))
+def test_a_non_integer_track_is_bad_input(tmp_path, case, capsys):
+    edit, detail = NON_INTEGER_TRACKS[case]
+    path = write_edited(tmp_path, edit)
+    assert detail in bad_input(["check", "--file", path], capsys)["detail"]
+
+
+def test_a_position_listed_twice_is_bad_input(tmp_path, capsys):
+    # kept in a dict, the second axiom would replace the first and the file
+    # would check as |- \x. x : (3:o) -> o
+    nodes = [
+        {"pos": "eps", "kind": "abs"},
+        {"pos": "0", "kind": "ax", "track": 2, "type": "o"},
+        {"pos": "0", "kind": "ax", "track": 3, "type": "o"},
+    ]
+    path = axioms_file(tmp_path, "\\x. x", nodes)
+    assert "position 0 is listed twice" in bad_input(["check", "--file", path], capsys)["detail"]
+
+
+def test_the_root_listed_as_eps_and_empty_is_bad_input(tmp_path, capsys):
+    nodes = [
+        {"pos": "eps", "kind": "ax", "track": 2, "type": "o"},
+        {"pos": "", "kind": "ax", "track": 3, "type": "o"},
+    ]
+    path = axioms_file(tmp_path, "x", nodes)
+    payload = bad_input(["check", "--file", path], capsys)
+    assert "position eps is listed twice" in payload["detail"]
+
+
+def test_an_argument_track_listed_twice_is_bad_input(tmp_path, capsys):
+    path = write_edited(tmp_path, set_entry(1, "args", [2, 3, 3, 8]))
+    payload = bad_input(["check", "--file", path], capsys)
+    assert "an argument track at 0 is listed twice" in payload["detail"]
+
+
 def write_json_file(tmp_path, name: str, content) -> str:
     """A file holding `content`: a string as it is, anything else as JSON."""
     path = tmp_path / name
@@ -368,6 +425,14 @@ def test_non_integer_rho_track_is_bad_input(brothers_file, tmp_path, capsys):
     content = {"redex": "1.1", "per_node": [{"pos": "1.1", "rho": [["a", 3]]}]}
     payload = reduce_with_choice(brothers_file, tmp_path, content, capsys)
     assert "'a'" in payload["detail"]
+
+
+@pytest.mark.parametrize("track", [3.9, True])
+def test_a_float_or_bool_rho_track_is_bad_input(brothers_file, tmp_path, track, capsys):
+    # `int` would truncate 3.9 to 3 and read True as 1
+    content = {"redex": "1.1", "per_node": [{"pos": "1.1", "rho": [[track, 3]]}]}
+    payload = reduce_with_choice(brothers_file, tmp_path, content, capsys)
+    assert f"got {track!r}" in payload["detail"]
 
 
 def test_a_rho_source_listed_twice_is_bad_input(brothers_file, tmp_path, capsys):

@@ -17,7 +17,6 @@ from seqtypes.derivations import (
     Context,
     Derivation,
     GenBudget,
-    LeftBip,
     MalformedShape,
     QuantitativityError,
     RAbsD,
@@ -25,21 +24,16 @@ from seqtypes.derivations import (
     RAxD,
     RCheckError,
     RDerivation,
-    RightBip,
     TrackConflict,
-    biposition_lookup,
-    bisupport,
     check_derivation,
     check_R,
     collapse_derivation,
-    context,
     derivation_from_json,
     derivation_to_json,
     dumps_derivation,
     format_judgment,
     generate_normal_form_derivations,
     loads_derivation,
-    quantitativity_holds,
 )
 from seqtypes.positions import EPS
 from seqtypes.stypes import (
@@ -53,8 +47,10 @@ from seqtypes.stypes import (
 )
 from seqtypes.reduction import make_operable, reduce_operable, residual_maps
 from seqtypes.terms import App, Var, parse_term, redexes
-from seqtypes.threads import ThreadAnalysis
+from seqtypes.threads import NEG, ThreadAnalysis
+from seqtypes.trivialize import run_collapsing_strategy, trivialize
 
+from reference_checker import binder_quantitativity_holds, context, lazy_judgments
 from reference_isos import support_isos
 from samples import (
     SELF_APP_COLLAPSE,
@@ -63,6 +59,7 @@ from samples import (
     make_brothers,
     make_self_app,
     make_tracked_redex,
+    make_wide,
 )
 
 O = SAtom("o")
@@ -77,7 +74,7 @@ def test_self_app_checks_as_S():
     assert checked.support() == frozenset(
         {EPS, (0,), (0, 1), (0, 2), (0, 3), (0, 8)}
     )
-    assert quantitativity_holds(checked)
+    assert binder_quantitativity_holds(checked)
 
 
 def test_single_axiom_checks():
@@ -162,20 +159,6 @@ def test_check_R_on_a_deep_application():
     assert (u, x) == ("u", "x") and us == (o,) * n and xs is xtype
 
 
-def test_biposition_lookup():
-    checked = check_derivation(make_self_app())
-    assert biposition_lookup(checked, LeftBip((0, 3), "x", (2,))) == "o'"
-    assert biposition_lookup(checked, RightBip((0, 1), (1,))) == "o'"
-    assert biposition_lookup(checked, RightBip((0, 1), EPS)) == "->"
-    assert biposition_lookup(checked, LeftBip((0, 1), "x", (4, 3))) == "o'"
-    assert biposition_lookup(checked, LeftBip((0,), "x", (4, 2))) == "o"
-    assert biposition_lookup(checked, LeftBip((0,), "x", (2,))) == "o'"
-    assert biposition_lookup(checked, RightBip(EPS, EPS)) == "->"
-    with pytest.raises(KeyError):
-        biposition_lookup(checked, RightBip((0, 2), (1,)))
-    assert RightBip((0, 1), (1,)) in bisupport(checked)
-
-
 def test_collapse_of_self_app():
     checked = check_derivation(make_self_app())
     assert collapse_derivation(checked) == SELF_APP_COLLAPSE
@@ -247,7 +230,7 @@ def test_collapse_paths_are_consistent():
 def test_checked_derivation_is_frozen_and_collapses_once():
     checked = check_derivation(make_self_app())
     with pytest.raises(dataclasses.FrozenInstanceError):
-        checked.judgments = {}
+        checked.binders = {}
     assert collapse_derivation(checked) is collapse_derivation(checked)
     assert checked.collapse[0] is collapse_derivation(checked)
     assert collapse_derivation(checked) == SELF_APP_COLLAPSE
@@ -280,7 +263,7 @@ def test_generator_all_check_and_self_app_shape_appears():
     for deriv in derivs:
         checked = check_derivation(deriv)
         assert checked.flavor == "S"
-        assert quantitativity_holds(checked)
+        assert binder_quantitativity_holds(checked)
         shapes.append(frozenset(deriv.nodes))
     assert any(list(support_isos(shape, self_app_supp)) for shape in shapes)
 
@@ -291,7 +274,9 @@ def test_generator_rejects_non_normal():
 
 
 def test_checker_and_reduction_build_no_context(monkeypatch):
-    ops = tower_instances(7, 10) + [brothers_operable()]
+    towers = tower_instances(7, 10)
+    ops = towers + [brothers_operable()]
+    wide = [make_operable(check_derivation(make_wide(m))) for m in range(4, 13)]
     built = []
     post_init = Context.__post_init__
     monkeypatch.setattr(Context, "__post_init__", lambda ctx: built.append(post_init(ctx)))
@@ -302,13 +287,21 @@ def test_checker_and_reduction_build_no_context(monkeypatch):
             reduce_operable(op, b)
             steps += 1
     assert steps > 10 and built == []
-    # the first read builds every context; later reads build none
-    checked = check_derivation(make_self_app())
-    checked.conclusion()
-    first = len(built)
-    assert first >= len(checked.nodes) - 1
-    checked.context_at((0,))
-    assert len(built) == first
+    # nor do the thread analysis, trivialization and the collapsing strategy
+    for op in ops + wide:
+        ThreadAnalysis(op).consumption()
+        trivialize(op)
+    runs = 0
+    for op in towers:
+        for arc in ThreadAnalysis(op).consumption():
+            if arc.left_polarity == NEG:
+                run_collapsing_strategy(op, arc)
+                runs += 1
+    assert runs >= len(towers) and built == []
+    # the conclusion builds its one context, from the free variables' axioms
+    conclusion = check_derivation(make_brothers()).conclusion()
+    assert len(built) == 1
+    assert conclusion.context.domain() == ["a", "b", "z"]
 
 
 def test_relevance():
@@ -327,35 +320,24 @@ def test_file_round_trip():
     assert derivation_from_json(data) == make_self_app()
 
 
-def forge_judgment(checked, a, **changes):
-    """The checked derivation with one judgment replaced, in its types and
-    in its cached judgments: no longer a derivation `check_derivation` would
-    build."""
-    judgment = dataclasses.replace(checked.judgments[a], **changes)
-    forged = dataclasses.replace(checked, _types={**checked._types, a: judgment.stype})
-    forged.__dict__["judgments"] = {**checked.judgments, a: judgment}
-    return forged
+def forge_type(checked, a, stype):
+    """The checked derivation with the type at a replaced: no longer a
+    derivation `check_derivation` would build."""
+    return dataclasses.replace(checked, _types={**checked._types, a: stype})
 
 
 def forged_quantitativity_witnesses() -> list[tuple]:
-    """Break quantitativity once for each of its checks and return the
-    witness each QuantitativityError carries."""
+    """Break quantitativity once for each check that raises on it (the one
+    of `residual_maps`) and return the witness each QuantitativityError
+    carries."""
     witnesses = []
     # the redex abstraction claims its variable on tracks 2 and 9; its axioms
     # are on 2 and 7
     checked = check_derivation(make_tracked_redex())
     arrow = checked.type_at((1,))
-    forged = forge_judgment(checked, (1,), stype=SArrow(seq({2: O, 9: O}), arrow.target))
+    forged = forge_type(checked, (1,), SArrow(seq({2: O, 9: O}), arrow.target))
     try:
         residual_maps(forged, EPS, {EPS: {2: 5, 9: 8}})
-    except QuantitativityError as exc:
-        witnesses.append((exc.position, exc.variable, exc.tracks))
-    # the application's context gives x a track 7 that no premise holds
-    checked = check_derivation(make_self_app())
-    entries = dict(checked.context_at((0,)).get("x").items())
-    forged = forge_judgment(checked, (0,), context=context({"x": seq({**entries, 7: O})}))
-    try:
-        ThreadAnalysis(make_operable(forged))
     except QuantitativityError as exc:
         witnesses.append((exc.position, exc.variable, exc.tracks))
     return witnesses
@@ -363,11 +345,12 @@ def forged_quantitativity_witnesses() -> list[tuple]:
 
 def test_quantitativity_fails_on_forged_contexts():
     checked = check_derivation(make_self_app())
-    assert quantitativity_holds(checked)
+    judgments = lazy_judgments(checked)
+    assert binder_quantitativity_holds(checked, judgments)
     x_at = {a: checked.type_at(a) for a in checked.bound_by(EPS).values()}
     forgeries = [
         # a track no axiom holds
-        ((0,), context({"x": seq({**dict(checked.context_at((0,)).get("x").items()), 7: O})})),
+        ((0,), context({"x": seq({**dict(judgments[(0,)].context.get("x").items()), 7: O})})),
         # an entry dropped
         ((0,), context({})),
         # the binder's own conclusion claims its variable
@@ -378,10 +361,11 @@ def test_quantitativity_fails_on_forged_contexts():
         ((0, 2), context({"x": seq({9: OP})})),
     ]
     for a, ctx in forgeries:
-        assert not quantitativity_holds(forge_judgment(checked, a, context=ctx)), (a, ctx)
+        forged = {**judgments, a: dataclasses.replace(judgments[a], context=ctx)}
+        assert not binder_quantitativity_holds(checked, forged), (a, ctx)
 
 
-QUANTITATIVITY_WITNESSES = [(EPS, "x", frozenset({7, 9})), ((0,), "x", frozenset({7}))]
+QUANTITATIVITY_WITNESSES = [(EPS, "x", frozenset({7, 9}))]
 
 
 def test_forged_quantitativity_raises():

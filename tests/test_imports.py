@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -50,29 +51,35 @@ def nodes(tree: ast.AST, skip: ast.AST | None = None) -> Iterator[ast.AST]:
             stack.extend(ast.iter_child_nodes(node))
 
 
-def used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    out: set[str] = set()
+def name_uses(node: ast.AST) -> Iterator[str]:
+    """The names one node uses: its own, or those of a string annotation."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        try:
+            annotation = ast.parse(node.value, mode="eval")
+        except SyntaxError:
+            return
+        yield from (n.id for n in ast.walk(annotation) if isinstance(n, ast.Name))
+
+
+def references(tree: ast.AST, skip: ast.AST | None = None) -> Iterator[str]:
+    """Every used name, attribute and imported name, once per occurrence."""
     for node in nodes(tree, skip):
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            try:
-                annotation = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            out.update(n.id for n in ast.walk(annotation) if isinstance(n, ast.Name))
-    return out
+        yield from name_uses(node)
+        if isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    return {name for node in nodes(tree, skip) for name in name_uses(node)}
 
 
 def referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     """The used names plus every attribute and imported name."""
-    out = used_names(tree, skip)
-    for node in nodes(tree, skip):
-        if isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            out.update(alias.name for alias in node.names)
-    return out
+    return set(references(tree, skip))
 
 
 def unused_imports(source: str) -> list[tuple[str, int]]:
@@ -122,13 +129,16 @@ def unreferenced_names(
 ) -> list[tuple[str, str, int]]:
     """(module, name, line) of every name that `select` picks from a module
     and that neither `outside` nor any module references outside the name's
-    own definition."""
+    own definition.  Each tree is walked once, and each definition once: a
+    name is referenced outside a definition when the module holds it more
+    often than the definition does."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
+    counts = {module: Counter(references(tree)) for module, tree in trees.items()}
     out = []
     for module, tree in trees.items():
-        elsewhere = outside.union(*(referenced_names(t) for m, t in trees.items() if m != module))
+        elsewhere = outside.union(*(c.keys() for m, c in counts.items() if m != module))
         for name, node in select(tree):
-            if name not in elsewhere and name not in referenced_names(tree, skip=node):
+            if name not in elsewhere and counts[module][name] == Counter(references(node))[name]:
                 out.append((module, name, node.lineno))
     return sorted(out)
 

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqtypes.derivations import AbsNode, AxNode, Derivation, JudgmentIsos, check_derivation
+from seqtypes.derivations import (
+    AbsNode,
+    AxNode,
+    Derivation,
+    JudgmentIsos,
+    check_derivation,
+    format_judgment,
+)
 from seqtypes.positions import EPS, DomainMismatchError, IsoShapeError, ZeroOneIso
 from seqtypes.terms import parse_term
 from seqtypes.stypes import (
@@ -27,6 +34,7 @@ from seqtypes.stypes import (
     label_at,
     parse_seq_type,
     parse_type,
+    print_rtype,
     print_type,
     relabel_type,
     rarrow,
@@ -236,6 +244,15 @@ def test_type_facts_do_not_recurse():
         assert isinstance(r, RArrow) and len(r.source) == 1
         r, u = (r.source[0], u.source.get(2)) if 2 in u.source.tracks() else (r.target, u.target)
     assert r == RAtom("o")
+    # the printers: each level wraps the text of the one below
+    source, target = (("(2:", ") -> o1"), ("[", "] -> o1")), (("(3:o2) -> ", ""), ("[o2] -> ", ""))
+    wraps = [source if i % 2 else target for i in range(DEEP)]
+    for printer, u, j in ((print_type, t, 0), (print_rtype, t.collapse, 1)):
+        prefixes, suffixes = zip(*(w[j] for w in wraps))
+        assert printer(u) == "".join(reversed(prefixes)) + "o" + "".join(suffixes)
+    judgment = check_derivation(Derivation(parse_term("x"), "S", {EPS: AxNode(2, t)})).conclusion()
+    text = print_type(t)
+    assert format_judgment(judgment) == f"x:(2:{text}) |- x : {text}"
     t = deep_type(DEEP_POSITIONS)
     sup = t.support
     assert len(sup) == 2 * DEEP_POSITIONS + 1

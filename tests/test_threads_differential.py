@@ -2,9 +2,10 @@
 
 `reference_threads.ReferenceAnalysis` keeps the chain-walking algorithm.
 On the hybrid acceptance corpus (each derivation with a seeded random
-interface) and on the wide family `v (w u)^m`, every observable must
-agree: edges, thread ids, members, referents, labels and kinds, per-edge
-tops and polarities, consumption arcs, closure classes and track values.
+interface), on the wide family `v (w u)^m` and on the redex towers, every
+observable must agree: edges, thread ids, members, referents, labels and
+kinds, per-edge tops and polarities, consumption arcs, closure classes and
+track values.
 The CLI outputs on the samples must match, byte for byte, the ones the
 chain-walking implementation printed: `cli_golden.json` holds
 `cli_outputs` as recorded with it.
@@ -19,7 +20,7 @@ import random
 from pathlib import Path
 
 from seqtypes.cli import _interface_to_json, run
-from seqtypes.corpus import sr_corpus
+from seqtypes.corpus import sr_corpus, tower_instances
 from seqtypes.derivations import check_derivation, dumps_derivation
 from seqtypes.reduction import OperableDerivation, interfaces_at, make_operable
 from seqtypes.threads import ThreadAnalysis
@@ -111,6 +112,12 @@ def test_hybrid_corpus_matches_reference():
 def test_wide_family_matches_reference():
     rng = random.Random(CORPUS_SEED + 8)
     for op in wide_operables():
+        assert_same_analysis(op, rng)
+
+
+def test_towers_match_reference():
+    rng = random.Random(CORPUS_SEED + 9)
+    for op in tower_instances(CORPUS_SEED + 5, 20):
         assert_same_analysis(op, rng)
 
 

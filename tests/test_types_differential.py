@@ -43,6 +43,7 @@ from seqtypes.stypes import (
 from seqtypes.trivialize import random_relabelling, reset_derivation
 
 import reference_types as ref
+from reference_checker import lazy_judgments
 from samples import make_wide
 from test_stypes import stypes_strategy
 from test_threads_differential import CORPUS_SEED, hybrid_operables
@@ -65,8 +66,9 @@ def types_of(checked: CheckedDerivation) -> list:
     """Every judgment type and context entry, and every left and right
     sequence."""
     out = []
+    judgments = lazy_judgments(checked)
     for a in sorted(checked.nodes):
-        judgment = checked.judgments[a]
+        judgment = judgments[a]
         out.append(judgment.stype)
         out.extend(f for _, f in judgment.context.entries)
     for a in checked.app_positions():
@@ -168,7 +170,7 @@ def test_type_facts_match_reference_on_the_corpus():
 
 def test_rkey_order_matches_reference():
     collapses = [
-        checked.judgments[a].stype.collapse
+        checked.type_at(a).collapse
         for checked in (op.checked for op in corpus())
         for a in sorted(checked.nodes)
     ]
