@@ -269,16 +269,17 @@ class CheckedDerivation:
         return self._bound.get(a, {})
 
     @cached_property
-    def collapse(self) -> tuple["RDerivation", dict[Position, "RPath"]]:
+    def collapse(self) -> tuple["RDerivation", dict[Position, Position]]:
         """The multiset collapse, with where each rigid position lands in the
-        R-tree; computed once per checked derivation and shared by every
-        reader, who must not mutate it.
+        R-tree: its position in the hybrid representative, where the argument
+        premise of rank j becomes the letter 2 + j.  Computed once per checked
+        derivation and shared by every reader, who must not mutate it.
 
         Argument premises with equal collapses are ordered by their original
         track, which fixes a deterministic correspondence.
         """
         rnodes: dict[Position, RNode] = {}
-        rank: dict[Position, int] = {}  # argument premise -> its index in the R-node
+        letter: dict[Position, int] = {}  # argument premise -> 2 + its rank in the R-node
         for a in sorted(self.nodes, reverse=True):
             node = self.nodes[a]
             if isinstance(node, AxNode):
@@ -287,13 +288,12 @@ class CheckedDerivation:
                 rnodes[a] = RAbsD(rnodes[a + (0,)])
             else:
                 order = sorted(node.arg_tracks, key=lambda k: (rnodes[a + (k,)].key, k))
-                rank.update((a + (k,), j) for j, k in enumerate(order))
+                letter.update((a + (k,), j) for j, k in enumerate(order, start=2))
                 rnodes[a] = RAppD(rnodes[a + (1,)], tuple(rnodes[a + (k,)] for k in order))
-        paths: dict[Position, RPath] = {EPS: ()}
+        positions: dict[Position, Position] = {EPS: EPS}
         for a in sorted(self.nodes)[1:]:
-            step = (2, rank[a]) if a[-1] >= 2 else ((0, 0), (1, 0))[a[-1]]
-            paths[a] = paths[a[:-1]] + (step,)
-        return RDerivation(self.term, rnodes[EPS]), paths
+            positions[a] = positions[a[:-1]] + (letter.get(a, a[-1]),)
+        return RDerivation(self.term, rnodes[EPS]), positions
 
 
 def _walk_nodes(
@@ -503,9 +503,6 @@ class RAppD(Keyed):
 
 RNode = Union[RAxD, RAbsD, RAppD]
 
-RStep = tuple[int, int]  # (0,0) abs child, (1,0) app left, (2,j) argument j
-RPath = tuple[RStep, ...]
-
 
 def rapp(left: RNode, args: Iterable[RNode]) -> RAppD:
     return RAppD(left, tuple(sorted(args, key=attrgetter("key"))))
@@ -526,8 +523,8 @@ class RDerivation:
 
 
 class RCheckError(ValueError):
-    def __init__(self, path: RPath, reason: str) -> None:
-        super().__init__(f"at R-path {path}: {reason}")
+    def __init__(self, path: Position, reason: str) -> None:
+        super().__init__(f"at R-position {format_position(path)}: {reason}")
         self.path = path
         self.reason = reason
 
@@ -541,31 +538,34 @@ class RJudgment:
     rtype: RType
 
 
-def walk_R(root: RNode, term: Term) -> Iterator[tuple[RPath, Position, RNode, Term]]:
-    """The (R-path, term position, node, subterm) of every node of an R-tree
-    laid on a term, in preorder, which is increasing R-path order.
+def walk_R(root: RNode, term: Term) -> Iterator[tuple[Position, Position, RNode, Term]]:
+    """The (position, term position, node, subterm) of every node of an
+    R-tree laid on a term, in preorder, which is increasing position order.
 
-    Every argument premise sits on the collapsed position `tpos + (2,)`.  A
-    node whose kind does not match its subterm is yielded without its
-    children.  The walk runs on an explicit stack, so depth is unbounded.
+    A node's position is the one it has in the hybrid representative: the
+    letter 0 under an abstraction, 1 for an application's left premise and
+    2 + j for its j-th argument premise, which sits on the collapsed term
+    position `tpos + (2,)`.  A node whose kind does not match its subterm is
+    yielded without its children.  The walk runs on an explicit stack, so
+    depth is unbounded.
     """
-    stack: list[tuple[RPath, Position, RNode, Term]] = [((), EPS, root, term)]
+    stack: list[tuple[Position, Position, RNode, Term]] = [(EPS, EPS, root, term)]
     while stack:
         item = stack.pop()
         yield item
         path, tpos, node, subj = item
         if isinstance(node, RAbsD) and isinstance(subj, Abs):
-            stack.append((path + ((0, 0),), tpos + (0,), node.child, subj.body))
+            stack.append((path + (0,), tpos + (0,), node.child, subj.body))
         elif isinstance(node, RAppD) and isinstance(subj, App):
             arg_pos = tpos + (2,)
-            for j in range(len(node.args) - 1, -1, -1):
-                stack.append((path + ((2, j),), arg_pos, node.args[j], subj.right))
-            stack.append((path + ((1, 0),), tpos + (1,), node.left, subj.left))
+            for j in range(len(node.args) + 1, 1, -1):
+                stack.append((path + (j,), arg_pos, node.args[j - 2], subj.right))
+            stack.append((path + (1,), tpos + (1,), node.left, subj.left))
 
 
-def check_R_types(rd: RDerivation) -> tuple[RJudgment, dict[RPath, RType]]:
+def check_R_types(rd: RDerivation) -> tuple[RJudgment, dict[Position, RType]]:
     """Validate the multiset-side rules; returns the concluding judgment and
-    the R-type concluded at every R-path.
+    the R-type concluded at every node, by its `walk_R` position.
 
     Node kinds and argument order are checked in preorder, the typing rules
     bottom-up in reverse preorder, where every premise precedes its node.
@@ -574,7 +574,7 @@ def check_R_types(rd: RDerivation) -> tuple[RJudgment, dict[RPath, RType]]:
     arguments' contexts, and a multiset is sorted only where an abstraction
     binds it and at the conclusion.
     """
-    order: list[tuple[RPath, RNode, Term]] = []
+    order: list[tuple[Position, RNode, Term]] = []
     for path, _, node, subj in walk_R(rd.root, rd.term):
         if isinstance(node, RAxD):
             if not isinstance(subj, Var):
@@ -587,29 +587,29 @@ def check_R_types(rd: RDerivation) -> tuple[RJudgment, dict[RPath, RType]]:
         elif tuple(sorted(node.args, key=attrgetter("key"))) != node.args:
             raise RCheckError(path, "argument premises not in canonical order")
         order.append((path, node, subj))
-    contexts: dict[RPath, RContext] = {}
-    types: dict[RPath, RType] = {}
+    contexts: dict[Position, RContext] = {}
+    types: dict[Position, RType] = {}
     for path, node, subj in reversed(order):
         if isinstance(node, RAxD):
             contexts[path] = {subj.name: [node.rtype]}
             types[path] = node.rtype
         elif isinstance(node, RAbsD):
-            ctx = contexts[path] = contexts.pop(path + ((0, 0),))
-            types[path] = rarrow(ctx.pop(subj.binder, ()), types[path + ((0, 0),)])
+            ctx = contexts[path] = contexts.pop(path + (0,))
+            types[path] = rarrow(ctx.pop(subj.binder, ()), types[path + (0,)])
         else:
-            ltype = types[path + ((1, 0),)]
+            ltype = types[path + (1,)]
             if not isinstance(ltype, RArrow):
                 raise RCheckError(path, "left premise does not conclude with an arrow")
-            args = [path + ((2, j),) for j in range(len(node.args))]
+            args = [path + (j,) for j in range(2, 2 + len(node.args))]
             if rmultiset(types[p] for p in args) != ltype.source:
                 raise RCheckError(path, "app_mismatch")
-            ctx = contexts[path] = contexts.pop(path + ((1, 0),))
+            ctx = contexts[path] = contexts.pop(path + (1,))
             for p in args:
                 for x, ts in contexts.pop(p).items():
                     ctx.setdefault(x, []).extend(ts)
             types[path] = ltype.target
     judgment = RJudgment(
-        tuple(sorted((x, rmultiset(ts)) for x, ts in contexts[()].items() if ts)), types[()]
+        tuple(sorted((x, rmultiset(ts)) for x, ts in contexts[EPS].items() if ts)), types[EPS]
     )
     return judgment, types
 
@@ -660,24 +660,16 @@ def _shapes(t: Term, width: int) -> Iterator[tuple]:
     return itertools.product(*per_arg)
 
 
-class _Counters:
-    def __init__(self) -> None:
-        self.atom = 0
-        self.track = 1
-
-    def fresh_atom(self) -> SType:
-        self.atom += 1
-        return SAtom(f"o{self.atom}")
-
-    def fresh_track(self) -> Track:
-        self.track += 1
-        return self.track
-
-
 def _materialize(
-    t: Term, shape: tuple, prefix: Position, counters: _Counters, nodes: dict[Position, Node]
+    t: Term,
+    shape: tuple,
+    prefix: Position,
+    atoms: Iterator[int],
+    tracks: Iterator[Track],
+    nodes: dict[Position, Node],
 ) -> tuple[SType, dict[str, dict[Track, SType]]]:
-    """Build the nodes of one subderivation; returns its type and context."""
+    """Build the nodes of one subderivation; returns its type and context.
+    Fresh atoms and tracks are drawn from the shared counters."""
     binders, head, args = _decompose_normal(t)
     n, m = len(binders), len(args)
     spine = prefix + (0,) * n
@@ -689,19 +681,19 @@ def _materialize(
         app_pos = spine + (1,) * (m - j)
         entries: dict[Track, SType] = {}
         for copy_shape in arg_shape:
-            track = counters.fresh_track()
+            track = next(tracks)
             copy_type, copy_ctx = _materialize(
-                arg, copy_shape, app_pos + (track,), counters, nodes
+                arg, copy_shape, app_pos + (track,), atoms, tracks, nodes
             )
             entries[track] = copy_type
             for x, entries_x in copy_ctx.items():
                 ctx.setdefault(x, {}).update(entries_x)
         nodes[app_pos] = AppNode(frozenset(entries))
         arg_seqs.append(seq(entries))
-    head_type: SType = counters.fresh_atom()
+    head_type: SType = SAtom(f"o{next(atoms)}")
     for entries in reversed(arg_seqs):
         head_type = SArrow(entries, head_type)
-    head_track = counters.fresh_track()
+    head_track = next(tracks)
     nodes[spine + (1,) * m] = AxNode(head_track, head_type)
     ctx.setdefault(head, {})[head_track] = head_type
     result: SType = head_type
@@ -727,9 +719,8 @@ def generate_normal_form_derivations(t: Term, budget: GenBudget = GenBudget()) -
     for shape in _shapes(t, budget.width):
         if len(out) >= budget.limit:
             break
-        counters = _Counters()
         nodes: dict[Position, Node] = {}
-        _materialize(t, shape, EPS, counters, nodes)
+        _materialize(t, shape, EPS, itertools.count(1), itertools.count(2), nodes)
         out.append(Derivation(t, FLAVOR_S, nodes))
     return out
 
@@ -799,13 +790,14 @@ class LoadError(ValueError):
 
 
 def loads_json(text: str, build: Callable[[Any], T]) -> T:
-    """Build a value from JSON text; invalid JSON, a missing key, or a value
-    of the wrong kind or syntax is a LoadError."""
+    """Build a value from JSON text; invalid JSON, JSON nested deeper than
+    the decoder's recursion allows, a missing key, or a value of the wrong
+    kind or syntax is a LoadError."""
     try:
         return build(json.loads(text))
     except KeyError as exc:
         raise LoadError(f"missing key {exc}") from exc
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, RecursionError) as exc:
         raise LoadError(f"{type(exc).__name__}: {exc}") from exc
 
 

@@ -19,6 +19,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .positions import (
+    EPS,
     Position,
     Track,
     ZeroOneIso,
@@ -55,7 +56,6 @@ from .derivations import (
     RAxD,
     RDerivation,
     RNode,
-    RPath,
     check_R,
     check_R_types,
     check_derivation,
@@ -320,25 +320,28 @@ def reduce_operable(
 
 @dataclass
 class RChoice:
-    """Per redex node: which argument premise replaces which axiom."""
+    """Per R-node at the redex, by its position: which argument premise
+    replaces which axiom of the redex variable.  Each axiom is addressed by
+    its position relative to the redex body, `site + (1, 0)`, and mapped to
+    the letter 2 + j of the premise that replaces it."""
 
     redex: Position
-    assignments: dict[RPath, dict[RPath, int]]
+    assignments: dict[Position, dict[Position, int]]
 
 
 def _redex_sites(
     rd: RDerivation, b: Position
-) -> tuple[str, list[tuple[RPath, RAppD, list[RPath]]]]:
-    """The redex variable and the R-nodes at the redex, in R-path order, each
-    with the paths, relative to its body, of the axioms of the redex
-    variable, in order.  An abstraction that rebinds the variable inside a
-    body hides its axioms."""
+) -> tuple[str, list[tuple[Position, RAppD, list[Position]]]]:
+    """The redex variable and the R-nodes at the redex, in position order,
+    each with the positions, relative to its body, of the axioms of the
+    redex variable, in order.  An abstraction that rebinds the variable
+    inside a body hides its axioms."""
     x = _redex_binder(rd.term, b)
-    sites: list[tuple[RPath, RAppD, list[RPath]]] = []
+    sites: list[tuple[Position, RAppD, list[Position]]] = []
     body, hidden, axioms = None, [], []
     for path, tpos, node, s in walk_R(rd.root, rd.term):
         if tpos == b:
-            body, hidden, axioms = path + ((1, 0), (0, 0)), [], []
+            body, hidden, axioms = path + (1, 0), [], []
             sites.append((path, node, axioms))
         elif body is None or path[: len(body)] != body:
             continue
@@ -357,23 +360,23 @@ def enumerate_r_choices(rd: RDerivation, b: Position) -> list[RChoice]:
     At each R-node at the redex, the axioms of the redex variable and the
     argument premises are two depth-1 forests of (label, children) nodes
     labelled by R-type keys: the axioms on tracks 2, 3, ... in order of
-    decreasing key, each key's in R-path order, and premise j on track
-    j + 2.  The node's assignments are the forests' 01-isomorphisms, in
+    decreasing key, each key's in position order, and each premise on its
+    own letter.  The node's assignments are the forests' 01-isomorphisms, in
     `iter_01_isos` order: the largest key's permutations vary slowest.  The
     choices are the product of the nodes' assignments, each choice with its
     own dicts.
     """
     _, sites = _redex_sites(rd, b)
     _, types = check_R_types(rd)
-    per_node_options: list[tuple[RPath, list[dict[RPath, int]]]] = []
+    per_node_options: list[tuple[Position, list[dict[Position, int]]]] = []
     for path, node, ax_paths in sites:
-        body_prefix = path + ((1, 0), (0, 0))
-        ax_key = {p: types[body_prefix + p].key for p in ax_paths}
+        body = path + (1, 0)
+        ax_key = {p: types[body + p].key for p in ax_paths}
         axioms = sorted(ax_paths, key=ax_key.__getitem__, reverse=True)
-        left = None, [(i + 2, (ax_key[p], ())) for i, p in enumerate(axioms)]
-        right = None, [(j + 2, (types[path + ((2, j),)].key, ())) for j in range(len(node.args))]
+        left = None, [(i, (ax_key[p], ())) for i, p in enumerate(axioms, start=2)]
+        right = None, [(j, (types[path + (j,)].key, ())) for j in range(2, 2 + len(node.args))]
         isos = iter_01_isos(left, right, itemgetter(1), itemgetter(0), False)
-        options = [{axioms[k - 2]: j - 2 for k, j in phi.roots().items()} for phi in isos]
+        options = [{axioms[i - 2]: j for i, j in phi.roots().items()} for phi in isos]
         per_node_options.append((path, options))
     out: list[RChoice] = []
     for combo in itertools.product(*(opts for _, opts in per_node_options)):
@@ -396,51 +399,50 @@ def reduce_R(rd: RDerivation, b: Position, choice: RChoice) -> RDerivation:
     _, types = check_R_types(rd)
     if set(choice.assignments) != {path for path, _, _ in sites}:
         raise ChoiceError("choice does not cover exactly the redex nodes")
-    replaced: dict[RPath, RPath] = {}
+    replaced: dict[Position, Position] = {}
     for path, node, ax_paths in sites:
         assignment = choice.assignments[path]
-        body_prefix = path + ((1, 0), (0, 0))
+        body = path + (1, 0)
+        site = format_position(path)
         if set(assignment) != set(ax_paths):
-            raise ChoiceError(f"choice at {path} does not cover the axioms of {x!r}")
-        if sorted(assignment.values()) != list(range(len(node.args))):
-            raise ChoiceError(f"choice at {path} is not a bijection onto the premises")
+            raise ChoiceError(f"choice at {site} does not cover the axioms of {x!r}")
+        if sorted(assignment.values()) != list(range(2, 2 + len(node.args))):
+            raise ChoiceError(f"choice at {site} is not a bijection onto the premises")
         for p, j in assignment.items():
-            if types[body_prefix + p] != types[path + ((2, j),)]:
-                raise ChoiceError(f"type mismatch for axiom {p} and premise {j}")
-            replaced[body_prefix + p] = path + ((2, j),)
-    built: dict[RPath, RNode] = {}
+            if types[body + p] != types[path + (j,)]:
+                raise ChoiceError(
+                    f"type mismatch at {site} for axiom {format_position(p)} and premise {j}"
+                )
+            replaced[body + p] = path + (j,)
+    built: dict[Position, RNode] = {}
     for path, _, node, _ in reversed(list(walk_R(rd.root, rd.term))):
         if path in replaced:
             built[path] = built[replaced[path]]
         elif path in choice.assignments:
-            built[path] = built[path + ((1, 0), (0, 0))]
+            built[path] = built[path + (1, 0)]
         elif isinstance(node, RAxD):
             built[path] = node
         elif isinstance(node, RAbsD):
-            built[path] = RAbsD(built[path + ((0, 0),)])
+            built[path] = RAbsD(built[path + (0,)])
         else:
-            premises = [built[path + ((2, j),)] for j in range(len(node.args))]
-            built[path] = rapp(built[path + ((1, 0),)], premises)
-    return RDerivation(beta_reduce_at(rd.term, b), built[()])
+            premises = [built[path + (j,)] for j in range(2, 2 + len(node.args))]
+            built[path] = rapp(built[path + (1,)], premises)
+    return RDerivation(beta_reduce_at(rd.term, b), built[EPS])
 
 
 def collapse_choice(
     checked: CheckedDerivation, b: Position, rho_per_node: dict[Position, dict[Track, Track]]
 ) -> RChoice:
     """The multiset-side choice realized by a rigid root-interface choice."""
-    _, paths = checked.collapse
+    _, rpos = checked.collapse
     maps = residual_maps(checked, b, rho_per_node)
-    assignments: dict[RPath, dict[RPath, int]] = {}
+    assignments: dict[Position, dict[Position, int]] = {}
     for a in maps.nodes_over:
-        rpath = paths[a]
-        body_prefix = rpath + ((1, 0), (0, 0))
-        assignment: dict[RPath, int] = {}
-        for k_left, k_right in maps.rho[a].items():
-            ax_rel = paths[maps.ax_pos[a][k_left]][len(body_prefix) :]
-            step = paths[a + (k_right,)][-1]
-            assert step[0] == 2
-            assignment[ax_rel] = step[1]
-        assignments[rpath] = assignment
+        body_len = len(rpos[a]) + 2
+        assignments[rpos[a]] = {
+            rpos[maps.ax_pos[a][k_left]][body_len:]: rpos[a + (k_right,)][-1]
+            for k_left, k_right in maps.rho[a].items()
+        }
     return RChoice(b, assignments)
 
 
@@ -448,33 +450,31 @@ def realize_r_choice(
     checked: CheckedDerivation, b: Position, rchoice: RChoice
 ) -> dict[Position, dict[Track, Track]]:
     """Root interfaces on the rigid side realizing a multiset-side choice."""
-    _, paths = checked.collapse
+    _, rpos = checked.collapse
     rho_per_node: dict[Position, dict[Track, Track]] = {}
     _redex_binder(checked.term, b)
     for a in checked.apps_over.get(b, []):
-        rpath = paths[a]
-        if rpath not in rchoice.assignments:
+        if rpos[a] not in rchoice.assignments:
             raise ChoiceError(f"choice missing the redex node at {format_position(a)}")
-        assignment = rchoice.assignments[rpath]
-        body_prefix = rpath + ((1, 0), (0, 0))
+        assignment = rchoice.assignments[rpos[a]]
+        body_len = len(rpos[a]) + 2
         node = checked.node(a)
         assert isinstance(node, AppNode)
-        arg_by_index = {}
-        for k in node.arg_tracks:
-            step = paths[a + (k,)][-1]
-            arg_by_index[step[1]] = k
+        track_of = {rpos[a + (k,)][-1]: k for k in node.arg_tracks}
         rho: dict[Track, Track] = {}
         for k, p in checked.bound_by(a + (1,)).items():
-            ax_rel = paths[p][len(body_prefix) :]
+            ax_rel = rpos[p][body_len:]
             if ax_rel not in assignment:
-                raise ChoiceError(f"choice missing axiom {ax_rel} at {format_position(a)}")
-            j = assignment[ax_rel]
-            if j not in arg_by_index:
                 raise ChoiceError(
-                    f"choice sends axiom {ax_rel} at {format_position(a)} to premise {j},"
-                    " which the node does not have"
+                    f"choice missing axiom {format_position(ax_rel)} at {format_position(a)}"
                 )
-            rho[k] = arg_by_index[j]
+            j = assignment[ax_rel]
+            if j not in track_of:
+                raise ChoiceError(
+                    f"choice sends axiom {format_position(ax_rel)} at {format_position(a)}"
+                    f" to premise {j}, which the node does not have"
+                )
+            rho[k] = track_of[j]
         rho_per_node[a] = rho
     return rho_per_node
 
@@ -485,9 +485,9 @@ def realize_r_choice(
 def hybridize(rd: RDerivation) -> Derivation:
     """A hybrid derivation collapsing on the given multiset derivation.
 
-    Axioms get the tracks 2, 3, ... in preorder and the j-th argument
-    premise of an application the track j + 2, so the R-path step (k, j)
-    becomes the rigid track k + j.
+    Every node sits at its `walk_R` position, so the j-th argument premise
+    of an application is on the track 2 + j; axioms get the tracks 2, 3, ...
+    in preorder.
     """
     check_R(rd)
     counter = itertools.count(2)
@@ -499,8 +499,7 @@ def hybridize(rd: RDerivation) -> Derivation:
         return SArrow(seq(entries), rigidify(rt.target))
 
     nodes: dict[Position, Node] = {}
-    for path, _, node, _ in walk_R(rd.root, rd.term):
-        a = tuple(k + j for k, j in path)
+    for a, _, node, _ in walk_R(rd.root, rd.term):
         if isinstance(node, RAxD):
             nodes[a] = AxNode(next(counter), rigidify(node.rtype))
         elif isinstance(node, RAbsD):

@@ -283,29 +283,10 @@ def equiv(t1: SType | SeqType, t2: SType | SeqType) -> bool:
     return t1.collapse == t2.collapse
 
 
-def type_at(t: SType | SeqType, c: Position) -> SType:
-    """Subtype rooted at position c."""
-    u: SType | SeqType = t
-    for i, k in enumerate(c):
-        if isinstance(u, SeqType):
-            u = u.get(k)
-        elif isinstance(u, SArrow):
-            u = u.target if k == 1 else u.source.get(k)
-        else:
-            raise KeyError(c)
-    if isinstance(u, SeqType):
-        raise KeyError(c)
-    return u
-
-
 def _label(u: SType | SeqType) -> Optional[str]:
     """An atom's name or an arrow's `ARROW`; a sequence type, the root of a
     forest, has none."""
     return u.name if type(u) is SAtom else ARROW if type(u) is SArrow else None
-
-
-def label_at(t: SType | SeqType, c: Position) -> str:
-    return _label(type_at(t, c))
 
 
 def identity_iso(t: SType | SeqType) -> ZeroOneIso:
@@ -467,77 +448,83 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _TypeParser:
-    def __init__(self, text: str) -> None:
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _parse(text: str, sequence: bool) -> SType | SeqType:
+    """An S-type, or with `sequence` a sequence type, and nothing after it.
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_eof(self) -> None:
-        kind, value, off = self.peek()
-        if kind != "eof":
-            raise TypeSyntaxError(f"trailing input {value!r}", off)
-
-    def stype(self) -> SType:
-        kind, value, off = self.peek()
-        if kind == "atom":
-            self.advance()
-            return SAtom(value)
-        if kind == "(":
-            f = self.seq()
-            kind2, _, off2 = self.peek()
-            if kind2 != "arrow":
-                raise TypeSyntaxError("expected '->' after sequence", off2)
-            self.advance()
-            return SArrow(f, self.stype())
-        raise TypeSyntaxError(f"unexpected token {value!r}", off)
-
-    def seq(self) -> SeqType:
-        kind, _, off = self.advance()
-        if kind != "(":
-            raise TypeSyntaxError("expected '('", off)
-        if self.peek()[0] == ")":
-            self.advance()
-            return EMPTY_SEQ
-        entries: list[tuple[Track, SType]] = []
-        while True:
-            kind, value, off = self.advance()
+    A recursive-descent parser run on an explicit stack, so nesting depth is
+    unbounded.  Each pending frame is one unfinished rule: a sequence type
+    read and awaiting its arrow's target, or an open sequence, a list of its
+    entries and of the track whose type it awaits.
+    """
+    tokens = _tokenize(text)
+    if sequence and tokens[0][0] != "(":
+        raise TypeSyntaxError("expected '('", tokens[0][2])
+    pos = 0
+    stack: list = []
+    entry = False  # whether an entry's `track :` comes next
+    while True:
+        kind, value, off = tokens[pos]
+        pos += 1
+        if entry:
             if kind != "nat":
                 raise TypeSyntaxError("expected a track number", off)
-            track = int(value)
-            if track < 2:
+            if int(value) < 2:
                 raise TypeSyntaxError("sequence tracks are >= 2", off)
-            kind, _, off = self.advance()
-            if kind != ":":
-                raise TypeSyntaxError("expected ':' after track", off)
-            entries.append((track, self.stype()))
-            kind, _, off = self.advance()
-            if kind == ")":
+            if tokens[pos][0] != ":":
+                raise TypeSyntaxError("expected ':' after track", tokens[pos][2])
+            pos += 1
+            stack[-1][1] = int(value)
+            entry = False
+            continue
+        if kind == "(" and tokens[pos][0] != ")":
+            stack.append([[], None])
+            entry = True
+            continue
+        if kind == "(":
+            pos += 1
+            done: Optional[SType | SeqType] = EMPTY_SEQ
+        elif kind == "atom":
+            done = SAtom(value)
+        else:
+            raise TypeSyntaxError(f"unexpected token {value!r}", off)
+        while True:  # close the rules the value completes
+            if isinstance(done, SeqType) and (stack or not sequence):
+                if tokens[pos][0] != "arrow":
+                    raise TypeSyntaxError("expected '->' after sequence", tokens[pos][2])
+                pos += 1
+                stack.append(done)
+                done = None
                 break
-            if kind != ",":
+            if not stack:
+                break
+            top = stack.pop()
+            if isinstance(top, SeqType):
+                done = SArrow(top, done)
+                continue
+            top[0].append((top[1], done))
+            kind, _, off = tokens[pos]
+            pos += 1
+            if kind == ",":
+                stack.append(top)
+                entry, done = True, None
+                break
+            if kind != ")":
                 raise TypeSyntaxError("expected ',' or ')'", off)
-        return seq(entries)
+            done = seq(top[0])
+        if done is not None:
+            break
+    kind, value, off = tokens[pos]
+    if kind != "eof":
+        raise TypeSyntaxError(f"trailing input {value!r}", off)
+    return done
 
 
 def parse_type(text: str) -> SType:
-    parser = _TypeParser(text)
-    t = parser.stype()
-    parser.expect_eof()
-    return t
+    return _parse(text, sequence=False)
 
 
 def parse_seq_type(text: str) -> SeqType:
-    parser = _TypeParser(text)
-    f = parser.seq()
-    parser.expect_eof()
-    return f
+    return _parse(text, sequence=True)
 
 
 def print_type(t: SType | SeqType) -> str:

@@ -6,7 +6,8 @@ each abstraction and the disjoint union `context_union` at each
 application, whose `TrackConflictError` it turned into `TrackConflict`
 with `_conflict_variable`.  The checker, its `CheckedDerivation` and the
 helpers are copied here verbatim, with `_walk_nodes`; `Context.without`
-becomes the function `without`.  Only the imports differ: the judgments
+becomes the function `without`.  Only the imports differ, and the old
+`RPath` of (kind, index) steps is defined here: the judgments
 are built from the library's `Context` and `Judgment`, so they compare
 equal to the ones the library builds lazily.
 `test_checker_differential.py` compares `derivations.check_derivation`
@@ -43,12 +44,13 @@ from seqtypes.derivations import (
     RAxD,
     RDerivation,
     RNode,
-    RPath,
     TrackConflict,
 )
 from seqtypes.positions import EPS, Position, Track, collapse_position, format_position
 from seqtypes.stypes import SArrow, SeqType, SType, TrackConflictError, equiv, seq, seq_union
 from seqtypes.terms import Abs, App, Term, Var
+
+RPath = tuple[tuple[int, int], ...]  # (0,0) abs child, (1,0) app left, (2,j) argument j
 
 
 def without(ctx: Context, x: str) -> Context:

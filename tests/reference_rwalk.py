@@ -28,7 +28,6 @@ from seqtypes.derivations import (
     RDerivation,
     RJudgment,
     RNode,
-    RPath,
     rapp,
 )
 from seqtypes.positions import EPS, Position, Track, format_position
@@ -36,6 +35,7 @@ from seqtypes.reduction import ChoiceError, RChoice, ReductionError
 from seqtypes.stypes import RArrow, RAtom, RType, SArrow, SAtom, SType, rarrow, rmultiset, seq
 from seqtypes.terms import Abs, App, Term, Var, beta_reduce_at, subterm_at
 
+RPath = tuple[tuple[int, int], ...]  # (0,0) abs child, (1,0) app left, (2,j) argument j
 RContext = dict[str, tuple[RType, ...]]
 
 

@@ -53,6 +53,7 @@ from seqtypes.trivialize import random_relabelling, reset_derivation
 import reference_checker as ref
 from samples import make_brothers, make_self_app, make_shadowed_redex, make_wide
 from test_reduction_differential import choice_instances
+from test_rwalk_differential import positional
 from test_threads_differential import CORPUS_SEED
 
 
@@ -60,7 +61,8 @@ def assert_same_check(deriv: Derivation) -> CheckedDerivation:
     new, old = check_derivation(deriv), ref.check_derivation(deriv)
     assert ref.lazy_judgments(new) == old.judgments
     assert new.binders == old.binders
-    assert new.collapse == old.collapse
+    (rd, positions), (old_rd, paths) = new.collapse, old.collapse
+    assert rd == old_rd and positions == {a: positional(p) for a, p in paths.items()}
     for a in deriv.nodes:
         assert new.type_at(a) == old.type_at(a)
         assert new.children(a) == old.children(a)

@@ -15,10 +15,11 @@ from seqtypes.derivations import (
     check_derivation,
 )
 from seqtypes.positions import EPS
-from seqtypes.stypes import SArrow, SAtom, seq
+from seqtypes.stypes import SArrow, SAtom, print_type, seq
 from seqtypes.terms import App, Var, parse_term
 
 from samples import brothers_operable, make_argument_redex, make_brothers, make_self_app
+from test_stypes import DEEP, deep_type
 
 
 @pytest.fixture()
@@ -85,6 +86,16 @@ def test_check_a_derivation_nested_1000_deep(tmp_path, capsys):
     v_entries = ", ".join(f"{k}:(2:o) -> o" for k in range(2, depth + 2))
     subject = "v (" * (depth - 1) + "v u" + ")" * (depth - 1)
     assert out == f"u:(2:o), v:({v_entries}) |- {subject} : o\n"
+
+
+def test_check_an_axiom_typed_10000_deep(tmp_path, capsys):
+    """The printed type parses back at a depth the recursion limit forbids."""
+    t = deep_type(DEEP)
+    path = tmp_path / "deep_type.deriv"
+    path.write_text(dumps_derivation(Derivation(parse_term("x"), "S", {EPS: AxNode(2, t)})))
+    assert run(["check", "--file", str(path)]) == 0
+    text = print_type(t)
+    assert capsys.readouterr().out == f"x:(2:{text}) |- x : {text}\n"
 
 
 def test_check_usage_error(capsys):
@@ -288,6 +299,12 @@ def test_invalid_json_is_bad_input(tmp_path, capsys):
     path = tmp_path / "truncated.deriv"
     path.write_text(dumps_derivation(make_self_app())[:40])
     assert "JSONDecodeError" in bad_input(["check", "--file", str(path)], capsys)["detail"]
+
+
+def test_json_nested_past_the_decoder_is_bad_input(tmp_path, capsys):
+    path = tmp_path / "nested.deriv"
+    path.write_text("[" * 100_000)
+    assert "RecursionError" in bad_input(["check", "--file", str(path)], capsys)["detail"]
 
 
 def test_missing_nodes_is_bad_input(tmp_path, capsys):

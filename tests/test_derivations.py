@@ -141,7 +141,7 @@ def test_bound_by_and_pos():
 
 
 def test_check_R_on_a_deep_application():
-    """x u^n, deeper than the default recursion limit.  The R-paths and
+    """x u^n, deeper than the default recursion limit.  The R-positions and
     term positions of n nested applications hold about n^2 letters (`check_R`
     peaks at 1.56 GB at n = 10,000), so n is twice that limit."""
     assert sys.getrecursionlimit() <= 1000
@@ -203,7 +203,8 @@ def test_check_R_mutations():
     )
     with pytest.raises(RCheckError) as exc:
         check_R(broken)
-    assert exc.value.reason == "app_mismatch"
+    assert exc.value.reason == "app_mismatch" and exc.value.path == (0,)
+    assert str(exc.value) == "at R-position 0: app_mismatch"
     shuffled = RDerivation(
         SELF_APP_COLLAPSE.term,
         RAbsD(
@@ -213,18 +214,22 @@ def test_check_R_mutations():
             )
         ),
     )
-    with pytest.raises(RCheckError):
+    with pytest.raises(RCheckError, match=r"^at R-position 0: argument premises not in"):
         check_R(shuffled)
+    o = RAxD(RAtom("o"))
+    off_kind = RDerivation(parse_term("\\x. x (\\y. y)"), RAbsD(RAppD(o, (o,))))
+    with pytest.raises(RCheckError, match=r"^at R-position 0\.2: axiom not at a variable$"):
+        check_R(off_kind)
 
 
 def test_collapse_paths_are_consistent():
     checked = check_derivation(make_self_app())
     rd, paths = checked.collapse
-    assert paths[EPS] == ()
-    assert paths[(0,)] == ((0, 0),)
-    assert paths[(0, 1)] == ((0, 0), (1, 0))
+    assert paths[EPS] == EPS
+    assert paths[(0,)] == (0,)
+    assert paths[(0, 1)] == (0, 1)
     arg_paths = {paths[(0, k)] for k in (2, 3, 8)}
-    assert arg_paths == {((0, 0), (2, 0)), ((0, 0), (2, 1)), ((0, 0), (2, 2))}
+    assert arg_paths == {(0, 2), (0, 3), (0, 4)}
 
 
 def test_checked_derivation_is_frozen_and_collapses_once():

@@ -7,9 +7,10 @@ code or in a string annotation such as `"SeqType"`.  `__init__.py` is left
 out: its imports are the package's API.  Second, every private module-level name (a `_`-prefixed
 def, class or constant) is referenced somewhere in the package outside its
 own definition: as a name, an attribute or an imported name.  Third, every
-module-level def and class is referenced outside its own definition in the
-package, the tests, the benchmark or a word of the README, so a second path
-does not outlive its last caller.
+module-level def, class and assigned name (a constant or a type alias) is
+referenced outside its own definition in the package, the tests, the
+benchmark or a word of the README, so a second path or an alias does not
+outlive its last reader.
 """
 
 from __future__ import annotations
@@ -100,9 +101,9 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == [("Optional", 2)]
 
 
-def private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
-    """The module-level defs, classes and constants whose names start with
-    one underscore, each with its defining statement."""
+def definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """The module-level defs, classes and assigned names (constants and type
+    aliases) but dunder names, each with its defining statement."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -112,14 +113,13 @@ def private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
             names = [t.id for t in targets if isinstance(t, ast.Name)]
         else:
             continue
-        out += [(n, node) for n in names if n.startswith("_") and not n.startswith("__")]
+        out += [(n, node) for n in names if not n.startswith("__")]
     return out
 
 
-def definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
-    """The module-level defs and classes, each with its statement."""
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [(node.name, node) for node in tree.body if isinstance(node, kinds)]
+def private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """The definitions whose names start with one underscore."""
+    return [(n, node) for n, node in definitions(tree) if n.startswith("_")]
 
 
 def unreferenced_names(
@@ -163,13 +163,18 @@ def test_every_definition_is_referenced_somewhere():
 def test_a_definition_named_only_outside_the_package_counts():
     sources = {
         "a.py": "def helper():\n    return helper()\n\n\nclass Shown:\n    pass\n",
-        "b.py": "def caller():\n    return 1\n",
+        "b.py": (
+            "def caller():\n    return 1\n\n\n"
+            "Step = tuple[int, int]\nPath = tuple[Step, ...]\nLIMIT: int = 3\n"
+        ),
     }
     assert unreferenced_names(sources, definitions) == [
-        ("a.py", "Shown", 5), ("a.py", "helper", 1), ("b.py", "caller", 1)
+        ("a.py", "Shown", 5), ("a.py", "helper", 1),
+        ("b.py", "LIMIT", 7), ("b.py", "Path", 6), ("b.py", "caller", 1),
     ]
-    assert unreferenced_names(sources, definitions, frozenset({"Shown", "caller"})) == [
-        ("a.py", "helper", 1)
+    named = frozenset({"Shown", "caller", "LIMIT"})
+    assert unreferenced_names(sources, definitions, named) == [
+        ("a.py", "helper", 1), ("b.py", "Path", 6)
     ]
 
 

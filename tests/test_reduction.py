@@ -253,9 +253,9 @@ def test_reduce_R_rejects_bad_choice():
     collapsed = collapse_derivation(checked)
     good = enumerate_r_choices(collapsed, EPS)[0]
     (path, assignment), = good.assignments.items()
-    swapped = {p: (1 - j) for p, j in assignment.items()}
-    bad_keys = {p + ((0, 0),): j for p, j in assignment.items()}
-    with pytest.raises(ChoiceError):
+    swapped = {p: (5 - j) for p, j in assignment.items()}
+    bad_keys = {p + (0,): j for p, j in assignment.items()}
+    with pytest.raises(ChoiceError, match="choice at eps does not cover the axioms of 'x'"):
         reduce_R(collapsed, EPS, type(good)(EPS, {path: bad_keys}))
     # swapping is fine here (types agree); a non-bijection is not
     reduce_R(collapsed, EPS, type(good)(EPS, {path: swapped}))

@@ -5,12 +5,17 @@
 collapses of the hybrid acceptance corpus and of the criterion-5 redex
 towers, the versions built on `walk_R` must agree with them: the same
 judgments and R-types, the same choice lists in the same order, equal
-reducts for every choice and equal hybrid representatives.
+reducts for every choice and equal hybrid representatives.  The oracles
+address R-nodes by paths of (kind, index) steps; `positional` and
+`positional_choice` map them to the library's positions, where the step
+(k, j) is the letter k + j and premise j the letter 2 + j.
 """
 
 from __future__ import annotations
 
 import random
+
+import pytest
 
 from seqtypes.corpus import sr_corpus, tower_instances
 from seqtypes.derivations import (
@@ -24,7 +29,8 @@ from seqtypes.derivations import (
     rapp,
     walk_R,
 )
-from seqtypes.reduction import enumerate_r_choices, hybridize, reduce_R
+from seqtypes.positions import Position
+from seqtypes.reduction import ChoiceError, RChoice, enumerate_r_choices, hybridize, reduce_R
 from seqtypes.stypes import RAtom, RType, rarrow
 from seqtypes.terms import Abs, Var, parse_term, redexes
 from seqtypes.trivialize import random_relabelling, reset_derivation
@@ -39,6 +45,19 @@ from samples import (
 )
 
 CORPUS_SEED = 20250809
+
+
+def positional(path: ref.RPath) -> Position:
+    """An oracle R-path as a position: the step (k, j) is the letter k + j."""
+    return tuple(k + j for k, j in path)
+
+
+def positional_choice(choice: RChoice) -> RChoice:
+    """An oracle choice with positions, and premise j as the letter 2 + j."""
+    return RChoice(choice.redex, {
+        positional(site): {positional(p): 2 + j for p, j in assignment.items()}
+        for site, assignment in choice.assignments.items()
+    })
 
 
 def corpus_collapses() -> list[RDerivation]:
@@ -64,7 +83,7 @@ def tower_collapses() -> list[RDerivation]:
 def grouped_redex(f_types: list[RType], g_types: list[RType], copies: int) -> RDerivation:
     """h ((\\x. f x (g x)) u), the redex `copies` times among h's premises.
     x has one axiom of each of `f_types` under f and of `g_types` under g,
-    and u one premise for each.  f's axioms come first in R-path order,
+    and u one premise for each.  f's axioms come first in position order,
     each group sorted by key, so equal-keyed axioms can be apart."""
     r, q = RAtom("r"), RAtom("q")
     f = rapp(RAxD(rarrow(f_types, rarrow([r], q))), [RAxD(t) for t in f_types])
@@ -76,7 +95,7 @@ def grouped_redex(f_types: list[RType], g_types: list[RType], copies: int) -> RD
 
 def grouped_redexes() -> list[RDerivation]:
     """Redexes whose axioms fall in two or three key groups, one of them
-    with three axioms, interleaved in R-path order."""
+    with three axioms, interleaved in position order."""
     o, p = RAtom("o"), RAtom("p")
     arrow = rarrow([o], o)
     return [
@@ -89,7 +108,7 @@ def grouped_redexes() -> list[RDerivation]:
 def assert_same_judgments(rd: RDerivation) -> None:
     judgment, types = check_R_types(rd)
     assert judgment == check_R(rd) == ref.check_R(rd)
-    assert types == ref._rtype_of_nodes(rd)
+    assert types == {positional(p): t for p, t in ref._rtype_of_nodes(rd).items()}
 
 
 def assert_same_reductions(rd: RDerivation) -> int:
@@ -98,10 +117,10 @@ def assert_same_reductions(rd: RDerivation) -> int:
     assert hybridize(rd) == ref.hybridize(rd)
     compared = 0
     for b in redexes(rd.term):
-        choices = enumerate_r_choices(rd, b)
-        assert choices == ref.enumerate_r_choices(rd, b), b
-        for choice in choices:
-            got, want = reduce_R(rd, b, choice), ref.reduce_R(rd, b, choice)
+        choices, ref_choices = enumerate_r_choices(rd, b), ref.enumerate_r_choices(rd, b)
+        assert choices == [positional_choice(c) for c in ref_choices], b
+        for choice, ref_choice in zip(choices, ref_choices):
+            got, want = reduce_R(rd, b, choice), ref.reduce_R(rd, b, ref_choice)
             assert (got.term, got.root) == (want.term, want.root), (b, choice)
             assert_same_judgments(got)
             assert hybridize(got) == ref.hybridize(got)
@@ -146,3 +165,28 @@ def test_walk_R_is_iterative():
     path, tpos, leaf, subj = items[-1]
     assert len(path) == len(tpos) == depth
     assert leaf == RAxD(RAtom("o")) and subj == Var("x")
+
+
+def test_walk_R_yields_the_hybrid_positions():
+    """An R-node's position is its position in the hybrid representative,
+    and the hybrid's collapse maps every position to itself."""
+    for rd in corpus_collapses() + tower_collapses():
+        hybrid = hybridize(rd)
+        assert [a for a, _, _, _ in walk_R(rd.root, rd.term)] == sorted(hybrid.nodes)
+        collapsed, positions = check_derivation(hybrid).collapse
+        assert collapsed == rd
+        assert all(a == r for a, r in positions.items())
+
+
+def test_bad_choices_name_their_nodes_in_dotted_syntax():
+    rd = grouped_redexes()[1]
+    choice = enumerate_r_choices(rd, (2,))[0]
+    ((site, assignment),) = choice.assignments.items()
+    assert site == (2,) and sorted(assignment.values()) == list(range(2, 8))
+    axioms = sorted(assignment, key=assignment.__getitem__)
+    swapped = {**assignment, axioms[0]: assignment[axioms[-1]], axioms[-1]: assignment[axioms[0]]}
+    with pytest.raises(ChoiceError, match=r"^type mismatch at 2 for axiom \d+\.\d+ and premise \d+$"):
+        reduce_R(rd, (2,), RChoice((2,), {site: swapped}))
+    missing = {p: j for p, j in assignment.items() if p != axioms[0]}
+    with pytest.raises(ChoiceError, match=r"^choice at 2 does not cover the axioms of 'x'$"):
+        reduce_R(rd, (2,), RChoice((2,), {site: missing}))

@@ -31,7 +31,6 @@ from seqtypes.stypes import (
     equiv,
     identity_iso,
     iter_type_isos,
-    label_at,
     parse_seq_type,
     parse_type,
     print_rtype,
@@ -59,14 +58,10 @@ T2 = SArrow(seq({5: SArrow(seq({7: O1, 2: O3}), O2), 3: O2}), O1)
 def test_type_support_example():
     arrow = SArrow(seq({8: O, 3: OP, 2: O}), OP)
     assert {EPS, (1,), (2,), (3,), (8,)} <= arrow.support
-    assert label_at(arrow, EPS) == "->"
-    assert label_at(arrow, (1,)) == "o'"
-    assert label_at(arrow, (2,)) == "o"
 
 
 def test_type_support_atom_and_sample_tree():
     assert O.support == frozenset({EPS})
-    assert label_at(O, EPS) == "o"
     assert T1.support == frozenset(
         {EPS, (1,), (4,), (8,), (4, 1), (4, 3), (4, 8)}
     )
@@ -175,11 +170,6 @@ def test_parse_print_round_trip():
         parse_type("o ->")
 
 
-def test_label_at():
-    assert label_at(T1, (4, 8)) == "o3"
-    assert label_at(T1, EPS) == "->"
-
-
 atoms = st.sampled_from([O, OP, O1, O2])
 
 
@@ -232,6 +222,13 @@ def deep_type(n: int):
     for i in range(n):
         t = SArrow(seq({2: t}), O1) if i % 2 else SArrow(seq({3: O2}), t)
     return t
+
+
+def test_parse_type_does_not_recurse():
+    assert sys.getrecursionlimit() <= 1000
+    text = print_type(deep_type(DEEP))
+    assert print_type(parse_type(text)) == text
+    assert print_type(parse_seq_type(f"(5:{text})")) == f"(5:{text})"
 
 
 def test_type_facts_do_not_recurse():
