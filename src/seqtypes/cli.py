@@ -30,6 +30,7 @@ from .derivations import (
 )
 from .reduction import (
     ChoiceError,
+    InterfaceError,
     OperableDerivation,
     ReductionChoice,
     ReductionError,
@@ -115,14 +116,18 @@ def _load_operable(path: str, interface_path: str | None) -> OperableDerivation:
     listed: list[tuple[Position, list[tuple[Position, Position]]]] = []
     if interface_path:
         listed = loads_json(Path(interface_path).read_text(), _interface_from_json)
+    interface: dict[Position, ZeroOneIso] = {}
+    for a, pairs in listed:
+        try:
+            if a in interface:
+                raise ValueError(f"{format_position(a)} is listed twice in the interface file")
+            interface[a] = ZeroOneIso(_unique(pairs, f"the interface at {format_position(a)}"))
+        except ValueError as exc:
+            raise CliError("bad-interface", str(exc), format_position(a)) from exc
     try:
-        interface = {
-            a: ZeroOneIso(_unique(pairs, f"the interface at {format_position(a)}"))
-            for a, pairs in _unique(listed, "the interface file").items()
-        }
         return make_operable(checked, interface)
-    except ValueError as exc:
-        raise CliError("bad-interface", str(exc)) from exc
+    except InterfaceError as exc:
+        raise CliError("bad-interface", str(exc), format_position(exc.position)) from exc
 
 
 def _choice_from_json(data: dict) -> ReductionChoice:

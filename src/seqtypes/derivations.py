@@ -329,6 +329,18 @@ def check_derivation(deriv: Derivation) -> CheckedDerivation:
     first fault met raises.  Two axioms of one binder on one track meet at
     their longest common prefix, an application, and raise `TrackConflict`
     there after its own checks, where their contexts' union would fail."""
+    return _check_nodes(deriv)
+
+
+def _check_nodes(
+    deriv: Derivation,
+    source: Optional[CheckedDerivation] = None,
+    kept: Mapping[Position, Position] = {},
+) -> CheckedDerivation:
+    """`check_derivation`'s walk; an inner node at a position in `kept`
+    skips its rule and takes the type (and right sequence) of the `source`
+    node named there, which must have the same premises and have passed a
+    rule at least as strict."""
     term, nodes, flavor = deriv.term, deriv.nodes, deriv.flavor
     if EPS not in nodes:
         raise MalformedShape(EPS, "missing root node")
@@ -369,8 +381,11 @@ def check_derivation(deriv: Derivation) -> CheckedDerivation:
                 raise MalformedShape(a, "abstraction node not at an abstraction")
             if kids != {0}:
                 raise MalformedShape(a, "abstraction needs exactly the child 0")
-            source = seq((k, types[p]) for k, p in bound.get(a, {}).items())
-            types[a] = SArrow(source, types[a + (0,)])
+            if a in kept:
+                types[a] = source._types[kept[a]]
+            else:
+                lseq = seq((k, types[p]) for k, p in bound.get(a, {}).items())
+                types[a] = SArrow(lseq, types[a + (0,)])
         else:
             if not isinstance(subj, App):
                 raise MalformedShape(a, "application node not at an application")
@@ -378,19 +393,22 @@ def check_derivation(deriv: Derivation) -> CheckedDerivation:
                 raise MalformedShape(a, "argument tracks must be >= 2")
             if kids != {1} | node.arg_tracks:
                 raise MalformedShape(a, "application children do not match its tracks")
-            left = types[a + (1,)]
-            if not isinstance(left, SArrow):
-                raise MalformedShape(a, "left premise does not conclude with an arrow")
-            lseq = left.source
-            rseq = right_seqs[a] = seq((k, types[a + (k,)]) for k in node.arg_tracks)
-            if flavor == FLAVOR_S:
-                if lseq != rseq:
+            if a in kept:
+                types[a], right_seqs[a] = source._types[kept[a]], source._right_seqs[kept[a]]
+            else:
+                left = types[a + (1,)]
+                if not isinstance(left, SArrow):
+                    raise MalformedShape(a, "left premise does not conclude with an arrow")
+                lseq = left.source
+                rseq = right_seqs[a] = seq((k, types[a + (k,)]) for k in node.arg_tracks)
+                if flavor == FLAVOR_S:
+                    if lseq != rseq:
+                        raise AppMismatch(a, lseq, rseq)
+                elif not equiv(lseq, rseq):
                     raise AppMismatch(a, lseq, rseq)
-            elif not equiv(lseq, rseq):
-                raise AppMismatch(a, lseq, rseq)
+                types[a] = left.target
             if a in meets:
                 raise _track_conflict(a, nodes, subjects, binders)
-            types[a] = left.target
         subjects[a] = subj
     return CheckedDerivation(deriv, types, subjects, children, binders, bound, right_seqs)
 

@@ -34,10 +34,6 @@ def applicative_depth(a: Position) -> int:
     return sum(1 for k in a if k >= 2)
 
 
-def is_prefix(a: Position, b: Position) -> bool:
-    return len(a) <= len(b) and b[: len(a)] == a
-
-
 def parse_position(text: str) -> Position:
     text = text.strip()
     if text in ("eps", ""):

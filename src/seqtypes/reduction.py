@@ -20,11 +20,11 @@ from typing import Optional
 
 from .positions import (
     EPS,
+    DomainMismatchError,
     Position,
     Track,
     ZeroOneIso,
     format_position,
-    is_prefix,
     iter_01_isos,
 )
 from .stypes import (
@@ -57,8 +57,8 @@ from .derivations import (
     RDerivation,
     RNode,
     check_R,
+    _check_nodes,
     check_R_types,
-    check_derivation,
     collapse_derivation,
     rapp,
     walk_R,
@@ -114,30 +114,60 @@ def extend_root_interface(
     return ZeroOneIso.node(kids, tree=False)
 
 
+class InterfaceError(ValueError):
+    """An interface that fails at a node, which `.position` names."""
+
+    def __init__(self, position: Position, reason: str) -> None:
+        super().__init__(f"invalid interface at {format_position(position)}: {reason}")
+        self.position = position
+
+
 @dataclass
 class OperableDerivation:
-    """A hybrid derivation endowed with a total interface."""
+    """A hybrid derivation endowed with a total interface, checked in full;
+    the interfaces the library builds take `_operable`."""
 
     checked: CheckedDerivation
     interface: dict[Position, ZeroOneIso]
 
     def __post_init__(self) -> None:
-        apps = set(self.checked.app_positions())
-        if set(self.interface) != apps:
-            raise ValueError("the interface must cover exactly the application nodes")
-        for a, iso in self.interface.items():
-            if not check_type_iso(self.checked.left_seq(a), self.checked.right_seq(a), iso):
-                raise ValueError(f"invalid interface at {format_position(a)}")
+        _check_interfaces(self.checked, self.interface)
+        missing = set(self.checked.app_positions()) - self.interface.keys()
+        if missing:
+            raise InterfaceError(min(missing), "the application node has none")
+
+
+def _check_interfaces(checked: CheckedDerivation, interface: dict[Position, ZeroOneIso]) -> None:
+    for a, iso in interface.items():
+        if not isinstance(checked.nodes.get(a), AppNode):
+            raise InterfaceError(a, "not an application node")
+        try:
+            ok = check_type_iso(checked.left_seq(a), checked.right_seq(a), iso)
+        except DomainMismatchError as exc:
+            raise InterfaceError(a, str(exc)) from exc
+        if not ok:
+            raise InterfaceError(a, "it does not map the left sequence type onto the right one")
+
+
+def _operable(
+    checked: CheckedDerivation, interface: dict[Position, ZeroOneIso]
+) -> OperableDerivation:
+    """The given interfaces, built by the library as type isomorphisms, and
+    the least one at every other application node; none is re-checked."""
+    op = object.__new__(OperableDerivation)
+    op.checked, op.interface = checked, dict(interface)
+    for a in checked.app_positions():
+        if a not in interface:
+            op.interface[a] = default_interface(checked, a)
+    return op
 
 
 def make_operable(
     checked: CheckedDerivation, interface: Optional[dict[Position, ZeroOneIso]] = None
 ) -> OperableDerivation:
-    full = dict(interface or {})
-    for a in checked.app_positions():
-        if a not in full:
-            full[a] = default_interface(checked, a)
-    return OperableDerivation(checked, full)
+    """The given interfaces, each checked, and the least one elsewhere."""
+    _check_interfaces(checked, interface or {})
+    return _operable(checked, interface or {})
 
 
 @dataclass
@@ -182,59 +212,46 @@ def _redex_binder(term: Term, b: Position) -> str:
 def residual_maps(
     checked: CheckedDerivation, b: Position, rho_per_node: dict[Position, dict[Track, Track]]
 ) -> ResidualMaps:
-    x = _redex_binder(checked.term, b)
+    """The root interfaces checked, and the residual positions in one pass:
+    the node over b holding a position is its prefix of length len(b)."""
+    x, n = _redex_binder(checked.term, b), len(b)
     nodes_over = checked.apps_over.get(b, [])
     rho: dict[Position, dict[Track, Track]] = {}
     ax_pos: dict[Position, dict[Track, Position]] = {}
+    landing: dict[Position, dict[Track, Position]] = {}  # node over b -> argument -> position
     for a in nodes_over:
-        node = checked.node(a)
-        assert isinstance(node, AppNode)
-        tr_left = set(checked.left_seq(a).tracks())
+        left, right = checked.left_seq(a), checked.right_seq(a)
+        tr_left = set(left.tracks())
         by_track = dict(checked.bound_by(a + (1,)))
         if set(by_track) != tr_left:
             raise QuantitativityError(a, x, set(by_track) ^ tr_left)
         rho_a = rho_per_node.get(a)
         if rho_a is None:
             raise ChoiceError(f"missing root interface at {format_position(a)}")
-        if set(rho_a) != tr_left or set(rho_a.values()) != set(node.arg_tracks):
+        if set(rho_a) != tr_left or sorted(rho_a.values()) != right.tracks():
             raise ChoiceError(f"root interface at {format_position(a)} is not a bijection")
-        if len(set(rho_a.values())) != len(rho_a):
-            raise ChoiceError(f"root interface at {format_position(a)} is not injective")
         for k, k2 in rho_a.items():
-            if not equiv(checked.left_seq(a).get(k), checked.right_seq(a).get(k2)):
+            if not equiv(left.get(k), right.get(k2)):
                 raise ChoiceError(
                     f"root interface {k} -> {k2} at {format_position(a)} mismatches types"
                 )
         rho[a] = dict(rho_a)
         ax_pos[a] = by_track
+        landing[a] = {rho_a[k]: a + p[n + 2 :] for k, p in by_track.items()}
     maps = ResidualMaps(b, list(nodes_over), rho, ax_pos, {}, {})
     res, qres, x_axioms = maps.res, maps.qres, maps.x_axioms()
-    for alpha in checked.support():
-        a = next((a for a in nodes_over if is_prefix(a, alpha)), None)
-        if a is None:
-            res[alpha] = alpha
-            qres[alpha] = alpha
-            continue
-        if alpha == a:
+    for alpha in checked.nodes:
+        a = alpha[:n]
+        if a not in landing:
+            res[alpha] = qres[alpha] = alpha
+        elif alpha == a:
             qres[alpha] = a
-            continue
-        if alpha == a + (1,):
-            continue
-        k = alpha[len(a)]
-        if k == 1:
-            # inside the redex body (after a.1.0)
-            rel = alpha[len(a) + 2 :]
-            if alpha in x_axioms:
-                qres[alpha] = a + rel
-            else:
-                res[alpha] = a + rel
-                qres[alpha] = a + rel
-        else:
-            # inside an argument subderivation on track k
-            k_left = next(kl for kl, kr in rho[a].items() if kr == k)
-            rel_ax = ax_pos[a][k_left][len(a) + 2 :]
-            res[alpha] = a + rel_ax + alpha[len(a) + 1 :]
-            qres[alpha] = res[alpha]
+        elif alpha[n] != 1:  # inside an argument subderivation
+            res[alpha] = qres[alpha] = landing[a][alpha[n]] + alpha[n + 1 :]
+        elif len(alpha) > n + 1:  # inside the redex body, below a.1.0
+            qres[alpha] = a + alpha[n + 2 :]
+            if alpha not in x_axioms:
+                res[alpha] = qres[alpha]
     return maps
 
 
@@ -246,13 +263,19 @@ def _fire(
 ) -> tuple[CheckedDerivation, ResidualMaps]:
     """The one subject-reduction step: fire the redex at b with the given
     root interface at each node over it, move every node along the residual
-    positions and check the reduct in the given flavor.  With no node over
-    b the residual positions are the identity and the reduct keeps the
-    input's flavor."""
+    positions and re-check its changed spine in the given flavor: the
+    prefixes of the nodes over b and of the argument premises' new places.
+    Every other node keeps its preimage's premises, so its judgment (an S
+    target comes only from an S input).  With no node over b the residual
+    positions are the identity and the reduct keeps the input's flavor."""
     maps = residual_maps(checked, b, rho_per_node)
     nodes = {maps.res[alpha]: node for alpha, node in checked.nodes.items() if alpha in maps.res}
     flavor = flavor if maps.nodes_over else checked.flavor
-    return check_derivation(Derivation(beta_reduce_at(checked.term, b), flavor, nodes)), maps
+    starts = maps.nodes_over + [maps.qres[p] for p in maps.x_axioms()]
+    spine = {p[:i] for p in starts for i in range(len(p) + 1)}
+    kept = {p: alpha for alpha, p in maps.res.items() if p not in spine}
+    reduct = Derivation(beta_reduce_at(checked.term, b), flavor, nodes)
+    return _check_nodes(reduct, checked, kept), maps
 
 
 def reduce_S(checked: CheckedDerivation, b: Position) -> CheckedDerivation:
@@ -307,12 +330,12 @@ def reduce_operable(
     rho = {a: op.interface[a].roots() for a in checked.apps_over.get(b, [])}
     new_checked, maps = _fire(checked, b, rho, FLAVOR_SH)
     types = residual_isos(checked, maps, op.interface)
-    new_interface: dict[Position, ZeroOneIso] = {}
-    inverse_res = {v: k for k, v in maps.res.items()}
-    for a2 in new_checked.app_positions():
-        alpha = inverse_res[a2]
-        new_interface[a2] = types.conjugate(alpha, op.interface[alpha])
-    return OperableDerivation(new_checked, new_interface), maps, types
+    new_interface = {
+        maps.res[alpha]: types.conjugate(alpha, op.interface[alpha])
+        for alpha in checked.app_positions()
+        if alpha in maps.res
+    }
+    return _operable(new_checked, new_interface), maps, types
 
 
 # -- reduction choices on the multiset side ----------------------------------
@@ -552,8 +575,4 @@ def build_operable_from_choices(
             alive[a0] = maps.res[a_i]
         current = new_checked
         current_rd = reduce_R(current_rd, b_i, rchoice)
-    interface = dict(pinned)
-    for a0 in checked.app_positions():
-        if a0 not in interface:
-            interface[a0] = default_interface(checked, a0)
-    return OperableDerivation(checked, interface)
+    return _operable(checked, pinned)

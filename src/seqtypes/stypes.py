@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Union
 
 from .positions import (
@@ -135,7 +135,7 @@ EMPTY_SEQ = SeqType(())
 
 def seq(entries: Mapping[Track, SType] | Iterable[tuple[Track, SType]]) -> SeqType:
     pairs = entries.items() if isinstance(entries, Mapping) else entries
-    return SeqType(tuple(sorted(pairs)))
+    return SeqType(tuple(sorted(pairs, key=itemgetter(0))))  # by track: types are unordered
 
 
 def seq_union(*seqs: SeqType) -> SeqType:

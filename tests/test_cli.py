@@ -18,7 +18,13 @@ from seqtypes.positions import EPS
 from seqtypes.stypes import SArrow, SAtom, print_type, seq
 from seqtypes.terms import App, Var, parse_term
 
-from samples import brothers_operable, make_argument_redex, make_brothers, make_self_app
+from samples import (
+    brothers_operable,
+    make_argument_redex,
+    make_brothers,
+    make_equal_typed,
+    make_self_app,
+)
 from test_stypes import DEEP, deep_type
 
 
@@ -96,6 +102,15 @@ def test_check_an_axiom_typed_10000_deep(tmp_path, capsys):
     assert run(["check", "--file", str(path)]) == 0
     text = print_type(t)
     assert capsys.readouterr().out == f"x:(2:{text}) |- x : {text}\n"
+
+
+def test_an_axiom_type_with_a_duplicate_track_is_bad_input(tmp_path, capsys):
+    node = {"pos": "eps", "kind": "ax", "track": 2, "type": "(2:o, 2:p) -> o"}
+    path = write_json_file(tmp_path, "dup.deriv", {"term": "x", "flavor": "S", "nodes": [node]})
+    assert run(["check", "--file", path]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "bad-input"
+    assert "duplicate track in sequence type" in payload["detail"]
 
 
 def test_check_usage_error(capsys):
@@ -499,20 +514,21 @@ MALFORMED_INTERFACES = {
 }
 
 
-def assert_bad_interface(brothers_file, tmp_path, content, detail, capsys) -> None:
+def assert_bad_interface(deriv_file, tmp_path, content, detail, position, capsys) -> None:
     interface = write_json_file(tmp_path, "iface.json", content)
-    assert run(["trivialize", "--file", brothers_file, "--interface", interface, "--json"]) == 1
+    assert run(["trivialize", "--file", deriv_file, "--interface", interface, "--json"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     payload = json.loads(captured.err)
     assert payload["error"] == "bad-interface"
     assert detail in payload["detail"]
+    assert payload["position"] == position
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INTERFACES))
 def test_malformed_interface_is_a_bad_interface(brothers_file, tmp_path, case, capsys):
     edit, detail = MALFORMED_INTERFACES[case]
-    assert_bad_interface(brothers_file, tmp_path, edited_interface(edit), detail, capsys)
+    assert_bad_interface(brothers_file, tmp_path, edited_interface(edit), detail, "1", capsys)
 
 
 def test_an_application_listed_twice_is_a_bad_interface(brothers_file, tmp_path, capsys):
@@ -520,7 +536,29 @@ def test_an_application_listed_twice_is_a_bad_interface(brothers_file, tmp_path,
     content = edited_interface(lambda pairs: pairs)
     content["interfaces"].append({"pos": "eps", "phi": [["8", "5"], ["9", "3"]]})
     detail = "eps is listed twice in the interface file"
-    assert_bad_interface(brothers_file, tmp_path, content, detail, capsys)
+    assert_bad_interface(brothers_file, tmp_path, content, detail, "eps", capsys)
+
+
+# an interface that fails at a node names it: before, the first two gave
+# no position and the third let a DomainMismatchError out with none
+FAULTY_INTERFACES = {
+    "at no application node": ("1", [["2", "2"]], "not an application node"),
+    "sides not mapped onto each other": (
+        "eps",
+        [["2", "2"], ["3", "3"], ["4", "5"]],
+        "does not map the left sequence type onto the right one",
+    ),
+    "domain off the left side": ("eps", [["2", "2"]], "mapping domain differs"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAULTY_INTERFACES))
+def test_a_faulty_interface_names_its_node(tmp_path, case, capsys):
+    pos, phi, detail = FAULTY_INTERFACES[case]
+    path = tmp_path / "equal_typed.deriv"
+    path.write_text(dumps_derivation(make_equal_typed(3)))
+    content = {"interfaces": [{"pos": pos, "phi": phi}]}
+    assert_bad_interface(str(path), tmp_path, content, detail, pos, capsys)
 
 
 def test_the_unedited_interface_is_accepted(brothers_file, tmp_path, capsys):

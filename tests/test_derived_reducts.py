@@ -1,0 +1,247 @@
+"""Derived reducts and library-built interfaces against the full checks.
+
+A reduction step re-applies the rules only on its reduct's changed spine
+(the prefixes of the nodes over the redex and of the places the argument
+premises move to) and takes every other judgment from its input, and the
+interfaces the library builds are not re-checked.  Here `check_derivation`
+runs in full beside every derived reduct and must find the same types,
+subjects, children, binders, per-binder index, right sequences and
+collapse, and `check_type_iso` must hold on every interface the library
+builds:
+
+- `reduce_S` at every typed redex of the 500-derivation S corpus, and
+  `make_operable`'s least interfaces there;
+- `reduce_operable`, and `reduce_Sh` with the root interfaces of
+  `root_choices`, at every typed redex of the 500 hybrids, the towers and
+  their erasing copies;
+- `build_operable_from_choices` on every choice sequence of length at most
+  3 on the criterion-5 instances, and `reduce_operable` along each.
+
+A mutation on the spine raises where the full checker does, and counters
+show where the trust boundary lies: files and public constructors are
+checked in full, the library's own values are not re-checked.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+from collections import Counter
+
+import seqtypes.cli
+import seqtypes.corpus
+import seqtypes.derivations
+import seqtypes.reduction
+import seqtypes.threads
+import seqtypes.trivialize
+from seqtypes.cli import _interface_to_json, run
+from seqtypes.corpus import tower_instances
+from seqtypes.derivations import (
+    AppMismatch,
+    AxNode,
+    CheckedDerivation,
+    Derivation,
+    DerivationCheckError,
+    FLAVOR_S,
+    check_derivation,
+    collapse_derivation,
+    dumps_derivation,
+)
+from seqtypes.positions import EPS, ZeroOneIso
+from seqtypes.reduction import (
+    OperableDerivation,
+    ReductionChoice,
+    _fire,
+    build_operable_from_choices,
+    enumerate_r_choices,
+    make_operable,
+    reduce_R,
+    reduce_S,
+    reduce_Sh,
+    reduce_operable,
+    residual_maps,
+)
+from seqtypes.stypes import SAtom, check_type_iso
+from seqtypes.terms import beta_reduce_at, redexes
+
+from samples import brothers_operable, make_brothers, make_equal_typed
+from test_reduction_differential import choice_instances, operables, root_choices, s_corpus
+from test_threads_differential import CORPUS_SEED
+
+MUTANT = SAtom("mutant")
+
+
+def assert_full_check_agrees(derived: CheckedDerivation) -> None:
+    full = check_derivation(derived.derivation)
+    assert derived._types == full._types
+    assert derived._subjects == full._subjects
+    assert derived._children == full._children
+    assert derived.binders == full.binders
+    assert derived._bound == full._bound
+    assert derived._right_seqs == full._right_seqs
+    assert derived.collapse == full.collapse
+
+
+def assert_interfaces_hold(op: OperableDerivation) -> None:
+    checked = op.checked
+    assert sorted(op.interface) == checked.app_positions()
+    for a, iso in op.interface.items():
+        assert check_type_iso(checked.left_seq(a), checked.right_seq(a), iso), a
+
+
+def typed_redexes(checked: CheckedDerivation) -> list:
+    return [b for b in redexes(checked.term) if checked.apps_over.get(b)]
+
+
+def test_S_reducts_agree_with_the_full_check():
+    steps = 0
+    for checked in s_corpus()[:500]:
+        assert_interfaces_hold(make_operable(checked))
+        for b in typed_redexes(checked):
+            assert_full_check_agrees(reduce_S(checked, b))
+            steps += 1
+    assert steps > 600
+
+
+def test_operable_and_Sh_reducts_agree_with_the_full_check():
+    steps = cases = 0
+    for op in operables():
+        checked = op.checked
+        for b in typed_redexes(checked):
+            new_op, _, _ = reduce_operable(op, b)
+            assert_full_check_agrees(new_op.checked)
+            assert_interfaces_hold(new_op)
+            steps += 1
+            for per_node in root_choices(checked, b):
+                assert_full_check_agrees(reduce_Sh(checked, b, ReductionChoice(b, per_node)))
+                cases += 1
+    assert steps > 2500 and cases > 3000
+
+
+def choice_sequences(rd, max_len: int) -> list:
+    """Every R-choice sequence of length at most max_len."""
+    out, frontier = [], [(rd, [])]
+    for _ in range(max_len):
+        frontier = [
+            (reduce_R(current, b, choice), prefix + [(b, choice)])
+            for current, prefix in frontier
+            for b in redexes(current.term)
+            for choice in enumerate_r_choices(current, b)
+        ]
+        out.extend(sequence for _, sequence in frontier)
+    return out
+
+
+def test_built_choices_agree_with_the_full_check():
+    sequences = 0
+    for checked in choice_instances():
+        rd = collapse_derivation(checked)
+        for sequence in choice_sequences(rd, 3):
+            op = build_operable_from_choices(rd, checked, sequence)
+            assert_interfaces_hold(op)
+            for b, _ in sequence:
+                op, _, _ = reduce_operable(op, b)
+                assert_full_check_agrees(op.checked)
+                assert_interfaces_hold(op)
+            sequences += 1
+    assert sequences > 200
+
+
+def outcome(run_check):
+    """What a check gives: the exception class and position it raises, or
+    the checked derivation."""
+    try:
+        return run_check()
+    except DerivationCheckError as exc:
+        return type(exc), exc.position
+
+
+def test_a_broken_rule_on_the_spine_raises_where_the_full_check_does():
+    """Each argument premise that is an axiom gets a fresh atom for its type
+    in the node data, behind the checked types that `residual_maps` reads;
+    the reduct puts that axiom on the spine, where its parent's rule breaks."""
+    raised = Counter()
+    for checked in s_corpus()[:500]:
+        for b in typed_redexes(checked):
+            over = checked.apps_over[b]
+            identity = {a: {k: k for k in checked.left_seq(a).tracks()} for a in over}
+            for a in over:
+                for k in checked.node(a).arg_tracks:
+                    node = checked.node(a + (k,))
+                    if not isinstance(node, AxNode):
+                        continue
+                    nodes = {**checked.nodes, a + (k,): AxNode(node.track, MUTANT)}
+                    mutant = dataclasses.replace(
+                        checked, derivation=Derivation(checked.term, FLAVOR_S, nodes)
+                    )
+                    maps = residual_maps(mutant, b, identity)
+                    moved = {maps.res[p]: n for p, n in nodes.items() if p in maps.res}
+                    reduct = Derivation(beta_reduce_at(checked.term, b), FLAVOR_S, moved)
+                    derived = outcome(lambda: _fire(mutant, b, identity, FLAVOR_S)[0])
+                    full = outcome(lambda: check_derivation(reduct))
+                    if isinstance(full, tuple):
+                        assert derived == full
+                        raised[full[0]] += 1
+                    else:
+                        assert_full_check_agrees(derived)
+    assert raised[AppMismatch] > 200, raised
+
+
+def count_checks(monkeypatch) -> Counter:
+    """Count the calls of `check_derivation`, wherever the package reads it,
+    and of the `check_type_iso` that `OperableDerivation` runs."""
+    calls: Counter = Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    modules = [seqtypes.cli, seqtypes.corpus, seqtypes.derivations, seqtypes.reduction]
+    for module in modules + [seqtypes.threads, seqtypes.trivialize]:
+        if hasattr(module, "check_derivation"):
+            counted(module, "check_derivation")
+    counted(seqtypes.reduction, "check_type_iso")
+    return calls
+
+
+def test_library_values_are_not_rechecked(monkeypatch):
+    towers = [op.checked for op in tower_instances(CORPUS_SEED + 5, 4)]
+    work = []
+    for checked in towers + choice_instances():
+        rd = collapse_derivation(checked)
+        work.extend((rd, checked, sequence) for sequence in choice_sequences(rd, 2))
+    calls = count_checks(monkeypatch)
+    for rd, checked, sequence in work:
+        op = build_operable_from_choices(rd, checked, sequence)
+        for b, _ in sequence:
+            op, _, _ = reduce_operable(op, b)
+    assert len(work) > 100
+    assert calls == Counter()
+
+
+def test_an_interface_the_caller_passes_is_checked(monkeypatch):
+    checked = check_derivation(make_equal_typed(3))
+    calls = count_checks(monkeypatch)
+    make_operable(checked)
+    assert calls == Counter()
+    make_operable(checked, {EPS: ZeroOneIso({(2,): (3,), (3,): (2,), (4,): (4,)})})
+    assert calls == Counter({"check_type_iso": 1})
+
+
+def test_reduce_with_an_interface_checks_its_file_once(tmp_path, monkeypatch, capsys):
+    deriv, interface = tmp_path / "brothers.deriv", tmp_path / "iface.json"
+    deriv.write_text(dumps_derivation(make_brothers()))
+    listed = _interface_to_json(brothers_operable().interface)
+    interface.write_text(json.dumps(listed))
+    calls = count_checks(monkeypatch)
+    argv = ["reduce", "--file", str(deriv), "--pos", "1.1", "--interface", str(interface)]
+    assert run(argv) == 0
+    assert calls == Counter(
+        {"check_derivation": 1, "check_type_iso": len(listed["interfaces"])}
+    )
+    assert capsys.readouterr().out

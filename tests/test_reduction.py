@@ -19,9 +19,11 @@ from seqtypes.derivations import (
     print_type,
 )
 from seqtypes.corpus import make_tower
-from seqtypes.positions import EPS
+from seqtypes.positions import EPS, ZeroOneIso
 from seqtypes.reduction import (
     ChoiceError,
+    InterfaceError,
+    OperableDerivation,
     RChoice,
     ReductionChoice,
     ReductionError,
@@ -47,6 +49,7 @@ from seqtypes.terms import parse_term, redexes
 from samples import (
     make_argument_redex,
     make_brothers,
+    make_equal_typed,
     make_self_app,
     make_shadowed_redex,
     make_tracked_redex,
@@ -458,3 +461,23 @@ def test_reduce_S_respects_shadowing():
     assert sequent(reduced) == sequent(checked)
     assert isinstance(reduced.node((2, 0)), AxNode)
     assert reduced.node((1,)) == AxNode(7, head_type)
+
+
+def test_interface_errors_name_their_node():
+    checked = check_derivation(make_equal_typed(3))
+    least = make_operable(checked).interface[EPS]
+    swap = ZeroOneIso({(2,): (3,), (3,): (2,), (4,): (5,)})
+    cases = [
+        ({EPS: least, (1,): least}, (1,), "at 1: not an application node"),
+        ({}, EPS, "at eps: the application node has none"),
+        ({EPS: swap}, EPS, "at eps: it does not map the left sequence type onto the right one"),
+        ({EPS: ZeroOneIso({(2,): (2,)})}, EPS, "at eps: mapping domain differs"),
+    ]
+    for interface, position, message in cases:
+        with pytest.raises(InterfaceError, match=message) as exc:
+            OperableDerivation(checked, interface)
+        assert exc.value.position == position
+        if interface:
+            # make_operable checks every entry it is given
+            with pytest.raises(InterfaceError, match=message):
+                make_operable(checked, interface)

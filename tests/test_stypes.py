@@ -231,6 +231,14 @@ def test_parse_type_does_not_recurse():
     assert print_type(parse_seq_type(f"(5:{text})")) == f"(5:{text})"
 
 
+def test_one_track_with_two_types_is_a_duplicate_track():
+    # the (track, type) pairs were sorted whole, so two types on one track
+    # were compared and raised a TypeError before the duplicate was seen
+    for text in ["(2:o, 2:p) -> o", "(2:o, 2:o) -> o", "(3:(2:o) -> o, 2:o, 3:p) -> o"]:
+        with pytest.raises(ValueError, match="duplicate track in sequence type"):
+            parse_type(text)
+
+
 def test_type_facts_do_not_recurse():
     assert sys.getrecursionlimit() <= 1000
     t = deep_type(DEEP)
