@@ -472,33 +472,34 @@ def collapse_choice(
 def realize_r_choice(
     checked: CheckedDerivation, b: Position, rchoice: RChoice
 ) -> dict[Position, dict[Track, Track]]:
-    """Root interfaces on the rigid side realizing a multiset-side choice."""
+    """Root interfaces on the rigid side realizing a multiset-side choice.
+    The choice is checked here as `reduce_R` checks it, with its messages,
+    but for the types, which `extend_root_interface` matches."""
     _, rpos = checked.collapse
+    x, over = _redex_binder(checked.term, b), checked.apps_over.get(b, [])
+    if rchoice.redex != b:
+        raise ChoiceError("choice addresses a different redex")
+    if set(rchoice.assignments) != {rpos[a] for a in over}:
+        raise ChoiceError("choice does not cover exactly the redex nodes")
     rho_per_node: dict[Position, dict[Track, Track]] = {}
-    _redex_binder(checked.term, b)
-    for a in checked.apps_over.get(b, []):
-        if rpos[a] not in rchoice.assignments:
-            raise ChoiceError(f"choice missing the redex node at {format_position(a)}")
-        assignment = rchoice.assignments[rpos[a]]
+    for a in over:
+        assignment, site = rchoice.assignments[rpos[a]], format_position(rpos[a])
         body_len = len(rpos[a]) + 2
         node = checked.node(a)
         assert isinstance(node, AppNode)
         track_of = {rpos[a + (k,)][-1]: k for k in node.arg_tracks}
-        rho: dict[Track, Track] = {}
-        for k, p in checked.bound_by(a + (1,)).items():
-            ax_rel = rpos[p][body_len:]
-            if ax_rel not in assignment:
-                raise ChoiceError(
-                    f"choice missing axiom {format_position(ax_rel)} at {format_position(a)}"
-                )
-            j = assignment[ax_rel]
+        axioms = {rpos[p][body_len:]: k for k, p in checked.bound_by(a + (1,)).items()}
+        if assignment.keys() != axioms.keys():
+            raise ChoiceError(f"choice at {site} does not cover the axioms of {x!r}")
+        for ax_rel, j in assignment.items():
             if j not in track_of:
                 raise ChoiceError(
-                    f"choice sends axiom {format_position(ax_rel)} at {format_position(a)}"
+                    f"choice sends axiom {format_position(ax_rel)} at {site}"
                     f" to premise {j}, which the node does not have"
                 )
-            rho[k] = track_of[j]
-        rho_per_node[a] = rho
+        if sorted(assignment.values()) != sorted(track_of):
+            raise ChoiceError(f"choice at {site} is not a bijection onto the premises")
+        rho_per_node[a] = {axioms[p]: track_of[j] for p, j in assignment.items()}
     return rho_per_node
 
 
@@ -544,9 +545,12 @@ def build_operable_from_choices(
 
     Reducing the result step by step with `reduce_operable` at the given
     redex positions collapses, at every step, onto the multiset derivations
-    produced by `reduce_R` with the given choices.  Every derivation on the
-    way is collapsed once, for the consistency check, and the choice is
-    realized on that same collapse.
+    produced by `reduce_R` with the given choices.  Only the base is compared
+    with `rd`.  Each choice is checked once, on the rigid side, where
+    `realize_r_choice` and `extend_root_interface` reject what `reduce_R`
+    would; the theorem (the collapse of the S_h reduct is `reduce_R` of the
+    collapse under the realized choice) then guarantees every later collapse,
+    so none is compared and `reduce_R` never runs.
     """
     if collapse_derivation(checked) != rd:
         raise ChoiceError("the base derivation does not collapse on the given derivation")
@@ -555,10 +559,7 @@ def build_operable_from_choices(
     acc_right = {a: identity_iso(checked.right_seq(a)) for a in alive}
     pinned: dict[Position, ZeroOneIso] = {}
     current = checked
-    current_rd = rd
     for b_i, rchoice in choices:
-        if collapse_derivation(current) != current_rd:
-            raise ChoiceError("choice sequence inconsistent with the collapse")
         rho = realize_r_choice(current, b_i, rchoice)
         interfaces_at_b = {a: extend_root_interface(current, a, rho[a]) for a in rho}
         for a0, a_i in list(alive.items()):
@@ -574,5 +575,4 @@ def build_operable_from_choices(
             acc_right[a0] = types.right(a_i).compose(acc_right[a0])
             alive[a0] = maps.res[a_i]
         current = new_checked
-        current_rd = reduce_R(current_rd, b_i, rchoice)
     return _operable(checked, pinned)

@@ -8,10 +8,11 @@ equality `equiv` is defined against.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Union
 
 from .positions import (
     EPS,

@@ -13,6 +13,13 @@ special case for the nodes over the redex and identities elsewhere.
 callers.  `test_judgment_isos_differential.py` compares
 `derivations.JudgmentIsos` against them.
 
+`build_operable_from_choices` is also the original chained builder: it
+realizes each choice with the original `realize_r_choice`, which checks
+only what it reads, and compares every collapse on the way with the
+`reduce_R` chain, which rejects the rest.  `test_derived_reducts.py` holds
+the library's builder, which checks each choice once on the rigid side,
+against it on malformed choices.
+
 They keep the isomorphism as it then was, `DictIso`: a dict from positions
 to positions, with `inverse` and `compose` on the dicts.  Isomorphisms that
 come from `seqtypes`, a `DerivationIso`'s support map too, are read through
@@ -42,9 +49,9 @@ from seqtypes.reduction import (
     OperableDerivation,
     RChoice,
     ResidualMaps,
+    _redex_binder,
     default_interface,
     extend_root_interface,
-    realize_r_choice,
     reduce_R,
 )
 from seqtypes.stypes import SArrow, identity_iso
@@ -334,6 +341,41 @@ def reduce_interface(
         phi = op.interface[alpha]
         new_interface[a2] = res_r.compose(phi).compose(res_l.inverse())
     return new_interface, types
+
+
+def realize_r_choice(
+    checked: CheckedDerivation, b: Position, rchoice: RChoice
+) -> dict[Position, dict[Track, Track]]:
+    """Root interfaces on the rigid side realizing a multiset-side choice,
+    read at the nodes over b only: the redex it names, keys of other nodes,
+    extra axiom keys and two axioms sent to one premise go unnoticed."""
+    _, rpos = checked.collapse
+    rho_per_node: dict[Position, dict[Track, Track]] = {}
+    _redex_binder(checked.term, b)
+    for a in checked.apps_over.get(b, []):
+        if rpos[a] not in rchoice.assignments:
+            raise ChoiceError(f"choice missing the redex node at {format_position(a)}")
+        assignment = rchoice.assignments[rpos[a]]
+        body_len = len(rpos[a]) + 2
+        node = checked.node(a)
+        assert isinstance(node, AppNode)
+        track_of = {rpos[a + (k,)][-1]: k for k in node.arg_tracks}
+        rho: dict[Track, Track] = {}
+        for k, p in checked.bound_by(a + (1,)).items():
+            ax_rel = rpos[p][body_len:]
+            if ax_rel not in assignment:
+                raise ChoiceError(
+                    f"choice missing axiom {format_position(ax_rel)} at {format_position(a)}"
+                )
+            j = assignment[ax_rel]
+            if j not in track_of:
+                raise ChoiceError(
+                    f"choice sends axiom {format_position(ax_rel)} at {format_position(a)}"
+                    f" to premise {j}, which the node does not have"
+                )
+            rho[k] = track_of[j]
+        rho_per_node[a] = rho
+    return rho_per_node
 
 
 def build_operable_from_choices(

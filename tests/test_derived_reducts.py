@@ -19,7 +19,10 @@ builds:
 
 A mutation on the spine raises where the full checker does, and counters
 show where the trust boundary lies: files and public constructors are
-checked in full, the library's own values are not re-checked.
+checked in full, the library's own values are not re-checked.  Choice
+sequences are checked once, on the rigid side: the builder rejects every
+malformed choice that the original chained builder of
+`reference_judgment_isos` rejects, and runs nothing of the multiset side.
 """
 
 from __future__ import annotations
@@ -47,10 +50,13 @@ from seqtypes.derivations import (
     collapse_derivation,
     dumps_derivation,
 )
-from seqtypes.positions import EPS, ZeroOneIso
+from seqtypes.positions import EPS, IsoShapeError, ZeroOneIso
 from seqtypes.reduction import (
+    ChoiceError,
     OperableDerivation,
+    RChoice,
     ReductionChoice,
+    ReductionError,
     _fire,
     build_operable_from_choices,
     enumerate_r_choices,
@@ -64,6 +70,7 @@ from seqtypes.reduction import (
 from seqtypes.stypes import SAtom, check_type_iso
 from seqtypes.terms import beta_reduce_at, redexes
 
+import reference_judgment_isos as ref
 from samples import brothers_operable, make_brothers, make_equal_typed
 from test_reduction_differential import choice_instances, operables, root_choices, s_corpus
 from test_threads_differential import CORPUS_SEED
@@ -147,6 +154,66 @@ def test_built_choices_agree_with_the_full_check():
     assert sequences > 200
 
 
+def mutants(choice: RChoice) -> list[tuple[str, RChoice]]:
+    """The malformed choices one step's choice gives: a wrong redex and a key
+    of an R-node off the redex; and at each node with axioms, an extra axiom
+    key (below a leaf, so no axiom), a dropped axiom, an axiom's key moved
+    below it, a premise the node lacks and, with two axioms or more, two
+    axioms sent to one premise."""
+    b, given = choice.redex, choice.assignments
+    off_redex = next(iter(given)) + (1,) if given else EPS  # a site's function
+    out = [("wrong redex", RChoice(b + (0,), given))]
+    out.append(("extra R-node key", RChoice(b, {**given, off_redex: {}})))
+    for path, assignment in given.items():
+        axioms = list(assignment)
+        if not axioms:
+            continue
+        p, j = axioms[0], assignment[axioms[0]]
+        others = {q: k for q, k in assignment.items() if q != p}
+        node_mutants = [
+            ("extra axiom key", {**assignment, p + (0,): j}),
+            ("dropped axiom", others),
+            ("axiom key moved off", {**others, p + (0,): j}),
+            ("premise the node lacks", {**assignment, p: 99}),
+        ]
+        if len(axioms) > 1:
+            node_mutants.append(("two axioms to one premise", {**assignment, axioms[1]: j}))
+        out.extend((name, RChoice(b, {**given, path: bad})) for name, bad in node_mutants)
+    return out
+
+
+def built(build, rd, checked, sequence):
+    """What a builder gives: the exception class it raises, or the interface."""
+    try:
+        return build(rd, checked, sequence).interface
+    except (ReductionError, IsoShapeError) as exc:
+        return type(exc)
+
+
+def test_malformed_choices_are_rejected_as_the_chained_builder_rejects_them():
+    """Every sequence's last step, as given and mutated each way (so every
+    step of every sequence of length at most 3, after its valid prefix):
+    the builder gives the chained builder's interface, and raises
+    `ChoiceError` where that raises, `IsoShapeError` on a non-bijection
+    included."""
+    rejected = Counter()
+    for checked in choice_instances():
+        rd = collapse_derivation(checked)
+        for sequence in choice_sequences(rd, 3):
+            *prefix, (b, choice) = sequence
+            for name, step in [("valid", choice)] + mutants(choice):
+                expected = built(ref.build_operable_from_choices, rd, checked, prefix + [(b, step)])
+                got = built(build_operable_from_choices, rd, checked, prefix + [(b, step)])
+                if isinstance(expected, dict):
+                    assert name == "valid" and got == expected
+                else:
+                    assert got is ChoiceError, (name, expected)
+                    rejected[name, expected] += 1
+    assert rejected[("two axioms to one premise", IsoShapeError)] > 20, rejected
+    kinds = {name for name, _ in rejected}
+    assert len(kinds) == 7 and min(rejected.values()) > 20, rejected
+
+
 def outcome(run_check):
     """What a check gives: the exception class and position it raises, or
     the checked derivation."""
@@ -187,9 +254,8 @@ def test_a_broken_rule_on_the_spine_raises_where_the_full_check_does():
     assert raised[AppMismatch] > 200, raised
 
 
-def count_checks(monkeypatch) -> Counter:
-    """Count the calls of `check_derivation`, wherever the package reads it,
-    and of the `check_type_iso` that `OperableDerivation` runs."""
+def count_calls(monkeypatch, targets) -> Counter:
+    """Count the calls of each (module, name) target, by name."""
     calls: Counter = Counter()
 
     def counted(module, name):
@@ -201,12 +267,18 @@ def count_checks(monkeypatch) -> Counter:
 
         monkeypatch.setattr(module, name, call)
 
-    modules = [seqtypes.cli, seqtypes.corpus, seqtypes.derivations, seqtypes.reduction]
-    for module in modules + [seqtypes.threads, seqtypes.trivialize]:
-        if hasattr(module, "check_derivation"):
-            counted(module, "check_derivation")
-    counted(seqtypes.reduction, "check_type_iso")
+    for module, name in targets:
+        counted(module, name)
     return calls
+
+
+def count_checks(monkeypatch) -> Counter:
+    """Count the calls of `check_derivation`, wherever the package reads it,
+    and of the `check_type_iso` that `OperableDerivation` runs."""
+    modules = [seqtypes.cli, seqtypes.corpus, seqtypes.derivations, seqtypes.reduction]
+    modules += [seqtypes.threads, seqtypes.trivialize]
+    targets = [(m, "check_derivation") for m in modules if hasattr(m, "check_derivation")]
+    return count_calls(monkeypatch, targets + [(seqtypes.reduction, "check_type_iso")])
 
 
 def test_library_values_are_not_rechecked(monkeypatch):
@@ -221,6 +293,24 @@ def test_library_values_are_not_rechecked(monkeypatch):
         for b, _ in sequence:
             op, _, _ = reduce_operable(op, b)
     assert len(work) > 100
+    assert calls == Counter()
+
+
+def test_built_choices_run_nothing_of_the_multiset_side(monkeypatch):
+    """Each choice is checked on the rigid side only: building along every
+    choice sequence of length at most 3 on the towers and the criterion-5
+    instances runs no `reduce_R`, `check_R_types` or `_redex_sites`."""
+    towers = [op.checked for op in tower_instances(CORPUS_SEED + 5, 20)]
+    work = []
+    for checked in towers + choice_instances():
+        rd = collapse_derivation(checked)
+        work.extend((rd, checked, sequence) for sequence in choice_sequences(rd, 3))
+    multiset_side = [(seqtypes.reduction, name) for name in ("reduce_R", "_redex_sites")]
+    multiset_side += [(m, "check_R_types") for m in (seqtypes.reduction, seqtypes.derivations)]
+    calls = count_calls(monkeypatch, multiset_side)
+    for rd, checked, sequence in work:
+        build_operable_from_choices(rd, checked, sequence)
+    assert len(work) > 250
     assert calls == Counter()
 
 

@@ -419,6 +419,24 @@ def test_choice_to_a_missing_premise_is_a_choice_error():
         reduce_R(collapsed, EPS, bad)
 
 
+def test_a_non_bijective_choice_is_a_choice_error():
+    """Both axioms sent to one premise: the builder rejects the choice as
+    `reduce_R` does, before an interface is built from it."""
+    checked = check_derivation(make_two_choice_redex())
+    collapsed = collapse_derivation(checked)
+    ((path, assignment),) = enumerate_r_choices(collapsed, EPS)[0].assignments.items()
+    bad = RChoice(EPS, {path: dict.fromkeys(assignment, next(iter(assignment.values())))})
+    attempts = [
+        lambda: reduce_R(collapsed, EPS, bad),
+        lambda: realize_r_choice(checked, EPS, bad),
+        lambda: build_operable_from_choices(collapsed, checked, [(EPS, bad)]),
+    ]
+    message = "^choice at eps is not a bijection onto the premises$"
+    for attempt in attempts:
+        with pytest.raises(ChoiceError, match=message):
+            attempt()
+
+
 def test_build_operable_rejects_wrong_collapse():
     checked = check_derivation(make_two_choice_redex())
     other = collapse_derivation(check_derivation(make_self_app()))
