@@ -8,23 +8,27 @@ upward through the typing rules and polar inversion flips it at an axiom;
 threads are the equivalence classes, and the interface of an operable
 derivation consumes them pairwise at application nodes.
 
-Cost model: an edge is an integer id with no object of its own, and every
-step is O(1) per edge.  Ids follow `edge_key` order in contiguous blocks:
-one per argument node, then per node the mutable positions of its type
-(right edges), then per (node, variable) the context entry (left edges).
-No context is built: by quantitativity the entry of x at v is the axioms
-above v that x's binder binds, read off the checker's binder index, so a
-left block lists, per such axiom in track order, its track and then its
-right block.  Flat arrays hold each edge's label, kind, highest ascendant
-and thread.  A left edge ascends unchanged to its own axiom, so its top is
-the edge at the same offset in that axiom's left block; a right block maps
-onto a premise's blocks at fixed offsets and always to larger ids, so
-right tops resolve as slice copies in reverse node order.  Polarity,
-referents and thread kinds are read off the tops, and brothers off the
-tops' parents.  Edge and `Thread` objects are built only when read
-(`edges`, `threads`, `referent`, arcs, reports), their inner positions
-from the types' mutable positions; the id accessors (`arg_thread`,
-`right_threads`, ...) build none.
+Cost model: an edge is an integer id with no object of its own.  Ids
+follow `edge_key` order in contiguous blocks: one per argument node, then
+per node the mutable positions of its type (right edges), then per (node,
+variable) the context entry (left edges).  No context is built: by
+quantitativity the entry of x at v is the axioms below v that x's binder
+binds, read off the checker's binder index, and its block holds, per such
+axiom in track order, a copy of the axiom's own left block (its track,
+then its right block).  A copy ascends unchanged to what it copies, so
+only argument edges, right blocks and each axiom's own left block are
+stored, with flat arrays of label, kind, highest ascendant and thread:
+linear in the types, however deep the contexts.  Every other left block
+keeps its first id, from sizes summed bottom-up.  Right tops resolve as
+slice copies in reverse node order; polarity, referents and thread kinds
+are read off the tops, and brothers off the tops' parents.  Threads are
+ordered by least edge, and the least copy of an own-block edge is the one
+at the top of its chain (its binder's body, or the root when free).
+Lookups by edge go to the copied edge in O(log n).  Edge, `Thread` and arc
+objects, and the copies, are built only when read (`edges`, `threads`,
+`thread_size`, `referent`, `consumption`, reports); the id accessors
+(`arg_thread`, `right_threads`, `thread_at`, `arc_threads`), and so
+`trivialize`, build none.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from .reduction import OperableDerivation
 POS = "+"
 NEG = "-"
 
-# edge kinds, one byte per edge id, read at the tops: an inner edge is a
+# edge kinds, one byte per stored edge, read at the tops: an inner edge is a
 # right edge at an axiom, an axiom edge the root edge of an axiom's context;
 # a thread's referent is its least top of the least kind
 _INNER, _AXIOM, _ARG, _RIGHT, _LEFT = range(5)
@@ -170,6 +174,14 @@ class ThreadLabelError(ValueError):
         self.edges = (first, other)
 
 
+def _offset(inners: tuple[Position, ...], inner: Position) -> int:
+    """The index of inner among a block's sorted inner positions."""
+    j = bisect_left(inners, inner)
+    if j == len(inners) or inners[j] != inner:
+        raise KeyError(inner)
+    return j
+
+
 class _Built(Sequence):
     """A read-only list of n items, each built when it is read."""
 
@@ -179,7 +191,9 @@ class _Built(Sequence):
     def __len__(self) -> int:
         return len(self._ids)
 
-    def __getitem__(self, i: int):
+    def __getitem__(self, i: Union[int, slice]):
+        if isinstance(i, slice):
+            return list(map(self._build, self._ids[i]))
         return self._build(self._ids[i])
 
     def __eq__(self, other: object) -> bool:
@@ -191,30 +205,48 @@ class ThreadAnalysis:
 
     def __init__(self, op: OperableDerivation) -> None:
         self.op, self.checked = op, op.checked
-        # node ids follow position order; `_child[v][k]` is the id of v.k
+        # node ids follow position order, so the subtree of v is the ids from
+        # v up to `_end[v]`; `_child[v][k]` is the id of v.k
         self._positions = sorted(self.checked.support())
         self._nodes: list[Node] = [self.checked.node(a) for a in self._positions]
         self._node_id = {a: v for v, a in enumerate(self._positions)}
         self._child: list[dict[Track, int]] = [{} for _ in self._positions]
         self._up = [-1] * len(self._positions)
+        self._end = list(range(1, len(self._positions) + 1))
         for v, a in enumerate(self._positions):
             if a:
                 self._up[v] = self._node_id[a[:-1]]
                 self._child[self._up[v]][a[-1]] = v
+        for v in range(len(self._positions) - 1, 0, -1):
+            self._end[self._up[v]] = max(self._end[self._up[v]], self._end[v])
+        self._held_cache: dict[int, tuple[list[int], list[int]]] = {}
         self._layout()
         self._build_threads(*self._resolve_tops())
-        self._arcs: Optional[list[ConsumptionArc]] = None
 
     # -- edges ---------------------------------------------------------------
 
     def _mutable(self, v: int) -> tuple[Position, ...]:
         return self.checked.type_at(self._positions[v]).mutable_positions
 
+    def _var(self, u: int) -> str:
+        return self.checked.subject_at(self._positions[u]).name
+
+    def _binder(self, u: int) -> Union[Position, str]:
+        """The abstraction binding axiom u, or its variable's name when free."""
+        binder = self.checked.binders[self._positions[u]]
+        return self._var(u) if binder is None else binder
+
+    def _own_size(self, u: int) -> int:
+        """The size of axiom u's own left block: its track and its right block."""
+        return self._right_start[u + 1] - self._right_start[u] + 1
+
     def _layout(self) -> None:
-        """Number the edges in blocks; store each edge's label and kind.  The
-        left block of (v, x) holds, per axiom of x's binder above v in track
-        order, the axiom's track and then its right block's labels."""
-        checked, positions, nodes, up = self.checked, self._positions, self._nodes, self._up
+        """Number the edges in blocks.  Labels and kinds are stored for the
+        argument edges, the right blocks and, after them, each axiom's own
+        left block.  The left block of (v, x) holds, per axiom of x's binder
+        below v in track order, a copy of that axiom's own block; only its
+        first id is kept, its size summed bottom-up."""
+        checked, positions, nodes, child = self.checked, self._positions, self._nodes, self._child
         self._arg_nodes = [v for v, a in enumerate(positions) if a and a[-1] >= 2]
         self._arg_id = {v: i for i, v in enumerate(self._arg_nodes)}
         self._label = label = [positions[v][-1] for v in self._arg_nodes]
@@ -226,63 +258,97 @@ class ThreadAnalysis:
             k = _INNER if isinstance(node, AxNode) else _RIGHT
             kind.extend(bytes((k,)) * (len(label) - rs[v]))
         rs.append(len(label))
-        # per node and variable, the axioms of the entry: each axiom joins
-        # them from itself down to its binder's body, or to the root when free
-        self._held: list[dict[str, list[int]]] = [{} for _ in positions]
-        axioms = [v for v, node in enumerate(nodes) if isinstance(node, AxNode)]
-        for u in sorted(axioms, key=lambda u: nodes[u].track):
-            x, binder = checked.subject_at(positions[u]).name, checked.binders[positions[u]]
-            stop, v = -1 if binder is None else self._node_id[binder], u
-            while v != stop:
-                self._held[v].setdefault(x, []).append(u)
-                v = up[v]
-        # (first id, node, variable) per left block
-        self._left_blocks: list[tuple[int, int, str]] = []
-        self._left_start: list[dict[str, int]] = [{} for _ in positions]
-        for v, entries in enumerate(self._held):
-            for x in sorted(entries):
-                self._left_start[v][x] = s = len(label)
-                self._left_blocks.append((s, v, x))
-                for u in entries[x]:
-                    label.append(nodes[u].track)
-                    label.extend(label[rs[u] : rs[u + 1]])
-                kind.extend(bytes((_LEFT,)) * (len(label) - s))
-                if isinstance(nodes[v], AxNode):
-                    kind[s] = _AXIOM
-        self._left_starts = [b[0] for b in self._left_blocks]
+        self._axioms = [v for v, node in enumerate(nodes) if isinstance(node, AxNode)]
+        self._own = own = [-1] * len(nodes)
+        by_binder: dict[Union[Position, str], list[int]] = {}
+        for u in self._axioms:
+            own[u] = len(label)
+            label.append(nodes[u].track)
+            label.extend(label[rs[u] : rs[u + 1]])
+            kind.append(_AXIOM)
+            kind.extend(bytes((_LEFT,)) * (rs[u + 1] - rs[u]))
+            by_binder.setdefault(self._binder(u), []).append(u)
+        self._own_starts = [own[u] for u in self._axioms]
+        self._bound = {b: sorted(us, key=lambda u: nodes[u].track) for b, us in by_binder.items()}
+        # per node and variable, the entry's size and binder, bottom-up
+        entries: list[dict[str, tuple[int, Union[Position, str]]]] = [{} for _ in positions]
+        for v in range(len(positions) - 1, -1, -1):
+            if isinstance(nodes[v], AxNode):
+                entries[v] = {self._var(v): (self._own_size(v), self._binder(v))}
+            elif isinstance(nodes[v], AbsNode):
+                x = checked.subject_at(positions[v]).binder
+                entries[v] = {y: entry for y, entry in entries[child[v][0]].items() if y != x}
+            else:
+                merged = entries[v]
+                for c in child[v].values():
+                    for x, (n, binder) in entries[c].items():
+                        merged[x] = (merged[x][0] + n, binder) if x in merged else (n, binder)
+        # (first id, node, variable, binder) per left block
+        self._blocks: list[tuple[int, int, str, Union[Position, str]]] = []
+        self._block_of: list[dict[str, int]] = [{} for _ in positions]
+        n = rs[-1]
+        for v, entry in enumerate(entries):
+            for x in sorted(entry):
+                size, binder = entry[x]
+                self._block_of[v][x] = len(self._blocks)
+                self._blocks.append((n, v, x, binder))
+                n += size
+        self._n_edges = n
+        self._block_starts = [block[0] for block in self._blocks]
+        # each stored edge's least copy: itself, or for an edge of an axiom's
+        # own block its copy in the block at the top of its chain (its
+        # binder's body, or the root for a free variable)
+        self._first_copy = first = list(range(len(label)))
+        for binder, axioms in self._bound.items():
+            top = 0 if isinstance(binder, str) else self._node_id[binder + (0,)]
+            i = self._blocks[self._block_of[top][self._var(axioms[0])]][0]
+            for u in axioms:
+                size = self._own_size(u)
+                first[own[u] : own[u] + size] = range(i, i + size)
+                i += size
 
     def _resolve_tops(self) -> tuple[list[int], list[tuple[int, int]]]:
-        """Each edge's highest ascendant, and the pairs of tops that polar
-        inversion joins (at an axiom, left edge j and right edge j-1).  A left
-        edge ascends unchanged to its axiom, so its top is the edge at the same
-        offset in that axiom's left block.  An application's right block
-        ascends onto the head of its left premise's, an abstraction's onto its
-        body's and the binder's left block there."""
-        checked, positions, nodes, child = self.checked, self._positions, self._nodes, self._child
-        rs, ls = self._right_start, self._left_start
+        """Each stored edge's highest ascendant, and the pairs of tops that
+        polar inversion joins (at an axiom, its own left edge j and right edge
+        j-1).  An axiom's own left block is its own top.  An application's
+        right block ascends onto the head of its left premise's, an
+        abstraction's onto its body's and then onto the binder's entry there,
+        which copies every bound axiom's own block in track order."""
+        positions, nodes, child = self._positions, self._nodes, self._child
+        rs, own = self._right_start, self._own
         top = list(range(len(self._label)))
         inversions: list[tuple[int, int]] = []
-        for s, v, x in self._left_blocks:
-            for u in self._held[v][x]:
-                n, first = rs[u + 1] - rs[u] + 1, ls[u][x]
-                top[s : s + n] = range(first, first + n)
-                s += n
         for v in range(len(positions) - 1, -1, -1):
             node, s, n = nodes[v], rs[v], rs[v + 1] - rs[v]
             if isinstance(node, AxNode):
-                first = next(iter(ls[v].values()))
-                inversions.extend((first + j, s + j - 1) for j in range(1, n + 1))
+                inversions.extend((own[v] + j, s + j - 1) for j in range(1, n + 1))
             elif isinstance(node, AbsNode):
                 body = child[v][0]
                 t = rs[body + 1] - rs[body]
                 top[s : s + t] = top[rs[body] : rs[body] + t]
                 if n > t:
-                    first = ls[body][checked.subject_at(positions[v]).binder]
-                    top[s + t : s + n] = top[first : first + n - t]
+                    top[s + t : s + n] = itertools.chain.from_iterable(
+                        range(own[u], own[u] + self._own_size(u)) for u in self._bound[positions[v]]
+                    )
             else:
                 head = rs[child[v][1]]
                 top[s : s + n] = top[head : head + n]
         return top, inversions
+
+    def _inner(self, u: int, j: int) -> Position:
+        """The inner position of edge j of axiom u's own left block."""
+        return (self._nodes[u].track,) + (self._mutable(u)[j - 1] if j else EPS)
+
+    def _held(self, b: int) -> tuple[list[int], list[int]]:
+        """The axioms of left block b in track order, and the offsets of their
+        copies in it, with the block's size last; built once per block read."""
+        held = self._held_cache.get(b)
+        if held is None:
+            _, v, _, binder = self._blocks[b]
+            axioms = [u for u in self._bound[binder] if v <= u < self._end[v]]
+            offsets = list(itertools.accumulate(map(self._own_size, axioms), initial=0))
+            held = self._held_cache[b] = (axioms, offsets)
+        return held
 
     def _edge(self, i: int) -> Edge:
         if i < len(self._arg_nodes):
@@ -291,12 +357,18 @@ class ThreadAnalysis:
         if i < rs[-1]:
             v = bisect_right(rs, i) - 1
             return RightEdge(self._positions[v], self._mutable(v)[i - rs[v]])
-        _, v, x = self._left_blocks[bisect_right(self._left_starts, i) - 1]
-        # the edge's inner position is its top's, in its axiom's left block
-        t = self._top[i]
-        start, u, _ = self._left_blocks[bisect_right(self._left_starts, t) - 1]
-        c = self._mutable(u)[t - start - 1] if t > start else EPS
-        return LeftEdge(self._positions[v], x, (self._nodes[u].track,) + c)
+        b = bisect_right(self._block_starts, i) - 1
+        start, v, x, _ = self._blocks[b]
+        axioms, offsets = self._held(b)
+        k = bisect_right(offsets, i - start) - 1
+        return LeftEdge(self._positions[v], x, self._inner(axioms[k], i - start - offsets[k]))
+
+    def _stored_edge(self, c: int) -> Edge:
+        """The stored edge c; an edge of an axiom's own block lies at the axiom."""
+        if c < self._right_start[-1]:
+            return self._edge(c)
+        u = self._axioms[bisect_right(self._own_starts, c) - 1]
+        return LeftEdge(self._positions[u], self._var(u), self._inner(u, c - self._own[u]))
 
     def _index(self, e: Edge) -> int:
         if isinstance(e, ArgEdge):
@@ -304,35 +376,27 @@ class ThreadAnalysis:
         return self._id(e.pos, e.var if isinstance(e, LeftEdge) else None, e.inner)
 
     def _id(self, pos: Position, var: Optional[str], inner: Position) -> int:
-        """The right edge (pos, inner), or with a variable the left edge."""
-        v, rs = self._node_id[pos], self._right_start
+        """The right edge (pos, inner), or with a variable the stored edge the
+        left edge (pos, var, inner) copies: the same offset in the own block
+        of the entry's axiom on inner's first track."""
+        v = self._node_id[pos]
         if var is None:
-            start, inners = rs[v], self._mutable(v)
-        else:
-            # the left block holds, per axiom in track order, its track edge
-            # and its right block: find the axiom on inner's first track
-            start = self._left_start[v][var]
-            for u in self._held[v][var]:
-                if self._nodes[u].track == inner[0]:
-                    break
-                start += rs[u + 1] - rs[u] + 1
-            else:
-                raise KeyError(inner)
-            if len(inner) == 1:
-                return start
-            start, inners, inner = start + 1, self._mutable(u), inner[1:]
-        j = bisect_left(inners, inner)
-        if j == len(inners) or inners[j] != inner:
+            return self._right_start[v] + _offset(self._mutable(v), inner)
+        binder = self._blocks[self._block_of[v][var]][3]
+        u = self._node_id[self.checked.bound_by(binder)[inner[0]]]
+        if not v <= u < self._end[v]:
             raise KeyError(inner)
-        return start + j
+        if len(inner) == 1:
+            return self._own[u]
+        return self._own[u] + 1 + _offset(self._mutable(u), inner[1:])
 
     @property
     def edges(self) -> Sequence[Edge]:
         """Every mutable edge in `edge_key` order, built when read."""
-        return _Built(len(self._label), self._edge)
+        return _Built(self._n_edges, self._edge)
 
     def highest_ascendant(self, e: Edge) -> Edge:
-        return self._edge(self._top[self._index(e)])
+        return self._stored_edge(self._top[self._index(e)])
 
     def polarity(self, e: Edge) -> str:
         return self._polarity(self._index(e))
@@ -344,30 +408,32 @@ class ThreadAnalysis:
     # -- threads ---------------------------------------------------------------
 
     def _build_threads(self, top: list[int], inversions: list[tuple[int, int]]) -> None:
-        """Threads are the classes of the tops under inversion.  A union-find
-        also joins each top with the least edge below it, so the root of a
-        class is its thread's least edge, which orders the threads."""
+        """Threads are the classes of the tops under inversion, ordered by
+        their least edge: an argument or right edge, or else the least copy
+        of an edge of an axiom's own block."""
         kind, label, n = self._kind, self._label, len(top)
         self._top = top
         uf = UnionFind(n)
-        # written from the last id down, each top keeps its least edge
-        for t, i in dict(zip(reversed(top), range(n - 1, -1, -1))).items():
-            uf.union(t, i)
         for i, j in inversions:
             uf.union(i, j)
         root = {t: uf.find(t) for t in sorted(set(top))}
-        tid = {r: k for k, r in enumerate(sorted(set(root.values())))}
+        least: dict[int, int] = {}
+        for t, i in zip(top, self._first_copy):
+            if i < least.get(root[t], self._n_edges):
+                least[root[t]] = i
+        order = sorted(least, key=least.__getitem__)
+        tid = {r: k for k, r in enumerate(order)}
         tid_of = [0] * n
         self._tops: list[list[int]] = [[] for _ in tid]
         for t, r in root.items():
             tid_of[t] = tid[r]
             self._tops[tid[r]].append(t)
         self._thread_of = thread_of = list(map(tid_of.__getitem__, top))
-        self._thread_label = [label[r] for r in tid]
+        self._thread_label = [label[tops[0]] for tops in self._tops]
         top_labels = list(map(label.__getitem__, top))
         if top_labels != label or any(label[i] != label[j] for i, j in inversions):
             t, i = min((t, i) for i, t in enumerate(thread_of) if label[i] != self._thread_label[t])
-            raise ThreadLabelError(t, self._edge(self._members[t][0]), self._edge(i))
+            raise ThreadLabelError(t, self._edge(least[order[t]]), self._stored_edge(i))
         self._referent = [min(tops, key=kind.__getitem__) for tops in self._tops]
         if any(kind[r] > _ARG for r in self._referent):
             raise AssertionError("every thread has an inner, axiom or argument referent")
@@ -398,7 +464,7 @@ class ThreadAnalysis:
         return Thread(tid, edges, ref, self._thread_label[tid], self.thread_kind(tid))
 
     def referent(self, tid: int) -> Edge:
-        return self._edge(self._referent[tid])
+        return self._stored_edge(self._referent[tid])
 
     def thread_kind(self, tid: int) -> str:
         return _KIND_NAME[self._kind[self._referent[tid]]]
@@ -419,30 +485,61 @@ class ThreadAnalysis:
         # for argument edges the position already ends with the argument track
         return applicative_depth(self.referent(tid).pos)
 
+    @cached_property
+    def _members(self) -> list[list[int]]:
+        """Each thread's edge ids in order, the copies of own blocks included."""
+        members: list[list[int]] = [[] for _ in self._tops]
+        thread_of, own = self._thread_of, self._own
+        for i in range(self._right_start[-1]):
+            members[thread_of[i]].append(i)
+        for b, (i, _, _, _) in enumerate(self._blocks):
+            for u in self._held(b)[0]:
+                for c in range(own[u], own[u] + self._own_size(u)):
+                    members[thread_of[c]].append(i)
+                    i += 1
+        return members
+
     # -- consumption -----------------------------------------------------------
 
-    def consumption(self) -> list[ConsumptionArc]:
-        if self._arcs is not None:
-            return self._arcs
-        thread_of, edge, pol = self._thread_of, self._edge, self._polarity
-        arcs = []
+    @cached_property
+    def _consumed(self) -> list[tuple[int, int, int]]:
+        """(node, left edge, right edge) per consumption arc.  The left
+        sequence's edges end its left premise's right block; the interface
+        maps each onto an argument edge or a right edge of an argument
+        premise."""
+        rs, child, out = self._right_start, self._child, []
         for a in self.checked.app_positions():
-            phi = self.op.interface[a]
-            kids = self._child[self._node_id[a]]
+            phi, v = self.op.interface[a], self._node_id[a]
             inners = self.checked.left_seq(a).mutable_positions
-            # the left sequence's positions end its left premise's right block
-            first = self._right_start[kids[1] + 1] - len(inners)
-            for left, p in enumerate(inners, first):
+            for left, p in enumerate(inners, rs[child[v][1] + 1] - len(inners)):
                 image = phi(p)
-                premise = kids[image[0]]
+                premise = child[v][image[0]]
                 if len(p) == 1:
                     right = self._arg_id[premise]
                 else:
-                    right = self._id(self._positions[premise], None, image[1:])
-                arc = (thread_of[left], thread_of[right], a, pol(left), pol(right))
-                arcs.append(ConsumptionArc(*arc, edge(left), edge(right)))
-        self._arcs = arcs
-        return arcs
+                    right = rs[premise] + _offset(self._mutable(premise), image[1:])
+                out.append((v, left, right))
+        return out
+
+    def arc_threads(self) -> list[tuple[int, int]]:
+        """The left and right thread of each arc, in `consumption` order,
+        with no arc or edge built."""
+        thread_of = self._thread_of
+        return [(thread_of[left], thread_of[right]) for _, left, right in self._consumed]
+
+    def consumption(self) -> list[ConsumptionArc]:
+        return self._arcs
+
+    @cached_property
+    def _arcs(self) -> list[ConsumptionArc]:
+        thread_of, edge, pol, positions = self._thread_of, self._edge, self._polarity, self._positions
+        return [
+            ConsumptionArc(
+                thread_of[left], thread_of[right], positions[v], pol(left), pol(right),
+                edge(left), edge(right),
+            )
+            for v, left, right in self._consumed
+        ]
 
     # -- brotherhood -----------------------------------------------------------
 
@@ -475,23 +572,15 @@ class ThreadAnalysis:
         application, which lie on axiom threads; so threads hold sibling
         edges iff they hold sibling tops or are both axiom threads."""
         parent = {i: -1 - self._up[v] for i, v in enumerate(self._arg_nodes)}
-        for v, node in enumerate(self._nodes):
-            if isinstance(node, AxNode):
-                # the right block, and the left block after its axiom edge
-                left = next(iter(self._left_start[v].values()))
-                parent[left] = left
-                for start in (self._right_start[v], left + 1):
-                    first: dict[Position, int] = {}
-                    for i, c in enumerate(self._mutable(v), start):
-                        parent[i] = first.setdefault(c[:-1], i)
+        for v in self._axioms:
+            # the right block, and the own left block after its axiom edge
+            left = self._own[v]
+            parent[left] = left
+            for start in (self._right_start[v], left + 1):
+                first: dict[Position, int] = {}
+                for i, c in enumerate(self._mutable(v), start):
+                    parent[i] = first.setdefault(c[:-1], i)
         return parent
-
-    @cached_property
-    def _members(self) -> list[list[int]]:
-        members: list[list[int]] = [[] for _ in self._tops]
-        for i, tid in enumerate(self._thread_of):
-            members[tid].append(i)
-        return members
 
     def find_brother_chain(self) -> Optional[BrotherChain]:
         """A consumption path between two brother threads, if one exists."""

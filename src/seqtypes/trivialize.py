@@ -117,8 +117,8 @@ def consumption_closure(analysis: ThreadAnalysis) -> ThreadClasses:
     """Classes of threads joined by consumption, in the order of their least
     edge: thread ids follow that order, so a class's least id decides it."""
     uf = UnionFind(len(analysis.threads))
-    for arc in analysis.consumption():
-        uf.union(arc.left, arc.right)
+    for left, right in analysis.arc_threads():
+        uf.union(left, right)
     classes = tuple(tuple(tids) for tids in uf.classes())
     class_of = {tid: i for i, tids in enumerate(classes) for tid in tids}
     return ThreadClasses(classes, class_of)

@@ -18,7 +18,7 @@ from seqtypes.derivations import (
 from seqtypes.positions import EPS, ZeroOneIso
 from seqtypes.reduction import OperableDerivation
 from seqtypes.stypes import RAtom, SArrow, SAtom, parse_type, seq
-from seqtypes.terms import parse_term
+from seqtypes.terms import App, Var, parse_term
 
 O = SAtom("o")
 OP = SAtom("o'")
@@ -171,6 +171,43 @@ def make_shadowed_redex() -> Derivation:
         (5,): AxNode(7, head_type),
     }
     return Derivation(parse_term("(\\x. x (\\x. x)) v"), "S", nodes)
+
+
+def make_bound_then_free() -> Derivation:
+    """(\\x. x) x: one name bound in the head and free in the argument."""
+    arrow = parse_type("(4:p) -> o")
+    nodes = {
+        EPS: AppNode(frozenset({2})),
+        (1,): AbsNode(),
+        (1, 0): AxNode(2, arrow),
+        (2,): AxNode(5, arrow),
+    }
+    return Derivation(parse_term("(\\x. x) x"), "S", nodes)
+
+
+def make_free_then_bound() -> Derivation:
+    """x (\\x. x): one name free in the head and bound in the argument."""
+    nodes = {
+        EPS: AppNode(frozenset({2})),
+        (1,): AxNode(5, parse_type("(2:(3:B) -> B) -> A")),
+        (2,): AbsNode(),
+        (2, 0): AxNode(3, SAtom("B")),
+    }
+    return Derivation(parse_term("x (\\x. x)"), "S", nodes)
+
+
+def make_nested(n: int) -> Derivation:
+    """v (v (... u)), n applications deep, each v on its own track: the
+    context entry of v holds n - d axioms at depth d, so a derivation with
+    every context written out holds about n^2 left edges."""
+    o = SAtom("o")
+    v_type = SArrow(seq({2: o}), o)
+    term, nodes = Var("u"), {(2,) * n: AxNode(2, o)}
+    for i in range(n):
+        term = App(Var("v"), term)
+        nodes[(2,) * i] = AppNode(frozenset({2}))
+        nodes[(2,) * i + (1,)] = AxNode(i + 2, v_type)
+    return Derivation(term, "S", nodes)
 
 
 def make_wide(m: int) -> Derivation:

@@ -16,13 +16,14 @@ from seqtypes.derivations import (
 )
 from seqtypes.positions import EPS
 from seqtypes.stypes import SArrow, SAtom, print_type, seq
-from seqtypes.terms import App, Var, parse_term
+from seqtypes.terms import parse_term
 
 from samples import (
     brothers_operable,
     make_argument_redex,
     make_brothers,
     make_equal_typed,
+    make_nested,
     make_self_app,
 )
 from test_stypes import DEEP, deep_type
@@ -78,15 +79,8 @@ def test_check_a_derivation_nested_1000_deep(tmp_path, capsys):
     """v (v (... u)), 1,000 applications deep, each v on its own track:
     loading parses the term and the judgment prints it."""
     depth = 1000
-    o = SAtom("o")
-    v_type = SArrow(seq({2: o}), o)
-    term, nodes = Var("u"), {(2,) * depth: AxNode(2, o)}
-    for i in range(depth):
-        term = App(Var("v"), term)
-        nodes[(2,) * i] = AppNode(frozenset({2}))
-        nodes[(2,) * i + (1,)] = AxNode(i + 2, v_type)
     path = tmp_path / "deep.deriv"
-    path.write_text(dumps_derivation(Derivation(term, "S", nodes)))
+    path.write_text(dumps_derivation(make_nested(depth)))
     assert run(["check", "--file", str(path)]) == 0
     out = capsys.readouterr().out
     v_entries = ", ".join(f"{k}:(2:o) -> o" for k in range(2, depth + 2))

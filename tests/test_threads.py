@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from seqtypes.derivations import AxNode, Derivation, check_derivation
@@ -19,7 +21,7 @@ from seqtypes.threads import (
     text_report,
 )
 
-from samples import brothers_operable, make_self_app
+from samples import brothers_operable, make_nested, make_self_app, make_wide
 
 
 @pytest.fixture(scope="module")
@@ -222,3 +224,27 @@ def test_axiom_threads_occur_at_source_roots(brothers, self_app):
                     assert len(e.inner) == 1 or all(k == 1 for k in e.inner[:-1])
                 if isinstance(e, LeftEdge):
                     assert len(e.inner) == 1
+
+
+def test_edges_and_threads_slice_into_lists():
+    analysis = ThreadAnalysis(make_operable(check_derivation(make_wide(2))))
+    edges, threads = list(analysis.edges), list(analysis.threads)
+    assert analysis.edges[0:2] == edges[0:2]
+    assert analysis.edges[-3::-2] == edges[-3::-2]
+    assert analysis.threads[:1] == threads[:1]
+    assert analysis.threads[5:2] == []
+
+
+def test_deep_nesting_analysis_stores_no_copied_blocks():
+    """v (v (... u)) at n = 1,000 has 1,006,001 edges, all but a few
+    thousand of them copies of an axiom's own left block; the analysis
+    stores none of the copies, so its memory is linear in the derivation."""
+    op = make_operable(check_derivation(make_nested(1000)))
+    tracemalloc.start()
+    try:
+        analysis = ThreadAnalysis(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(analysis.edges) == 1_006_001
+    assert peak < 16 * 2**20

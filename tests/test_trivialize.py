@@ -47,7 +47,9 @@ from seqtypes.trivialize import (
 )
 
 from samples import brothers_operable, make_self_app, make_two_choice_redex, make_wide
+from test_derived_reducts import count_calls
 from test_stypes import DEEP_POSITIONS, deep_type
+from test_threads_differential import hybrid_operables, wide_operables
 
 
 def identity_interfaces(checked):
@@ -416,3 +418,16 @@ def test_forged_strategy_failure_raises_under_optimize():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_trivialize_builds_no_edge(monkeypatch):
+    """The trivialization reads threads and arcs through ids: no edge object
+    is built on the wide family or on a sample of the hybrid corpus."""
+    edge_classes = (ArgEdge, RightEdge, LeftEdge)
+    built = count_calls(monkeypatch, [(cls, "__init__") for cls in edge_classes])
+    ops = wide_operables() + hybrid_operables()[::5]
+    for op in ops:
+        trivialize(op)
+    assert not built
+    # the counter sees the edges that the analysis builds when read
+    assert len(ThreadAnalysis(ops[0]).consumption()) > 0 and built
