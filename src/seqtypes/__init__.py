@@ -20,7 +20,6 @@ from .terms import (
     App,
     Term,
     Var,
-    barendregt_rename,
     beta_reduce_at,
     parse_term,
     print_term,

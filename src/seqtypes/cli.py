@@ -201,12 +201,10 @@ def cmd_reduce(args) -> int:
             checked = _load_checked(args.file, args.flavor)
             choice = loads_json(Path(args.choice).read_text(), _choice_from_json)
             reduced = reduce_Sh(checked, pos, choice)
-            out_deriv = reduced
         elif args.interface:
             op = _load_operable(args.file, args.interface)
             new_op, _, _ = reduce_operable(op, pos)
             reduced = new_op.checked
-            out_deriv = reduced
             if args.interface_out:
                 Path(args.interface_out).write_text(
                     json.dumps(_interface_to_json(new_op.interface), indent=2) + "\n"
@@ -219,11 +217,10 @@ def cmd_reduce(args) -> int:
                 op = make_operable(checked)
                 new_op, _, _ = reduce_operable(op, pos)
                 reduced = new_op.checked
-            out_deriv = reduced
     except (ReductionError, ChoiceError, DerivationCheckError) as exc:
         raise CliError("reduction-failed", str(exc), args.pos) from exc
     if args.out:
-        save_derivation(out_deriv.derivation, args.out)
+        save_derivation(reduced.derivation, args.out)
     if args.json:
         print(json.dumps({"judgment": format_judgment(reduced.conclusion())}))
     else:

@@ -259,23 +259,6 @@ def is_normal(t: Term) -> bool:
     return not redexes(t)
 
 
-def barendregt_rename(t: Term) -> Term:
-    """Alpha-rename so binders are pairwise distinct and disjoint from free vars."""
-    used = set(free_vars(t))
-
-    def go(u: Term) -> Term:
-        if isinstance(u, Var):
-            return u
-        if isinstance(u, App):
-            return App(go(u.left), go(u.right))
-        name = fresh_name(u.binder, used)
-        used.add(name)
-        body = u.body if name == u.binder else substitute(u.body, u.binder, Var(name))
-        return Abs(name, go(body))
-
-    return go(t)
-
-
 def alpha_key(t: Term) -> tuple:
     """De Bruijn shape of the term; equal keys mean alpha-equivalent terms."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .positions import (
     EPS,
@@ -145,42 +145,6 @@ def assign_track_values(
 
 
 @dataclass
-class DerivationRelabelling:
-    """New tracks for the argument edges, the axiom types and axiom tracks."""
-
-    arg: dict[Position, Track]
-    axiom_types: dict[Position, dict[Position, Track]]
-    axiom_tracks: dict[Position, Track]
-
-
-def build_relabelling(
-    analysis: ThreadAnalysis, classes: ThreadClasses, values: dict[int, Track]
-) -> DerivationRelabelling:
-    checked = analysis.checked
-
-    def value_of(tid: int) -> Track:
-        return values[classes.class_of[tid]]
-
-    arg: dict[Position, Track] = {}
-    for a in checked.app_positions():
-        node = checked.node(a)
-        assert isinstance(node, AppNode)
-        for k in node.arg_tracks:
-            arg[a + (k,)] = value_of(analysis.arg_thread(a + (k,)))
-    axiom_types: dict[Position, dict[Position, Track]] = {}
-    axiom_tracks: dict[Position, Track] = {}
-    for a in checked.axiom_positions():
-        node = checked.node(a)
-        assert isinstance(node, AxNode)
-        subj = checked.subject_at(a)
-        assert isinstance(subj, Var)
-        tracks = map(value_of, analysis.right_threads(a))
-        axiom_types[a] = dict(zip(node.stype.mutable_positions, tracks))
-        axiom_tracks[a] = value_of(analysis.thread_at(a, (node.track,), subj.name))
-    return DerivationRelabelling(arg, axiom_types, axiom_tracks)
-
-
-@dataclass
 class DerivationIso:
     """01-isomorphism of supports plus one type isomorphism per axiom."""
 
@@ -194,6 +158,49 @@ class DerivationIso:
         axioms = {a: (c2.nodes[pairs[a]].track, phi) for a, phi in self.axiom_isos.items()}
         args = {a: b[-1] for a, b in pairs.items() if a and a[-1] >= 2}
         return JudgmentIsos(c1, axioms, args)
+
+
+Relabelling = tuple[DerivationIso, dict[Position, AxNode]]
+"""A relabelling: the derivation isomorphism it induces, and each axiom's new
+node, whose type is the image of the old one under its type isomorphism."""
+
+
+def _support_iso(
+    checked: CheckedDerivation, new_letter: Callable[[Position], Track]
+) -> ZeroOneIso:
+    """The support map keeping 0 and 1 and sending each argument letter of a
+    node to `new_letter` of the argument's position, built bottom-up."""
+    kids: dict[Position, dict[Track, tuple[Track, ZeroOneIso]]] = {}
+    for a in sorted(checked.nodes, reverse=True)[:-1]:
+        sub = ZeroOneIso.node(kids.pop(a)) if a in kids else LEAF
+        k = a[-1]
+        kids.setdefault(a[:-1], {})[k] = (k if k < 2 else new_letter(a), sub)
+    return ZeroOneIso.node(kids.pop(EPS, {}))
+
+
+def build_relabelling(
+    analysis: ThreadAnalysis, classes: ThreadClasses, values: dict[int, Track]
+) -> Relabelling:
+    """The relabelling giving every thread its class's track value."""
+    checked = analysis.checked
+
+    def value_of(tid: int) -> Track:
+        return values[classes.class_of[tid]]
+
+    axiom_isos: dict[Position, ZeroOneIso] = {}
+    axioms: dict[Position, AxNode] = {}
+    for a in checked.axiom_positions():
+        node = checked.node(a)
+        assert isinstance(node, AxNode)
+        subj = checked.subject_at(a)
+        assert isinstance(subj, Var)
+        tracks = map(value_of, analysis.right_threads(a))
+        new_type, axiom_isos[a] = relabel_type(
+            node.stype, dict(zip(node.stype.mutable_positions, tracks))
+        )
+        axioms[a] = AxNode(value_of(analysis.thread_at(a, (node.track,), subj.name)), new_type)
+    supp_map = _support_iso(checked, lambda p: value_of(analysis.arg_thread(p)))
+    return DerivationIso(supp_map, axiom_isos), axioms
 
 
 def verify_derivation_iso(
@@ -314,53 +321,36 @@ class ResetResult:
 
 def reset_derivation(
     checked: CheckedDerivation,
-    relab: DerivationRelabelling,
+    relab: Relabelling,
     interface: Optional[dict[Position, ZeroOneIso]] = None,
     flavor: str = FLAVOR_SH,
 ) -> ResetResult:
-    """Apply a relabelling, rebuilding the derivation and the induced iso.
+    """Apply a relabelling: place every node at its image under the support
+    map, check the result, and return the relabelling's own isomorphism.
 
     The conjugated interface makes the result operably isomorphic to the
     input whenever an interface is supplied.
     """
-    order = sorted(checked.support())
-    supp_map: dict[Position, Position] = {EPS: EPS}
-    for a in order[1:]:
-        k = a[-1]
-        supp_map[a] = supp_map[a[:-1]] + (k if k < 2 else relab.arg[a],)
+    iso, axioms = relab
+    pairs = iso.supp_map.mapping
     new_nodes: dict[Position, Node] = {}
-    axiom_isos: dict[Position, ZeroOneIso] = {}
     for a, node in checked.nodes.items():
-        target = supp_map[a]
-        if isinstance(node, AxNode):
-            new_type, phi = relabel_type(node.stype, relab.axiom_types[a])
-            new_nodes[target] = AxNode(relab.axiom_tracks[a], new_type)
-            axiom_isos[a] = phi
-        elif isinstance(node, AbsNode):
-            new_nodes[target] = AbsNode()
-        else:
-            new_nodes[target] = AppNode(
-                frozenset(relab.arg[a + (k,)] for k in node.arg_tracks)
-            )
+        if isinstance(node, AppNode):
+            node = AppNode(frozenset(pairs[a + (k,)][-1] for k in node.arg_tracks))
+        elif isinstance(node, AxNode):
+            node = axioms[a]
+        new_nodes[pairs[a]] = node
     new_checked = check_derivation(Derivation(checked.term, flavor, new_nodes))
-    # the support map as one letter map per node, built bottom-up
-    kids: dict[Position, dict[Track, tuple[Track, ZeroOneIso]]] = {}
-    for a in reversed(order[1:]):
-        sub = ZeroOneIso.node(kids.pop(a)) if a in kids else LEAF
-        kids.setdefault(a[:-1], {})[a[-1]] = (supp_map[a][-1], sub)
-    iso = DerivationIso(ZeroOneIso.node(kids.pop(EPS, {})), axiom_isos)
     new_interface: Optional[dict[Position, ZeroOneIso]] = None
     if interface is not None:
-        # the relabelling gives the new tracks, so the map is not read back
-        axioms = {a: (relab.axiom_tracks[a], phi) for a, phi in axiom_isos.items()}
-        derived = JudgmentIsos(checked, axioms, relab.arg)
+        derived = iso.judgment_isos(checked, new_checked)
         new_interface = {
-            supp_map[a]: derived.conjugate(a, interface[a]) for a in checked.app_positions()
+            pairs[a]: derived.conjugate(a, interface[a]) for a in checked.app_positions()
         }
     return ResetResult(new_checked, iso, new_interface)
 
 
-def random_relabelling(checked: CheckedDerivation, rng) -> DerivationRelabelling:
+def random_relabelling(checked: CheckedDerivation, rng) -> Relabelling:
     """A random relabelling; resetting by it yields a hybrid perturbation."""
 
     def fresh_tracks(n: int) -> list[Track]:
@@ -375,12 +365,12 @@ def random_relabelling(checked: CheckedDerivation, rng) -> DerivationRelabelling
         tracks = sorted(node.arg_tracks)
         for k, new in zip(tracks, fresh_tracks(len(tracks))):
             arg[a + (k,)] = new
-    axiom_types: dict[Position, dict[Position, Track]] = {}
-    axiom_tracks: dict[Position, Track] = {}
-    axioms = checked.axiom_positions()
-    track_pool = list(range(2, 2 + 3 * len(axioms) + 2))
+    axiom_isos: dict[Position, ZeroOneIso] = {}
+    axioms: dict[Position, AxNode] = {}
+    positions = checked.axiom_positions()
+    track_pool = list(range(2, 2 + 3 * len(positions) + 2))
     rng.shuffle(track_pool)
-    for a, new_track in zip(axioms, track_pool):
+    for a, new_track in zip(positions, track_pool):
         node = checked.node(a)
         assert isinstance(node, AxNode)
         by_parent: dict[Position, list[Position]] = {}
@@ -391,9 +381,9 @@ def random_relabelling(checked: CheckedDerivation, rng) -> DerivationRelabelling
         for parent, siblings in by_parent.items():
             for c, new in zip(sorted(siblings), fresh_tracks(len(siblings))):
                 assignment[c] = new
-        axiom_types[a] = assignment
-        axiom_tracks[a] = new_track
-    return DerivationRelabelling(arg, axiom_types, axiom_tracks)
+        new_type, axiom_isos[a] = relabel_type(node.stype, assignment)
+        axioms[a] = AxNode(new_track, new_type)
+    return DerivationIso(_support_iso(checked, arg.__getitem__), axiom_isos), axioms
 
 
 # -- trivialization -----------------------------------------------------------
@@ -405,7 +395,7 @@ class TrivializeResult:
     iso: DerivationIso
     classes: ThreadClasses
     values: dict[int, Track]
-    relabelling: DerivationRelabelling
+    relabelling: Relabelling
     analysis: ThreadAnalysis
 
 

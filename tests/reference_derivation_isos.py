@@ -27,13 +27,9 @@ from seqtypes.positions import (
 )
 from seqtypes.stypes import check_type_iso, iter_type_isos
 from seqtypes.terms import alpha_key
-from seqtypes.trivialize import (
-    DerivationRelabelling,
-    _lazy_product,
-    support_children,
-    support_label,
-)
+from seqtypes.trivialize import _lazy_product, support_children, support_label
 
+from reference_relabelling import DerivationRelabelling
 from reference_types import check_01_iso
 
 

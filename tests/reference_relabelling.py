@@ -7,12 +7,20 @@ the 01-isomorphism, and `_relabel_type` rebuilt the type recursively from
 that isomorphism.  They are copied here verbatim; only the imports differ.
 `test_relabel_differential.py` compares `relabel_type` against them, and
 `test_isos_differential.py` relabels its random supports with them.
+
+`DerivationRelabelling` is the three-dict form a derivation relabelling had
+before it became a derivation isomorphism with new axiom nodes: new tracks
+for the argument premises, for each axiom type's mutable positions, and for
+each axiom, all keyed by whole positions.  `as_dicts` reads that form
+off a `seqtypes.trivialize` relabelling, so the reference oracles keep
+taking it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from seqtypes.derivations import CheckedDerivation
 from seqtypes.positions import (
     EPS,
     Position,
@@ -94,3 +102,26 @@ def _relabel_type(stype, phi: ZeroOneIso):
         return SArrow(seq(entries), rebuild(u.target, prefix + (1,)))
 
     return rebuild(stype, EPS)
+
+
+@dataclass
+class DerivationRelabelling:
+    """New tracks for the argument edges, the axiom types and axiom tracks."""
+
+    arg: dict[Position, Track]
+    axiom_types: dict[Position, dict[Position, Track]]
+    axiom_tracks: dict[Position, Track]
+
+
+def as_dicts(checked: CheckedDerivation, relab) -> DerivationRelabelling:
+    """The three dicts of a relabelling of `checked`: the argument letters
+    (those >= 2) of its support map, the image letter of every mutable
+    position under each axiom's type isomorphism, and the new axioms' tracks."""
+    iso, axioms = relab
+    arg = {a: b[-1] for a, b in iso.supp_map.mapping.items() if a and a[-1] >= 2}
+    axiom_types = {
+        a: {c: phi(c)[-1] for c in checked.type_at(a).mutable_positions}
+        for a, phi in iso.axiom_isos.items()
+    }
+    axiom_tracks = {a: node.track for a, node in axioms.items()}
+    return DerivationRelabelling(arg, axiom_types, axiom_tracks)

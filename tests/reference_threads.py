@@ -39,9 +39,10 @@ from seqtypes.threads import (
     edge_key,
     edge_label,
 )
-from seqtypes.trivialize import DerivationRelabelling, ThreadClasses
+from seqtypes.trivialize import ThreadClasses
 
 import reference_checker
+from reference_relabelling import DerivationRelabelling
 
 
 class DictUnionFind:

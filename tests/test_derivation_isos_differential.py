@@ -36,6 +36,7 @@ from seqtypes.trivialize import (
 
 import reference_derivation_isos as ref
 import reference_judgment_isos as original
+from reference_relabelling import as_dicts
 from test_judgment_isos_differential import (
     CORPUS_SEED,
     corpus_operables,
@@ -57,7 +58,8 @@ def test_reset_support_maps_match_reference():
         result = trivialize(op)
         for iso, relab in ((reset.iso, relabelling), (result.iso, result.relabelling)):
             assert isinstance(iso.supp_map, ZeroOneIso)
-            assert iso.supp_map.mapping == ref.reset_support_map(op.checked, relab)
+            expected = ref.reset_support_map(op.checked, as_dicts(op.checked, relab))
+            assert iso.supp_map.mapping == expected
     assert len(operables) == 537
 
 

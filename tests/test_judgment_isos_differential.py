@@ -55,7 +55,7 @@ from seqtypes.trivialize import (
 
 import reference_judgment_isos as ref
 from reference_isos import support_isos
-from reference_relabelling import Relabelling01, apply_relabelling
+from reference_relabelling import Relabelling01, apply_relabelling, as_dicts
 from samples import (
     make_brothers,
     make_self_app,
@@ -112,8 +112,9 @@ def assert_same_reset(op: OperableDerivation, rng: random.Random) -> int:
     of applications compared."""
     relabelling = random_relabelling(op.checked, rng)
     reset = reset_derivation(op.checked, relabelling, op.interface)
+    axiom_types = as_dicts(op.checked, relabelling).axiom_types
     for a, phi in reset.iso.axiom_isos.items():
-        tracks = Relabelling01(relabelling.axiom_types[a])
+        tracks = Relabelling01(axiom_types[a])
         assert phi.mapping == apply_relabelling(op.checked.type_at(a).support, tracks)[1].mapping
     assert_same_node_isos(op.checked, reset.checked, reset.iso, op.interface)
     expected = ref.reset_interface(op.checked, reset.checked, reset.iso, op.interface)

@@ -26,7 +26,7 @@ from seqtypes.derivations import AxNode, CheckedDerivation
 from seqtypes.stypes import RelabellingError, SType, relabel_type
 from seqtypes.threads import ThreadAnalysis
 from seqtypes.trivialize import (
-    DerivationRelabelling,
+    Relabelling,
     assign_track_values,
     build_relabelling,
     consumption_closure,
@@ -34,7 +34,7 @@ from seqtypes.trivialize import (
     reset_derivation,
 )
 
-from reference_relabelling import Relabelling01, _relabel_type, apply_relabelling
+from reference_relabelling import Relabelling01, _relabel_type, apply_relabelling, as_dicts
 from test_stypes import stypes_strategy
 from test_threads_differential import CORPUS_SEED, hybrid_operables, wide_operables
 
@@ -62,11 +62,12 @@ def assert_same(t: SType, tracks: dict) -> bool:
     return got is None
 
 
-def assert_same_axioms(checked: CheckedDerivation, relab: DerivationRelabelling) -> None:
+def assert_same_axioms(checked: CheckedDerivation, relab: Relabelling) -> None:
+    axiom_types = as_dicts(checked, relab).axiom_types
     for a in checked.axiom_positions():
         node = checked.node(a)
         assert isinstance(node, AxNode)
-        assert not assert_same(node.stype, relab.axiom_types[a])
+        assert not assert_same(node.stype, axiom_types[a])
 
 
 def test_random_relabellings_of_the_corpus_match_reference():

@@ -14,7 +14,6 @@ from seqtypes.terms import (
     TermSyntaxError,
     Var,
     alpha_eq,
-    barendregt_rename,
     beta_reduce_at,
     free_vars,
     parse_term,
@@ -124,25 +123,6 @@ def test_redexes():
     assert redexes(omega) == [EPS]
     assert redexes(Var("x")) == []
     assert redexes(parse_term("(\\x.x) ((\\y.y) z)")) == [EPS, (2,)]
-
-
-def test_barendregt_rename():
-    t = parse_term("(\\x. x (\\x. x)) x")
-    renamed = barendregt_rename(t)
-    assert alpha_eq(t, renamed)
-    binders = []
-
-    def collect(u):
-        if isinstance(u, Abs):
-            binders.append(u.binder)
-            collect(u.body)
-        elif isinstance(u, App):
-            collect(u.left)
-            collect(u.right)
-
-    collect(renamed)
-    assert len(set(binders)) == len(binders)
-    assert not set(binders) & free_vars(renamed)
 
 
 def test_alpha_eq():
@@ -292,8 +272,5 @@ def test_reduction_properties(t):
     for b in redexes(t):
         reduced = beta_reduce_at(t, b)
         assert is_tree(support(reduced))
-        # reduction commutes with renaming up to alpha-equivalence
-        renamed = barendregt_rename(t)
-        assert alpha_eq(beta_reduce_at(renamed, b), reduced)
         if not free_vars(t):
             assert not free_vars(reduced)

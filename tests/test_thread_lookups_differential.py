@@ -3,10 +3,10 @@ against the Edge-keyed versions kept in `reference_threads`.
 
 `build_relabelling` reads every thread through `ThreadAnalysis` id
 accessors; the reference builds an `ArgEdge`/`RightEdge`/`LeftEdge` key per
-lookup.  Both must give the same relabelling on the 500 hybrid acceptance
-derivations and on the wide family.  `residual_thread` is compared on every
-step of the collapsing strategy, for every negative left arc of the redex
-towers.
+lookup.  Both must give the same relabelling, read in the reference's
+three-dict form, on the 500 hybrid acceptance derivations and on the wide
+family.  `residual_thread` is compared on every step of the collapsing
+strategy, for every negative left arc of the redex towers.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from seqtypes.trivialize import (
 )
 
 import reference_threads
+from reference_relabelling import as_dicts
 from test_threads_differential import CORPUS_SEED, hybrid_operables, wide_operables
 
 
@@ -30,7 +31,9 @@ def assert_same_relabelling(op) -> None:
     classes = consumption_closure(analysis)
     values = assign_track_values(analysis, classes)
     new = build_relabelling(analysis, classes, values)
-    assert new == reference_threads.build_relabelling(analysis, classes, values)
+    assert as_dicts(op.checked, new) == reference_threads.build_relabelling(
+        analysis, classes, values
+    )
 
 
 def test_hybrid_corpus_relabelling_matches_reference():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -20,21 +21,20 @@ from seqtypes.derivations import (
     generate_normal_form_derivations,
     loads_derivation,
 )
-from seqtypes.positions import EPS, ZeroOneIso
+from seqtypes.positions import EPS, LEAF, ZeroOneIso
 from seqtypes.reduction import (
     enumerate_r_choices,
     make_operable,
     reduce_R,
     reduce_S,
 )
-from seqtypes.stypes import SArrow, SAtom, identity_iso
+from seqtypes.stypes import SArrow, SAtom, identity_iso, relabel_type
 from seqtypes.terms import parse_term
 from seqtypes.threads import NEG, ArgEdge, LeftEdge, RightEdge, Thread, ThreadAnalysis
 from seqtypes.trivialize import (
     BrotherChainError,
     CollapsingStrategyError,
     DerivationIso,
-    DerivationRelabelling,
     ThreadClasses,
     assign_track_values,
     consumption_closure,
@@ -204,8 +204,8 @@ def test_reset_relabels_a_deep_axiom_type():
     assert sys.getrecursionlimit() <= 1000
     t = deep_type(DEEP_POSITIONS)
     checked = check_derivation(Derivation(parse_term("x"), "S", {EPS: AxNode(2, t)}))
-    relab = DerivationRelabelling({}, {EPS: {c: c[-1] + 5 for c in t.mutable_positions}}, {EPS: 4})
-    reset = reset_derivation(checked, relab)
+    new_type, phi = relabel_type(t, {c: c[-1] + 5 for c in t.mutable_positions})
+    reset = reset_derivation(checked, (DerivationIso(LEAF, {EPS: phi}), {EPS: AxNode(4, new_type)}))
     assert verify_derivation_iso(checked, reset.checked, reset.iso)
     # walk both types down together; comparing them with == would recurse
     u, v = t, reset.checked.type_at(EPS)
@@ -214,6 +214,23 @@ def test_reset_relabels_a_deep_axiom_type():
         assert k2 == k + 5
         u, v = (u.target, v.target) if isinstance(u.target, SArrow) else (s, s2)
     assert u is v
+
+
+# sha256 of the 500 resets below, recorded while relabellings were still
+# dicts of new tracks: the seeded draws, and every input built from them,
+# stay byte-identical
+SEEDED_RESETS_SHA256 = "e31dc465cb34e3a130ff8b21f71f8949dc9510a66967c004730f92966116a046"
+
+
+def test_seeded_resets_of_the_corpus_are_unchanged():
+    rng = random.Random(20250809 + 1)
+    texts = []
+    for checked in sr_corpus(20250809, 500, size=7, width=2):
+        relab = random_relabelling(checked, rng)
+        reset = reset_derivation(checked, relab)
+        assert reset.iso is relab[0]
+        texts.append(dumps_derivation(reset.checked.derivation))
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == SEEDED_RESETS_SHA256
 
 
 def test_reset_builds_no_type_support(monkeypatch):
