@@ -11,7 +11,7 @@ recovers the original derivation.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
+from typing import Optional
 
 from .positions import EPS, Position, collapse_position
 from .stypes import SArrow, SAtom, SType, seq as mkseq
@@ -24,6 +24,7 @@ from .terms import (
     free_vars,
     parse_term,
     preorder,
+    replace_at,
     subterm_at,
 )
 from .derivations import (
@@ -72,10 +73,8 @@ def random_normal_term(rng: random.Random, max_size: int) -> Term:
     return go(max_size, ())
 
 
-def random_derivation(
-    rng: random.Random, term: Term, width: int = 2, pool: int = 8
-) -> CheckedDerivation:
-    options = generate_normal_form_derivations(term, GenBudget(width=width, limit=pool))
+def random_derivation(rng: random.Random, term: Term, width: int = 2) -> CheckedDerivation:
+    options = generate_normal_form_derivations(term, GenBudget(width=width, limit=8))
     return check_derivation(rng.choice(options))
 
 
@@ -145,25 +144,13 @@ def expand_root(
             raise ExpansionError("occurrences address different subterms")
         if free_vars(s) & binders_above(term, o):
             raise ExpansionError("the subterm is not free at one occurrence")
-    if var in free_vars(term) or _name_used(term, var):
+    if _name_used(term, var):
         raise ExpansionError(f"{var!r} is not fresh")
-
-    def replace(u: Term, at: Position) -> Term:
-        if at in occurrences:
-            return Var(var)
-        if isinstance(u, Abs):
-            return Abs(u.binder, replace(u.body, at + (0,)))
-        if isinstance(u, App):
-            return App(replace(u.left, at + (1,)), replace(u.right, at + (2,)))
-        return u
-
-    r = replace(term, EPS)
+    r = term
+    for o in occurrences:  # disjoint, since they address equal subterms
+        r = replace_at(r, o, Var(var))
     new_term = App(Abs(var, r), s)
-    ripped = sorted(
-        alpha
-        for alpha in checked.support()
-        if any(collapse_position(alpha) == o for o in occurrences)
-    )
+    ripped = sorted(a for a in checked.support() if collapse_position(a) in occurrences)
     tracks = {alpha: i + 2 for i, alpha in enumerate(ripped)}
     new_nodes: dict[Position, Node] = {
         EPS: AppNode(frozenset(tracks.values())),
@@ -181,11 +168,11 @@ def expand_root(
 
 
 def _name_used(term: Term, name: str) -> bool:
-    if isinstance(term, Var):
-        return term.name == name
-    if isinstance(term, Abs):
-        return term.binder == name or _name_used(term.body, name)
-    return _name_used(term.left, name) or _name_used(term.right, name)
+    return any(
+        (u.binder if isinstance(u, Abs) else u.name) == name
+        for _, u in preorder(term)
+        if not isinstance(u, App)
+    )
 
 
 def expand_random(
@@ -275,34 +262,26 @@ def sr_corpus(seed: int, count: int, size: int = 7, width: int = 2) -> list[Chec
 # -- redex towers ---------------------------------------------------------------
 
 
-def make_tower(
-    body_deriv: Derivation,
-    binder: str,
-    height: int,
-    spacer_names: Iterable[str] = ("m", "n", "r"),
-    argument: str = "v",
-) -> CheckedDerivation:
-    """((\\z1..zk. \\binder. u) n1 .. nk) v with k = height - 1 untyped spacers.
+def make_tower(body_deriv: Derivation, height: int) -> CheckedDerivation:
+    """((\\z1..zk. \\x. u) z1_0 .. zk_0) v with k = height - 1 untyped
+    spacers, the first k of m, n and r.
 
-    The binder's sequence is consumed at the root application; the argument
+    x's sequence is consumed at the root application; the argument
     copies of v are axioms with exactly the matching types, so the result
     is a valid hybrid (indeed trivial) derivation.
     """
-    if height < 1:
-        raise ValueError("a tower has height >= 1")
+    if not 1 <= height <= 4:
+        raise ValueError("a tower has height 1 to 4, one more than its spacers")
     body = check_derivation(body_deriv)
     k = height - 1
-    spacers = list(spacer_names)[:k]
-    if len(spacers) < k:
-        raise ValueError("not enough spacer names")
-    term: Term = body.term
-    term = Abs(binder, term)
+    spacers = ["m", "n", "r"][:k]
+    term: Term = Abs("x", body.term)
     for name in spacers:
         term = Abs(name, term)
     for name in reversed(spacers):
         term = App(term, Var(name + "0"))
-    term = App(term, Var(argument))
-    x_seq = body.conclusion().context.get(binder)
+    term = App(term, Var("v"))
+    x_seq = body.conclusion().context.get("x")
     prefix = (1,) * (k + 1) + (0,) * (k + 1)
     nodes: dict[Position, Node] = {}
     for alpha, node in body.nodes.items():
@@ -342,7 +321,7 @@ def tower_instances(seed: int, count: int) -> list[OperableDerivation]:
         body = options[rng.randrange(len(options))]
         if rng.random() < 0.5:
             body = merge_atoms(body, rng, pool=1)
-        tower = make_tower(body, "x", height)
+        tower = make_tower(body, height)
         interface = {}
         for a in tower.app_positions():
             choices = interfaces_at(tower, a)

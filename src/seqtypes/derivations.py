@@ -44,6 +44,7 @@ from .stypes import (
     print_type,
     rarrow,
     rmultiset,
+    same_type,
     seq,
 )
 from .terms import (
@@ -51,6 +52,7 @@ from .terms import (
     App,
     Term,
     Var,
+    child,
     parse_term,
     print_term,
     alpha_key,
@@ -314,13 +316,7 @@ def _walk_nodes(
         if isinstance(subj, Abs):
             scope = {**scope, subj.binder: a}
         for k in sorted(children[a], reverse=True):
-            if isinstance(subj, Abs):
-                sub = subj.body if k == 0 else None
-            elif isinstance(subj, App):
-                sub = subj.left if k == 1 else subj.right if k >= 2 else None
-            else:
-                sub = None
-            stack.append((a + (k,), sub, scope))
+            stack.append((a + (k,), None if subj is None else child(subj, k), scope))
     return out
 
 
@@ -402,7 +398,7 @@ def _check_nodes(
                 lseq = left.source
                 rseq = right_seqs[a] = seq((k, types[a + (k,)]) for k in node.arg_tracks)
                 if flavor == FLAVOR_S:
-                    if lseq != rseq:
+                    if not same_type(lseq, rseq):
                         raise AppMismatch(a, lseq, rseq)
                 elif not equiv(lseq, rseq):
                     raise AppMismatch(a, lseq, rseq)

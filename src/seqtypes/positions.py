@@ -7,10 +7,13 @@ positions: a tree holds `EPS`, a forest (a sequence type's, a tree minus its
 root) does not.  01-isomorphisms are the track-renaming bijections that
 leave the fixed tracks alone, stored as trees of per-node letter maps that
 share their subtrees, and enumerated lazily in key order by `iter_01_isos`.
+`scan` tokenizes the text of types and terms, each grammar with its one
+compiled pattern.
 """
 
 from __future__ import annotations
 
+import re
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterator, Mapping, Optional, Sequence, TypeVar
 
@@ -49,6 +52,31 @@ def parse_position(text: str) -> Position:
 
 def format_position(a: Position) -> str:
     return "eps" if not a else ".".join(str(k) for k in a)
+
+
+def scan(
+    text: str,
+    pattern: re.Pattern,
+    kinds: Sequence[Optional[str]],
+    error: Callable[[str, int], Exception],
+) -> list[tuple[str, str, int]]:
+    """The tokens of text, each (kind, value, offset), then ("eof", "", len(text)).
+
+    `pattern` alternates one group per kind of token, the word last, and
+    then `(\\S)` for any other character; whitespace between tokens is
+    skipped.  A token of group i is of the kind kinds[i - 1], or its own text
+    where that is None.  Raises error(message, offset) at the first
+    character no token takes, a word that does not start with a letter
+    included.
+    """
+    tokens = []
+    for m in pattern.finditer(text):
+        i, value = m.lastindex, m.group()
+        if i > len(kinds) or i == len(kinds) and not value[0].isalpha():
+            raise error(f"unexpected character {value[0]!r}", m.start())
+        tokens.append((kinds[i - 1] or value, value, m.start()))
+    tokens.append(("eof", "", len(text)))
+    return tokens
 
 
 _FIXED = frozenset((0, 1))

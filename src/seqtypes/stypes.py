@@ -8,6 +8,7 @@ equality `equiv` is defined against.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -23,6 +24,7 @@ from .positions import (
     ZeroOneIso,
     format_position,
     iter_01_isos,
+    scan,
 )
 
 ARROW = "->"
@@ -284,6 +286,28 @@ def equiv(t1: SType | SeqType, t2: SType | SeqType) -> bool:
     return t1.collapse == t2.collapse
 
 
+def same_type(t1: SType | SeqType, t2: SType | SeqType) -> bool:
+    """Syntactic equality, walked on an explicit stack: the dataclass `==`
+    recurses, so it fails on deep types."""
+    stack = [(t1, t2)]
+    while stack:
+        u1, u2 = stack.pop()
+        if u1 is u2:
+            continue
+        if type(u1) is not type(u2) or type(u1) is SAtom and u1.name != u2.name:
+            return False
+        if type(u1) is SArrow:
+            stack += ((u1.source, u2.source), (u1.target, u2.target))
+        elif type(u1) is SeqType:
+            if len(u1.entries) != len(u2.entries):
+                return False
+            for (k1, s1), (k2, s2) in zip(u1.entries, u2.entries):
+                if k1 != k2:
+                    return False
+                stack.append((s1, s2))
+    return True
+
+
 def _label(u: SType | SeqType) -> Optional[str]:
     """An atom's name or an arrow's `ARROW`; a sequence type, the root of a
     forest, has none."""
@@ -414,39 +438,8 @@ def iter_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> Iterator[ZeroOne
     return iter_01_isos(t1, t2, _children, _label, not isinstance(t1, SeqType))
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if text.startswith(ARROW, i):
-            tokens.append(("arrow", ARROW, i))
-            i += 2
-            continue
-        if c in "(),:":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isalpha():
-            j = i + 1
-            while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            tokens.append(("atom", text[i:j], i))
-            i = j
-            continue
-        if c.isdigit():
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("nat", text[i:j], i))
-            i = j
-            continue
-        raise TypeSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(("eof", "", len(text)))
-    return tokens
+_TOKEN = re.compile(r"(->)|([(),:])|(\d+)|(\w[\w']*)|(\S)")
+_KINDS = ("arrow", None, "nat", "atom")
 
 
 def _parse(text: str, sequence: bool) -> SType | SeqType:
@@ -457,7 +450,7 @@ def _parse(text: str, sequence: bool) -> SType | SeqType:
     read and awaiting its arrow's target, or an open sequence, a list of its
     entries and of the track whose type it awaits.
     """
-    tokens = _tokenize(text)
+    tokens = scan(text, _TOKEN, _KINDS, TypeSyntaxError)
     if sequence and tokens[0][0] != "(":
         raise TypeSyntaxError("expected '('", tokens[0][2])
     pos = 0

@@ -1,15 +1,18 @@
 """Finite lambda terms, their position supports, and beta reduction.
 
 Supports use track 0 under an abstraction and tracks 1/2 under an
-application, so every term position is a word over {0, 1, 2}.
+application, so every term position is a word over {0, 1, 2}.  `child`
+reads any letter >= 2 as the argument, so a derivation's positions address
+the term as they are.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .positions import EPS, Position, collapse_position, format_position
+from .positions import EPS, Position, Track, format_position, scan
 
 
 @dataclass(frozen=True)
@@ -46,28 +49,8 @@ class NotARedexError(ValueError):
     """The addressed subterm is not of the shape (\\x. r) s."""
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "\\.()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        if c.isalpha():
-            j = i + 1
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise TermSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(("eof", "", len(text)))
-    return tokens
+_TOKEN = re.compile(r"([\\.()])|(\w+)|(\S)")
+_KINDS = (None, "ident")
 
 
 def parse_term(text: str) -> Term:
@@ -78,7 +61,7 @@ def parse_term(text: str) -> Term:
     awaiting its body, an application awaiting its next argument, or a
     parenthesis awaiting its `)`.
     """
-    tokens = _tokenize(text)
+    tokens = scan(text, _TOKEN, _KINDS, TermSyntaxError)
     pos = 0
     stack: list[tuple] = []
     want: Optional[str] = "expr"  # the rule to parse next; None once `term` is parsed
@@ -181,18 +164,42 @@ def support(t: Term) -> frozenset[Position]:
     return frozenset(a for a, _ in preorder(t))
 
 
-def subterm_at(t: Term, a: Position) -> Term:
-    u = t
-    for k in collapse_position(a):
-        if isinstance(u, Abs) and k == 0:
-            u = u.body
-        elif isinstance(u, App) and k == 1:
-            u = u.left
-        elif isinstance(u, App) and k == 2:
-            u = u.right
-        else:
+def child(u: Term, k: Track) -> Optional[Term]:
+    """The subterm of u under the letter k: an abstraction's body under 0,
+    an application's left under 1 and its argument under any k >= 2; None
+    when u has none there."""
+    if isinstance(u, Abs):
+        return u.body if k == 0 else None
+    if isinstance(u, App):
+        return u.left if k == 1 else u.right if k >= 2 else None
+    return None
+
+
+def _path(t: Term, a: Position) -> list[Term]:
+    """The subterms of t down the position a, t first and the subterm at a
+    last; raises `PositionError` when a leaves the support."""
+    path = [t]
+    for k in a:
+        u = child(path[-1], k)
+        if u is None:
             raise PositionError(f"position {format_position(a)} outside the support")
-    return u
+        path.append(u)
+    return path
+
+
+def subterm_at(t: Term, a: Position) -> Term:
+    return _path(t, a)[-1]
+
+
+def replace_at(t: Term, a: Position, new: Term) -> Term:
+    """t with the subterm at a replaced by new, rebuilt along the path."""
+    path = _path(t, a)
+    for k, u in zip(reversed(a), reversed(path[:-1])):
+        if isinstance(u, Abs):
+            new = Abs(u.binder, new)
+        else:
+            new = App(new, u.right) if k == 1 else App(u.left, new)
+    return new
 
 
 def free_vars(t: Term) -> frozenset[str]:
@@ -233,21 +240,10 @@ def substitute(t: Term, x: str, s: Term) -> Term:
 
 
 def beta_reduce_at(t: Term, b: Position) -> Term:
-    def go(u: Term, rest: Position) -> Term:
-        if not rest:
-            if isinstance(u, App) and isinstance(u.left, Abs):
-                return substitute(u.left.body, u.left.binder, u.right)
-            raise NotARedexError(f"no redex at {format_position(b)}")
-        k, tail = rest[0], rest[1:]
-        if isinstance(u, Abs) and k == 0:
-            return Abs(u.binder, go(u.body, tail))
-        if isinstance(u, App) and k == 1:
-            return App(go(u.left, tail), u.right)
-        if isinstance(u, App) and k == 2:
-            return App(u.left, go(u.right, tail))
-        raise PositionError(f"position {format_position(b)} outside the support")
-
-    return go(t, collapse_position(b))
+    r = subterm_at(t, b)
+    if not (isinstance(r, App) and isinstance(r.left, Abs)):
+        raise NotARedexError(f"no redex at {format_position(b)}")
+    return replace_at(t, b, substitute(r.left.body, r.left.binder, r.right))
 
 
 def redexes(t: Term) -> list[Position]:
@@ -281,14 +277,4 @@ def alpha_eq(t: Term, u: Term) -> bool:
 
 def binders_above(t: Term, a: Position) -> set[str]:
     """Names bound by abstractions on the path strictly above position a."""
-    out: set[str] = set()
-    u = t
-    for k in collapse_position(a):
-        if isinstance(u, Abs) and k == 0:
-            out.add(u.binder)
-            u = u.body
-        elif isinstance(u, App) and k in (1, 2):
-            u = u.left if k == 1 else u.right
-        else:
-            raise PositionError(f"position {format_position(a)} outside the support")
-    return out
+    return {u.binder for u in _path(t, a)[:-1] if isinstance(u, Abs)}

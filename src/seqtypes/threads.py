@@ -26,16 +26,16 @@ ordered by least edge, and the least copy of an own-block edge is the one
 at the top of its chain (its binder's body, or the root when free).
 Lookups by edge go to the copied edge in O(log n).  Edge, `Thread` and arc
 objects, and the copies, are built only when read (`edges`, `threads`,
-`thread_size`, `referent`, `consumption`, reports); the id accessors
-(`arg_thread`, `right_threads`, `thread_at`, `arc_threads`), and so
-`trivialize`, build none.
+`referent`, `consumption`, reports); the id accessors (`arg_thread`,
+`right_threads`, `thread_at`, `arc_threads`), `thread_size`, which counts
+the copies, and so `trivialize`, build none.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -474,7 +474,7 @@ class ThreadAnalysis:
 
     def thread_size(self, tid: int) -> int:
         """The number of edges in the thread."""
-        return len(self._members[tid])
+        return self._sizes[tid]
 
     def thread_ad(self, tid: int) -> int:
         if self.thread_kind(tid) == "axiom":
@@ -484,6 +484,22 @@ class ThreadAnalysis:
     def _ref_ad(self, tid: int) -> int:
         # for argument edges the position already ends with the argument track
         return applicative_depth(self.referent(tid).pos)
+
+    @cached_property
+    def _sizes(self) -> Counter:
+        """Each thread's number of edges, counted from the stored edges: an
+        argument or right edge once, an edge of axiom u's own block once per
+        node from u up to the top of its chain (its binder's body, or the
+        root when free), where a left block copies it."""
+        thread_of, own = self._thread_of, self._own
+        sizes = Counter(thread_of[: self._right_start[-1]])
+        for binder, axioms in self._bound.items():
+            top = 0 if isinstance(binder, str) else len(binder) + 1
+            for u in axioms:
+                copies = len(self._positions[u]) - top + 1
+                for c in range(own[u], own[u] + self._own_size(u)):
+                    sizes[thread_of[c]] += copies
+        return sizes
 
     @cached_property
     def _members(self) -> list[list[int]]:

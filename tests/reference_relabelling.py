@@ -13,14 +13,17 @@ before it became a derivation isomorphism with new axiom nodes: new tracks
 for the argument premises, for each axiom type's mutable positions, and for
 each axiom, all keyed by whole positions.  `as_dicts` reads that form
 off a `seqtypes.trivialize` relabelling, so the reference oracles keep
-taking it.
+taking it.  `random_relabelling` is the dict-building original of
+`trivialize.random_relabelling`: it makes the same `rng` calls in the same
+order, so a second `random.Random` with the same seed gives the letters the
+library drew, independently of the isomorphism it built from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from seqtypes.derivations import CheckedDerivation
+from seqtypes.derivations import AppNode, AxNode, CheckedDerivation
 from seqtypes.positions import (
     EPS,
     Position,
@@ -124,4 +127,40 @@ def as_dicts(checked: CheckedDerivation, relab) -> DerivationRelabelling:
         for a, phi in iso.axiom_isos.items()
     }
     axiom_tracks = {a: node.track for a, node in axioms.items()}
+    return DerivationRelabelling(arg, axiom_types, axiom_tracks)
+
+
+def random_relabelling(checked: CheckedDerivation, rng) -> DerivationRelabelling:
+    """A random relabelling; resetting by it yields a hybrid perturbation."""
+
+    def fresh_tracks(n: int) -> list[Track]:
+        pool = list(range(2, 2 + max(4, 3 * n)))
+        rng.shuffle(pool)
+        return pool[:n]
+
+    arg: dict[Position, Track] = {}
+    for a in checked.app_positions():
+        node = checked.node(a)
+        assert isinstance(node, AppNode)
+        tracks = sorted(node.arg_tracks)
+        for k, new in zip(tracks, fresh_tracks(len(tracks))):
+            arg[a + (k,)] = new
+    axiom_types: dict[Position, dict[Position, Track]] = {}
+    axiom_tracks: dict[Position, Track] = {}
+    axioms = checked.axiom_positions()
+    track_pool = list(range(2, 2 + 3 * len(axioms) + 2))
+    rng.shuffle(track_pool)
+    for a, new_track in zip(axioms, track_pool):
+        node = checked.node(a)
+        assert isinstance(node, AxNode)
+        by_parent: dict[Position, list[Position]] = {}
+        # the parents, and so the tracks drawn, follow this set's iteration order
+        for c in frozenset(p for p in node.stype.support if p and p[-1] >= 2):
+            by_parent.setdefault(c[:-1], []).append(c)
+        assignment: dict[Position, Track] = {}
+        for parent, siblings in by_parent.items():
+            for c, new in zip(sorted(siblings), fresh_tracks(len(siblings))):
+                assignment[c] = new
+        axiom_types[a] = assignment
+        axiom_tracks[a] = new_track
     return DerivationRelabelling(arg, axiom_types, axiom_tracks)

@@ -26,6 +26,7 @@ from samples import (
     make_nested,
     make_self_app,
 )
+from test_derivations import deep_x_u
 from test_stypes import DEEP, deep_type
 
 
@@ -96,6 +97,13 @@ def test_check_an_axiom_typed_10000_deep(tmp_path, capsys):
     assert run(["check", "--file", str(path)]) == 0
     text = print_type(t)
     assert capsys.readouterr().out == f"x:(2:{text}) |- x : {text}\n"
+
+
+def test_check_S_compares_sides_300_deep(tmp_path, capsys):
+    path = tmp_path / "deep_app.deriv"
+    path.write_text(dumps_derivation(deep_x_u(300)))
+    assert run(["check", "--file", str(path), "--flavor", "S"]) == 0
+    assert capsys.readouterr().out.endswith("|- x u : o\n")
 
 
 def test_an_axiom_type_with_a_duplicate_track_is_bad_input(tmp_path, capsys):

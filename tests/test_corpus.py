@@ -180,7 +180,7 @@ def test_sr_corpus_is_deterministic():
 
 def test_tower_shapes():
     body = generate_normal_form_derivations(parse_term("x"), GenBudget(width=0))[0]
-    tower = make_tower(body, "x", height=2)
+    tower = make_tower(body, height=2)
     assert print_term(tower.term) == "(\\m x. x) m0 v"
     assert len(redexes(tower.term)) == 1
     for op in tower_instances(7, 5):

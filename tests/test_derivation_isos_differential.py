@@ -36,7 +36,8 @@ from seqtypes.trivialize import (
 
 import reference_derivation_isos as ref
 import reference_judgment_isos as original
-from reference_relabelling import as_dicts
+import reference_threads
+from reference_relabelling import random_relabelling as reference_random_relabelling
 from test_judgment_isos_differential import (
     CORPUS_SEED,
     corpus_operables,
@@ -50,16 +51,21 @@ def as_reference(iso: DerivationIso) -> ref.DerivationIso:
 
 
 def test_reset_support_maps_match_reference():
-    rng = random.Random(CORPUS_SEED + 11)
+    # the expected letters are drawn again, from a second generator with the
+    # same seed, or rebuilt by the reference thread analysis: none is read
+    # off the support map under test
+    rng, again = random.Random(CORPUS_SEED + 11), random.Random(CORPUS_SEED + 11)
     operables = corpus_operables() + tower_operables() + wide_operables()
     for op in operables:
-        relabelling = random_relabelling(op.checked, rng)
-        reset = reset_derivation(op.checked, relabelling, op.interface)
+        reset = reset_derivation(op.checked, random_relabelling(op.checked, rng), op.interface)
         result = trivialize(op)
-        for iso, relab in ((reset.iso, relabelling), (result.iso, result.relabelling)):
+        built = reference_threads.build_relabelling(result.analysis, result.classes, result.values)
+        for iso, relab in (
+            (reset.iso, reference_random_relabelling(op.checked, again)),
+            (result.iso, built),
+        ):
             assert isinstance(iso.supp_map, ZeroOneIso)
-            expected = ref.reset_support_map(op.checked, as_dicts(op.checked, relab))
-            assert iso.supp_map.mapping == expected
+            assert iso.supp_map.mapping == ref.reset_support_map(op.checked, relab)
     assert len(operables) == 537
 
 

@@ -95,6 +95,35 @@ def test_brothers_checks_as_Sh_but_not_S():
         check_derivation(Derivation(brothers.term, "S", brothers.nodes))
 
 
+def deep_x_u(depth: int, deepest: str = "o") -> Derivation:
+    """x u in S, u's type nested `depth` deep, alternately through a source
+    and a target.  The two sides of the application are built separately,
+    so comparing them cannot stop at a shared object; the argument's
+    deepest atom is `deepest`."""
+
+    def build(atom: str) -> SArrow:
+        t = SAtom(atom)
+        for i in range(depth):
+            t = SArrow(seq({2: t}), O) if i % 2 else SArrow(seq({3: O}), t)
+        return t
+
+    nodes = {
+        EPS: AppNode(frozenset({2})),
+        (1,): AxNode(2, SArrow(seq({2: build("o")}), O)),
+        (2,): AxNode(2, build(deepest)),
+    }
+    return Derivation(parse_term("x u"), "S", nodes)
+
+
+@pytest.mark.parametrize("depth", [300, 10_000])
+def test_the_S_rule_compares_deep_sides(depth):
+    # the dataclass `!=` raised RecursionError from 300 deep
+    assert check_derivation(deep_x_u(depth)).type_at(EPS) == O
+    with pytest.raises(AppMismatch) as exc:
+        check_derivation(deep_x_u(depth, deepest="p"))
+    assert exc.value.position == EPS
+
+
 def test_malformed_shapes_detected():
     term = parse_term("\\x. x x")
     with pytest.raises(MalformedShape):

@@ -325,7 +325,7 @@ def test_build_operable_collapses_each_derivation_once(monkeypatch):
     the realized choice."""
     computed = count_computations(monkeypatch, "collapse")
     body = generate_normal_form_derivations(parse_term("x w"))[0]
-    checked = make_tower(body, "x", 2)
+    checked = make_tower(body, 2)
     rd = collapse_derivation(checked)
     sequence = []
     for _ in range(2):
@@ -341,14 +341,14 @@ def test_one_step_finds_the_nodes_over_the_redex_with_one_scan(monkeypatch):
     # apps_over is the one scan that finds the nodes over a term position
     computed = count_computations(monkeypatch, "apps_over")
     body = generate_normal_form_derivations(parse_term("x w"))[0]
-    checked = make_tower(body, "x", 2)
+    checked = make_tower(body, 2)
     op = make_operable(checked)
     (b,) = redexes(checked.term)
     reduce_operable(op, b)
     assert computed == {id(checked): 1}
     # a two-step choice sequence scans the base and the intermediate derivation once each
     computed.clear()
-    checked = make_tower(body, "x", 2)
+    checked = make_tower(body, 2)
     rd = collapse_derivation(checked)
     sequence = []
     for _ in range(2):

@@ -38,6 +38,7 @@ from seqtypes.stypes import (
     relabel_type,
     rarrow,
     rmultiset,
+    same_type,
     seq,
     seq_union,
 )
@@ -170,6 +171,36 @@ def test_parse_print_round_trip():
         parse_type("o ->")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message, offset",
+    [
+        (parse_type, "(1:o) -> o", "sequence tracks are >= 2", 1),
+        (parse_type, "o ->", "trailing input '->'", 2),
+        (parse_type, "o $", "unexpected character '$'", 2),
+        (parse_type, "o - > o", "unexpected character '-'", 2),
+        (parse_type, "_o", "unexpected character '_'", 0),
+        (parse_type, "'o", "unexpected character \"'\"", 0),
+        (parse_type, "(2 o) -> o", "expected ':' after track", 3),
+        (parse_type, "(o) -> o", "expected a track number", 1),
+        (parse_type, "(2:o,) -> o", "expected a track number", 5),
+        (parse_type, "(2:o 3:o) -> o", "expected ',' or ')'", 5),
+        (parse_type, "(2:o) o", "expected '->' after sequence", 6),
+        (parse_type, "(2:o) -> (3:o)", "expected '->' after sequence", 14),
+        (parse_type, "o o", "trailing input 'o'", 2),
+        (parse_type, "", "unexpected token ''", 0),
+        (parse_type, "() ->", "unexpected token ''", 5),
+        (parse_type, "->", "unexpected token '->'", 0),
+        (parse_type, "2", "unexpected token '2'", 0),
+        (parse_seq_type, "o", "expected '('", 0),
+    ],
+)
+def test_parse_error_messages_and_offsets(parse, text, message, offset):
+    with pytest.raises(TypeSyntaxError) as exc:
+        parse(text)
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"{message} (at offset {offset})"
+
+
 atoms = st.sampled_from([O, OP, O1, O2])
 
 
@@ -222,6 +253,19 @@ def deep_type(n: int):
     for i in range(n):
         t = SArrow(seq({2: t}), O1) if i % 2 else SArrow(seq({3: O2}), t)
     return t
+
+
+def test_same_type_is_equality_at_any_depth():
+    texts = ["o", "o'", "() -> o", "(2:o) -> o", "(3:o) -> o", "(2:o') -> o", "(2:o, 3:o) -> o"]
+    def parsed():
+        return [parse_type(text) for text in texts] + [parse_seq_type("(2:o)"), seq({})]
+
+    # each type against a copy parsed separately, so no walk stops at a shared object
+    for i, t1 in enumerate(parsed()):
+        for j, t2 in enumerate(parsed()):
+            assert same_type(t1, t2) == (t1 == t2) == (i == j)
+    assert same_type(deep_type(DEEP), deep_type(DEEP))
+    assert not same_type(deep_type(DEEP), deep_type(DEEP - 1))
 
 
 def test_parse_type_does_not_recurse():

@@ -15,10 +15,13 @@ from seqtypes.terms import (
     Var,
     alpha_eq,
     beta_reduce_at,
+    binders_above,
+    child,
     free_vars,
     parse_term,
     print_term,
     redexes,
+    replace_at,
     subterm_at,
     support,
 )
@@ -102,6 +105,29 @@ def test_subterm_and_constructor():
         subterm_at(t, (1,))
 
 
+def test_child_reads_every_letter():
+    t = App(DELTA, Var("y"))
+    assert [child(DELTA, k) for k in (0, 1, 2)] == [DELTA.body, None, None]
+    assert [child(t, k) for k in (0, 1, 2, 9)] == [None, DELTA, Var("y"), Var("y")]
+    assert [child(Var("y"), k) for k in (0, 1, 2)] == [None, None, None]
+
+
+def test_replace_at_and_position_errors():
+    t = parse_term("\\z. f (\\x. x) z")
+    assert replace_at(t, (0, 1, 2), Var("g")) == parse_term("\\z. f g z")
+    assert replace_at(t, (0, 7), Var("g")) == parse_term("\\z. f (\\x. x) g")
+    assert replace_at(t, EPS, Var("g")) == Var("g")
+    assert binders_above(t, (0, 1, 2, 0)) == {"z", "x"}
+    assert binders_above(t, (0, 1, 2)) == {"z"}
+    for walk in (subterm_at, binders_above, beta_reduce_at):
+        with pytest.raises(PositionError, match="position 0.0 outside the support"):
+            walk(t, (0, 0))
+    with pytest.raises(PositionError, match="position 1 outside the support"):
+        replace_at(t, (1,), Var("g"))
+    with pytest.raises(NotARedexError, match="no redex at 0.1"):
+        beta_reduce_at(t, (0, 1))
+
+
 def test_beta_reduce():
     assert beta_reduce_at(parse_term("(\\x.x) y"), EPS) == Var("y")
     assert beta_reduce_at(parse_term("(\\x.x x) y"), EPS) == App(Var("y"), Var("y"))
@@ -162,6 +188,21 @@ def test_support_and_redexes_at_depth_2000():
 
 
 DEEP = 10_000
+
+
+def test_positions_at_depth_10000():
+    # results are compared through print_term: `==` on terms recurses
+    t, b = nested_redex(DEEP), (2,) * DEEP
+    assert print_term(subterm_at(t, b)) == "(\\x. x) u"
+    assert print_term(subterm_at(t, (5,) * DEEP + (1,))) == "\\x. x"
+    reduced = beta_reduce_at(t, b)
+    assert print_term(reduced) == "v (" * (DEEP - 1) + "v u" + ")" * (DEEP - 1)
+    assert print_term(beta_reduce_at(t, (3,) * DEEP)) == print_term(reduced)
+    chain: Term = Var("u")
+    for i in reversed(range(DEEP)):
+        chain = Abs(f"x{i}", chain)
+    assert binders_above(chain, (0,) * DEEP) == {f"x{i}" for i in range(DEEP)}
+    assert binders_above(chain, (0,) * 3) == {"x0", "x1", "x2"}
 
 
 def deep_term(shape: str) -> tuple[str, Term]:

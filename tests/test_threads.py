@@ -248,3 +248,18 @@ def test_deep_nesting_analysis_stores_no_copied_blocks():
         tracemalloc.stop()
     assert len(analysis.edges) == 1_006_001
     assert peak < 16 * 2**20
+
+
+def test_thread_sizes_count_the_stored_edges():
+    """A size counts each copy of an own-block edge without listing the
+    thread's members."""
+    for ops in (make_nested(40), make_wide(5)):
+        analysis = ThreadAnalysis(make_operable(check_derivation(ops)))
+        threads = analysis.threads
+        assert [analysis.thread_size(t) for t in range(len(threads))] == [
+            len(thread.edges) for thread in threads
+        ]
+    analysis = ThreadAnalysis(make_operable(check_derivation(make_nested(1000))))
+    sizes = [analysis.thread_size(t) for t in range(len(analysis.threads))]
+    assert sum(sizes) == 1_006_001
+    assert "_members" not in vars(analysis)

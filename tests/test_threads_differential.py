@@ -4,8 +4,8 @@
 On the hybrid acceptance corpus (each derivation with a seeded random
 interface), on the wide family `v (w u)^m` and on the redex towers, every
 observable must agree: edges, thread ids, members, referents, labels and
-kinds, per-edge tops and polarities, consumption arcs, closure classes and
-track values.
+kinds, thread sizes, per-edge tops and polarities, consumption arcs,
+closure classes and track values.
 The CLI outputs on the samples must match, byte for byte, the ones the
 chain-walking implementation printed: `cli_golden.json` holds
 `cli_outputs` as recorded with it.
@@ -81,6 +81,8 @@ def random_partition(n: int, rng: random.Random) -> list[list[int]]:
 def assert_same_analysis(op: OperableDerivation, rng: random.Random) -> None:
     new = ThreadAnalysis(op)
     ref = ReferenceAnalysis(op)
+    sizes = [new.thread_size(t) for t in range(len(ref.threads))]
+    assert sizes == [len(thread.edges) for thread in ref.threads]
     assert new.edges == ref.edges
     assert new.threads == ref.threads
     for e in new.edges:

@@ -355,7 +355,7 @@ def test_trivialize_towers_and_strategy():
 
 def test_collapsing_strategy_single_step():
     body = generate_normal_form_derivations(parse_term("x w"), GenBudget(width=1))[1]
-    op_checked = make_tower(body, "x", height=1)
+    op_checked = make_tower(body, height=1)
     op = make_operable(op_checked)
     analysis = ThreadAnalysis(op)
     inner_arcs = [
@@ -371,7 +371,7 @@ def test_collapsing_strategy_single_step():
 
 def test_collapsing_strategy_height_three():
     body = generate_normal_form_derivations(parse_term("x w"), GenBudget(width=1))[1]
-    tower = make_tower(body, "x", height=3)
+    tower = make_tower(body, height=3)
     op = make_operable(tower)
     analysis = ThreadAnalysis(op)
     inner_arcs = [
@@ -391,7 +391,7 @@ def forged_strategy_witness():
     first step; return the witness the raised error carries (None when
     nothing is raised)."""
     body = generate_normal_form_derivations(parse_term("x w"), GenBudget(width=1))[1]
-    op = make_operable(make_tower(body, "x", height=3))
+    op = make_operable(make_tower(body, height=3))
     analysis = ThreadAnalysis(op)
     arc = next(
         arc
