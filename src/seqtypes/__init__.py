@@ -40,7 +40,6 @@ from .stypes import (
     print_type,
     relabel_type,
     seq,
-    seq_union,
 )
 from .derivations import (
     AbsNode,

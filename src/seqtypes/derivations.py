@@ -44,7 +44,6 @@ from .stypes import (
     print_type,
     rarrow,
     rmultiset,
-    same_type,
     seq,
 )
 from .terms import (
@@ -111,9 +110,6 @@ class Context:
             if name == x:
                 return f
         return EMPTY_SEQ
-
-    def domain(self) -> list[str]:
-        return [x for x, _ in self.entries]
 
 
 @dataclass(frozen=True)
@@ -226,17 +222,19 @@ class CheckedDerivation:
         ]
         return Judgment(Context(tuple(sorted(free))), self._subjects[EPS], self._types[EPS])
 
+    @cached_property
+    def preorder(self) -> tuple[Position, ...]:
+        """Every node in the order of the checker's walk: preorder, which is
+        increasing position order."""
+        return tuple(reversed(self._types))
+
     def app_positions(self) -> list[Position]:
-        return sorted(a for a, n in self.nodes.items() if isinstance(n, AppNode))
+        nodes = self.nodes
+        return [a for a in self.preorder if isinstance(nodes[a], AppNode)]
 
     def axiom_positions(self) -> list[Position]:
-        return sorted(a for a, n in self.nodes.items() if isinstance(n, AxNode))
-
-    def axiom_track(self, a: Position) -> Track:
-        node = self.nodes[a]
-        if not isinstance(node, AxNode):
-            raise KeyError(f"{format_position(a)} is not an axiom")
-        return node.track
+        nodes = self.nodes
+        return [a for a in self.preorder if isinstance(nodes[a], AxNode)]
 
     def left_seq(self, a: Position) -> SeqType:
         node = self.nodes.get(a)
@@ -282,7 +280,7 @@ class CheckedDerivation:
         """
         rnodes: dict[Position, RNode] = {}
         letter: dict[Position, int] = {}  # argument premise -> 2 + its rank in the R-node
-        for a in sorted(self.nodes, reverse=True):
+        for a in reversed(self.preorder):
             node = self.nodes[a]
             if isinstance(node, AxNode):
                 rnodes[a] = RAxD(node.stype.collapse)
@@ -293,7 +291,7 @@ class CheckedDerivation:
                 letter.update((a + (k,), j) for j, k in enumerate(order, start=2))
                 rnodes[a] = RAppD(rnodes[a + (1,)], tuple(rnodes[a + (k,)] for k in order))
         positions: dict[Position, Position] = {EPS: EPS}
-        for a in sorted(self.nodes)[1:]:
+        for a in self.preorder[1:]:
             positions[a] = positions[a[:-1]] + (letter.get(a, a[-1]),)
         return RDerivation(self.term, rnodes[EPS]), positions
 
@@ -397,10 +395,8 @@ def _check_nodes(
                     raise MalformedShape(a, "left premise does not conclude with an arrow")
                 lseq = left.source
                 rseq = right_seqs[a] = seq((k, types[a + (k,)]) for k in node.arg_tracks)
-                if flavor == FLAVOR_S:
-                    if not same_type(lseq, rseq):
-                        raise AppMismatch(a, lseq, rseq)
-                elif not equiv(lseq, rseq):
+                mismatch = lseq != rseq if flavor == FLAVOR_S else not equiv(lseq, rseq)
+                if mismatch:
                     raise AppMismatch(a, lseq, rseq)
                 types[a] = left.target
             if a in meets:
@@ -452,7 +448,7 @@ class JudgmentIsos:
         self.checked = checked
         self._args = args
         self._psi: dict[Position, ZeroOneIso] = {}
-        for a in sorted(checked.nodes, reverse=True):
+        for a in reversed(checked.preorder):
             node = checked.nodes[a]
             if isinstance(node, AxNode):
                 iso = axioms[a][1] if a in axioms else identity_iso(node.stype)

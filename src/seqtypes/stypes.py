@@ -36,14 +36,6 @@ class TypeSyntaxError(ValueError):
         self.offset = offset
 
 
-class TrackConflictError(ValueError):
-    """Disjoint union of sequence types failed; carries the clashing tracks."""
-
-    def __init__(self, tracks: frozenset[Track]) -> None:
-        super().__init__(f"track conflict on {sorted(tracks)}")
-        self.tracks = tracks
-
-
 class RelabellingError(ValueError):
     """New tracks that miss a mutable position, are not mutable, or give two
     siblings the same track."""
@@ -53,12 +45,42 @@ class _TypeFacts:
     """The facts of an S-type or a sequence type, each computed at most once
     per node and kept on it, shared by every reader: none can be mutated.
 
-    `collapse` and `_identity` (read by `identity_iso`) are built bottom-up
-    from the children's cached facts; `support` and `mutable_positions` walk
-    the node top-down and are kept on that node only, since on shared
-    subtypes they would repeat every position once per enclosing type.  No
-    walk recurses.
+    `collapse`, `_identity` (read by `identity_iso`) and the hash are built
+    bottom-up from the children's cached facts; `support` and
+    `mutable_positions` walk the node top-down and are kept on that node
+    only, since on shared subtypes they would repeat every position once per
+    enclosing type.  No walk recurses, and neither does `==`.
     """
+
+    def __eq__(self, other: object) -> bool:
+        """Syntactic equality, walked on an explicit stack that skips a pair
+        met as one object."""
+        if not isinstance(other, _TypeFacts):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            u1, u2 = stack.pop()
+            if u1 is u2:
+                continue
+            if type(u1) is not type(u2) or type(u1) is SAtom and u1.name != u2.name:
+                return False
+            if type(u1) is SArrow:
+                stack += ((u1.source, u2.source), (u1.target, u2.target))
+            elif type(u1) is SeqType:
+                if len(u1.entries) != len(u2.entries):
+                    return False
+                for (k1, s1), (k2, s2) in zip(u1.entries, u2.entries):
+                    if k1 != k2:
+                        return False
+                    stack.append((s1, s2))
+        return True
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return _bottom_up(self, "_hash", _hash_here)
 
     @cached_property
     def collapse(self) -> Union["RType", tuple["RType", ...]]:
@@ -87,12 +109,12 @@ class _TypeFacts:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SAtom(_TypeFacts):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SArrow(_TypeFacts):
     source: "SeqType"
     target: "SType"
@@ -101,7 +123,7 @@ class SArrow(_TypeFacts):
 SType = Union[SAtom, SArrow]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeqType(_TypeFacts):
     entries: tuple[tuple[Track, SType], ...]
 
@@ -139,20 +161,6 @@ EMPTY_SEQ = SeqType(())
 def seq(entries: Mapping[Track, SType] | Iterable[tuple[Track, SType]]) -> SeqType:
     pairs = entries.items() if isinstance(entries, Mapping) else entries
     return SeqType(tuple(sorted(pairs, key=itemgetter(0))))  # by track: types are unordered
-
-
-def seq_union(*seqs: SeqType) -> SeqType:
-    merged: dict[Track, SType] = {}
-    clashes: set[Track] = set()
-    for f in seqs:
-        for k, stype in f.items():
-            if k in merged:
-                clashes.add(k)
-            else:
-                merged[k] = stype
-    if clashes:
-        raise TrackConflictError(frozenset(clashes))
-    return seq(merged)
 
 
 def _children(u: SType | SeqType) -> tuple[tuple[Track, SType], ...]:
@@ -194,6 +202,14 @@ def _collapse_here(u: SType | SeqType) -> Union["RType", tuple["RType", ...]]:
         # the source's collapse is already a sorted multiset
         return RArrow(u.source.collapse, u.target.collapse)
     return rmultiset(s.collapse for _, s in u.entries)
+
+
+def _hash_here(u: SType | SeqType) -> int:
+    if isinstance(u, SAtom):
+        return hash(u.name)
+    if isinstance(u, SArrow):
+        return hash((u.source._hash, u.target._hash))
+    return hash(tuple((k, s._hash) for k, s in u.entries))
 
 
 def _identity_here(u: SType | SeqType) -> ZeroOneIso:
@@ -284,28 +300,6 @@ def equiv(t1: SType | SeqType, t2: SType | SeqType) -> bool:
     if isinstance(t1, SeqType) != isinstance(t2, SeqType):
         return False
     return t1.collapse == t2.collapse
-
-
-def same_type(t1: SType | SeqType, t2: SType | SeqType) -> bool:
-    """Syntactic equality, walked on an explicit stack: the dataclass `==`
-    recurses, so it fails on deep types."""
-    stack = [(t1, t2)]
-    while stack:
-        u1, u2 = stack.pop()
-        if u1 is u2:
-            continue
-        if type(u1) is not type(u2) or type(u1) is SAtom and u1.name != u2.name:
-            return False
-        if type(u1) is SArrow:
-            stack += ((u1.source, u2.source), (u1.target, u2.target))
-        elif type(u1) is SeqType:
-            if len(u1.entries) != len(u2.entries):
-                return False
-            for (k1, s1), (k2, s2) in zip(u1.entries, u2.entries):
-                if k1 != k2:
-                    return False
-                stack.append((s1, s2))
-    return True
 
 
 def _label(u: SType | SeqType) -> Optional[str]:

@@ -9,7 +9,7 @@ threads are the equivalence classes, and the interface of an operable
 derivation consumes them pairwise at application nodes.
 
 Cost model: an edge is an integer id with no object of its own.  Ids
-follow `edge_key` order in contiguous blocks: one per argument node, then
+follow edge order in contiguous blocks: one per argument node, then
 per node the mutable positions of its type (right edges), then per (node,
 variable) the context entry (left edges).  No context is built: by
 quantitativity the entry of x at v is the axioms below v that x's binder
@@ -78,14 +78,6 @@ class LeftEdge:
 Edge = Union[ArgEdge, RightEdge, LeftEdge]
 
 
-def edge_key(e: Edge) -> tuple:
-    if isinstance(e, ArgEdge):
-        return (0, e.pos)
-    if isinstance(e, RightEdge):
-        return (1, e.pos, e.inner)
-    return (2, e.pos, e.var, e.inner)
-
-
 def edge_label(e: Edge) -> Track:
     if isinstance(e, ArgEdge):
         return e.pos[-1]
@@ -116,8 +108,6 @@ class ConsumptionArc:
     pos: Position
     left_polarity: str
     right_polarity: str
-    left_edge: Edge
-    right_edge: Edge
 
 
 @dataclass(frozen=True)
@@ -207,7 +197,7 @@ class ThreadAnalysis:
         self.op, self.checked = op, op.checked
         # node ids follow position order, so the subtree of v is the ids from
         # v up to `_end[v]`; `_child[v][k]` is the id of v.k
-        self._positions = sorted(self.checked.support())
+        self._positions = self.checked.preorder
         self._nodes: list[Node] = [self.checked.node(a) for a in self._positions]
         self._node_id = {a: v for v, a in enumerate(self._positions)}
         self._child: list[dict[Track, int]] = [{} for _ in self._positions]
@@ -392,7 +382,7 @@ class ThreadAnalysis:
 
     @property
     def edges(self) -> Sequence[Edge]:
-        """Every mutable edge in `edge_key` order, built when read."""
+        """Every mutable edge in edge order, built when read."""
         return _Built(self._n_edges, self._edge)
 
     def highest_ascendant(self, e: Edge) -> Edge:
@@ -548,12 +538,9 @@ class ThreadAnalysis:
 
     @cached_property
     def _arcs(self) -> list[ConsumptionArc]:
-        thread_of, edge, pol, positions = self._thread_of, self._edge, self._polarity, self._positions
+        thread_of, pol, positions = self._thread_of, self._polarity, self._positions
         return [
-            ConsumptionArc(
-                thread_of[left], thread_of[right], positions[v], pol(left), pol(right),
-                edge(left), edge(right),
-            )
+            ConsumptionArc(thread_of[left], thread_of[right], positions[v], pol(left), pol(right))
             for v, left, right in self._consumed
         ]
 
@@ -609,9 +596,9 @@ class ThreadAnalysis:
         for arc in arcs:
             components.union(arc.left, arc.right)
         for members in components.classes():
-            for t1, t2 in itertools.combinations(members, 2):
-                if self.brothers(t1, t2):
-                    return self._bfs_chain(adjacency, t1, t2)
+            pair = self.brother_pair(members)
+            if pair is not None:
+                return self._bfs_chain(adjacency, *pair)
         return None
 
     def _bfs_chain(self, adjacency, start: int, goal: int) -> BrotherChain:
@@ -671,12 +658,12 @@ def dot_export(analysis: ThreadAnalysis) -> str:
     """The derivation tree with argument edges colored per thread."""
     checked = analysis.checked
     lines = ["digraph derivation {", '  node [shape=box, fontsize=10];']
-    for a in sorted(checked.support()):
+    for a in checked.preorder:
         node = checked.node(a)
         kind = "ax" if isinstance(node, AxNode) else "abs" if isinstance(node, AbsNode) else "app"
         label = f"{format_position(a)}\\n{kind} : {print_type(checked.type_at(a))}"
         lines.append(f'  "{format_position(a)}" [label="{label}"];')
-    for a in sorted(checked.support()):
+    for a in checked.preorder:
         for k in checked.children(a):
             child = a + (k,)
             if k >= 2:

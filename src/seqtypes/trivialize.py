@@ -27,7 +27,7 @@ from .positions import (
     iter_01_isos,
 )
 from .stypes import check_type_iso, iter_type_isos, relabel_type
-from .terms import Var, alpha_key
+from .terms import Var, alpha_eq
 from .derivations import (
     AbsNode,
     AppNode,
@@ -171,7 +171,7 @@ def _support_iso(
     """The support map keeping 0 and 1 and sending each argument letter of a
     node to `new_letter` of the argument's position, built bottom-up."""
     kids: dict[Position, dict[Track, tuple[Track, ZeroOneIso]]] = {}
-    for a in sorted(checked.nodes, reverse=True)[:-1]:
+    for a in reversed(checked.preorder[1:]):
         sub = ZeroOneIso.node(kids.pop(a)) if a in kids else LEAF
         k = a[-1]
         kids.setdefault(a[:-1], {})[k] = (k if k < 2 else new_letter(a), sub)
@@ -213,7 +213,7 @@ def verify_derivation_iso(
     """All hybrid-iso clauses; with interfaces, also the commuting square.
     The support map is a 01-isomorphism by construction: only its domain and
     image are checked, and it keeps every node's term position, so its rule."""
-    if alpha_key(c1.term) != alpha_key(c2.term):
+    if not alpha_eq(c1.term, c2.term):
         return False
     supp_map = iso.supp_map.mapping
     if supp_map.keys() != c1.support() or set(supp_map.values()) != c2.support():
@@ -270,7 +270,7 @@ def enumerate_derivation_isos(
     """Hybrid-derivation isomorphisms, up to the given budget.  Support
     isomorphisms and each axiom's type isomorphisms are drawn lazily, so the
     search stops once `limit` are found."""
-    if alpha_key(c1.term) != alpha_key(c2.term):
+    if not alpha_eq(c1.term, c2.term):
         return []
     out: list[DerivationIso] = []
     axioms = c1.axiom_positions()

@@ -5,8 +5,9 @@ full context of every node: `context` at each axiom, `Context.without` at
 each abstraction and the disjoint union `context_union` at each
 application, whose `TrackConflictError` it turned into `TrackConflict`
 with `_conflict_variable`.  The checker, its `CheckedDerivation` and the
-helpers are copied here verbatim, with `_walk_nodes`; `Context.without`
-becomes the function `without`.  Only the imports differ, and the old
+helpers are copied here verbatim, with `_walk_nodes` and, from `stypes`,
+`seq_union` and `TrackConflictError`; `Context.without` becomes the
+function `without`.  Only the imports differ, and the old
 `RPath` of (kind, index) steps is defined here: the judgments
 are built from the library's `Context` and `Judgment`, so they compare
 equal to the ones the library builds lazily.
@@ -47,10 +48,32 @@ from seqtypes.derivations import (
     TrackConflict,
 )
 from seqtypes.positions import EPS, Position, Track, collapse_position, format_position
-from seqtypes.stypes import SArrow, SeqType, SType, TrackConflictError, equiv, seq, seq_union
+from seqtypes.stypes import SArrow, SeqType, SType, equiv, seq
 from seqtypes.terms import Abs, App, Term, Var
 
 RPath = tuple[tuple[int, int], ...]  # (0,0) abs child, (1,0) app left, (2,j) argument j
+
+
+class TrackConflictError(ValueError):
+    """Disjoint union of sequence types failed; carries the clashing tracks."""
+
+    def __init__(self, tracks: frozenset[Track]) -> None:
+        super().__init__(f"track conflict on {sorted(tracks)}")
+        self.tracks = tracks
+
+
+def seq_union(*seqs: SeqType) -> SeqType:
+    merged: dict[Track, SType] = {}
+    clashes: set[Track] = set()
+    for f in seqs:
+        for k, stype in f.items():
+            if k in merged:
+                clashes.add(k)
+            else:
+                merged[k] = stype
+    if clashes:
+        raise TrackConflictError(frozenset(clashes))
+    return seq(merged)
 
 
 def without(ctx: Context, x: str) -> Context:
@@ -308,7 +331,7 @@ def quantitativity_holds(checked: CheckedDerivation) -> bool:
     """C(a)(x) is exactly the union of the axioms above; automatic when finite."""
     for a in checked.support():
         ctx = checked.context_at(a)
-        names = set(ctx.domain())
+        names = {x for x, _ in ctx.entries}
         subj = checked.judgments[a].subject
         if isinstance(subj, Var):
             names.add(subj.name)

@@ -100,7 +100,7 @@ def axioms_above(checked: CheckedDerivation, a: Position, x: str) -> set[Positio
 
 def pos_of(checked: CheckedDerivation, a: Position, x: str, k: Track) -> Position:
     for a0 in axioms_above(checked, a, x):
-        if checked.axiom_track(a0) == k:
+        if checked.node(a0).track == k:
             return a0
     raise KeyError(f"no axiom of {x!r} with track {k} above {format_position(a)}")
 
@@ -157,7 +157,7 @@ class NodeIsos:
 
     def context_iso(self, a: Position, x: str) -> DictIso:
         mapping: dict[Position, Position] = {}
-        for k in sorted(map(self.c1.axiom_track, axioms_above(self.c1, a, x))):
+        for k in sorted(self.c1.node(a0).track for a0 in axioms_above(self.c1, a, x)):
             a0 = pos_of(self.c1, a, x, k)
             image = self.supp_map[a0]
             node2 = self.c2.node(image)

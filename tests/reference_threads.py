@@ -11,7 +11,7 @@ compares `seqtypes.threads.ThreadAnalysis` and the closure/track steps of
 the `seqtypes.trivialize` functions, kept verbatim: they look every thread
 up through `thread_of(ArgEdge(...))`-style keys and `thread(tid).referent`.
 `test_thread_lookups_differential.py` compares the id-based ones against
-them.
+them.  `edge_key` is the edge order that the library's edge ids follow.
 
 The contexts come from `reference_checker.check_derivation`, which builds
 every node's context independently of the library's per-binder index.
@@ -36,13 +36,20 @@ from seqtypes.threads import (
     RightEdge,
     Thread,
     ThreadAnalysis,
-    edge_key,
     edge_label,
 )
 from seqtypes.trivialize import ThreadClasses
 
 import reference_checker
 from reference_relabelling import DerivationRelabelling
+
+
+def edge_key(e: Edge) -> tuple:
+    if isinstance(e, ArgEdge):
+        return (0, e.pos)
+    if isinstance(e, RightEdge):
+        return (1, e.pos, e.inner)
+    return (2, e.pos, e.var, e.inner)
 
 
 class DictUnionFind:
@@ -212,8 +219,6 @@ class ReferenceAnalysis:
                         a,
                         self.polarity(e_left),
                         self.polarity(e_right),
-                        e_left,
-                        e_right,
                     )
                 )
         return arcs

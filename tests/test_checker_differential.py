@@ -72,7 +72,7 @@ def assert_same_check(deriv: Derivation) -> CheckedDerivation:
         elif isinstance(deriv.nodes[a], AbsNode):
             bound = new.bound_by(a)
             assert sorted(bound.values()) == sorted(old.bound_by(a))
-            assert all(new.axiom_track(p) == k for k, p in bound.items())
+            assert all(new.node(p).track == k for k, p in bound.items())
     return new
 
 
@@ -190,7 +190,7 @@ def test_duplicated_binder_tracks_raise_as_reference():
     for checked in base_derivations():
         for ps in bound_groups(checked):
             for p, q in zip(ps, ps[1:]):
-                deriv = retracked(checked.derivation, {q: checked.axiom_track(p)})
+                deriv = retracked(checked.derivation, {q: checked.node(p).track})
                 conflicts += conflict_at(assert_same_outcome(deriv))
     assert conflicts > 300
 
@@ -200,7 +200,7 @@ def test_three_way_clashes_raise_as_reference():
     for checked in base_derivations():
         for ps in bound_groups(checked):
             if len(ps) >= 3:
-                track = checked.axiom_track(ps[0])
+                track = checked.node(ps[0]).track
                 deriv = retracked(checked.derivation, {p: track for p in ps})
                 conflicts += conflict_at(assert_same_outcome(deriv))
     assert conflicts > 20
@@ -228,7 +228,7 @@ def test_two_variables_clashing_at_one_application_raise_as_reference():
             for i, first in enumerate(shared):
                 for second in shared[i + 1 :]:
                     pairs = (first[:2], second[:2])
-                    moves = {qs[0]: checked.axiom_track(ps[0]) for ps, qs in pairs}
+                    moves = {qs[0]: checked.node(ps[0]).track for ps, qs in pairs}
                     got = assert_same_outcome(retracked(checked.derivation, moves))
                     at_the_application += got[0] is TrackConflict and got[1] == c
     assert at_the_application > 30
@@ -280,7 +280,7 @@ def test_wrong_abstraction_sources_raise_as_reference():
         for p, binder in checked.binders.items():
             if binder is not None:
                 nodes = dict(checked.nodes)
-                nodes[p] = AxNode(checked.axiom_track(p), SAtom("fresh"))
+                nodes[p] = AxNode(checked.node(p).track, SAtom("fresh"))
                 got = assert_same_outcome(Derivation(checked.term, checked.flavor, nodes))
                 mismatches += got[0] is AppMismatch
     assert mismatches > 300
@@ -317,7 +317,7 @@ def test_conflict_with_a_shape_fault_elsewhere_raises_as_reference():
     kinds: dict = {}
     for checked in base_derivations():
         for ps in bound_groups(checked)[:2]:
-            deriv = retracked(checked.derivation, {ps[1]: checked.axiom_track(ps[0])})
+            deriv = retracked(checked.derivation, {ps[1]: checked.node(ps[0]).track})
             got = assert_same_outcome(misplaced(deriv, rng))
             kinds[got[0]] = kinds.get(got[0], 0) + 1
     assert kinds.get(TrackConflict, 0) > 20 and len(kinds) >= 3

@@ -162,7 +162,7 @@ def test_L_R_of_self_app():
 def test_bound_by_and_pos():
     checked = check_derivation(make_self_app())
     assert checked.bound_by(EPS) == {4: (0, 1), 9: (0, 2), 2: (0, 3), 5: (0, 8)}
-    assert all(checked.axiom_track(a) == k for k, a in checked.bound_by(EPS).items())
+    assert all(checked.node(a).track == k for k, a in checked.bound_by(EPS).items())
     assert checked.bound_by((0,)) == {}
     # a free variable's axioms are indexed under its name
     brothers = check_derivation(make_brothers())
@@ -335,13 +335,13 @@ def test_checker_and_reduction_build_no_context(monkeypatch):
     # the conclusion builds its one context, from the free variables' axioms
     conclusion = check_derivation(make_brothers()).conclusion()
     assert len(built) == 1
-    assert conclusion.context.domain() == ["a", "b", "z"]
+    assert [x for x, _ in conclusion.context.entries] == ["a", "b", "z"]
 
 
 def test_relevance():
     checked = check_derivation(make_brothers())
     free = {"z", "a", "b"}
-    assert set(checked.conclusion().context.domain()) <= free
+    assert {x for x, _ in checked.conclusion().context.entries} <= free
 
 
 def test_file_round_trip():

@@ -73,7 +73,7 @@ from seqtypes.terms import beta_reduce_at, redexes
 import reference_judgment_isos as ref
 from samples import brothers_operable, make_brothers, make_equal_typed
 from test_reduction_differential import choice_instances, operables, root_choices, s_corpus
-from test_threads_differential import CORPUS_SEED
+from test_threads_differential import CORPUS_SEED, hybrid_operables, wide_operables
 
 MUTANT = SAtom("mutant")
 
@@ -123,6 +123,30 @@ def test_operable_and_Sh_reducts_agree_with_the_full_check():
                 assert_full_check_agrees(reduce_Sh(checked, b, ReductionChoice(b, per_node)))
                 cases += 1
     assert steps > 2500 and cases > 3000
+
+
+def test_preorder_is_increasing_position_order():
+    """`preorder`, read off the checker's walk, against sorting the nodes:
+    on the S corpus, its S_h resets, every S reduct of the corpus (the
+    kept-spine path), the towers and their reducts, and the wide family."""
+    checks = 0
+
+    def check(checked: CheckedDerivation) -> None:
+        nonlocal checks
+        assert checked.preorder == tuple(sorted(checked.nodes))
+        checks += 1
+
+    for checked in s_corpus()[:500]:
+        check(checked)
+        for b in typed_redexes(checked):
+            check(reduce_S(checked, b))
+    for op in hybrid_operables() + wide_operables():
+        check(op.checked)
+    for op in tower_instances(CORPUS_SEED + 5, 20):
+        check(op.checked)
+        for b in typed_redexes(op.checked):
+            check(reduce_operable(op, b)[0].checked)
+    assert checks > 1500
 
 
 def choice_sequences(rd, max_len: int) -> list:

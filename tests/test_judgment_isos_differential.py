@@ -244,7 +244,7 @@ def test_bound_by_matches_reference():
                 x = subterm_at(checked.term, a).binder
                 bound = checked.bound_by(a)
                 assert set(bound.values()) == ref.axioms_above(checked, a + (0,), x), a
-                assert all(checked.axiom_track(p) == k for k, p in bound.items())
+                assert all(checked.node(p).track == k for k, p in bound.items())
                 compared += 1
         for x in free_vars(checked.term):
             assert set(checked.bound_by(x).values()) == ref.axioms_above(checked, EPS, x), x

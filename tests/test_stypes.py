@@ -25,7 +25,6 @@ from seqtypes.stypes import (
     RAtom,
     SArrow,
     SAtom,
-    TrackConflictError,
     TypeSyntaxError,
     check_type_iso,
     equiv,
@@ -38,9 +37,7 @@ from seqtypes.stypes import (
     relabel_type,
     rarrow,
     rmultiset,
-    same_type,
     seq,
-    seq_union,
 )
 
 from reference_types import check_01_iso, type_support
@@ -66,27 +63,6 @@ def test_type_support_atom_and_sample_tree():
     assert T1.support == frozenset(
         {EPS, (1,), (4,), (8,), (4, 1), (4, 3), (4, 8)}
     )
-
-
-def test_seq_union_conflict():
-    f1 = seq({2: O, 3: OP})
-    f2 = seq({3: OP, 8: O})
-    with pytest.raises(TrackConflictError) as exc:
-        seq_union(f1, f2)
-    assert exc.value.tracks == frozenset({3})
-
-
-def test_seq_union_unit_and_example():
-    f = seq({2: O, 3: OP})
-    assert seq_union(f, EMPTY_SEQ) == f
-    s, t = SAtom("S"), SAtom("T")
-    assert seq_union(seq({2: s, 3: t}), seq({8: s})) == seq({2: s, 3: t, 8: s})
-
-
-def test_seq_union_commutative_associative():
-    f1, f2, f3 = seq({2: O}), seq({3: OP}), seq({8: O2})
-    assert seq_union(f1, f2) == seq_union(f2, f1)
-    assert seq_union(seq_union(f1, f2), f3) == seq_union(f1, seq_union(f2, f3))
 
 
 def test_collapse_type():
@@ -234,7 +210,7 @@ def test_three_way_agreement(t1, t2):
 @given(stypes_strategy(), stypes_strategy())
 def test_collapse_of_union_is_multiset_sum(s1, s2):
     f1, f2 = seq({2: s1, 5: s2}), seq({3: s2})
-    union = seq_union(f1, f2)
+    union = seq(f1.entries + f2.entries)
     assert union.collapse == rmultiset(
         list(f1.collapse) + list(f2.collapse)
     )
@@ -263,9 +239,16 @@ def test_same_type_is_equality_at_any_depth():
     # each type against a copy parsed separately, so no walk stops at a shared object
     for i, t1 in enumerate(parsed()):
         for j, t2 in enumerate(parsed()):
-            assert same_type(t1, t2) == (t1 == t2) == (i == j)
-    assert same_type(deep_type(DEEP), deep_type(DEEP))
-    assert not same_type(deep_type(DEEP), deep_type(DEEP - 1))
+            assert (t1 == t2) == (i == j) == (not t1 != t2)
+            if i == j:
+                assert hash(t1) == hash(t2)
+    assert O != RAtom("o") and O != "o"
+    # two deep types built separately share no node but the atoms
+    t1, t2, shallower = deep_type(DEEP), deep_type(DEEP), deep_type(DEEP - 1)
+    assert t1 == t2 and hash(t1) == hash(t2)
+    assert t1 != shallower and not t1 == shallower
+    assert {t1, shallower} == {t2, deep_type(DEEP - 1)}
+    assert {t1: "deep"}[t2] == "deep" and shallower not in {t1: "deep"}
 
 
 def test_parse_type_does_not_recurse():

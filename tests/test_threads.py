@@ -167,7 +167,7 @@ def test_axiom_thread_faces_argument_thread(brothers):
     assert len(arcs) == 1
     assert arcs[0].left_polarity == NEG
     assert brothers.thread(arcs[0].right).kind == "argument"
-    assert arcs[0].right_edge == ArgEdge((1, 6))
+    assert arcs[0].right == brothers.arg_thread((1, 6))
 
 
 def test_no_brother_chain(brothers, self_app):

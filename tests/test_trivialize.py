@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -28,7 +29,7 @@ from seqtypes.reduction import (
     reduce_R,
     reduce_S,
 )
-from seqtypes.stypes import SArrow, SAtom, identity_iso, relabel_type
+from seqtypes.stypes import SArrow, SAtom, identity_iso, relabel_type, seq
 from seqtypes.terms import parse_term
 from seqtypes.threads import NEG, ArgEdge, LeftEdge, RightEdge, Thread, ThreadAnalysis
 from seqtypes.trivialize import (
@@ -129,6 +130,37 @@ def test_forged_brother_class_raises(name):
     assert named == pair
 
 
+@pytest.mark.parametrize("name", sorted(BROTHER_PAIRS))
+def test_brother_chain_through_a_third_thread(name):
+    """Two forged arcs join the named brother pair through a third thread,
+    brother to neither: the chain search returns that path, arc by arc.
+
+    The analysis's own arcs cannot be kept: the axiom threads of b and z
+    have none, and joining the classes of the threads of the sibling edges
+    8 and 9 also joins two other brother pairs, which the search would
+    return first."""
+    analysis = ThreadAnalysis(brothers_operable())
+    t1, t2 = (analysis.thread_of(e) for e in BROTHER_PAIRS[name])
+    third = next(
+        t
+        for t in range(len(analysis.threads))
+        if t not in (t1, t2) and not analysis.brothers(t, t1) and not analysis.brothers(t, t2)
+    )
+    real = analysis.consumption()
+    arcs = [
+        dataclasses.replace(real[0], left=t1, right=third),
+        dataclasses.replace(real[-1], left=t2, right=third),
+    ]
+    assert arcs[0].pos != arcs[1].pos
+    analysis.consumption = lambda: arcs
+    chain = analysis.find_brother_chain()
+    assert {chain.threads[0], chain.threads[-1]} == {t1, t2}
+    assert chain.threads[1:-1] == (third,)
+    pos = {frozenset((arc.left, arc.right)): arc.pos for arc in arcs}
+    steps = zip(chain.threads, chain.threads[1:])
+    assert chain.positions == tuple(pos[frozenset(step)] for step in steps)
+
+
 def test_forged_brother_class_raises_under_optimize():
     # `python -O` strips assert statements; the brother check must not be one
     tests = Path(__file__).parent
@@ -207,13 +239,15 @@ def test_reset_relabels_a_deep_axiom_type():
     new_type, phi = relabel_type(t, {c: c[-1] + 5 for c in t.mutable_positions})
     reset = reset_derivation(checked, (DerivationIso(LEAF, {EPS: phi}), {EPS: AxNode(4, new_type)}))
     assert verify_derivation_iso(checked, reset.checked, reset.iso)
-    # walk both types down together; comparing them with == would recurse
-    u, v = t, reset.checked.type_at(EPS)
-    while isinstance(u, SArrow):
-        ((k, s),), ((k2, s2),) = u.source.entries, v.source.entries
-        assert k2 == k + 5
-        u, v = (u.target, v.target) if isinstance(u.target, SArrow) else (s, s2)
-    assert u is v
+    # the expected type, built directly: == walks both on an explicit stack,
+    # where the dataclass == would recurse
+    expected = SAtom("o")
+    for i in range(DEEP_POSITIONS):
+        if i % 2:
+            expected = SArrow(seq({7: expected}), SAtom("o1"))
+        else:
+            expected = SArrow(seq({8: SAtom("o2")}), expected)
+    assert reset.checked.type_at(EPS) == expected
 
 
 # sha256 of the 500 resets below, recorded while relabellings were still
@@ -446,5 +480,8 @@ def test_trivialize_builds_no_edge(monkeypatch):
     for op in ops:
         trivialize(op)
     assert not built
+    # neither do the consumption arcs, which name threads, not edges
+    analysis = ThreadAnalysis(ops[0])
+    assert len(analysis.consumption()) > 0 and not built
     # the counter sees the edges that the analysis builds when read
-    assert len(ThreadAnalysis(ops[0]).consumption()) > 0 and built
+    assert len(analysis.edges[:3]) == 3 and built
