@@ -29,7 +29,6 @@ from .derivations import (
     save_derivation,
 )
 from .reduction import (
-    ChoiceError,
     InterfaceError,
     OperableDerivation,
     ReductionChoice,
@@ -217,8 +216,9 @@ def cmd_reduce(args) -> int:
                 op = make_operable(checked)
                 new_op, _, _ = reduce_operable(op, pos)
                 reduced = new_op.checked
-    except (ReductionError, ChoiceError, DerivationCheckError) as exc:
-        raise CliError("reduction-failed", str(exc), args.pos) from exc
+    except (ReductionError, DerivationCheckError) as exc:
+        at = args.pos if exc.position is None else format_position(exc.position)
+        raise CliError("reduction-failed", str(exc), at) from exc
     if args.out:
         save_derivation(reduced.derivation, args.out)
     if args.json:

@@ -228,13 +228,19 @@ class CheckedDerivation:
         increasing position order."""
         return tuple(reversed(self._types))
 
-    def app_positions(self) -> list[Position]:
-        nodes = self.nodes
-        return [a for a in self.preorder if isinstance(nodes[a], AppNode)]
+    def app_positions(self) -> tuple[Position, ...]:
+        return self._by_kind[AppNode]
 
-    def axiom_positions(self) -> list[Position]:
-        nodes = self.nodes
-        return [a for a in self.preorder if isinstance(nodes[a], AxNode)]
+    def axiom_positions(self) -> tuple[Position, ...]:
+        return self._by_kind[AxNode]
+
+    @cached_property
+    def _by_kind(self) -> dict[type, tuple[Position, ...]]:
+        """The nodes of each kind, in preorder, kept once like `preorder`."""
+        by_kind: dict[type, list[Position]] = {AxNode: [], AbsNode: [], AppNode: []}
+        for a in self.preorder:
+            by_kind[type(self.nodes[a])].append(a)
+        return {kind: tuple(positions) for kind, positions in by_kind.items()}
 
     def left_seq(self, a: Position) -> SeqType:
         node = self.nodes.get(a)

@@ -66,7 +66,13 @@ from .derivations import (
 
 
 class ReductionError(ValueError):
-    pass
+    """A reduction or a choice that fails; `.position`, when not None, is the
+    place its message names: a rigid node, a term position or, for a
+    multiset-side choice, an R-node."""
+
+    def __init__(self, message: str, position: Optional[Position] = None) -> None:
+        super().__init__(message)
+        self.position = position
 
 
 class ChoiceError(ReductionError):
@@ -95,7 +101,9 @@ def default_interface(checked: CheckedDerivation, a: Position) -> ZeroOneIso:
     """The least interface at an application node, without listing the others."""
     iso = next(iter_type_isos(checked.left_seq(a), checked.right_seq(a)), None)
     if iso is None:
-        raise ReductionError(f"no interface at {format_position(a)}: its sides are not isomorphic")
+        raise ReductionError(
+            f"no interface at {format_position(a)}: its sides are not isomorphic", a
+        )
     return iso
 
 
@@ -109,7 +117,9 @@ def extend_root_interface(
         k2 = rho[k]
         iso = next(iter_type_isos(s, right.get(k2)), None)
         if iso is None:
-            raise ChoiceError(f"root mapping {k} -> {k2} at {format_position(a)} not extendable")
+            raise ChoiceError(
+                f"root mapping {k} -> {k2} at {format_position(a)} not extendable", a
+            )
         kids[k] = (k2, iso)
     return ZeroOneIso.node(kids, tree=False)
 
@@ -199,13 +209,13 @@ def _redex_binder(term: Term, b: Position) -> str:
     redex, on the term or off it, or is no term position (a letter above 2
     would address a derivation node through its track)."""
     if any(k > 2 for k in b):
-        raise ReductionError(f"{format_position(b)} is not a term position")
+        raise ReductionError(f"{format_position(b)} is not a term position", b)
     try:
         subj = subterm_at(term, b)
     except PositionError:
         subj = None
     if not (isinstance(subj, App) and isinstance(subj.left, Abs)):
-        raise ReductionError(f"no redex at {format_position(b)}")
+        raise ReductionError(f"no redex at {format_position(b)}", b)
     return subj.left.binder
 
 
@@ -227,13 +237,13 @@ def residual_maps(
             raise QuantitativityError(a, x, set(by_track) ^ tr_left)
         rho_a = rho_per_node.get(a)
         if rho_a is None:
-            raise ChoiceError(f"missing root interface at {format_position(a)}")
+            raise ChoiceError(f"missing root interface at {format_position(a)}", a)
         if set(rho_a) != tr_left or sorted(rho_a.values()) != right.tracks():
-            raise ChoiceError(f"root interface at {format_position(a)} is not a bijection")
+            raise ChoiceError(f"root interface at {format_position(a)} is not a bijection", a)
         for k, k2 in rho_a.items():
             if not equiv(left.get(k), right.get(k2)):
                 raise ChoiceError(
-                    f"root interface {k} -> {k2} at {format_position(a)} mismatches types"
+                    f"root interface {k} -> {k2} at {format_position(a)} mismatches types", a
                 )
         rho[a] = dict(rho_a)
         ax_pos[a] = by_track
@@ -428,13 +438,14 @@ def reduce_R(rd: RDerivation, b: Position, choice: RChoice) -> RDerivation:
         body = path + (1, 0)
         site = format_position(path)
         if set(assignment) != set(ax_paths):
-            raise ChoiceError(f"choice at {site} does not cover the axioms of {x!r}")
+            raise ChoiceError(f"choice at {site} does not cover the axioms of {x!r}", path)
         if sorted(assignment.values()) != list(range(2, 2 + len(node.args))):
-            raise ChoiceError(f"choice at {site} is not a bijection onto the premises")
+            raise ChoiceError(f"choice at {site} is not a bijection onto the premises", path)
         for p, j in assignment.items():
             if types[body + p] != types[path + (j,)]:
                 raise ChoiceError(
-                    f"type mismatch at {site} for axiom {format_position(p)} and premise {j}"
+                    f"type mismatch at {site} for axiom {format_position(p)} and premise {j}",
+                    path,
                 )
             replaced[body + p] = path + (j,)
     built: dict[Position, RNode] = {}
@@ -490,15 +501,16 @@ def realize_r_choice(
         track_of = {rpos[a + (k,)][-1]: k for k in node.arg_tracks}
         axioms = {rpos[p][body_len:]: k for k, p in checked.bound_by(a + (1,)).items()}
         if assignment.keys() != axioms.keys():
-            raise ChoiceError(f"choice at {site} does not cover the axioms of {x!r}")
+            raise ChoiceError(f"choice at {site} does not cover the axioms of {x!r}", rpos[a])
         for ax_rel, j in assignment.items():
             if j not in track_of:
                 raise ChoiceError(
                     f"choice sends axiom {format_position(ax_rel)} at {site}"
-                    f" to premise {j}, which the node does not have"
+                    f" to premise {j}, which the node does not have",
+                    rpos[a],
                 )
         if sorted(assignment.values()) != sorted(track_of):
-            raise ChoiceError(f"choice at {site} is not a bijection onto the premises")
+            raise ChoiceError(f"choice at {site} is not a bijection onto the premises", rpos[a])
         rho_per_node[a] = {axioms[p]: track_of[j] for p, j in assignment.items()}
     return rho_per_node
 
@@ -551,28 +563,35 @@ def build_operable_from_choices(
     would; the theorem (the collapse of the S_h reduct is `reduce_R` of the
     collapse under the realized choice) then guarantees every later collapse,
     so none is compared and `reduce_R` never runs.
+
+    Only the work the result reads is done: the last choice is realized and
+    pinned but not fired, and a base node's left and right isomorphisms are
+    composed along the fired steps only when a choice pins it; a node that
+    no choice pins gets the least interface.
     """
     if collapse_derivation(checked) != rd:
         raise ChoiceError("the base derivation does not collapse on the given derivation")
     alive: dict[Position, Position] = {a: a for a in checked.app_positions()}
-    acc_left = {a: identity_iso(checked.left_seq(a)) for a in alive}
-    acc_right = {a: identity_iso(checked.right_seq(a)) for a in alive}
     pinned: dict[Position, ZeroOneIso] = {}
+    fired: list[tuple[JudgmentIsos, dict[Position, Position]]] = []
     current = checked
-    for b_i, rchoice in choices:
+    for step, (b_i, rchoice) in enumerate(choices, start=1):
         rho = realize_r_choice(current, b_i, rchoice)
         interfaces_at_b = {a: extend_root_interface(current, a, rho[a]) for a in rho}
         for a0, a_i in list(alive.items()):
-            if a_i in interfaces_at_b:
-                pinned[a0] = (
-                    acc_right[a0].inverse().compose(interfaces_at_b[a_i]).compose(acc_left[a0])
-                )
-                del alive[a0]
+            if a_i not in interfaces_at_b:
+                continue
+            left, right = identity_iso(checked.left_seq(a0)), identity_iso(checked.right_seq(a0))
+            a = a0
+            for types, res in fired:
+                left, right = types.left(a).compose(left), types.right(a).compose(right)
+                a = res[a]
+            pinned[a0] = right.inverse().compose(interfaces_at_b[a_i]).compose(left)
+            del alive[a0]
+        if step == len(choices):
+            break
         new_checked, maps = _fire(current, b_i, rho, FLAVOR_SH)
-        types = residual_isos(current, maps, interfaces_at_b)
-        for a0, a_i in list(alive.items()):
-            acc_left[a0] = types.left(a_i).compose(acc_left[a0])
-            acc_right[a0] = types.right(a_i).compose(acc_right[a0])
-            alive[a0] = maps.res[a_i]
+        fired.append((residual_isos(current, maps, interfaces_at_b), maps.res))
+        alive = {a0: maps.res[a_i] for a0, a_i in alive.items()}
         current = new_checked
     return _operable(checked, pinned)

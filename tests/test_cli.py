@@ -182,6 +182,20 @@ def test_reduce_at_a_derivation_position(tmp_path, capsys):
     }
 
 
+def test_reduction_failed_names_the_node_at_fault(tmp_path, capsys):
+    # the redex is at term position 2; its one node is at derivation position 3
+    path = tmp_path / "argument_redex.deriv"
+    path.write_text(dumps_derivation(make_argument_redex()))
+    choice = write_json_file(tmp_path, "choice.json", {"redex": "2", "per_node": []})
+    assert run(["reduce", "--file", str(path), "--pos", "2", "--choice", choice]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {
+        "error": "reduction-failed",
+        "detail": "missing root interface at 3",
+        "position": "3",
+    }
+
+
 @pytest.mark.parametrize("mode", ["plain", "interface", "choice"])
 def test_reduce_off_term_position(brothers_file, tmp_path, mode, capsys):
     # the root of the brothers' term is an application: position 0 is off the term

@@ -23,6 +23,8 @@ checked in full, the library's own values are not re-checked.  Choice
 sequences are checked once, on the rigid side: the builder rejects every
 malformed choice that the original chained builder of
 `reference_judgment_isos` rejects, and runs nothing of the multiset side.
+It fires every step but the last, still checks a step after every node is
+pinned, and a choice malformed at one R-node names it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections import Counter
+
+import pytest
 
 import seqtypes.cli
 import seqtypes.corpus
@@ -50,7 +54,7 @@ from seqtypes.derivations import (
     collapse_derivation,
     dumps_derivation,
 )
-from seqtypes.positions import EPS, IsoShapeError, ZeroOneIso
+from seqtypes.positions import EPS, IsoShapeError, ZeroOneIso, format_position
 from seqtypes.reduction import (
     ChoiceError,
     OperableDerivation,
@@ -91,7 +95,7 @@ def assert_full_check_agrees(derived: CheckedDerivation) -> None:
 
 def assert_interfaces_hold(op: OperableDerivation) -> None:
     checked = op.checked
-    assert sorted(op.interface) == checked.app_positions()
+    assert tuple(sorted(op.interface)) == checked.app_positions()
     for a, iso in op.interface.items():
         assert check_type_iso(checked.left_seq(a), checked.right_seq(a), iso), a
 
@@ -178,6 +182,48 @@ def test_built_choices_agree_with_the_full_check():
     assert sequences > 200
 
 
+def test_the_builder_fires_every_step_but_the_last(monkeypatch):
+    """The last choice is realized and pinned, and its reduct, which nothing
+    reads, is not built: n choices fire n - 1 steps."""
+    fire, fires = seqtypes.reduction._fire, []
+
+    def counted(*args):
+        fires.append(args[1])
+        return fire(*args)
+
+    monkeypatch.setattr(seqtypes.reduction, "_fire", counted)
+    sequences = 0
+    for checked in choice_instances():
+        rd = collapse_derivation(checked)
+        for sequence in choice_sequences(rd, 3):
+            fires.clear()
+            build_operable_from_choices(rd, checked, sequence)
+            assert fires == [b for b, _ in sequence[:-1]]
+            sequences += 1
+    assert sequences > 200
+
+
+def test_a_step_after_every_node_is_pinned_is_still_checked():
+    """Once every application node is pinned, no redex is left: each typed
+    one was fired, and an untyped one sat in an argument that firing erased.
+    A further step must still be realized, not skipped because no node is
+    left to pin, so repeating the last step raises.  Among the sequences of
+    length at most 3 on 20 towers, those that pin every node."""
+    cases = 0
+    for tower in tower_instances(CORPUS_SEED + 5, 20):
+        checked, rd = tower.checked, collapse_derivation(tower.checked)
+        for sequence in choice_sequences(rd, 3):
+            op = build_operable_from_choices(rd, checked, sequence)
+            for b, _ in sequence:
+                op, _, _ = reduce_operable(op, b)
+            if op.checked.app_positions():
+                continue
+            with pytest.raises(ReductionError, match="no redex at"):
+                build_operable_from_choices(rd, checked, sequence + sequence[-1:])
+            cases += 1
+    assert cases >= 4
+
+
 def mutants(choice: RChoice) -> list[tuple[str, RChoice]]:
     """The malformed choices one step's choice gives: a wrong redex and a key
     of an R-node off the redex; and at each node with axioms, an extra axiom
@@ -236,6 +282,24 @@ def test_malformed_choices_are_rejected_as_the_chained_builder_rejects_them():
     assert rejected[("two axioms to one premise", IsoShapeError)] > 20, rejected
     kinds = {name for name, _ in rejected}
     assert len(kinds) == 7 and min(rejected.values()) > 20, rejected
+
+
+def test_a_choice_malformed_at_one_R_node_names_it():
+    """Each first-step choice mutated at one R-node raises a `ChoiceError`
+    whose `position` is that node, the place its message names."""
+    named = 0
+    for checked in choice_instances():
+        rd = collapse_derivation(checked)
+        for ((b, choice),) in choice_sequences(rd, 1):
+            for name, step in mutants(choice)[2:]:
+                given = choice.assignments
+                path = next(p for p, bad in step.assignments.items() if bad != given[p])
+                with pytest.raises(ChoiceError) as raised:
+                    build_operable_from_choices(rd, checked, [(b, step)])
+                assert raised.value.position == path, name
+                assert f"at {format_position(path)} " in str(raised.value), name
+                named += 1
+    assert named > 100
 
 
 def outcome(run_check):
