@@ -14,7 +14,7 @@ import random
 from typing import Optional
 
 from .positions import EPS, Position, collapse_position
-from .stypes import SArrow, SAtom, SType, seq as mkseq
+from .stypes import SArrow, SAtom, SType, rebuild_type, seq as mkseq, subtypes
 from .terms import (
     Abs,
     App,
@@ -208,32 +208,25 @@ def merge_atoms(deriv: Derivation, rng: random.Random, pool: int) -> Derivation:
     A uniform renaming of atoms preserves validity in every flavor; it is
     what makes reduction choices and non-trivial interfaces plentiful.
     """
-    names: list[str] = []
-
-    def collect(stype: SType) -> None:
-        if isinstance(stype, SAtom):
-            if stype.name not in names:
-                names.append(stype.name)
-        else:
-            for _, s in stype.source.items():
-                collect(s)
-            collect(stype.target)
-
-    for node in deriv.nodes.values():
-        if isinstance(node, AxNode):
-            collect(node.stype)
+    names: set[str] = set()
+    stack = [node.stype for node in deriv.nodes.values() if isinstance(node, AxNode)]
+    while stack:
+        u = stack.pop()
+        stack += subtypes(u)
+        if isinstance(u, SAtom):
+            names.add(u.name)
     mapping = {name: f"o{rng.randrange(pool) + 1}" for name in sorted(names)}
 
-    def rename(stype: SType) -> SType:
-        if isinstance(stype, SAtom):
-            return SAtom(mapping[stype.name])
-        return SArrow(
-            mkseq({k: rename(s) for k, s in stype.source.items()}), rename(stype.target)
-        )
+    def rename(u: SType, kids: list[SType]) -> SType:
+        if isinstance(u, SAtom):
+            return SAtom(mapping[u.name])
+        return SArrow(mkseq(zip(u.source.tracks(), kids[:-1])), kids[-1])
 
     new_nodes: dict[Position, Node] = {}
     for a, node in deriv.nodes.items():
-        new_nodes[a] = AxNode(node.track, rename(node.stype)) if isinstance(node, AxNode) else node
+        if isinstance(node, AxNode):
+            node = AxNode(node.track, rebuild_type(node.stype, rename))
+        new_nodes[a] = node
     return Derivation(deriv.term, deriv.flavor, new_nodes)
 
 

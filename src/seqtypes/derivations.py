@@ -539,13 +539,10 @@ class RDerivation:
 
 
 class RCheckError(ValueError):
-    def __init__(self, path: Position, reason: str) -> None:
-        super().__init__(f"at R-position {format_position(path)}: {reason}")
-        self.path = path
+    def __init__(self, position: Position, reason: str) -> None:
+        super().__init__(f"at R-position {format_position(position)}: {reason}")
+        self.position = position
         self.reason = reason
-
-
-RContext = dict[str, list[RType]]
 
 
 @dataclass(frozen=True)
@@ -554,44 +551,47 @@ class RJudgment:
     rtype: RType
 
 
-def walk_R(root: RNode, term: Term) -> Iterator[tuple[Position, Position, RNode, Term]]:
-    """The (position, term position, node, subterm) of every node of an
-    R-tree laid on a term, in preorder, which is increasing position order.
+def walk_R(root: RNode, term: Term) -> Iterator[tuple[Position, RNode, Term]]:
+    """The (position, node, subterm) of every node of an R-tree laid on a
+    term, in preorder, which is increasing position order.
 
     A node's position is the one it has in the hybrid representative: the
     letter 0 under an abstraction, 1 for an application's left premise and
-    2 + j for its j-th argument premise, which sits on the collapsed term
-    position `tpos + (2,)`.  A node whose kind does not match its subterm is
-    yielded without its children.  The walk runs on an explicit stack, so
-    depth is unbounded.
+    2 + j for its j-th argument premise.  Its subterm sits at the
+    `collapse_position` of its position.  A node whose kind does not match
+    its subterm is yielded without its children.  The walk runs on an
+    explicit stack, so depth is unbounded.
     """
-    stack: list[tuple[Position, Position, RNode, Term]] = [(EPS, EPS, root, term)]
+    stack: list[tuple[Position, RNode, Term]] = [(EPS, root, term)]
     while stack:
         item = stack.pop()
         yield item
-        path, tpos, node, subj = item
+        path, node, subj = item
         if isinstance(node, RAbsD) and isinstance(subj, Abs):
-            stack.append((path + (0,), tpos + (0,), node.child, subj.body))
+            stack.append((path + (0,), node.child, subj.body))
         elif isinstance(node, RAppD) and isinstance(subj, App):
-            arg_pos = tpos + (2,)
             for j in range(len(node.args) + 1, 1, -1):
-                stack.append((path + (j,), arg_pos, node.args[j - 2], subj.right))
-            stack.append((path + (1,), tpos + (1,), node.left, subj.left))
+                stack.append((path + (j,), node.args[j - 2], subj.right))
+            stack.append((path + (1,), node.left, subj.left))
 
 
-def check_R_types(rd: RDerivation) -> tuple[RJudgment, dict[Position, RType]]:
-    """Validate the multiset-side rules; returns the concluding judgment and
-    the R-type concluded at every node, by its `walk_R` position.
+def check_R_types(
+    rd: RDerivation,
+) -> tuple[RJudgment, dict[Position, RType], dict[Position, list[Position]]]:
+    """Validate the multiset-side rules; returns the concluding judgment, the
+    R-type concluded at every node, by its `walk_R` position, and the binder
+    index: the axioms each abstraction binds, in position order, the
+    multiset twin of `CheckedDerivation.bound_by`.
 
     Node kinds and argument order are checked in preorder, the typing rules
     bottom-up in reverse preorder, where every premise precedes its node.
-    A context is an unsorted multiset per variable: an application extends
-    its left premise's context in place, so merging costs the size of the
-    arguments' contexts, and a multiset is sorted only where an abstraction
-    binds it and at the conclusion.
+    A context maps each variable to its axioms' positions: an application
+    extends its left premise's context in place by its arguments', in letter
+    order, so a list stays in position order and merging costs the size of
+    the arguments' contexts.
     """
     order: list[tuple[Position, RNode, Term]] = []
-    for path, _, node, subj in walk_R(rd.root, rd.term):
+    for path, node, subj in walk_R(rd.root, rd.term):
         if isinstance(node, RAxD):
             if not isinstance(subj, Var):
                 raise RCheckError(path, "axiom not at a variable")
@@ -603,15 +603,17 @@ def check_R_types(rd: RDerivation) -> tuple[RJudgment, dict[Position, RType]]:
         elif tuple(sorted(node.args, key=attrgetter("key"))) != node.args:
             raise RCheckError(path, "argument premises not in canonical order")
         order.append((path, node, subj))
-    contexts: dict[Position, RContext] = {}
+    contexts: dict[Position, dict[str, list[Position]]] = {}
     types: dict[Position, RType] = {}
+    bound: dict[Position, list[Position]] = {}
     for path, node, subj in reversed(order):
         if isinstance(node, RAxD):
-            contexts[path] = {subj.name: [node.rtype]}
+            contexts[path] = {subj.name: [path]}
             types[path] = node.rtype
         elif isinstance(node, RAbsD):
             ctx = contexts[path] = contexts.pop(path + (0,))
-            types[path] = rarrow(ctx.pop(subj.binder, ()), types[path + (0,)])
+            axioms = bound[path] = ctx.pop(subj.binder, [])
+            types[path] = rarrow((types[p] for p in axioms), types[path + (0,)])
         else:
             ltype = types[path + (1,)]
             if not isinstance(ltype, RArrow):
@@ -621,13 +623,11 @@ def check_R_types(rd: RDerivation) -> tuple[RJudgment, dict[Position, RType]]:
                 raise RCheckError(path, "app_mismatch")
             ctx = contexts[path] = contexts.pop(path + (1,))
             for p in args:
-                for x, ts in contexts.pop(p).items():
-                    ctx.setdefault(x, []).extend(ts)
+                for x, axioms in contexts.pop(p).items():
+                    ctx.setdefault(x, []).extend(axioms)
             types[path] = ltype.target
-    judgment = RJudgment(
-        tuple(sorted((x, rmultiset(ts)) for x, ts in contexts[EPS].items() if ts)), types[EPS]
-    )
-    return judgment, types
+    context = sorted((x, rmultiset(types[p] for p in ps)) for x, ps in contexts[EPS].items())
+    return RJudgment(tuple(context), types[EPS]), types, bound
 
 
 def check_R(rd: RDerivation) -> RJudgment:

@@ -22,6 +22,7 @@ Track = int
 N = TypeVar("N")  # a tree node, as `iter_01_isos` reads it
 
 EPS: Position = ()
+_LETTERS = re.compile(r"-?[0-9]+(?:\.-?[0-9]+)*")  # position text; `-` marks a negative letter
 
 
 class DomainMismatchError(ValueError):
@@ -38,16 +39,15 @@ def applicative_depth(a: Position) -> int:
 
 
 def parse_position(text: str) -> Position:
+    """`eps`, the empty text, or letters of ASCII digits joined by dots."""
     text = text.strip()
     if text in ("eps", ""):
         return EPS
-    try:
-        letters = tuple(int(part) for part in text.split("."))
-    except ValueError:
-        raise ValueError(f"bad position syntax: {text!r}") from None
-    if any(k < 0 for k in letters):
+    if not _LETTERS.fullmatch(text):
+        raise ValueError(f"bad position syntax: {text!r}")
+    if "-" in text:
         raise ValueError(f"negative track in position: {text!r}")
-    return letters
+    return tuple(map(int, text.split(".")))
 
 
 def format_position(a: Position) -> str:

@@ -24,6 +24,7 @@ from .positions import (
     Position,
     Track,
     ZeroOneIso,
+    collapse_position,
     format_position,
     iter_01_isos,
 )
@@ -37,9 +38,10 @@ from .stypes import (
     equiv,
     identity_iso,
     iter_type_isos,
+    rebuild_type,
     seq,
 )
-from .terms import Abs, App, PositionError, Term, Var, beta_reduce_at, subterm_at
+from .terms import Abs, App, PositionError, Term, beta_reduce_at, subterm_at
 from .derivations import (
     AbsNode,
     AppNode,
@@ -52,7 +54,6 @@ from .derivations import (
     Node,
     QuantitativityError,
     RAbsD,
-    RAppD,
     RAxD,
     RDerivation,
     RNode,
@@ -364,27 +365,15 @@ class RChoice:
 
 def _redex_sites(
     rd: RDerivation, b: Position
-) -> tuple[str, list[tuple[Position, RAppD, list[Position]]]]:
-    """The redex variable and the R-nodes at the redex, in position order,
-    each with the positions, relative to its body, of the axioms of the
-    redex variable, in order.  An abstraction that rebinds the variable
-    inside a body hides its axioms."""
+) -> tuple[str, dict[Position, RType], list[tuple[Position, list[Position]]]]:
+    """The redex variable, the R-type at every node, and the R-nodes at the
+    redex in position order, each with the positions, relative to its body,
+    of the axioms its abstraction binds (the binder index of `check_R_types`),
+    one per argument premise."""
     x = _redex_binder(rd.term, b)
-    sites: list[tuple[Position, RAppD, list[Position]]] = []
-    body, hidden, axioms = None, [], []
-    for path, tpos, node, s in walk_R(rd.root, rd.term):
-        if tpos == b:
-            body, hidden, axioms = path + (1, 0), [], []
-            sites.append((path, node, axioms))
-        elif body is None or path[: len(body)] != body:
-            continue
-        elif any(path[: len(h)] == h for h in hidden):
-            continue
-        elif isinstance(s, Abs) and s.binder == x:
-            hidden.append(path)
-        elif isinstance(node, RAxD) and s == Var(x):
-            axioms.append(path[len(body) :])
-    return x, sites
+    _, types, bound = check_R_types(rd)
+    at_b = [a for a in sorted(bound) if collapse_position(a) == b + (1,)]
+    return x, types, [(a[:-1], [p[len(a) + 1 :] for p in bound[a]]) for a in at_b]
 
 
 def enumerate_r_choices(rd: RDerivation, b: Position) -> list[RChoice]:
@@ -399,24 +388,20 @@ def enumerate_r_choices(rd: RDerivation, b: Position) -> list[RChoice]:
     choices are the product of the nodes' assignments, each choice with its
     own dicts.
     """
-    _, sites = _redex_sites(rd, b)
-    _, types = check_R_types(rd)
-    per_node_options: list[tuple[Position, list[dict[Position, int]]]] = []
-    for path, node, ax_paths in sites:
+    _, types, sites = _redex_sites(rd, b)
+    per_node: list[list[dict[Position, int]]] = []
+    for path, ax_paths in sites:
         body = path + (1, 0)
         ax_key = {p: types[body + p].key for p in ax_paths}
         axioms = sorted(ax_paths, key=ax_key.__getitem__, reverse=True)
         left = None, [(i, (ax_key[p], ())) for i, p in enumerate(axioms, start=2)]
-        right = None, [(j, (types[path + (j,)].key, ())) for j in range(2, 2 + len(node.args))]
+        right = None, [(j, (types[path + (j,)].key, ())) for j in range(2, 2 + len(ax_paths))]
         isos = iter_01_isos(left, right, itemgetter(1), itemgetter(0), False)
-        options = [{axioms[i - 2]: j for i, j in phi.roots().items()} for phi in isos]
-        per_node_options.append((path, options))
-    out: list[RChoice] = []
-    for combo in itertools.product(*(opts for _, opts in per_node_options)):
-        out.append(
-            RChoice(b, {path: dict(choice) for (path, _), choice in zip(per_node_options, combo)})
-        )
-    return out
+        per_node.append([{axioms[i - 2]: j for i, j in phi.roots().items()} for phi in isos])
+    return [
+        RChoice(b, {path: dict(choice) for (path, _), choice in zip(sites, combo)})
+        for combo in itertools.product(*per_node)
+    ]
 
 
 def reduce_R(rd: RDerivation, b: Position, choice: RChoice) -> RDerivation:
@@ -428,18 +413,17 @@ def reduce_R(rd: RDerivation, b: Position, choice: RChoice) -> RDerivation:
     """
     if choice.redex != b:
         raise ChoiceError("choice addresses a different redex")
-    x, sites = _redex_sites(rd, b)
-    _, types = check_R_types(rd)
-    if set(choice.assignments) != {path for path, _, _ in sites}:
+    x, types, sites = _redex_sites(rd, b)
+    if set(choice.assignments) != {path for path, _ in sites}:
         raise ChoiceError("choice does not cover exactly the redex nodes")
     replaced: dict[Position, Position] = {}
-    for path, node, ax_paths in sites:
+    for path, ax_paths in sites:
         assignment = choice.assignments[path]
         body = path + (1, 0)
         site = format_position(path)
         if set(assignment) != set(ax_paths):
             raise ChoiceError(f"choice at {site} does not cover the axioms of {x!r}", path)
-        if sorted(assignment.values()) != list(range(2, 2 + len(node.args))):
+        if sorted(assignment.values()) != list(range(2, 2 + len(ax_paths))):
             raise ChoiceError(f"choice at {site} is not a bijection onto the premises", path)
         for p, j in assignment.items():
             if types[body + p] != types[path + (j,)]:
@@ -449,7 +433,7 @@ def reduce_R(rd: RDerivation, b: Position, choice: RChoice) -> RDerivation:
                 )
             replaced[body + p] = path + (j,)
     built: dict[Position, RNode] = {}
-    for path, _, node, _ in reversed(list(walk_R(rd.root, rd.term))):
+    for path, node, _ in reversed(list(walk_R(rd.root, rd.term))):
         if path in replaced:
             built[path] = built[replaced[path]]
         elif path in choice.assignments:
@@ -528,16 +512,15 @@ def hybridize(rd: RDerivation) -> Derivation:
     check_R(rd)
     counter = itertools.count(2)
 
-    def rigidify(rt: RType) -> SType:
+    def rigid(rt: RType, kids: list[SType]) -> SType:
         if isinstance(rt, RAtom):
             return SAtom(rt.name)
-        entries = {i + 2: rigidify(s) for i, s in enumerate(rt.source)}
-        return SArrow(seq(entries), rigidify(rt.target))
+        return SArrow(seq(enumerate(kids[:-1], start=2)), kids[-1])
 
     nodes: dict[Position, Node] = {}
-    for a, _, node, _ in walk_R(rd.root, rd.term):
+    for a, node, _ in walk_R(rd.root, rd.term):
         if isinstance(node, RAxD):
-            nodes[a] = AxNode(next(counter), rigidify(node.rtype))
+            nodes[a] = AxNode(next(counter), rebuild_type(node.rtype, rigid))
         elif isinstance(node, RAbsD):
             nodes[a] = AbsNode()
         else:

@@ -13,7 +13,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import attrgetter, itemgetter
-from typing import Any, Callable, Iterable, Iterator, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .positions import (
     EPS,
@@ -364,6 +364,28 @@ def relabel_type(t: SType, tracks: Mapping[Position, Track]) -> tuple[SType, Zer
             kids[k] = (new, iso)
         built[a] = (SArrow(seq(entries), target), ZeroOneIso.node(kids))
     return new_node(EPS, t)
+
+
+def subtypes(u: SType | RType) -> Sequence[SType | RType]:
+    """An arrow's source types, in order, then its target; an atom has none."""
+    if isinstance(u, SArrow):
+        return [s for _, s in u.source.entries] + [u.target]
+    return u.source + (u.target,) if isinstance(u, RArrow) else ()
+
+
+def rebuild_type(t: SType | RType, build: Callable[..., SType]) -> SType:
+    """build(t, kids), kids being what it gives at the `subtypes` of t; on an
+    explicit stack, so depth is unbounded, building a shared subtype once."""
+    built: dict[int, SType] = {}
+    stack = [(t, False)]
+    while stack:
+        u, expanded = stack.pop()
+        if expanded:
+            built[id(u)] = build(u, [built[id(c)] for c in subtypes(u)])
+        elif id(u) not in built:
+            stack.append((u, True))
+            stack += [(c, False) for c in subtypes(u)]
+    return built[id(t)]
 
 
 def check_type_iso(

@@ -84,7 +84,7 @@ class NonIdentityInterfaceError(ValueError):
 
     def __init__(self, pos: Position) -> None:
         super().__init__(f"trivialized interface at {format_position(pos)} is not the identity")
-        self.pos = pos
+        self.position = pos
 
 
 class CollapsingStrategyError(ValueError):
@@ -101,7 +101,7 @@ class CollapsingStrategyError(ValueError):
         super().__init__(
             f"collapsing strategy at {format_position(pos)}, threads {threads}: {reason}"
         )
-        self.pos = pos
+        self.position = pos
         self.threads = threads
 
 

@@ -10,11 +10,13 @@ from seqtypes.derivations import (
     AppNode,
     AxNode,
     Derivation,
+    LoadError,
     dumps_derivation,
     load_derivation,
+    loads_derivation,
     check_derivation,
 )
-from seqtypes.positions import EPS
+from seqtypes.positions import EPS, parse_position
 from seqtypes.stypes import SArrow, SAtom, print_type, seq
 from seqtypes.terms import parse_term
 
@@ -360,6 +362,42 @@ def test_bad_term_syntax_is_bad_input(tmp_path, capsys):
 def test_bad_position_is_bad_input(self_app_file, command, capsys):
     payload = bad_input([command, "--file", self_app_file, "--pos", "0.x"], capsys)
     assert payload["position"] == "0.x"
+
+
+# position texts with what `parse_position` reads from them, or the start of
+# its message; `int` read each letter, so it took "1_0" as 10, "+1" as 1,
+# "-0" as 0 and the Arabic-Indic digit one as 1
+POSITION_TEXTS = {
+    " 1.2 ": (1, 2),
+    "": EPS,
+    "eps": EPS,
+    "007.1": (7, 1),
+    "1_0": "bad position syntax",
+    "+1": "bad position syntax",
+    "1. 2": "bad position syntax",
+    "1..2": "bad position syntax",
+    "\u0661": "bad position syntax",
+    "0.x": "bad position syntax",
+    "-0": "negative track",
+    "-1": "negative track",
+    "2.-3": "negative track",
+}
+
+
+@pytest.mark.parametrize("text", sorted(POSITION_TEXTS))
+def test_a_position_letter_is_ascii_digits(self_app_file, text, capsys):
+    want = POSITION_TEXTS[text]
+    if isinstance(want, tuple):
+        assert parse_position(text) == want
+        return
+    with pytest.raises(ValueError, match=f"^{want}"):
+        parse_position(text)
+    data = json.loads(dumps_derivation(make_self_app()))
+    data["nodes"][-1]["pos"] = text
+    with pytest.raises(LoadError, match=f"^ValueError: {want}"):
+        loads_derivation(json.dumps(data))
+    payload = bad_input(["reduce", "--file", self_app_file, "--pos", text], capsys)
+    assert payload["detail"].startswith(want) and payload["position"] == text
 
 
 def test_unknown_flavor_is_bad_input(tmp_path, capsys):

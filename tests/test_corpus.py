@@ -16,6 +16,8 @@ from seqtypes.corpus import (
     tower_instances,
 )
 from seqtypes.derivations import (
+    AxNode,
+    Derivation,
     GenBudget,
     check_derivation,
     dumps_derivation,
@@ -23,6 +25,7 @@ from seqtypes.derivations import (
 )
 from seqtypes.positions import EPS
 from seqtypes.reduction import reduce_S
+from seqtypes.stypes import SArrow, SAtom, SType, seq
 from seqtypes.terms import (
     Abs,
     App,
@@ -144,6 +147,19 @@ def test_expandable_groups_2000_deep():
     assert groups[3] == [(2,) * i + (1,) for i in range(depth)]
     assert groups[-1] == [EPS]
     assert all((2,) * depth + (1, 0) not in group for group in groups)
+
+
+def test_merge_atoms_renames_a_type_2000_deep():
+    # the recursive walks raised RecursionError at depth 500
+    def chain(atom) -> SType:
+        t = atom(0)
+        for i in range(1, 2000):
+            t = SArrow(seq({2: t}), atom(i)) if i % 2 else SArrow(seq({3: atom(i)}), t)
+        return t
+
+    deriv = Derivation(parse_term("v"), "S", {EPS: AxNode(2, chain(lambda i: SAtom(f"a{i}")))})
+    merged = merge_atoms(deriv, random.Random(5), pool=1)
+    assert merged.nodes[EPS] == AxNode(2, chain(lambda i: SAtom("o1")))
 
 
 def test_merge_atoms_preserves_validity():

@@ -232,7 +232,7 @@ def test_check_R_mutations():
     )
     with pytest.raises(RCheckError) as exc:
         check_R(broken)
-    assert exc.value.reason == "app_mismatch" and exc.value.path == (0,)
+    assert exc.value.reason == "app_mismatch" and exc.value.position == (0,)
     assert str(exc.value) == "at R-position 0: app_mismatch"
     shuffled = RDerivation(
         SELF_APP_COLLAPSE.term,

@@ -285,6 +285,16 @@ def test_hybridize_axiom():
     assert isinstance(node, AxNode) and node.track == 2
 
 
+def test_hybridize_rebuilds_an_axiom_type_2000_deep():
+    # the recursive rebuild raised RecursionError at depth 500; the check
+    # compares S-types, whose == walks an explicit stack
+    t = O
+    for i in range(2000):
+        t = SArrow(seq({2: t}), O) if i % 2 else SArrow(seq({2: O}), t)
+    deriv = Derivation(parse_term("v"), "S", {EPS: AxNode(2, t)})
+    assert hybridize(collapse_derivation(check_derivation(deriv))).nodes[EPS] == AxNode(2, t)
+
+
 def test_build_operable_from_choices_length_zero():
     checked = check_derivation(make_two_choice_redex())
     collapsed = collapse_derivation(checked)

@@ -17,8 +17,11 @@ import random
 
 import pytest
 
+import seqtypes.derivations
+import seqtypes.reduction
 from seqtypes.corpus import sr_corpus, tower_instances
 from seqtypes.derivations import (
+    AbsNode,
     RAbsD,
     RAxD,
     RDerivation,
@@ -43,6 +46,7 @@ from samples import (
     make_tracked_redex,
     make_two_choice_redex,
 )
+from test_derived_reducts import count_calls
 
 CORPUS_SEED = 20250809
 
@@ -106,7 +110,7 @@ def grouped_redexes() -> list[RDerivation]:
 
 
 def assert_same_judgments(rd: RDerivation) -> None:
-    judgment, types = check_R_types(rd)
+    judgment, types, _ = check_R_types(rd)
     assert judgment == check_R(rd) == ref.check_R(rd)
     assert types == {positional(p): t for p, t in ref._rtype_of_nodes(rd).items()}
 
@@ -162,8 +166,8 @@ def test_walk_R_is_iterative():
         term, node = Abs("y", term), RAbsD(node)
     items = list(walk_R(node, term))
     assert len(items) == depth + 1
-    path, tpos, leaf, subj = items[-1]
-    assert len(path) == len(tpos) == depth
+    path, leaf, subj = items[-1]
+    assert len(path) == depth
     assert leaf == RAxD(RAtom("o")) and subj == Var("x")
 
 
@@ -172,10 +176,45 @@ def test_walk_R_yields_the_hybrid_positions():
     and the hybrid's collapse maps every position to itself."""
     for rd in corpus_collapses() + tower_collapses():
         hybrid = hybridize(rd)
-        assert [a for a, _, _, _ in walk_R(rd.root, rd.term)] == sorted(hybrid.nodes)
+        assert [a for a, _, _ in walk_R(rd.root, rd.term)] == sorted(hybrid.nodes)
         collapsed, positions = check_derivation(hybrid).collapse
         assert collapsed == rd
         assert all(a == r for a, r in positions.items())
+
+
+def test_the_binder_index_is_the_rigid_one_of_the_hybrid():
+    """The axioms `check_R_types` finds bound by each abstraction are those
+    the rigid checker binds to it in the hybrid representative."""
+    towers = [op.checked for op in tower_instances(CORPUS_SEED + 5, 20)]
+    collapses = corpus_collapses() + [collapse_derivation(c) for c in towers]
+    collapses.append(collapse_derivation(check_derivation(make_shadowed_redex())))
+    compared = 0
+    for rd in collapses:
+        _, _, bound = check_R_types(rd)
+        rigid = check_derivation(hybridize(rd))
+        abstractions = [a for a in rigid.preorder if isinstance(rigid.node(a), AbsNode)]
+        assert sorted(bound) == abstractions
+        for a in abstractions:
+            assert bound[a] == sorted(rigid.bound_by(a).values()), a
+        compared += len(abstractions)
+    assert compared == 1395
+
+
+def test_choices_and_reducts_walk_the_R_tree_once_and_twice(monkeypatch):
+    """`enumerate_r_choices` walks the R-tree once, to check it, and
+    `reduce_R` once more, to rebuild it."""
+    targets = [(seqtypes.derivations, "walk_R"), (seqtypes.reduction, "walk_R")]
+    calls = count_calls(monkeypatch, targets)
+    compared = 0
+    for rd in tower_collapses() + grouped_redexes():
+        for b in redexes(rd.term):
+            calls.clear()
+            choice = enumerate_r_choices(rd, b)[0]
+            assert calls["walk_R"] == 1
+            reduce_R(rd, b, choice)
+            assert calls["walk_R"] == 3
+            compared += 1
+    assert compared > 10
 
 
 def test_bad_choices_name_their_nodes_in_dotted_syntax():

@@ -437,7 +437,7 @@ def forged_strategy_witness():
     try:
         run_collapsing_strategy(op, arc)
     except CollapsingStrategyError as exc:
-        return exc.pos, exc.threads
+        return exc.position, exc.threads
     finally:
         ThreadAnalysis.consumption = consumption
     return None

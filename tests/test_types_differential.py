@@ -163,7 +163,7 @@ def test_type_facts_match_reference_on_the_corpus():
                 for k2, s2 in right.items():
                     assert equiv(s, s2) == ref.equiv(s, s2)
         rd = checked.collapse[0]
-        for _, _, node, _ in walk_R(rd.root, rd.term):
+        for _, node, _ in walk_R(rd.root, rd.term):
             assert node.key == ref.rderiv_key(node)
     assert compared > 15000
 
