@@ -48,11 +48,15 @@ T = TypeVar("T")
 
 
 class CliError(Exception):
-    def __init__(self, kind: str, detail: str, position: str | None = None) -> None:
+    """A failure the CLI reports as the JSON object `{"error": kind, "detail":
+    detail}`, with `position` when given and the `extra` fields."""
+
+    def __init__(self, kind: str, detail: str, position: str | None = None, **extra) -> None:
         super().__init__(detail)
         self.kind = kind
         self.detail = detail
         self.position = position
+        self.extra = extra
 
 
 def _parse_pos(text: str) -> Position:
@@ -265,7 +269,12 @@ def cmd_trivialize(args) -> int:
     try:
         result = trivialize(op)
     except BrotherChainError as exc:
-        raise CliError("brother-chain", str(exc)) from exc
+        chain = exc.chain
+        witness = {
+            "threads": list(chain.threads),
+            "positions": [format_position(a) for a in chain.positions],
+        }
+        raise CliError("brother-chain", str(exc), witness=witness) from exc
     if args.out:
         save_derivation(result.trivial.derivation, args.out)
     report = {
@@ -370,17 +379,21 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        payload = {"error": exc.kind, "detail": exc.detail}
-        if exc.position is not None:
-            payload["position"] = exc.position
-        print(json.dumps(payload), file=sys.stderr)
-        return 1
+        return _report(exc.kind, exc.detail, position=exc.position, **exc.extra)
     except LoadError as exc:
-        print(json.dumps({"error": "bad-input", "detail": str(exc)}), file=sys.stderr)
-        return 1
+        position = None if exc.position is None else format_position(exc.position)
+        return _report("bad-input", str(exc), node=exc.node, position=position)
     except FileNotFoundError as exc:
-        print(json.dumps({"error": "file-not-found", "detail": str(exc)}), file=sys.stderr)
-        return 1
+        return _report("file-not-found", str(exc))
+
+
+def _report(kind: str, detail: str, **fields) -> int:
+    """Print the failure's JSON object on stderr, with the fields that are
+    not None; returns the exit code 1."""
+    payload = {"error": kind, "detail": detail}
+    payload.update((key, value) for key, value in fields.items() if value is not None)
+    print(json.dumps(payload), file=sys.stderr)
+    return 1
 
 
 def main() -> None:

@@ -17,6 +17,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote  # the string encoder of `json.dumps`
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, TypeVar, Union
 
@@ -54,6 +55,7 @@ from .terms import (
     child,
     parse_term,
     print_term,
+    alpha_eq,
     alpha_key,
     is_normal,
 )
@@ -532,7 +534,7 @@ class RDerivation:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RDerivation):
             return NotImplemented
-        return alpha_key(self.term) == alpha_key(other.term) and self.root == other.root
+        return alpha_eq(self.term, other.term) and self.root == other.root
 
     def __hash__(self) -> int:
         return hash((alpha_key(self.term), self.root))
@@ -744,28 +746,6 @@ def generate_normal_form_derivations(t: Term, budget: GenBudget = GenBudget()) -
 # -- file format -------------------------------------------------------------
 
 
-def derivation_to_json(deriv: Derivation) -> dict:
-    entries = []
-    for a in sorted(deriv.nodes):
-        node = deriv.nodes[a]
-        if isinstance(node, AxNode):
-            entries.append(
-                {
-                    "pos": format_position(a),
-                    "kind": "ax",
-                    "track": node.track,
-                    "type": print_type(node.stype),
-                }
-            )
-        elif isinstance(node, AbsNode):
-            entries.append({"pos": format_position(a), "kind": "abs"})
-        else:
-            entries.append(
-                {"pos": format_position(a), "kind": "app", "args": sorted(node.arg_tracks)}
-            )
-    return {"term": print_term(deriv.term), "flavor": deriv.flavor, "nodes": entries}
-
-
 def json_integer(value: Any) -> int:
     """A JSON integer; a float, a bool or a string is a ValueError, where
     `int` would truncate or convert it."""
@@ -774,35 +754,93 @@ def json_integer(value: Any) -> int:
     return value
 
 
+class LoadError(ValueError):
+    """A derivation, interface or choice file that cannot be read: invalid
+    JSON, a missing key, or bad term, type, position, node or flavor syntax.
+
+    `node` is the index in `"nodes"` of the derivation entry at fault, and
+    `position` that entry's position when its `pos` text reads; both are
+    None when no entry is at fault or its position is unknown."""
+
+    def __init__(
+        self, message: str, node: Optional[int] = None, position: Optional[Position] = None
+    ) -> None:
+        super().__init__(message)
+        self.node = node
+        self.position = position
+
+
+_LOAD_FAULTS = (KeyError, ValueError, TypeError, AttributeError, RecursionError)
+
+
+def _load_error(
+    exc: Exception, node: Optional[int] = None, position: Optional[Position] = None
+) -> LoadError:
+    message = f"missing key {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
+    return LoadError(message, node, position)
+
+
 def derivation_from_json(data: dict) -> Derivation:
+    """The derivation a file holds.  Each distinct type text is parsed once,
+    so equal axiom types share one `SType` and its cached facts.  A fault in
+    an entry of `"nodes"` is a LoadError naming the entry."""
     term = parse_term(data["term"])
+    entries = data["nodes"]
     nodes: dict[Position, Node] = {}
-    for entry in data["nodes"]:
-        a = parse_position(entry["pos"])
-        if a in nodes:
-            raise ValueError(f"position {format_position(a)} is listed twice")
-        kind = entry["kind"]
-        if kind == "ax":
-            nodes[a] = AxNode(json_integer(entry["track"]), parse_type(entry["type"]))
-        elif kind == "abs":
-            nodes[a] = AbsNode()
-        elif kind == "app":
-            args = frozenset(map(json_integer, entry["args"]))
-            if len(args) < len(entry["args"]):
-                raise ValueError(f"an argument track at {format_position(a)} is listed twice")
-            nodes[a] = AppNode(args)
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
+    types: dict[str, SType] = {}
+    i = a = None
+    try:
+        for i, entry in enumerate(entries):
+            a = None  # until the entry's pos reads
+            a = parse_position(entry["pos"])
+            if a in nodes:
+                raise ValueError(f"position {format_position(a)} is listed twice")
+            kind = entry["kind"]
+            if kind == "ax":
+                track, text = json_integer(entry["track"]), entry["type"]
+                stype = types.get(text) if type(text) is str else None  # else parse_type fails
+                if stype is None:
+                    stype = types[text] = parse_type(text)
+                nodes[a] = AxNode(track, stype)
+            elif kind == "abs":
+                nodes[a] = AbsNode()
+            elif kind == "app":
+                args = frozenset(map(json_integer, entry["args"]))
+                if len(args) < len(entry["args"]):
+                    raise ValueError(f"an argument track at {format_position(a)} is listed twice")
+                nodes[a] = AppNode(args)
+            else:
+                raise ValueError(f"unknown node kind {kind!r}")
+    except _LOAD_FAULTS as exc:
+        raise _load_error(exc, i, a) from exc
     return Derivation(term, data["flavor"], nodes)
 
 
 def dumps_derivation(deriv: Derivation) -> str:
-    return json.dumps(derivation_to_json(deriv), indent=2) + "\n"
-
-
-class LoadError(ValueError):
-    """A derivation, interface or choice file that cannot be read: invalid
-    JSON, a missing key, or bad term, type, position, node or flavor syntax."""
+    """The file text of deriv: exactly `json.dumps(..., indent=2)` of its
+    term, its flavor and its nodes in position order, as
+    `{"pos", "kind", "track", "type"}` for an axiom, `{"pos", "kind"}` for an
+    abstraction and `{"pos", "kind", "args"}` for an application.  Each node
+    is written as one piece of text per kind; a position's text is digits,
+    dots and `eps`, which the encoder leaves as they are."""
+    nodes = deriv.nodes
+    pieces = []
+    for a in sorted(nodes):
+        node = nodes[a]
+        head = f'\n    {{\n      "pos": "{format_position(a)}",\n      "kind": '
+        if type(node) is AxNode:
+            text = _quote(print_type(node.stype))
+            pieces.append(f'{head}"ax",\n      "track": {node.track},\n      "type": {text}\n    }}')
+        elif type(node) is AbsNode:
+            pieces.append(f'{head}"abs"\n    }}')
+        elif node.arg_tracks:
+            args = ",\n        ".join(map(str, sorted(node.arg_tracks)))
+            pieces.append(f'{head}"app",\n      "args": [\n        {args}\n      ]\n    }}')
+        else:
+            pieces.append(f'{head}"app",\n      "args": []\n    }}')
+    listed = ",".join(pieces) + "\n  " if pieces else ""
+    term, flavor = _quote(print_term(deriv.term)), _quote(deriv.flavor)
+    return f'{{\n  "term": {term},\n  "flavor": {flavor},\n  "nodes": [{listed}]\n}}\n'
 
 
 def loads_json(text: str, build: Callable[[Any], T]) -> T:
@@ -811,10 +849,10 @@ def loads_json(text: str, build: Callable[[Any], T]) -> T:
     kind or syntax is a LoadError."""
     try:
         return build(json.loads(text))
-    except KeyError as exc:
-        raise LoadError(f"missing key {exc}") from exc
-    except (ValueError, TypeError, AttributeError, RecursionError) as exc:
-        raise LoadError(f"{type(exc).__name__}: {exc}") from exc
+    except LoadError:
+        raise
+    except _LOAD_FAULTS as exc:
+        raise _load_error(exc) from exc
 
 
 def loads_derivation(text: str) -> Derivation:

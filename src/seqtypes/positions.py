@@ -22,7 +22,9 @@ Track = int
 N = TypeVar("N")  # a tree node, as `iter_01_isos` reads it
 
 EPS: Position = ()
-_LETTERS = re.compile(r"-?[0-9]+(?:\.-?[0-9]+)*")  # position text; `-` marks a negative letter
+# position text: letters of ASCII digits without a leading zero; `-` marks a
+# negative letter
+_LETTERS = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.-?(?:0|[1-9][0-9]*))*")
 
 
 class DomainMismatchError(ValueError):
@@ -39,7 +41,9 @@ def applicative_depth(a: Position) -> int:
 
 
 def parse_position(text: str) -> Position:
-    """`eps`, the empty text, or letters of ASCII digits joined by dots."""
+    """`eps`, the empty text, or letters of ASCII digits joined by dots, each
+    `0` or without a leading zero, so that every position has one text up to
+    surrounding whitespace and `eps`."""
     text = text.strip()
     if text in ("eps", ""):
         return EPS
@@ -51,7 +55,7 @@ def parse_position(text: str) -> Position:
 
 
 def format_position(a: Position) -> str:
-    return "eps" if not a else ".".join(str(k) for k in a)
+    return "eps" if not a else ".".join(map(str, a))
 
 
 def scan(

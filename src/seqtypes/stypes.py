@@ -454,7 +454,7 @@ def iter_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> Iterator[ZeroOne
     return iter_01_isos(t1, t2, _children, _label, not isinstance(t1, SeqType))
 
 
-_TOKEN = re.compile(r"(->)|([(),:])|(\d+)|(\w[\w']*)|(\S)")
+_TOKEN = re.compile(r"(->)|([(),:])|([0-9]+)|(\w[\w']*)|(\S)")  # tracks in ASCII digits
 _KINDS = ("arrow", None, "nat", "atom")
 
 
@@ -478,6 +478,8 @@ def _parse(text: str, sequence: bool) -> SType | SeqType:
         if entry:
             if kind != "nat":
                 raise TypeSyntaxError("expected a track number", off)
+            if value[0] == "0" and len(value) > 1:
+                raise TypeSyntaxError("a track has no leading zero", off)
             if int(value) < 2:
                 raise TypeSyntaxError("sequence tracks are >= 2", off)
             if tokens[pos][0] != ":":

@@ -203,11 +203,24 @@ def replace_at(t: Term, a: Position, new: Term) -> Term:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset({t.name})
-    if isinstance(t, Abs):
-        return free_vars(t.body) - {t.binder}
-    return free_vars(t.left) | free_vars(t.right)
+    """The free variables of t, walked on an explicit stack: a binder's name
+    on the stack closes its scope, and `bound[x]` counts the open scopes of x."""
+    free: set[str] = set()
+    bound: dict[str, int] = {}
+    stack: list[Term | str] = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, str):
+            bound[u] -= 1
+        elif isinstance(u, Var):
+            if not bound.get(u.name):
+                free.add(u.name)
+        elif isinstance(u, Abs):
+            bound[u.binder] = bound.get(u.binder, 0) + 1
+            stack += (u.binder, u.body)
+        else:
+            stack += (u.right, u.left)
+    return frozenset(free)
 
 
 def fresh_name(base: str, used: set[str]) -> str:
@@ -220,23 +233,42 @@ def fresh_name(base: str, used: set[str]) -> str:
 
 
 def substitute(t: Term, x: str, s: Term) -> Term:
-    """Capture-avoiding t[s/x]; renames binders of t when needed."""
-    fv_s = free_vars(s)
+    """Capture-avoiding t[s/x]; renames binders of t when needed.
 
-    def go(u: Term) -> Term:
-        if isinstance(u, Var):
-            return s if u.name == x else u
-        if isinstance(u, App):
-            return App(go(u.left), go(u.right))
-        if u.binder == x:
-            return u
-        if u.binder in fv_s and x in free_vars(u.body):
-            fresh = fresh_name(u.binder, fv_s | free_vars(u.body) | {x})
-            body = substitute(u.body, u.binder, Var(fresh))
-            return Abs(fresh, go(body))
-        return Abs(u.binder, go(u.body))
-
-    return go(t)
+    Runs on an explicit stack of tasks, so depth is unbounded.  A task
+    substitutes into a term under a substitution (x, s and the free variables
+    of s) and leaves its result on `done`; an application's and an
+    abstraction's tasks then rebuild the node from the results below it.  A
+    binder that would capture a free variable of s is renamed first: its body
+    is substituted under the renaming, and the result under (x, s) again.
+    """
+    done: list[Term] = []
+    stack: list[tuple] = [("sub", t, (x, s, free_vars(s)))]
+    while stack:
+        task, u, sub = stack.pop()
+        if task == "app":
+            right = done.pop()
+            done.append(App(done.pop(), right))
+        elif task == "abs":
+            done.append(Abs(u, done.pop()))
+        elif task == "then":
+            stack.append(("sub", done.pop(), sub))
+        elif isinstance(u, Var):
+            done.append(sub[1] if u.name == sub[0] else u)
+        elif isinstance(u, App):
+            stack += (("app", None, None), ("sub", u.right, sub), ("sub", u.left, sub))
+        elif u.binder == sub[0]:
+            done.append(u)
+        else:
+            x, _, fv_s = sub
+            fv_body = free_vars(u.body) if u.binder in fv_s else frozenset()
+            if x in fv_body:
+                fresh = fresh_name(u.binder, fv_s | fv_body | {x})
+                stack += (("abs", fresh, None), ("then", None, sub))
+                stack.append(("sub", u.body, (u.binder, Var(fresh), frozenset({fresh}))))
+            else:
+                stack += (("abs", u.binder, None), ("sub", u.body, sub))
+    return done.pop()
 
 
 def beta_reduce_at(t: Term, b: Position) -> Term:
@@ -256,23 +288,40 @@ def is_normal(t: Term) -> bool:
 
 
 def alpha_key(t: Term) -> tuple:
-    """De Bruijn shape of the term; equal keys mean alpha-equivalent terms."""
+    """De Bruijn shape of the term; equal keys mean alpha-equivalent terms.
 
-    def go(u: Term, env: tuple[str, ...]) -> tuple:
-        if isinstance(u, Var):
-            for i, name in enumerate(reversed(env)):
-                if name == u.name:
-                    return ("b", i)
-            return ("f", u.name)
-        if isinstance(u, Abs):
-            return ("l", go(u.body, env + (u.binder,)))
-        return ("a", go(u.left, env), go(u.right, env))
-
-    return go(t, ())
+    Built on an explicit stack, so depth is unbounded: `scopes[x]` holds the
+    depths at which x is bound, innermost last, and a tuple on the stack
+    rebuilds an abstraction's or an application's key from the keys below.
+    """
+    keys: list[tuple] = []
+    scopes: dict[str, list[int]] = {}
+    depth = 0  # the abstractions above the next term
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, tuple):
+            if u[0] == "l":
+                scopes[u[1]].pop()
+                depth -= 1
+                keys.append(("l", keys.pop()))
+            else:
+                right = keys.pop()
+                keys.append(("a", keys.pop(), right))
+        elif isinstance(u, Var):
+            depths = scopes.get(u.name)
+            keys.append(("b", depth - 1 - depths[-1]) if depths else ("f", u.name))
+        elif isinstance(u, Abs):
+            scopes.setdefault(u.binder, []).append(depth)
+            depth += 1
+            stack += (("l", u.binder), u.body)
+        else:
+            stack += (("a",), u.right, u.left)
+    return keys.pop()
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
-    return alpha_key(t) == alpha_key(u)
+    return t is u or alpha_key(t) == alpha_key(u)
 
 
 def binders_above(t: Term, a: Position) -> set[str]:

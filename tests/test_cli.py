@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from seqtypes import cli
 from seqtypes.cli import build_parser, run
+from seqtypes.corpus import expand_root
 from seqtypes.derivations import (
     AbsNode,
     AppNode,
@@ -19,6 +21,8 @@ from seqtypes.derivations import (
 from seqtypes.positions import EPS, parse_position
 from seqtypes.stypes import SArrow, SAtom, print_type, seq
 from seqtypes.terms import parse_term
+from seqtypes.threads import BrotherChain
+from seqtypes.trivialize import BrotherChainError
 
 from samples import (
     brothers_operable,
@@ -259,6 +263,35 @@ def test_trivialize_cli(brothers_file, tmp_path, capsys):
     check_derivation(trivial)
 
 
+def test_brother_chain_carries_its_witness(brothers_file, monkeypatch, capsys):
+    # valid input never yields a brother chain, so trivialize is forged
+    def forged(op):
+        raise BrotherChainError(BrotherChain((1, 4), ((1, 1, 3), EPS)))
+
+    monkeypatch.setattr(cli, "trivialize", forged)
+    assert run(["trivialize", "--file", brothers_file, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "brother-chain",
+        "detail": "brother chain through threads (1, 4)",
+        "witness": {"threads": [1, 4], "positions": ["1.1.3", "eps"]},
+    }
+
+
+def test_reduce_a_redex_over_a_term_1000_deep(tmp_path, capsys):
+    # (\h. v (v (... h))) u: firing it substitutes 1,000 deep
+    n = 1000
+    deriv = expand_root(check_derivation(make_nested(n)), [(2,) * n], "h")
+    path, out = tmp_path / "deep.deriv", tmp_path / "reduct.deriv"
+    path.write_text(dumps_derivation(deriv))
+    argv = ["reduce", "--file", str(path), "--pos", "eps", "--json", "--out", str(out)]
+    assert run(argv) == 0
+    want = "v (" * (n - 1) + "v u" + ")" * (n - 1)
+    assert json.loads(capsys.readouterr().out)["judgment"].endswith(f" |- {want} : o")
+    assert load_derivation(str(out)).nodes == make_nested(n).nodes
+
+
 def test_gen_deterministic(tmp_path, capsys):
     out1, out2 = tmp_path / "c1", tmp_path / "c2"
     assert run(["gen", "--seed", "42", "--size", "4", "--count", "5", "--outdir", str(out1)]) == 0
@@ -366,12 +399,17 @@ def test_bad_position_is_bad_input(self_app_file, command, capsys):
 
 # position texts with what `parse_position` reads from them, or the start of
 # its message; `int` read each letter, so it took "1_0" as 10, "+1" as 1,
-# "-0" as 0 and the Arabic-Indic digit one as 1
+# "-0" as 0 and the Arabic-Indic digit one as 1, and a letter with a leading
+# zero was read as well, so "007.1" was (7, 1) and printed back as "7.1"
 POSITION_TEXTS = {
     " 1.2 ": (1, 2),
     "": EPS,
     "eps": EPS,
-    "007.1": (7, 1),
+    "0.0": (0, 0),
+    "10.20": (10, 20),
+    "007.1": "bad position syntax",
+    "1.02": "bad position syntax",
+    "-01": "bad position syntax",
     "1_0": "bad position syntax",
     "+1": "bad position syntax",
     "1. 2": "bad position syntax",
@@ -394,8 +432,9 @@ def test_a_position_letter_is_ascii_digits(self_app_file, text, capsys):
         parse_position(text)
     data = json.loads(dumps_derivation(make_self_app()))
     data["nodes"][-1]["pos"] = text
-    with pytest.raises(LoadError, match=f"^ValueError: {want}"):
+    with pytest.raises(LoadError, match=f"^ValueError: {want}") as exc:
         loads_derivation(json.dumps(data))
+    assert (exc.value.node, exc.value.position) == (len(data["nodes"]) - 1, None)
     payload = bad_input(["reduce", "--file", self_app_file, "--pos", text], capsys)
     assert payload["detail"].startswith(want) and payload["position"] == text
 
@@ -443,7 +482,36 @@ def test_a_position_listed_twice_is_bad_input(tmp_path, capsys):
         {"pos": "0", "kind": "ax", "track": 3, "type": "o"},
     ]
     path = axioms_file(tmp_path, "\\x. x", nodes)
-    assert "position 0 is listed twice" in bad_input(["check", "--file", path], capsys)["detail"]
+    payload = bad_input(["check", "--file", path], capsys)
+    assert "position 0 is listed twice" in payload["detail"]
+    assert (payload["node"], payload["position"]) == (2, "0")
+
+
+# edits of the self-application file with the node each names and, when its
+# pos reads, its position; None where no node is at fault
+NODE_FAULTS = {
+    "bad-type": (set_entry(-1, "type", "(2:o -> o"), 5, "0.8"),
+    "leading-zero-track": (set_entry(-1, "type", "(02:o) -> o"), 5, "0.8"),
+    "bad-pos": (set_entry(2, "pos", "0.01"), 2, None),
+    "missing-kind": (lambda data: data["nodes"][3].pop("kind"), 3, "0.2"),
+    "unknown-kind": (set_entry(0, "kind", "lam"), 0, "eps"),
+    "string-args": (set_entry(1, "args", "23"), 1, "0"),
+    "bad-term": (lambda data: data.update(term="\\x. (x x"), None, None),
+    "bad-flavor": (lambda data: data.update(flavor="T"), None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NODE_FAULTS))
+def test_bad_input_names_the_node_at_fault(tmp_path, case, capsys):
+    edit, node, position = NODE_FAULTS[case]
+    path = write_edited(tmp_path, edit)
+    with pytest.raises(LoadError) as exc:
+        load_derivation(path)
+    assert exc.value.node == node
+    assert exc.value.position == (None if position is None else parse_position(position))
+    payload = bad_input(["check", "--file", path], capsys)
+    assert payload["detail"] == str(exc.value)
+    assert payload.get("node") == node and payload.get("position") == position
 
 
 def test_the_root_listed_as_eps_and_empty_is_bad_input(tmp_path, capsys):

@@ -29,7 +29,6 @@ from seqtypes.derivations import (
     check_R,
     collapse_derivation,
     derivation_from_json,
-    derivation_to_json,
     dumps_derivation,
     format_judgment,
     generate_normal_form_derivations,
@@ -52,6 +51,7 @@ from seqtypes.trivialize import run_collapsing_strategy, trivialize
 
 from reference_checker import binder_quantitativity_holds, context, lazy_judgments
 from reference_isos import support_isos
+from reference_json import derivation_to_json
 from samples import (
     SELF_APP_COLLAPSE,
     S_INNER,

@@ -4,10 +4,11 @@ it replaced (`reference_tokens`).
 Every code point of the Basic Multilingual Plane is scanned alone and after
 a letter, and 20,000 seeded random strings besides, by both grammars.  Term
 tokens, and the errors with their offsets, are identical.  Type tokens
-differ in one way only: a digit that is not decimal (`str.isdigit()` but not
-`str.isdecimal()`, `²` say) made the old scanner a `nat` token, which
-`int()` then failed on with a bare `ValueError`; `scan` raises
-`TypeSyntaxError` at it.
+differ in one way only: a digit that is not ASCII (`str.isdigit()`, `²` or
+`٣` say) made the old scanner a `nat` token, which `int()` then failed on
+with a bare `ValueError` (`²`) or read as another track's text (`٣`);
+`scan` raises `TypeSyntaxError` at it, since a track is written in ASCII
+digits only.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ def outcome(tokens, text: str):
 
 def allowed(text: str, old, new) -> bool:
     """Whether the type scanners differ on text only as documented: the new
-    one raises at a digit that is not decimal, which the old one read into a
+    one raises at a digit that is not ASCII, which the old one read into a
     `nat` token, or passed before an error it raised later."""
-    if not (isinstance(new, tuple) and text[new[2]].isdigit() and not text[new[2]].isdecimal()):
+    if not (isinstance(new, tuple) and text[new[2]].isdigit() and not text[new[2]].isascii()):
         return False
     o = new[2]
     if new[1] != f"unexpected character {text[o]!r} (at offset {o})":
@@ -84,9 +85,10 @@ def test_every_code_point_and_random_strings():
         for text in (c, "a" + c):
             if assert_same(text):
                 odd.add(c)
-    # all 95 of the plane's digits that are not decimal, and only they
-    assert odd == {chr(cp) for cp in range(0x10000) if chr(cp).isdigit() and not chr(cp).isdecimal()}
-    assert len(odd) == 95
+    # all 455 of the plane's digits that are not ASCII, and only they: the 95
+    # that are not decimal and the 360 decimal ones
+    assert odd == {chr(cp) for cp in range(0x10000) if chr(cp).isdigit() and not chr(cp).isascii()}
+    assert len(odd) == 455
     rng = random.Random(20251019)
     differ = sum(assert_same(random_text(rng)) for _ in range(20_000))
     assert differ > 100
@@ -98,3 +100,12 @@ def test_a_digit_that_is_not_decimal_is_a_syntax_error():
         parse_type("(²: o) -> o")
     assert exc.value.offset == 1
     assert str(exc.value) == "unexpected character '²' (at offset 1)"
+
+
+@pytest.mark.parametrize("text, offset", [("(\u0662:o) -> o", 1), ("(0\u0662:o) -> o", 2)])
+def test_a_decimal_digit_that_is_not_ascii_is_a_syntax_error(text, offset):
+    # the old scanner read "(0\u0662:o) -> o" as the track 2, printed back as
+    # "(2:o) -> o"
+    with pytest.raises(TypeSyntaxError) as exc:
+        parse_type(text)
+    assert str(exc.value) == f"unexpected character '\u0662' (at offset {offset})"

@@ -168,6 +168,10 @@ def test_parse_print_round_trip():
         (parse_type, "->", "unexpected token '->'", 0),
         (parse_type, "2", "unexpected token '2'", 0),
         (parse_seq_type, "o", "expected '('", 0),
+        (parse_type, "(02:o) -> o", "a track has no leading zero", 1),
+        (parse_type, "(2:o, 010:o) -> o", "a track has no leading zero", 6),
+        (parse_type, "(00:o) -> o", "a track has no leading zero", 1),
+        (parse_type, "(\u0662:o) -> o", "unexpected character '\u0662'", 1),
     ],
 )
 def test_parse_error_messages_and_offsets(parse, text, message, offset):
