@@ -377,7 +377,9 @@ def iter_01_isos(
     so the isomorphisms come out in order without a sort and none is built
     in vain.  The first one costs O(n log n) in the number n of nodes, plus
     a scan quadratic in the size of each group of same-class siblings; each
-    later one costs at most as much again.
+    later one costs at most as much again.  It is the one enumerator:
+    `stypes.iter_type_isos` builds the least type isomorphism itself, from
+    the class hashes cached on the types, and runs this only for the rest.
     """
     table: dict[tuple, int] = {}
     parent, letter, below, cls1 = _preorder(root1, children, label, table)

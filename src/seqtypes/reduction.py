@@ -21,6 +21,7 @@ from typing import Optional
 from .positions import (
     EPS,
     DomainMismatchError,
+    IsoShapeError,
     Position,
     Track,
     ZeroOneIso,
@@ -111,18 +112,39 @@ def default_interface(checked: CheckedDerivation, a: Position) -> ZeroOneIso:
 def extend_root_interface(
     checked: CheckedDerivation, a: Position, rho: dict[Track, Track]
 ) -> ZeroOneIso:
-    """Lexicographically least interface extending the given root mapping."""
+    """Lexicographically least interface extending the given root mapping.
+    Raises `ChoiceError`, naming a, when rho is not a bijection from the
+    left tracks onto the right ones or does not extend."""
     left, right = checked.left_seq(a), checked.right_seq(a)
+    if len(rho) != len(left) or len(right) != len(left):
+        raise _not_a_bijection(checked, a, rho)
     kids: dict[Track, tuple[Track, ZeroOneIso]] = {}
     for k, s in left.items():
-        k2 = rho[k]
-        iso = next(iter_type_isos(s, right.get(k2)), None)
+        try:
+            k2 = rho[k]
+            s2 = right.get(k2)
+        except KeyError:
+            raise _not_a_bijection(checked, a, rho) from None
+        iso = next(iter_type_isos(s, s2), None)
         if iso is None:
             raise ChoiceError(
                 f"root mapping {k} -> {k2} at {format_position(a)} not extendable", a
             )
         kids[k] = (k2, iso)
-    return ZeroOneIso.node(kids, tree=False)
+    try:
+        return ZeroOneIso.node(kids, tree=False)
+    except IsoShapeError:
+        raise _not_a_bijection(checked, a, rho) from None
+
+
+def _not_a_bijection(
+    checked: CheckedDerivation, a: Position, rho: dict[Track, Track]
+) -> ChoiceError:
+    return ChoiceError(
+        f"root mapping {rho} at {format_position(a)} is not a bijection from the tracks "
+        f"{checked.left_seq(a).tracks()} onto {checked.right_seq(a).tracks()}",
+        a,
+    )
 
 
 class InterfaceError(ValueError):

@@ -22,6 +22,7 @@ from .positions import (
     Position,
     Track,
     ZeroOneIso,
+    _node,
     format_position,
     iter_01_isos,
     scan,
@@ -45,8 +46,8 @@ class _TypeFacts:
     """The facts of an S-type or a sequence type, each computed at most once
     per node and kept on it, shared by every reader: none can be mutated.
 
-    `collapse`, `_identity` (read by `identity_iso`) and the hash are built
-    bottom-up from the children's cached facts; `support` and
+    `collapse`, `_identity` (read by `identity_iso`), the hash and the class
+    hash `_class` are built bottom-up from the children's cached facts; `support` and
     `mutable_positions` walk the node top-down and are kept on that node
     only, since on shared subtypes they would repeat every position once per
     enclosing type.  No walk recurses, and neither does `==`.
@@ -81,6 +82,12 @@ class _TypeFacts:
     @cached_property
     def _hash(self) -> int:
         return _bottom_up(self, "_hash", _hash_here)
+
+    @cached_property
+    def _class(self) -> int:
+        """A hash of the isomorphism class, that is of the collapse: equal on
+        isomorphic types, and on others only by a collision."""
+        return _bottom_up(self, "_class", _class_here)
 
     @cached_property
     def collapse(self) -> Union["RType", tuple["RType", ...]]:
@@ -210,6 +217,14 @@ def _hash_here(u: SType | SeqType) -> int:
     if isinstance(u, SArrow):
         return hash((u.source._hash, u.target._hash))
     return hash(tuple((k, s._hash) for k, s in u.entries))
+
+
+def _class_here(u: SType | SeqType) -> int:
+    if type(u) is SAtom:
+        return hash(u.name)
+    if type(u) is SArrow:
+        return hash((u.source._class, u.target._class))
+    return hash(tuple(sorted([s._class for _, s in u.entries])))
 
 
 def _identity_here(u: SType | SeqType) -> ZeroOneIso:
@@ -448,10 +463,81 @@ def check_type_iso(
 
 
 def iter_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> Iterator[ZeroOneIso]:
-    """The type isomorphisms, lazily, in increasing `key()` order, read off
-    the two types by one walk each; the first one is the least and costs
-    O(n log n) (see `iter_01_isos`)."""
-    return iter_01_isos(t1, t2, _children, _label, not isinstance(t1, SeqType))
+    """The type isomorphisms from t1 onto t2, lazily, in increasing `key()`
+    order: exactly what `iter_01_isos` yields on the two types.
+
+    The first, the least, is built in closed form by `_least_type_iso`, one
+    walk over both types that reads their cached class hashes; only a second
+    draw runs `iter_01_isos`, whose first element it skips.  Where that walk
+    fails, the types are not isomorphic or two classes share a hash, and
+    `iter_01_isos` yields everything, so a collision costs time, never a
+    wrong answer.
+    """
+    least = _least_type_iso(t1, t2)
+    if least is not None:
+        yield least
+    isos = iter_01_isos(t1, t2, _children, _label, not isinstance(t1, SeqType))
+    if least is not None:
+        next(isos)
+    yield from isos
+
+
+def _least_type_iso(t1: SType | SeqType, t2: SType | SeqType) -> Optional[ZeroOneIso]:
+    """The least isomorphism from t1 onto t2, or None where the walk fails.
+
+    One lockstep walk over both types on an explicit stack, building each
+    node of the isomorphism after the nodes below it and a pair of shared
+    subtypes once.  At each pair, the labels and the entry counts must
+    agree; the target goes to the target and a single entry to the single
+    entry; otherwise each entry of t1, in track order, takes the least free
+    entry of t2 of the same class hash, as `iter_01_isos` takes its first
+    isomorphism.  A walk that completes has built a label-preserving
+    bijection at every pair, so it never pairs two classes that merely
+    share a hash.  No collapse key is hashed or compared.
+    """
+    if type(t1) is not type(t2) or type(t1) is SAtom and t1.name != t2.name:
+        return None
+    if type(t1) is SAtom:
+        return LEAF
+    built: dict[tuple[int, int], Optional[ZeroOneIso]] = {}
+    stack: list = [(t1, t2, None)]
+    while stack:
+        u1, u2, pairs = stack.pop()
+        if pairs is not None:
+            kids = {
+                k: (k2, LEAF if type(s1) is SAtom else built[id(s1), id(s2)])
+                for k, k2, s1, s2 in pairs
+            }
+            built[id(u1), id(u2)] = _node(u1 is not t1 or type(t1) is not SeqType, kids)
+            continue
+        if (id(u1), id(u2)) in built:
+            continue
+        built[id(u1), id(u2)] = None  # pending
+        if type(u1) is SArrow:
+            pairs, e1, e2 = [(1, 1, u1.target, u2.target)], u1.source.entries, u2.source.entries
+        else:
+            pairs, e1, e2 = [], u1.entries, u2.entries
+        if len(e1) != len(e2):
+            return None
+        if len(e1) == 1:
+            pairs.append((e1[0][0], e2[0][0], e1[0][1], e2[0][1]))
+        elif e1:
+            free: dict[int, list[tuple[Track, SType]]] = {}
+            for k2, s2 in reversed(e2):
+                free.setdefault(s2._class, []).append((k2, s2))
+            for k, s1 in e1:
+                group = free.get(s1._class)
+                if not group:
+                    return None
+                k2, s2 = group.pop()
+                pairs.append((k, k2, s1, s2))
+        stack.append((u1, u2, pairs))
+        for _, _, s1, s2 in pairs:
+            if type(s1) is not type(s2) or type(s1) is SAtom and s1.name != s2.name:
+                return None
+            if type(s1) is SArrow:
+                stack.append((s1, s2, None))
+    return built[id(t1), id(t2)]
 
 
 _TOKEN = re.compile(r"(->)|([(),:])|([0-9]+)|(\w[\w']*)|(\S)")  # tracks in ASCII digits

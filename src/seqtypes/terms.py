@@ -321,7 +321,41 @@ def alpha_key(t: Term) -> tuple:
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
-    return t is u or alpha_key(t) == alpha_key(u)
+    """Whether t and u are alpha-equivalent, that is have equal `alpha_key`s.
+
+    The two terms are walked in lockstep on an explicit stack, so depth is
+    unbounded, and the walk stops at the first difference without building
+    a key.  `scopes1` and `scopes2` hold, for each name, the depths at which
+    it is bound on either side, innermost last: two variables agree when
+    both are free with one name or both are bound at one depth.  A pair of
+    binder names on the stack closes their scopes.
+    """
+    if t is u:
+        return True
+    scopes1: dict[str, list[int]] = {}
+    scopes2: dict[str, list[int]] = {}
+    depth = 0  # the abstractions above the next pair
+    stack: list[tuple] = [(t, u)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is str:
+            scopes1[x].pop()
+            scopes2[y].pop()
+            depth -= 1
+        elif type(x) is not type(y):
+            return False
+        elif type(x) is Var:
+            d1, d2 = scopes1.get(x.name), scopes2.get(y.name)
+            if (d1[-1] if d1 else x.name) != (d2[-1] if d2 else y.name):
+                return False
+        elif type(x) is Abs:
+            scopes1.setdefault(x.binder, []).append(depth)
+            scopes2.setdefault(y.binder, []).append(depth)
+            depth += 1
+            stack += ((x.binder, y.binder), (x.body, y.body))
+        else:
+            stack += ((x.right, y.right), (x.left, y.left))
+    return True
 
 
 def binders_above(t: Term, a: Position) -> set[str]:

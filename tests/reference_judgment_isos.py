@@ -16,8 +16,11 @@ callers.  `test_judgment_isos_differential.py` compares
 `build_operable_from_choices` is also the original chained builder: it
 realizes each choice with the original `realize_r_choice`, which checks
 only what it reads, and compares every collapse on the way with the
-`reduce_R` chain, which rejects the rest.  `test_derived_reducts.py` holds
-the library's builder, which checks each choice once on the rigid side,
+`reduce_R` chain, which rejects the rest.  It extends each root mapping
+with the original `extend_root_interface`, which lets a mapping that is
+not a bijection raise the `KeyError` or `IsoShapeError` it meets, where
+the library's raises `ChoiceError`.  `test_derived_reducts.py` holds the
+library's builder, which checks each choice once on the rigid side,
 against it on malformed choices.
 
 They keep the isomorphism as it then was, `DictIso`: a dict from positions
@@ -51,10 +54,9 @@ from seqtypes.reduction import (
     ResidualMaps,
     _redex_binder,
     default_interface,
-    extend_root_interface,
     reduce_R,
 )
-from seqtypes.stypes import SArrow, identity_iso
+from seqtypes.stypes import SArrow, identity_iso, iter_type_isos
 from seqtypes.terms import Abs, Var, alpha_key, subterm_at
 from seqtypes.trivialize import DerivationIso
 
@@ -376,6 +378,23 @@ def realize_r_choice(
             rho[k] = track_of[j]
         rho_per_node[a] = rho
     return rho_per_node
+
+
+def extend_root_interface(
+    checked: CheckedDerivation, a: Position, rho: dict[Track, Track]
+) -> ZeroOneIso:
+    """Lexicographically least interface extending the given root mapping."""
+    left, right = checked.left_seq(a), checked.right_seq(a)
+    kids: dict[Track, tuple[Track, ZeroOneIso]] = {}
+    for k, s in left.items():
+        k2 = rho[k]
+        iso = next(iter_type_isos(s, right.get(k2)), None)
+        if iso is None:
+            raise ChoiceError(
+                f"root mapping {k} -> {k2} at {format_position(a)} not extendable", a
+            )
+        kids[k] = (k2, iso)
+    return ZeroOneIso.node(kids, tree=False)
 
 
 def build_operable_from_choices(

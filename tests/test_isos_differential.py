@@ -11,11 +11,17 @@ the criterion-5 instances against `reference_rwalk`.  The scale tests pin what l
 the least interface of k equal-typed arguments without k! work, one
 derivation of `v (w u)^8` without 10^8 shapes, and one support isomorphism
 and one type isomorphism per axiom drawn for `limit=1`; the lazy product of
-axiom isomorphisms must give the eager product's list.
+axiom isomorphisms must give the eager product's list.  Three tests pin
+how `iter_type_isos` takes the least isomorphism, by one walk over the
+types' cached class hashes: it lists the reference's isomorphisms even
+when every class hash collides, `make_operable` calls no enumerator on
+the wide family or the hybrid corpus, and it handles a type nested 10,000
+deep.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 import itertools
 import math
@@ -28,7 +34,10 @@ from hypothesis import strategies as st
 
 from seqtypes.corpus import sr_corpus
 from seqtypes.derivations import (
+    AppNode,
+    AxNode,
     CheckedDerivation,
+    Derivation,
     GenBudget,
     _shapes,
     check_derivation,
@@ -45,7 +54,7 @@ from seqtypes.reduction import (
     reduce_R,
     root_interfaces_at,
 )
-from seqtypes.stypes import iter_type_isos
+from seqtypes.stypes import SArrow, SAtom, iter_type_isos, parse_seq_type, print_type, seq
 from seqtypes.terms import parse_term, redexes
 from seqtypes.trivialize import (
     enumerate_derivation_isos,
@@ -330,3 +339,79 @@ class _NotIsomorphic:
 def test_default_interface_names_the_position():
     with pytest.raises(ReductionError, match="no interface at 1.2"):
         default_interface(_NotIsomorphic(), (1, 2))
+
+
+STYPES = importlib.import_module("seqtypes.stypes")
+
+
+def counting_enumerator(monkeypatch) -> list[int]:
+    """Counts the calls `iter_type_isos` makes to `iter_01_isos`."""
+    calls = [0]
+
+    @functools.wraps(iter_01_isos)
+    def counting(*args):
+        calls[0] += 1
+        return iter_01_isos(*args)
+
+    monkeypatch.setattr(STYPES, "iter_01_isos", counting)
+    return calls
+
+
+def test_every_class_hash_colliding_changes_no_list(monkeypatch):
+    """With one class hash for every type, the walk pairs entries of
+    different classes, fails and hands over to `iter_01_isos`: the lists
+    stay the reference's at every application node of the hybrid corpus,
+    the 20 towers and equal-typed k = 1..6.  The sides are parsed anew
+    under the patch, so no hash cached before it is read."""
+    monkeypatch.setattr(STYPES, "_class_here", lambda u: 0)
+    calls = counting_enumerator(monkeypatch)
+    checked_list = [c for pair in hybrid_pairs() for c in pair]
+    checked_list += [op.checked for op in tower_operables()]
+    checked_list += [check_derivation(make_equal_typed(k)) for k in range(1, 7)]
+    nodes = walked = 0
+    for checked in checked_list:
+        for a in checked.app_positions():
+            left = parse_seq_type(print_type(checked.left_seq(a)))
+            right = parse_seq_type(print_type(checked.right_seq(a)))
+            before = calls[0]
+            least = next(iter_type_isos(left, right))
+            walked += calls[0] == before
+            assert left._class == 0 and all(s._class == 0 for _, s in right.entries)
+            want = reference_interfaces(checked, a)
+            assert least.key() == want[0]
+            assert keys(iter_type_isos(left, right)) == want
+            nodes += 1
+    assert nodes > 800 and 0 < walked < nodes
+
+
+def test_the_least_interface_calls_no_enumerator(monkeypatch):
+    """`make_operable` on `v (w u)^m`, m = 2..20, and on the hybrid corpus
+    takes every least interface by the walk alone."""
+    calls = counting_enumerator(monkeypatch)
+    checked_list = [check_derivation(make_wide(m)) for m in range(2, 21)]
+    checked_list += [hybrid for _, hybrid in hybrid_pairs()]
+    for checked in checked_list:
+        make_operable(checked)
+    assert calls[0] == 0
+
+
+def test_the_least_interface_of_a_type_nested_10000_deep():
+    """v u in flavor S, u of type T_10000, where T_0 = o and T_(n+1) =
+    (2:T_n) -> o, built once for v's source and once for u."""
+
+    def nested() -> SArrow:
+        t = SAtom("o")
+        for _ in range(10_000):
+            t = SArrow(seq({2: t}), SAtom("o"))
+        return t
+
+    nodes = {
+        EPS: AppNode(frozenset({2})),
+        (1,): AxNode(2, SArrow(seq({2: nested()}), SAtom("o"))),
+        (2,): AxNode(2, nested()),
+    }
+    checked = check_derivation(Derivation(parse_term("v u"), "S", nodes))
+    op = make_operable(checked)
+    iso = op.interface[EPS]
+    assert len(iso.mapping) == 20_001
+    assert iso.is_identity()

@@ -171,6 +171,22 @@ def test_extend_root_interface():
     assert check_type_iso(checked.left_seq(EPS), checked.right_seq(EPS), phi)
 
 
+@pytest.mark.parametrize(
+    "rho",
+    [
+        {2: 2},  # the left track 3 is missing
+        {2: 2, 3: 7},  # the node has no right track 7
+        {2: 2, 3: 2},  # two left tracks share an image
+        {2: 2, 3: 3, 4: 4},  # the node has no left track 4
+    ],
+)
+def test_extend_root_interface_rejects_a_malformed_root_mapping(rho):
+    checked = check_derivation(make_equal_typed(2))
+    with pytest.raises(ChoiceError, match="at eps is not a bijection") as info:
+        extend_root_interface(checked, EPS, rho)
+    assert info.value.position == EPS
+
+
 def test_reduce_operable_trivial_matches_reduce_S():
     checked = check_derivation(make_identity_redex())
     op = make_operable(checked)
