@@ -489,6 +489,50 @@ class JudgmentIsos:
         """right(a) o phi o left(a)^-1: an interface at a, carried along."""
         return phi.conjugate(self.left(a), self.right(a))
 
+    def commutes(self, a: Position, phi: ZeroOneIso, other: Optional[ZeroOneIso] = None) -> bool:
+        """Whether `conjugate(a, phi)` is other, or the identity when other is
+        None, decided without building it or left(a) and right(a).
+
+        One walk on an explicit stack reads psi(a.1)'s source letters, phi,
+        the argument premises' psi under their new tracks and other in
+        lockstep, once per distinct tuple of nodes.  It descends where the
+        conjugate builds a node, so it raises `KeyError` exactly where
+        `conjugate` does: once the verdict is False it goes on without
+        other, for that error alone.
+        """
+        node = self.checked.nodes[a]
+        assert isinstance(node, AppNode)
+        right = {k: (self._args.get(a + (k,), k), self._psi[a + (k,)]) for k in node.arg_tracks}
+        left = [(k, kid) for k, kid in self._psi[a + (1,)].kids.items() if k >= 2]
+        ok = other is None or not other.tree and len(other.kids) == len(left)
+        seen: set[tuple[int, int, int, int]] = set()
+        stack: list = [(left, phi.kids, right, other)]
+        while stack:
+            lkids, pkids, rkids, t = stack.pop()
+            for k, (k_l, l_sub) in lkids:
+                k_p, p_sub = pkids[k]
+                k_r, r_sub = rkids[k_p]
+                t_sub = None
+                if ok and t is None:
+                    ok = k_l == k_r
+                elif ok:
+                    kid = t.kids.get(k_l)
+                    ok = kid is not None and kid[0] == k_r
+                    t_sub = kid[1] if ok else None
+                if not l_sub.kids:  # the conjugate's node is a leaf
+                    ok = ok and (t_sub is None or t_sub.tree and not t_sub.kids)
+                elif p_sub is l_sub and r_sub is l_sub and l_sub.is_identity():
+                    ok = ok and (t_sub is None or t_sub == l_sub)  # it is l_sub itself
+                else:
+                    if t_sub is not None:
+                        ok = t_sub.tree and len(t_sub.kids) == len(l_sub.kids)
+                        t_sub = t_sub if ok else None
+                    key = (id(l_sub), id(p_sub), id(r_sub), id(t_sub))
+                    if key not in seen:
+                        seen.add(key)
+                        stack.append((l_sub.kids.items(), p_sub.kids, r_sub.kids, t_sub))
+        return ok
+
 
 # -- multiset (R) derivations -----------------------------------------------
 

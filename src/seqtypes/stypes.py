@@ -331,54 +331,62 @@ def identity_iso(t: SType | SeqType) -> ZeroOneIso:
 
 
 def relabel_type(t: SType, tracks: Mapping[Position, Track]) -> tuple[SType, ZeroOneIso]:
-    """The resetting of t along new tracks for its mutable positions, and the
-    01-isomorphism from its support onto the new type's.
+    """The resetting of t along new tracks given by position: `_relabel` on
+    them in `mutable_positions` order.  Entries for other positions are
+    ignored."""
+    return _relabel(t, [tracks.get(c) for c in t.mutable_positions])
 
-    One preorder walk on an explicit stack checks the new tracks; the
-    arrows are then rebuilt bottom-up in reverse preorder, each with its
-    node of the isomorphism (a target keeps its letter 1), sharing the atoms
-    and the isomorphism `LEAF`.  Entries for positions that t lacks, or
-    that are not mutable, are ignored.  Raises `RelabellingError` when a
-    mutable position has no new track, a new track is below 2, or two
-    siblings get the same one.
+
+def _relabel(t: SType, tracks: Sequence[Optional[Track]]) -> tuple[SType, ZeroOneIso]:
+    """The resetting of t along new tracks for its mutable positions, listed
+    in `mutable_positions` order (None for a missing one), and the
+    01-isomorphism from its support onto the new type's.  Raises
+    `RelabellingError` when a track is missing, below 2 or given to two
+    siblings; a position is built only to name it there.
+
+    One preorder walk on an explicit stack, in that order, gives each entry
+    its track and checks it, keeping per arrow its entries' new tracks in a
+    dict that finds a repeated one.  The arrows are then rebuilt in reverse
+    preorder, each with its node of the isomorphism (a target keeps its
+    letter 1): its rebuilt children lie uppermost on a stack of values, the
+    target on top.  The atoms and `LEAF` are shared.
     """
-    arrows: list[tuple[Position, SArrow]] = []
-    stack: list[tuple[Position, SType]] = [(EPS, t)]
+
+    def named(i: int) -> str:
+        return format_position(t.mutable_positions[i])
+
+    arrows: list[tuple[SArrow, dict[Track, int]]] = []
+    stack: list = [(t, None)]
+    i = 0
     while stack:
-        a, u = stack.pop()
-        if isinstance(u, SAtom):
-            continue
-        arrows.append((a, u))
-        stack.append((a + (1,), u.target))
-        taken: dict[Track, Position] = {}
-        for k, s in u.source.entries:
-            c = a + (k,)
-            new = tracks.get(c)
+        u, taken = stack.pop()
+        if taken is not None:  # an entry: its new track is the next one
+            new = tracks[i]
             if new is None:
-                raise RelabellingError(f"relabelling undefined on {format_position(c)}")
+                raise RelabellingError(f"relabelling undefined on {named(i)}")
             if new < 2:
                 raise RelabellingError(f"new track {new} is not mutable")
             if new in taken:
                 raise RelabellingError(
-                    f"siblings {format_position(taken[new])} and {format_position(c)} "
-                    f"both relabelled to {new}"
+                    f"siblings {named(taken[new])} and {named(i)} both relabelled to {new}"
                 )
-            taken[new] = c
-            stack.append((c, s))
-    built: dict[Position, tuple[SType, ZeroOneIso]] = {}
-
-    def new_node(c: Position, s: SType) -> tuple[SType, ZeroOneIso]:
-        return (s, LEAF) if isinstance(s, SAtom) else built.pop(c)
-
-    for a, u in reversed(arrows):
-        target, target_iso = new_node(a + (1,), u.target)
+            taken[new] = i
+            i += 1
+        if type(u) is SArrow:
+            below: dict[Track, int] = {}
+            arrows.append((u, below))
+            stack += [(s, below) for _, s in reversed(u.source.entries)]
+            stack.append((u.target, None))
+    built: list[tuple[SType, ZeroOneIso]] = []
+    for u, taken in reversed(arrows):
+        target, target_iso = built.pop() if type(u.target) is SArrow else (u.target, LEAF)
         entries, kids = [], {1: (1, target_iso)}
-        for k, s in u.source.entries:
-            new, (s2, iso) = tracks[a + (k,)], new_node(a + (k,), s)
+        for (k, s), new in zip(u.source.entries, taken):
+            s2, iso = built.pop() if type(s) is SArrow else (s, LEAF)
             entries.append((new, s2))
             kids[k] = (new, iso)
-        built[a] = (SArrow(seq(entries), target), ZeroOneIso.node(kids))
-    return new_node(EPS, t)
+        built.append((SArrow(seq(entries), target), _node(True, kids)))
+    return built.pop() if built else (t, LEAF)
 
 
 def subtypes(u: SType | RType) -> Sequence[SType | RType]:
@@ -467,23 +475,30 @@ def iter_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> Iterator[ZeroOne
     order: exactly what `iter_01_isos` yields on the two types.
 
     The first, the least, is built in closed form by `_least_type_iso`, one
-    walk over both types that reads their cached class hashes; only a second
-    draw runs `iter_01_isos`, whose first element it skips.  Where that walk
-    fails, the types are not isomorphic or two classes share a hash, and
-    `iter_01_isos` yields everything, so a collision costs time, never a
-    wrong answer.
+    walk over both types that reads their cached class hashes.  Where the
+    walk met no two sibling entries of one hash, every class it met among
+    siblings has one member, so that isomorphism is the only one and the
+    iteration ends.  Otherwise only a second draw runs `iter_01_isos`, whose
+    first element it skips.  Where the walk fails, the types are not
+    isomorphic or two classes share a hash, and `iter_01_isos` yields
+    everything, so a collision costs time, never a wrong answer.
     """
-    least = _least_type_iso(t1, t2)
+    least, only = _least_type_iso(t1, t2)
     if least is not None:
         yield least
+        if only:
+            return
     isos = iter_01_isos(t1, t2, _children, _label, not isinstance(t1, SeqType))
     if least is not None:
         next(isos)
     yield from isos
 
 
-def _least_type_iso(t1: SType | SeqType, t2: SType | SeqType) -> Optional[ZeroOneIso]:
-    """The least isomorphism from t1 onto t2, or None where the walk fails.
+def _least_type_iso(
+    t1: SType | SeqType, t2: SType | SeqType
+) -> tuple[Optional[ZeroOneIso], bool]:
+    """The least isomorphism from t1 onto t2, or None where the walk fails,
+    and whether no two sibling entries of t2 that it met share a hash.
 
     One lockstep walk over both types on an explicit stack, building each
     node of the isomorphism after the nodes below it and a pair of shared
@@ -496,10 +511,11 @@ def _least_type_iso(t1: SType | SeqType, t2: SType | SeqType) -> Optional[ZeroOn
     share a hash.  No collapse key is hashed or compared.
     """
     if type(t1) is not type(t2) or type(t1) is SAtom and t1.name != t2.name:
-        return None
+        return None, False
     if type(t1) is SAtom:
-        return LEAF
+        return LEAF, True
     built: dict[tuple[int, int], Optional[ZeroOneIso]] = {}
+    only = True
     stack: list = [(t1, t2, None)]
     while stack:
         u1, u2, pairs = stack.pop()
@@ -518,26 +534,27 @@ def _least_type_iso(t1: SType | SeqType, t2: SType | SeqType) -> Optional[ZeroOn
         else:
             pairs, e1, e2 = [], u1.entries, u2.entries
         if len(e1) != len(e2):
-            return None
+            return None, False
         if len(e1) == 1:
             pairs.append((e1[0][0], e2[0][0], e1[0][1], e2[0][1]))
         elif e1:
             free: dict[int, list[tuple[Track, SType]]] = {}
             for k2, s2 in reversed(e2):
                 free.setdefault(s2._class, []).append((k2, s2))
+            only = only and len(free) == len(e2)
             for k, s1 in e1:
                 group = free.get(s1._class)
                 if not group:
-                    return None
+                    return None, False
                 k2, s2 = group.pop()
                 pairs.append((k, k2, s1, s2))
         stack.append((u1, u2, pairs))
         for _, _, s1, s2 in pairs:
             if type(s1) is not type(s2) or type(s1) is SAtom and s1.name != s2.name:
-                return None
+                return None, False
             if type(s1) is SArrow:
                 stack.append((s1, s2, None))
-    return built[id(t1), id(t2)]
+    return built[id(t1), id(t2)], only
 
 
 _TOKEN = re.compile(r"(->)|([(),:])|([0-9]+)|(\w[\w']*)|(\S)")  # tracks in ASCII digits

@@ -27,8 +27,8 @@ at the top of its chain (its binder's body, or the root when free).
 Lookups by edge go to the copied edge in O(log n).  Edge, `Thread` and arc
 objects, and the copies, are built only when read (`edges`, `threads`,
 `referent`, `consumption`, reports); the id accessors (`arg_thread`,
-`right_threads`, `thread_at`, `arc_threads`), `thread_size`, which counts
-the copies, and so `trivialize`, build none.
+`right_threads`, `axiom_thread`, `thread_at`, `arc_threads`),
+`thread_size`, which counts the copies, and so `trivialize`, build none.
 """
 
 from __future__ import annotations
@@ -439,6 +439,11 @@ class ThreadAnalysis:
         """The threads of the node's right block, in `mutable_positions` order."""
         v = self._node_id[pos]
         return self._thread_of[self._right_start[v] : self._right_start[v + 1]]
+
+    def axiom_thread(self, pos: Position) -> int:
+        """The thread of the axiom edge of the axiom at pos: the head of its
+        own left block."""
+        return self._thread_of[self._own[self._node_id[pos]]]
 
     def thread_at(self, pos: Position, inner: Position, var: Optional[str] = None) -> int:
         """The thread of the right edge (pos, inner), or left edge (pos, var, inner)."""

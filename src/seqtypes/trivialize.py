@@ -26,8 +26,8 @@ from .positions import (
     format_position,
     iter_01_isos,
 )
-from .stypes import check_type_iso, iter_type_isos, relabel_type
-from .terms import Var, alpha_eq
+from .stypes import _relabel, check_type_iso, iter_type_isos, relabel_type
+from .terms import alpha_eq
 from .derivations import (
     AbsNode,
     AppNode,
@@ -79,8 +79,10 @@ class UnjoinedBrothersError(BrotherChainError):
 class NonIdentityInterfaceError(ValueError):
     """The trivialized derivation kept a non-identity interface.
 
-    Unreachable when the track values respect consumption; the application
-    position is the witness."""
+    Unreachable when the track values respect consumption.  The witness is
+    the application whose carried interface is not the identity: `position`
+    is its place in the trivial derivation, the first such node in the
+    input's preorder."""
 
     def __init__(self, pos: Position) -> None:
         super().__init__(f"trivialized interface at {format_position(pos)} is not the identity")
@@ -181,7 +183,9 @@ def _support_iso(
 def build_relabelling(
     analysis: ThreadAnalysis, classes: ThreadClasses, values: dict[int, Track]
 ) -> Relabelling:
-    """The relabelling giving every thread its class's track value."""
+    """The relabelling giving every thread its class's track value.  Each
+    axiom's type is relabelled from its right block's threads, which follow
+    `mutable_positions` order, and its track from its own block's head."""
     checked = analysis.checked
 
     def value_of(tid: int) -> Track:
@@ -192,13 +196,9 @@ def build_relabelling(
     for a in checked.axiom_positions():
         node = checked.node(a)
         assert isinstance(node, AxNode)
-        subj = checked.subject_at(a)
-        assert isinstance(subj, Var)
-        tracks = map(value_of, analysis.right_threads(a))
-        new_type, axiom_isos[a] = relabel_type(
-            node.stype, dict(zip(node.stype.mutable_positions, tracks))
-        )
-        axioms[a] = AxNode(value_of(analysis.thread_at(a, (node.track,), subj.name)), new_type)
+        tracks = list(map(value_of, analysis.right_threads(a)))
+        new_type, axiom_isos[a] = _relabel(node.stype, tracks)
+        axioms[a] = AxNode(value_of(analysis.axiom_thread(a)), new_type)
     supp_map = _support_iso(checked, lambda p: value_of(analysis.arg_thread(p)))
     return DerivationIso(supp_map, axiom_isos), axioms
 
@@ -240,7 +240,7 @@ def verify_derivation_iso(
                 ):
                     return False
                 # right(a) o interface1 = interface2 o left(a), left(a) a bijection
-                if interface1[a].conjugate(derived.left(a), derived.right(a)) != interface2[a2]:
+                if not derived.commutes(a, interface1[a], interface2[a2]):
                     return False
     except (DomainMismatchError, IsoShapeError, KeyError):
         return False
@@ -404,17 +404,19 @@ def trivialize(op: OperableDerivation) -> TrivializeResult:
 
     The output checks under the syntactic application rule and collapses on
     the same multiset derivation; a BrotherChainError cannot arise from a
-    valid input and is surfaced as a diagnostic.
+    valid input and is surfaced as a diagnostic.  The reset carries no
+    interface: each square is tested by `JudgmentIsos.commutes` against the
+    identity, and a failure raises `NonIdentityInterfaceError`.
     """
     analysis = ThreadAnalysis(op)
     classes = consumption_closure(analysis)
     values = assign_track_values(analysis, classes)
     relab = build_relabelling(analysis, classes, values)
-    reset = reset_derivation(op.checked, relab, op.interface, flavor=FLAVOR_S)
-    assert reset.interface is not None
-    for a, phi in reset.interface.items():
-        if not phi.is_identity():
-            raise NonIdentityInterfaceError(a)
+    reset = reset_derivation(op.checked, relab, flavor=FLAVOR_S)
+    derived = reset.iso.judgment_isos(op.checked, reset.checked)
+    for a in op.checked.app_positions():
+        if not derived.commutes(a, op.interface[a]):
+            raise NonIdentityInterfaceError(reset.iso.supp_map(a))
     return TrivializeResult(reset.checked, reset.iso, classes, values, relab, analysis)
 
 

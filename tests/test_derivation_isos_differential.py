@@ -13,7 +13,12 @@ the loop of `reset_derivation`.  Against it and against the original
 - `verify_derivation_iso` gives the references' verdict, with and without
   interfaces, on a mutation corpus of support maps: two argument letters
   swapped with their subtrees, a leaf left out, a node added under a leaf,
-  a leaf sent off the second support, and an axiom sent onto an application.
+  a leaf sent off the second support, and an axiom sent onto an application;
+- and on a mutation corpus of interfaces, where the commuting square is
+  tested by `JudgmentIsos.commutes` and the references build conjugates:
+  two root letters swapped, two letters swapped one level down, the
+  identity checked against a non-identity, and a letter off the left
+  sequence.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from seqtypes.derivations import AppNode, AxNode, Derivation, check_derivation
+from seqtypes.derivations import AppNode, AxNode, Derivation, JudgmentIsos, check_derivation
 from seqtypes.positions import EPS, ZeroOneIso
-from seqtypes.stypes import SArrow, SAtom, identity_iso, seq
+from seqtypes.stypes import SArrow, SAtom, identity_iso, iter_type_isos, seq
 from seqtypes.terms import parse_term
 from seqtypes.trivialize import (
     DerivationIso,
@@ -147,6 +152,84 @@ def test_mutated_support_maps_get_the_reference_verdict():
                 assert_reference_verdict(c1, c2, iso, interfaces)
                 counts[kind] = counts.get(kind, 0) + 1
     assert len(counts) == 4 and min(counts.values()) > 100, counts
+
+
+def swapped_pairs(phi: ZeroOneIso, depth: int) -> list[ZeroOneIso]:
+    """phi with the images of two sibling letters at the given depth
+    exchanged, each subtree moving with its letter: one per parent."""
+    m = dict(phi.mapping)
+    siblings: dict[tuple, list[tuple]] = {}
+    for a in m:
+        if len(a) == depth + 1 and a[-1] >= 2:
+            siblings.setdefault(a[:-1], []).append(a)
+    return [ZeroOneIso(swap_letters(m, *kids[:2])) for kids in siblings.values() if len(kids) > 1]
+
+
+def mutated_interfaces(c1, c2, iso: DerivationIso, interfaces) -> dict[str, list[tuple]]:
+    """Wrong interface pairs for a right pair, each wrong at one node: two
+    root letters or two letters one level down swapped in the second
+    interface, the second interface's identity replaced by another interface
+    (the identity carried over, checked against a non-identity), and a root
+    letter of the first interface sent off its left sequence."""
+    interface1, interface2 = interfaces
+    pairs = iso.supp_map.mapping
+    out: dict[str, list[tuple]] = {}
+
+    def add(kind: str, a, phi1, phi2) -> None:
+        out.setdefault(kind, []).append(({**interface1, a: phi1}, {**interface2, pairs[a]: phi2}))
+
+    for a in c1.app_positions():
+        phi1, phi2 = interface1[a], interface2[pairs[a]]
+        for depth, kind in ((0, "root letters swapped"), (1, "swapped one level down")):
+            for wrong in swapped_pairs(phi2, depth)[:1]:
+                add(kind, a, phi1, wrong)
+        if phi2.is_identity():
+            a2 = pairs[a]
+            others = iter_type_isos(c2.left_seq(a2), c2.right_seq(a2))
+            for other in itertools.islice(others, 1, 2):
+                add("identity against a non-identity", a, phi1, other)
+        if phi1.kids:
+            k, kid = min(phi1.kids.items())
+            off = max(c1.left_seq(a).tracks()) + 1
+            kids = {**{j: x for j, x in phi1.kids.items() if j != k}, off: kid}
+            add("a letter off the left sequence", a, ZeroOneIso.node(kids, tree=False), phi2)
+    return out
+
+
+def test_mutated_interfaces_get_the_reference_verdict(monkeypatch):
+    """The commuting square, tested by one walk, against the references'
+    conjugates: on random resets and on trivializations, each interface pair
+    made wrong at one node.  Many of the wrong pairs pass both interface
+    checks, so the square alone rejects them."""
+    squares = []
+    commutes = JudgmentIsos.commutes
+
+    def recording(self, *args):
+        squares.append(commutes(self, *args))
+        return squares[-1]
+
+    monkeypatch.setattr(JudgmentIsos, "commutes", recording)
+    rng = random.Random(CORPUS_SEED + 14)
+    counts: dict[str, int] = {}
+    for op in corpus_operables()[:150] + tower_operables() + wide_operables()[:5]:
+        reset = reset_derivation(op.checked, random_relabelling(op.checked, rng), op.interface)
+        result = trivialize(op)
+        trivial = result.trivial
+        identities = {a: identity_iso(trivial.left_seq(a)) for a in trivial.app_positions()}
+        for c2, iso, interface2 in (
+            (reset.checked, reset.iso, reset.interface),
+            (trivial, result.iso, identities),
+        ):
+            interfaces = (op.interface, interface2)
+            assert assert_reference_verdict(op.checked, c2, iso, interfaces)
+            assert verify_derivation_iso(op.checked, c2, iso, *interfaces)
+            for kind, wrong in mutated_interfaces(op.checked, c2, iso, interfaces).items():
+                for pair in wrong[:3]:
+                    assert_reference_verdict(op.checked, c2, iso, pair)
+                    assert not verify_derivation_iso(op.checked, c2, iso, *pair)
+                    counts[kind] = counts.get(kind, 0) + 1
+    assert len(counts) == 4 and min(counts.values()) > 50, counts
+    assert squares.count(False) > 100
 
 
 def test_an_axiom_sent_onto_an_application_gets_the_reference_verdict():

@@ -11,12 +11,13 @@ the criterion-5 instances against `reference_rwalk`.  The scale tests pin what l
 the least interface of k equal-typed arguments without k! work, one
 derivation of `v (w u)^8` without 10^8 shapes, and one support isomorphism
 and one type isomorphism per axiom drawn for `limit=1`; the lazy product of
-axiom isomorphisms must give the eager product's list.  Three tests pin
+axiom isomorphisms must give the eager product's list.  Four tests pin
 how `iter_type_isos` takes the least isomorphism, by one walk over the
 types' cached class hashes: it lists the reference's isomorphisms even
-when every class hash collides, `make_operable` calls no enumerator on
-the wide family or the hybrid corpus, and it handles a type nested 10,000
-deep.
+when every class hash collides, listing runs no enumerator where the walk
+shows the least isomorphism is the only one, `make_operable` calls no
+enumerator on the wide family or the hybrid corpus, and it handles a type
+nested 10,000 deep.
 """
 
 from __future__ import annotations
@@ -382,6 +383,26 @@ def test_every_class_hash_colliding_changes_no_list(monkeypatch):
             assert keys(iter_type_isos(left, right)) == want
             nodes += 1
     assert nodes > 800 and 0 < walked < nodes
+
+
+def test_listing_a_single_interface_calls_no_enumerator(monkeypatch):
+    """`interfaces_at` runs `iter_01_isos` only where there is more than one
+    interface: where the walk meets no two sibling entries of one class
+    hash, its isomorphism is the only one.  On every application node of
+    the hybrid corpus, the 20 towers and equal-typed k = 1..6."""
+    calls = counting_enumerator(monkeypatch)
+    checked_list = [hybrid for _, hybrid in hybrid_pairs()]
+    checked_list += [op.checked for op in tower_operables()]
+    checked_list += [check_derivation(make_equal_typed(k)) for k in range(1, 7)]
+    single = several = 0
+    for checked in checked_list:
+        for a in checked.app_positions():
+            before = calls[0]
+            n = len(interfaces_at(checked, a))
+            assert (calls[0] > before) == (n > 1), (a, n)
+            single += n == 1
+            several += n > 1
+    assert single > 1000 and several > 100, (single, several)
 
 
 def test_the_least_interface_calls_no_enumerator(monkeypatch):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import os
 import random
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from seqtypes import stypes
+from seqtypes import positions, stypes
 from seqtypes.corpus import make_tower, sr_corpus, tower_instances
 from seqtypes.derivations import (
     AxNode,
@@ -36,6 +37,7 @@ from seqtypes.trivialize import (
     BrotherChainError,
     CollapsingStrategyError,
     DerivationIso,
+    NonIdentityInterfaceError,
     ThreadClasses,
     assign_track_values,
     consumption_closure,
@@ -47,7 +49,13 @@ from seqtypes.trivialize import (
     verify_derivation_iso,
 )
 
-from samples import brothers_operable, make_self_app, make_two_choice_redex, make_wide
+from samples import (
+    brothers_operable,
+    make_equal_typed,
+    make_self_app,
+    make_two_choice_redex,
+    make_wide,
+)
 from test_derived_reducts import count_calls
 from test_stypes import DEEP_POSITIONS, deep_type
 from test_threads_differential import hybrid_operables, wide_operables
@@ -179,6 +187,78 @@ def test_forged_brother_class_raises_under_optimize():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+TRIVIALIZE = importlib.import_module("seqtypes.trivialize")
+
+
+def forged_swap_witness():
+    """Trivialize `v u` with two equal-typed copies of u, the consumption
+    closure forged to join each left thread with the other argument's
+    thread: no two brothers share a class and the trivial derivation
+    checks, but the carried interface swaps the two tracks.  Return the
+    position and the message of the raised error (None when nothing is
+    raised)."""
+    op = make_operable(check_derivation(make_equal_typed(2)))
+
+    def swapped(analysis):
+        left = analysis.right_threads((1,))
+        args = [analysis.arg_thread((3,)), analysis.arg_thread((2,))]
+        joined = [tuple(sorted(pair)) for pair in zip(left, args)]
+        rest = [(t,) for t in range(len(analysis.threads)) if t not in left + args]
+        classes = tuple(sorted(joined + rest))
+        return ThreadClasses(classes, {t: i for i, tids in enumerate(classes) for t in tids})
+
+    closure = TRIVIALIZE.consumption_closure
+    TRIVIALIZE.consumption_closure = swapped
+    try:
+        trivialize(op)
+    except NonIdentityInterfaceError as exc:
+        return exc.position, str(exc)
+    finally:
+        TRIVIALIZE.consumption_closure = closure
+    return None
+
+
+# the root application, the only one, in the trivial derivation
+SWAP_WITNESS = (EPS, "trivialized interface at eps is not the identity")
+
+
+def test_forged_swap_raises_non_identity_interface():
+    assert forged_swap_witness() == SWAP_WITNESS
+
+
+def test_forged_swap_raises_under_optimize():
+    # `python -O` strips assert statements; the identity check must not be one
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import sys\n"
+        "from test_trivialize import SWAP_WITNESS, forged_swap_witness\n"
+        "sys.exit(0 if forged_swap_witness() == SWAP_WITNESS else 3)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_trivialize_builds_no_conjugate(monkeypatch):
+    """Each square is tested by one walk: trivializing the hybrid corpus and
+    `v (w u)^m`, m = 4..12, composes no isomorphism."""
+    calls = count_calls(monkeypatch, [(positions, "_carry")])
+    ops = hybrid_operables() + wide_operables()[2:]
+    for op in ops:
+        trivialize(op)
+    assert not calls
+    # the counter sees the conjugates that a reset with the interface builds
+    op = ops[-1]
+    reset_derivation(op.checked, trivialize(op).relabelling, op.interface)
+    assert calls["_carry"] == len(op.checked.app_positions())
 
 
 def test_trivialize_brothers():
