@@ -385,6 +385,8 @@ def run(argv: list[str] | None = None) -> int:
         return _report("bad-input", str(exc), node=exc.node, position=position)
     except FileNotFoundError as exc:
         return _report("file-not-found", str(exc))
+    except Exception as exc:  # a fault of the program: reported, never a traceback
+        return _report("internal-error", f"{type(exc).__name__}: {exc}")
 
 
 def _report(kind: str, detail: str, **fields) -> int:

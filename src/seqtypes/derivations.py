@@ -56,7 +56,6 @@ from .terms import (
     parse_term,
     print_term,
     alpha_eq,
-    alpha_key,
     is_normal,
 )
 
@@ -542,7 +541,7 @@ class RAxD(Keyed):
     rtype: RType
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "key", (0, self.rtype.key))
+        self._keep((0, self.rtype.key), hash((0, self.rtype._hash)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,7 +549,7 @@ class RAbsD(Keyed):
     child: "RNode"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "key", (1, self.child.key))
+        self._keep((1, self.child.key), hash((1, self.child._hash)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -559,8 +558,11 @@ class RAppD(Keyed):
     args: tuple["RNode", ...]
 
     def __post_init__(self) -> None:
-        key = (2, self.left.key, tuple(c.key for c in self.args))
-        object.__setattr__(self, "key", key)
+        left, args = self.left, self.args
+        self._keep(
+            (2, left.key, tuple([c.key for c in args])),
+            hash((2, left._hash, tuple([c._hash for c in args]))),
+        )
 
 
 RNode = Union[RAxD, RAbsD, RAppD]
@@ -572,6 +574,9 @@ def rapp(left: RNode, args: Iterable[RNode]) -> RAppD:
 
 @dataclass(frozen=True, eq=False)
 class RDerivation:
+    """An R-tree laid on a term: equal to another whose term is
+    alpha-equivalent and whose root is equal, and hashed as its root."""
+
     term: Term
     root: RNode
 
@@ -581,7 +586,7 @@ class RDerivation:
         return alpha_eq(self.term, other.term) and self.root == other.root
 
     def __hash__(self) -> int:
-        return hash((alpha_key(self.term), self.root))
+        return self.root._hash
 
 
 class RCheckError(ValueError):

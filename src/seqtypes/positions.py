@@ -379,7 +379,8 @@ def iter_01_isos(
     a scan quadratic in the size of each group of same-class siblings; each
     later one costs at most as much again.  It is the one enumerator:
     `stypes.iter_type_isos` builds the least type isomorphism itself, from
-    the class hashes cached on the types, and runs this only for the rest.
+    the hashes stored on the types' collapses, and runs this only for the
+    rest.
     """
     table: dict[tuple, int] = {}
     parent, letter, below, cls1 = _preorder(root1, children, label, table)

@@ -93,8 +93,8 @@ def root_interfaces_at(checked: CheckedDerivation, a: Position) -> list[dict[Tra
     """All root interfaces at an application node, lexicographically ordered:
     the 01-isomorphisms of the two depth-1 forests of tracks labelled by
     their collapsed types, whose nodes are (label, children) pairs."""
-    left = None, [(k, (s.collapse.key, ())) for k, s in checked.left_seq(a).items()]
-    right = None, [(k, (s.collapse.key, ())) for k, s in checked.right_seq(a).items()]
+    left = None, [(k, (s.collapse, ())) for k, s in checked.left_seq(a).items()]
+    right = None, [(k, (s.collapse, ())) for k, s in checked.right_seq(a).items()]
     isos = iter_01_isos(left, right, itemgetter(1), itemgetter(0), False)
     return [phi.roots() for phi in isos]
 
@@ -403,9 +403,9 @@ def enumerate_r_choices(rd: RDerivation, b: Position) -> list[RChoice]:
 
     At each R-node at the redex, the axioms of the redex variable and the
     argument premises are two depth-1 forests of (label, children) nodes
-    labelled by R-type keys: the axioms on tracks 2, 3, ... in order of
-    decreasing key, each key's in position order, and each premise on its
-    own letter.  The node's assignments are the forests' 01-isomorphisms, in
+    labelled by their R-types: the axioms on tracks 2, 3, ... in order of
+    decreasing R-type key, each key's in position order, and each premise on
+    its own letter.  The node's assignments are the forests' 01-isomorphisms, in
     `iter_01_isos` order: the largest key's permutations vary slowest.  The
     choices are the product of the nodes' assignments, each choice with its
     own dicts.
@@ -414,10 +414,9 @@ def enumerate_r_choices(rd: RDerivation, b: Position) -> list[RChoice]:
     per_node: list[list[dict[Position, int]]] = []
     for path, ax_paths in sites:
         body = path + (1, 0)
-        ax_key = {p: types[body + p].key for p in ax_paths}
-        axioms = sorted(ax_paths, key=ax_key.__getitem__, reverse=True)
-        left = None, [(i, (ax_key[p], ())) for i, p in enumerate(axioms, start=2)]
-        right = None, [(j, (types[path + (j,)].key, ())) for j in range(2, 2 + len(ax_paths))]
+        axioms = sorted(ax_paths, key=lambda p: types[body + p].key, reverse=True)
+        left = None, [(i, (types[body + p], ())) for i, p in enumerate(axioms, start=2)]
+        right = None, [(j, (types[path + (j,)], ())) for j in range(2, 2 + len(ax_paths))]
         isos = iter_01_isos(left, right, itemgetter(1), itemgetter(0), False)
         per_node.append([{axioms[i - 2]: j for i, j in phi.roots().items()} for phi in isos])
     return [
@@ -470,19 +469,30 @@ def reduce_R(rd: RDerivation, b: Position, choice: RChoice) -> RDerivation:
     return RDerivation(beta_reduce_at(rd.term, b), built[EPS])
 
 
+def _r_site(
+    checked: CheckedDerivation, a: Position
+) -> tuple[Position, dict[Position, Track], dict[int, Track]]:
+    """An application node over a redex, read in the collapse: its R-path,
+    the tracks of the axioms of the redex variable by their R-paths relative
+    to the redex body (the R-path + (1, 0)), and the tracks of its argument
+    premises by R-letter."""
+    _, rpos = checked.collapse
+    path = rpos[a]
+    body_len = len(path) + 2
+    axioms = {rpos[p][body_len:]: k for k, p in checked.bound_by(a + (1,)).items()}
+    return path, axioms, {rpos[a + (k,)][-1]: k for k in checked.right_seq(a).tracks()}
+
+
 def collapse_choice(
     checked: CheckedDerivation, b: Position, rho_per_node: dict[Position, dict[Track, Track]]
 ) -> RChoice:
     """The multiset-side choice realized by a rigid root-interface choice."""
-    _, rpos = checked.collapse
     maps = residual_maps(checked, b, rho_per_node)
     assignments: dict[Position, dict[Position, int]] = {}
     for a in maps.nodes_over:
-        body_len = len(rpos[a]) + 2
-        assignments[rpos[a]] = {
-            rpos[maps.ax_pos[a][k_left]][body_len:]: rpos[a + (k_right,)][-1]
-            for k_left, k_right in maps.rho[a].items()
-        }
+        path, axioms, premises = _r_site(checked, a)
+        letter = {k: j for j, k in premises.items()}
+        assignments[path] = {p: letter[maps.rho[a][k]] for p, k in axioms.items()}
     return RChoice(b, assignments)
 
 
@@ -492,31 +502,26 @@ def realize_r_choice(
     """Root interfaces on the rigid side realizing a multiset-side choice.
     The choice is checked here as `reduce_R` checks it, with its messages,
     but for the types, which `extend_root_interface` matches."""
-    _, rpos = checked.collapse
     x, over = _redex_binder(checked.term, b), checked.apps_over.get(b, [])
     if rchoice.redex != b:
         raise ChoiceError("choice addresses a different redex")
-    if set(rchoice.assignments) != {rpos[a] for a in over}:
+    sites = {a: _r_site(checked, a) for a in over}
+    if set(rchoice.assignments) != {path for path, _, _ in sites.values()}:
         raise ChoiceError("choice does not cover exactly the redex nodes")
     rho_per_node: dict[Position, dict[Track, Track]] = {}
-    for a in over:
-        assignment, site = rchoice.assignments[rpos[a]], format_position(rpos[a])
-        body_len = len(rpos[a]) + 2
-        node = checked.node(a)
-        assert isinstance(node, AppNode)
-        track_of = {rpos[a + (k,)][-1]: k for k in node.arg_tracks}
-        axioms = {rpos[p][body_len:]: k for k, p in checked.bound_by(a + (1,)).items()}
+    for a, (path, axioms, track_of) in sites.items():
+        assignment, site = rchoice.assignments[path], format_position(path)
         if assignment.keys() != axioms.keys():
-            raise ChoiceError(f"choice at {site} does not cover the axioms of {x!r}", rpos[a])
+            raise ChoiceError(f"choice at {site} does not cover the axioms of {x!r}", path)
         for ax_rel, j in assignment.items():
             if j not in track_of:
                 raise ChoiceError(
                     f"choice sends axiom {format_position(ax_rel)} at {site}"
                     f" to premise {j}, which the node does not have",
-                    rpos[a],
+                    path,
                 )
         if sorted(assignment.values()) != sorted(track_of):
-            raise ChoiceError(f"choice at {site} is not a bijection onto the premises", rpos[a])
+            raise ChoiceError(f"choice at {site} is not a bijection onto the premises", path)
         rho_per_node[a] = {axioms[p]: track_of[j] for p, j in assignment.items()}
     return rho_per_node
 

@@ -46,11 +46,12 @@ class _TypeFacts:
     """The facts of an S-type or a sequence type, each computed at most once
     per node and kept on it, shared by every reader: none can be mutated.
 
-    `collapse`, `_identity` (read by `identity_iso`), the hash and the class
-    hash `_class` are built bottom-up from the children's cached facts; `support` and
-    `mutable_positions` walk the node top-down and are kept on that node
-    only, since on shared subtypes they would repeat every position once per
-    enclosing type.  No walk recurses, and neither does `==`.
+    `collapse` (the isomorphism class: its R-objects carry their hash),
+    `_identity` (read by `identity_iso`) and the hash are built bottom-up
+    from the children's cached facts; `support` and `mutable_positions` walk
+    the node top-down and are kept on that node only, since on shared
+    subtypes they would repeat every position once per enclosing type.  No
+    walk recurses, and neither does `==`.
     """
 
     def __eq__(self, other: object) -> bool:
@@ -82,12 +83,6 @@ class _TypeFacts:
     @cached_property
     def _hash(self) -> int:
         return _bottom_up(self, "_hash", _hash_here)
-
-    @cached_property
-    def _class(self) -> int:
-        """A hash of the isomorphism class, that is of the collapse: equal on
-        isomorphic types, and on others only by a collision."""
-        return _bottom_up(self, "_class", _class_here)
 
     @cached_property
     def collapse(self) -> Union["RType", tuple["RType", ...]]:
@@ -219,14 +214,6 @@ def _hash_here(u: SType | SeqType) -> int:
     return hash(tuple((k, s._hash) for k, s in u.entries))
 
 
-def _class_here(u: SType | SeqType) -> int:
-    if type(u) is SAtom:
-        return hash(u.name)
-    if type(u) is SArrow:
-        return hash((u.source._class, u.target._class))
-    return hash(tuple(sorted([s._class for _, s in u.entries])))
-
-
 def _identity_here(u: SType | SeqType) -> ZeroOneIso:
     if isinstance(u, SAtom):
         return LEAF
@@ -266,19 +253,33 @@ def _mutable_positions(t: SType | SeqType) -> tuple[Position, ...]:
 
 
 class Keyed:
-    """A node identified by its canonical `key`, a nested tuple built at
-    construction from its children's keys.  Equality and hashing read the
-    key, and sorting by it is the canonical order of multisets."""
+    """A node identified by its canonical `key`, a nested tuple, and hashed
+    by `_hash`, an int: both are built at construction from its children's,
+    so hashing walks no key, and equality compares keys only where the
+    hashes agree.  Sorting by the key is the canonical order of multisets.
+    Pickling and copying go through the constructor, so the hash is rebuilt
+    and never carried to a process where strings hash differently."""
 
     key: tuple
+    _hash: int
+
+    def _keep(self, key: tuple, hashed: int) -> None:
+        """Store the key and the hash, which hashes the key's tuple with each
+        child's key replaced by that child's hash."""
+        state = self.__dict__  # as `cached_property` writes a frozen instance
+        state["key"] = key
+        state["_hash"] = hashed
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Keyed):
             return NotImplemented
-        return self is other or self.key == other.key
+        return self is other or self._hash == other._hash and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.key)
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,7 +287,8 @@ class RAtom(Keyed):
     name: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "key", (0, self.name))
+        key = (0, self.name)
+        self._keep(key, hash(key))
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,8 +297,11 @@ class RArrow(Keyed):
     target: "RType"
 
     def __post_init__(self) -> None:
-        key = (1, tuple(s.key for s in self.source), self.target.key)
-        object.__setattr__(self, "key", key)
+        source, target = self.source, self.target
+        self._keep(
+            (1, tuple([s.key for s in source]), target.key),
+            hash((1, tuple([s._hash for s in source]), target._hash)),
+        )
 
 
 RType = Union[RAtom, RArrow]
@@ -475,7 +480,7 @@ def iter_type_isos(t1: SType | SeqType, t2: SType | SeqType) -> Iterator[ZeroOne
     order: exactly what `iter_01_isos` yields on the two types.
 
     The first, the least, is built in closed form by `_least_type_iso`, one
-    walk over both types that reads their cached class hashes.  Where the
+    walk over both types that reads the hashes of their collapses.  Where the
     walk met no two sibling entries of one hash, every class it met among
     siblings has one member, so that isomorphism is the only one and the
     iteration ends.  Otherwise only a second draw runs `iter_01_isos`, whose
@@ -505,10 +510,11 @@ def _least_type_iso(
     subtypes once.  At each pair, the labels and the entry counts must
     agree; the target goes to the target and a single entry to the single
     entry; otherwise each entry of t1, in track order, takes the least free
-    entry of t2 of the same class hash, as `iter_01_isos` takes its first
-    isomorphism.  A walk that completes has built a label-preserving
-    bijection at every pair, so it never pairs two classes that merely
-    share a hash.  No collapse key is hashed or compared.
+    entry of t2 whose collapse has the same hash, as `iter_01_isos` takes
+    its first isomorphism.  A walk that completes has built a
+    label-preserving bijection at every pair, so it never pairs two classes
+    that merely share a hash.  The hashes are ints stored on the collapses,
+    so no key is hashed or compared and depth stays unbounded.
     """
     if type(t1) is not type(t2) or type(t1) is SAtom and t1.name != t2.name:
         return None, False
@@ -540,10 +546,10 @@ def _least_type_iso(
         elif e1:
             free: dict[int, list[tuple[Track, SType]]] = {}
             for k2, s2 in reversed(e2):
-                free.setdefault(s2._class, []).append((k2, s2))
+                free.setdefault(s2.collapse._hash, []).append((k2, s2))
             only = only and len(free) == len(e2)
             for k, s1 in e1:
-                group = free.get(s1._class)
+                group = free.get(s1.collapse._hash)
                 if not group:
                     return None, False
                 k2, s2 = group.pop()
@@ -585,6 +591,8 @@ def _parse(text: str, sequence: bool) -> SType | SeqType:
                 raise TypeSyntaxError("a track has no leading zero", off)
             if int(value) < 2:
                 raise TypeSyntaxError("sequence tracks are >= 2", off)
+            if any(k == int(value) for k, _ in stack[-1][0]):
+                raise TypeSyntaxError("duplicate track in sequence type", off)
             if tokens[pos][0] != ":":
                 raise TypeSyntaxError("expected ':' after track", tokens[pos][2])
             pos += 1

@@ -287,41 +287,9 @@ def is_normal(t: Term) -> bool:
     return not redexes(t)
 
 
-def alpha_key(t: Term) -> tuple:
-    """De Bruijn shape of the term; equal keys mean alpha-equivalent terms.
-
-    Built on an explicit stack, so depth is unbounded: `scopes[x]` holds the
-    depths at which x is bound, innermost last, and a tuple on the stack
-    rebuilds an abstraction's or an application's key from the keys below.
-    """
-    keys: list[tuple] = []
-    scopes: dict[str, list[int]] = {}
-    depth = 0  # the abstractions above the next term
-    stack: list = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, tuple):
-            if u[0] == "l":
-                scopes[u[1]].pop()
-                depth -= 1
-                keys.append(("l", keys.pop()))
-            else:
-                right = keys.pop()
-                keys.append(("a", keys.pop(), right))
-        elif isinstance(u, Var):
-            depths = scopes.get(u.name)
-            keys.append(("b", depth - 1 - depths[-1]) if depths else ("f", u.name))
-        elif isinstance(u, Abs):
-            scopes.setdefault(u.binder, []).append(depth)
-            depth += 1
-            stack += (("l", u.binder), u.body)
-        else:
-            stack += (("a",), u.right, u.left)
-    return keys.pop()
-
-
 def alpha_eq(t: Term, u: Term) -> bool:
-    """Whether t and u are alpha-equivalent, that is have equal `alpha_key`s.
+    """Whether t and u are alpha-equivalent: equal up to the names of their
+    binders.
 
     The two terms are walked in lockstep on an explicit stack, so depth is
     unbounded, and the walk stops at the first difference without building

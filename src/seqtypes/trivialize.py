@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 from .positions import (
     EPS,
@@ -26,7 +26,7 @@ from .positions import (
     format_position,
     iter_01_isos,
 )
-from .stypes import _relabel, check_type_iso, iter_type_isos, relabel_type
+from .stypes import RType, _relabel, check_type_iso, iter_type_isos, relabel_type
 from .terms import alpha_eq
 from .derivations import (
     AbsNode,
@@ -254,13 +254,13 @@ def support_children(node: tuple[CheckedDerivation, Position]) -> list[tuple[Tra
     return [(k, (c, a + (k,))) for k in c.children(a)]
 
 
-def support_label(node: tuple[CheckedDerivation, Position]) -> str:
-    """The label that a derivation isomorphism keeps at a node: the rule, and
-    for an axiom the collapse of its type."""
+def support_label(node: tuple[CheckedDerivation, Position]) -> Union[str, RType]:
+    """The label that a derivation isomorphism keeps at a node: the rule's
+    name, and for an axiom the collapse of its type."""
     c, a = node
     rule = c.node(a)
     if isinstance(rule, AxNode):
-        return f"ax{rule.stype.collapse.key}"
+        return rule.stype.collapse
     return "abs" if isinstance(rule, AbsNode) else "app"
 
 

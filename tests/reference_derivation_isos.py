@@ -26,10 +26,10 @@ from seqtypes.positions import (
     iter_01_isos,
 )
 from seqtypes.stypes import check_type_iso, iter_type_isos
-from seqtypes.terms import alpha_key
 from seqtypes.trivialize import _lazy_product, support_children, support_label
 
 from reference_relabelling import DerivationRelabelling
+from reference_terms import alpha_key
 from reference_types import check_01_iso
 
 

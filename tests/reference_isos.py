@@ -23,13 +23,14 @@ from typing import Iterator, Mapping, Optional
 from seqtypes.derivations import _decompose_normal
 from seqtypes.positions import EPS, Position, Track, ZeroOneIso, iter_01_isos
 from seqtypes.stypes import iter_type_isos
-from seqtypes.terms import alpha_key
 from seqtypes.trivialize import (
     DerivationIso,
     support_children,
     support_label,
     verify_derivation_iso,
 )
+
+from reference_terms import alpha_key
 
 
 def support_isos(u1, u2, labels1=None, labels2=None) -> Iterator[ZeroOneIso]:
@@ -51,8 +52,14 @@ def support_isos(u1, u2, labels1=None, labels2=None) -> Iterator[ZeroOneIso]:
 
 
 def derivation_labels(c) -> dict[Position, str]:
-    """Every position of the support with its `support_label`."""
-    return {a: support_label((c, a)) for a in c.support()}
+    """Every position of the support with a text of its `support_label`,
+    since the sorts below compare labels: an axiom's collapse by its key."""
+
+    def text(a: Position) -> str:
+        label = support_label((c, a))
+        return label if isinstance(label, str) else f"ax{label.key}"
+
+    return {a: text(a) for a in c.support()}
 
 
 def _child_map(positions: frozenset[Position]) -> dict[Position, list[Track]]:

@@ -57,10 +57,11 @@ from seqtypes.reduction import (
     reduce_R,
 )
 from seqtypes.stypes import SArrow, identity_iso, iter_type_isos
-from seqtypes.terms import Abs, Var, alpha_key, subterm_at
+from seqtypes.terms import Abs, Var, subterm_at
 from seqtypes.trivialize import DerivationIso
 
 from reference_reduction import residual_derivation
+from reference_terms import alpha_key
 from reference_types import check_01_iso, check_type_iso
 
 

@@ -4,7 +4,8 @@
 `free_vars`, `substitute` and `alpha_key` are the library's former
 recursive versions, moved here verbatim before they were rewritten on
 explicit stacks; only the imports differ.  They raise `RecursionError` on
-terms about a thousand deep.
+terms about a thousand deep.  `alpha_key` has since left the library: it
+is the oracle of `alpha_eq` and of the reference modules' term checks.
 """
 
 from __future__ import annotations

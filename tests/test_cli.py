@@ -19,6 +19,7 @@ from seqtypes.derivations import (
     check_derivation,
 )
 from seqtypes.positions import EPS, parse_position
+from seqtypes.reduction import make_operable
 from seqtypes.stypes import SArrow, SAtom, print_type, seq
 from seqtypes.terms import parse_term
 from seqtypes.threads import BrotherChain
@@ -687,3 +688,113 @@ def test_the_unedited_interface_is_accepted(brothers_file, tmp_path, capsys):
     interface = write_json_file(tmp_path, "iface.json", edited_interface(lambda pairs: pairs))
     assert run(["trivialize", "--file", brothers_file, "--interface", interface, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["judgment"]
+
+
+# one row per error kind the CLI emits: each mutates a valid file or
+# argument, and gives the command and the position the object must name
+# (None where the kind has none)
+
+
+def valid_file(tmp_path, deriv: Derivation, edit=lambda nodes: None) -> str:
+    """The derivation's file, its list of node objects edited in place."""
+    data = json.loads(dumps_derivation(deriv))
+    edit(data["nodes"])
+    return write_json_file(tmp_path, "d.deriv", data)
+
+
+def bad_input_row(tmp_path, monkeypatch):
+    # the type of the axiom at 0.2, the node listed fourth, loses its target
+    path = valid_file(tmp_path, make_self_app(), lambda nodes: nodes[3].update(type="o ->"))
+    return ["check", "--file", path], "0.2"
+
+
+def check_failed_row(tmp_path, monkeypatch):
+    # the axiom at 0.2 becomes an abstraction node
+    def edit(nodes):
+        nodes[3] = {"pos": "0.2", "kind": "abs"}
+
+    return ["check", "--file", valid_file(tmp_path, make_self_app(), edit)], "0.2"
+
+
+def not_an_application_row(tmp_path, monkeypatch):
+    # --pos 0, the application, moved to its argument 0.2
+    return ["isos", "--file", valid_file(tmp_path, make_self_app()), "--pos", "0.2"], "0.2"
+
+
+def reduction_failed_row(tmp_path, monkeypatch):
+    # the redex is at 2 and its one node over it at 3: the choice drops
+    # that node's root interface
+    path = valid_file(tmp_path, make_argument_redex())
+    choice = write_json_file(tmp_path, "choice.json", {"redex": "2", "per_node": []})
+    return ["reduce", "--file", path, "--pos", "2", "--choice", choice], "3"
+
+
+def bad_interface_row(tmp_path, monkeypatch):
+    # the least interface of v u, its entry moved from eps to the axiom at 1
+    deriv = make_equal_typed(2)
+    data = cli._interface_to_json(make_operable(check_derivation(deriv)).interface)
+    data["interfaces"][0]["pos"] = "1"
+    interface = write_json_file(tmp_path, "iface.json", data)
+    return ["trivialize", "--file", valid_file(tmp_path, deriv), "--interface", interface], "1"
+
+
+def brother_chain_row(tmp_path, monkeypatch):
+    # valid input never yields a brother chain, so trivialize is forged
+    def forged(op):
+        raise BrotherChainError(BrotherChain((1, 4), ((1, 1, 3), EPS)))
+
+    monkeypatch.setattr(cli, "trivialize", forged)
+    return ["trivialize", "--file", valid_file(tmp_path, make_brothers())], None
+
+
+def file_not_found_row(tmp_path, monkeypatch):
+    return ["check", "--file", str(tmp_path / "missing.deriv")], None
+
+
+def internal_error_row(tmp_path, monkeypatch):
+    # a fault of the program, forged: printing the judgment fails
+    monkeypatch.setattr(cli, "format_judgment", lambda judgment: 1 // 0)
+    return ["check", "--file", valid_file(tmp_path, make_self_app())], None
+
+
+ERROR_ROWS = {
+    "bad-input": bad_input_row,
+    "check-failed": check_failed_row,
+    "not-an-application": not_an_application_row,
+    "reduction-failed": reduction_failed_row,
+    "bad-interface": bad_interface_row,
+    "brother-chain": brother_chain_row,
+    "file-not-found": file_not_found_row,
+    "internal-error": internal_error_row,
+}
+
+
+@pytest.mark.parametrize("kind", list(ERROR_ROWS))
+def test_every_error_kind_is_one_json_object_naming_its_place(
+    kind, tmp_path, monkeypatch, capsys
+):
+    argv, position = ERROR_ROWS[kind](tmp_path, monkeypatch)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == kind
+    assert payload.get("position") == position
+
+
+def test_an_internal_error_names_its_type_and_message(tmp_path, monkeypatch, capsys):
+    argv, _ = internal_error_row(tmp_path, monkeypatch)
+    assert run(argv) == 1
+    payload = json.loads(capsys.readouterr().err)
+    detail = "ZeroDivisionError: integer division or modulo by zero"
+    assert payload == {"error": "internal-error", "detail": detail}
+
+
+@pytest.mark.parametrize("stop", [KeyboardInterrupt, SystemExit])
+def test_an_interrupt_or_exit_is_not_reported(stop, tmp_path, monkeypatch):
+    def stopping(deriv):
+        raise stop()
+
+    monkeypatch.setattr(cli, "check_derivation", stopping)
+    with pytest.raises(stop):
+        run(["check", "--file", valid_file(tmp_path, make_self_app())])

@@ -424,3 +424,50 @@ def test_forged_quantitativity_raises_under_optimize():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+# an R-type, an R-node and an R-derivation, built from text so two
+# processes build the same values
+R_VALUES = (
+    "from seqtypes.derivations import check_derivation, collapse_derivation\n"
+    "from seqtypes.stypes import parse_type\n"
+    "from samples import make_self_app\n"
+    "rd = collapse_derivation(check_derivation(make_self_app()))\n"
+    "values = (parse_type(\"(2:o, 3:(2:o') -> o) -> o'\").collapse, rd.root.child, rd)\n"
+)
+
+
+def run_with_hash_seed(seed: int, code: str, stdin: str = "") -> str:
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    result = subprocess.run(
+        [sys.executable, "-c", R_VALUES + code],
+        env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)},
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_r_values_pickled_under_one_hash_seed_load_under_another():
+    """R-objects store their hash, built from string hashes that differ from
+    one process to the next: a pickle carries the fields only, so loaded
+    values hash and compare as their twins built in the loading process."""
+    dumped = run_with_hash_seed(
+        1, "import pickle\nprint(pickle.dumps(values).hex(), [hash(v) for v in values])\n"
+    )
+    loaded = run_with_hash_seed(
+        2,
+        "import pickle, sys\n"
+        "data, hashes = sys.stdin.read().split(' ', 1)\n"
+        "loaded = pickle.loads(bytes.fromhex(data))\n"
+        "assert [hash(v) for v in loaded] == [hash(v) for v in values]\n"
+        "assert loaded == values and {v: i for i, v in enumerate(values)}[loaded[2]] == 2\n"
+        "assert hash(loaded[2].root.child) == hash(values[1])\n"
+        "print(hashes.strip() != str([hash(v) for v in values]))\n",
+        dumped,
+    )
+    assert loaded == "True\n"

@@ -187,7 +187,7 @@ def tree_from_positions(ps):
     return frozenset(closed)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(positions_st, max_size=5))
 def test_iso_properties_on_random_trees(ps):
     supp = tree_from_positions(ps)
@@ -227,7 +227,7 @@ def test_isos_built_by_every_route_are_equal_and_hash_equal():
     assert LISTED_PHI != LISTED_PHI.inverse()
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.lists(positions_st, max_size=6), st.randoms(use_true_random=False))
 def test_iso_operations_match_the_mappings(ps, rng):
     """call, inverse, compose, conjugate, restrict, roots, is_identity and

@@ -89,7 +89,7 @@ def test_trivializing_relabellings_match_reference():
         assert_same_axioms(op.checked, build_relabelling(analysis, classes, values))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(stypes_strategy(), st.data())
 def test_drawn_tracks_match_reference(t, data):
     # -1 leaves the position out; 0 and 1 are not mutable; siblings may clash

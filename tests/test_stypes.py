@@ -172,6 +172,7 @@ def test_parse_print_round_trip():
         (parse_type, "(2:o, 010:o) -> o", "a track has no leading zero", 6),
         (parse_type, "(00:o) -> o", "a track has no leading zero", 1),
         (parse_type, "(\u0662:o) -> o", "unexpected character '\u0662'", 1),
+        (parse_type, "(2:o, 2:o') -> o", "duplicate track in sequence type", 6),
     ],
 )
 def test_parse_error_messages_and_offsets(parse, text, message, offset):
@@ -198,19 +199,21 @@ def stypes_strategy():
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(stypes_strategy(), stypes_strategy())
 def test_three_way_agreement(t1, t2):
-    """equiv <=> non-empty iso set <=> equal collapses."""
+    """equiv <=> non-empty iso set <=> equal collapses, which hash equal."""
     same_collapse = t1.collapse == t2.collapse
     assert equiv(t1, t2) == same_collapse
+    if same_collapse:
+        assert hash(t1.collapse) == hash(t2.collapse)
     isos = list(iter_type_isos(t1, t2))
     assert bool(isos) == same_collapse
     for iso in isos[:4]:
         assert check_type_iso(t1, t2, iso)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(stypes_strategy(), stypes_strategy())
 def test_collapse_of_union_is_multiset_sum(s1, s2):
     f1, f2 = seq({2: s1, 5: s2}), seq({3: s2})

@@ -294,20 +294,20 @@ def test_redexes_match_brute_force_on_samples():
         assert redexes(t) == brute_force_redexes(t)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(terms_st)
 def test_redexes_match_brute_force(t):
     assert redexes(t) == brute_force_redexes(t)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(terms_st)
 def test_support_is_a_tree_and_round_trip(t):
     assert is_tree(support(t))
     assert parse_term(print_term(t)) == t
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(terms_st)
 def test_reduction_properties(t):
     for b in redexes(t):

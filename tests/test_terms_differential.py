@@ -1,6 +1,7 @@
-"""Differential test: `free_vars`, `substitute` and `alpha_key`, which run
-on explicit stacks, against their recursive versions (`reference_terms`),
-and `alpha_eq`, a lockstep walk, against equality of `alpha_key`s.
+"""Differential test: `free_vars` and `substitute`, which run on explicit
+stacks, against their recursive versions (`reference_terms`), and
+`alpha_eq`, a lockstep walk, against equality of the reference's
+`alpha_key`s.
 
 They are compared on every term of the acceptance corpus and its redexes,
 and on hypothesis terms over few names, where substitution captures and
@@ -25,7 +26,6 @@ from seqtypes.terms import (
     Term,
     Var,
     alpha_eq,
-    alpha_key,
     free_vars,
     preorder,
     print_term,
@@ -47,10 +47,9 @@ terms_st = st.recursive(
 
 
 def assert_same(t: Term, x: str, s: Term) -> bool:
-    """Compare the three functions on t, and t[s/x]; returns whether the
+    """Compare the two functions on t, and t[s/x]; returns whether the
     substitution renamed a binder."""
     assert free_vars(t) == ref.free_vars(t)
-    assert alpha_key(t) == ref.alpha_key(t)
     out = substitute(t, x, s)
     assert out == ref.substitute(t, x, s), (print_term(t), x, print_term(s))
     binders = [u.binder for _, u in preorder(t) if isinstance(u, Abs)]
@@ -78,7 +77,7 @@ def variant(t: Term, rng: random.Random, miss: bool = False) -> Term:
 
 def assert_same_alpha_eq(t: Term, u: Term) -> bool:
     """`alpha_eq` against equal keys, both ways; returns the verdict."""
-    want = alpha_key(t) == alpha_key(u)
+    want = ref.alpha_key(t) == ref.alpha_key(u)
     assert alpha_eq(t, u) == want and alpha_eq(u, t) == want, (print_term(t), print_term(u))
     return want
 
@@ -100,7 +99,7 @@ def test_alpha_eq_matches_equal_keys_on_the_corpus():
     assert count > 500 and equal > 0
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(terms_st, terms_st, st.integers(0, 2**16))
 def test_alpha_eq_matches_equal_keys_on_hypothesis_terms(t, u, seed):
     rng = random.Random(seed)
@@ -126,7 +125,7 @@ def test_corpus_terms_and_redexes_match_the_recursive_versions():
     assert count > 1000 and renamed > 0
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(terms_st, names, terms_st)
 def test_hypothesis_terms_match_the_recursive_versions(t, x, s):
     assert_same(t, x, s)
@@ -142,20 +141,6 @@ def test_a_capture_renames_the_binder():
 DEEP = 10_000
 
 
-def flat(key: tuple) -> list:
-    """A key's atoms and tuple lengths in preorder, read on an explicit
-    stack: `==` on nested tuples recurses."""
-    out, stack = [], [key]
-    while stack:
-        k = stack.pop()
-        if isinstance(k, tuple):
-            out.append(len(k))
-            stack += reversed(k)
-        else:
-            out.append(k)
-    return out
-
-
 def test_the_functions_at_depth_10000():
     # \x0. \x1. ... (x0 (x1 (... w))): every variable bound at its own depth
     body: Term = Var("w")
@@ -166,12 +151,6 @@ def test_the_functions_at_depth_10000():
         t = Abs(f"x{i}", t)
     assert free_vars(t) == {"w"}
     assert free_vars(body) == {"w"} | {f"x{i}" for i in range(DEEP)}
-    key: tuple = ("f", "w")
-    for i in reversed(range(DEEP)):
-        key = ("a", ("b", DEEP - 1 - i), key)
-    for _ in range(DEEP):
-        key = ("l", key)
-    assert flat(alpha_key(t)) == flat(key)
     assert alpha_eq(t, t)
     # the innermost variable replaced, under every binder, with no capture
     out = substitute(t, "w", Var("u"))

@@ -195,7 +195,7 @@ def test_check_type_iso_matches_reference_on_the_corpus():
     assert cases > 20000 and 0 < trues < cases
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(stypes_strategy(), stypes_strategy(), st.integers(0, 2**32 - 1))
 def test_type_facts_match_reference_on_generated_types(t1, t2, seed):
     rng = random.Random(seed)

@@ -113,7 +113,7 @@ atom_names = st.builds(
 var_names = st.text(letters, min_size=1, max_size=4)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(var_names, var_names, st.lists(atom_names, min_size=3, max_size=3))
 def test_non_ascii_and_primed_names(binder, head, atoms):
     # \binder. head binder, with the binder's axiom on track 3 and the
