@@ -35,10 +35,12 @@ from .derivations import (
     Derivation,
     GenBudget,
     Node,
+    RDerivation,
     check_derivation,
+    collapse_derivation,
     generate_normal_form_derivations,
 )
-from .reduction import OperableDerivation, interfaces_at
+from .reduction import OperableDerivation, RChoice, enumerate_r_choices, interfaces_at, reduce_R
 
 FREE_NAMES = ("u", "v", "w", "p", "q")
 BINDER_NAMES = ("x", "y", "z", "s", "t")
@@ -321,3 +323,34 @@ def tower_instances(seed: int, count: int) -> list[OperableDerivation]:
             interface[a] = choices[rng.randrange(len(choices))]
         out.append(OperableDerivation(tower, interface))
     return out
+
+
+# -- reduction paths --------------------------------------------------------------
+
+
+def reduction_path(
+    seed: int, n: int
+) -> tuple[CheckedDerivation, list[tuple[Position, RChoice]], list[RDerivation]]:
+    """A derivation with a root redex n deep, one R-choice per root step and
+    the `reduce_R` chain those choices give; deterministic.
+
+    The derivation is n successive `expand_random` root expansions of a
+    random normal-form derivation, so each of its n root steps leaves a
+    root redex but the last; each choice is drawn from `enumerate_r_choices`
+    at the root of the chain's last derivation.
+    """
+    rng = random.Random(seed)
+    checked = random_derivation(rng, random_normal_term(rng, 9), 2)
+    for fresh in range(1, n + 1):
+        # never None: the whole term is always a group, and no normal term
+        # names e1, e2, ...
+        checked = expand_random(checked, rng, fresh)
+    rd = collapse_derivation(checked)
+    sequence: list[tuple[Position, RChoice]] = []
+    chain: list[RDerivation] = []
+    for _ in range(n):
+        choice = rng.choice(enumerate_r_choices(rd, EPS))
+        rd = reduce_R(rd, EPS, choice)
+        sequence.append((EPS, choice))
+        chain.append(rd)
+    return checked, sequence, chain

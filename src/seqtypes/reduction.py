@@ -158,10 +158,14 @@ class InterfaceError(ValueError):
 @dataclass
 class OperableDerivation:
     """A hybrid derivation endowed with a total interface, checked in full;
-    the interfaces the library builds take `_operable`."""
+    the interfaces the library builds take `_operable`.  One that
+    `build_operable_from_choices` returns also carries, in `_fired`, the
+    steps its builder fired, which `reduce_operable` takes instead of firing
+    them again."""
 
     checked: CheckedDerivation
     interface: dict[Position, ZeroOneIso]
+    _fired = ()  # not a field: only `_operable` sets it
 
     def __post_init__(self) -> None:
         _check_interfaces(self.checked, self.interface)
@@ -183,12 +187,15 @@ def _check_interfaces(checked: CheckedDerivation, interface: dict[Position, Zero
 
 
 def _operable(
-    checked: CheckedDerivation, interface: dict[Position, ZeroOneIso]
+    checked: CheckedDerivation,
+    interface: dict[Position, ZeroOneIso],
+    fired: tuple[_Fired, ...] = (),
 ) -> OperableDerivation:
     """The given interfaces, built by the library as type isomorphisms, and
-    the least one at every other application node; none is re-checked."""
+    the least one at every other application node; none is re-checked.  The
+    fired steps, when given, start at `checked`."""
     op = object.__new__(OperableDerivation)
-    op.checked, op.interface = checked, dict(interface)
+    op.checked, op.interface, op._fired = checked, dict(interface), fired
     for a in checked.app_positions():
         if a not in interface:
             op.interface[a] = default_interface(checked, a)
@@ -311,6 +318,18 @@ def _fire(
     return _check_nodes(reduct, checked, kept), maps
 
 
+@dataclass(frozen=True)
+class _Fired:
+    """One step the choice builder fired on `source`: its checked reduct, its
+    residual maps, which hold the redex and the root interfaces it fired
+    with, and the residual type isomorphisms under the builder's interfaces."""
+
+    source: CheckedDerivation
+    reduct: CheckedDerivation
+    maps: ResidualMaps
+    types: JudgmentIsos
+
+
 def reduce_S(checked: CheckedDerivation, b: Position) -> CheckedDerivation:
     """Deterministic subject reduction; the concluding judgment is unchanged.
     It is S_h reduction with the identity root interfaces."""
@@ -357,18 +376,26 @@ def reduce_operable(
 
     The reduct carries the residual interface, so iterated reduction is
     fully deterministic.  Also returns the residual positions and the
-    residual type isomorphisms.
+    residual type isomorphisms.  A step its builder already fired, on this
+    very derivation at b with these root interfaces, is taken from the op,
+    not fired again; any other step fires, and drops the op's fired steps.
     """
     checked = op.checked
     rho = {a: op.interface[a].roots() for a in checked.apps_over.get(b, [])}
-    new_checked, maps = _fire(checked, b, rho, FLAVOR_SH)
+    done = op._fired[0] if op._fired else None
+    if done and done.source is checked and done.maps.redex == b and done.maps.rho == rho:
+        # the builder fired this very step: same derivation, redex and roots
+        new_checked, maps, fired = done.reduct, done.maps, op._fired[1:]
+    else:
+        new_checked, maps = _fire(checked, b, rho, FLAVOR_SH)
+        fired = ()
     types = residual_isos(checked, maps, op.interface)
     new_interface = {
         maps.res[alpha]: types.conjugate(alpha, op.interface[alpha])
         for alpha in checked.app_positions()
         if alpha in maps.res
     }
-    return _operable(new_checked, new_interface), maps, types
+    return _operable(new_checked, new_interface, fired), maps, types
 
 
 # -- reduction choices on the multiset side ----------------------------------
@@ -577,13 +604,14 @@ def build_operable_from_choices(
     Only the work the result reads is done: the last choice is realized and
     pinned but not fired, and a base node's left and right isomorphisms are
     composed along the fired steps only when a choice pins it; a node that
-    no choice pins gets the least interface.
+    no choice pins gets the least interface.  The result carries the fired
+    steps, so replaying it with `reduce_operable` fires only the last one.
     """
     if collapse_derivation(checked) != rd:
         raise ChoiceError("the base derivation does not collapse on the given derivation")
     alive: dict[Position, Position] = {a: a for a in checked.app_positions()}
     pinned: dict[Position, ZeroOneIso] = {}
-    fired: list[tuple[JudgmentIsos, dict[Position, Position]]] = []
+    fired: list[_Fired] = []
     current = checked
     for step, (b_i, rchoice) in enumerate(choices, start=1):
         rho = realize_r_choice(current, b_i, rchoice)
@@ -593,15 +621,16 @@ def build_operable_from_choices(
                 continue
             left, right = identity_iso(checked.left_seq(a0)), identity_iso(checked.right_seq(a0))
             a = a0
-            for types, res in fired:
-                left, right = types.left(a).compose(left), types.right(a).compose(right)
-                a = res[a]
+            for f in fired:
+                left, right = f.types.left(a).compose(left), f.types.right(a).compose(right)
+                a = f.maps.res[a]
             pinned[a0] = right.inverse().compose(interfaces_at_b[a_i]).compose(left)
             del alive[a0]
         if step == len(choices):
             break
         new_checked, maps = _fire(current, b_i, rho, FLAVOR_SH)
-        fired.append((residual_isos(current, maps, interfaces_at_b), maps.res))
+        types = residual_isos(current, maps, interfaces_at_b)
+        fired.append(_Fired(current, new_checked, maps, types))
         alive = {a0: maps.res[a_i] for a0, a_i in alive.items()}
         current = new_checked
-    return _operable(checked, pinned)
+    return _operable(checked, pinned, tuple(fired))

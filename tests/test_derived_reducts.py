@@ -63,9 +63,7 @@ from seqtypes.reduction import (
     ReductionError,
     _fire,
     build_operable_from_choices,
-    enumerate_r_choices,
     make_operable,
-    reduce_R,
     reduce_S,
     reduce_Sh,
     reduce_operable,
@@ -76,7 +74,13 @@ from seqtypes.terms import beta_reduce_at, redexes
 
 import reference_judgment_isos as ref
 from samples import brothers_operable, make_brothers, make_equal_typed
-from test_reduction_differential import choice_instances, operables, root_choices, s_corpus
+from test_reduction_differential import (
+    choice_instances,
+    choice_sequences,
+    operables,
+    root_choices,
+    s_corpus,
+)
 from test_threads_differential import CORPUS_SEED, hybrid_operables, wide_operables
 
 MUTANT = SAtom("mutant")
@@ -151,20 +155,6 @@ def test_preorder_is_increasing_position_order():
         for b in typed_redexes(op.checked):
             check(reduce_operable(op, b)[0].checked)
     assert checks > 1500
-
-
-def choice_sequences(rd, max_len: int) -> list:
-    """Every R-choice sequence of length at most max_len."""
-    out, frontier = [], [(rd, [])]
-    for _ in range(max_len):
-        frontier = [
-            (reduce_R(current, b, choice), prefix + [(b, choice)])
-            for current, prefix in frontier
-            for b in redexes(current.term)
-            for choice in enumerate_r_choices(current, b)
-        ]
-        out.extend(sequence for _, sequence in frontier)
-    return out
 
 
 def test_built_choices_agree_with_the_full_check():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from collections import Counter
 from functools import cached_property
 
@@ -18,7 +19,7 @@ from seqtypes.derivations import (
     generate_normal_form_derivations,
     print_type,
 )
-from seqtypes.corpus import make_tower
+from seqtypes.corpus import make_tower, reduction_path
 from seqtypes.positions import EPS, ZeroOneIso
 from seqtypes.reduction import (
     ChoiceError,
@@ -46,6 +47,7 @@ from seqtypes.reduction import (
 from seqtypes.stypes import SArrow, SAtom, check_type_iso, equiv, seq
 from seqtypes.terms import parse_term, redexes
 
+import reference_judgment_isos as ref_isos
 from samples import (
     make_argument_redex,
     make_brothers,
@@ -55,6 +57,7 @@ from samples import (
     make_tracked_redex,
     make_two_choice_redex,
 )
+from test_reduction_differential import count_fires
 
 O = SAtom("o")
 A = SAtom("A")
@@ -345,22 +348,66 @@ def count_computations(monkeypatch, name: str) -> Counter:
     return computed
 
 
-def test_build_operable_collapses_each_derivation_once(monkeypatch):
-    """A two-step sequence on a redex tower: the base and the intermediate
-    derivation are each collapsed once, for both the consistency check and
-    the realized choice."""
-    computed = count_computations(monkeypatch, "collapse")
+def two_step_tower() -> tuple:
+    """A redex tower of height 2, the first R-choice at each of its two
+    steps, and the `reduce_R` chain they give."""
     body = generate_normal_form_derivations(parse_term("x w"))[0]
     checked = make_tower(body, 2)
     rd = collapse_derivation(checked)
-    sequence = []
+    sequence, chain = [], []
     for _ in range(2):
         (b,) = redexes(rd.term)
         choice = enumerate_r_choices(rd, b)[0]
         sequence.append((b, choice))
         rd = reduce_R(rd, b, choice)
+        chain.append(rd)
+    return checked, sequence, chain
+
+
+def test_build_operable_collapses_each_derivation_once(monkeypatch):
+    """A two-step sequence on a redex tower: the base and the intermediate
+    derivation are each collapsed once, for both the consistency check and
+    the realized choice."""
+    computed = count_computations(monkeypatch, "collapse")
+    checked, sequence, _ = two_step_tower()
     build_operable_from_choices(collapse_derivation(checked), checked, sequence)
     assert len(computed) == 2 and set(computed.values()) == {1}
+
+
+def test_a_built_replay_collapses_each_derivation_once(monkeypatch):
+    """A two-step sequence on a redex tower, built and then replayed with a
+    collapse after each step: the replay's first step is the reduct the
+    builder fired, so the base, the intermediate and the last reduct are
+    each collapsed once."""
+    computed = count_computations(monkeypatch, "collapse")
+    checked, sequence, chain = two_step_tower()
+    op = build_operable_from_choices(collapse_derivation(checked), checked, sequence)
+    for (b, _), expected in zip(sequence, chain):
+        op, _, _ = reduce_operable(op, b)
+        assert collapse_derivation(op.checked) == expected
+    assert len(computed) == 3 and set(computed.values()) == {1}
+
+
+def test_reduction_paths_are_built_and_replayed_along_the_chain(monkeypatch):
+    """Root reduction paths of n = 4 to 32 steps: the builder realizes the
+    whole path as the chained reference builder does, each replayed reduct
+    collapses onto the `reduce_R` chain, and the replay fires one step, the
+    last; all within a fixed budget."""
+    fired = count_fires(monkeypatch)
+    start = time.monotonic()
+    for n in (4, 8, 16, 32):
+        checked, sequence, chain = reduction_path(7, n)
+        assert len(sequence) == len(chain) == n
+        rd = collapse_derivation(checked)
+        op = build_operable_from_choices(rd, checked, sequence)
+        assert op.interface == ref_isos.build_operable_from_choices(rd, checked, sequence).interface
+        fired.clear()
+        for (b, _), expected in zip(sequence, chain):
+            op, _, _ = reduce_operable(op, b)
+            assert collapse_derivation(op.checked) == expected
+        assert len(fired) == 1
+    assert len(checked.nodes) == 100
+    assert time.monotonic() - start < 10.0
 
 
 def test_one_step_finds_the_nodes_over_the_redex_with_one_scan(monkeypatch):
@@ -374,14 +421,7 @@ def test_one_step_finds_the_nodes_over_the_redex_with_one_scan(monkeypatch):
     assert computed == {id(checked): 1}
     # a two-step choice sequence scans the base and the intermediate derivation once each
     computed.clear()
-    checked = make_tower(body, 2)
-    rd = collapse_derivation(checked)
-    sequence = []
-    for _ in range(2):
-        (b,) = redexes(rd.term)
-        choice = enumerate_r_choices(rd, b)[0]
-        sequence.append((b, choice))
-        rd = reduce_R(rd, b, choice)
+    checked, sequence, _ = two_step_tower()
     build_operable_from_choices(collapse_derivation(checked), checked, sequence)
     assert len(computed) == 2 and set(computed.values()) == {1}
 

@@ -20,6 +20,14 @@ interface:
   `residual_derivation`), and `reduce_operable` replayed along each built
   interface.
 
+A built interface carries the steps its builder fired, and its replay
+takes them instead of firing them again.  Along every such sequence the
+replay must give, step by step, what a record-free copy of the built
+interface gives, and fire only its last step.  Guards show that any other
+step fires anew: another interface over the first redex, another redex
+first, an equal but re-checked derivation, and an interface the caller
+built.
+
 At an untyped redex the original `reduce_operable` left `qres` empty; the
 step gives the identity there.  Everywhere else `qres` must agree.
 """
@@ -29,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 
+import seqtypes.reduction
 from seqtypes.corpus import sr_corpus, tower_instances
 from seqtypes.derivations import (
     AbsNode,
@@ -44,6 +53,7 @@ from seqtypes.reduction import (
     ReductionChoice,
     build_operable_from_choices,
     enumerate_r_choices,
+    interfaces_at,
     make_operable,
     reduce_R,
     reduce_S,
@@ -188,25 +198,172 @@ def choice_instances() -> list[CheckedDerivation]:
     return [check_derivation(make_two_choice_redex())] + towers + candidates[:8]
 
 
+def choice_sequences(rd, max_len: int) -> list:
+    """Every R-choice sequence of length at most max_len, shortest first."""
+    out, frontier = [], [(rd, [])]
+    for _ in range(max_len):
+        frontier = [
+            (reduce_R(current, b, choice), prefix + [(b, choice)])
+            for current, prefix in frontier
+            for b in redexes(current.term)
+            for choice in enumerate_r_choices(current, b)
+        ]
+        out.extend(sequence for _, sequence in frontier)
+    return out
+
+
 def test_built_choices_match_reference():
     sequences = 0
     for checked in choice_instances():
         rd = collapse_derivation(checked)
-        frontier = [(rd, [])]
-        for _ in range(3):
-            extended = []
-            for current, prefix in frontier:
-                for b in redexes(current.term):
-                    for choice in enumerate_r_choices(current, b):
-                        extended.append((reduce_R(current, b, choice), prefix + [(b, choice)]))
-            for _, sequence in extended:
-                new = build_operable_from_choices(rd, checked, sequence)
-                old = ref_isos.build_operable_from_choices(rd, checked, sequence)
-                assert new.interface == old.interface
-                op = new
-                for b, _ in sequence:
-                    assert_same_operable_step(op, b)
-                    op, _, _ = reduce_operable(op, b)
-                sequences += 1
-            frontier = extended
+        for sequence in choice_sequences(rd, 3):
+            new = build_operable_from_choices(rd, checked, sequence)
+            old = ref_isos.build_operable_from_choices(rd, checked, sequence)
+            assert new.interface == old.interface
+            op = new
+            for b, _ in sequence:
+                assert_same_operable_step(op, b)
+                op, _, _ = reduce_operable(op, b)
+            sequences += 1
     assert sequences > 200
+
+
+# -- the fired steps a built interface carries -----------------------------------
+
+
+def count_fires(monkeypatch) -> list[CheckedDerivation]:
+    """The derivations `_fire` fires a redex of, in call order."""
+    fire, fired = seqtypes.reduction._fire, []
+
+    def counted(checked, *args):
+        fired.append(checked)
+        return fire(checked, *args)
+
+    monkeypatch.setattr(seqtypes.reduction, "_fire", counted)
+    return fired
+
+
+def replay(op: OperableDerivation, positions: list) -> list:
+    """The operable derivation and the residual maps of each step."""
+    steps = []
+    for b in positions:
+        op, maps, _ = reduce_operable(op, b)
+        steps.append((op, maps))
+    return steps
+
+
+def record_free(op: OperableDerivation) -> OperableDerivation:
+    return OperableDerivation(op.checked, dict(op.interface))
+
+
+def assert_same_replay(op: OperableDerivation, positions: list, steps: list) -> None:
+    """The steps, taken from op, are those of its record-free copy."""
+    expected = replay(record_free(op), positions)
+    assert len(steps) == len(expected) == len(positions)
+    for (new, maps), (old, old_maps) in zip(steps, expected):
+        assert new.checked.derivation == old.checked.derivation
+        assert new.interface == old.interface
+        assert maps.res == old_maps.res
+        assert maps.qres == old_maps.qres
+        assert new.checked.collapse == old.checked.collapse
+
+
+def built_sequences(min_len: int, max_len: int = 3, instances=None):
+    """Each criterion-5 choice sequence of a length in the bounds, with its
+    base derivation and its redex positions."""
+    for checked in choice_instances() if instances is None else instances:
+        rd = collapse_derivation(checked)
+        for sequence in choice_sequences(rd, max_len):
+            if len(sequence) >= min_len:
+                yield checked, rd, sequence, [b for b, _ in sequence]
+
+
+def test_a_built_replay_fires_only_its_last_step(monkeypatch):
+    fired = count_fires(monkeypatch)
+    sequences = reused = 0
+    for checked, rd, sequence, positions in built_sequences(1):
+        op = build_operable_from_choices(rd, checked, sequence)
+        fired.clear()
+        steps = replay(op, positions)
+        last_source = steps[-2][0].checked if len(steps) > 1 else op.checked
+        assert len(fired) == 1 and fired[0] is last_source
+        assert_same_replay(op, positions, steps)
+        sequences += 1
+        reused += len(sequence) - 1
+    assert sequences > 200 and reused > 300
+
+
+def test_another_interface_over_the_first_redex_fires_anew(monkeypatch):
+    """Swap the interface at a node over the first redex for one with other
+    roots: the builder fired the first step with the old roots, so the
+    replay fires every step."""
+    fired = count_fires(monkeypatch)
+    cases = 0
+    for checked, rd, sequence, positions in built_sequences(2):
+        for a in checked.apps_over.get(positions[0], []):
+            op = build_operable_from_choices(rd, checked, sequence)
+            roots = op.interface[a].roots()
+            others = (phi for phi in interfaces_at(checked, a) if phi.roots() != roots)
+            other = next(others, None)
+            if other is None:
+                continue
+            op.interface[a] = other
+            fired.clear()
+            steps = replay(op, positions)
+            assert len(fired) == len(positions)
+            assert_same_replay(op, positions, steps)
+            cases += 1
+    assert cases > 60
+
+
+def test_another_redex_first_fires_every_step(monkeypatch):
+    """Fire the last redex other than the first of the sequence, then the
+    leftmost one while any is left, up to three steps: every step fires.
+    Two redexes that no node is over have the same, empty, root interfaces,
+    so only the redex tells them apart; the erasing copy of each two-redex
+    instance has such redexes in its untyped argument."""
+    fired = count_fires(monkeypatch)
+    two = [c for c in choice_instances() if len(redexes(c.term)) >= 2]
+    cases = untyped = 0
+    for checked, rd, sequence, positions in built_sequences(2, 2, two + [erasing(c) for c in two]):
+        op = build_operable_from_choices(rd, checked, sequence)
+        first = [b for b in redexes(checked.term) if b != positions[0]][-1]
+        path, current = [first], reduce_operable(record_free(op), first)[0]
+        while len(path) < 3 and redexes(current.checked.term):
+            path.append(redexes(current.checked.term)[0])
+            current = reduce_operable(current, path[-1])[0]
+        fired.clear()
+        steps = replay(op, path)
+        assert len(fired) == len(path)
+        assert_same_replay(op, path, steps)
+        cases += 1
+        untyped += not checked.apps_over.get(first) and not checked.apps_over.get(positions[0])
+    assert cases > 200 and untyped > 50
+
+
+def test_an_equal_rechecked_derivation_fires_anew(monkeypatch):
+    fired = count_fires(monkeypatch)
+    sequences = 0
+    for checked, rd, sequence, positions in built_sequences(2):
+        op = build_operable_from_choices(rd, checked, sequence)
+        op.checked = check_derivation(op.checked.derivation)
+        assert op.checked == checked and op.checked is not checked
+        fired.clear()
+        steps = replay(op, positions)
+        assert len(fired) == len(positions)
+        assert_same_replay(op, positions, steps)
+        sequences += 1
+    assert sequences > 150
+
+
+def test_an_interface_the_caller_built_never_takes_a_fired_step(monkeypatch):
+    fired = count_fires(monkeypatch)
+    sequences = 0
+    for checked, rd, sequence, positions in built_sequences(2):
+        op = build_operable_from_choices(rd, checked, sequence)
+        for copy in (record_free(op), make_operable(op.checked, op.interface)):
+            fired.clear()
+            replay(copy, positions)
+            assert len(fired) == len(positions)
+        sequences += 1
+    assert sequences > 150
