@@ -444,6 +444,10 @@ class JudgmentIsos:
     each from its old track onto its new one, and its target through its
     body's.  An application's psi is its left premise's restricted under
     track 1.  Argument premises not given keep their track.
+
+    Where nothing below a node moves (an axiom not given, an abstraction
+    whose body and bound axioms are so, an application whose left premise
+    is), its psi is the identity `identity_iso` keeps on its type.
     """
 
     def __init__(
@@ -455,18 +459,28 @@ class JudgmentIsos:
         self.checked = checked
         self._args = args
         self._psi: dict[Position, ZeroOneIso] = {}
+        fixed: set[Position] = set()
         for a in reversed(checked.preorder):
             node = checked.nodes[a]
             if isinstance(node, AxNode):
-                iso = axioms[a][1] if a in axioms else identity_iso(node.stype)
+                moved = a in axioms
+                iso = axioms[a][1] if moved else identity_iso(node.stype)
             elif isinstance(node, AbsNode):
-                kids = {1: (1, self._psi[a + (0,)])}
-                for k, p in checked.bound_by(a).items():
-                    kids[k] = (axioms[p][0] if p in axioms else k, self._psi[p])
-                iso = ZeroOneIso.node(kids)
+                bound = checked.bound_by(a)
+                moved = a + (0,) not in fixed or not fixed.issuperset(bound.values())
+                if moved:
+                    kids = {1: (1, self._psi[a + (0,)])}
+                    for k, p in bound.items():
+                        kids[k] = (axioms[p][0] if p in axioms else k, self._psi[p])
+                    iso = ZeroOneIso.node(kids)
+                else:
+                    iso = identity_iso(checked.type_at(a))
             else:
+                moved = a + (1,) not in fixed
                 iso = self._psi[a + (1,)].restrict(1)
             self._psi[a] = iso
+            if not moved:
+                fixed.add(a)
 
     def iso(self, a: Position) -> ZeroOneIso:
         """psi(a): T(a) -> T'(a')."""
@@ -484,9 +498,20 @@ class JudgmentIsos:
         kids = {k: (self._args.get(a + (k,), k), self._psi[a + (k,)]) for k in node.arg_tracks}
         return ZeroOneIso.node(kids, tree=False)
 
+    def fixes(self, a: Position) -> bool:
+        """Whether left(a) and right(a) are both identities, read off the
+        premises' psi without building either."""
+        node = self.checked.nodes[a]
+        left = self._psi[a + (1,)].kids.items()
+        return all(k == k2 and sub.is_identity() for k, (k2, sub) in left if k >= 2) and all(
+            self._args.get(a + (k,), k) == k and self._psi[a + (k,)].is_identity()
+            for k in node.arg_tracks
+        )
+
     def conjugate(self, a: Position, phi: ZeroOneIso) -> ZeroOneIso:
-        """right(a) o phi o left(a)^-1: an interface at a, carried along."""
-        return phi.conjugate(self.left(a), self.right(a))
+        """right(a) o phi o left(a)^-1: an interface at a, carried along;
+        phi itself where a is fixed."""
+        return phi if self.fixes(a) else phi.conjugate(self.left(a), self.right(a))
 
     def commutes(self, a: Position, phi: ZeroOneIso, other: Optional[ZeroOneIso] = None) -> bool:
         """Whether `conjugate(a, phi)` is other, or the identity when other is

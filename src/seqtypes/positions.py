@@ -158,7 +158,7 @@ class ZeroOneIso:
 
     def is_identity(self) -> bool:
         """Whether every letter is its own image; kept on every node walked."""
-        return _fill(self, "_ident", _ident_here)
+        return _fill(self, "_ident", _ident_here) if self._ident is None else self._ident
 
     def __call__(self, a: Position) -> Position:
         if not (a or self.tree):

@@ -37,7 +37,6 @@ from .stypes import (
     SType,
     check_type_iso,
     equiv,
-    identity_iso,
     iter_type_isos,
     rebuild_type,
     seq,
@@ -322,11 +321,13 @@ def _fire(
 class _Fired:
     """One step the choice builder fired on `source`: its checked reduct, its
     residual maps, which hold the redex and the root interfaces it fired
-    with, and the residual type isomorphisms under the builder's interfaces."""
+    with, the builder's interfaces at the nodes over the redex and the
+    residual type isomorphisms under them."""
 
     source: CheckedDerivation
     reduct: CheckedDerivation
     maps: ResidualMaps
+    interfaces: dict[Position, ZeroOneIso]
     types: JudgmentIsos
 
 
@@ -378,7 +379,9 @@ def reduce_operable(
     fully deterministic.  Also returns the residual positions and the
     residual type isomorphisms.  A step its builder already fired, on this
     very derivation at b with these root interfaces, is taken from the op,
-    not fired again; any other step fires, and drops the op's fired steps.
+    not fired again, and so are its residual type isomorphisms when the
+    interfaces over b are the builder's; any other step fires, and drops
+    the op's fired steps.
     """
     checked = op.checked
     rho = {a: op.interface[a].roots() for a in checked.apps_over.get(b, [])}
@@ -386,10 +389,11 @@ def reduce_operable(
     if done and done.source is checked and done.maps.redex == b and done.maps.rho == rho:
         # the builder fired this very step: same derivation, redex and roots
         new_checked, maps, fired = done.reduct, done.maps, op._fired[1:]
+        same = all(op.interface[a] == done.interfaces[a] for a in rho)
     else:
         new_checked, maps = _fire(checked, b, rho, FLAVOR_SH)
-        fired = ()
-    types = residual_isos(checked, maps, op.interface)
+        fired, same = (), False
+    types = done.types if same else residual_isos(checked, maps, op.interface)
     new_interface = {
         maps.res[alpha]: types.conjugate(alpha, op.interface[alpha])
         for alpha in checked.app_positions()
@@ -603,9 +607,10 @@ def build_operable_from_choices(
 
     Only the work the result reads is done: the last choice is realized and
     pinned but not fired, and a base node's left and right isomorphisms are
-    composed along the fired steps only when a choice pins it; a node that
-    no choice pins gets the least interface.  The result carries the fired
-    steps, so replaying it with `reduce_operable` fires only the last one.
+    composed along the fired steps that moved it only when a choice pins
+    it; a node that no choice pins gets the least interface.  The result
+    carries the fired steps, so replaying it with `reduce_operable` fires
+    only the last one.
     """
     if collapse_derivation(checked) != rd:
         raise ChoiceError("the base derivation does not collapse on the given derivation")
@@ -619,18 +624,19 @@ def build_operable_from_choices(
         for a0, a_i in list(alive.items()):
             if a_i not in interfaces_at_b:
                 continue
-            left, right = identity_iso(checked.left_seq(a0)), identity_iso(checked.right_seq(a0))
-            a = a0
+            phi, left, right, a = interfaces_at_b[a_i], None, None, a0
             for f in fired:
-                left, right = f.types.left(a).compose(left), f.types.right(a).compose(right)
+                if not f.types.fixes(a):
+                    left = f.types.left(a) if left is None else f.types.left(a).compose(left)
+                    right = f.types.right(a) if right is None else f.types.right(a).compose(right)
                 a = f.maps.res[a]
-            pinned[a0] = right.inverse().compose(interfaces_at_b[a_i]).compose(left)
+            pinned[a0] = phi if left is None else right.inverse().compose(phi).compose(left)
             del alive[a0]
         if step == len(choices):
             break
         new_checked, maps = _fire(current, b_i, rho, FLAVOR_SH)
         types = residual_isos(current, maps, interfaces_at_b)
-        fired.append(_Fired(current, new_checked, maps, types))
+        fired.append(_Fired(current, new_checked, maps, interfaces_at_b, types))
         alive = {a0: maps.res[a_i] for a0, a_i in alive.items()}
         current = new_checked
     return _operable(checked, pinned, tuple(fired))

@@ -271,15 +271,36 @@ class Keyed:
         state["_hash"] = hashed
 
     def __eq__(self, other: object) -> bool:
+        """Equal keys.  CPython compares nested tuples in C, recursing once
+        per level, so past the recursion limit `_same_keys` decides."""
         if not isinstance(other, Keyed):
             return NotImplemented
-        return self is other or self._hash == other._hash and self.key == other.key
+        if self is other or self._hash != other._hash:
+            return self is other
+        try:
+            return self.key == other.key
+        except RecursionError:
+            return _same_keys(self.key, other.key)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _same_keys(key1: tuple, key2: tuple) -> bool:
+    """Whether two keys are equal, by a lockstep walk on an explicit stack
+    that skips a pair met as one object and stops at the first difference."""
+    stack = [(key1, key2)]
+    while stack:
+        u, v = stack.pop()
+        if type(u) is tuple and type(v) is tuple and len(u) == len(v):
+            if u is not v:
+                stack += zip(u, v)
+        elif type(u) is tuple or type(v) is tuple or u != v:
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -152,14 +152,18 @@ class DerivationIso:
 
     supp_map: ZeroOneIso
     axiom_isos: dict[Position, ZeroOneIso]
+    _judged = None  # not a field: the last pair judged, (c1, c2, its isomorphisms)
 
     def judgment_isos(self, c1: CheckedDerivation, c2: CheckedDerivation) -> JudgmentIsos:
         """The type isomorphisms induced at every judgment of c1; the axioms
-        of c2 give the new axiom tracks."""
-        pairs = self.supp_map.mapping
-        axioms = {a: (c2.nodes[pairs[a]].track, phi) for a, phi in self.axiom_isos.items()}
-        args = {a: b[-1] for a, b in pairs.items() if a and a[-1] >= 2}
-        return JudgmentIsos(c1, axioms, args)
+        of c2 give the new axiom tracks.  Kept for the last pair, by
+        identity, so `trivialize` and `verify_derivation_iso` share them."""
+        if self._judged is None or self._judged[0] is not c1 or self._judged[1] is not c2:
+            pairs = self.supp_map.mapping
+            axioms = {a: (c2.nodes[pairs[a]].track, phi) for a, phi in self.axiom_isos.items()}
+            args = {a: b[-1] for a, b in pairs.items() if a and a[-1] >= 2}
+            self._judged = c1, c2, JudgmentIsos(c1, axioms, args)
+        return self._judged[2]
 
 
 Relabelling = tuple[DerivationIso, dict[Position, AxNode]]

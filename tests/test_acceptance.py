@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from seqtypes.corpus import sr_corpus, tower_instances
+from seqtypes.corpus import reduction_path, sr_corpus, tower_instances
 from seqtypes.derivations import (
     check_derivation,
     collapse_derivation,
@@ -250,6 +250,35 @@ def test_criterion_5_built_in_choice_sequences(hybrid_corpus):
         f"ACCEPTANCE 5 PASS: {total_sequences} choice sequences (len <= 3) on"
         f" {len(instances)} instances reproduced stepwise, {elapsed:.1f}s"
     )
+
+
+def test_long_reduction_paths_replay_through_their_trivialization():
+    """Criteria 5 and 6 chained on root reduction paths of n = 8 to 64
+    steps: the built path replays onto the `reduce_R` chain, trivializes to
+    an S derivation with equal sides at every application, and that one,
+    reduced by `reduce_S`, collapses onto the same chain; all within a fixed
+    budget."""
+    start = time.monotonic()
+    for n in (8, 16, 32, 64):
+        checked, sequence, chain = reduction_path(7, n)
+        collapsed = collapse_derivation(checked)
+        built = build_operable_from_choices(collapsed, checked, sequence)
+        op = built
+        for (b, _), expected in zip(sequence, chain):
+            op, _, _ = reduce_operable(op, b)
+            assert collapse_derivation(op.checked) == expected
+        trivial = trivialize(built).trivial
+        assert trivial.flavor == "S"
+        for a in trivial.app_positions():
+            assert trivial.left_seq(a) == trivial.right_seq(a)
+        assert collapse_derivation(trivial) == collapsed
+        for (b, _), expected in zip(sequence, chain):
+            trivial = reduce_S(trivial, b)
+            assert collapse_derivation(trivial) == expected
+    assert len(checked.nodes) == 196
+    elapsed = time.monotonic() - start
+    assert elapsed < 20.0
+    print(f"LONG PATHS PASS: n = 8..64 built, replayed and trivialized, {elapsed:.1f}s")
 
 
 def test_criterion_6_trivialization(operable_corpus):

@@ -57,6 +57,7 @@ from samples import (
     S_INNER,
     brothers_operable,
     make_brothers,
+    make_nested,
     make_self_app,
     make_tracked_redex,
     make_wide,
@@ -122,6 +123,35 @@ def test_the_S_rule_compares_deep_sides(depth):
     with pytest.raises(AppMismatch) as exc:
         check_derivation(deep_x_u(depth, deepest="p"))
     assert exc.value.position == EPS
+
+
+def test_the_Sh_rule_compares_deep_sides_up_to_isomorphism():
+    assert sys.getrecursionlimit() <= 1000
+    nodes = deep_x_u(10_000).nodes
+    assert check_derivation(Derivation(parse_term("x u"), "Sh", nodes)).type_at(EPS) == O
+    with pytest.raises(AppMismatch):
+        check_derivation(Derivation(parse_term("x u"), "Sh", deep_x_u(10_000, "p").nodes))
+
+
+def nested_collapse(n: int, deepest: str = "o") -> RDerivation:
+    """The collapse of `make_nested(n)`, built directly: the rigid
+    derivation's positions hold about n^2 letters.  Its deepest axiom's
+    type is the atom `deepest`."""
+    o = RAtom("o")
+    term, root, v = Var("u"), RAxD(RAtom(deepest)), RAxD(rarrow([o], o))
+    for _ in range(n):
+        term, root = App(Var("v"), term), RAppD(v, (root,))
+    return RDerivation(term, root)
+
+
+def test_collapses_compare_at_any_depth():
+    assert nested_collapse(40) == collapse_derivation(check_derivation(make_nested(40)))
+    assert sys.getrecursionlimit() <= 1000
+    first, second = nested_collapse(10_000), nested_collapse(10_000)
+    assert first.root is not second.root
+    assert first == second and hash(first) == hash(second)
+    assert {first: 1}[second] == 1
+    assert first != nested_collapse(10_000, "p") and first != nested_collapse(9_999)
 
 
 def test_malformed_shapes_detected():

@@ -44,10 +44,11 @@ from seqtypes.derivations import (
     AppNode,
     CheckedDerivation,
     Derivation,
+    JudgmentIsos,
     check_derivation,
     collapse_derivation,
 )
-from seqtypes.positions import EPS
+from seqtypes.positions import EPS, ZeroOneIso
 from seqtypes.reduction import (
     OperableDerivation,
     ReductionChoice,
@@ -61,6 +62,7 @@ from seqtypes.reduction import (
     reduce_operable,
     root_interfaces_at,
 )
+from seqtypes.stypes import identity_iso
 from seqtypes.terms import Abs, App, free_vars, redexes
 
 import reference_judgment_isos as ref_isos
@@ -244,11 +246,12 @@ def count_fires(monkeypatch) -> list[CheckedDerivation]:
 
 
 def replay(op: OperableDerivation, positions: list) -> list:
-    """The operable derivation and the residual maps of each step."""
+    """The operable derivation, the residual maps and the residual type
+    isomorphisms of each step."""
     steps = []
     for b in positions:
-        op, maps, _ = reduce_operable(op, b)
-        steps.append((op, maps))
+        op, maps, types = reduce_operable(op, b)
+        steps.append((op, maps, types))
     return steps
 
 
@@ -260,12 +263,15 @@ def assert_same_replay(op: OperableDerivation, positions: list, steps: list) -> 
     """The steps, taken from op, are those of its record-free copy."""
     expected = replay(record_free(op), positions)
     assert len(steps) == len(expected) == len(positions)
-    for (new, maps), (old, old_maps) in zip(steps, expected):
+    for (new, maps, types), (old, old_maps, old_types) in zip(steps, expected):
         assert new.checked.derivation == old.checked.derivation
         assert new.interface == old.interface
         assert maps.res == old_maps.res
         assert maps.qres == old_maps.qres
         assert new.checked.collapse == old.checked.collapse
+        assert types.checked.derivation == old_types.checked.derivation
+        for a in types.checked.nodes:
+            assert types.iso(a) == old_types.iso(a)
 
 
 def built_sequences(min_len: int, max_len: int = 3, instances=None):
@@ -314,6 +320,33 @@ def test_another_interface_over_the_first_redex_fires_anew(monkeypatch):
             assert_same_replay(op, positions, steps)
             cases += 1
     assert cases > 60
+
+
+def test_another_interface_with_the_same_roots_takes_the_reduct_not_the_types(monkeypatch):
+    """Swap the interface at a node over the first redex for one with the
+    same roots and another map: the first step takes the builder's reduct,
+    so nothing fires there, but it builds its own residual isomorphisms,
+    and the replay is the record-free one."""
+    fired, built = count_fires(monkeypatch), count_judgment_isos(monkeypatch)
+    cases = nodes = 0
+    for checked, rd, sequence, positions in built_sequences(2):
+        for a in checked.apps_over.get(positions[0], []):
+            nodes += 1
+            op = build_operable_from_choices(rd, checked, sequence)
+            phi = op.interface[a]
+            others = (psi for psi in interfaces_at(checked, a) if psi.roots() == phi.roots())
+            other = next((psi for psi in others if psi != phi), None)
+            if other is None:
+                continue
+            op.interface[a] = other
+            fired.clear()
+            built.clear()
+            _, _, types = reduce_operable(op, positions[0])
+            assert fired == [] and built == [checked]
+            assert types is not op._fired[0].types
+            assert_same_replay(op, positions, replay(op, positions))
+            cases += 1
+    assert cases > 100 and nodes > 150
 
 
 def test_another_redex_first_fires_every_step(monkeypatch):
@@ -367,3 +400,96 @@ def test_an_interface_the_caller_built_never_takes_a_fired_step(monkeypatch):
             assert len(fired) == len(positions)
         sequences += 1
     assert sequences > 150
+
+
+# -- residual isomorphisms are identities off a step's spine ----------------------
+
+
+def count_judgment_isos(monkeypatch) -> list[CheckedDerivation]:
+    """The derivations a `JudgmentIsos` is built over, in call order."""
+    init, built = JudgmentIsos.__init__, []
+
+    def counted(self, checked, *args):
+        built.append(checked)
+        init(self, checked, *args)
+
+    monkeypatch.setattr(JudgmentIsos, "__init__", counted)
+    return built
+
+
+def assert_identity_off_the_spine(types: JudgmentIsos, maps, interfaces) -> tuple[int, int]:
+    """Below no given axiom, psi is the identity `identity_iso` keeps on the
+    node's type; at a node over the redex, whose body holds the given
+    axioms, left is the interface; `fixes` says whether left and right are
+    identities.  Returns how many application nodes it fixes and moves."""
+    checked = types.checked
+    spine = {p[:i] for p in maps.x_axioms() for i in range(len(p) + 1)}
+    for a in checked.nodes:
+        if a not in spine:
+            assert types.iso(a) is identity_iso(checked.type_at(a)), a
+    for a in maps.nodes_over:
+        assert types.left(a) == interfaces[a]
+    verdicts = [types.fixes(a) for a in checked.app_positions()]
+    for a, fixes in zip(checked.app_positions(), verdicts):
+        assert fixes == (types.left(a).is_identity() and types.right(a).is_identity()), a
+    return verdicts.count(True), verdicts.count(False)
+
+
+def test_residual_isos_are_identities_off_the_spine():
+    fixed = moved = steps = 0
+    for checked, rd, sequence, positions in built_sequences(1):
+        op = build_operable_from_choices(rd, checked, sequence)
+        records = [(f.types, f.maps, f.interfaces) for f in op._fired]
+        for b in positions:
+            source = op
+            op, maps, types = reduce_operable(source, b)
+            records.append((types, maps, source.interface))
+            assert types.checked is source.checked
+        for types, maps, interfaces in records:
+            f, m = assert_identity_off_the_spine(types, maps, interfaces)
+            fixed, moved, steps = fixed + f, moved + m, steps + 1
+    for op in operables():
+        for b in redexes(op.checked.term):
+            _, maps, types = reduce_operable(op, b)
+            f, m = assert_identity_off_the_spine(types, maps, op.interface)
+            fixed, moved, steps = fixed + f, moved + m, steps + 1
+    assert steps > 5000 and fixed > 5 * moved > 3000
+
+
+def test_a_built_replay_builds_only_the_residual_isos_of_its_last_step(monkeypatch):
+    built = count_judgment_isos(monkeypatch)
+    sequences = 0
+    for checked, rd, sequence, positions in built_sequences(2):
+        op = build_operable_from_choices(rd, checked, sequence)
+        built.clear()
+        steps = replay(op, positions)
+        assert built == [steps[-2][0].checked]
+        sequences += 1
+    assert sequences > 150
+
+
+def test_the_builder_composes_only_along_the_steps_that_move_a_node(monkeypatch):
+    """A pinned node composes its left and right isomorphisms along each
+    fired step that does not fix it, and no other: two `compose` calls per
+    such step, the first one's included, as the pin itself takes two."""
+    compose, fixes = ZeroOneIso.compose, JudgmentIsos.fixes
+    composed, verdicts = [], []
+
+    def counted_compose(self, inner):
+        composed.append(self)
+        return compose(self, inner)
+
+    def counted_fixes(self, a):
+        verdicts.append(fixes(self, a))
+        return verdicts[-1]
+
+    monkeypatch.setattr(ZeroOneIso, "compose", counted_compose)
+    monkeypatch.setattr(JudgmentIsos, "fixes", counted_fixes)
+    skipped = 0
+    for checked, rd, sequence, positions in built_sequences(2):
+        composed.clear()
+        verdicts.clear()
+        build_operable_from_choices(rd, checked, sequence)
+        assert len(composed) == 2 * verdicts.count(False)
+        skipped += verdicts.count(True)
+    assert skipped > 300

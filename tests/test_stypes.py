@@ -230,9 +230,9 @@ DEEP = 10_000
 DEEP_POSITIONS = 2_000
 
 
-def deep_type(n: int):
+def deep_type(n: int, bottom: SAtom = O):
     """A type nested n deep, alternately through a target and a source."""
-    t = O
+    t = bottom
     for i in range(n):
         t = SArrow(seq({2: t}), O1) if i % 2 else SArrow(seq({3: O2}), t)
     return t
@@ -256,6 +256,21 @@ def test_same_type_is_equality_at_any_depth():
     assert t1 != shallower and not t1 == shallower
     assert {t1, shallower} == {t2, deep_type(DEEP - 1)}
     assert {t1: "deep"}[t2] == "deep" and shallower not in {t1: "deep"}
+
+
+def test_equiv_at_any_depth():
+    assert sys.getrecursionlimit() <= 1000
+    # the collapses of two types built separately share no node but atoms
+    t1, t2, other = deep_type(DEEP), deep_type(DEEP), deep_type(DEEP, bottom=O1)
+    assert t1.collapse is not t2.collapse
+    assert equiv(t1, t2) and equiv(seq({2: t1}), seq({5: t2}))
+    assert t1.collapse == t2.collapse and {t1.collapse: 1}[t2.collapse] == 1
+    assert not equiv(t1, other) and not equiv(t1, deep_type(DEEP - 1))
+    # past the recursion limit the keys are walked, to the first difference
+    from seqtypes.stypes import _same_keys
+
+    assert _same_keys(t1.collapse.key, t2.collapse.key)
+    assert not _same_keys(t1.collapse.key, other.collapse.key)
 
 
 def test_parse_type_does_not_recurse():

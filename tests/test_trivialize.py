@@ -58,6 +58,7 @@ from samples import (
 )
 from test_derived_reducts import count_calls
 from test_stypes import DEEP_POSITIONS, deep_type
+from test_reduction_differential import count_judgment_isos
 from test_threads_differential import hybrid_operables, wide_operables
 
 
@@ -259,6 +260,25 @@ def test_trivialize_builds_no_conjugate(monkeypatch):
     op = ops[-1]
     reset_derivation(op.checked, trivialize(op).relabelling, op.interface)
     assert calls["_carry"] == len(op.checked.app_positions())
+
+
+def test_trivialize_and_verify_share_one_judgment_isos(monkeypatch):
+    """`trivialize` tests its squares on the judgment isomorphisms of the
+    pair (input, trivial derivation), and verifying that pair takes them
+    from the isomorphism; another pair builds its own."""
+    built = count_judgment_isos(monkeypatch)
+    for op in hybrid_operables()[:60] + wide_operables()[2:]:
+        built.clear()
+        result = trivialize(op)
+        trivial = result.trivial
+        assert verify_derivation_iso(
+            op.checked, trivial, result.iso, op.interface, identity_interfaces(trivial)
+        )
+        assert built == [op.checked]
+        rechecked = check_derivation(trivial.derivation)
+        assert verify_derivation_iso(op.checked, rechecked, result.iso)
+        assert verify_derivation_iso(op.checked, trivial, result.iso)
+        assert built == [op.checked] * 3
 
 
 def test_trivialize_brothers():
