@@ -36,9 +36,10 @@ from .derivations import (
     GenBudget,
     Node,
     RDerivation,
+    _check_nodes,
+    _draw_derivation,
     check_derivation,
     collapse_derivation,
-    generate_normal_form_derivations,
 )
 from .reduction import OperableDerivation, RChoice, enumerate_r_choices, interfaces_at, reduce_R
 
@@ -76,8 +77,7 @@ def random_normal_term(rng: random.Random, max_size: int) -> Term:
 
 
 def random_derivation(rng: random.Random, term: Term, width: int = 2) -> CheckedDerivation:
-    options = generate_normal_form_derivations(term, GenBudget(width=width, limit=8))
-    return check_derivation(rng.choice(options))
+    return check_derivation(_draw_derivation(term, GenBudget(width=width, limit=8), rng))
 
 
 # -- subject expansion ---------------------------------------------------------
@@ -148,25 +148,34 @@ def expand_root(
             raise ExpansionError("the subterm is not free at one occurrence")
     if _name_used(term, var):
         raise ExpansionError(f"{var!r} is not fresh")
+    return _expand(checked, occurrences, var)[0]
+
+
+def _expand(
+    checked: CheckedDerivation, occurrences: list[Position], var: str
+) -> tuple[Derivation, dict[Position, Position]]:
+    """`expand_root` of valid input, with the origin of each node moved: into
+    the body under (1, 0), or into an argument place under its new track."""
+    term = checked.term
     r = term
     for o in occurrences:  # disjoint, since they address equal subterms
         r = replace_at(r, o, Var(var))
-    new_term = App(Abs(var, r), s)
+    new_term = App(Abs(var, r), subterm_at(term, occurrences[0]))
     ripped = sorted(a for a in checked.support() if collapse_position(a) in occurrences)
     tracks = {alpha: i + 2 for i, alpha in enumerate(ripped)}
     new_nodes: dict[Position, Node] = {
         EPS: AppNode(frozenset(tracks.values())),
         (1,): AbsNode(),
     }
+    origins: dict[Position, Position] = {}
     for alpha, node in checked.nodes.items():
         root = next((rp for rp in ripped if alpha[: len(rp)] == rp), None)
-        if root is None:
-            new_nodes[(1, 0) + alpha] = node
-        else:
-            new_nodes[(tracks[root],) + alpha[len(root) :]] = node
+        p = (1, 0) + alpha if root is None else (tracks[root],) + alpha[len(root) :]
+        new_nodes[p] = node
+        origins[p] = alpha
     for alpha in ripped:
         new_nodes[(1, 0) + alpha] = AxNode(tracks[alpha], checked.type_at(alpha))
-    return Derivation(new_term, checked.flavor, new_nodes)
+    return Derivation(new_term, checked.flavor, new_nodes), origins
 
 
 def _name_used(term: Term, name: str) -> bool:
@@ -200,8 +209,12 @@ def expand_random(
     var = f"e{fresh_index}"
     if _name_used(checked.term, var):
         return None
-    deriv = expand_root(checked, occurrences, var)
-    return check_derivation(deriv)
+    # the rule runs on the prefixes of the new nodes (the root, the abstraction,
+    # the axioms in the ripped places); every node moved keeps its judgment
+    deriv, origins = _expand(checked, occurrences, var)
+    spine = {p[:i] for p in deriv.nodes if p not in origins for i in range(len(p) + 1)}
+    kept = {p: alpha for p, alpha in origins.items() if p not in spine}
+    return _check_nodes(deriv, checked, kept)
 
 
 def merge_atoms(deriv: Derivation, rng: random.Random, pool: int) -> Derivation:
@@ -311,9 +324,7 @@ def tower_instances(seed: int, count: int) -> list[OperableDerivation]:
         text = bodies[attempt % len(bodies)]
         height = 1 + (attempt // len(bodies)) % 3
         attempt += 1
-        u = parse_term(text)
-        options = generate_normal_form_derivations(u, GenBudget(width=2, limit=6))
-        body = options[rng.randrange(len(options))]
+        body = _draw_derivation(parse_term(text), GenBudget(width=2, limit=6), rng)
         if rng.random() < 0.5:
             body = merge_atoms(body, rng, pool=1)
         tower = make_tower(body, height)

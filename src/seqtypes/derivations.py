@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote  # the string encoder of `json.dumps`
@@ -303,28 +305,6 @@ class CheckedDerivation:
         return RDerivation(self.term, rnodes[EPS]), positions
 
 
-def _walk_nodes(
-    term: Term, children: Mapping[Position, Iterable[Track]]
-) -> list[tuple[Position, Optional[Term], dict[str, Position]]]:
-    """Every node laid on the term, in preorder, which is increasing position
-    order: its position, its subterm (None off the term's support) and its
-    scope, the node of the abstraction binding each variable bound there.
-
-    Every argument premise sits on the term's argument.  The walk runs on an
-    explicit stack, so depth is unbounded.
-    """
-    out: list[tuple[Position, Optional[Term], dict[str, Position]]] = []
-    stack: list[tuple[Position, Optional[Term], dict[str, Position]]] = [(EPS, term, {})]
-    while stack:
-        a, subj, scope = stack.pop()
-        out.append((a, subj, scope))
-        if isinstance(subj, Abs):
-            scope = {**scope, subj.binder: a}
-        for k in sorted(children[a], reverse=True):
-            stack.append((a + (k,), None if subj is None else child(subj, k), scope))
-    return out
-
-
 def check_derivation(deriv: Derivation) -> CheckedDerivation:
     """Apply the rules at every node, premises first (reverse preorder); the
     first fault met raises.  Two axioms of one binder on one track meet at
@@ -358,50 +338,65 @@ def _check_nodes(
     bound: dict[Union[Position, str], dict[Track, Position]] = {}
     right_seqs: dict[Position, SeqType] = {}
     meets: set[Position] = set()  # where two axioms of one binder share a track
-    for a, subj, scope in reversed(_walk_nodes(term, children)):
+    scope: dict[str, list[Position]] = {}  # the abstractions binding each name, innermost last
+    # reverse preorder: a node comes back after its children, the last letter first
+    stack: list[tuple[Position, Optional[Term], Optional[set[Track]]]] = [(EPS, term, None)]
+    while stack:
+        a, subj, kids = stack.pop()
+        if kids is None:
+            kids = children[a]
+            if kids:
+                stack.append((a, subj, kids))
+                if type(subj) is Abs:
+                    scope.setdefault(subj.binder, []).append(a)
+                for k in sorted(kids):
+                    stack.append((a + (k,), None if subj is None else child(subj, k), None))
+                continue
         node = nodes[a]
         if subj is None:
             raise MalformedShape(a, "position outside the subject's support")
-        kids = children[a]
-        if isinstance(node, AxNode):
+        if type(node) is AxNode:
             if kids:
                 raise MalformedShape(a, "axiom with children")
-            if not isinstance(subj, Var):
+            if type(subj) is not Var:
                 raise MalformedShape(a, "axiom not at a variable")
             if node.track < 2:
                 raise MalformedShape(a, "axiom track must be >= 2")
-            binder = binders[a] = scope.get(subj.name)
+            binds = scope.get(subj.name)
+            binder = binders[a] = binds[-1] if binds else None
             by_track = bound.setdefault(subj.name if binder is None else binder, {})
             other = by_track.setdefault(node.track, a)
             if other is not a:  # the latest other axiom meets this one lowest
                 meets.add(a[: next(i for i, k in enumerate(a) if k != other[i])])
                 by_track[node.track] = a
             types[a] = node.stype
-        elif isinstance(node, AbsNode):
-            if not isinstance(subj, Abs):
+        elif type(node) is AbsNode:
+            if type(subj) is not Abs:
                 raise MalformedShape(a, "abstraction node not at an abstraction")
             if kids != {0}:
                 raise MalformedShape(a, "abstraction needs exactly the child 0")
+            scope[subj.binder].pop()
             if a in kept:
                 types[a] = source._types[kept[a]]
             else:
                 lseq = seq((k, types[p]) for k, p in bound.get(a, {}).items())
                 types[a] = SArrow(lseq, types[a + (0,)])
         else:
-            if not isinstance(subj, App):
+            if type(subj) is not App:
                 raise MalformedShape(a, "application node not at an application")
-            if any(k < 2 for k in node.arg_tracks):
+            args = node.arg_tracks
+            if any(k < 2 for k in args):
                 raise MalformedShape(a, "argument tracks must be >= 2")
-            if kids != {1} | node.arg_tracks:
+            if 1 not in kids or not args <= kids or len(kids) != len(args) + 1:
                 raise MalformedShape(a, "application children do not match its tracks")
             if a in kept:
                 types[a], right_seqs[a] = source._types[kept[a]], source._right_seqs[kept[a]]
             else:
                 left = types[a + (1,)]
-                if not isinstance(left, SArrow):
+                if type(left) is not SArrow:
                     raise MalformedShape(a, "left premise does not conclude with an arrow")
                 lseq = left.source
-                rseq = right_seqs[a] = seq((k, types[a + (k,)]) for k in node.arg_tracks)
+                rseq = right_seqs[a] = SeqType(tuple([(k, types[a + (k,)]) for k in sorted(args)]))
                 mismatch = lseq != rseq if flavor == FLAVOR_S else not equiv(lseq, rseq)
                 if mismatch:
                     raise AppMismatch(a, lseq, rseq)
@@ -740,16 +735,56 @@ def _decompose_normal(t: Term) -> tuple[list[str], str, list[Term]]:
     return binders, u.name, list(reversed(args))
 
 
-def _shapes(t: Term, width: int) -> Iterator[tuple]:
+def _options(n: int, width: int) -> int:
+    """The multisets of at most `width` of n shapes: the sum over w of C(n + w - 1, w)."""
+    return sum(math.comb(n + w - 1, w) for w in range(width + 1))
+
+
+def _shape_counts(width: int, cap: Optional[int] = None) -> Callable[[Term], int]:
+    """The number of shapes of a normal term, memoized by subterm: the product
+    of `_options` of its arguments' own numbers.  With a cap, min(cap, that):
+    every index below the cap unranks alike, and the numbers stay small."""
+    counts: dict[int, int] = {}
+
+    def count(t: Term) -> int:
+        n = counts.get(id(t))
+        if n is None:
+            n = 1
+            for arg in _decompose_normal(t)[2]:
+                n *= _options(count(arg), width)
+            counts[id(t)] = n = n if cap is None else min(n, cap)
+        return n
+
+    return count
+
+
+def _nth_shape(t: Term, width: int, i: int, count: Optional[Callable[[Term], int]] = None) -> tuple:
+    """The i-th shape, at a cost in proportion to i: the arguments' options in
+    mixed radix, the last fastest; an option's width, then its multiset of the
+    argument's shape indices in lexicographic order (the combinatorial number
+    system, Knuth, TAOCP 4A, 7.2.1.3), by counts capped above i, or exact."""
+    count = count or _shape_counts(width)
+    shape = []
+    for arg in reversed(_decompose_normal(t)[2]):
+        n, w = count(arg), 0
+        i, d = divmod(i, _options(n, width))
+        while d >= (c := math.comb(n + w - 1, w)):  # the options of one width form a run
+            d, w = d - c, w + 1
+        picks, k = [], 0
+        for r in range(w - 1, -1, -1):  # r picks follow this one, none below k
+            while d >= (c := math.comb(n - k + r - 1, r)):
+                d, k = d - c, k + 1
+            picks.append(_nth_shape(arg, width, k, count))
+        shape.append(tuple(picks))
+    return tuple(reversed(shape))
+
+
+def _shapes(t: Term, width: int, limit: Optional[int] = None) -> Iterator[tuple]:
     """Width choices for every application argument, deterministically
-    ordered and lazily: only the options of each argument are listed."""
-    _, _, args = _decompose_normal(t)
-    per_arg = []
-    for arg in args:
-        sub = list(_shapes(arg, width))
-        widths = range(width + 1)
-        per_arg.append([c for w in widths for c in itertools.combinations_with_replacement(sub, w)])
-    return itertools.product(*per_arg)
+    ordered (widths ascending): the first `limit`, or all when None, each
+    unranked when it is used, so none is listed."""
+    count = _shape_counts(width, limit)
+    return (_nth_shape(t, width, i, count) for i in range(count(t)))
 
 
 def _materialize(
@@ -807,14 +842,20 @@ def generate_normal_form_derivations(t: Term, budget: GenBudget = GenBudget()) -
     """
     if not is_normal(t):
         raise ValueError("the subject must be beta-normal")
-    out: list[Derivation] = []
-    for shape in _shapes(t, budget.width):
-        if len(out) >= budget.limit:
-            break
-        nodes: dict[Position, Node] = {}
-        _materialize(t, shape, EPS, itertools.count(1), itertools.count(2), nodes)
-        out.append(Derivation(t, FLAVOR_S, nodes))
-    return out
+    return [_derivation_of(t, shape) for shape in _shapes(t, budget.width, budget.limit)]
+
+
+def _draw_derivation(t: Term, budget: GenBudget, rng: random.Random) -> Derivation:
+    """`rng.choice(generate_normal_form_derivations(t, budget))` by the same
+    `rng.randrange` draw, building only the derivation drawn."""
+    count = _shape_counts(budget.width, budget.limit)
+    return _derivation_of(t, _nth_shape(t, budget.width, rng.randrange(count(t)), count))
+
+
+def _derivation_of(t: Term, shape: tuple) -> Derivation:
+    nodes: dict[Position, Node] = {}
+    _materialize(t, shape, EPS, itertools.count(1), itertools.count(2), nodes)
+    return Derivation(t, FLAVOR_S, nodes)
 
 
 # -- file format -------------------------------------------------------------

@@ -130,6 +130,13 @@ class SeqType(_TypeFacts):
     entries: tuple[tuple[Track, SType], ...]
 
     def __post_init__(self) -> None:
+        last = 1
+        for k, _ in self.entries:  # tracks strictly increasing from 2 pass all three checks
+            if k <= last:
+                break
+            last = k
+        else:
+            return
         tracks = [k for k, _ in self.entries]
         if any(k < 2 for k in tracks):
             raise ValueError("sequence tracks are >= 2")

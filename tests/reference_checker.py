@@ -18,7 +18,9 @@ against this one.
 library once nothing there read a context: they build every node's
 judgment from a library `CheckedDerivation` and check quantitativity
 against its per-binder index, so that index still faces this module's
-independent context builder.
+independent context builder.  The library checker walks its nodes itself,
+so `binder_quantitativity_holds` walks with this module's `_walk_nodes` and
+finds each entry's binder among the abstractions above its node.
 """
 
 from __future__ import annotations
@@ -387,10 +389,18 @@ def binder_quantitativity_holds(
     The judgments are `lazy_judgments(checked)` unless given."""
     if judgments is None:
         judgments = lazy_judgments(checked)
+    children = {a: [a + (k,) for k in checked.children(a)] for a in checked.nodes}
+    walk = _walk_nodes(checked.term, children)
+    binds = {a: subj.binder for a, subj, _ in walk if isinstance(subj, Abs)}
+
+    def binder(a: Position, x: str):
+        """The abstraction strictly above a that binds x there, or x."""
+        return next((a[:i] for i in range(len(a) - 1, -1, -1) if binds.get(a[:i]) == x), x)
+
     entries = 0
-    for a, _, scope in lib._walk_nodes(checked.term, checked._children):
+    for a, _, _ in walk:
         for x, f in judgments[a].context.entries:
-            axioms = checked.bound_by(scope.get(x, x))
+            axioms = checked.bound_by(binder(a, x))
             for t, stype in f.items():
                 p = axioms.get(t)
                 if p is None or p[: len(a)] != a or checked.type_at(p) != stype:

@@ -5,8 +5,9 @@ recomputes the canonical form `_canon` of every subtree at every recursion
 level, takes the product of all permutations within every group of
 equal-form siblings and sorts the whole list at the end;
 `root_interfaces_at` does the same on the roots of an application's two
-sequence types; `_shapes` builds every width shape of a normal term before
-the first one is used; `enumerate_derivation_isos` lists every type
+sequence types; `shapes` builds every width shape of a normal term before
+the first one is used, as `listed_shapes`, the library's own listing before
+it unranked, did by `itertools`; `enumerate_derivation_isos` lists every type
 isomorphism of every axiom before taking their product.  `test_isos_differential.py` compares the lazy
 enumerators of `seqtypes` against them.
 
@@ -220,6 +221,18 @@ def shapes(t, width: int) -> list:
 
     product(0, ())
     return out
+
+
+def listed_shapes(t, width: int):
+    """The library's `_shapes` before shapes were unranked, verbatim but for
+    its name: every option of every argument listed, then multiplied out."""
+    _, _, args = _decompose_normal(t)
+    per_arg = []
+    for arg in args:
+        sub = list(listed_shapes(arg, width))
+        widths = range(width + 1)
+        per_arg.append([c for w in widths for c in itertools.combinations_with_replacement(sub, w)])
+    return itertools.product(*per_arg)
 
 
 def enumerate_derivation_isos(c1, c2, limit: int = 64) -> list[DerivationIso]:

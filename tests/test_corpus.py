@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
+from seqtypes.cli import run
 from seqtypes.corpus import (
     ExpansionError,
     expand_random,
@@ -12,6 +14,7 @@ from seqtypes.corpus import (
     make_tower,
     merge_atoms,
     random_normal_term,
+    reduction_path,
     sr_corpus,
     tower_instances,
 )
@@ -23,7 +26,7 @@ from seqtypes.derivations import (
     dumps_derivation,
     generate_normal_form_derivations,
 )
-from seqtypes.positions import EPS
+from seqtypes.positions import EPS, format_position
 from seqtypes.reduction import reduce_S
 from seqtypes.stypes import SArrow, SAtom, SType, seq
 from seqtypes.terms import (
@@ -210,3 +213,44 @@ def test_collapse_soundness_and_quantitativity_on_corpus():
     for checked in sr_corpus(17, 40):
         check_R(collapse_derivation(checked))  # soundness of the collapse
         assert binder_quantitativity_holds(checked)
+
+
+# sha256 of what the generators write, recorded before the draws built one
+# derivation each: a draw, an expansion or a check may change how it works,
+# never what it gives
+GEN_DEFAULTS_SHA256 = "7d94a4575913f679a3994f383a2926d1dcbe25aca042a3a47ef0dce45e013c5c"
+TOWERS_SHA256 = "eb000fef77ae2545a13d359f181f6e3a710d3818f99a59a3aa8cb8f7ec7bacd4"
+REDUCTION_PATH_SHA256 = "6d77e485f5bda89aecff0979331ea5269181f74ac13e85b5f5499a47b35ab5f5"
+CORPUS_SEED = 20250809
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_gen_writes_the_same_texts_at_its_defaults(tmp_path, capsys):
+    assert run(["gen", "--seed", "42", "--outdir", str(tmp_path)]) == 0
+    paths = sorted(tmp_path.iterdir())
+    assert len(paths) == 100
+    assert sha256("".join(p.read_text() for p in paths)) == GEN_DEFAULTS_SHA256
+
+
+def test_tower_instances_are_unchanged():
+    texts = [dumps_derivation(op.checked.derivation) for op in tower_instances(CORPUS_SEED + 5, 4)]
+    assert sha256("".join(texts)) == TOWERS_SHA256
+
+
+def test_a_reduction_path_and_its_choices_are_unchanged():
+    checked, sequence, _ = reduction_path(7, 32)
+    steps = [
+        (
+            format_position(b),
+            format_position(c.redex),
+            sorted(
+                (format_position(site), sorted((format_position(p), j) for p, j in m.items()))
+                for site, m in c.assignments.items()
+            ),
+        )
+        for b, c in sequence
+    ]
+    assert sha256(dumps_derivation(checked.derivation) + repr(steps)) == REDUCTION_PATH_SHA256

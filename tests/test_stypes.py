@@ -25,6 +25,7 @@ from seqtypes.stypes import (
     RAtom,
     SArrow,
     SAtom,
+    SeqType,
     TypeSyntaxError,
     check_type_iso,
     equiv,
@@ -286,6 +287,25 @@ def test_one_track_with_two_types_is_a_duplicate_track():
     for text in ["(2:o, 2:p) -> o", "(2:o, 2:o) -> o", "(3:(2:o) -> o, 2:o, 3:p) -> o"]:
         with pytest.raises(ValueError, match="duplicate track in sequence type"):
             parse_type(text)
+
+
+@pytest.mark.parametrize(
+    "tracks, message",
+    [
+        ((1,), "sequence tracks are >= 2"),
+        ((2, 2), "duplicate track in sequence type"),
+        ((3, 2), "sequence entries must be sorted by track"),
+        ((3, 3, 1), "sequence tracks are >= 2"),
+        ((4, 2, 2), "duplicate track in sequence type"),
+        ((2, 5, 4), "sequence entries must be sorted by track"),
+    ],
+)
+def test_a_sequence_type_raises_the_first_of_its_three_checks(tracks, message):
+    # one loop passes tracks strictly increasing from 2; any other input
+    # meets the three checks in their order
+    with pytest.raises(ValueError, match=message):
+        SeqType(tuple((k, O) for k in tracks))
+    assert SeqType(((2, O), (5, O1))).tracks() == [2, 5]
 
 
 def test_type_facts_do_not_recurse():
